@@ -215,21 +215,10 @@ func BenchmarkAblationScheduler(b *testing.B) {
 
 // BenchmarkSimulatorIssueRate measures raw simulator speed (simulated
 // instruction issues per wall-clock second) on a busy multi-warp device.
-// sim.DefaultConfig enables the parallel multi-core engine (Workers =
-// NumCPU); BenchmarkSimulatorIssueRateSequential is the one-goroutine
-// baseline for the speedup comparison.
-func BenchmarkSimulatorIssueRate(b *testing.B)           { benchIssueRate(b, 0) }
-func BenchmarkSimulatorIssueRateSequential(b *testing.B) { benchIssueRate(b, 1) }
-
-func benchIssueRate(b *testing.B, workers int) {
-	b.Helper()
+func BenchmarkSimulatorIssueRate(b *testing.B) {
 	var issued uint64
 	for i := 0; i < b.N; i++ {
-		cfg := sim.DefaultConfig(4, 8, 8)
-		if workers > 0 {
-			cfg.Workers = workers
-		}
-		d, err := ocl.NewDevice(cfg)
+		d, err := ocl.NewDevice(sim.DefaultConfig(4, 8, 8))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -246,88 +235,13 @@ func benchIssueRate(b *testing.B, workers int) {
 	b.ReportMetric(float64(issued)/b.Elapsed().Seconds(), "sim_instrs/s")
 }
 
-// BenchmarkSimulatorCommitSharded / BenchmarkSimulatorCommitSerial compare
-// the two commit-phase disciplines of the parallel engine on a DRAM-heavy
-// multi-core device: sharded applies each cycle's deferred misses per L2
-// bank and DRAM channel on the worker pool, serial (CommitWorkers=1, the
-// PR-1 discipline) walks them single-threaded in global order. Results are
-// byte-identical — both report the simulated cycle count as the
-// device_cycles metric, which must match between the two benchmarks
-// (TestParallelShardedCommitMatrix enforces the full contract); the
-// wall-clock delta is the commit-sharding win and scales with host cores
-// (on a single-CPU host the two collapse to spin-barrier overhead).
-func BenchmarkSimulatorCommitSharded(b *testing.B) { benchCommit(b, 0) }
-func BenchmarkSimulatorCommitSerial(b *testing.B)  { benchCommit(b, 1) }
-
-func benchCommit(b *testing.B, commitWorkers int) {
-	b.Helper()
-	cfg := sim.DefaultConfig(8, 8, 8)
-	cfg.Workers = 4
-	cfg.CommitWorkers = commitWorkers
-	// Each warp streams stores+loads over its own 4 KiB region at line
-	// stride; the 2 MiB aggregate footprint defeats the 128 KiB L2, so
-	// nearly every cycle defers a batch of misses into the commit phase.
-	prog := `
-		csrr s0, cid
-		slli s0, s0, 15
-		csrr t0, wid
-		slli t1, t0, 12
-		add  s0, s0, t1
-		csrr t0, tid
-		slli t1, t0, 9
-		add  s0, s0, t1
-		li   t2, 0x100000
-		add  s0, s0, t2
-		li   t3, 8
-	loop:
-		lw   t4, 0(s0)
-		add  t4, t4, t3
-		sw   t4, 0(s0)
-		addi s0, s0, 64
-		addi t3, t3, -1
-		bnez t3, loop
-		ecall
-	`
-	p := asm.MustAssemble(prog, 0x1000, nil)
-	memory := mem.NewMemory(1 << 22)
-	hier, err := mem.NewHierarchy(cfg.Cores, cfg.Mem)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := sim.New(cfg, memory, hier)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := s.LoadProgram(p.Base, p.Insts); err != nil {
-		b.Fatal(err)
-	}
-	var issued uint64
-	for i := 0; i < b.N; i++ {
-		for c := 0; c < cfg.Cores; c++ {
-			for w := 0; w < cfg.Warps; w++ {
-				if err := s.ActivateWarp(c, w, 0x1000, 0xFF); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		if err := s.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	issued = s.TotalStats().Issued
-	b.ReportMetric(float64(issued)/b.Elapsed().Seconds(), "sim_instrs/s")
-	b.ReportMetric(float64(s.Cycle())/float64(b.N), "device_cycles")
-}
-
 // BenchmarkSimulatorIssuePath measures the steady-state issue path with all
 // setup (device build, assembly, input generation) hoisted out of the loop:
 // each iteration re-activates the warps of a prebuilt device and runs the
 // kernel to completion. With -benchmem this pins the zero-allocation
-// property of the issue/coalescing path (allocs/op ~ 0 on the sequential
-// engine; the parallel engine adds only its per-run worker bookkeeping).
+// property of the issue/coalescing path (allocs/op ~ 0).
 func BenchmarkSimulatorIssuePath(b *testing.B) {
 	cfg := sim.DefaultConfig(4, 8, 8)
-	cfg.Workers = 1
 	prog := `
 		csrr s0, cid
 		slli s0, s0, 14
@@ -388,28 +302,18 @@ func BenchmarkSimulatorIssuePath(b *testing.B) {
 	b.ReportMetric(float64(issued)/b.Elapsed().Seconds(), "sim_instrs/s")
 }
 
-// BenchmarkHighWarpIssue measures the sequential issue path at the warp
-// count where the legacy per-issue warp rescan dominated: 32 warps per
-// core, a loop mixing memory and FP dependencies so warps continuously
-// stall and wake. The ready-set/wake-heap scheduler touches only ready
-// warps per issue cycle; BenchmarkHighWarpIssueScan runs the identical
-// workload on the retained scan oracle (Config.ScanSched), so the pair
-// quantifies the rescan cost the heap removed. Simulated results are
-// byte-identical — both report device_cycles, which the deterministic CI
-// gate holds at zero drift.
-func BenchmarkHighWarpIssue(b *testing.B)     { benchHighWarp(b, false) }
-func BenchmarkHighWarpIssueScan(b *testing.B) { benchHighWarp(b, true) }
-
-func benchHighWarp(b *testing.B, scan bool) {
-	b.Helper()
+// BenchmarkHighWarpIssue measures the issue path at the warp count where a
+// per-issue rescan of every warp would dominate: 32 warps per core, a loop
+// mixing memory and FP dependencies so warps continuously stall and wake.
+// The ready-set/wake-heap scheduler touches only ready warps per issue
+// cycle. It reports device_cycles, which the deterministic CI gate holds at
+// zero drift.
+func BenchmarkHighWarpIssue(b *testing.B) {
 	cfg := sim.DefaultConfig(2, 32, 8)
-	cfg.Workers = 1
-	cfg.ScanSched = scan
 	// Each warp streams dependent loads over its own 4 KiB region at line
 	// stride; the 256 KiB aggregate footprint defeats the 128 KiB L2, so
 	// warps sleep on staggered DRAM fills and a typical issue cycle sees a
-	// couple of ready warps among dozens of stalled ones — the regime where
-	// the legacy engine's rescan walks the whole warp array per issue.
+	// couple of ready warps among dozens of stalled ones.
 	prog := `
 		csrr s0, cid
 		slli s0, s0, 17
@@ -477,19 +381,10 @@ func benchHighWarp(b *testing.B, scan bool) {
 // compute-only loop (no memory stalls to stagger them), so nearly every
 // batchable issue leads or rides a full-width cohort and the per-warp
 // dispatch switches collapse into one fused warps x lanes kernel per
-// cohort. BenchmarkUniformWarpUnbatched runs the identical workload on the
-// per-warp oracle (Config.BatchExec=false), so the pair quantifies the
-// dispatch overhead batching removed. Simulated results are byte-identical
-// — both report device_cycles, which the deterministic CI gate holds at
-// zero drift.
-func BenchmarkUniformWarpBatch(b *testing.B)     { benchUniformWarp(b, true) }
-func BenchmarkUniformWarpUnbatched(b *testing.B) { benchUniformWarp(b, false) }
-
-func benchUniformWarp(b *testing.B, batch bool) {
-	b.Helper()
+// cohort. It reports device_cycles, which the deterministic CI gate holds
+// at zero drift.
+func BenchmarkUniformWarpBatch(b *testing.B) {
 	cfg := sim.DefaultConfig(1, 32, 8)
-	cfg.Workers = 1
-	cfg.BatchExec = batch
 	// Lane values differ (tid-seeded) but control flow is warp-uniform and
 	// the loop never touches memory, so the 32 warps stay at the same pc
 	// for the whole run. In-warp dependencies are ~32 issue slots stale by
@@ -578,19 +473,10 @@ func benchUniformWarp(b *testing.B, batch bool) {
 // the lane-major register file. Timing is untouched: every mate's L1 walk,
 // MSHR and LSU occupancy replay at its true issue cycle. The working set
 // fits L1, so after the first pass the loop measures the execution path,
-// not DRAM. BenchmarkMemCohortUnbatched runs the identical
-// workload on the per-warp memory path (Config.BatchMem=false; compute
-// batching stays on in both, isolating the memory-side win). Simulated
-// results are byte-identical — both report device_cycles, which the
-// deterministic CI gate holds at zero drift.
-func BenchmarkMemCohortBatch(b *testing.B)     { benchMemCohort(b, true) }
-func BenchmarkMemCohortUnbatched(b *testing.B) { benchMemCohort(b, false) }
-
-func benchMemCohort(b *testing.B, batchMem bool) {
-	b.Helper()
+// not DRAM. It reports device_cycles, which the deterministic CI gate holds
+// at zero drift.
+func BenchmarkMemCohortBatch(b *testing.B) {
 	cfg := sim.DefaultConfig(1, 16, 32)
-	cfg.Workers = 1
-	cfg.BatchMem = batchMem
 	// Every warp owns a 512-byte source region and a disjoint destination
 	// region at 0x8000 + wid*512 (+ 0x4000); the 32 lanes walk base +
 	// tid*4, so both fields of each lw/sw pair are full-mask unit-stride
@@ -667,23 +553,13 @@ func benchMemCohort(b *testing.B, batchMem bool) {
 // a 16c8w8t device in the DRAM-bound many-core-idle regime (GCNAggr/KNN
 // shaped: short bursts of address arithmetic between long irregular-access
 // miss sleeps), where on a typical cycle one core is issuing and the other
-// fifteen are asleep on DRAM fills. The legacy tick loop can never
-// fast-forward — some core always issues — so it visits all sixteen cores
-// every cycle and charges each sleeper's stall counters one cycle at a
-// time; the event engine touches only the due cores and settles the stall
-// spans in bulk. BenchmarkManyCoreIdleTick runs the identical workload on
-// the retained tick oracle (Config.TickEngine), so the pair quantifies the
-// per-cycle device scan the wake queue removed. Simulated results are
-// byte-identical — both report device_cycles, which the deterministic CI
-// gate holds at zero drift.
-func BenchmarkManyCoreIdle(b *testing.B)     { benchManyCoreIdle(b, false) }
-func BenchmarkManyCoreIdleTick(b *testing.B) { benchManyCoreIdle(b, true) }
-
-func benchManyCoreIdle(b *testing.B, tick bool) {
-	b.Helper()
+// fifteen are asleep on DRAM fills. Some core always issues, so a per-cycle
+// scan of every core could never fast-forward; the event engine touches
+// only the due cores and settles the sleepers' stall spans in bulk. It
+// reports device_cycles, which the deterministic CI gate holds at zero
+// drift.
+func BenchmarkManyCoreIdle(b *testing.B) {
 	cfg := sim.DefaultConfig(64, 8, 8)
-	cfg.Workers = 1
-	cfg.TickEngine = tick
 	// All gather traffic lands on a single DRAM channel — the worst-case
 	// hot-spot of an irregular gather, and the regime where a many-core
 	// device is maximally idle: fills serialize, so a core's miss sleep
@@ -854,7 +730,6 @@ func BenchmarkMSHRUnbounded(b *testing.B) { benchMSHR(b, 0) }
 func benchMSHR(b *testing.B, mshrs int) {
 	b.Helper()
 	cfg := sim.DefaultConfig(2, 32, 8)
-	cfg.Workers = 1
 	cfg.Mem.L1.MSHRs = mshrs
 	cfg.Mem.L2.MSHRs = mshrs
 	// Same DRAM-bound stream as BenchmarkHighWarpIssue: each warp walks its

@@ -8,13 +8,14 @@
 //	vortex-run [-config 4c8w16t] [-kernel sgemm] [-lws 0] [-scale 1.0]
 //	           [-mapper ours|lws=1|lws=32] [-sched rr|gto|oldest|2lev]
 //	           [-mshrs 0] [-l1 16k4w] [-prefetch off|nextline]
-//	           [-seed 42] [-compare] [-tick-engine] [-batch-exec=false]
-//	           [-batch-mem=false]
+//	           [-seed 42] [-compare] [-cache-stats]
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -25,56 +26,63 @@ import (
 )
 
 func main() {
-	cfgName := flag.String("config", "4c8w16t", "device configuration (paper notation)")
-	kernel := flag.String("kernel", "vecadd", "kernel (registry name)")
-	lws := flag.Int("lws", 0, "local work size (0 = use the mapper)")
-	mapper := flag.String("mapper", "ours", "auto mapper when lws=0: ours, lws=1 or lws=32")
-	scale := flag.Float64("scale", 1.0, "workload scale (1.0 = paper size)")
-	seed := flag.Int64("seed", 42, "input seed")
-	compare := flag.Bool("compare", false, "run all three mappings and print the ratio table")
-	workers := flag.Int("workers", 0, "host threads simulating cores in parallel (0 = all CPUs, 1 = sequential)")
-	commitWorkers := flag.Int("commit-workers", 0, "commit-phase sharding per L2 bank/DRAM channel (0 = follow -workers, 1 = global single-threaded commit)")
-	sched := flag.String("sched", "rr", "warp scheduler policy: rr, gto, oldest or 2lev")
-	mshrs := flag.Int("mshrs", 0, "outstanding-miss bound per L1 and per L2 bank (0 = unbounded)")
-	l1geom := flag.String("l1", mem.DefaultL1Geometry(), "L1 geometry (<size-KiB>k<ways>w, e.g. 16k4w)")
-	prefetch := flag.String("prefetch", "off", "L1 prefetch policy: off or nextline")
-	tickEngine := flag.Bool("tick-engine", false, "use the legacy per-cycle tick loop instead of the event-driven device engine (identical results, differential oracle)")
-	batchExec := flag.Bool("batch-exec", true, "execute lockstep warp cohorts with fused batched kernels; false selects the per-warp oracle path (identical results)")
-	batchMem := flag.Bool("batch-mem", true, "batch loads/stores of lockstep cohorts through affine address templates; false selects the per-warp oracle path (identical results)")
-	cacheStats := flag.Bool("cache-stats", false, "print the campaign-engine cache counters (program cache, input memo) after the run")
-	flag.Parse()
+	os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// cli parses args, runs the launch and returns the process exit status:
+// 0 on success, 1 on a failed run, 2 on a command-line error.
+func cli(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("vortex-run", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	cfgName := fs.String("config", "4c8w16t", "device configuration (paper notation)")
+	kernel := fs.String("kernel", "vecadd", "kernel (registry name)")
+	lws := fs.Int("lws", 0, "local work size (0 = use the mapper)")
+	mapper := fs.String("mapper", "ours", "auto mapper when lws=0: ours, lws=1 or lws=32")
+	scale := fs.Float64("scale", 1.0, "workload scale (1.0 = paper size)")
+	seed := fs.Int64("seed", 42, "input seed")
+	compare := fs.Bool("compare", false, "run all three mappings and print the ratio table")
+	sched := fs.String("sched", "rr", "warp scheduler policy: rr, gto, oldest or 2lev")
+	mshrs := fs.Int("mshrs", 0, "outstanding-miss bound per L1 and per L2 bank (0 = unbounded)")
+	l1geom := fs.String("l1", mem.DefaultL1Geometry(), "L1 geometry (<size-KiB>k<ways>w, e.g. 16k4w)")
+	prefetch := fs.String("prefetch", "off", "L1 prefetch policy: off or nextline")
+	cacheStats := fs.Bool("cache-stats", false, "print the campaign-engine cache counters (program cache, input memo) after the run")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "vortex-run:", err)
+		return 1
+	}
 
 	schedPol, err := sim.ParseSchedPolicy(*sched)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "vortex-run:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	if *mshrs < 0 {
-		fmt.Fprintf(os.Stderr, "vortex-run: -mshrs must be >= 0 (got %d; 0 = unbounded)\n", *mshrs)
-		os.Exit(1)
+		return fail(fmt.Errorf("-mshrs must be >= 0 (got %d; 0 = unbounded)", *mshrs))
 	}
 	l1Size, l1Ways, err := mem.ParseL1Geometry(*l1geom)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "vortex-run:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	pfetch, err := mem.ParsePrefetchPolicy(*prefetch)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "vortex-run:", err)
-		os.Exit(1)
+		return fail(err)
 	}
-	dev := devOpts{workers: *workers, commitWorkers: *commitWorkers, sched: schedPol, tickEngine: *tickEngine, batchExec: *batchExec, batchMem: *batchMem,
-		mshrs: *mshrs, l1Size: l1Size, l1Ways: l1Ways, prefetch: pfetch}
-	if err := run(*cfgName, *kernel, *lws, *mapper, *scale, *seed, *compare, dev); err != nil {
-		fmt.Fprintln(os.Stderr, "vortex-run:", err)
-		os.Exit(1)
+	dev := devOpts{sched: schedPol, mshrs: *mshrs, l1Size: l1Size, l1Ways: l1Ways, prefetch: pfetch}
+	if err := run(stdout, *cfgName, *kernel, *lws, *mapper, *scale, *seed, *compare, dev); err != nil {
+		return fail(err)
 	}
 	if *cacheStats {
 		prog := ocl.ProgramCacheStats()
 		inp := kernels.InputCacheStats()
-		fmt.Printf("\ncampaign caches: programs %d hit / %d built; inputs %d hit / %d built\n",
+		fmt.Fprintf(stdout, "\ncampaign caches: programs %d hit / %d built; inputs %d hit / %d built\n",
 			prog.Hits, prog.Misses, inp.Hits, inp.Misses)
 	}
+	return 0
 }
 
 func mapperByName(name string) (core.Mapper, error) {
@@ -89,39 +97,20 @@ func mapperByName(name string) (core.Mapper, error) {
 	return nil, fmt.Errorf("unknown mapper %q", name)
 }
 
-// devOpts bundles the engine knobs forwarded to every device built by this
-// command: host parallelism, commit sharding, the warp scheduler policy,
-// the tick-engine fallback, the batched-execution toggle and the
-// memory-side axes (MSHR bound, L1 geometry, prefetch policy).
+// devOpts bundles the device axes forwarded to every device built by this
+// command: the warp scheduler policy and the memory-side axes (MSHR bound,
+// L1 geometry, prefetch policy).
 type devOpts struct {
-	workers        int
-	commitWorkers  int
 	sched          sim.SchedPolicy
-	tickEngine     bool
-	batchExec      bool
-	batchMem       bool
 	mshrs          int
 	l1Size, l1Ways int
 	prefetch       mem.PrefetchPolicy
 }
 
-// deviceConfig builds the simulator config for hw; workers > 0 overrides
-// the core-parallelism of the simulation engine (default: all host CPUs),
-// commitWorkers > 0 the commit-phase sharding, sched the warp scheduler
-// policy, and tickEngine selects the legacy per-cycle loop over the
-// event-driven engine (byte-identical results).
+// deviceConfig builds the simulator config for hw at the dev axis point.
 func deviceConfig(hw core.HWInfo, dev devOpts) sim.Config {
 	cfg := sim.DefaultConfig(hw.Cores, hw.Warps, hw.Threads)
-	if dev.workers > 0 {
-		cfg.Workers = dev.workers
-	}
-	if dev.commitWorkers > 0 {
-		cfg.CommitWorkers = dev.commitWorkers
-	}
 	cfg.Sched = dev.sched
-	cfg.TickEngine = dev.tickEngine
-	cfg.BatchExec = dev.batchExec
-	cfg.BatchMem = dev.batchMem
 	cfg.Mem.L1.MSHRs = dev.mshrs
 	cfg.Mem.L2.MSHRs = dev.mshrs
 	if dev.l1Size > 0 {
@@ -132,7 +121,7 @@ func deviceConfig(hw core.HWInfo, dev devOpts) sim.Config {
 	return cfg
 }
 
-func run(cfgName, kernel string, lws int, mapperName string, scale float64, seed int64, compare bool, dev devOpts) error {
+func run(out io.Writer, cfgName, kernel string, lws int, mapperName string, scale float64, seed int64, compare bool, dev devOpts) error {
 	hw, err := core.ParseName(cfgName)
 	if err != nil {
 		return err
@@ -142,7 +131,7 @@ func run(cfgName, kernel string, lws int, mapperName string, scale float64, seed
 		return err
 	}
 	if compare {
-		return runCompare(hw, spec, scale, seed, dev)
+		return runCompare(out, hw, spec, scale, seed, dev)
 	}
 	m, err := mapperByName(mapperName)
 	if err != nil {
@@ -159,37 +148,37 @@ func run(cfgName, kernel string, lws int, mapperName string, scale float64, seed
 		return err
 	}
 
-	fmt.Printf("kernel %s (%s, paper size: %s) on %s: %d work items over %d launches\n",
+	fmt.Fprintf(out, "kernel %s (%s, paper size: %s) on %s: %d work items over %d launches\n",
 		spec.Name, spec.Group, spec.PaperSize, hw.Name(), c.WorkItems, len(c.Launches))
 	for _, l := range c.Launches {
 		a := core.Advise(l.GWS, hw)
-		fmt.Printf("  advice for gws=%d: %s\n", l.GWS, a.Explanation)
+		fmt.Fprintf(out, "  advice for gws=%d: %s\n", l.GWS, a.Explanation)
 	}
 	res, err := c.RunVerified(d, lws)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nverified OK; total %d cycles\n", res.Cycles)
+	fmt.Fprintf(out, "\nverified OK; total %d cycles\n", res.Cycles)
 	for i, lr := range res.Launches {
-		fmt.Printf("\nlaunch %d (%s):\n", i, lr.Kernel)
-		fmt.Printf("  gws=%d lws=%d tasks=%d batches=%d regime=%s warps=%d\n",
+		fmt.Fprintf(out, "\nlaunch %d (%s):\n", i, lr.Kernel)
+		fmt.Fprintf(out, "  gws=%d lws=%d tasks=%d batches=%d regime=%s warps=%d\n",
 			lr.GWS, lr.LWS, lr.Tasks, lr.Batches, lr.Regime, lr.WarpsActivated)
-		fmt.Printf("  cycles=%d (sim %d + dispatch %d)\n", lr.Cycles, lr.SimCycles, lr.Cycles-lr.SimCycles)
-		fmt.Printf("  instrs=%d lane-ops=%d loads=%d stores=%d line-reqs=%d\n",
+		fmt.Fprintf(out, "  cycles=%d (sim %d + dispatch %d)\n", lr.Cycles, lr.SimCycles, lr.Cycles-lr.SimCycles)
+		fmt.Fprintf(out, "  instrs=%d lane-ops=%d loads=%d stores=%d line-reqs=%d\n",
 			lr.Stats.Issued, lr.Stats.LaneOps, lr.Stats.Loads, lr.Stats.Stores, lr.Stats.LineRequests)
-		fmt.Printf("  stalls: mem=%d exec=%d -> %s\n", lr.Stats.MemStall, lr.Stats.ExecStall, lr.Boundedness)
-		fmt.Printf("  L1: %d accesses, %.1f%% hits; L2: %d accesses, %.1f%% hits; DRAM: %d line reads, %d writebacks\n",
+		fmt.Fprintf(out, "  stalls: mem=%d exec=%d -> %s\n", lr.Stats.MemStall, lr.Stats.ExecStall, lr.Boundedness)
+		fmt.Fprintf(out, "  L1: %d accesses, %.1f%% hits; L2: %d accesses, %.1f%% hits; DRAM: %d line reads, %d writebacks\n",
 			lr.L1.Accesses, lr.L1.HitRate()*100, lr.L2.Accesses, lr.L2.HitRate()*100,
 			lr.DRAM.LineReads, lr.DRAM.Writebacks)
 		if lr.L1.PrefetchIssued > 0 || lr.L1.PrefetchHits > 0 {
-			fmt.Printf("  L1 prefetch: %d issued, %d hits\n", lr.L1.PrefetchIssued, lr.L1.PrefetchHits)
+			fmt.Fprintf(out, "  L1 prefetch: %d issued, %d hits\n", lr.L1.PrefetchIssued, lr.L1.PrefetchHits)
 		}
 	}
 	return nil
 }
 
-func runCompare(hw core.HWInfo, spec kernels.Spec, scale float64, seed int64, dev devOpts) error {
-	fmt.Printf("kernel %s on %s (hp=%d, sched=%s): comparing mappings\n\n", spec.Name, hw.Name(), hw.HP(), dev.sched)
+func runCompare(out io.Writer, hw core.HWInfo, spec kernels.Spec, scale float64, seed int64, dev devOpts) error {
+	fmt.Fprintf(out, "kernel %s on %s (hp=%d, sched=%s): comparing mappings\n\n", spec.Name, hw.Name(), hw.HP(), dev.sched)
 	type row struct {
 		name   string
 		mapper core.Mapper
@@ -226,9 +215,9 @@ func runCompare(hw core.HWInfo, spec kernels.Spec, scale float64, seed int64, de
 		pool.Put(d)
 	}
 	ours := rows[2].cycles
-	fmt.Printf("%-8s %-6s %-12s %s\n", "mapping", "lws", "cycles", "ratio vs ours")
+	fmt.Fprintf(out, "%-8s %-6s %-12s %s\n", "mapping", "lws", "cycles", "ratio vs ours")
 	for _, r := range rows {
-		fmt.Printf("%-8s %-6d %-12d %.3f\n", r.name, r.lws, r.cycles, float64(r.cycles)/float64(ours))
+		fmt.Fprintf(out, "%-8s %-6d %-12d %.3f\n", r.name, r.lws, r.cycles, float64(r.cycles)/float64(ours))
 	}
 	return nil
 }

@@ -12,7 +12,7 @@
 //	vortex-sweep [-scale 1.0] [-configs 450] [-grid 1c2w2t,...] [-kernels all]
 //	             [-sched rr,gto,oldest,2lev] [-mshrs 0,4] [-l1 16k4w,32k8w]
 //	             [-prefetch off,nextline] [-seed 42] [-violins] [-verify]
-//	             [-csv out.csv] [-progress] [-tick-engine]
+//	             [-csv out.csv] [-progress] [-workers 0]
 //	             [-checkpoint campaign.jsonl] [-resume] [-shard i/N]
 //	vortex-sweep merge [-out merged.jsonl] [-csv out.csv] [-violins]
 //	             [-crossover lws=32] shard0.jsonl shard1.jsonl ...
@@ -52,8 +52,10 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/core"
@@ -90,46 +92,36 @@ func fatal(args ...any) {
 // campaignFlags is the flag set every simulating mode shares (the default
 // single-process campaign, serve, and work): the grid axes and the
 // simulation parameters that determine record bytes, plus the worker-local
-// execution knobs. serve and work must agree on the former — the service
-// validates that by meta comparison — while the latter never cross the
-// wire.
+// task parallelism (-workers). serve and work must agree on the former —
+// the service validates that by meta comparison — while the latter never
+// crosses the wire.
 type campaignFlags struct {
-	scale         *float64
-	nConfigs      *int
-	kernelCSV     *string
-	gridCSV       *string
-	schedCSV      *string
-	mshrsCSV      *string
-	l1CSV         *string
-	prefetchCSV   *string
-	seed          *int64
-	verify        *bool
-	workers       *int
-	simWorkers    *int
-	commitWorkers *int
-	tickEngine    *bool
-	batchExec     *bool
-	batchMem      *bool
+	scale       *float64
+	nConfigs    *int
+	kernelCSV   *string
+	gridCSV     *string
+	schedCSV    *string
+	mshrsCSV    *string
+	l1CSV       *string
+	prefetchCSV *string
+	seed        *int64
+	verify      *bool
+	workers     *int
 }
 
 func addCampaignFlags(fs *flag.FlagSet) *campaignFlags {
 	return &campaignFlags{
-		scale:         fs.Float64("scale", 1.0, "workload scale factor (1.0 = paper sizes)"),
-		nConfigs:      fs.Int("configs", 450, "number of grid configurations (subsampled deterministically)"),
-		kernelCSV:     fs.String("kernels", "all", "comma-separated kernels or 'all'"),
-		gridCSV:       fs.String("grid", "", "explicit comma-separated config names (e.g. 1c2w2t,4c4w4t); overrides -configs"),
-		schedCSV:      fs.String("sched", "rr", "comma-separated warp-scheduler grid axis (rr, gto, oldest, 2lev)"),
-		mshrsCSV:      fs.String("mshrs", "0", "comma-separated MSHR grid axis: outstanding-miss bound per L1 and per L2 bank (0 = unbounded)"),
-		l1CSV:         fs.String("l1", mem.DefaultL1Geometry(), "comma-separated L1 geometry grid axis (<size-KiB>k<ways>w, e.g. 16k4w,32k8w)"),
-		prefetchCSV:   fs.String("prefetch", "off", "comma-separated L1 prefetch grid axis (off, nextline)"),
-		seed:          fs.Int64("seed", 42, "input generation seed"),
-		verify:        fs.Bool("verify", false, "verify device output against CPU references on every run"),
-		workers:       fs.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)"),
-		simWorkers:    fs.Int("sim-workers", 0, "core-parallel threads per simulation (0 = auto-divide CPUs, <0 = sequential)"),
-		commitWorkers: fs.Int("commit-workers", 0, "commit-phase sharding per L2 bank/DRAM channel per simulation (0 = follow -sim-workers, 1 = global commit)"),
-		tickEngine:    fs.Bool("tick-engine", false, "run every simulation on the legacy per-cycle tick loop instead of the event-driven device engine (identical records, differential oracle)"),
-		batchExec:     fs.Bool("batch-exec", true, "execute lockstep warp cohorts with fused batched kernels; false selects the per-warp oracle path (identical records)"),
-		batchMem:      fs.Bool("batch-mem", true, "batch loads/stores of lockstep cohorts through affine address templates; false selects the per-warp oracle path (identical records)"),
+		scale:       fs.Float64("scale", 1.0, "workload scale factor (1.0 = paper sizes)"),
+		nConfigs:    fs.Int("configs", 450, "number of grid configurations (subsampled deterministically)"),
+		kernelCSV:   fs.String("kernels", "all", "comma-separated kernels or 'all'"),
+		gridCSV:     fs.String("grid", "", "explicit comma-separated config names (e.g. 1c2w2t,4c4w4t); overrides -configs"),
+		schedCSV:    fs.String("sched", "rr", "comma-separated warp-scheduler grid axis (rr, gto, oldest, 2lev)"),
+		mshrsCSV:    fs.String("mshrs", "0", "comma-separated MSHR grid axis: outstanding-miss bound per L1 and per L2 bank (0 = unbounded)"),
+		l1CSV:       fs.String("l1", mem.DefaultL1Geometry(), "comma-separated L1 geometry grid axis (<size-KiB>k<ways>w, e.g. 16k4w,32k8w)"),
+		prefetchCSV: fs.String("prefetch", "off", "comma-separated L1 prefetch grid axis (off, nextline)"),
+		seed:        fs.Int64("seed", 42, "input generation seed"),
+		verify:      fs.Bool("verify", false, "verify device output against CPU references on every run"),
+		workers:     fs.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)"),
 	}
 }
 
@@ -229,21 +221,16 @@ func (cf *campaignFlags) options() (sweep.Options, error) {
 		}
 	}
 	return sweep.Options{
-		Configs:       configs,
-		Kernels:       names,
-		Scheds:        scheds,
-		MSHRs:         mshrs,
-		L1Geoms:       l1s,
-		Prefetch:      prefetch,
-		Scale:         *cf.scale,
-		Seed:          *cf.seed,
-		Verify:        *cf.verify,
-		Workers:       *cf.workers,
-		SimWorkers:    *cf.simWorkers,
-		CommitWorkers: *cf.commitWorkers,
-		TickEngine:    *cf.tickEngine,
-		NoBatchExec:   !*cf.batchExec,
-		NoBatchMem:    !*cf.batchMem,
+		Configs:  configs,
+		Kernels:  names,
+		Scheds:   scheds,
+		MSHRs:    mshrs,
+		L1Geoms:  l1s,
+		Prefetch: prefetch,
+		Scale:    *cf.scale,
+		Seed:     *cf.seed,
+		Verify:   *cf.verify,
+		Workers:  *cf.workers,
 	}, nil
 }
 
@@ -419,7 +406,7 @@ func runServe(args []string) {
 	// The resolved address line is the contract the CLI tests (and shell
 	// scripts) scrape the port from when -addr ends in :0.
 	fmt.Printf("serving campaign on %s (%d tasks, %d resumed)\n", ln.Addr(), st.Total, st.Completed)
-	httpSrv := &http.Server{Handler: srv}
+	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second}
 	go httpSrv.Serve(ln)
 
 	<-srv.Done()
@@ -488,7 +475,11 @@ func runWork(args []string) {
 			fmt.Fprintf(os.Stderr, "%s done (%d run)\n", r.Key(), ran)
 		}
 	}
-	if err := service.Work(context.Background(), *coordinator, opts, wcfg); err != nil {
+	// SIGINT/SIGTERM stop the worker between tasks; the leases it holds
+	// expire and the coordinator re-issues them.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := service.Work(ctx, *coordinator, opts, wcfg); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("campaign complete: this worker ran %d tasks\n", ran)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -375,6 +376,32 @@ func TestCampaignFlagRefusals(t *testing.T) {
 		}
 		if !strings.Contains(string(out), tc.want) {
 			t.Errorf("%s: diagnostic %q missing %q", tc.name, out, tc.want)
+		}
+	}
+}
+
+// TestRemovedHostModeFlagsRejected pins that the host-mode flags deleted
+// with the parallel engine are command-line errors (exit status 2) in every
+// simulating mode, not silently accepted no-ops.
+func TestRemovedHostModeFlagsRejected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses and builds the binary")
+	}
+	bin := buildSweep(t, t.TempDir())
+	for _, mode := range [][]string{nil, {"serve"}, {"work"}} {
+		for _, removed := range [][]string{
+			{"-sim-workers", "2"}, {"-commit-workers", "1"}, {"-tick-engine"},
+			{"-batch-exec=false"}, {"-batch-mem=false"},
+		} {
+			args := append(append([]string{}, mode...), removed...)
+			out, err := exec.Command(bin, args...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Errorf("%v: err %v, want exit status 2:\n%s", args, err, out)
+			}
+			if !strings.Contains(string(out), "flag provided but not defined") {
+				t.Errorf("%v: output does not name the undefined flag:\n%s", args, out)
+			}
 		}
 	}
 }

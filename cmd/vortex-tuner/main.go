@@ -12,12 +12,14 @@
 //	             [-strategy exhaustive|hillclimb]
 //	             [-sched rr|gto|oldest|2lev|all]
 //	             [-mshrs 0,4] [-l1 16k4w,32k8w] [-prefetch off,nextline]
-//	             [-seed 42] [-tick-engine] [-batch-exec=false]
+//	             [-seed 42]
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -31,26 +33,34 @@ import (
 )
 
 func main() {
-	cfgName := flag.String("config", "2c4w8t", "device configuration (paper notation)")
-	kernel := flag.String("kernel", "saxpy", "kernel (registry name)")
-	scale := flag.Float64("scale", 0.5, "workload scale")
-	strategy := flag.String("strategy", "exhaustive", "search strategy: exhaustive or hillclimb")
-	sched := flag.String("sched", "rr", "warp scheduler to tune under (rr, gto, oldest, 2lev), or 'all' to search the policy axis too")
-	mshrsCSV := flag.String("mshrs", "0", "comma-separated MSHR bounds to search (outstanding misses per L1/L2 bank, 0 = unbounded)")
-	l1CSV := flag.String("l1", mem.DefaultL1Geometry(), "comma-separated L1 geometries to search (<size-KiB>k<ways>w)")
-	prefetchCSV := flag.String("prefetch", "off", "comma-separated L1 prefetch policies to search (off, nextline)")
-	seed := flag.Int64("seed", 42, "input seed")
-	workers := flag.Int("workers", 0, "host threads simulating cores in parallel per probe (0 = all CPUs, 1 = sequential)")
-	commitWorkers := flag.Int("commit-workers", 0, "commit-phase sharding per L2 bank/DRAM channel (0 = follow -workers, 1 = global single-threaded commit)")
-	tickEngine := flag.Bool("tick-engine", false, "probe on the legacy per-cycle tick loop instead of the event-driven device engine (identical results, differential oracle)")
-	batchExec := flag.Bool("batch-exec", true, "execute lockstep warp cohorts with fused batched kernels; false selects the per-warp oracle path (identical results)")
-	batchMem := flag.Bool("batch-mem", true, "batch loads/stores of lockstep cohorts through affine address templates; false selects the per-warp oracle path (identical results)")
-	flag.Parse()
+	os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if err := run(*cfgName, *kernel, *scale, *strategy, *sched, *mshrsCSV, *l1CSV, *prefetchCSV, *seed, *workers, *commitWorkers, *tickEngine, *batchExec, *batchMem); err != nil {
-		fmt.Fprintln(os.Stderr, "vortex-tuner:", err)
-		os.Exit(1)
+// cli parses args, runs the search and returns the process exit status:
+// 0 on success, 1 on a failed run, 2 on a command-line error.
+func cli(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("vortex-tuner", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	cfgName := fs.String("config", "2c4w8t", "device configuration (paper notation)")
+	kernel := fs.String("kernel", "saxpy", "kernel (registry name)")
+	scale := fs.Float64("scale", 0.5, "workload scale")
+	strategy := fs.String("strategy", "exhaustive", "search strategy: exhaustive or hillclimb")
+	sched := fs.String("sched", "rr", "warp scheduler to tune under (rr, gto, oldest, 2lev), or 'all' to search the policy axis too")
+	mshrsCSV := fs.String("mshrs", "0", "comma-separated MSHR bounds to search (outstanding misses per L1/L2 bank, 0 = unbounded)")
+	l1CSV := fs.String("l1", mem.DefaultL1Geometry(), "comma-separated L1 geometries to search (<size-KiB>k<ways>w)")
+	prefetchCSV := fs.String("prefetch", "off", "comma-separated L1 prefetch policies to search (off, nextline)")
+	seed := fs.Int64("seed", 42, "input seed")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+	if err := run(stdout, *cfgName, *kernel, *scale, *strategy, *sched, *mshrsCSV, *l1CSV, *prefetchCSV, *seed); err != nil {
+		fmt.Fprintln(stderr, "vortex-tuner:", err)
+		return 1
+	}
+	return 0
 }
 
 // axisPoint is one cell of the tuner's device-axis search space: a warp
@@ -63,7 +73,7 @@ type axisPoint struct {
 	prefetch       mem.PrefetchPolicy
 }
 
-func run(cfgName, kernel string, scale float64, strategy, schedName, mshrsCSV, l1CSV, prefetchCSV string, seed int64, workers, commitWorkers int, tickEngine, batchExec, batchMem bool) error {
+func run(out io.Writer, cfgName, kernel string, scale float64, strategy, schedName, mshrsCSV, l1CSV, prefetchCSV string, seed int64) error {
 	hw, err := core.ParseName(cfgName)
 	if err != nil {
 		return err
@@ -74,16 +84,7 @@ func run(cfgName, kernel string, scale float64, strategy, schedName, mshrsCSV, l
 	}
 	baseCfg := func(pt axisPoint) sim.Config {
 		cfg := sim.DefaultConfig(hw.Cores, hw.Warps, hw.Threads)
-		if workers > 0 {
-			cfg.Workers = workers
-		}
-		if commitWorkers > 0 {
-			cfg.CommitWorkers = commitWorkers
-		}
 		cfg.Sched = pt.sched
-		cfg.TickEngine = tickEngine
-		cfg.BatchExec = batchExec
-		cfg.BatchMem = batchMem
 		cfg.Mem.L1.MSHRs = pt.mshrs
 		cfg.Mem.L2.MSHRs = pt.mshrs
 		if pt.l1Size > 0 {
@@ -200,7 +201,7 @@ func run(cfgName, kernel string, scale float64, strategy, schedName, mshrsCSV, l
 		return fmt.Errorf("unknown strategy %q", strategy)
 	}
 
-	fmt.Printf("tuning %s (gws=%d) on %s (hp=%d), strategy: %s, device points: %v\n\n",
+	fmt.Fprintf(out, "tuning %s (gws=%d) on %s (hp=%d), strategy: %s, device points: %v\n\n",
 		kernel, gws, hw.Name(), hw.HP(), strategy, points)
 
 	probes, best, err := tuner.AcrossScheds(points, mkRunner, search)
@@ -210,9 +211,9 @@ func run(cfgName, kernel string, scale float64, strategy, schedName, mshrsCSV, l
 	for _, sp := range probes {
 		res := sp.Res
 		if len(probes) > 1 {
-			fmt.Printf("--- %s ---\n", sp.Sched)
+			fmt.Fprintf(out, "--- %s ---\n", sp.Sched)
 		}
-		fmt.Printf("%-8s %s\n", "lws", "cycles")
+		fmt.Fprintf(out, "%-8s %s\n", "lws", "cycles")
 		for _, p := range res.Probes {
 			marker := ""
 			if p.LWS == res.BestLWS {
@@ -221,17 +222,17 @@ func run(cfgName, kernel string, scale float64, strategy, schedName, mshrsCSV, l
 			if p.LWS == res.Eq1LWS {
 				marker += "  <- Eq. 1"
 			}
-			fmt.Printf("%-8d %d%s\n", p.LWS, p.Cycles, marker)
+			fmt.Fprintf(out, "%-8d %d%s\n", p.LWS, p.Cycles, marker)
 		}
-		fmt.Printf("\nsearched best: lws=%d (%d cycles) after %d probes\n",
+		fmt.Fprintf(out, "\nsearched best: lws=%d (%d cycles) after %d probes\n",
 			res.BestLWS, res.BestCycles, len(res.Probes))
-		fmt.Printf("Eq. 1 answer:  lws=%d (%d cycles), %.3fx of the searched best — no probes needed\n",
+		fmt.Fprintf(out, "Eq. 1 answer:  lws=%d (%d cycles), %.3fx of the searched best — no probes needed\n",
 			res.Eq1LWS, res.Eq1Cycles, res.Eq1Gap())
-		fmt.Printf("search overhead: %.1fx the cost of one optimal launch\n\n", res.Overhead())
+		fmt.Fprintf(out, "search overhead: %.1fx the cost of one optimal launch\n\n", res.Overhead())
 	}
 	if len(probes) > 1 {
 		bp := probes[best]
-		fmt.Printf("device-axis best: %s lws=%d (%d cycles); Eq. 1 under the same point: %.3fx of it\n",
+		fmt.Fprintf(out, "device-axis best: %s lws=%d (%d cycles); Eq. 1 under the same point: %.3fx of it\n",
 			bp.Sched, bp.Res.BestLWS, bp.Res.BestCycles, bp.Res.Eq1Gap())
 	}
 	return nil

@@ -1,15 +1,8 @@
 package mem
 
-// Property and fuzz tests for the commit decomposition this package
-// exports to the bank-sharded parallel engine:
-//
-//   - SharedAccess (the single-threaded global order) must be equivalent
-//     to applying the bank-local halves per bank and the channel-local
-//     halves per channel in the global order *restricted* to each shard —
-//     the exact replay discipline internal/sim's commit workers use.
-//   - A banked L2 must behave identically to a monolithic L2 of the same
-//     total geometry: hit/miss/writeback/LRU decisions and statistics all
-//     survive the striping.
+// Property and fuzz tests for L2 banking: a banked L2 must behave
+// identically to a monolithic L2 of the same total geometry — hit/miss/
+// writeback/LRU decisions and statistics all survive the striping.
 //
 // The fuzz corpus is seeded with access streams shaped like the registry
 // kernels' traffic (gid-strided vecadd/saxpy streams, sgemm row tiles,
@@ -19,7 +12,6 @@ package mem
 import (
 	"encoding/binary"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -33,58 +25,6 @@ func commitTestConfig(nb int) HierarchyConfig {
 		DRAM:    DRAMConfig{Latency: 100, BytesPerCycle: 16, Channels: 3},
 		L2Banks: nb,
 	}
-}
-
-// applyDecomposed replays one cycle's batch of misses the way the sharded
-// commit engine does: bank halves applied per bank in batch order, DRAM
-// ops deferred with their global-order key, then channel halves applied
-// per channel in key order. Returns each miss's completion cycle.
-func applyDecomposed(h *Hierarchy, batch []MissInfo) []uint64 {
-	type op struct {
-		addr uint32
-		at   uint64
-		read bool
-		seq  int
-		idx  int
-	}
-	dones := make([]uint64, len(batch))
-	chOps := make([][]op, h.DRAMChannels())
-	for b := 0; b < h.L2Banks(); b++ {
-		for i, m := range batch {
-			if m.WB && h.BankOf(m.WBAddr) == b {
-				if v, wb := h.BankAbsorbWriteback(m.WBAddr, m.At); wb {
-					ch := h.ChannelOf(v)
-					chOps[ch] = append(chOps[ch], op{v, m.At, false, i * 4, i})
-				}
-			}
-			if h.BankOf(m.Addr) != b {
-				continue
-			}
-			res, fetchAt, needDRAM, victim, hasVictim := h.BankFill(m)
-			if hasVictim {
-				ch := h.ChannelOf(victim)
-				chOps[ch] = append(chOps[ch], op{victim, fetchAt, false, i*4 + 1, i})
-			}
-			if needDRAM {
-				ch := h.ChannelOf(m.Addr)
-				chOps[ch] = append(chOps[ch], op{m.Addr, fetchAt, true, i*4 + 2, i})
-			} else {
-				dones[i] = res.Done
-			}
-		}
-	}
-	for ch := range chOps {
-		ops := chOps[ch]
-		sort.Slice(ops, func(a, b int) bool { return ops[a].seq < ops[b].seq })
-		for _, o := range ops {
-			if o.read {
-				dones[o.idx] = h.ChannelRead(o.addr, o.at)
-			} else {
-				h.ChannelWriteback(o.addr, o.at)
-			}
-		}
-	}
-	return dones
 }
 
 func compareHierarchyState(t *testing.T, label string, a, b *Hierarchy) {
@@ -110,68 +50,6 @@ func compareHierarchyState(t *testing.T, label string, a, b *Hierarchy) {
 					label, bk, a.L2BankStats(bk), b.L2BankStats(bk))
 			}
 		}
-	}
-}
-
-// randomMissBatches builds race-free miss streams grouped into cycles, the
-// shape the parallel engine's commit phase sees: within a batch the At
-// stamps share one device cycle's neighborhood, and addresses spread over
-// enough lines to force L2 evictions and dirty writebacks.
-func randomMissBatches(r *rand.Rand, batches, maxPerBatch int) [][]MissInfo {
-	out := make([][]MissInfo, 0, batches)
-	now := uint64(1)
-	for c := 0; c < batches; c++ {
-		n := 1 + r.Intn(maxPerBatch)
-		batch := make([]MissInfo, 0, n)
-		for i := 0; i < n; i++ {
-			m := MissInfo{
-				Addr:  uint32(r.Intn(1<<16)) &^ 63,
-				Write: r.Intn(3) == 0,
-				At:    now + uint64(r.Intn(4)),
-			}
-			if r.Intn(2) == 0 {
-				m.WB = true
-				m.WBAddr = uint32(r.Intn(1<<16)) &^ 63
-			}
-			batch = append(batch, m)
-		}
-		out = append(out, batch)
-		now += uint64(1 + r.Intn(50))
-	}
-	return out
-}
-
-// TestDecomposedCommitMatchesSharedAccess is the mem-level half of the
-// sharded-commit determinism contract: for randomized race-free miss
-// streams, replaying each cycle through the bank/channel primitives in
-// shard-restricted order must be byte-identical — completion cycles,
-// per-bank L2 stats, per-channel DRAM stats — to the single-threaded
-// global SharedAccess order.
-func TestDecomposedCommitMatchesSharedAccess(t *testing.T) {
-	for _, nb := range []int{1, 2, 8} {
-		r := rand.New(rand.NewSource(int64(7 + nb)))
-		hSeq, err := NewHierarchy(1, commitTestConfig(nb))
-		if err != nil {
-			t.Fatal(err)
-		}
-		hShard, err := NewHierarchy(1, commitTestConfig(nb))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for ci, batch := range randomMissBatches(r, 400, 6) {
-			var want []uint64
-			for _, m := range batch {
-				want = append(want, hSeq.SharedAccess(m).Done)
-			}
-			got := applyDecomposed(hShard, batch)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("banks=%d batch %d miss %d: done %d (sharded) vs %d (global)",
-						nb, ci, i, got[i], want[i])
-				}
-			}
-		}
-		compareHierarchyState(t, "decomposed", hSeq, hShard)
 	}
 }
 

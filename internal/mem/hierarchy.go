@@ -92,33 +92,15 @@ type DRAMStats struct {
 }
 
 // dramChannel is the timing and statistics state of one memory channel.
-// Channels are fully independent — the bank-sharded commit engine drives
-// distinct channels from concurrent workers — so each channel's state is
-// padded onto its own cache line.
 type dramChannel struct {
 	free  uint64 // next cycle the channel can start a transfer
 	stats DRAMStats
-	_     [32]byte
 }
 
 // Hierarchy is the assembled memory system for one device: per-core private
-// L1 front-ends over a banked shared L2 over per-channel DRAM.
-//
-// The access path is decomposed so a parallel simulation engine can run
-// core pipelines concurrently while keeping the shared state deterministic:
-//
-//   - L1Access touches only the requesting core's private L1 and is safe to
-//     call concurrently for distinct cores.
-//   - BankAbsorbWriteback/BankFill touch only one L2 bank (BankOf) and are
-//     safe to call concurrently for distinct banks, as long as each bank
-//     sees its requests in the global (cycle, core) order restricted to
-//     that bank.
-//   - ChannelRead/ChannelWriteback touch only one DRAM channel (ChannelOf)
-//     and are safe to call concurrently for distinct channels under the
-//     same restricted-order rule.
-//   - SharedAccess composes the bank and channel halves in the global
-//     order for single-threaded callers; Access composes everything for
-//     fully sequential callers.
+// L1 front-ends over a banked shared L2 over per-channel DRAM. Access walks
+// all three levels; calls must be single-threaded and ordered by
+// (cycle, core) for deterministic LRU, bandwidth and statistics state.
 type Hierarchy struct {
 	cfg       HierarchyConfig
 	l1        []*Cache
@@ -129,8 +111,6 @@ type Hierarchy struct {
 	dram      []dramChannel
 	// bankMSHR tracks, per L2 bank, the completion cycles of the bank's
 	// outstanding DRAM fetches when L2.MSHRs > 0 (nil when unbounded).
-	// Bank-owned like the bank caches, so the sharded commit engine keeps
-	// its per-bank safety.
 	bankMSHR [][]uint64
 }
 
@@ -278,121 +258,67 @@ type AccessResult struct {
 	L2Hit bool
 }
 
-// MissInfo carries an L1 miss from a core's private front end to the shared
-// levels: the missing line, the cycle the request leaves the L1 (the L1
-// latency is already paid), and the dirty victim the fill displaced, if any.
-type MissInfo struct {
-	Addr   uint32
-	Write  bool
-	At     uint64
-	WB     bool
-	WBAddr uint32
-}
-
-// L1Access performs the private-L1 part of a line request issued by core at
-// cycle now. On a hit the result is final and miss is false. On a miss the
-// line is filled into the L1 immediately (tags only; the simulator is
-// functional at issue) and the caller must complete the request timing with
-// SharedAccess. Distinct cores may call L1Access concurrently.
-func (h *Hierarchy) L1Access(core int, addr uint32, write bool, now uint64) (AccessResult, bool, MissInfo) {
+// Access performs the full timing walk for one cache-line request issued by
+// core at cycle now. addr may be any byte address within the line. Write
+// requests allocate like reads (write-allocate) and mark lines dirty. An L1
+// miss fills the L1 immediately (tags only; the simulator is functional at
+// issue), retires the dirty victim it displaced into the L2 without
+// stalling the requester, and then completes through the line's L2 bank or,
+// on an L2 miss, its DRAM channel.
+func (h *Hierarchy) Access(core int, addr uint32, write bool, now uint64) AccessResult {
 	l1 := h.l1[core]
 	t := now + uint64(h.cfg.L1.HitLatency)
 	if l1.lookup(addr, write) {
-		return AccessResult{Done: t, L1Hit: true}, false, MissInfo{}
+		return AccessResult{Done: t, L1Hit: true}
 	}
 	wb, victim := l1.fill(addr, write)
 	if h.cfg.Prefetch == PrefetchNextLine {
 		// Tag-only next-line prefetch: free of timing (the fill models a
-		// fetch riding along with the demand line) and core-local, so the
-		// parallel engine's concurrent-L1 safety is untouched. Skipped
-		// when line+1 would wrap the 32-bit address space.
+		// fetch riding along with the demand line). Skipped when line+1
+		// would wrap the 32-bit address space.
 		if next := (addr &^ uint32(h.cfg.L1.LineBytes-1)) + uint32(h.cfg.L1.LineBytes); next != 0 {
 			l1.prefetchFill(next)
 		}
 	}
-	return AccessResult{}, true, MissInfo{Addr: addr, Write: write, At: t, WB: wb, WBAddr: victim}
-}
-
-// SharedAccess walks an L1 miss through the banked L2 and per-channel DRAM
-// and returns its completion. Calls must be single-threaded and globally
-// ordered by (cycle, core) for deterministic LRU, bandwidth and statistics
-// state. It is the sequential composition of the bank-local and
-// channel-local commit primitives below — a sharded commit engine that
-// applies the same primitives in the same order restricted to each
-// bank/channel produces byte-identical state.
-func (h *Hierarchy) SharedAccess(m MissInfo) AccessResult {
-	if m.WB {
-		// Dirty L1 victims are absorbed by the L2 (or DRAM if disabled).
-		if v, wb := h.BankAbsorbWriteback(m.WBAddr, m.At); wb {
-			h.ChannelWriteback(v, m.At)
-		}
-	}
-	res, fetchAt, needDRAM, victim, hasVictim := h.BankFill(m)
-	if hasVictim {
-		h.ChannelWriteback(victim, fetchAt)
-	}
-	if needDRAM {
-		res.Done = h.ChannelRead(m.Addr, fetchAt)
-	}
-	return res
-}
-
-// BankAbsorbWriteback performs the bank-local half of retiring a dirty L1
-// victim: the line is looked up in (or allocated dirty into) its L2 bank
-// without stalling the requester. It returns the device address of a dirty
-// L2 line the allocation displaced, which the caller must pass to
-// ChannelWriteback at the same cycle. With L2Disabled the L1 victim itself
-// goes straight to DRAM and no bank state is touched. Calls touch only
-// bank BankOf(addr).
-func (h *Hierarchy) BankAbsorbWriteback(addr uint32, now uint64) (uint32, bool) {
 	if h.cfg.L2Disabled {
-		return addr, true
+		if wb {
+			h.dramWriteback(victim, t)
+		}
+		return AccessResult{Done: h.dramRead(addr, t)}
+	}
+	if wb {
+		// The dirty L1 victim is looked up in (or allocated dirty into) its
+		// L2 bank; a dirty L2 line that allocation displaces goes to DRAM.
+		bank, baddr := h.bankOf(victim)
+		if b := h.banks[bank]; !b.lookup(baddr, true) {
+			if wb2, v := b.fill(baddr, true); wb2 {
+				h.dramWriteback(h.bankVictim(bank, v), t)
+			}
+		}
 	}
 	bank, baddr := h.bankOf(addr)
 	b := h.banks[bank]
-	if b.lookup(baddr, true) {
-		return 0, false
+	t += uint64(h.cfg.L2.HitLatency)
+	if b.lookup(baddr, write) {
+		return AccessResult{Done: t, L2Hit: true}
 	}
-	if wb, victim := b.fill(baddr, true); wb {
-		return h.bankVictim(bank, victim), true
-	}
-	return 0, false
-}
-
-// BankFill performs the bank-local half of completing an L1 miss: the L2
-// lookup and, on an L2 miss, the tag fill. On an L2 hit res is final. On a
-// miss the caller must fetch the line from DRAM at cycle fetchAt
-// (ChannelRead gives the completion) after writing back the displaced
-// dirty victim, if any (ChannelWriteback at fetchAt). Calls touch only
-// bank BankOf(m.Addr); with L2Disabled no bank state is touched and the
-// fetch leaves at m.At.
-func (h *Hierarchy) BankFill(m MissInfo) (res AccessResult, fetchAt uint64, needDRAM bool, victim uint32, hasVictim bool) {
-	if h.cfg.L2Disabled {
-		return AccessResult{}, m.At, true, 0, false
-	}
-	t := m.At + uint64(h.cfg.L2.HitLatency)
-	bank, baddr := h.bankOf(m.Addr)
-	b := h.banks[bank]
-	if b.lookup(baddr, m.Write) {
-		return AccessResult{Done: t, L2Hit: true}, 0, false, 0, false
-	}
-	if wb, v := b.fill(baddr, m.Write); wb {
-		victim, hasVictim = h.bankVictim(bank, v), true
-	}
+	wb, victim = b.fill(baddr, write)
 	if h.bankMSHR != nil {
 		t = h.bankFetchSlot(bank, t)
 	}
-	return AccessResult{}, t, true, victim, hasVictim
+	if wb {
+		h.dramWriteback(h.bankVictim(bank, victim), t)
+	}
+	return AccessResult{Done: h.dramRead(addr, t)}
 }
 
 // bankFetchSlot applies the bank's MSHR bound to a DRAM fetch that wants to
 // leave at cycle at: entries whose lifetime has ended are retired, and while
 // every MSHR is busy the fetch (and the victim writeback travelling with it)
 // is pushed to the earliest retirement. An entry's lifetime is the bank-local
-// unloaded round trip [fetchAt, fetchAt + DRAM latency + transfer) — the
-// bank cannot observe real channel contention without breaking the sharded
-// commit's bank-ownership invariant, so the bound is deterministic by
-// construction (DESIGN.md, "Memory axes"). Touches only bank state.
+// unloaded round trip [fetchAt, fetchAt + DRAM latency + transfer): the
+// bound is a property of the bank alone, independent of channel contention
+// (DESIGN.md, "Memory axes").
 func (h *Hierarchy) bankFetchSlot(bank int, at uint64) uint64 {
 	q := h.bankMSHR[bank][:0]
 	for _, d := range h.bankMSHR[bank] {
@@ -421,17 +347,6 @@ func (h *Hierarchy) bankFetchSlot(bank int, at uint64) uint64 {
 	return at
 }
 
-// Access performs the full timing walk for one cache-line request issued by
-// core at cycle now. addr may be any byte address within the line. Write
-// requests allocate like reads (write-allocate) and mark lines dirty.
-func (h *Hierarchy) Access(core int, addr uint32, write bool, now uint64) AccessResult {
-	res, miss, mi := h.L1Access(core, addr, write, now)
-	if !miss {
-		return res
-	}
-	return h.SharedAccess(mi)
-}
-
 // bankOf maps an address to its L2 bank and the bank-local address.
 // Consecutive lines stripe across banks (the low line-index bits select the
 // bank); the remaining line bits index within the bank, so the (bank, set)
@@ -446,22 +361,17 @@ func (h *Hierarchy) bankVictim(bank int, baddr uint32) uint32 {
 	return ((baddr>>h.lineShift)<<h.bankBits | uint32(bank)) << h.lineShift
 }
 
-// BankOf returns the index of the L2 bank that services addr.
-func (h *Hierarchy) BankOf(addr uint32) int {
-	return int((addr >> h.lineShift) & h.bankMask)
+// dramChannelOf returns the memory channel that services addr; cache lines
+// are interleaved across channels.
+func (h *Hierarchy) dramChannelOf(addr uint32) *dramChannel {
+	return &h.dram[(addr>>h.lineShift)%uint32(len(h.dram))]
 }
 
-// ChannelOf returns the index of the DRAM channel that services addr;
-// cache lines are interleaved across channels.
-func (h *Hierarchy) ChannelOf(addr uint32) int {
-	return int((addr >> h.lineShift) % uint32(len(h.dram)))
-}
-
-// ChannelRead models a line fetch on addr's channel: the request waits for
-// the channel, occupies it for the transfer, and completes after
-// latency + transfer. Calls touch only channel ChannelOf(addr).
-func (h *Hierarchy) ChannelRead(addr uint32, now uint64) uint64 {
-	c := &h.dram[h.ChannelOf(addr)]
+// dramRead models a line fetch on addr's channel: the request waits for the
+// channel, occupies it for the transfer, and completes after
+// latency + transfer.
+func (h *Hierarchy) dramRead(addr uint32, now uint64) uint64 {
+	c := h.dramChannelOf(addr)
 	transfer := h.transferCycles()
 	start := now
 	if c.free > start {
@@ -473,10 +383,10 @@ func (h *Hierarchy) ChannelRead(addr uint32, now uint64) uint64 {
 	return start + uint64(h.cfg.DRAM.Latency) + transfer
 }
 
-// ChannelWriteback occupies channel bandwidth for an evicted dirty line
-// without delaying the requester. Calls touch only channel ChannelOf(addr).
-func (h *Hierarchy) ChannelWriteback(addr uint32, now uint64) {
-	c := &h.dram[h.ChannelOf(addr)]
+// dramWriteback occupies channel bandwidth for an evicted dirty line
+// without delaying the requester.
+func (h *Hierarchy) dramWriteback(addr uint32, now uint64) {
+	c := h.dramChannelOf(addr)
 	transfer := h.transferCycles()
 	start := now
 	if c.free > start {

@@ -2,16 +2,14 @@ package sim_test
 
 // Kernel-level half of the batched-execution differential harness: registry
 // kernels, run end-to-end through the OpenCL-style runtime, across the
-// batch x engine x workers matrix. Uniform-warp batched execution (the
-// default) must produce byte-identical launch reports — including the
+// batch x engine matrix. Uniform-warp batched execution (the default) must
+// produce byte-identical launch reports — including the
 // MemStall/ExecStall/IdleAfterEnd attribution — and memory-system state to
 // the per-warp oracle retained behind Config.BatchExec=false, on both
-// engines and both runners. The CI race-detector step runs this file, so
-// cohort pre-execution is also race-checked under the parallel engine.
+// engines.
 //
 // internal/sim/batch_test.go pins the same property at the bare-simulator
-// level (all four policies, traps, the observer stream, cohort edge cases);
-// internal/sweep pins it at sweep-record level.
+// level (all four policies, traps, the observer stream, cohort edge cases).
 
 import (
 	"fmt"
@@ -21,39 +19,25 @@ import (
 	"repro/internal/sim"
 )
 
-func runBatchKernel(t *testing.T, name string, batch, tick bool, workers int) kernelRun {
+func runBatchKernel(t *testing.T, name string, batch, tick bool) kernelRun {
 	t.Helper()
 	cfg := sim.DefaultConfig(4, 8, 8)
 	cfg.BatchExec = batch
 	cfg.TickEngine = tick
-	cfg.Workers = workers
-	cfg.CommitWorkers = workers
-	return runMatrixKernelCfg(t, name, cfg, fmt.Sprintf("batch=%v tick=%v workers=%d", batch, tick, workers))
+	return runMatrixKernelCfg(t, name, cfg, fmt.Sprintf("batch=%v tick=%v", batch, tick))
 }
-
-// batchMatrixKernels get the full engine x workers matrix against the
-// per-warp oracle; every other registry kernel runs the oracle-critical
-// unbatched-seq vs batched-seq/par cells only (same bounded-cost convention
-// as the engine matrix).
-var batchMatrixKernels = map[string]bool{"vecadd": true, "relu": true, "saxpy": true}
 
 func TestBatchKernelMatrix(t *testing.T) {
 	for _, name := range kernels.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			if testing.Short() && !batchMatrixKernels[name] {
+			if testing.Short() && !cheapMatrixKernels[name] {
 				t.Skip("short mode: batch matrix runs the cheap kernels only")
 			}
-			oracle := runBatchKernel(t, name, false, false, 1)
-			batchSeq := runBatchKernel(t, name, true, false, 1)
-			batchPar := runBatchKernel(t, name, true, false, 4)
-			diffKernelRuns(t, name+"/unbatched-vs-batched-seq", oracle, batchSeq)
-			diffKernelRuns(t, name+"/unbatched-vs-batched-par", oracle, batchPar)
-			if batchMatrixKernels[name] {
-				batchTickSeq := runBatchKernel(t, name, true, true, 1)
-				batchTickPar := runBatchKernel(t, name, true, true, 4)
-				diffKernelRuns(t, name+"/unbatched-vs-batched-tick-seq", oracle, batchTickSeq)
-				diffKernelRuns(t, name+"/unbatched-vs-batched-tick-par", oracle, batchTickPar)
+			oracle := runBatchKernel(t, name, false, false)
+			diffKernelRuns(t, name+"/unbatched-vs-batched", oracle, runBatchKernel(t, name, true, false))
+			if cheapMatrixKernels[name] {
+				diffKernelRuns(t, name+"/unbatched-vs-batched-tick", oracle, runBatchKernel(t, name, true, true))
 			}
 		})
 	}
@@ -61,13 +45,11 @@ func TestBatchKernelMatrix(t *testing.T) {
 
 // runBatchMemKernel isolates the batched-memory layer: compute batching on
 // in both cells, Config.BatchMem toggled.
-func runBatchMemKernel(t *testing.T, name string, batchMem bool, workers int) kernelRun {
+func runBatchMemKernel(t *testing.T, name string, batchMem bool) kernelRun {
 	t.Helper()
 	cfg := sim.DefaultConfig(4, 8, 8)
 	cfg.BatchMem = batchMem
-	cfg.Workers = workers
-	cfg.CommitWorkers = workers
-	return runMatrixKernelCfg(t, name, cfg, fmt.Sprintf("batchMem=%v workers=%d", batchMem, workers))
+	return runMatrixKernelCfg(t, name, cfg, fmt.Sprintf("batchMem=%v", batchMem))
 }
 
 // TestBatchMemKernelMatrix is the kernel-level half of the batched-memory
@@ -80,14 +62,10 @@ func TestBatchMemKernelMatrix(t *testing.T) {
 	for _, name := range kernels.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			if testing.Short() && !batchMatrixKernels[name] {
+			if testing.Short() && !cheapMatrixKernels[name] {
 				t.Skip("short mode: batch matrix runs the cheap kernels only")
 			}
-			oracle := runBatchMemKernel(t, name, false, 1)
-			memSeq := runBatchMemKernel(t, name, true, 1)
-			memPar := runBatchMemKernel(t, name, true, 4)
-			diffKernelRuns(t, name+"/membatch-seq", oracle, memSeq)
-			diffKernelRuns(t, name+"/membatch-par", oracle, memPar)
+			diffKernelRuns(t, name+"/membatch", runBatchMemKernel(t, name, false), runBatchMemKernel(t, name, true))
 		})
 	}
 }

@@ -13,8 +13,8 @@ import (
 // under test: with Config.BatchMem on, every simulated observable — cycles,
 // per-core statistics, cache/DRAM statistics down to individual L2 banks
 // and DRAM channels, memory contents, traps — is byte-identical to the
-// per-warp oracle (BatchMem off), under every scheduler policy, both
-// engines, and the parallel runner. Timing is never batched: each cohort
+// per-warp oracle (BatchMem off), under every scheduler policy and both
+// engines. Timing is never batched: each cohort
 // mate's L1/hierarchy walk, MSHR allocation and LSU occupancy happen at its
 // true issue cycle; only the functional access and coalescing are derived
 // from the leader's affine address template.
@@ -26,7 +26,7 @@ func batchMemOracle(t *testing.T, cfg Config, prog string, activate func(*Sim) e
 	t.Helper()
 	cfg.BatchExec = false
 	cfg.BatchMem = false
-	return runSnapshot(t, cfg, prog, activate, 1)
+	return runSnapshot(t, cfg, prog, activate)
 }
 
 // memUnitProg: every warp streams full-mask unit-stride words — the
@@ -163,8 +163,8 @@ const memNonCongruentProg = `
 `
 
 // TestBatchMemMatchesOracle is the core differential: batched memory
-// execution against the per-warp oracle across all scheduler policies,
-// both engines, and worker counts — unit-stride (bulk path), strided
+// execution against the per-warp oracle across all scheduler policies and
+// both engines — unit-stride (bulk path), strided
 // (template path), partial and mixed thread masks, overlapping stores
 // between mates, sub-word ops, non-congruent fallback, and the
 // compute+mem mixes shared with the engine harness.
@@ -221,10 +221,8 @@ func TestBatchMemMatchesOracle(t *testing.T) {
 					tick bool
 				}{{"event", false}, {"tick", true}} {
 					cfg.TickEngine = engine.tick
-					for _, workers := range []int{1, 2} {
-						got := runSnapshot(t, cfg, tc.prog, tc.activate(cfg), workers)
-						diffSnapshots(t, fmt.Sprintf("%s/%s/workers=%d", pol, engine.name, workers), oracle, got)
-					}
+					got := runSnapshot(t, cfg, tc.prog, tc.activate(cfg))
+					diffSnapshots(t, fmt.Sprintf("%s/%s", pol, engine.name), oracle, got)
 				}
 			})
 		}
@@ -244,10 +242,8 @@ func TestBatchMemMSHRBound(t *testing.T) {
 			activate := activateAll(cfg, cfg.Warps, 0xFF)
 			oracle := batchMemOracle(t, cfg, memStridedProg, activate)
 			cfg.BatchExec, cfg.BatchMem = true, true
-			for _, workers := range []int{1, 2} {
-				got := runSnapshot(t, cfg, memStridedProg, activate, workers)
-				diffSnapshots(t, fmt.Sprintf("workers=%d", workers), oracle, got)
-			}
+			got := runSnapshot(t, cfg, memStridedProg, activate)
+			diffSnapshots(t, pol.String(), oracle, got)
 		})
 	}
 }
@@ -499,6 +495,6 @@ func TestBatchMemScanSchedDifferential(t *testing.T) {
 	activate := activateAll(cfg, cfg.Warps, 0xFF)
 	oracle := batchMemOracle(t, cfg, memUnitProg, activate)
 	cfg.BatchExec, cfg.BatchMem = true, true
-	got := runSnapshot(t, cfg, memUnitProg, activate, 1)
+	got := runSnapshot(t, cfg, memUnitProg, activate)
 	diffSnapshots(t, "scan-sched", oracle, got)
 }

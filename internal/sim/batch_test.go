@@ -13,9 +13,7 @@ import (
 // contract under test: with Config.BatchExec on, every simulated observable
 // — cycles, per-core statistics, cache/DRAM statistics, memory contents,
 // the observer stream, traps — is byte-identical to the per-warp oracle
-// (BatchExec off), under every scheduler policy, both engines, and the
-// parallel runner. internal/sweep and the CLI matrix in CI pin the same
-// property at the record and artifact levels.
+// (BatchExec off), under every scheduler policy and both engines.
 
 // batchUniformProg keeps every warp of a core in lockstep through a
 // compute-heavy loop that covers the whole batchable set: fast ALU ops,
@@ -69,12 +67,12 @@ loop:
 func batchOracle(t *testing.T, cfg Config, prog string, activate func(*Sim) error) snapshot {
 	t.Helper()
 	cfg.BatchExec = false
-	return runSnapshot(t, cfg, prog, activate, 1)
+	return runSnapshot(t, cfg, prog, activate)
 }
 
 // TestBatchMatchesUnbatchedOracle is the core differential: batched
-// execution vs the per-warp oracle across all four scheduler policies,
-// both engines, and worker counts — on the uniform cohort-heavy program,
+// execution vs the per-warp oracle across all four scheduler policies and
+// both engines — on the uniform cohort-heavy program,
 // on the memory/FP/divergence programs shared with the engine harness
 // (cohorts form and dissolve around fallback ops), and on partial and
 // per-warp-mixed thread masks.
@@ -122,10 +120,8 @@ func TestBatchMatchesUnbatchedOracle(t *testing.T) {
 					tick bool
 				}{{"event", false}, {"tick", true}} {
 					cfg.TickEngine = engine.tick
-					for _, workers := range []int{1, 2} {
-						got := runSnapshot(t, cfg, tc.prog, tc.activate(cfg), workers)
-						diffSnapshots(t, fmt.Sprintf("%s/%s/workers=%d", pol, engine.name, workers), oracle, got)
-					}
+					got := runSnapshot(t, cfg, tc.prog, tc.activate(cfg))
+					diffSnapshots(t, fmt.Sprintf("%s/%s", pol, engine.name), oracle, got)
 				}
 			})
 		}
@@ -145,7 +141,7 @@ func TestBatchRotationBoundary(t *testing.T) {
 			activate := activateAll(cfg, 5, 0xFF)
 			oracle := batchOracle(t, cfg, batchUniformProg, activate)
 			cfg.BatchExec = true
-			got := runSnapshot(t, cfg, batchUniformProg, activate, 1)
+			got := runSnapshot(t, cfg, batchUniformProg, activate)
 			diffSnapshots(t, pol.String(), oracle, got)
 		})
 	}
@@ -374,7 +370,7 @@ func TestBatchMateEarlyExit(t *testing.T) {
 			activate := activateAll(cfg, 4, 0xF)
 			oracle := batchOracle(t, cfg, batchEarlyExitProg, activate)
 			cfg.BatchExec = true
-			got := runSnapshot(t, cfg, batchEarlyExitProg, activate, 1)
+			got := runSnapshot(t, cfg, batchEarlyExitProg, activate)
 			diffSnapshots(t, pol.String(), oracle, got)
 		})
 	}

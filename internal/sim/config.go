@@ -16,7 +16,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/mem"
 )
@@ -112,8 +111,8 @@ type Config struct {
 	// time. The tick loop is retained as the differential-test oracle — the
 	// event engine is byte-identical to it in every simulated observable
 	// (device cycles, statistics, stall attribution, observer stream; see
-	// internal/sim/README.md) — and composes with every scheduler policy,
-	// ScanSched, and both the sequential and parallel engines.
+	// internal/sim/README.md) — and composes with every scheduler policy
+	// and ScanSched.
 	TickEngine bool
 
 	// BatchExec enables uniform-warp batched execution (exec_batch.go): the
@@ -151,25 +150,6 @@ type Config struct {
 
 	// MaxCycles aborts runaway simulations; 0 means a generous default.
 	MaxCycles uint64
-
-	// Workers is the number of host goroutines Sim.Run uses to simulate
-	// cores in parallel, clamped to the core count. 0 or 1 selects the
-	// single-threaded engine; DefaultConfig sets runtime.NumCPU(). For
-	// kernels free of cross-core data races the parallel engine produces
-	// byte-identical cycle counts and statistics at any worker count (see
-	// internal/sim/README.md for the determinism contract).
-	Workers int
-
-	// CommitWorkers shards the parallel engine's end-of-cycle commit phase
-	// by L2 bank and DRAM channel. 0 follows Workers and lets the engine
-	// fall back to the single-threaded global commit on cycles with little
-	// deferred work; 1 forces the single-threaded global commit on every
-	// cycle; any larger count (clamped to the issue worker pool) forces the
-	// sharded commit whenever a cycle defers memory work. All settings are
-	// byte-identical for race-free kernels — the sharded commit preserves
-	// the global (cycle, core) request order restricted to each bank and
-	// channel, the only ordering the memory model observes.
-	CommitWorkers int
 }
 
 // DefaultConfig returns the default device: cores x warps x threads with the
@@ -188,7 +168,6 @@ func DefaultConfig(cores, warps, threads int) Config {
 		Lat:       DefaultLatencies(),
 		Sched:     SchedRoundRobin,
 		LSUPorts:  8,
-		Workers:   runtime.NumCPU(),
 		BatchExec: true,
 		BatchMem:  true,
 	}
@@ -227,12 +206,6 @@ func (c Config) Validate() error {
 	}
 	if c.LSUPorts < 1 {
 		return fmt.Errorf("sim: LSUPorts %d must be at least 1", c.LSUPorts)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("sim: negative worker count %d", c.Workers)
-	}
-	if c.CommitWorkers < 0 {
-		return fmt.Errorf("sim: negative commit worker count %d", c.CommitWorkers)
 	}
 	return nil
 }

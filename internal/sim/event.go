@@ -3,24 +3,23 @@ package sim
 import "fmt"
 
 // This file implements the event-driven device engine: the default
-// replacement for the per-cycle tick loops of sim.go and parallel.go.
+// replacement for the per-cycle tick loop of sim.go.
 //
 // PR 5's scheduler subsystem already computes, on every failed issue
 // attempt, the earliest cycle a core can possibly issue again
-// (simCore.nextWake, from the per-warp stall caches). The tick loops throw
-// that knowledge away at device level: every cycle they still visit every
+// (simCore.nextWake, from the per-warp stall caches). The tick loop throws
+// that knowledge away at device level: every cycle it still visits every
 // core with active warps, if only to charge one stall cycle and min-reduce
-// nextWake, and they fast-forward only when *zero* cores issued. On
+// nextWake, and it fast-forwards only when *zero* cores issued. On
 // DRAM-bound many-core configurations — the regime the paper's
 // characterization sweeps live in — almost every visit is such a bookkeeping
 // touch: one core issues while the rest sleep out a miss for hundreds of
-// cycles, so the tick engines pay O(total cores) per cycle for O(ready
+// cycles, so the tick engine pays O(total cores) per cycle for O(ready
 // cores) of real work.
 //
 // The event engine lifts the wake knowledge into a device-level core wake
-// queue (eventQueue) — one per device in the sequential engine, one per
-// worker core range in the parallel engine — so a cycle touches only the
-// cores that are actually due:
+// queue (eventQueue) so a cycle touches only the cores that are actually
+// due:
 //
 //   - heap: a (wake cycle, core id) min-heap of sleeping cores, exactly the
 //     per-core analogue of the per-warp wake heap;
@@ -37,7 +36,7 @@ import "fmt"
 // (vx_wspawn) and barrier release only ever touch the executing core, so
 // sleeping cores stay asleep until their key expires.
 //
-// Stall attribution is lazy. The tick loops charge each non-issuing core
+// Stall attribution is lazy. The tick loop charges each non-issuing core
 // one stall cycle per visited cycle, split MemStall/ExecStall by the core's
 // blockMem attribution — which issue() fixes at the failed attempt and which
 // cannot change while the core sleeps (the per-warp stall caches are only
@@ -46,7 +45,7 @@ import "fmt"
 // settles the whole span through accountStall when the core is next touched
 // (flushStall) or when the run ends abnormally (flushTrapStalls /
 // flushAllStalls). Summed over a sleep span [T0, W) this reproduces the tick
-// loops' per-cycle accounting byte-identically, including the partial-skip
+// loop's per-cycle accounting byte-identically, including the partial-skip
 // case the old no-issue fast-forward never reached: one core issuing every
 // cycle while the others sleep for hundreds.
 
@@ -61,8 +60,8 @@ func coreEventBefore(a, b coreEvent) bool {
 	return a.at < b.at || (a.at == b.at && a.core < b.core)
 }
 
-// eventQueue tracks the cores of one engine (or one parallel worker's core
-// range) by their next due cycle. See the file comment for the invariants.
+// eventQueue tracks the device's cores by their next due cycle. See the
+// file comment for the invariants.
 type eventQueue struct {
 	heap    []coreEvent
 	running []int32
@@ -71,17 +70,17 @@ type eventQueue struct {
 	live    int     // cores with active warps still tracked by this queue
 }
 
-// init loads cores [lo, hi) into the queue at the run's start cycle. Cores
+// init loads every core into the queue at the run's start cycle. Cores
 // woken by a previous launch's ActivateWarp are due immediately; a core
 // still sleeping out a previous launch's stall keeps its wake key, with the
-// pending span starting at the current cycle (the tick loops, too, only
-// charge it from here on).
-func (q *eventQueue) init(s *Sim, lo, hi int, cycle uint64) {
+// pending span starting at the current cycle (the tick loop, too, only
+// charges it from here on).
+func (q *eventQueue) init(s *Sim, cycle uint64) {
 	q.heap = q.heap[:0]
 	q.running = q.running[:0]
 	q.parked = q.parked[:0]
 	q.live = 0
-	for i := lo; i < hi; i++ {
+	for i := range s.cores {
 		c := &s.cores[i]
 		if c.active == 0 {
 			continue
@@ -140,7 +139,7 @@ func (q *eventQueue) pop() coreEvent {
 
 // collectDue gathers the cores due at cycle — last cycle's issuers plus
 // every heap entry whose wake time has arrived — merged in ascending core
-// order. That order is load-bearing: it is the order the tick loops visit
+// order. That order is load-bearing: it is the order the tick loop visits
 // cores, so it fixes both the interleaving of same-cycle shared-memory
 // accesses and the observer stream. Both inputs are already ascending: the
 // running list is appended in due-processing order, and the heap never
@@ -164,19 +163,9 @@ func (q *eventQueue) collectDue(cycle uint64) []int32 {
 	return due
 }
 
-// next returns the earliest cycle any core of this queue can issue again
-// given that none issued this cycle: the heap minimum, or noWake when only
-// parked (or no) cores remain.
-func (q *eventQueue) next() uint64 {
-	if len(q.heap) > 0 {
-		return q.heap[0].at
-	}
-	return noWake
-}
-
 // flushStall settles a core's pending stall span through the cycle before
-// the current one — exactly the cycles the tick loops have charged, one by
-// one, by the time they re-attempt the core. Called when a core is popped
+// the current one — exactly the cycles the tick loop has charged, one by
+// one, by the time it re-attempts the core. Called when a core is popped
 // due; the abnormal-exit paths use flushTrapStalls/flushAllStalls instead.
 func (s *Sim) flushStall(c *simCore) {
 	if c.stallFrom < s.cycle {
@@ -194,8 +183,8 @@ func (s *Sim) flushStallUpto(c *simCore, upto uint64) {
 }
 
 // flushTrapStalls settles every pending stall span at an execution trap
-// raised by trapCore at the current cycle. The tick loops visit cores in
-// ascending order and stop at the trapping core, so cores below it have
+// raised by trapCore at the current cycle. The tick loop visits cores in
+// ascending order and stops at the trapping core, so cores below it have
 // been charged through the trap cycle inclusive and cores at or above it
 // only through the previous cycle.
 func (s *Sim) flushTrapStalls(trapCore int) {
@@ -214,7 +203,7 @@ func (s *Sim) flushTrapStalls(trapCore int) {
 
 // flushAllStalls settles every pending stall span through upto-1: the
 // current cycle inclusive at a deadlock trap (upto = cycle+1, the tick
-// loops charge parked cores on the trap cycle before classifying it), and
+// loop charges parked cores on the trap cycle before classifying it), and
 // the pre-advance cycle at the MaxCycles deadline (upto = cycle).
 func (s *Sim) flushAllStalls(upto uint64) {
 	for i := range s.cores {
@@ -228,9 +217,8 @@ func (s *Sim) flushAllStalls(upto uint64) {
 // jumpTo fast-forwards a no-issue tick cycle to the next wake event,
 // attributing the skipped cycles to each active core's standing stall
 // reason (each stalled core was already charged 1 for the current cycle by
-// the visit that failed or skipped it). Shared by both tick loops — it is
-// the eager twin of flushStall, which reproduces the same accounting lazily
-// for the event engine — so there is a single bulk-attribution code path.
+// the visit that failed or skipped it). It is the eager twin of flushStall,
+// which reproduces the same accounting lazily for the event engine.
 func (s *Sim) jumpTo(minWake uint64) {
 	if delta := minWake - s.cycle; delta > 1 {
 		for i := range s.cores {
@@ -243,11 +231,11 @@ func (s *Sim) jumpTo(minWake uint64) {
 	s.cycle = minWake
 }
 
-// runSequentialEvent is the sequential event-driven engine: per cycle it
-// touches only the cores due now, advances to the queue's next wake when
-// nothing issued, and settles stall spans lazily. Byte-identical to
-// runSequentialTick in every simulated observable.
-func (s *Sim) runSequentialEvent() error {
+// runEvent is the event-driven device engine: per cycle it touches only the
+// cores due now, advances to the queue's next wake when nothing issued, and
+// settles stall spans lazily. Byte-identical to runTick in every simulated
+// observable.
+func (s *Sim) runEvent() error {
 	limit := s.cfg.MaxCycles
 	if limit == 0 {
 		limit = 1 << 40
@@ -255,7 +243,7 @@ func (s *Sim) runSequentialEvent() error {
 	deadline := s.cycle + limit
 
 	q := &s.evq
-	q.init(s, 0, len(s.cores), s.cycle)
+	q.init(s, s.cycle)
 
 	for q.live > 0 {
 		due := q.collectDue(s.cycle)

@@ -6,10 +6,8 @@ package sim
 // simulated observable — device cycles, per-core counters including the
 // MemStall/ExecStall attribution, cache/DRAM statistics, memory contents,
 // observer stream, trap coordinates and the MaxCycles deadline — across the
-// engine x workers x sched matrix. internal/sim/event_matrix_test.go pins
-// the same property over the kernel registry; internal/sweep pins it at
-// sweep-record level. The CI race-detector step runs this file, so the
-// per-worker wake queues are also race-checked.
+// engine x sched matrix. internal/sim/event_matrix_test.go pins the same
+// property over the kernel registry.
 
 import (
 	"fmt"
@@ -21,9 +19,8 @@ import (
 	"repro/internal/mem"
 )
 
-// TestEventMatchesTickEngine diffs the event engine against the sequential
-// tick oracle for every scheduling policy, at both worker counts, over the
-// standard differential programs.
+// TestEventMatchesTickEngine diffs the event engine against the tick oracle
+// for every scheduling policy over the standard differential programs.
 func TestEventMatchesTickEngine(t *testing.T) {
 	for _, sched := range SchedPolicies() {
 		for _, tc := range schedDiffCases() {
@@ -31,14 +28,10 @@ func TestEventMatchesTickEngine(t *testing.T) {
 				cfg := DefaultConfig(4, 4, 4)
 				cfg.Sched = sched
 				cfg.TickEngine = true
-				oracle := runSnapshot(t, cfg, tc.prog, tc.activate(cfg), 1)
-				tickPar := runSnapshot(t, cfg, tc.prog, tc.activate(cfg), 4)
-				diffSnapshots(t, fmt.Sprintf("%s/%s/tick-seq-vs-tick-par", sched, tc.name), oracle, tickPar)
+				oracle := runSnapshot(t, cfg, tc.prog, tc.activate(cfg))
 				cfg.TickEngine = false
-				for _, workers := range []int{1, 4} {
-					ev := runSnapshot(t, cfg, tc.prog, tc.activate(cfg), workers)
-					diffSnapshots(t, fmt.Sprintf("%s/%s/tick-vs-event/workers=%d", sched, tc.name, workers), oracle, ev)
-				}
+				ev := runSnapshot(t, cfg, tc.prog, tc.activate(cfg))
+				diffSnapshots(t, fmt.Sprintf("%s/%s/tick-vs-event", sched, tc.name), oracle, ev)
 			})
 		}
 	}
@@ -53,12 +46,10 @@ func TestEventMatchesTickScanOracle(t *testing.T) {
 		cfg.Sched = sched
 		cfg.ScanSched = true
 		cfg.TickEngine = true
-		oracle := runSnapshot(t, cfg, diffMemProg, activateAll(cfg, 4, 0xF), 1)
+		oracle := runSnapshot(t, cfg, diffMemProg, activateAll(cfg, 4, 0xF))
 		cfg.TickEngine = false
-		for _, workers := range []int{1, 4} {
-			ev := runSnapshot(t, cfg, diffMemProg, activateAll(cfg, 4, 0xF), workers)
-			diffSnapshots(t, fmt.Sprintf("%s/scan/workers=%d", sched, workers), oracle, ev)
-		}
+		ev := runSnapshot(t, cfg, diffMemProg, activateAll(cfg, 4, 0xF))
+		diffSnapshots(t, fmt.Sprintf("%s/scan", sched), oracle, ev)
 	}
 }
 
@@ -70,12 +61,10 @@ func TestEventHighWarpDifferential(t *testing.T) {
 		cfg := DefaultConfig(2, 32, 2)
 		cfg.Sched = sched
 		cfg.TickEngine = true
-		oracle := runSnapshot(t, cfg, highWarpProg, activate(cfg), 1)
+		oracle := runSnapshot(t, cfg, highWarpProg, activate(cfg))
 		cfg.TickEngine = false
-		seq := runSnapshot(t, cfg, highWarpProg, activate(cfg), 1)
-		par := runSnapshot(t, cfg, highWarpProg, activate(cfg), 2)
-		diffSnapshots(t, fmt.Sprintf("%s/tick-vs-event-seq", sched), oracle, seq)
-		diffSnapshots(t, fmt.Sprintf("%s/tick-vs-event-par", sched), oracle, par)
+		ev := runSnapshot(t, cfg, highWarpProg, activate(cfg))
+		diffSnapshots(t, fmt.Sprintf("%s/tick-vs-event", sched), oracle, ev)
 	}
 }
 
@@ -122,12 +111,10 @@ func TestEventPartialSkipAttribution(t *testing.T) {
 	cfg := DefaultConfig(4, 2, 4)
 	activate := activateAll(cfg, 2, 0xF)
 	cfg.TickEngine = true
-	oracle := runSnapshot(t, cfg, partialSkipProg, activate, 1)
+	oracle := runSnapshot(t, cfg, partialSkipProg, activate)
 	cfg.TickEngine = false
-	for _, workers := range []int{1, 4} {
-		ev := runSnapshot(t, cfg, partialSkipProg, activate, workers)
-		diffSnapshots(t, fmt.Sprintf("partial-skip/workers=%d", workers), oracle, ev)
-	}
+	ev := runSnapshot(t, cfg, partialSkipProg, activate)
+	diffSnapshots(t, "partial-skip", oracle, ev)
 	if busy := oracle.cores[0]; busy.Issued < 3000 {
 		t.Errorf("core 0 issued %d instructions, want a >=3000-cycle busy loop keeping the device issuing", busy.Issued)
 	}
@@ -140,15 +127,13 @@ func TestEventPartialSkipAttribution(t *testing.T) {
 
 // TestEventDeadlockBarrier drives the first deadlockTrap variant through
 // the event queue's parked list: trap coordinates, trap cycle and the
-// settled stall statistics must match the tick engine at every worker
-// count (deadlocks are decided by the coordinator after a complete cycle,
-// so unlike execution traps they stay byte-identical under parallelism).
+// settled stall statistics must match the tick engine.
 func TestEventDeadlockBarrier(t *testing.T) {
 	type outcome struct {
 		trap  Trap
 		stats []CoreStats
 	}
-	run := func(tick bool, workers int) outcome {
+	run := func(tick bool) outcome {
 		t.Helper()
 		cfg := DefaultConfig(2, 2, 2)
 		cfg.TickEngine = tick
@@ -168,12 +153,12 @@ func TestEventDeadlockBarrier(t *testing.T) {
 		if err := activateAll(cfg, 2, 0x3)(s); err != nil {
 			t.Fatal(err)
 		}
-		trap, ok := s.RunParallel(workers).(*Trap)
+		trap, ok := s.Run().(*Trap)
 		if !ok {
-			t.Fatalf("tick=%v workers=%d: want a deadlock *Trap", tick, workers)
+			t.Fatalf("tick=%v: want a deadlock *Trap", tick)
 		}
 		if !strings.Contains(trap.Reason, "barrier that can never fill") {
-			t.Fatalf("tick=%v workers=%d: trap reason %q", tick, workers, trap.Reason)
+			t.Fatalf("tick=%v: trap reason %q", tick, trap.Reason)
 		}
 		o := outcome{trap: *trap}
 		for c := 0; c < cfg.Cores; c++ {
@@ -181,17 +166,12 @@ func TestEventDeadlockBarrier(t *testing.T) {
 		}
 		return o
 	}
-	oracle := run(true, 1)
-	for _, tick := range []bool{true, false} {
-		for _, workers := range []int{1, 2} {
-			got := run(tick, workers)
-			if got.trap != oracle.trap {
-				t.Errorf("tick=%v workers=%d: trap %+v, tick oracle %+v", tick, workers, got.trap, oracle.trap)
-			}
-			if !slices.Equal(got.stats, oracle.stats) {
-				t.Errorf("tick=%v workers=%d: stats %+v, tick oracle %+v", tick, workers, got.stats, oracle.stats)
-			}
-		}
+	oracle, got := run(true), run(false)
+	if got.trap != oracle.trap {
+		t.Errorf("trap %+v, tick oracle %+v", got.trap, oracle.trap)
+	}
+	if !slices.Equal(got.stats, oracle.stats) {
+		t.Errorf("stats %+v, tick oracle %+v", got.stats, oracle.stats)
 	}
 }
 
@@ -223,12 +203,11 @@ func TestEventDeadlockNoSchedulableEvent(t *testing.T) {
 	}
 }
 
-// TestEventObserverStreamMatchesTick re-pins the observer contract under
-// the event engine: an installed observer forces the sequential engine at
-// any worker count, and the (cycle, core)-ordered issue stream is
-// byte-identical between the event engine and the tick oracle.
+// TestEventObserverStreamMatchesTick pins the observer contract: the issue
+// stream arrives in (cycle, core) order and is byte-identical between the
+// event engine and the tick oracle.
 func TestEventObserverStreamMatchesTick(t *testing.T) {
-	collect := func(tick bool, workers int) []IssueEvent {
+	collect := func(tick bool) []IssueEvent {
 		t.Helper()
 		cfg := DefaultConfig(4, 2, 4)
 		cfg.TickEngine = tick
@@ -250,12 +229,12 @@ func TestEventObserverStreamMatchesTick(t *testing.T) {
 		if err := activateAll(cfg, 2, 0xF)(s); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.RunParallel(workers); err != nil {
+		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
 		return evs
 	}
-	oracle := collect(true, 1)
+	oracle := collect(true)
 	if len(oracle) == 0 {
 		t.Fatal("observer saw no issues")
 	}
@@ -266,13 +245,8 @@ func TestEventObserverStreamMatchesTick(t *testing.T) {
 				i, b.Cycle, b.Core, a.Cycle, a.Core)
 		}
 	}
-	for _, tick := range []bool{true, false} {
-		for _, workers := range []int{1, 4} {
-			if got := collect(tick, workers); !slices.Equal(got, oracle) {
-				t.Errorf("tick=%v workers=%d: observer stream differs from the tick oracle (%d vs %d events)",
-					tick, workers, len(got), len(oracle))
-			}
-		}
+	if got := collect(false); !slices.Equal(got, oracle) {
+		t.Errorf("observer stream differs from the tick oracle (%d vs %d events)", len(got), len(oracle))
 	}
 }
 
@@ -281,7 +255,7 @@ func TestEventObserverStreamMatchesTick(t *testing.T) {
 // stall statistics, whether the limit lands on an issuing cycle or inside
 // a fast-forwarded sleep.
 func TestEventMaxCyclesDeadline(t *testing.T) {
-	run := func(tick bool, workers int, limit uint64) (*Sim, error) {
+	run := func(tick bool, limit uint64) (*Sim, error) {
 		t.Helper()
 		cfg := DefaultConfig(2, 2, 4)
 		cfg.MaxCycles = limit
@@ -302,28 +276,24 @@ func TestEventMaxCyclesDeadline(t *testing.T) {
 		if err := activateAll(cfg, 2, 0xF)(s); err != nil {
 			t.Fatal(err)
 		}
-		return s, s.RunParallel(workers)
+		return s, s.Run()
 	}
 	for _, limit := range []uint64{97, 100} {
-		oracleSim, oracleErr := run(true, 1, limit)
+		oracleSim, oracleErr := run(true, limit)
 		if oracleErr == nil {
 			t.Fatalf("limit %d did not trip the deadline", limit)
 		}
-		for _, tick := range []bool{true, false} {
-			for _, workers := range []int{1, 2} {
-				s, err := run(tick, workers, limit)
-				if err == nil || err.Error() != oracleErr.Error() {
-					t.Errorf("limit=%d tick=%v workers=%d: err %v, tick oracle %v", limit, tick, workers, err, oracleErr)
-					continue
-				}
-				if s.Cycle() != oracleSim.Cycle() {
-					t.Errorf("limit=%d tick=%v workers=%d: stopped at cycle %d, tick oracle %d", limit, tick, workers, s.Cycle(), oracleSim.Cycle())
-				}
-				for c := 0; c < 2; c++ {
-					if got, want := s.CoreStatsOf(c), oracleSim.CoreStatsOf(c); got != want {
-						t.Errorf("limit=%d tick=%v workers=%d: core %d stats %+v, tick oracle %+v", limit, tick, workers, c, got, want)
-					}
-				}
+		s, err := run(false, limit)
+		if err == nil || err.Error() != oracleErr.Error() {
+			t.Errorf("limit=%d: err %v, tick oracle %v", limit, err, oracleErr)
+			continue
+		}
+		if s.Cycle() != oracleSim.Cycle() {
+			t.Errorf("limit=%d: stopped at cycle %d, tick oracle %d", limit, s.Cycle(), oracleSim.Cycle())
+		}
+		for c := 0; c < 2; c++ {
+			if got, want := s.CoreStatsOf(c), oracleSim.CoreStatsOf(c); got != want {
+				t.Errorf("limit=%d: core %d stats %+v, tick oracle %+v", limit, c, got, want)
 			}
 		}
 	}

@@ -113,10 +113,7 @@ func (s *Sim) execute(c *simCore, wid int, w *warp, in isa.Inst) error {
 		if err != nil {
 			return err
 		}
-		// Under the parallel engine the completion time is unknown until the
-		// end-of-cycle commit walks the shared levels; commitDeferred patches
-		// the scoreboard then (always before the next cycle's issue phase).
-		if in.IsLoad() && !s.par {
+		if in.IsLoad() {
 			if op == isa.FLW {
 				w.pendF[rd] = done
 			} else if rd != 0 {
@@ -384,8 +381,7 @@ func (s *Sim) executeMem(c *simCore, wid int, w *warp, in isa.Inst) (uint64, err
 
 	// Timing: coalesce lanes into line requests, streamed 1/cycle. The
 	// scratch buffers are per-core and preallocated: this path runs once per
-	// memory instruction and must not allocate (and under the parallel
-	// engine it runs concurrently across cores).
+	// memory instruction and must not allocate.
 	shift := s.hier.LineShift()
 	var lines []uint32
 	if s.NoCoalesce {
@@ -399,49 +395,26 @@ func (s *Sim) executeMem(c *simCore, wid int, w *warp, in isa.Inst) (uint64, err
 		c.lineBuf = mem.Coalesce(c.addrBuf[:s.cfg.Threads], w.tmask, shift, c.lineBuf)
 		lines = c.lineBuf
 	}
-	return s.memTiming(c, wid, rd, isStore, in.IsLoad(), in.Op == isa.FLW, lines), nil
+	return s.memTiming(c, isStore, lines), nil
 }
 
 // memTiming walks one memory instruction's coalesced line requests through
 // the hierarchy and applies the LSU/MSHR and statistics side effects — the
 // timing half of executeMem, shared verbatim by the batched-memory replay
-// (finishBatchedMem), which must produce the same completion cycles, MSHR
-// allocations and deferred-commit records as the per-warp path. Returns the
-// load completion cycle (sequential engines; the parallel engine patches it
-// at commit instead).
-func (s *Sim) memTiming(c *simCore, wid, rd int, isStore, isLoad, fp bool, lines []uint32) uint64 {
+// (finishBatchedMem), which must produce the same completion cycles and
+// MSHR allocations as the per-warp path. Returns the completion cycle.
+func (s *Sim) memTiming(c *simCore, isStore bool, lines []uint32) uint64 {
 	ports := s.cfg.LSUPorts
 	var done uint64
-	if s.par {
-		// Concurrent phase: walk only this core's private L1 and queue the
-		// misses; commitDeferred completes them in (cycle, core) order.
-		d := &c.md
-		d.active, d.isLoad, d.fp = true, isLoad, fp
-		d.wid, d.rd = wid, rd
-		d.nMiss, d.partialDone = 0, 0
-		for i, line := range lines {
-			r, miss, mi := s.hier.L1Access(c.id, line, isStore, s.cycle+uint64(i/ports))
-			if miss {
-				d.miss[d.nMiss] = mi
-				d.nMiss++
-			} else if r.Done > d.partialDone {
-				d.partialDone = r.Done
-			}
+	for i, line := range lines {
+		r := s.hier.Access(c.id, line, isStore, s.cycle+uint64(i/ports))
+		if r.Done > done {
+			done = r.Done
 		}
-	} else {
-		for i, line := range lines {
-			r := s.hier.Access(c.id, line, isStore, s.cycle+uint64(i/ports))
-			if r.Done > done {
-				done = r.Done
-			}
-			if s.mshrs > 0 && !r.L1Hit {
-				// Allocate an MSHR per L1 miss (stores allocate too:
-				// write-allocate fills). The parallel engine appends the
-				// same entries at commit time (commitPatch/commitDeferred),
-				// when the miss completions become known — the gate is next
-				// consulted at the core's next issue, after both.
-				c.mshr = append(c.mshr, r.Done)
-			}
+		if s.mshrs > 0 && !r.L1Hit {
+			// Allocate an MSHR per L1 miss (stores allocate too:
+			// write-allocate fills).
+			c.mshr = append(c.mshr, r.Done)
 		}
 	}
 	c.lsuFree = s.cycle + uint64((len(lines)+ports-1)/ports)

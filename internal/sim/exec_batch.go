@@ -790,9 +790,8 @@ func (s *Sim) batchMemAccess(t *memTemplate, w *warp, delta uint32) {
 // (batchMemAccess), the mate's line list — the leader's coalesced list
 // shifted by the delta (mem.CoalesceTemplate) with a direct re-coalesce
 // fallback for non-line-aligned deltas — and the full per-warp hierarchy
-// timing (memTiming: L1/L2/DRAM walk, MSHR allocation, lsuFree, stats,
-// deferred commit under the parallel engine) plus the load's scoreboard
-// writeback. Every observable therefore lands exactly where the per-warp
+// timing (memTiming: L1/L2/DRAM walk, MSHR allocation, lsuFree, stats)
+// plus the load's scoreboard writeback. Every observable therefore lands exactly where the per-warp
 // oracle puts it. Returns false when the mark's generation no longer
 // matches the core template (a later cohort overwrote it before this
 // mate's slot arrived); the caller then executes the instruction normally.
@@ -834,8 +833,8 @@ func (s *Sim) finishBatchedMem(c *simCore, wid int, w *warp) bool {
 	}
 
 	rd := int(t.rd)
-	done := s.memTiming(c, wid, rd, t.isStore, !t.isStore, t.fp, lines)
-	if !t.isStore && !s.par {
+	done := s.memTiming(c, t.isStore, lines)
+	if !t.isStore {
 		if t.fp {
 			w.pendF[rd] = done
 		} else if rd != 0 {

@@ -3,9 +3,9 @@ package sim_test
 // Kernel-level half of the memory-axis differential harness: registry
 // kernels run end-to-end through the OpenCL-style runtime at non-default
 // memory grid points (MSHR bound, L1 geometry, next-line prefetch). At each
-// point the sequential tick loop is the oracle; the event engine on both
-// the sequential and the parallel runner must produce byte-identical
-// launch reports and memory-system state, prefetch counters included.
+// point the tick loop is the oracle; the event engine must produce
+// byte-identical launch reports and memory-system state, prefetch counters
+// included.
 // internal/sim/memaxis_test.go pins the same property at the bare-sim
 // level; internal/sweep/mem_axis_test.go at sweep-record level.
 
@@ -31,13 +31,11 @@ var memMatrixPoints = []struct {
 	{name: "mshrs=2/l1=8k2w/prefetch=nextline", mshrs: 2, l1: "8k2w", prefetch: mem.PrefetchNextLine},
 }
 
-func runMemAxisKernel(t *testing.T, name string, pt int, tick bool, workers int) kernelRun {
+func runMemAxisKernel(t *testing.T, name string, pt int, tick bool) kernelRun {
 	t.Helper()
 	p := memMatrixPoints[pt]
 	cfg := sim.DefaultConfig(4, 8, 8)
 	cfg.TickEngine = tick
-	cfg.Workers = workers
-	cfg.CommitWorkers = workers
 	cfg.Mem.L1.MSHRs = p.mshrs
 	cfg.Mem.L2.MSHRs = p.mshrs
 	if p.l1 != "" {
@@ -49,7 +47,7 @@ func runMemAxisKernel(t *testing.T, name string, pt int, tick bool, workers int)
 		cfg.Mem.L1.Ways = ways
 	}
 	cfg.Mem.Prefetch = p.prefetch
-	return runMatrixKernelCfg(t, name, cfg, fmt.Sprintf("%s tick=%v workers=%d", p.name, tick, workers))
+	return runMatrixKernelCfg(t, name, cfg, fmt.Sprintf("%s tick=%v", p.name, tick))
 }
 
 func TestMemAxisKernelMatrix(t *testing.T) {
@@ -60,11 +58,7 @@ func TestMemAxisKernelMatrix(t *testing.T) {
 	for _, name := range kernels {
 		for pt := range memMatrixPoints {
 			t.Run(fmt.Sprintf("%s/%s", name, memMatrixPoints[pt].name), func(t *testing.T) {
-				oracle := runMemAxisKernel(t, name, pt, true, 1)
-				eventSeq := runMemAxisKernel(t, name, pt, false, 1)
-				eventPar := runMemAxisKernel(t, name, pt, false, 4)
-				diffKernelRuns(t, name+"/tick-seq-vs-event-seq", oracle, eventSeq)
-				diffKernelRuns(t, name+"/tick-seq-vs-event-par", oracle, eventPar)
+				diffKernelRuns(t, name+"/tick-vs-event", runMemAxisKernel(t, name, pt, true), runMemAxisKernel(t, name, pt, false))
 			})
 		}
 	}

@@ -4,14 +4,11 @@ package sim
 // memory-side grid axes (per-core/per-bank MSHR bound, L1 geometry, L1
 // next-line prefetch) must compose with every execution engine without
 // breaking the determinism contract. For each non-default memory point the
-// sequential tick loop is the oracle and the event engine (sequential and
-// parallel) plus the parallel tick loop must be byte-identical in every
-// simulated observable — cycles, per-core counters, per-level cache stats
-// including the prefetch counters, per-bank/per-channel stats, memory
+// tick loop is the oracle and the event engine must be byte-identical in
+// every simulated observable — cycles, per-core counters, per-level cache
+// stats including the prefetch counters, per-bank/per-channel stats, memory
 // contents. The kernel-level matrix lives in memaxis_matrix_test.go; the
-// sweep-record identity in internal/sweep/mem_axis_test.go. The CI
-// race-detector step runs this file, so the MSHR gate in the wake path is
-// also race-checked.
+// sweep-record identity in internal/sweep/mem_axis_test.go.
 
 import (
 	"fmt"
@@ -55,9 +52,8 @@ func (pt memAxisPoint) apply(cfg Config) Config {
 }
 
 // TestMemAxisEngineDifferential diffs, at every non-default memory point,
-// the event engine (both worker counts) and the parallel tick loop against
-// the sequential tick oracle, under both a scan-implemented and a
-// heap-only scheduler.
+// the event engine against the tick oracle, under both a scan-implemented
+// and a heap-only scheduler.
 func TestMemAxisEngineDifferential(t *testing.T) {
 	for _, pt := range memAxisPoints() {
 		for _, sched := range []SchedPolicy{SchedRoundRobin, SchedTwoLevel} {
@@ -65,14 +61,10 @@ func TestMemAxisEngineDifferential(t *testing.T) {
 				cfg := pt.apply(DefaultConfig(4, 4, 4))
 				cfg.Sched = sched
 				cfg.TickEngine = true
-				oracle := runSnapshot(t, cfg, diffMemProg, activateAll(cfg, 4, 0xF), 1)
-				tickPar := runSnapshot(t, cfg, diffMemProg, activateAll(cfg, 4, 0xF), 4)
-				diffSnapshots(t, pt.name+"/tick-seq-vs-tick-par", oracle, tickPar)
+				oracle := runSnapshot(t, cfg, diffMemProg, activateAll(cfg, 4, 0xF))
 				cfg.TickEngine = false
-				for _, workers := range []int{1, 4} {
-					ev := runSnapshot(t, cfg, diffMemProg, activateAll(cfg, 4, 0xF), workers)
-					diffSnapshots(t, fmt.Sprintf("%s/tick-vs-event/workers=%d", pt.name, workers), oracle, ev)
-				}
+				ev := runSnapshot(t, cfg, diffMemProg, activateAll(cfg, 4, 0xF))
+				diffSnapshots(t, pt.name+"/tick-vs-event", oracle, ev)
 			})
 		}
 	}
@@ -88,31 +80,12 @@ func TestMemAxisScanOracle(t *testing.T) {
 				cfg := pt.apply(DefaultConfig(4, 4, 4))
 				cfg.Sched = sched
 				cfg.ScanSched = true
-				scan := runSnapshot(t, cfg, diffMemProg, activateAll(cfg, 4, 0xF), 1)
+				scan := runSnapshot(t, cfg, diffMemProg, activateAll(cfg, 4, 0xF))
 				cfg.ScanSched = false
-				heap := runSnapshot(t, cfg, diffMemProg, activateAll(cfg, 4, 0xF), 1)
+				heap := runSnapshot(t, cfg, diffMemProg, activateAll(cfg, 4, 0xF))
 				diffSnapshots(t, pt.name+"/scan-vs-heap", scan, heap)
 			})
 		}
-	}
-}
-
-// TestMemAxisShardedCommit pins the memory axes against the sharded commit
-// engine: the bank MSHR is bank-owned and the prefetch fill core-owned, so
-// a CommitWorkers > 1 run must stay byte-identical to the global order.
-func TestMemAxisShardedCommit(t *testing.T) {
-	for _, pt := range memAxisPoints() {
-		t.Run(pt.name, func(t *testing.T) {
-			cfg := pt.apply(DefaultConfig(4, 4, 4))
-			cfg.Mem.L2Banks = 4
-			cfg.Mem.DRAM.Channels = 2
-			seq := runSnapshot(t, cfg, diffMemProg, activateAll(cfg, 4, 0xF), 1)
-			cfg.CommitWorkers = 4
-			for _, workers := range []int{2, 4} {
-				par := runSnapshot(t, cfg, diffMemProg, activateAll(cfg, 4, 0xF), workers)
-				diffSnapshots(t, fmt.Sprintf("%s/workers=%d", pt.name, workers), seq, par)
-			}
-		})
 	}
 }
 
@@ -151,10 +124,10 @@ loop:
 // (accesses, misses) untouched.
 func TestMSHRBoundDiverges(t *testing.T) {
 	cfg := DefaultConfig(4, 4, 4)
-	unbounded := runSnapshot(t, cfg, memAxisDisjointProg, activateAll(cfg, 4, 0xF), 1)
+	unbounded := runSnapshot(t, cfg, memAxisDisjointProg, activateAll(cfg, 4, 0xF))
 	cfg.Mem.L1.MSHRs = 1
 	cfg.Mem.L2.MSHRs = 1
-	bounded := runSnapshot(t, cfg, memAxisDisjointProg, activateAll(cfg, 4, 0xF), 1)
+	bounded := runSnapshot(t, cfg, memAxisDisjointProg, activateAll(cfg, 4, 0xF))
 	if bounded.cycles <= unbounded.cycles {
 		t.Errorf("MSHRs=1 ran in %d cycles, unbounded in %d; the bound never stalled",
 			bounded.cycles, unbounded.cycles)
@@ -174,7 +147,7 @@ func TestMSHRBoundDiverges(t *testing.T) {
 	// Loosening the bound can only help: MSHRs=8 is no slower than MSHRs=1.
 	cfg.Mem.L1.MSHRs = 8
 	cfg.Mem.L2.MSHRs = 8
-	loose := runSnapshot(t, cfg, memAxisDisjointProg, activateAll(cfg, 4, 0xF), 1)
+	loose := runSnapshot(t, cfg, memAxisDisjointProg, activateAll(cfg, 4, 0xF))
 	if loose.cycles > bounded.cycles {
 		t.Errorf("MSHRs=8 (%d cycles) slower than MSHRs=1 (%d cycles)", loose.cycles, bounded.cycles)
 	}
@@ -186,9 +159,9 @@ func TestMSHRBoundDiverges(t *testing.T) {
 // functional results or the demand access count.
 func TestPrefetchAxisObservables(t *testing.T) {
 	cfg := DefaultConfig(4, 4, 4)
-	off := runSnapshot(t, cfg, memAxisDisjointProg, activateAll(cfg, 4, 0xF), 1)
+	off := runSnapshot(t, cfg, memAxisDisjointProg, activateAll(cfg, 4, 0xF))
 	cfg.Mem.Prefetch = mem.PrefetchNextLine
-	on := runSnapshot(t, cfg, memAxisDisjointProg, activateAll(cfg, 4, 0xF), 1)
+	on := runSnapshot(t, cfg, memAxisDisjointProg, activateAll(cfg, 4, 0xF))
 
 	var issued, hits uint64
 	for c := range on.l1 {

@@ -41,8 +41,7 @@ import (
 // Scheduler is a warp-scheduling policy: it orders a core's ready warps for
 // issue selection and absorbs issue feedback. Implementations are stateless
 // singletons — per-core rotation state (rr, cur, grp) lives in simCore — so
-// one Scheduler serves every core of a device and both engines of the
-// parallel runner.
+// one Scheduler serves every core of a device.
 type Scheduler interface {
 	// Name returns the policy's canonical name (SchedPolicy.String).
 	Name() string

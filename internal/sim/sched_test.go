@@ -13,14 +13,13 @@ import (
 // This file pins the scheduler subsystem (sched.go): heap-vs-scan-oracle
 // byte-identity for the policies both engines implement, determinism and
 // functional equivalence of the heap-only policies, the ready/sleep set
-// invariant, the observer ordering contract, and both deadlockTrap
-// diagnostics. The kernel-level sched x engine matrix lives in
-// sched_matrix_test.go; the sweep-level record identity in internal/sweep.
+// invariant and both deadlockTrap diagnostics. The kernel-level heap-vs-scan
+// matrix lives in sched_matrix_test.go.
 
 // highWarpProg is a strided load/store loop laid out for up to 64 warps of
 // up to 4 cores without cross-core overlap (cid<<16, wid<<10, tid<<6),
-// so scan/heap and sequential/parallel runs stay race-free at the high
-// warp counts where the two issue engines diverge most in cost.
+// so runs stay race-free at the high warp counts where the two issue
+// engines diverge most in cost.
 const highWarpProg = `
 	csrr s0, cid
 	slli s0, s0, 16
@@ -68,7 +67,7 @@ func schedDiffCases() []struct {
 // ready-set/wake-heap engine must be byte-identical — cycles, per-core
 // counters (including the MemStall/ExecStall attribution), cache and DRAM
 // statistics, memory contents — to the legacy scan loop retained behind
-// Config.ScanSched, at every worker count.
+// Config.ScanSched.
 func TestSchedHeapMatchesScanOracle(t *testing.T) {
 	for _, sched := range []SchedPolicy{SchedRoundRobin, SchedGTO} {
 		for _, tc := range schedDiffCases() {
@@ -76,12 +75,10 @@ func TestSchedHeapMatchesScanOracle(t *testing.T) {
 				cfg := DefaultConfig(4, 4, 4)
 				cfg.Sched = sched
 				cfg.ScanSched = true
-				oracle := runSnapshot(t, cfg, tc.prog, tc.activate(cfg), 1)
+				oracle := runSnapshot(t, cfg, tc.prog, tc.activate(cfg))
 				cfg.ScanSched = false
-				for _, workers := range []int{1, 4} {
-					heap := runSnapshot(t, cfg, tc.prog, tc.activate(cfg), workers)
-					diffSnapshots(t, fmt.Sprintf("%s/%s/workers=%d", sched, tc.name, workers), oracle, heap)
-				}
+				heap := runSnapshot(t, cfg, tc.prog, tc.activate(cfg))
+				diffSnapshots(t, fmt.Sprintf("%s/%s", sched, tc.name), oracle, heap)
 			})
 		}
 	}
@@ -89,21 +86,21 @@ func TestSchedHeapMatchesScanOracle(t *testing.T) {
 
 // TestSchedHighWarpDifferential runs the scheduler differential at the
 // warp count the wake heap exists for: 32 warps per core. rr and gto are
-// diffed against the scan oracle; every policy is additionally diffed
-// sequential-vs-parallel.
+// diffed against the scan oracle; every policy, including the heap-only
+// ones the scan loop does not implement, must reproduce itself run to run.
 func TestSchedHighWarpDifferential(t *testing.T) {
 	activate := func(cfg Config) func(*Sim) error { return activateAll(cfg, 32, 0x3) }
 	for _, sched := range SchedPolicies() {
 		t.Run(sched.String(), func(t *testing.T) {
 			cfg := DefaultConfig(2, 32, 2)
 			cfg.Sched = sched
-			seq := runSnapshot(t, cfg, highWarpProg, activate(cfg), 1)
-			par := runSnapshot(t, cfg, highWarpProg, activate(cfg), 2)
-			diffSnapshots(t, fmt.Sprintf("%s/seq-vs-par", sched), seq, par)
+			heap := runSnapshot(t, cfg, highWarpProg, activate(cfg))
+			again := runSnapshot(t, cfg, highWarpProg, activate(cfg))
+			diffSnapshots(t, fmt.Sprintf("%s/rerun", sched), heap, again)
 			if sched == SchedRoundRobin || sched == SchedGTO {
 				cfg.ScanSched = true
-				oracle := runSnapshot(t, cfg, highWarpProg, activate(cfg), 1)
-				diffSnapshots(t, fmt.Sprintf("%s/heap-vs-scan", sched), oracle, seq)
+				oracle := runSnapshot(t, cfg, highWarpProg, activate(cfg))
+				diffSnapshots(t, fmt.Sprintf("%s/heap-vs-scan", sched), oracle, heap)
 			}
 		})
 	}
@@ -118,7 +115,7 @@ func TestSchedPoliciesFunctionallyIdentical(t *testing.T) {
 	for i, sched := range SchedPolicies() {
 		cfg := DefaultConfig(2, 8, 4)
 		cfg.Sched = sched
-		snap := runSnapshot(t, cfg, highWarpProg, activateAll(cfg, 8, 0xF), 1)
+		snap := runSnapshot(t, cfg, highWarpProg, activateAll(cfg, 8, 0xF))
 		var issued uint64
 		for _, cs := range snap.cores {
 			issued += cs.Issued
@@ -176,55 +173,6 @@ func TestSchedSetsDrainAfterRun(t *testing.T) {
 	}
 }
 
-// TestObserverForcesSequentialOrder pins the observer contract documented
-// on Run: an installed observer forces the sequential engine, so the
-// per-issue event stream arrives in global (cycle, core) issue order and
-// is identical at any Workers setting.
-func TestObserverForcesSequentialOrder(t *testing.T) {
-	cfg := DefaultConfig(4, 2, 4)
-	collect := func(workers int) []IssueEvent {
-		t.Helper()
-		p := asm.MustAssemble(diffMemProg, 0x1000, nil)
-		memory := mem.NewMemory(1 << 20)
-		hier, err := mem.NewHierarchy(cfg.Cores, cfg.Mem)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := New(cfg, memory, hier)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.LoadProgram(p.Base, p.Insts); err != nil {
-			t.Fatal(err)
-		}
-		var evs []IssueEvent
-		s.SetObserver(func(e IssueEvent) { evs = append(evs, e) })
-		if err := activateAll(cfg, 2, 0xF)(s); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.RunParallel(workers); err != nil {
-			t.Fatal(err)
-		}
-		return evs
-	}
-	seq := collect(1)
-	if len(seq) == 0 {
-		t.Fatal("observer saw no issues")
-	}
-	for i := 1; i < len(seq); i++ {
-		a, b := seq[i-1], seq[i]
-		if b.Cycle < a.Cycle || (b.Cycle == a.Cycle && b.Core < a.Core) {
-			t.Fatalf("event %d (cycle %d core %d) arrived after (cycle %d core %d): global issue order violated",
-				i, b.Cycle, b.Core, a.Cycle, a.Core)
-		}
-	}
-	par := collect(4)
-	if !slices.Equal(seq, par) {
-		t.Errorf("observer stream differs between Workers=1 (%d events) and Workers=4 (%d events): observer did not force the sequential engine",
-			len(seq), len(par))
-	}
-}
-
 // deadlockBarrierProg: warp 0 exits immediately while warp 1 waits on a
 // two-warp barrier no second warp can ever reach.
 const deadlockBarrierProg = `
@@ -239,41 +187,39 @@ wait:
 `
 
 // TestDeadlockTrapBarrierNeverFills drives the first deadlockTrap variant
-// end-to-end through both engines: a warp parked on a barrier that can
-// never fill must trap with the barrier diagnostic and the waiting warp's
-// coordinates, at any worker count.
+// end-to-end through both issue engines: a warp parked on a barrier that
+// can never fill must trap with the barrier diagnostic and the waiting
+// warp's coordinates.
 func TestDeadlockTrapBarrierNeverFills(t *testing.T) {
 	for _, scan := range []bool{false, true} {
-		for _, workers := range []int{1, 2} {
-			name := fmt.Sprintf("scan=%v/workers=%d", scan, workers)
-			cfg := DefaultConfig(2, 2, 2)
-			cfg.ScanSched = scan
-			p := asm.MustAssemble(deadlockBarrierProg, 0x1000, nil)
-			memory := mem.NewMemory(1 << 16)
-			hier, err := mem.NewHierarchy(cfg.Cores, cfg.Mem)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := New(cfg, memory, hier)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.LoadProgram(p.Base, p.Insts); err != nil {
-				t.Fatal(err)
-			}
-			if err := activateAll(cfg, 2, 0x3)(s); err != nil {
-				t.Fatal(err)
-			}
-			trap, ok := s.RunParallel(workers).(*Trap)
-			if !ok {
-				t.Fatalf("%s: want a deadlock *Trap, got %v", name, trap)
-			}
-			if !strings.Contains(trap.Reason, "barrier that can never fill") {
-				t.Errorf("%s: trap reason %q, want the barrier diagnostic", name, trap.Reason)
-			}
-			if trap.Warp != 1 {
-				t.Errorf("%s: trap names warp %d, want the waiting warp 1", name, trap.Warp)
-			}
+		name := fmt.Sprintf("scan=%v", scan)
+		cfg := DefaultConfig(2, 2, 2)
+		cfg.ScanSched = scan
+		p := asm.MustAssemble(deadlockBarrierProg, 0x1000, nil)
+		memory := mem.NewMemory(1 << 16)
+		hier, err := mem.NewHierarchy(cfg.Cores, cfg.Mem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(cfg, memory, hier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.LoadProgram(p.Base, p.Insts); err != nil {
+			t.Fatal(err)
+		}
+		if err := activateAll(cfg, 2, 0x3)(s); err != nil {
+			t.Fatal(err)
+		}
+		trap, ok := s.Run().(*Trap)
+		if !ok {
+			t.Fatalf("%s: want a deadlock *Trap, got %v", name, trap)
+		}
+		if !strings.Contains(trap.Reason, "barrier that can never fill") {
+			t.Errorf("%s: trap reason %q, want the barrier diagnostic", name, trap.Reason)
+		}
+		if trap.Warp != 1 {
+			t.Errorf("%s: trap names warp %d, want the waiting warp 1", name, trap.Warp)
 		}
 	}
 }

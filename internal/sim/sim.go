@@ -112,27 +112,6 @@ type CoreStats struct {
 	IdleAfterEnd uint64 // cycles after the core's last warp retired
 }
 
-// memDefer holds the shared-memory half of a core's in-flight memory
-// instruction under the parallel engine: the L1 part runs in the concurrent
-// phase, while the queued misses are committed to the banked L2/DRAM in
-// deterministic (cycle, core) order at the end of the cycle, patching the
-// load's destination scoreboard entry with the completion time.
-type memDefer struct {
-	active      bool
-	isLoad      bool
-	fp          bool // FLW: completion lands in the float scoreboard
-	wid         int
-	rd          int
-	nMiss       int
-	partialDone uint64 // max completion over the L1 hits
-	miss        [64]mem.MissInfo
-	// missDone[i] is miss[i]'s completion cycle, written during the commit
-	// phase by the bank worker (L2 hit) or channel worker (DRAM fetch) that
-	// owns the miss — exactly one writer per slot — and folded into the
-	// load's scoreboard entry by the coordinator's patch step.
-	missDone [64]uint64
-}
-
 // memTemplate captures a memory cohort leader's decoded operation, lane
 // address vector and coalesced line list at cohort formation, so congruent
 // mates replay through fused kernels (exec_batch.go) without re-decoding,
@@ -178,10 +157,7 @@ type simCore struct {
 	// mshr holds the completion cycles of the core's outstanding L1 misses
 	// when Config.Mem.L1.MSHRs bounds them (nil when unbounded, the
 	// oracle). An entry is live while its cycle lies in the future; retired
-	// entries are purged lazily by mshrFreeAt during issue. Core-local like
-	// lsuFree, so the parallel engine needs no coordination: the sequential
-	// path appends at execute, the parallel path at commit, and the gate is
-	// only consulted at the core's next issue — after both.
+	// entries are purged lazily by mshrFreeAt during issue.
 	mshr     []uint64
 	nextWake uint64
 	active   int // number of active (incl. barrier-waiting) warps
@@ -195,12 +171,10 @@ type simCore struct {
 	stats     CoreStats
 
 	// Per-core scratch for the coalescing path and the batched-execution
-	// cohort span, preallocated so the issue path never allocates and cores
-	// can execute concurrently.
+	// cohort span, preallocated so the issue path never allocates.
 	addrBuf [64]uint32
 	lineBuf []uint32
 	cohort  []*warp
-	md      memDefer
 	memT    memTemplate
 }
 
@@ -224,23 +198,14 @@ type Sim struct {
 
 	fullMask uint64
 	maxFU    uint64 // cached Lat.max(): the longest FU latency, for stall attribution
-	par      bool   // a parallel run is in flight: defer shared-memory timing
 	batch    bool   // cached cfg.BatchExec && !cfg.ScanSched (the scan oracle is always per-warp)
 	batchMem bool   // cached cfg.BatchMem && batch: memory cohorts need the heap engine too
 	mshrs    int    // cached cfg.Mem.L1.MSHRs: per-core outstanding-miss bound (0 = unbounded)
 
-	// Sharded-commit scratch (parallel engine), reused across cycles: the
-	// cores with deferred memory work this cycle, the per-bank DRAM op
-	// queues filled by bank workers, and the per-channel queues each
-	// channel worker gathers and drains in global order.
-	commitList []int
-	bankOps    [][]dramOp
-	chanOps    [][]dramOp
-
-	// Sequential event engine's core wake queue (event.go), kept on the
-	// Sim so its buffers are reused across Run calls: the issue path
-	// stays allocation-free in steady state even when a pooled device
-	// runs many launches.
+	// Event engine's core wake queue (event.go), kept on the Sim so its
+	// buffers are reused across Run calls: the issue path stays
+	// allocation-free in steady state even when a pooled device runs many
+	// launches.
 	evq eventQueue
 }
 
@@ -387,7 +352,6 @@ func (s *Sim) LoadProgram(base uint32, insts []isa.Inst) error {
 func (s *Sim) Reset() {
 	s.cycle = 0
 	s.progBase, s.prog, s.meta = 0, nil, nil
-	s.par = false
 	s.NoCoalesce = false
 	for i := range s.cores {
 		c := &s.cores[i]
@@ -400,7 +364,6 @@ func (s *Sim) Reset() {
 		c.barriers = [maxBarriers]barrier{}
 		c.blockMem = false
 		c.stats = CoreStats{}
-		c.md = memDefer{}
 		c.memT = memTemplate{}
 		for j := range c.warps {
 			w := &c.warps[j]
@@ -494,65 +457,24 @@ func (s *Sim) TotalStats() CoreStats {
 const noWake = ^uint64(0)
 
 // Run executes until every warp has retired. It returns a *Trap on
-// execution errors and a deadline error if MaxCycles is exceeded. When
-// Config.Workers (clamped to the core count) exceeds one and no observer is
-// installed, cores are simulated by the parallel engine; results are
-// byte-identical to the sequential engine for race-free kernels.
-//
-// Observer contract: an installed observer (SetObserver) silently forces
-// the sequential engine regardless of Config.Workers — per-issue callbacks
-// are specified to arrive in the global (cycle, core) issue order, which
-// only the sequential engine produces directly. The event stream is
-// therefore identical whether Workers is 1 or 64 (pinned by
-// TestObserverForcesSequentialOrder).
+// execution errors and a deadline error if MaxCycles is exceeded. Cores are
+// simulated by the event-driven device engine (event.go) or, under
+// Config.TickEngine, by the legacy per-cycle tick loop kept as its
+// differential-test oracle; both are byte-identical in every simulated
+// observable. An installed observer (SetObserver) receives per-issue
+// callbacks in the global (cycle, core) issue order.
 func (s *Sim) Run() error {
-	if w := s.resolveWorkers(s.cfg.Workers); w > 1 {
-		return s.runParallel(w)
-	}
-	return s.runSequential()
-}
-
-// RunParallel runs with an explicit worker count, overriding Config.Workers.
-// workers <= 1 forces the sequential engine.
-func (s *Sim) RunParallel(workers int) error {
-	if w := s.resolveWorkers(workers); w > 1 {
-		return s.runParallel(w)
-	}
-	return s.runSequential()
-}
-
-// resolveWorkers clamps a requested worker count to the usable range. An
-// installed observer forces the sequential engine: per-issue callbacks are
-// specified to arrive in the global (cycle, core) issue order.
-func (s *Sim) resolveWorkers(workers int) int {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > s.cfg.Cores {
-		workers = s.cfg.Cores
-	}
-	if s.observer != nil {
-		workers = 1
-	}
-	return workers
-}
-
-// runSequential dispatches to the event-driven device engine (event.go)
-// or, under Config.TickEngine, to the legacy per-cycle tick loop kept as
-// its differential-test oracle. Both are byte-identical in every simulated
-// observable.
-func (s *Sim) runSequential() error {
 	if s.cfg.TickEngine {
-		return s.runSequentialTick()
+		return s.runTick()
 	}
-	return s.runSequentialEvent()
+	return s.runEvent()
 }
 
-// runSequentialTick is the legacy sequential engine: every cycle visits
-// every core with active warps, if only to account a stall and min-reduce
-// its wake time, and fast-forwards only when no core at all issued. It is
-// O(total cores) per cycle where the event engine touches only due cores.
-func (s *Sim) runSequentialTick() error {
+// runTick is the legacy device engine: every cycle visits every core with
+// active warps, if only to account a stall and min-reduce its wake time, and
+// fast-forwards only when no core at all issued. It is O(total cores) per
+// cycle where the event engine touches only due cores.
+func (s *Sim) runTick() error {
 	limit := s.cfg.MaxCycles
 	if limit == 0 {
 		limit = 1 << 40

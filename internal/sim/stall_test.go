@@ -11,7 +11,6 @@ import (
 func runStall(t *testing.T, prog string) *Sim {
 	t.Helper()
 	cfg := DefaultConfig(1, 1, 1)
-	cfg.Workers = 1
 	p := asm.MustAssemble(prog, 0x1000, nil)
 	memory := mem.NewMemory(1 << 16)
 	hier, err := mem.NewHierarchy(1, cfg.Mem)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -397,32 +396,5 @@ func TestFillRecordEmptyLaunches(t *testing.T) {
 	}
 	if rec.Cycles != 0 || rec.LWS != 0 {
 		t.Errorf("empty-launch result filled counters: %+v", rec)
-	}
-}
-
-// TestOptionsFillWorkerDivision pins the SimWorkers division edge cases,
-// notably Workers exceeding GOMAXPROCS (the division truncates to zero and
-// must clamp to one goroutine per simulation).
-func TestOptionsFillWorkerDivision(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
-
-	over := Options{Workers: procs * 4}
-	over.fill()
-	if over.SimWorkers != 1 {
-		t.Errorf("Workers=%d: SimWorkers = %d, want 1", procs*4, over.SimWorkers)
-	}
-
-	one := Options{Workers: 1}
-	one.fill()
-	if one.SimWorkers != procs {
-		t.Errorf("Workers=1: SimWorkers = %d, want GOMAXPROCS (%d)", one.SimWorkers, procs)
-	}
-
-	// Negative (force-sequential) clamps to 1 — a single-worker simulation
-	// IS the sequential engine, and sim.Config rejects negative workers.
-	neg := Options{Workers: 1, SimWorkers: -1}
-	neg.fill()
-	if neg.SimWorkers != 1 {
-		t.Errorf("negative SimWorkers = %d after fill, want 1 (sequential)", neg.SimWorkers)
 	}
 }

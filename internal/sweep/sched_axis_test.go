@@ -13,8 +13,7 @@ import (
 
 // Sweep-level half of the scheduler harness: the warp scheduler as a grid
 // axis (canonical order, per-policy record identity, checkpoint/shard/merge
-// round trips) and the sweep-level record identity of the heap engine
-// against the scan oracle.
+// round trips).
 
 func schedCampaignOpts() Options {
 	return Options{
@@ -66,39 +65,6 @@ func TestSweepSchedAxis(t *testing.T) {
 		if !bytes.Equal(mustJSON(t, subset), mustJSON(t, sres.Records)) {
 			t.Errorf("%s: records from the 4-policy sweep differ from a single-policy sweep", sched)
 		}
-	}
-}
-
-// TestSweepScanOracleRecordIdentity is the sweep-level scheduler
-// differential: a campaign whose devices run the legacy scan issue loop
-// (Config.ScanSched, via a tagged ConfigTemplate) must produce records
-// byte-identical to the default heap-engine campaign, for both policies the
-// oracle implements.
-func TestSweepScanOracleRecordIdentity(t *testing.T) {
-	opts := schedCampaignOpts()
-	opts.Scheds = []sim.SchedPolicy{sim.SchedRoundRobin, sim.SchedGTO}
-	heap, err := Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scan := opts
-	scan.ConfigTemplate = func(hw core.HWInfo) sim.Config {
-		cfg := sim.DefaultConfig(hw.Cores, hw.Warps, hw.Threads)
-		cfg.ScanSched = true
-		return cfg
-	}
-	scan.ConfigTag = "scan-oracle"
-	oracle, err := Run(scan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(mustJSON(t, heap.Records), mustJSON(t, oracle.Records)) {
-		for i := range heap.Records {
-			if !bytes.Equal(mustJSON(t, heap.Records[i]), mustJSON(t, oracle.Records[i])) {
-				t.Errorf("record %d differs:\nheap   %+v\noracle %+v", i, heap.Records[i], oracle.Records[i])
-			}
-		}
-		t.Fatal("heap-engine sweep records not byte-identical to the scan oracle")
 	}
 }
 

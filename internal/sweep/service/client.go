@@ -58,8 +58,8 @@ func (c *WorkerConfig) fill() {
 // done (nil), the context is canceled, or a permanent refusal / exhausted
 // retry budget stops it (error). opts must describe the same campaign the
 // coordinator serves — same grid axes, scale, seed — which the coordinator
-// enforces by meta comparison at enrollment; opts.Workers/SimWorkers stay
-// worker-local (they shape how this host runs its batches, not what the
+// enforces by meta comparison at enrollment; opts.Workers stays
+// worker-local (it shapes how this host runs its batches, not what the
 // records hold). Tasks run through the same runOne/device-pool/cache
 // substrate as sweep.Run, so every record is byte-identical to the one a
 // single-process run produces.
@@ -105,6 +105,11 @@ func Work(ctx context.Context, coordinator string, opts sweep.Options, cfg Worke
 				// Meta equality makes this unreachable against an honest
 				// coordinator; refuse rather than run arbitrary cells.
 				return fmt.Errorf("service: leased task %d outside the %d-task grid", idx, len(grid))
+			}
+			// A canceled worker stops between tasks and submits nothing: the
+			// coordinator re-issues the whole lease once it expires.
+			if err := ctx.Err(); err != nil {
+				return err
 			}
 			rec := sweep.RunTask(opts, pool, grid[idx])
 			if cfg.OnRecord != nil {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"reflect"
@@ -290,10 +291,30 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxBodyBytes bounds a /lease or /submit request body. It matches the cap
+// the worker puts on responses; a submission of ~50k records still fits.
+const maxBodyBytes = 16 << 20
+
+// decodeBody decodes a request body of at most maxBodyBytes into v. On
+// failure it answers the request itself (413 when the body is over the
+// limit, 400 otherwise) and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, code, fmt.Sprintf("service: bad %s request: %v", what, err))
+	return false
+}
+
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("service: bad lease request: %v", err))
+	if !decodeBody(w, r, "lease", &req) {
 		return
 	}
 	if req.Worker == "" {
@@ -357,8 +378,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("service: bad submit request: %v", err))
+	if !decodeBody(w, r, "submit", &req) {
 		return
 	}
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -504,5 +505,78 @@ func TestWorkerMetaRefusalPermanent(t *testing.T) {
 	}
 	if time.Since(start) > 500*time.Millisecond {
 		t.Error("permanent refusal went through the retry/backoff loop")
+	}
+}
+
+// TestWorkCanceledStopsBetweenTasks pins worker cancellation: a worker
+// whose context is canceled mid-batch finishes the task in flight, runs no
+// further one, submits nothing and returns the context's error; its lease
+// stays out until the TTL passes and is then re-issued.
+func TestWorkCanceledStopsBetweenTasks(t *testing.T) {
+	clk := &fakeClock{now: time.Unix(1000, 0)}
+	srv, err := New(simOpts(), Config{LeaseTTL: 10 * time.Second, Clock: clk.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	executed := 0
+	werr := Work(ctx, hs.URL, simOpts(), WorkerConfig{ID: "w1", BatchSize: 3, OnRecord: func(sweep.Record) {
+		executed++
+		cancel()
+	}})
+	if !errors.Is(werr, context.Canceled) {
+		t.Fatalf("canceled worker: err = %v, want context.Canceled", werr)
+	}
+	if executed != 1 {
+		t.Errorf("worker ran %d tasks after cancellation, want to stop after the one in flight", executed)
+	}
+	if st := srv.Status(); st.Completed != 0 || st.Leased != 3 || st.Reissued != 0 {
+		t.Errorf("status after cancellation %+v, want nothing submitted and the 3-task lease still out", st)
+	}
+	clk.Advance(11 * time.Second)
+	if st := srv.Status(); st.Leased != 0 || st.Pending != st.Total || st.Reissued != 1 {
+		t.Errorf("status after the TTL %+v, want the lease returned to pending", st)
+	}
+}
+
+// TestOversizedBodyRefused pins the request-size bound: a /lease or /submit
+// body over maxBodyBytes is answered 413 before anything is decoded, and
+// neither the campaign state nor the streamed checkpoint is touched.
+func TestOversizedBodyRefused(t *testing.T) {
+	opts := protoOpts()
+	opts.Checkpoint = filepath.Join(t.TempDir(), "served.jsonl")
+	s, err := New(opts, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	leaseTasks(t, s, "w1", 1, sweep.MetaFor(opts))
+	before, err := os.ReadFile(opts.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	statusBefore := s.Status()
+
+	huge := []byte(`{"worker":"w1","lease_id":"` + strings.Repeat("x", maxBodyBytes) + `"}`)
+	for _, path := range []string{"/lease", "/submit"} {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(huge)))
+		if w.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body: HTTP %d, want 413", path, len(huge), w.Code)
+		}
+	}
+	after, err := os.ReadFile(opts.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("oversized request changed the checkpoint")
+	}
+	if st := s.Status(); st != statusBefore {
+		t.Errorf("oversized request changed the campaign state: %+v, was %+v", st, statusBefore)
 	}
 }

@@ -98,19 +98,6 @@ type Options struct {
 	Verify bool
 	// Workers bounds parallel simulations; 0 means GOMAXPROCS.
 	Workers int
-	// SimWorkers is the per-simulation core-parallelism (sim.Config.Workers)
-	// each run gets. 0 divides the host CPUs over the sweep workers, so a
-	// wide sweep keeps one goroutine per simulation (task parallelism
-	// saturates the host) while a Workers=1 sweep hands the whole machine
-	// to each device — useful for the huge tail configurations. Negative
-	// forces the sequential engine.
-	SimWorkers int
-	// CommitWorkers is the per-simulation commit-phase sharding
-	// (sim.Config.CommitWorkers): 0 follows SimWorkers with an automatic
-	// serial fallback on light cycles, 1 forces the single-threaded global
-	// commit, larger counts force the bank/channel-sharded commit. All
-	// settings produce identical simulation results.
-	CommitWorkers int
 	// Progress, if non-nil, is called after each completed run.
 	Progress func(done, total int)
 	// ConfigTemplate customizes the non-geometry simulator parameters
@@ -126,24 +113,6 @@ type Options struct {
 	DispatchOverhead int64
 	// NoCoalesce disables the memory coalescer (ablation A2).
 	NoCoalesce bool
-	// TickEngine runs every simulation on the legacy per-cycle tick loop
-	// (sim.Config.TickEngine) instead of the event-driven device engine.
-	// The engines are byte-identical in every record, so the flag is a
-	// wall-clock/differential knob and is not part of the task identity
-	// recorded in checkpoints.
-	TickEngine bool
-	// NoBatchExec disables uniform-warp batched execution
-	// (sim.Config.BatchExec), running every simulation on the per-warp
-	// oracle path. The paths are byte-identical in every record, so — like
-	// TickEngine — this is a wall-clock/differential knob and is not part
-	// of the task identity recorded in checkpoints.
-	NoBatchExec bool
-	// NoBatchMem disables cohort-batched memory execution
-	// (sim.Config.BatchMem), running every load and store on the per-warp
-	// oracle path. The paths are byte-identical in every record, so — like
-	// NoBatchExec — this is a wall-clock/differential knob and is not part
-	// of the task identity recorded in checkpoints.
-	NoBatchMem bool
 	// Checkpoint, if non-empty, is a JSONL file each completed record is
 	// appended to (and flushed) as its simulation finishes, so a killed
 	// campaign preserves the work done. See checkpoint.go for the format.
@@ -197,12 +166,6 @@ func (o *Options) fill() {
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.SimWorkers == 0 {
-		o.SimWorkers = runtime.GOMAXPROCS(0) / o.Workers
-	}
-	if o.SimWorkers < 1 {
-		o.SimWorkers = 1
 	}
 	if o.DispatchOverhead < 0 {
 		o.DispatchOverhead = -1
@@ -621,21 +584,6 @@ func runOne(opts Options, pool *ocl.DevicePool, t Task) Record {
 	}
 	cfg.Mem.L1.SizeBytes, cfg.Mem.L1.Ways = size, ways
 	cfg.Mem.Prefetch = t.Prefetch
-	// The sweep already task-parallelizes across runs; share the host CPUs
-	// between the two levels instead of oversubscribing (Options.SimWorkers).
-	cfg.Workers = opts.SimWorkers
-	if opts.CommitWorkers > 0 {
-		cfg.CommitWorkers = opts.CommitWorkers
-	}
-	if opts.TickEngine {
-		cfg.TickEngine = true
-	}
-	if opts.NoBatchExec {
-		cfg.BatchExec = false
-	}
-	if opts.NoBatchMem {
-		cfg.BatchMem = false
-	}
 	d, err := pool.Get(cfg)
 	if err != nil {
 		rec.Err = err.Error()

@@ -130,41 +130,6 @@ func smallSweep(t *testing.T, names []string) *Results {
 	return res
 }
 
-// TestSweepShardedCommitDeterminism pins that the CommitWorkers plumbing
-// reaches the simulator and cannot change sweep results: a sweep whose
-// devices run the parallel engine with a forced bank/channel-sharded
-// commit must reproduce the sequential sweep record for record.
-func TestSweepShardedCommitDeterminism(t *testing.T) {
-	run := func(simWorkers, commitWorkers int) *Results {
-		res, err := Run(Options{
-			Configs: []core.HWInfo{
-				{Cores: 2, Warps: 2, Threads: 4},
-				{Cores: 4, Warps: 4, Threads: 4},
-			},
-			Kernels:       []string{"vecadd", "saxpy"},
-			Scale:         0.05,
-			Seed:          7,
-			Workers:       1,
-			SimWorkers:    simWorkers,
-			CommitWorkers: commitWorkers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	seq := run(-1, 0) // sequential engine
-	par := run(4, 4)  // parallel engine, forced sharded commit
-	for i := range seq.Records {
-		a, b := seq.Records[i], par.Records[i]
-		if a.Cycles != b.Cycles || a.Instrs != b.Instrs ||
-			a.MemStall != b.MemStall || a.ExecStall != b.ExecStall ||
-			a.EnergyPJ != b.EnergyPJ {
-			t.Errorf("record %d differs:\nseq %+v\npar %+v", i, a, b)
-		}
-	}
-}
-
 func TestSweepRunsAndVerifies(t *testing.T) {
 	res := smallSweep(t, []string{"vecadd", "saxpy"})
 	// 3 configs x 2 kernels x 3 mappers.
