@@ -11,8 +11,10 @@ package main
 
 import (
 	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -39,25 +41,39 @@ func (d defsFlag) Set(s string) error {
 }
 
 func main() {
-	base := flag.String("base", "0x1000", "base address")
-	disasm := flag.Bool("d", false, "disassemble a raw binary instead of assembling")
-	defs := defsFlag{}
-	flag.Var(defs, "D", "define a symbol (NAME=value), repeatable")
-	flag.Parse()
+	os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: vortex-asm [flags] file")
-		os.Exit(2)
+// cli parses args, prints the listing and returns the process exit status:
+// 0 on success, 1 on a failed assembly, 2 on a command-line error.
+func cli(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("vortex-asm", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	base := fs.String("base", "0x1000", "base address")
+	disasm := fs.Bool("d", false, "disassemble a raw binary instead of assembling")
+	defs := defsFlag{}
+	fs.Var(defs, "D", "define a symbol (NAME=value), repeatable")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: vortex-asm [flags] file")
+		return 2
+	}
+	fail := func(what string, err error) int {
+		fmt.Fprintln(stderr, what, err)
+		return 1
 	}
 	baseAddr, err := strconv.ParseUint(*base, 0, 32)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "vortex-asm: bad base:", err)
-		os.Exit(1)
+		return fail("vortex-asm: bad base:", err)
 	}
-	data, err := os.ReadFile(flag.Arg(0))
+	data, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "vortex-asm:", err)
-		os.Exit(1)
+		return fail("vortex-asm:", err)
 	}
 
 	if *disasm {
@@ -66,19 +82,19 @@ func main() {
 			pc := uint32(baseAddr) + uint32(i)
 			in, err := isa.Decode(w)
 			if err != nil {
-				fmt.Printf("%08x: %08x  .word %#x\n", pc, w, w)
+				fmt.Fprintf(stdout, "%08x: %08x  .word %#x\n", pc, w, w)
 				continue
 			}
-			fmt.Printf("%08x: %08x  %s\n", pc, w, isa.Disasm(in, pc))
+			fmt.Fprintf(stdout, "%08x: %08x  %s\n", pc, w, isa.Disasm(in, pc))
 		}
-		return
+		return 0
 	}
 
 	prog, err := asm.Assemble(string(data), uint32(baseAddr), defs)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "vortex-asm:", err)
-		os.Exit(1)
+		return fail("vortex-asm:", err)
 	}
-	fmt.Print(asm.Disassemble(prog))
-	fmt.Printf("# %d words, %d bytes; %d symbols\n", len(prog.Words), prog.Size(), len(prog.Symbols))
+	fmt.Fprint(stdout, asm.Disassemble(prog))
+	fmt.Fprintf(stdout, "# %d words, %d bytes; %d symbols\n", len(prog.Words), prog.Size(), len(prog.Symbols))
+	return 0
 }

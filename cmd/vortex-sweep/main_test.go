@@ -203,6 +203,17 @@ func TestServeWorkKillRecoveryCLI(t *testing.T) {
 	}
 	dir := t.TempDir()
 	bin := buildSweep(t, dir)
+	// The kill needs a campaign no worker can finish between two status
+	// polls. The 18 tasks of campaignArgs take a few milliseconds in all
+	// now that a worker reshapes one device instead of building one per
+	// task, so this drive runs them at full scale under every scheduler:
+	// 72 tasks of a few milliseconds each.
+	campaignArgs := []string{
+		"-grid", "1c2w2t,2c2w4t,4c4w4t",
+		"-kernels", "vecadd,saxpy",
+		"-sched", "rr,gto,oldest,2lev",
+		"-scale", "1", "-seed", "7", "-workers", "1",
+	}
 
 	refCkpt := filepath.Join(dir, "ref.jsonl")
 	refCSV := filepath.Join(dir, "ref.csv")

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -27,23 +28,36 @@ import (
 )
 
 func main() {
-	cfgName := flag.String("config", "1c2w4t", "device configuration (paper notation)")
-	kernel := flag.String("kernel", "vecadd", "kernel to trace (registry name)")
-	gws := flag.Int("gws", 128, "global work size (vecadd length in Figure 1)")
-	lwsList := flag.String("lws", "1,16,32,64", "comma-separated lws values to trace")
-	width := flag.Int("width", 100, "waveform width in columns")
-	tableRows := flag.Int("table", 0, "also print the first N issue-table rows (0 = none)")
-	csvDir := flag.String("csv", "", "write per-lws CSV traces into this directory")
-	jsonlDir := flag.String("jsonl", "", "write per-lws JSONL traces into this directory")
-	flag.Parse()
-
-	if err := run(*cfgName, *kernel, *gws, *lwsList, *width, *tableRows, *csvDir, *jsonlDir); err != nil {
-		fmt.Fprintln(os.Stderr, "vortex-trace:", err)
-		os.Exit(1)
-	}
+	os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(cfgName, kernel string, gws int, lwsList string, width, tableRows int, csvDir, jsonlDir string) error {
+// cli parses args, renders the traces and returns the process exit status:
+// 0 on success, 1 on a failed run, 2 on a command-line error.
+func cli(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("vortex-trace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	cfgName := fs.String("config", "1c2w4t", "device configuration (paper notation)")
+	kernel := fs.String("kernel", "vecadd", "kernel to trace (registry name)")
+	gws := fs.Int("gws", 128, "global work size (vecadd length in Figure 1)")
+	lwsList := fs.String("lws", "1,16,32,64", "comma-separated lws values to trace")
+	width := fs.Int("width", 100, "waveform width in columns")
+	tableRows := fs.Int("table", 0, "also print the first N issue-table rows (0 = none)")
+	csvDir := fs.String("csv", "", "write per-lws CSV traces into this directory")
+	jsonlDir := fs.String("jsonl", "", "write per-lws JSONL traces into this directory")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if err := run(stdout, *cfgName, *kernel, *gws, *lwsList, *width, *tableRows, *csvDir, *jsonlDir); err != nil {
+		fmt.Fprintln(stderr, "vortex-trace:", err)
+		return 1
+	}
+	return 0
+}
+
+func run(out io.Writer, cfgName, kernel string, gws int, lwsList string, width, tableRows int, csvDir, jsonlDir string) error {
 	hw, err := core.ParseName(cfgName)
 	if err != nil {
 		return err
@@ -57,9 +71,9 @@ func run(cfgName, kernel string, gws int, lwsList string, width, tableRows int, 
 		lwss = append(lwss, v)
 	}
 
-	fmt.Printf("Figure 1 reproduction: %s traces of %s (gws=%d) on %s (hp=%d)\n",
+	fmt.Fprintf(out, "Figure 1 reproduction: %s traces of %s (gws=%d) on %s (hp=%d)\n",
 		kernel, kernel, gws, hw.Name(), hw.HP())
-	fmt.Printf("Eq. 1 optimal lws = %d\n\n", core.OptimalLWS(gws, hw))
+	fmt.Fprintf(out, "Eq. 1 optimal lws = %d\n\n", core.OptimalLWS(gws, hw))
 
 	for _, lws := range lwss {
 		d, err := ocl.NewDevice(sim.DefaultConfig(hw.Cores, hw.Warps, hw.Threads))
@@ -76,27 +90,27 @@ func run(cfgName, kernel string, gws int, lwsList string, width, tableRows int, 
 			return fmt.Errorf("lws=%d: %w", lws, err)
 		}
 		lr := res.Launches[0]
-		fmt.Printf("--- lws=%d: %d cycles (%d sim + %d dispatch), tasks=%d, batches=%d, regime: %s, warps activated: %d\n",
+		fmt.Fprintf(out, "--- lws=%d: %d cycles (%d sim + %d dispatch), tasks=%d, batches=%d, regime: %s, warps activated: %d\n",
 			lr.LWS, lr.Cycles, lr.SimCycles, lr.Cycles-lr.SimCycles, lr.Tasks, lr.Batches, lr.Regime, lr.WarpsActivated)
-		if err := col.RenderWaveform(os.Stdout, trace.RenderOptions{Width: width, ShowMask: true}); err != nil {
+		if err := col.RenderWaveform(out, trace.RenderOptions{Width: width, ShowMask: true}); err != nil {
 			return err
 		}
 		sum := col.Summarize()
-		fmt.Printf("issues: %d, mean active lanes: %.2f, per section: %v\n\n",
+		fmt.Fprintf(out, "issues: %d, mean active lanes: %.2f, per section: %v\n\n",
 			sum.Issues, sum.MeanLanes, sum.PerTag)
 		if tableRows > 0 {
-			if err := col.RenderIssueTable(os.Stdout, tableRows); err != nil {
+			if err := col.RenderIssueTable(out, tableRows); err != nil {
 				return err
 			}
-			fmt.Println()
+			fmt.Fprintln(out)
 		}
 		if csvDir != "" {
-			if err := writeTo(filepath.Join(csvDir, fmt.Sprintf("trace_lws%d.csv", lws)), col.WriteCSV); err != nil {
+			if err := writeTo(out, filepath.Join(csvDir, fmt.Sprintf("trace_lws%d.csv", lws)), col.WriteCSV); err != nil {
 				return err
 			}
 		}
 		if jsonlDir != "" {
-			if err := writeTo(filepath.Join(jsonlDir, fmt.Sprintf("trace_lws%d.jsonl", lws)), col.WriteJSONL); err != nil {
+			if err := writeTo(out, filepath.Join(jsonlDir, fmt.Sprintf("trace_lws%d.jsonl", lws)), col.WriteJSONL); err != nil {
 				return err
 			}
 		}
@@ -125,7 +139,7 @@ func buildScaledKernel(d *ocl.Device, name string, gws int) (*kernels.Case, erro
 	return spec.Build(d, kernels.Params{Scale: 1, Seed: 42})
 }
 
-func writeTo(path string, fn func(w io.Writer) error) error {
+func writeTo(out io.Writer, path string, fn func(w io.Writer) error) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
@@ -137,6 +151,6 @@ func writeTo(path string, fn func(w io.Writer) error) error {
 	if err := fn(f); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s\n", path)
+	fmt.Fprintf(out, "wrote %s\n", path)
 	return nil
 }

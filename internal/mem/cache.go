@@ -1,6 +1,10 @@
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+)
 
 // CacheConfig sizes one cache level.
 type CacheConfig struct {
@@ -84,23 +88,36 @@ type Cache struct {
 	Stats     CacheStats
 }
 
+// resized returns s with length n, keeping the backing array — and whatever
+// its slots hold, those beyond len included — when the capacity suffices.
+// Callers reset the slots they expose.
+func resized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
 // NewCache builds a cache; the config must validate.
 func NewCache(cfg CacheConfig) (*Cache, error) {
-	if err := cfg.Validate(); err != nil {
+	c := new(Cache)
+	if err := c.Reshape(cfg); err != nil {
 		return nil, err
 	}
-	sets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
-	shift := uint(0)
-	for 1<<shift != cfg.LineBytes {
-		shift++
+	return c, nil
+}
+
+// Reshape puts the cache into the freshly constructed state of cfg, which
+// must validate, keeping the line array when it is large enough. It is the
+// one construction path: NewCache is the zero value plus Reshape. On error
+// the cache is unchanged.
+func (c *Cache) Reshape(cfg CacheConfig) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
-	return &Cache{
-		cfg:       cfg,
-		lines:     make([]cacheLine, sets*cfg.Ways),
-		sets:      sets,
-		lineShift: shift,
-		setMask:   uint32(sets - 1),
-	}, nil
+	sets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
+	c.cfg = cfg
+	c.lines = resized(c.lines, sets*cfg.Ways)
+	c.sets = sets
+	c.lineShift = uint(bits.TrailingZeros(uint(cfg.LineBytes)))
+	c.setMask = uint32(sets - 1)
+	c.Reset()
+	return nil
 }
 
 // Config returns the cache geometry.

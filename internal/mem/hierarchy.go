@@ -1,6 +1,9 @@
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // DRAMConfig models main memory timing.
 type DRAMConfig struct {
@@ -103,75 +106,88 @@ type dramChannel struct {
 // (cycle, core) for deterministic LRU, bandwidth and statistics state.
 type Hierarchy struct {
 	cfg       HierarchyConfig
-	l1        []*Cache
-	banks     []*Cache // L2 banks; lines striped by low line-index bits
+	l1        []Cache
+	banks     []Cache // L2 banks; lines striped by low line-index bits
 	bankBits  uint
 	bankMask  uint32
 	lineShift uint
 	dram      []dramChannel
 	// bankMSHR tracks, per L2 bank, the completion cycles of the bank's
-	// outstanding DRAM fetches when L2.MSHRs > 0 (nil when unbounded).
+	// outstanding DRAM fetches; consulted only when L2.MSHRs > 0.
 	bankMSHR [][]uint64
 }
 
 // NewHierarchy builds the hierarchy for cores L1 instances.
 func NewHierarchy(cores int, cfg HierarchyConfig) (*Hierarchy, error) {
-	if cores <= 0 {
-		return nil, fmt.Errorf("mem: cores %d invalid", cores)
-	}
-	if cfg.L1.LineBytes != cfg.L2.LineBytes {
-		return nil, fmt.Errorf("mem: L1/L2 line sizes differ (%d vs %d)", cfg.L1.LineBytes, cfg.L2.LineBytes)
-	}
-	if cfg.DRAM.Latency < 0 || cfg.DRAM.BytesPerCycle <= 0 {
-		return nil, fmt.Errorf("mem: bad DRAM config %+v", cfg.DRAM)
-	}
-	if cfg.L2Banks < 0 {
-		return nil, fmt.Errorf("mem: negative L2 bank count %d", cfg.L2Banks)
-	}
-	if cfg.DRAM.Channels < 0 {
-		return nil, fmt.Errorf("mem: negative DRAM channel count %d", cfg.DRAM.Channels)
-	}
-	if _, err := ParsePrefetchPolicy(cfg.Prefetch.String()); err != nil {
+	h := new(Hierarchy)
+	if err := h.Reshape(cores, cfg); err != nil {
 		return nil, err
 	}
-	h := &Hierarchy{cfg: cfg}
-	for i := 0; i < cores; i++ {
-		c, err := NewCache(cfg.L1)
-		if err != nil {
-			return nil, fmt.Errorf("mem: L1: %w", err)
+	return h, nil
+}
+
+// Reshape puts the hierarchy into the freshly constructed state of cores L1
+// instances under cfg, keeping every cache line array, DRAM channel and
+// MSHR queue that is large enough: a hierarchy reshaped from any earlier
+// shape times a replayed access stream exactly like a new one. It is the
+// one construction path — NewHierarchy is the zero value plus Reshape. On
+// error the hierarchy must not be used until a later Reshape succeeds.
+func (h *Hierarchy) Reshape(cores int, cfg HierarchyConfig) error {
+	if cores <= 0 {
+		return fmt.Errorf("mem: cores %d invalid", cores)
+	}
+	if cfg.L1.LineBytes != cfg.L2.LineBytes {
+		return fmt.Errorf("mem: L1/L2 line sizes differ (%d vs %d)", cfg.L1.LineBytes, cfg.L2.LineBytes)
+	}
+	if cfg.DRAM.Latency < 0 || cfg.DRAM.BytesPerCycle <= 0 {
+		return fmt.Errorf("mem: bad DRAM config %+v", cfg.DRAM)
+	}
+	if cfg.L2Banks < 0 {
+		return fmt.Errorf("mem: negative L2 bank count %d", cfg.L2Banks)
+	}
+	if cfg.DRAM.Channels < 0 {
+		return fmt.Errorf("mem: negative DRAM channel count %d", cfg.DRAM.Channels)
+	}
+	if _, err := ParsePrefetchPolicy(cfg.Prefetch.String()); err != nil {
+		return err
+	}
+	if err := cfg.L1.Validate(); err != nil {
+		return fmt.Errorf("mem: L1: %w", err)
+	}
+	if err := cfg.L2.Validate(); err != nil {
+		return fmt.Errorf("mem: L2: %w", err)
+	}
+	h.cfg = cfg
+	// Slots a shrink left beyond len keep their caches (and line arrays)
+	// for the next growth; slots never used are zero Caches, which Reshape
+	// builds like any other.
+	h.l1 = resized(h.l1, cores)
+	for i := range h.l1 {
+		if err := h.l1[i].Reshape(cfg.L1); err != nil {
+			return fmt.Errorf("mem: L1: %w", err)
 		}
-		h.l1 = append(h.l1, c)
 	}
 	h.lineShift = h.l1[0].lineShift
-	if err := cfg.L2.Validate(); err != nil {
-		return nil, fmt.Errorf("mem: L2: %w", err)
-	}
 	nb := bankCount(cfg)
 	bankCfg := cfg.L2
 	bankCfg.SizeBytes = cfg.L2.SizeBytes / nb
-	for i := 0; i < nb; i++ {
-		b, err := NewCache(bankCfg)
-		if err != nil {
-			return nil, fmt.Errorf("mem: L2 bank: %w", err)
+	h.banks = resized(h.banks, nb)
+	for i := range h.banks {
+		if err := h.banks[i].Reshape(bankCfg); err != nil {
+			return fmt.Errorf("mem: L2 bank: %w", err)
 		}
-		h.banks = append(h.banks, b)
 	}
-	for 1<<h.bankBits != nb {
-		h.bankBits++
-	}
+	h.bankBits = uint(bits.TrailingZeros(uint(nb)))
 	h.bankMask = uint32(nb - 1)
 	if cfg.L2.MSHRs > 0 && !cfg.L2Disabled {
-		h.bankMSHR = make([][]uint64, nb)
+		h.bankMSHR = resized(h.bankMSHR, nb)
 		for i := range h.bankMSHR {
-			h.bankMSHR[i] = make([]uint64, 0, cfg.L2.MSHRs)
+			h.bankMSHR[i] = resized(h.bankMSHR[i], cfg.L2.MSHRs)[:0]
 		}
 	}
-	ch := cfg.DRAM.Channels
-	if ch < 1 {
-		ch = 1
-	}
-	h.dram = make([]dramChannel, ch)
-	return h, nil
+	h.dram = resized(h.dram, max(cfg.DRAM.Channels, 1))
+	h.Reset()
+	return nil
 }
 
 // bankCount resolves the effective L2 bank count: the configured value (or
@@ -228,7 +244,8 @@ func (h *Hierarchy) DRAM() DRAMStats {
 // L2Stats returns the shared L2 statistics, summed over banks.
 func (h *Hierarchy) L2Stats() CacheStats {
 	var s CacheStats
-	for _, b := range h.banks {
+	for i := range h.banks {
+		b := &h.banks[i]
 		s.Accesses += b.Stats.Accesses
 		s.Hits += b.Stats.Hits
 		s.Misses += b.Stats.Misses
@@ -240,7 +257,8 @@ func (h *Hierarchy) L2Stats() CacheStats {
 // TotalL1Stats sums L1 statistics over all cores.
 func (h *Hierarchy) TotalL1Stats() CacheStats {
 	var s CacheStats
-	for _, c := range h.l1 {
+	for i := range h.l1 {
+		c := &h.l1[i]
 		s.Accesses += c.Stats.Accesses
 		s.Hits += c.Stats.Hits
 		s.Misses += c.Stats.Misses
@@ -266,7 +284,7 @@ type AccessResult struct {
 // stalling the requester, and then completes through the line's L2 bank or,
 // on an L2 miss, its DRAM channel.
 func (h *Hierarchy) Access(core int, addr uint32, write bool, now uint64) AccessResult {
-	l1 := h.l1[core]
+	l1 := &h.l1[core]
 	t := now + uint64(h.cfg.L1.HitLatency)
 	if l1.lookup(addr, write) {
 		return AccessResult{Done: t, L1Hit: true}
@@ -290,20 +308,20 @@ func (h *Hierarchy) Access(core int, addr uint32, write bool, now uint64) Access
 		// The dirty L1 victim is looked up in (or allocated dirty into) its
 		// L2 bank; a dirty L2 line that allocation displaces goes to DRAM.
 		bank, baddr := h.bankOf(victim)
-		if b := h.banks[bank]; !b.lookup(baddr, true) {
+		if b := &h.banks[bank]; !b.lookup(baddr, true) {
 			if wb2, v := b.fill(baddr, true); wb2 {
 				h.dramWriteback(h.bankVictim(bank, v), t)
 			}
 		}
 	}
 	bank, baddr := h.bankOf(addr)
-	b := h.banks[bank]
+	b := &h.banks[bank]
 	t += uint64(h.cfg.L2.HitLatency)
 	if b.lookup(baddr, write) {
 		return AccessResult{Done: t, L2Hit: true}
 	}
 	wb, victim = b.fill(baddr, write)
-	if h.bankMSHR != nil {
+	if h.cfg.L2.MSHRs > 0 {
 		t = h.bankFetchSlot(bank, t)
 	}
 	if wb {
@@ -408,11 +426,11 @@ func (h *Hierarchy) transferCycles() uint64 {
 // Flush invalidates all cache levels (used between independent launches in
 // cold-cache experiments; statistics are preserved).
 func (h *Hierarchy) Flush() {
-	for _, c := range h.l1 {
-		c.Flush()
+	for i := range h.l1 {
+		h.l1[i].Flush()
 	}
-	for _, b := range h.banks {
-		b.Flush()
+	for i := range h.banks {
+		h.banks[i].Flush()
 	}
 }
 
@@ -422,11 +440,11 @@ func (h *Hierarchy) Flush() {
 // device that is Reset between runs produces timing byte-identical to a
 // newly built hierarchy.
 func (h *Hierarchy) Reset() {
-	for _, c := range h.l1 {
-		c.Reset()
+	for i := range h.l1 {
+		h.l1[i].Reset()
 	}
-	for _, b := range h.banks {
-		b.Reset()
+	for i := range h.banks {
+		h.banks[i].Reset()
 	}
 	for i := range h.dram {
 		h.dram[i].free = 0

@@ -13,21 +13,56 @@ import (
 	"fmt"
 )
 
+// pageShift sizes the dirty-tracking granule (4 KiB pages): small enough
+// that a task touching a few buffers clears a few pages, large enough that
+// the flag array of a multi-megabyte image is a few hundred bytes.
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+)
+
 // Memory is the flat device memory. Addresses are byte addresses from 0 to
 // Size()-1; all accesses are bounds-checked.
 type Memory struct {
 	data []byte
 	init uint32 // size at construction, restored by Reset
+	// dirty holds one flag per page of data, set by every store, so Reset
+	// clears what was written instead of the whole grown image. Invariant:
+	// a byte of the backing array is non-zero only inside a dirty page
+	// below len(data) — which also keeps every byte beyond len zero, the
+	// property Grow's reslice relies on.
+	dirty []bool
 }
 
 // NewMemory allocates a device memory of size bytes.
-func NewMemory(size uint32) *Memory { return &Memory{data: make([]byte, size), init: size} }
+func NewMemory(size uint32) *Memory {
+	return &Memory{data: make([]byte, size), init: size, dirty: make([]bool, pages(size))}
+}
+
+// pages returns the number of dirty-tracking pages covering size bytes.
+func pages(size uint32) int { return int((uint64(size) + pageSize - 1) >> pageShift) }
+
+// mark flags the pages of the in-bounds store [addr, addr+n), n > 0.
+func (m *Memory) mark(addr, n uint32) {
+	for p, last := addr>>pageShift, (addr+n-1)>>pageShift; p <= last; p++ {
+		m.dirty[p] = true
+	}
+}
 
 // Reset zeroes the memory and restores its construction-time size, keeping
-// the grown backing array so a pooled device reuses the allocation. After
-// Reset the memory is indistinguishable from a freshly constructed one.
+// the grown backing array so a pooled device reuses the allocation. Only
+// the pages a store touched since the last Reset are cleared, so the cost
+// follows what the run wrote, not how far the image grew. After Reset the
+// memory is indistinguishable from a freshly constructed one — for stores
+// anywhere in bounds, stray ones included.
 func (m *Memory) Reset() {
-	clear(m.data)
+	for p, d := range m.dirty {
+		if d {
+			lo := p << pageShift
+			clear(m.data[lo:min(lo+pageSize, len(m.data))])
+			m.dirty[p] = false
+		}
+	}
 	m.data = m.data[:m.init]
 }
 
@@ -42,9 +77,13 @@ func (m *Memory) Grow(size uint32) {
 	if size <= m.Size() {
 		return
 	}
+	if n := pages(size); n > len(m.dirty) {
+		m.dirty = append(m.dirty, make([]bool, n-len(m.dirty))...)
+	}
 	if uint32(cap(m.data)) >= size {
-		// The backing array beyond len was zeroed at allocation and never
-		// exposed, so reslicing is equivalent to growing into fresh memory.
+		// Every byte of the backing array beyond len is zero (fresh from
+		// the allocator, or cleared by Reset before it shrank len), so
+		// reslicing is equivalent to growing into fresh memory.
 		m.data = m.data[:size]
 		return
 	}
@@ -78,6 +117,7 @@ func (m *Memory) Write32(addr, v uint32) bool {
 	if !m.InBounds(addr, 4) {
 		return false
 	}
+	m.mark(addr, 4)
 	binary.LittleEndian.PutUint32(m.data[addr:], v)
 	return true
 }
@@ -95,6 +135,7 @@ func (m *Memory) Write16(addr uint32, v uint16) bool {
 	if !m.InBounds(addr, 2) {
 		return false
 	}
+	m.mark(addr, 2)
 	binary.LittleEndian.PutUint16(m.data[addr:], v)
 	return true
 }
@@ -112,6 +153,7 @@ func (m *Memory) Write8(addr uint32, v uint8) bool {
 	if !m.InBounds(addr, 1) {
 		return false
 	}
+	m.mark(addr, 1)
 	m.data[addr] = v
 	return true
 }
@@ -121,7 +163,10 @@ func (m *Memory) WriteBytes(addr uint32, b []byte) error {
 	if !m.InBounds(addr, uint32(len(b))) {
 		return fmt.Errorf("mem: write of %d bytes at %#x out of bounds (size %#x)", len(b), addr, m.Size())
 	}
-	copy(m.data[addr:], b)
+	if len(b) > 0 {
+		m.mark(addr, uint32(len(b)))
+		copy(m.data[addr:], b)
+	}
 	return nil
 }
 
@@ -171,6 +216,7 @@ func (m *Memory) WriteWordsStrided(addr uint32, n int, src []uint32, start, stri
 	if n <= 0 || !m.InBounds(addr, uint32(n)*4) {
 		return false
 	}
+	m.mark(addr, uint32(n)*4)
 	dst := m.data[addr : addr+uint32(n)*4]
 	for i := 0; i < n; i++ {
 		binary.LittleEndian.PutUint32(dst[i*4:], src[start+i*stride])

@@ -32,12 +32,14 @@ const (
 )
 
 // Device owns a simulated GPGPU: its memory, cache hierarchy and simulator
-// instance. Buffer contents and cache state persist across launches.
+// instance. Buffer contents and cache state persist across launches. A
+// Device is an arena: Reshape turns it into a device of another
+// configuration while keeping its allocations.
 type Device struct {
 	cfg    sim.Config
 	memory *mem.Memory
-	hier   *mem.Hierarchy
-	sim    *sim.Sim
+	hier   mem.Hierarchy
+	sim    sim.Sim
 
 	mapper core.Mapper
 	// DispatchOverhead is charged once per EnqueueNDRange (cycles).
@@ -67,27 +69,40 @@ func (d *Device) scratchBytes(n int) []byte {
 
 // NewDevice builds a device for the given configuration.
 func NewDevice(cfg sim.Config) (*Device, error) {
+	d := new(Device)
+	if err := d.Reshape(cfg); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// Reshape puts the device into the NewDevice state of cfg while keeping
+// every allocation that is large enough — the memory image, cache line
+// arrays, core/warp arrays and register files, scheduler and coalescing
+// scratch — so a campaign worker reshapes one device from task to task
+// instead of building one per configuration. It is the one construction
+// path: NewDevice is the zero value plus Reshape, and the layers below
+// follow the same rule (mem.Cache, mem.Hierarchy, sim.Sim), so "reshaped"
+// and "fresh" cannot diverge. Whatever the device ran before — another
+// geometry, scheduler or memory-axis setting, a trapped kernel — the next
+// run is byte-identical to the same run on a new device. On error the
+// device must be discarded.
+func (d *Device) Reshape(cfg sim.Config) error {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	memory := mem.NewMemory(HeapBase)
-	hier, err := mem.NewHierarchy(cfg.Cores, cfg.Mem)
-	if err != nil {
-		return nil, err
+	if d.memory == nil {
+		d.memory = mem.NewMemory(HeapBase)
 	}
-	s, err := sim.New(cfg, memory, hier)
-	if err != nil {
-		return nil, err
+	if err := d.hier.Reshape(cfg.Cores, cfg.Mem); err != nil {
+		return err
 	}
-	return &Device{
-		cfg:              cfg,
-		memory:           memory,
-		hier:             hier,
-		sim:              s,
-		mapper:           core.Auto{},
-		DispatchOverhead: DefaultDispatchOverhead,
-		allocTop:         HeapBase,
-	}, nil
+	if err := d.sim.Reshape(cfg, d.memory, &d.hier); err != nil {
+		return err
+	}
+	d.cfg = cfg
+	d.resetRuntime()
+	return nil
 }
 
 // Info returns the runtime-visible micro-architecture parameters — the
@@ -100,7 +115,7 @@ func (d *Device) Info() core.HWInfo {
 func (d *Device) Config() sim.Config { return d.cfg }
 
 // Sim exposes the underlying simulator (for ablations and tests).
-func (d *Device) Sim() *sim.Sim { return d.sim }
+func (d *Device) Sim() *sim.Sim { return &d.sim }
 
 // SetMapper replaces the automatic lws policy used when EnqueueNDRange is
 // called with lws=0.
@@ -210,22 +225,27 @@ func (d *Device) ReadUint32(b Buffer, n int) ([]uint32, error) {
 // FlushCaches invalidates the cache hierarchy (cold-cache experiments).
 func (d *Device) FlushCaches() { d.hier.Flush() }
 
-// Reset restores the device to its NewDevice state while keeping the large
-// allocations (memory image, cache arrays, register files), so a pooled
-// device can be reused across runs instead of rebuilding the full memory
-// image per run. After Reset the device is byte-identical in behaviour to a
-// freshly constructed one: memory zeroed and shrunk to the heap base, cache
-// and DRAM state rewound, simulator cycle/statistics/scheduler state
-// cleared, the mapper back to core.Auto, the dispatch overhead back to the
-// default, and any observer removed.
+// Reset restores the device to its NewDevice state while keeping its
+// allocations: Reshape to the configuration it already has. After Reset the
+// device is byte-identical in behaviour to a freshly constructed one:
+// memory zeroed (the pages the run dirtied; see mem.Memory.Reset) and shrunk
+// to the heap base, cache and DRAM state rewound, simulator
+// cycle/statistics/scheduler state cleared, the mapper back to core.Auto,
+// the dispatch overhead back to the default, and any observer removed.
 func (d *Device) Reset() {
-	d.memory.Reset()
 	d.hier.Reset()
 	d.sim.Reset()
-	d.sim.SetObserver(nil)
+	d.resetRuntime()
+}
+
+// resetRuntime rewinds what the runtime layers on top of the hierarchy and
+// the simulator: the memory image, the buffer allocator, the mapper, the
+// dispatch overhead and the observer.
+func (d *Device) resetRuntime() {
+	d.memory.Reset()
+	d.SetObserver(nil)
 	d.mapper = core.Auto{}
 	d.DispatchOverhead = DefaultDispatchOverhead
 	d.allocTop = HeapBase
 	d.currentProg = nil
-	d.observer = nil
 }

@@ -1,82 +1,75 @@
 package ocl
 
 import (
-	"container/list"
 	"sync"
 
 	"repro/internal/sim"
 )
 
-// DevicePool reuses devices across runs of a campaign. Building a device
-// allocates the full memory image, cache arrays and per-warp register
-// files; a sweep that revisits each configuration once per (kernel, mapper)
-// pays that cost on every task. The pool keeps idle devices keyed by their
-// exact sim.Config and hands them back after a Reset, which is
-// byte-identical in behaviour to a fresh NewDevice (see Device.Reset).
-//
-// The idle set is bounded globally, not per configuration: a sweep walks
-// its grid configuration-major, so devices of configurations the task
-// order has moved past are evicted (oldest idle first) instead of
-// accumulating one pool per grid point for the whole campaign.
+// DevicePool reuses devices across runs of a campaign. A device is an arena
+// (see Device.Reshape): its memory image, cache arrays and per-warp
+// register files serve any configuration they are large enough for. The
+// pool is therefore a free list of devices of any configuration: Get pops
+// the most recently returned one and reshapes it to the requested
+// configuration — a plain Reset when it already has it — which is
+// byte-identical in behaviour to a fresh NewDevice. Reuse does not depend
+// on the order a campaign visits its grid in: a worker that Gets and Puts
+// one device at a time keeps reshaping the same arena, so a sweep builds
+// about one device per worker, however its tasks are sharded or strided.
 //
 // Get/Put are safe for concurrent use by sweep workers.
 type DevicePool struct {
 	mu      sync.Mutex
-	byCfg   map[sim.Config][]*list.Element
-	lru     list.List // of *Device; front = most recently Put
-	maxIdle int       // total idle devices; <= 0 means unbounded
+	idle    []*Device // free list; the last element is the next Get's
+	maxIdle int       // idle devices retained; <= 0 means unbounded
 	hits    uint64
 	misses  uint64
 }
 
-// NewDevicePool builds a pool keeping at most maxIdle idle devices in
-// total (a sweep needs at most its worker count; <= 0 removes the bound).
+// NewDevicePool builds a pool keeping at most maxIdle idle devices (a sweep
+// needs at most its worker count; <= 0 removes the bound).
 func NewDevicePool(maxIdle int) *DevicePool {
-	return &DevicePool{byCfg: map[sim.Config][]*list.Element{}, maxIdle: maxIdle}
+	return &DevicePool{maxIdle: maxIdle}
 }
 
-// Get returns a reset pooled device for cfg, or builds one.
+// Get returns a device in the NewDevice state of cfg: an idle one reshaped,
+// or a new one when none is idle. An invalid cfg is refused either way; the
+// device a failed reshape was tried on is dropped, never returned to the
+// free list.
 func (p *DevicePool) Get(cfg sim.Config) (*Device, error) {
 	p.mu.Lock()
-	if els := p.byCfg[cfg]; len(els) > 0 {
-		el := els[len(els)-1]
-		p.byCfg[cfg] = els[:len(els)-1]
-		p.lru.Remove(el)
-		p.hits++
+	n := len(p.idle)
+	if n == 0 {
+		p.misses++
 		p.mu.Unlock()
-		d := el.Value.(*Device)
+		return NewDevice(cfg)
+	}
+	d := p.idle[n-1]
+	p.idle[n-1] = nil
+	p.idle = p.idle[:n-1]
+	p.hits++
+	p.mu.Unlock()
+	if d.cfg == cfg {
 		d.Reset()
 		return d, nil
 	}
-	p.misses++
-	p.mu.Unlock()
-	return NewDevice(cfg)
+	if err := d.Reshape(cfg); err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
-// Put returns a device to the pool, evicting the oldest idle device when
-// the global bound is exceeded. The device may be in any state (a trapped
-// simulation included): it is reset on its next Get.
+// Put returns a device to the pool; when the pool already holds maxIdle
+// devices it is dropped instead. The device may be in any state (a trapped
+// simulation included): it is reshaped on its next Get.
 func (p *DevicePool) Put(d *Device) {
 	if d == nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.byCfg[d.cfg] = append(p.byCfg[d.cfg], p.lru.PushFront(d))
-	for p.maxIdle > 0 && p.lru.Len() > p.maxIdle {
-		oldest := p.lru.Back()
-		p.lru.Remove(oldest)
-		victim := oldest.Value.(*Device)
-		els := p.byCfg[victim.cfg]
-		for i, el := range els {
-			if el == oldest {
-				p.byCfg[victim.cfg] = append(els[:i], els[i+1:]...)
-				break
-			}
-		}
-		if len(p.byCfg[victim.cfg]) == 0 {
-			delete(p.byCfg, victim.cfg)
-		}
+	if p.maxIdle <= 0 || len(p.idle) < p.maxIdle {
+		p.idle = append(p.idle, d)
 	}
 }
 
@@ -92,5 +85,5 @@ func (p *DevicePool) Stats() CacheCounters {
 func (p *DevicePool) IdleLen() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.lru.Len()
+	return len(p.idle)
 }

@@ -1,104 +1,275 @@
 package ocl
 
 import (
+	"crypto/sha256"
+	"errors"
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
-// launchOnce runs vecadd(gws) with lws on an existing device and returns
+// launchVecadd runs vecadd(gws) with lws on an existing device and returns
 // the launch report plus the output vector.
-func launchOnce(t *testing.T, d *Device, gws, lws int) (*LaunchResult, []float32) {
-	t.Helper()
+func launchVecadd(d *Device, gws, lws int) (*LaunchResult, []float32, error) {
 	a := make([]float32, gws)
 	b := make([]float32, gws)
 	for i := range a {
 		a[i] = float32(i)
 		b[i] = float32(3 * i)
 	}
-	bufA, err := d.AllocFloat32(gws)
-	if err != nil {
-		t.Fatal(err)
+	var bufs [3]Buffer
+	for i := range bufs {
+		var err error
+		if bufs[i], err = d.AllocFloat32(gws); err != nil {
+			return nil, nil, err
+		}
 	}
-	bufB, _ := d.AllocFloat32(gws)
-	bufC, _ := d.AllocFloat32(gws)
-	if err := d.WriteFloat32(bufA, a); err != nil {
-		t.Fatal(err)
+	if err := d.WriteFloat32(bufs[0], a); err != nil {
+		return nil, nil, err
 	}
-	if err := d.WriteFloat32(bufB, b); err != nil {
-		t.Fatal(err)
+	if err := d.WriteFloat32(bufs[1], b); err != nil {
+		return nil, nil, err
 	}
 	k, err := NewKernel(vecaddSrc)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
-	if err := k.SetArgs(bufA, bufB, bufC); err != nil {
-		t.Fatal(err)
+	if err := k.SetArgs(bufs[0], bufs[1], bufs[2]); err != nil {
+		return nil, nil, err
 	}
 	res, err := d.EnqueueNDRange(k, gws, lws)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
-	out, err := d.ReadFloat32(bufC, gws)
+	out, err := d.ReadFloat32(bufs[2], gws)
+	return res, out, err
+}
+
+func launchOnce(t *testing.T, d *Device, gws, lws int) (*LaunchResult, []float32) {
+	t.Helper()
+	res, out, err := launchVecadd(d, gws, lws)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res, out
 }
 
-// TestDeviceResetByteIdentical is the device-pool identity contract: after
-// any prior workload, Reset must make the next run indistinguishable —
-// launch report, cycle counts, cache statistics and output included — from
-// the same run on a freshly constructed device.
-func TestDeviceResetByteIdentical(t *testing.T) {
-	cfg := sim.DefaultConfig(2, 4, 4)
+// deviceState is everything a run leaves observable on a device: the launch
+// report and output, the cycle counter, every per-core, per-L1, per-L2-bank
+// and per-DRAM-channel counter, and a digest of the whole memory image.
+type deviceState struct {
+	res      *LaunchResult
+	out      []float32
+	cycle    uint64
+	cores    []sim.CoreStats
+	l1       []mem.CacheStats
+	banks    []mem.CacheStats
+	channels []mem.DRAMStats
+	memSize  uint32
+	image    [sha256.Size]byte
+}
 
-	fresh, err := NewDevice(cfg)
+// runVecaddState runs vecadd on d and snapshots the device.
+func runVecaddState(t *testing.T, d *Device, gws, lws int) deviceState {
+	t.Helper()
+	var st deviceState
+	st.res, st.out = launchOnce(t, d, gws, lws)
+	st.cycle = d.sim.Cycle()
+	for c := 0; c < d.cfg.Cores; c++ {
+		st.cores = append(st.cores, d.sim.CoreStatsOf(c))
+		st.l1 = append(st.l1, d.hier.L1Stats(c))
+	}
+	for b := 0; b < d.hier.L2Banks(); b++ {
+		st.banks = append(st.banks, d.hier.L2BankStats(b))
+	}
+	for ch := 0; ch < d.hier.DRAMChannels(); ch++ {
+		st.channels = append(st.channels, d.hier.DRAMChannelStats(ch))
+	}
+	st.memSize = d.memory.Size()
+	raw, err := d.memory.ReadBytes(0, st.memSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRes, wantOut := launchOnce(t, fresh, 512, 0)
+	st.image = sha256.Sum256(raw)
+	return st
+}
 
-	reused, err := NewDevice(cfg)
+// requireFreshEqual runs vecadd on the recycled device d and on a new device
+// of the same configuration and requires identical device states.
+func requireFreshEqual(t *testing.T, label string, d *Device, gws, lws int) {
+	t.Helper()
+	fresh, err := NewDevice(d.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Dirty the device thoroughly: different geometry, different mapper,
-	// custom dispatch overhead, and an observer.
-	reused.SetMapper(core.Fixed{N: 32})
-	reused.DispatchOverhead = 9999
-	reused.SetObserver(func(sim.IssueEvent) {})
-	launchOnce(t, reused, 300, 7)
-
-	reused.Reset()
-	gotRes, gotOut := launchOnce(t, reused, 512, 0)
-
-	if !reflect.DeepEqual(wantRes, gotRes) {
-		t.Errorf("launch reports differ:\nfresh  %+v\npooled %+v", wantRes, gotRes)
+	want := runVecaddState(t, fresh, gws, lws)
+	got := runVecaddState(t, d, gws, lws)
+	if want.cycle == 0 {
+		t.Fatalf("%s: sanity: cycle counter did not advance", label)
 	}
-	if !reflect.DeepEqual(wantOut, gotOut) {
-		t.Error("device outputs differ after Reset")
-	}
-	if c := reused.Sim().Cycle(); c == 0 {
-		t.Error("sanity: cycle counter did not advance")
-	}
-	if got, want := reused.Sim().Hierarchy().DRAM(), fresh.Sim().Hierarchy().DRAM(); got != want {
-		t.Errorf("DRAM stats differ: %+v vs %+v", got, want)
-	}
-	if got, want := reused.Sim().Hierarchy().L2Stats(), fresh.Sim().Hierarchy().L2Stats(); got != want {
-		t.Errorf("L2 stats differ: %+v vs %+v", got, want)
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("%s: recycled device departs from a fresh one:\nfresh    %+v\nrecycled %+v", label, want, got)
 	}
 }
 
-// TestDevicePoolReuse pins the pool mechanics: a Put device with a matching
-// config is handed back reset, configs are not mixed, and the counters
-// track reuse.
+// dirty leaves every piece of host-visible runtime state on d in a
+// non-default setting, after a run of its own. The observer fails the test
+// if a later owner of the device inherits it.
+func dirty(t *testing.T, d *Device, gws, lws int) {
+	t.Helper()
+	inherited := false
+	d.SetMapper(core.Fixed{N: 32})
+	d.DispatchOverhead = 9999
+	d.SetObserver(func(sim.IssueEvent) {
+		if inherited {
+			t.Error("observer survived into the device's next use")
+			inherited = false // report once
+		}
+	})
+	launchOnce(t, d, gws, lws)
+	inherited = true
+}
+
+// axisConfig is a device configuration that also moves the scheduler and
+// the three memory-side axes away from their defaults.
+func axisConfig(cores, warps, threads int, sched sim.SchedPolicy, l1 string, mshrs int, pf mem.PrefetchPolicy) sim.Config {
+	cfg := sim.DefaultConfig(cores, warps, threads)
+	cfg.Sched = sched
+	size, ways, err := mem.ParseL1Geometry(l1)
+	if err != nil {
+		panic(err)
+	}
+	cfg.Mem.L1.SizeBytes, cfg.Mem.L1.Ways = size, ways
+	cfg.Mem.L1.MSHRs, cfg.Mem.L2.MSHRs = mshrs, mshrs
+	cfg.Mem.Prefetch = pf
+	return cfg
+}
+
+// TestDeviceResetByteIdentical is the device-arena identity contract: after
+// any prior workload, Reset — and Reshape to any other configuration — must
+// make the next run indistinguishable from the same run on a freshly
+// constructed device: launch report, output, cycle count, every per-core,
+// per-L1, per-L2-bank and per-DRAM-channel statistic and the full memory
+// image.
+func TestDeviceResetByteIdentical(t *testing.T) {
+	d, err := NewDevice(sim.DefaultConfig(2, 4, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirty(t, d, 300, 7)
+	d.Reset()
+	requireFreshEqual(t, "reset", d, 512, 0)
+
+	// Big -> small -> big geometry, every scheduler, and L1 geometry, MSHR
+	// bound and prefetch policy all changing between tasks. The last step
+	// returns to the first configuration through the full reshape path.
+	seq := []sim.Config{
+		axisConfig(16, 8, 16, sim.SchedGTO, "32k8w", 4, mem.PrefetchNextLine),
+		axisConfig(1, 2, 2, sim.SchedOldestFirst, "8k2w", 1, mem.PrefetchOff),
+		axisConfig(8, 32, 32, sim.SchedTwoLevel, "16k4w", 0, mem.PrefetchNextLine),
+		axisConfig(3, 4, 8, sim.SchedRoundRobin, "64k16w", 2, mem.PrefetchOff),
+		sim.DefaultConfig(2, 4, 4),
+	}
+	for i, cfg := range seq {
+		dirty(t, d, 200+90*i, 1+i)
+		if err := d.Reshape(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if d.Config() != cfg {
+			t.Fatalf("step %d: config %+v after Reshape, want %+v", i, d.Config(), cfg)
+		}
+		requireFreshEqual(t, fmt.Sprintf("step %d (%s)", i, cfg.Name()), d, 512+64*i, 0)
+	}
+}
+
+// trapSrc stores gid to out[gid], then to a stray address between the
+// argument block and the heap, then — for work items 37 and up — far out of
+// bounds, which traps the run while other warps are still in flight.
+var trapSrc = KernelSource{
+	Name: "trap_store",
+	Body: `
+	lw   t3, 0(a1)
+	slli t6, a0, 2
+	add  t3, t3, t6
+	sw   a0, 0(t3)
+	li   t5, 0x20000
+	add  t5, t5, t6
+	sw   a0, 0(t5)
+	slti t4, a0, 37
+	addi t4, t4, -1
+	li   t5, 0x7F000000
+	and  t4, t4, t5
+	add  t3, t3, t4
+	sw   a0, 4(t3)
+`,
+}
+
+// TestDevicePoolReuseAfterTrap returns a device to the pool straight from a
+// trap — warps active, scoreboards and wake heaps populated, stray stores
+// below the heap — asks for a different configuration next, and requires
+// the following run to equal a fresh device's.
+func TestDevicePoolReuseAfterTrap(t *testing.T) {
+	pool := NewDevicePool(1)
+	d, err := pool.Get(axisConfig(4, 8, 8, sim.SchedGTO, "16k4w", 2, mem.PrefetchNextLine))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := d.AllocUint32(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := NewKernel(trapSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.SetArgs(buf); err != nil {
+		t.Fatal(err)
+	}
+	_, err = d.EnqueueNDRange(k, 256, 1)
+	var trap *sim.Trap
+	if !errors.As(err, &trap) {
+		t.Fatalf("trap kernel: got %v, want a trap", err)
+	}
+	if trap.Cycle == 0 || d.sim.ActiveWarps() < 2 {
+		t.Fatalf("sanity: trap at cycle %d with %d active warps is not mid-run", trap.Cycle, d.sim.ActiveWarps())
+	}
+	stray := 0
+	for a := uint32(0x20000); a < 0x20400; a += 4 {
+		if v, _ := d.memory.Read32(a); v != 0 {
+			stray++
+		}
+	}
+	if stray == 0 {
+		t.Fatal("sanity: no stray store below the heap landed before the trap")
+	}
+	pool.Put(d)
+
+	for _, cfg := range []sim.Config{sim.DefaultConfig(2, 2, 4), sim.DefaultConfig(8, 16, 16)} {
+		got, err := pool.Get(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != d {
+			t.Fatal("pool did not hand back the trapped device")
+		}
+		requireFreshEqual(t, "after trap, "+cfg.Name(), got, 384, 0)
+		pool.Put(got)
+	}
+}
+
+// TestDevicePoolReuse pins the pool policy: an idle device serves any
+// configuration, Hits counts runs served by a recycled device and Misses
+// fresh constructions, the idle set is bounded, and an invalid
+// configuration is refused without poisoning the pool.
 func TestDevicePoolReuse(t *testing.T) {
 	pool := NewDevicePool(2)
 	cfgA := sim.DefaultConfig(1, 2, 2)
-	cfgB := sim.DefaultConfig(2, 2, 2)
+	cfgB := axisConfig(4, 4, 8, sim.SchedGTO, "32k8w", 4, mem.PrefetchNextLine)
 
 	d1, err := pool.Get(cfgA)
 	if err != nil {
@@ -107,58 +278,126 @@ func TestDevicePoolReuse(t *testing.T) {
 	launchOnce(t, d1, 64, 0)
 	pool.Put(d1)
 
+	// Any-config reuse: the idle cfgA device serves cfgB, then cfgB again
+	// (the plain-Reset path).
+	for i := 0; i < 2; i++ {
+		d, err := pool.Get(cfgB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d != d1 {
+			t.Fatal("pool built a device while one was idle")
+		}
+		if d.Config() != cfgB || d.Sim().Cycle() != 0 {
+			t.Fatalf("pooled device not reshaped: config %s, cycle %d", d.Config().Name(), d.Sim().Cycle())
+		}
+		requireFreshEqual(t, "reused", d, 128, 0)
+		pool.Put(d)
+	}
+
+	// With the only device out, the next Get is a construction.
+	held, err := pool.Get(cfgA)
+	if err != nil {
+		t.Fatal(err)
+	}
 	d2, err := pool.Get(cfgA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d1 != d2 {
-		t.Error("pool did not reuse the idle device")
+	if d2 == held {
+		t.Fatal("pool handed one device out twice")
 	}
-	if d2.Sim().Cycle() != 0 {
-		t.Error("pooled device not reset on Get")
-	}
-
-	d3, err := pool.Get(cfgB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d3 == d2 {
-		t.Error("pool mixed configurations")
-	}
-	if d3.Config() != cfgB {
-		t.Errorf("wrong config: %s", d3.Config().Name())
+	if st := pool.Stats(); st.Hits != 3 || st.Misses != 2 {
+		t.Errorf("pool stats = %+v, want 3 hits / 2 misses", st)
 	}
 
-	st := pool.Stats()
-	if st.Hits != 1 || st.Misses != 2 {
-		t.Errorf("pool stats = %+v, want 1 hit / 2 misses", st)
-	}
-
-	// The global idle bound drops surplus devices instead of growing
-	// forever — including devices of configurations the caller has moved
-	// past (a sweep walks its grid configuration-major).
-	var held []*Device
-	for i := 0; i < 5; i++ {
-		d, err := pool.Get(cfgA)
+	// The idle bound drops surplus devices instead of growing forever.
+	pool.Put(held)
+	pool.Put(d2)
+	for i := 0; i < 3; i++ {
+		extra, err := NewDevice(cfgA)
 		if err != nil {
 			t.Fatal(err)
 		}
-		held = append(held, d)
+		pool.Put(extra)
 	}
-	for _, d := range held {
-		pool.Put(d)
+	if n := pool.IdleLen(); n != 2 {
+		t.Errorf("idle bound not enforced: %d devices retained, want 2", n)
 	}
-	pool.Put(d3) // a second config competes for the same global bound
-	if n := pool.IdleLen(); n > 2 {
-		t.Errorf("global idle bound not enforced: %d devices retained", n)
+
+	// Invalid configurations are refused whether validation fails in the
+	// simulator (65 threads) or only in the memory system (a 3-way 16 KiB L1
+	// has a non-power-of-two set count), with idle devices and without, and
+	// the pool keeps serving byte-identical devices afterwards.
+	badSim := sim.DefaultConfig(1, 2, 65)
+	badMem := sim.DefaultConfig(1, 2, 2)
+	badMem.Mem.L1.Ways = 3
+	for _, p := range []*DevicePool{pool, NewDevicePool(1)} {
+		for _, bad := range []sim.Config{badSim, badMem} {
+			if d, err := p.Get(bad); err == nil || d != nil {
+				t.Errorf("Get(%s, L1 ways %d) = %v, %v; want an error", bad.Name(), bad.Mem.L1.Ways, d, err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			d, err := p.Get(cfgB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireFreshEqual(t, "after refused configs", d, 96, 0)
+			p.Put(d)
+		}
 	}
-	// Most-recently-Put wins: the cfgB device is resident, older cfgA
-	// surplus was evicted.
-	d4, err := pool.Get(cfgB)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestDevicePoolConcurrentReshape has two workers Get, run and Put over
+// alternating configurations against one pool (run it under -race): every
+// run must equal the same run on a fresh device, whichever arena served it.
+func TestDevicePoolConcurrentReshape(t *testing.T) {
+	cfgs := []sim.Config{
+		sim.DefaultConfig(1, 2, 2),
+		axisConfig(8, 8, 16, sim.SchedTwoLevel, "32k8w", 4, mem.PrefetchNextLine),
+		sim.DefaultConfig(4, 4, 4),
 	}
-	if d4 != d3 {
-		t.Error("most recently Put device was not retained")
+	type outcome struct {
+		res *LaunchResult
+		out []float32
+	}
+	want := make([]outcome, len(cfgs))
+	for i, cfg := range cfgs {
+		d, err := NewDevice(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i].res, want[i].out = launchOnce(t, d, 200, 0)
+	}
+
+	pool := NewDevicePool(2)
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				ci := (i + w) % len(cfgs)
+				d, err := pool.Get(cfgs[ci])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				res, out, err := launchVecadd(d, 200, 0)
+				pool.Put(d)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(outcome{res, out}, want[ci]) {
+					t.Errorf("worker %d run %d on %s departs from a fresh device", w, i, cfgs[ci].Name())
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if st := pool.Stats(); st.Misses > 2 {
+		t.Errorf("two workers built %d devices, want at most 2", st.Misses)
 	}
 }

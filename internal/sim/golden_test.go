@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"hash"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -52,19 +53,55 @@ func hashCacheStats(h hash.Hash, s mem.CacheStats) {
 	hashWords(h, s.Accesses, s.Hits, s.Misses, s.Writebacks, s.PrefetchIssued, s.PrefetchHits)
 }
 
-// goldenDigest runs one verified kernel and hashes its observables.
-func goldenDigest(t *testing.T, kernel string, hw core.HWInfo, sched sim.SchedPolicy) string {
+// goldenCell is one digest of the golden file: a registry kernel on one
+// device configuration under one scheduling policy.
+type goldenCell struct {
+	key    string
+	kernel string
+	cfg    sim.Config
+}
+
+func goldenCells(t *testing.T) []goldenCell {
+	t.Helper()
+	var cells []goldenCell
+	for _, kernel := range kernels.Names() {
+		for _, name := range goldenConfigs {
+			hw, err := core.ParseName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sched := range sim.SchedPolicies() {
+				cfg := sim.DefaultConfig(hw.Cores, hw.Warps, hw.Threads)
+				cfg.Sched = sched
+				cells = append(cells, goldenCell{fmt.Sprintf("%s/%s/%s", kernel, name, sched), kernel, cfg})
+			}
+		}
+	}
+	return cells
+}
+
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// goldenDigest runs one verified kernel on d, a device in its NewDevice
+// state, and hashes the run's observables.
+func goldenDigest(t *testing.T, d *ocl.Device, kernel string) string {
 	t.Helper()
 	spec, err := kernels.ByName(kernel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := sim.DefaultConfig(hw.Cores, hw.Warps, hw.Threads)
-	cfg.Sched = sched
-	d, err := ocl.NewDevice(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := d.Config()
 	h := sha256.New()
 	d.SetObserver(func(ev sim.IssueEvent) {
 		in := ev.Inst
@@ -99,16 +136,12 @@ func goldenDigest(t *testing.T, kernel string, hw core.HWInfo, sched sim.SchedPo
 
 func TestGoldenDigests(t *testing.T) {
 	got := map[string]string{}
-	for _, kernel := range kernels.Names() {
-		for _, name := range goldenConfigs {
-			hw, err := core.ParseName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, sched := range sim.SchedPolicies() {
-				got[fmt.Sprintf("%s/%s/%s", kernel, name, sched)] = goldenDigest(t, kernel, hw, sched)
-			}
+	for _, cell := range goldenCells(t) {
+		d, err := ocl.NewDevice(cell.cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		got[cell.key] = goldenDigest(t, d, cell.kernel)
 	}
 	if *updateGolden {
 		// Map keys marshal sorted, so the file is stable across runs.
@@ -124,14 +157,7 @@ func TestGoldenDigests(t *testing.T) {
 		}
 		return
 	}
-	raw, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want map[string]string
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := readGolden(t)
 	if len(want) != len(got) {
 		t.Errorf("%s holds %d digests, the engine produced %d", goldenPath, len(want), len(got))
 	}
@@ -139,5 +165,47 @@ func TestGoldenDigests(t *testing.T) {
 		if want[key] != digest {
 			t.Errorf("%s: digest %s, golden %s", key, digest, want[key])
 		}
+	}
+}
+
+// TestGoldenDigestsReshaped drives every golden cell through one pooled
+// device, reshaped from cell to cell in a fixed shuffled order — kernels,
+// the two golden geometries and the four policies interleaved — with a
+// spacer task on a much bigger or much smaller device, under other
+// memory-axis settings, squeezed in before every other cell, so the arena
+// goes big -> small -> big in cores, warps and threads. Every cell must
+// reproduce its checked-in digest: a reshaped device is byte-identical to
+// a fresh one down to the observer stream. There is no -update here.
+func TestGoldenDigestsReshaped(t *testing.T) {
+	want := readGolden(t)
+	cells := goldenCells(t)
+	rand.New(rand.NewSource(19)).Shuffle(len(cells), func(i, j int) { cells[i], cells[j] = cells[j], cells[i] })
+
+	big := sim.DefaultConfig(32, 32, 32)
+	big.Sched = sim.SchedGTO
+	big.Mem.L1.SizeBytes, big.Mem.L1.Ways = 32<<10, 8
+	big.Mem.L1.MSHRs, big.Mem.L2.MSHRs = 4, 4
+	big.Mem.Prefetch = mem.PrefetchNextLine
+	spacers := []sim.Config{big, sim.DefaultConfig(1, 2, 2)}
+
+	pool := ocl.NewDevicePool(1)
+	run := func(cfg sim.Config, kernel string) string {
+		d, err := pool.Get(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pool.Put(d)
+		return goldenDigest(t, d, kernel)
+	}
+	for i, cell := range cells {
+		if i%2 == 0 {
+			run(spacers[i/2%2], "saxpy")
+		}
+		if got := run(cell.cfg, cell.kernel); got != want[cell.key] {
+			t.Errorf("%s (cell %d of the reshape order): digest %s, golden %s", cell.key, i, got, want[cell.key])
+		}
+	}
+	if st := pool.Stats(); st.Misses != 1 {
+		t.Errorf("the reshape order built %d devices, want 1", st.Misses)
 	}
 }

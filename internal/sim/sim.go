@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -155,7 +156,7 @@ type simCore struct {
 
 	lsuFree uint64
 	// mshr holds the completion cycles of the core's outstanding L1 misses
-	// when Config.Mem.L1.MSHRs bounds them (nil when unbounded, the
+	// when Config.Mem.L1.MSHRs bounds them (unused when unbounded, the
 	// oracle). An entry is live while its cycle lies in the future; retired
 	// entries are purged lazily by mshrFreeAt during issue.
 	mshr     []uint64
@@ -211,43 +212,64 @@ type Sim struct {
 
 // New builds a device simulator over the given memory system.
 func New(cfg Config, memory *mem.Memory, hier *mem.Hierarchy) (*Sim, error) {
-	if err := cfg.Validate(); err != nil {
+	s := new(Sim)
+	if err := s.Reshape(cfg, memory, hier); err != nil {
 		return nil, err
 	}
-	if memory == nil || hier == nil {
-		return nil, fmt.Errorf("sim: nil memory system")
-	}
-	s := &Sim{
-		cfg:      cfg,
-		memory:   memory,
-		hier:     hier,
-		cores:    make([]simCore, cfg.Cores),
-		sched:    newScheduler(cfg.Sched),
-		fullMask: fullMask(cfg.Threads),
-		maxFU:    uint64(cfg.Lat.max()),
-		batch:    cfg.BatchExec && !cfg.ScanSched,
-		batchMem: cfg.BatchMem && cfg.BatchExec && !cfg.ScanSched,
-		mshrs:    cfg.Mem.L1.MSHRs,
-	}
-	for i := range s.cores {
-		s.cores[i].id = i
-		s.cores[i].warps = make([]warp, cfg.Warps)
-		s.cores[i].lineBuf = make([]uint32, 0, 64)
-		if s.mshrs > 0 {
-			// One memory instruction can allocate up to 64 entries past a
-			// single free MSHR (the gate requires one free slot, not one per
-			// line), so size the buffer for the worst burst to keep the
-			// issue path allocation-free.
-			s.cores[i].mshr = make([]uint64, 0, s.mshrs+64)
-		}
-		// A cohort spans at most the core's warps, so the preallocation
-		// keeps cohort detection allocation-free.
-		s.cores[i].cohort = make([]*warp, 0, cfg.Warps)
-		// Each warp holds at most one heap entry, so the preallocation
-		// keeps the issue path allocation-free.
-		s.cores[i].wakeHeap = make([]wakeEntry, 0, cfg.Warps)
-	}
 	return s, nil
+}
+
+// resized returns s with length n, keeping the backing array — and whatever
+// its slots hold, those beyond len included — when the capacity suffices.
+func resized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// Reshape puts the simulator into the freshly constructed state of cfg over
+// the given memory system, keeping every backing array that is large
+// enough: the core and per-core warp arrays (with the warps' register
+// files and divergence stacks), the scheduler, MSHR and coalescing scratch,
+// the event queue. It is the one construction path — New is the zero value
+// plus Reshape — so a Sim reshaped from any earlier shape, a trapped one
+// included, behaves byte-identically to a new one. Like Reset it keeps an
+// installed observer. On error the simulator is unchanged.
+func (s *Sim) Reshape(cfg Config, memory *mem.Memory, hier *mem.Hierarchy) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if memory == nil || hier == nil {
+		return fmt.Errorf("sim: nil memory system")
+	}
+	s.cfg, s.memory, s.hier = cfg, memory, hier
+	s.sched = newScheduler(cfg.Sched)
+	s.fullMask = fullMask(cfg.Threads)
+	s.maxFU = uint64(cfg.Lat.max())
+	s.batch = cfg.BatchExec && !cfg.ScanSched
+	s.batchMem = cfg.BatchMem && s.batch
+	s.mshrs = cfg.Mem.L1.MSHRs
+	// Cores and warps a shrink left beyond len keep their arrays for the
+	// next growth; Reset below visits exactly the new shape, so whatever a
+	// re-exposed slot last held (active warps of a trapped run included)
+	// is rewound before anything reads it. Register files are sized to
+	// cfg.Threads when a warp is activated (resetWarp).
+	s.cores = resized(s.cores, cfg.Cores)
+	for i := range s.cores {
+		c := &s.cores[i]
+		c.id = i
+		c.warps = resized(c.warps, cfg.Warps)
+		// The capacities below are the preconditions that keep the issue
+		// path allocation-free: a coalesced access has at most 64 lines; a
+		// cohort spans at most the core's warps; each warp holds at most
+		// one wake-heap entry; and one memory instruction can allocate up
+		// to 64 MSHR entries past a single free one (the gate requires one
+		// free slot, not one per line).
+		c.lineBuf = resized(c.lineBuf, 64)[:0]
+		c.cohort = resized(c.cohort, cfg.Warps)[:0]
+		c.wakeHeap = resized(c.wakeHeap, cfg.Warps)[:0]
+		if s.mshrs > 0 {
+			c.mshr = resized(c.mshr, s.mshrs+64)[:0]
+		}
+	}
+	s.Reset()
+	return nil
 }
 
 func fullMask(threads int) uint64 {
@@ -335,7 +357,7 @@ func (s *Sim) LoadProgram(base uint32, insts []isa.Inst) error {
 	}
 	s.progBase = base
 	s.prog = insts
-	s.meta = make([]instMeta, len(insts))
+	s.meta = resized(s.meta, len(insts))
 	for i, in := range insts {
 		s.meta[i] = metaOf(in)
 	}
@@ -351,7 +373,7 @@ func (s *Sim) LoadProgram(base uint32, insts []isa.Inst) error {
 // device).
 func (s *Sim) Reset() {
 	s.cycle = 0
-	s.progBase, s.prog, s.meta = 0, nil, nil
+	s.progBase, s.prog, s.meta = 0, nil, s.meta[:0]
 	s.NoCoalesce = false
 	for i := range s.cores {
 		c := &s.cores[i]
@@ -402,14 +424,12 @@ func (s *Sim) ActivateWarp(core, wid int, pc uint32, tmask uint64) error {
 }
 
 func (s *Sim) resetWarp(w *warp, pc uint32, tmask uint64) {
+	// The register files follow cfg.Threads: a warp reshaped from a wider
+	// device re-slices its arrays, a narrower (or new) one allocates.
 	n := s.cfg.Threads * 32
-	if w.regs == nil {
-		w.regs = make([]uint32, n)
-		w.fregs = make([]uint32, n)
-	} else {
-		clear(w.regs)
-		clear(w.fregs)
-	}
+	w.regs, w.fregs = resized(w.regs, n), resized(w.fregs, n)
+	clear(w.regs)
+	clear(w.fregs)
 	w.pendI = [32]uint64{}
 	w.pendF = [32]uint64{}
 	w.ipdom = w.ipdom[:0]

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/kernels"
@@ -419,17 +420,14 @@ func Run(opts Options) (*Results, error) {
 	}
 	// tasks is this process's slice of the canonical grid: every ShardCount-th
 	// task starting at ShardIndex. Records (and the checkpoint) cover only
-	// this shard, in shard-local canonical order (slot), while Task.Index
-	// keeps the full-grid position; Merge reassembles shards into full-grid
-	// order. The scheduler axis nests innermost, after the mapper.
-	type shardTask struct {
-		slot int
-		Task
-	}
-	var tasks []shardTask
+	// this shard, in shard-local canonical order (the index into tasks),
+	// while Task.Index keeps the full-grid position; Merge reassembles
+	// shards into full-grid order. The scheduler axis nests innermost,
+	// after the mapper.
+	var tasks []Task
 	for _, t := range enumerateTasks(opts) {
 		if t.Index%opts.ShardCount == opts.ShardIndex {
-			tasks = append(tasks, shardTask{slot: len(tasks), Task: t})
+			tasks = append(tasks, t)
 		}
 	}
 	records := make([]Record, len(tasks))
@@ -467,8 +465,11 @@ func Run(opts Options) (*Results, error) {
 	progBase := ocl.ProgramCacheStats()
 	inputBase := kernels.InputCacheStats()
 
+	// Workers claim tasks by advancing a shared cursor over the task slice:
+	// at ~100 µs a task, a channel hand-off's park/wake per task is a
+	// measurable share of the run.
 	var wg sync.WaitGroup
-	ch := make(chan shardTask)
+	var cursor atomic.Int64
 	var mu sync.Mutex
 	var sinkErr error
 	done := resumed
@@ -479,9 +480,16 @@ func Run(opts Options) (*Results, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for tk := range ch {
-				rec := runOne(opts, pool, tk.Task)
-				records[tk.slot] = rec
+			for {
+				slot := int(cursor.Add(1)) - 1
+				if slot >= len(tasks) {
+					return
+				}
+				if skip[slot] {
+					continue
+				}
+				rec := runOne(opts, pool, tasks[slot])
+				records[slot] = rec
 				mu.Lock()
 				if ckpt != nil && rec.Err == "" {
 					if err := ckpt.Append(rec); err != nil && sinkErr == nil {
@@ -499,12 +507,6 @@ func Run(opts Options) (*Results, error) {
 			}
 		}()
 	}
-	for i, tk := range tasks {
-		if !skip[i] {
-			ch <- tk
-		}
-	}
-	close(ch)
 	wg.Wait()
 	if ckpt != nil {
 		if err := ckpt.Close(); err != nil && sinkErr == nil {

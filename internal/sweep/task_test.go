@@ -3,9 +3,11 @@ package sweep
 import (
 	"encoding/json"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/ocl"
 	"repro/internal/sim"
 )
@@ -89,5 +91,61 @@ func TestTaskGridMatchesRunOrder(t *testing.T) {
 	got, _ := json.Marshal(rec)
 	if string(want) != string(got) {
 		t.Errorf("RunTask record = %s, want %s", got, want)
+	}
+}
+
+// TestRunTaskSteadyStateAllocs is the small-task allocation gate: once a
+// pool's one device has been through the widest grid point, running tiny
+// tasks over alternating corner configurations must cost a few dozen KiB
+// each — the device is reshaped, its memory image, cache arrays and
+// register files are not rebuilt. Counts come from runtime.MemStats, so
+// the gate is deterministic on any host (a rebuilt-per-task device costs
+// ~2.3 MB and ~265 allocations here; a reshaped one ~20 KB and ~100).
+func TestRunTaskSteadyStateAllocs(t *testing.T) {
+	opts := Options{
+		Configs: []core.HWInfo{{Cores: 1, Warps: 2, Threads: 2}, {Cores: 64, Warps: 32, Threads: 32}},
+		Kernels: []string{"vecadd", "relu", "saxpy"},
+		Scale:   0.02,
+		Seed:    42,
+	}
+	grid, err := TaskGrid(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Alternate the two configurations from task to task.
+	half := len(grid) / 2
+	var tasks []Task
+	for i := 0; i < half; i++ {
+		tasks = append(tasks, grid[i], grid[half+i])
+	}
+	pool := ocl.NewDevicePool(1)
+	pass := func() {
+		for _, task := range tasks {
+			if rec := RunTask(opts, pool, task); rec.Err != "" {
+				t.Fatalf("%s: %s", task.Key(), rec.Err)
+			}
+		}
+	}
+	pass() // warm-up: device, program cache, input memo
+
+	const passes = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < passes; i++ {
+		pass()
+	}
+	runtime.ReadMemStats(&after)
+	n := uint64(passes * len(tasks))
+	bytesPerTask := (after.TotalAlloc - before.TotalAlloc) / n
+	allocsPerTask := (after.Mallocs - before.Mallocs) / n
+	t.Logf("%d B and %d allocations per task over %d tasks", bytesPerTask, allocsPerTask, n)
+	if bytesPerTask > 64<<10 {
+		t.Errorf("%d B allocated per task, want at most %d", bytesPerTask, 64<<10)
+	}
+	if allocsPerTask > 150 {
+		t.Errorf("%d allocations per task, want at most 150", allocsPerTask)
+	}
+	if st := pool.Stats(); st.Misses != 1 {
+		t.Errorf("pool built %d devices, want 1", st.Misses)
 	}
 }
