@@ -376,179 +376,6 @@ func BenchmarkHighWarpIssue(b *testing.B) {
 	b.ReportMetric(float64(s.Cycle()-warmCycles)/float64(b.N), "device_cycles")
 }
 
-// BenchmarkUniformWarpBatch measures uniform-warp batched execution in its
-// target regime: 32 warps per core marching in perfect lockstep through a
-// compute-only loop (no memory stalls to stagger them), so nearly every
-// batchable issue leads or rides a full-width cohort and the per-warp
-// dispatch switches collapse into one fused warps x lanes kernel per
-// cohort. It reports device_cycles, which the deterministic CI gate holds
-// at zero drift.
-func BenchmarkUniformWarpBatch(b *testing.B) {
-	cfg := sim.DefaultConfig(1, 32, 8)
-	// Lane values differ (tid-seeded) but control flow is warp-uniform and
-	// the loop never touches memory, so the 32 warps stay at the same pc
-	// for the whole run. In-warp dependencies are ~32 issue slots stale by
-	// the time the warp's turn comes round again, so no scoreboard stall
-	// ever breaks a cohort. The body is the lockstep index/address
-	// arithmetic that dominates the paper kernels' uniform phases — the op
-	// mix where the per-warp path's cost is almost entirely dispatch
-	// (execute's prologue plus a per-lane intALU/intALUImm call per op)
-	// and the fused cohort kernels collapse it to one dedicated loop per
-	// cohort. A token FP pair keeps the float pipelines in the cohort path;
-	// the warp-uniform bnez is the only per-warp fallback.
-	prog := `
-		csrr t0, wid
-		slli t0, t0, 4
-		csrr t1, tid
-		add  t0, t0, t1
-		fcvt.s.w f0, t0
-		li   t1, 256
-		li   t2, 0
-		li   t3, 3
-	loop:
-		add  t2, t2, t0
-		xor  t4, t2, t3
-		slli t5, t4, 2
-		mul  t6, t2, t3
-		and  a0, t4, t2
-		or   a1, a0, t5
-		sub  a2, a1, t2
-		addi a3, a2, 17
-		srli a4, a2, 3
-		ori  a5, a4, 9
-		andi a6, a5, 255
-		sltu a7, a6, t2
-		fadd.s f1, f0, f0
-		fmul.s f2, f1, f0
-		addi t1, t1, -1
-		bnez t1, loop
-		ecall
-	`
-	p := asm.MustAssemble(prog, 0x1000, nil)
-	memory := mem.NewMemory(1 << 20)
-	hier, err := mem.NewHierarchy(cfg.Cores, cfg.Mem)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := sim.New(cfg, memory, hier)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := s.LoadProgram(p.Base, p.Insts); err != nil {
-		b.Fatal(err)
-	}
-	runOnce := func() {
-		for w := 0; w < cfg.Warps; w++ {
-			if err := s.ActivateWarp(0, w, 0x1000, 0xFF); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := s.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	runOnce() // warm up: first activation allocates the register files
-	warmCycles := s.Cycle()
-	warmIssued := s.TotalStats().Issued
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runOnce()
-	}
-	b.StopTimer()
-	issued := s.TotalStats().Issued - warmIssued
-	b.ReportMetric(float64(issued)/b.Elapsed().Seconds(), "sim_instrs/s")
-	b.ReportMetric(float64(s.Cycle()-warmCycles)/float64(b.N), "device_cycles")
-}
-
-// BenchmarkMemCohortBatch measures cohort-batched memory execution in its
-// target regime: 16 wide warps (32 lanes) per core in perfect lockstep
-// through a loop of full-mask unit-stride loads and stores at static
-// offsets from per-warp bases — the affine base + tid*4 shape every registry kernel emits. The
-// per-warp deltas are congruent, so nearly every memory issue leads or
-// rides a cohort: mates skip re-decode, per-lane validation and
-// re-coalescing (the leader's line list shifts by the line-aligned delta)
-// and the full-mask unit-stride accesses take the contiguous bulk-copy
-// fast path — one bounds check plus one tight copy between flat memory and
-// the lane-major register file. Timing is untouched: every mate's L1 walk,
-// MSHR and LSU occupancy replay at its true issue cycle. The working set
-// fits L1, so after the first pass the loop measures the execution path,
-// not DRAM. It reports device_cycles, which the deterministic CI gate holds
-// at zero drift.
-func BenchmarkMemCohortBatch(b *testing.B) {
-	cfg := sim.DefaultConfig(1, 16, 32)
-	// Every warp owns a 512-byte source region and a disjoint destination
-	// region at 0x8000 + wid*512 (+ 0x4000); the 32 lanes walk base +
-	// tid*4, so both fields of each lw/sw pair are full-mask unit-stride
-	// and the per-warp deltas are multiples of the 64-byte line. The
-	// offsets are static (no pointer advance), so the warps never leave
-	// lockstep, every access after the first pass hits L1, and no
-	// scoreboard stall breaks a cohort (each load's consumer issues ~16
-	// slots later). 8 of the 10 loop ops are memory — the regime
-	// where the per-warp path's cost is dominated by executeMem's 32-lane
-	// validate/access loops and coalescing, which the replay collapses to
-	// one bounds check + one 32-word copy + a 2-entry line-list shift.
-	prog := `
-		csrr t0, wid
-		slli t0, t0, 9
-		csrr t1, tid
-		slli t1, t1, 2
-		add  t0, t0, t1
-		li   t1, 0x8000
-		add  t0, t0, t1
-		li   s0, 0x4000
-		add  s0, s0, t0
-		li   t1, 192
-	loop:
-		lw   t2, 0(t0)
-		sw   t2, 0(s0)
-		lw   t3, 128(t0)
-		sw   t3, 128(s0)
-		lw   t4, 256(t0)
-		sw   t4, 256(s0)
-		lw   t5, 384(t0)
-		sw   t5, 384(s0)
-		addi t1, t1, -1
-		bnez t1, loop
-		ecall
-	`
-	p := asm.MustAssemble(prog, 0x1000, nil)
-	memory := mem.NewMemory(1 << 20)
-	hier, err := mem.NewHierarchy(cfg.Cores, cfg.Mem)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := sim.New(cfg, memory, hier)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := s.LoadProgram(p.Base, p.Insts); err != nil {
-		b.Fatal(err)
-	}
-	runOnce := func() {
-		for w := 0; w < cfg.Warps; w++ {
-			if err := s.ActivateWarp(0, w, 0x1000, 0xFFFFFFFF); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := s.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	runOnce() // warm up: first activation allocates the register files
-	warmCycles := s.Cycle()
-	warmIssued := s.TotalStats().Issued
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runOnce()
-	}
-	b.StopTimer()
-	issued := s.TotalStats().Issued - warmIssued
-	b.ReportMetric(float64(issued)/b.Elapsed().Seconds(), "sim_instrs/s")
-	b.ReportMetric(float64(s.Cycle()-warmCycles)/float64(b.N), "device_cycles")
-}
-
 // BenchmarkManyCoreIdle pins the payoff of the event-driven device engine:
 // a 16c8w8t device in the DRAM-bound many-core-idle regime (GCNAggr/KNN
 // shaped: short bursts of address arithmetic between long irregular-access

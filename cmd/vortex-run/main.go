@@ -8,7 +8,7 @@
 //	vortex-run [-config 4c8w16t] [-kernel sgemm] [-lws 0] [-scale 1.0]
 //	           [-mapper ours|lws=1|lws=32] [-sched rr|gto|oldest|2lev]
 //	           [-mshrs 0] [-l1 16k4w] [-prefetch off|nextline]
-//	           [-seed 42] [-compare] [-cache-stats]
+//	           [-seed 42] [-compare] [-cache-stats] [-cpuprofile cpu.prof]
 package main
 
 import (
@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 
 	"repro/internal/core"
 	"repro/internal/kernels"
@@ -46,6 +47,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	l1geom := fs.String("l1", mem.DefaultL1Geometry(), "L1 geometry (<size-KiB>k<ways>w, e.g. 16k4w)")
 	prefetch := fs.String("prefetch", "off", "L1 prefetch policy: off or nextline")
 	cacheStats := fs.Bool("cache-stats", false, "print the campaign-engine cache counters (program cache, input memo) after the run")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof format)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -55,6 +57,17 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "vortex-run:", err)
 		return 1
+	}
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			return fail(err)
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return fail(err)
+		}
+		defer pprof.StopCPUProfile()
 	}
 
 	schedPol, err := sim.ParseSchedPolicy(*sched)

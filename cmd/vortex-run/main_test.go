@@ -45,3 +45,23 @@ func TestRemovedFlagsRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestCPUProfileFlag checks that -cpuprofile writes a non-empty profile
+// and leaves the report unchanged.
+func TestCPUProfileFlag(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.prof")
+	var out, errb bytes.Buffer
+	if code := cli([]string{"-config", "2c2w4t", "-kernel", "vecadd", "-scale", "0.05", "-cpuprofile", path}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d: %s", code, errb.String())
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+		t.Fatalf("profile %s not written (%v)", path, err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "vecadd_2c2w4t.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Error("report differs from the golden report when profiling")
+	}
+}

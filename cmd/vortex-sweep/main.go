@@ -14,6 +14,7 @@
 //	             [-prefetch off,nextline] [-seed 42] [-violins] [-verify]
 //	             [-csv out.csv] [-progress] [-workers 0]
 //	             [-checkpoint campaign.jsonl] [-resume] [-shard i/N]
+//	             [-cpuprofile cpu.prof]
 //	vortex-sweep merge [-out merged.jsonl] [-csv out.csv] [-violins]
 //	             [-crossover lws=32] shard0.jsonl shard1.jsonl ...
 //	vortex-sweep serve -addr :8712 -checkpoint c.jsonl [-resume]
@@ -53,6 +54,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"syscall"
@@ -245,7 +247,20 @@ func runCampaign(args []string) {
 	resume := fs.Bool("resume", false, "skip runs already recorded in -checkpoint (requires -checkpoint)")
 	replot := fs.String("replot", "", "re-render tables/violins from a previously written CSV instead of simulating")
 	shard := fs.String("shard", "", "run only shard i/N of the campaign grid (e.g. 0/3); recombine with the merge subcommand")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of a completed campaign to this file (go tool pprof format)")
 	fs.Parse(args)
+
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fatal(err)
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatal(err)
+		}
+		defer pprof.StopCPUProfile()
+	}
 
 	if *replot != "" {
 		// -replot re-renders an existing CSV and never simulates; flags

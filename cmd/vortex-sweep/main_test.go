@@ -466,3 +466,18 @@ func TestMergeCLIRefusesBadShardSet(t *testing.T) {
 		t.Errorf("merge error not diagnosable:\n%s", out)
 	}
 }
+
+// TestCPUProfileFlag checks that -cpuprofile writes a non-empty profile of
+// a completed campaign.
+func TestCPUProfileFlag(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses and builds the binary")
+	}
+	dir := t.TempDir()
+	bin := buildSweep(t, dir)
+	path := filepath.Join(dir, "cpu.prof")
+	runSweep(t, bin, append([]string{"-cpuprofile", path}, campaignArgs...)...)
+	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+		t.Fatalf("profile %s not written (%v)", path, err)
+	}
+}

@@ -455,18 +455,6 @@ func (h *Hierarchy) Reset() {
 	}
 }
 
-// Coalesce merges the active lanes' byte addresses into unique line
-// requests, preserving first-touch order. mask selects active lanes; out is
-// an optional reusable buffer (no allocation when its capacity suffices).
-//
-// Dedup runs in O(lanes) for the shapes kernels actually produce: a 64-line
-// window anchored near the first active lane's line is tracked in a bitmap,
-// which covers any unit-stride or moderately strided warp access (<=64
-// lanes touching lines within +/-32 of the anchor). Lines falling outside
-// the window — pathologically scattered warps — fall back to a linear scan
-// of the emitted lines, which is the old O(n^2) behaviour at worst. A line
-// is in or out of the window independently of visit order, so the emitted
-// sequence is identical to the naive scan's.
 // CoalesceTemplate derives the line list of an address vector that equals a
 // previously coalesced vector shifted by one constant delta, without
 // re-running Coalesce: leader is the leader's line list (Coalesce output)
@@ -493,39 +481,123 @@ func CoalesceTemplate(leader []uint32, delta uint32, lineShift uint, out []uint3
 	return out, true
 }
 
+// Coalesce merges the active lanes' byte addresses into unique line
+// requests, preserving first-touch order. mask selects active lanes (bits at
+// or beyond len(addrs) are ignored); out is an optional reusable buffer (no
+// allocation when its capacity suffices).
+//
+// Three shapes are handled, each emitting exactly what a naive first-touch
+// scan would:
+//   - a full mask over a unit-stride word vector (lane i at addrs[0]+4i,
+//     no wrap) touches every line from the first lane's to the last's in
+//     ascending order, so the lines are emitted directly (CoalesceUnit);
+//   - otherwise only the active lanes are visited, and dedup runs in
+//     O(lanes) for the shapes kernels produce: a 64-line window anchored
+//     near the first active lane's line is tracked in a bitmap, which covers
+//     any unit-stride or moderately strided warp access (<=64 lanes touching
+//     lines within +/-32 of the anchor);
+//   - lines falling outside the window — pathologically scattered warps —
+//     fall back to a linear scan of the emitted lines, the naive O(n^2)
+//     behaviour at worst. A line is in or out of the window independently
+//     of visit order, so the emitted sequence is the naive scan's.
 func Coalesce(addrs []uint32, mask uint64, lineShift uint, out []uint32) []uint32 {
+	n := len(addrs)
+	if n < 64 {
+		mask &= 1<<uint(n) - 1
+	}
+	if n > 0 && mask == ^uint64(0)>>uint(64-n) {
+		if a0 := addrs[0]; addrs[n-1]-a0 == uint32(n-1)*4 && a0 <= addrs[n-1] && unitStride(addrs) {
+			return CoalesceUnit(a0, n, lineShift, out)
+		}
+	}
 	out = out[:0]
-	var base uint32 // window anchor (line index); valid once haveBase
-	var seenWin uint64
-	haveBase := false
+	if mask == 0 {
+		return out
+	}
+	w := window{base: addrs[bits.TrailingZeros64(mask)]>>lineShift - 32}
+	if bits.OnesCount64(mask) <= sparseLanes {
+		for m := mask; m != 0; m &= m - 1 {
+			out = w.add(out, addrs[bits.TrailingZeros64(m)]>>lineShift, lineShift)
+		}
+		return out
+	}
 	for i, a := range addrs {
-		if mask&(1<<uint(i)) == 0 {
-			continue
+		if mask&(1<<uint(i)) != 0 {
+			out = w.add(out, a>>lineShift, lineShift)
 		}
-		idx := a >> lineShift
-		if !haveBase {
-			base, haveBase = idx-32, true
+	}
+	return out
+}
+
+// sparseLanes is the active-lane count up to which Coalesce visits only
+// the set mask bits; denser masks walk every slot, which keeps the
+// per-lane loop tight on full-width scatters.
+const sparseLanes = 8
+
+// window is Coalesce's dedup state: a bitmap of the 64 lines from base
+// (a line index) up, plus a linear scan of the emitted lines for lines
+// outside it.
+type window struct {
+	base uint32
+	seen uint64
+}
+
+// add appends line index idx to out unless it was already emitted.
+func (w *window) add(out []uint32, idx uint32, lineShift uint) []uint32 {
+	line := idx << lineShift
+	if d := idx - w.base; d < 64 { // unsigned: lines below the window wrap past 64
+		bit := uint64(1) << d
+		if w.seen&bit != 0 {
+			return out
 		}
-		if d := idx - base; d < 64 { // unsigned: lines below the window wrap past 64
-			bit := uint64(1) << d
-			if seenWin&bit != 0 {
-				continue
-			}
-			seenWin |= bit
-		} else {
-			line := idx << lineShift
-			seen := false
-			for _, o := range out {
-				if o == line {
-					seen = true
-					break
-				}
-			}
-			if seen {
-				continue
+		w.seen |= bit
+	} else {
+		for _, o := range out {
+			if o == line {
+				return out
 			}
 		}
-		out = append(out, idx<<lineShift)
+	}
+	return append(out, line)
+}
+
+// unitStride reports whether every addrs[i] is addrs[0]+4i (mod 2^32).
+func unitStride(addrs []uint32) bool {
+	a := addrs[0]
+	for _, x := range addrs[1:] {
+		a += 4
+		if x != a {
+			return false
+		}
+	}
+	return true
+}
+
+// CoalesceUnit returns the line requests of n lanes reading consecutive
+// words first, first+4, ..., first+4(n-1) — the Coalesce of a full-mask
+// unit-stride vector — written into out. The span must not wrap the 32-bit
+// address space. Lines of at least a word are touched contiguously, so they
+// are emitted as the range from the first lane's line to the last's without
+// visiting the lanes; narrower lines (which lanes can skip over) take the
+// per-lane walk.
+func CoalesceUnit(first uint32, n int, lineShift uint, out []uint32) []uint32 {
+	out = out[:0]
+	if n <= 0 {
+		return out
+	}
+	last := first + uint32(n-1)*4
+	if lineShift < 2 {
+		for a := first; ; a += 4 {
+			if l := a >> lineShift << lineShift; len(out) == 0 || out[len(out)-1] != l {
+				out = append(out, l)
+			}
+			if a == last {
+				return out
+			}
+		}
+	}
+	for l := first >> lineShift; l <= last>>lineShift; l++ {
+		out = append(out, l<<lineShift)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -296,29 +297,89 @@ func TestCoalesceMergesWithinLine(t *testing.T) {
 	}
 }
 
+// naiveCoalesce is the first-touch reference Coalesce must reproduce: an
+// O(n^2) scan of the active lanes, each line emitted the first time a lane
+// touches it.
+func naiveCoalesce(addrs []uint32, mask uint64, lineShift uint) []uint32 {
+	out := []uint32{}
+	for i, a := range addrs {
+		if i >= 64 || mask&(1<<uint(i)) == 0 {
+			continue
+		}
+		if line := a >> lineShift << lineShift; !slices.Contains(out, line) {
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
+// TestCoalesceProperty holds Coalesce to the naive first-touch reference
+// over random vectors and masks: unit-stride (the full-mask short-circuit),
+// strided, line-straddling, scattered and duplicated addresses; sparse
+// (1-4 lane), full and random masks, with set bits beyond len(addrs); line
+// shifts 5-7 plus the word- and sub-word-line extremes.
 func TestCoalesceProperty(t *testing.T) {
-	// Property: every active address's line appears exactly once, in
-	// first-touch order.
-	f := func(raw []uint32, mask uint64) bool {
-		if len(raw) > 64 {
-			raw = raw[:64]
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(64)
+		lineShift := uint(5 + rng.Intn(3))
+		if rng.Intn(8) == 0 {
+			lineShift = uint(rng.Intn(3)) // 1-4 byte lines: lanes skip lines
 		}
-		got := Coalesce(raw, mask, 6, nil)
-		seen := map[uint32]bool{}
-		for _, l := range got {
-			if l&63 != 0 || seen[l] {
-				return false
-			}
-			seen[l] = true
+		addrs := make([]uint32, n)
+		base := rng.Uint32()
+		if rng.Intn(2) == 0 {
+			base &^= 3
 		}
-		for i, a := range raw {
-			if mask&(1<<uint(i)) != 0 && !seen[a>>6<<6] {
-				return false
+		if rng.Intn(4) == 0 {
+			base = -uint32(rng.Intn(2 * n * 4)) // unit spans that wrap 2^32
+		}
+		switch rng.Intn(5) {
+		case 0: // unit stride
+			for i := range addrs {
+				addrs[i] = base + uint32(i)*4
 			}
+		case 1: // strided, including strides wider than a line
+			stride := uint32(rng.Intn(300))
+			for i := range addrs {
+				addrs[i] = base + uint32(i)*stride
+			}
+		case 2: // line-straddling: unit stride starting mid-line
+			base = base>>lineShift<<lineShift | 1<<lineShift - 4
+			for i := range addrs {
+				addrs[i] = base + uint32(i)*4
+			}
+		case 3: // scattered
+			for i := range addrs {
+				addrs[i] = rng.Uint32()
+			}
+		default: // heavy duplication around base
+			for i := range addrs {
+				addrs[i] = base + uint32(rng.Intn(4))<<lineShift
+			}
+		}
+		var mask uint64
+		switch rng.Intn(4) {
+		case 0: // sparse: 1-4 lanes, possibly beyond len(addrs)
+			for k := 1 + rng.Intn(4); k > 0; k-- {
+				mask |= 1 << uint(rng.Intn(64))
+			}
+		case 1: // full
+			mask = ^uint64(0) >> uint(64-n)
+		case 2: // full plus stray bits beyond len(addrs)
+			mask = ^uint64(0)
+		default:
+			mask = rng.Uint64()
+		}
+		want := naiveCoalesce(addrs, mask, lineShift)
+		got := Coalesce(addrs, mask, lineShift, make([]uint32, 3, 5))
+		if !slices.Equal(got, want) {
+			t.Logf("seed %d: n=%d shift=%d mask=%#x\n got %#x\nwant %#x", seed, n, lineShift, mask, got, want)
+			return false
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Error(err)
 	}
 }
@@ -354,5 +415,34 @@ func TestHierarchyFlush(t *testing.T) {
 	r := h.Access(0, 0, false, 1000)
 	if r.L1Hit || r.L2Hit {
 		t.Errorf("access after flush hit: %+v", r)
+	}
+}
+
+// BenchmarkCoalesce times the three warp-access shapes Coalesce handles:
+// a 32-lane full-mask unit-stride vector, a 32-lane full-mask scatter, and
+// a 4-lane sparse mask over 32 slots.
+func BenchmarkCoalesce(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	unit := make([]uint32, 32)
+	scatter := make([]uint32, 32)
+	for i := range unit {
+		unit[i] = 0x10000 + uint32(i)*4
+		scatter[i] = uint32(rng.Intn(1<<20)) &^ 3
+	}
+	out := make([]uint32, 0, 64)
+	for _, bc := range []struct {
+		name  string
+		addrs []uint32
+		mask  uint64
+	}{
+		{"unit", unit, 1<<32 - 1},
+		{"scatter", scatter, 1<<32 - 1},
+		{"sparse", unit, 0x80402001},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				out = Coalesce(bc.addrs, bc.mask, 6, out)
+			}
+		})
 	}
 }

@@ -192,34 +192,34 @@ func (m *Memory) ReadBytesInto(dst []byte, addr uint32) error {
 	return nil
 }
 
-// ReadWordsStrided loads n consecutive little-endian 32-bit words starting
-// at addr into dst[start], dst[start+stride], ... — the bulk fast path for
-// a unit-stride warp load landing in a lane-major register file (one bounds
-// check for the whole span instead of one per lane; a flat copy is
-// impossible because the destination words are strided). n must be small
-// enough that n*4 does not overflow uint32 (callers pass lane counts).
-func (m *Memory) ReadWordsStrided(addr uint32, n int, dst []uint32, start, stride int) bool {
-	if n <= 0 || !m.InBounds(addr, uint32(n)*4) {
+// ReadWords loads len(dst) consecutive little-endian 32-bit words starting
+// at addr into dst — one bounds check for the whole span, the bulk path of a
+// unit-stride warp load into a register-major register row. len(dst) must
+// be small enough that len(dst)*4 does not overflow uint32 (callers pass
+// lane counts).
+func (m *Memory) ReadWords(addr uint32, dst []uint32) bool {
+	n := uint32(len(dst)) * 4
+	if n == 0 || !m.InBounds(addr, n) {
 		return false
 	}
-	src := m.data[addr : addr+uint32(n)*4]
-	for i := 0; i < n; i++ {
-		dst[start+i*stride] = binary.LittleEndian.Uint32(src[i*4:])
+	src := m.data[addr : addr+n]
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint32(src[i*4:])
 	}
 	return true
 }
 
-// WriteWordsStrided stores n little-endian 32-bit words gathered from
-// src[start], src[start+stride], ... to consecutive addresses starting at
-// addr — the store half of the bulk fast path.
-func (m *Memory) WriteWordsStrided(addr uint32, n int, src []uint32, start, stride int) bool {
-	if n <= 0 || !m.InBounds(addr, uint32(n)*4) {
+// WriteWords stores the words of src to consecutive addresses starting at
+// addr — the store half of the bulk path.
+func (m *Memory) WriteWords(addr uint32, src []uint32) bool {
+	n := uint32(len(src)) * 4
+	if n == 0 || !m.InBounds(addr, n) {
 		return false
 	}
-	m.mark(addr, uint32(n)*4)
-	dst := m.data[addr : addr+uint32(n)*4]
-	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint32(dst[i*4:], src[start+i*stride])
+	m.mark(addr, n)
+	dst := m.data[addr : addr+n]
+	for i, v := range src {
+		binary.LittleEndian.PutUint32(dst[i*4:], v)
 	}
 	return true
 }

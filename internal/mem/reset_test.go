@@ -81,11 +81,10 @@ func TestHierarchyReset(t *testing.T) {
 
 // memOp is one step of a random store/grow sequence.
 type memOp struct {
-	kind   int // 0 Write8, 1 Write16, 2 Write32, 3 WriteBytes, 4 WriteWordsStrided, 5 Grow
-	addr   uint32
-	n      int // bytes (WriteBytes), words (WriteWordsStrided), new size (Grow)
-	val    uint32
-	stride int
+	kind int // 0 Write8, 1 Write16, 2 Write32, 3 WriteBytes, 4 WriteWords, 5 Grow
+	addr uint32
+	n    int // bytes (WriteBytes), words (WriteWords), new size (Grow)
+	val  uint32
 }
 
 // randomMemOps draws a sequence that exercises every store method at the
@@ -114,7 +113,7 @@ func randomMemOps(rng *rand.Rand, init uint32, count int) []memOp {
 		case 3:
 			op.n = rng.Intn(3*pageSize + 2)
 		case 4:
-			op.n, op.stride = rng.Intn(70), 1+rng.Intn(3)
+			op.n = rng.Intn(70)
 		case 5:
 			op.n = int(size) + rng.Intn(5*pageSize) - pageSize
 			size = max(size, uint32(op.n))
@@ -142,11 +141,11 @@ func applyMemOps(m *Memory, ops []memOp) []bool {
 			}
 			out[i] = m.WriteBytes(op.addr, b) == nil
 		case 4:
-			src := make([]uint32, op.n*op.stride+1)
+			src := make([]uint32, op.n)
 			for j := range src {
 				src[j] = op.val + uint32(j)
 			}
-			out[i] = m.WriteWordsStrided(op.addr, op.n, src, 0, op.stride)
+			out[i] = m.WriteWords(op.addr, src)
 		case 5:
 			m.Grow(uint32(op.n))
 			out[i] = true

@@ -12,10 +12,10 @@ func (s *Sim) Reg(core, warp, lane int, r uint8) (uint32, error) {
 	if lane < 0 || lane >= s.cfg.Threads || r > 31 {
 		return 0, fmt.Errorf("sim: bad lane %d or register %d", lane, r)
 	}
-	if w.regs == nil {
-		return 0, nil
+	if len(w.regs) != 32*s.cfg.Threads {
+		return 0, nil // never activated under this shape
 	}
-	return w.regs[lane*32+int(r)], nil
+	return w.regs[int(r)*s.cfg.Threads+lane], nil
 }
 
 // FReg reads float register r (as IEEE-754 bits) of (core, warp, lane).
@@ -27,10 +27,10 @@ func (s *Sim) FReg(core, warp, lane int, r uint8) (uint32, error) {
 	if lane < 0 || lane >= s.cfg.Threads || r > 31 {
 		return 0, fmt.Errorf("sim: bad lane %d or register %d", lane, r)
 	}
-	if w.fregs == nil {
-		return 0, nil
+	if len(w.fregs) != 32*s.cfg.Threads {
+		return 0, nil // never activated under this shape
 	}
-	return w.fregs[lane*32+int(r)], nil
+	return w.fregs[int(r)*s.cfg.Threads+lane], nil
 }
 
 // WarpActive reports whether (core, warp) is currently active.

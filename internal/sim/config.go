@@ -115,33 +115,6 @@ type Config struct {
 	// and ScanSched.
 	TickEngine bool
 
-	// BatchExec enables uniform-warp batched execution (exec_batch.go): the
-	// heap scheduler engine detects cohorts of ready warps in lockstep —
-	// same pc, identical thread mask, same pre-decoded compute instruction,
-	// no scoreboard hazard — and executes the instruction functionally once
-	// over the whole cohort with a fused warps x lanes kernel, replaying
-	// each member's issue bookkeeping at its true issue slot. Every
-	// simulated observable stays byte-identical to the per-warp path, which
-	// is retained as the differential-test oracle (BatchExec=false; see
-	// internal/sim/README.md). DefaultConfig enables it. Inert under
-	// ScanSched: the legacy scan oracle always executes warp by warp.
-	BatchExec bool
-
-	// BatchMem extends cohort batching to loads and stores (exec_batch.go):
-	// when a lockstep cohort forms on a memory instruction, the leader
-	// executes normally and each mate whose lane-address vector is the
-	// leader's plus one per-warp constant (affine congruence) is marked for
-	// batched replay — fused functional access (with a contiguous bulk-copy
-	// fast path for full-mask unit-stride word accesses) and a coalescing
-	// template that shifts the leader's line list instead of re-running
-	// mem.Coalesce per warp. Timing is never batched: each mate's hierarchy
-	// walk, MSHR allocation, statistics and observer event replay at its
-	// true issue cycle, so every simulated observable stays byte-identical
-	// to the per-warp oracle (BatchMem=false; see internal/sim/README.md).
-	// DefaultConfig enables it. Requires BatchExec and the heap scheduler:
-	// under ScanSched or BatchExec=false memory batching is inert.
-	BatchMem bool
-
 	// LSUPorts is the number of cache-line requests the load-store unit
 	// can issue per cycle (the banked L1 of Vortex services lanes hitting
 	// distinct banks in parallel). Uncoalesced warp accesses occupy the
@@ -161,15 +134,13 @@ func DefaultConfig(cores, warps, threads int) Config {
 	// artificially bandwidth-starved.
 	m.DRAM.Channels = cores
 	return Config{
-		Cores:     cores,
-		Warps:     warps,
-		Threads:   threads,
-		Mem:       m,
-		Lat:       DefaultLatencies(),
-		Sched:     SchedRoundRobin,
-		LSUPorts:  8,
-		BatchExec: true,
-		BatchMem:  true,
+		Cores:    cores,
+		Warps:    warps,
+		Threads:  threads,
+		Mem:      m,
+		Lat:      DefaultLatencies(),
+		Sched:    SchedRoundRobin,
+		LSUPorts: 8,
 	}
 }
 

@@ -24,50 +24,37 @@ func (s *Sim) execute(c *simCore, wid int, w *warp, in isa.Inst) error {
 	lat := s.cfg.Lat
 	op := in.Op
 	rd, rs1, rs2 := int(in.Rd), int(in.Rs1), int(in.Rs2)
+	n := s.cfg.Threads
+	regs := w.regs
 
 	switch {
 	case op >= isa.ADD && op <= isa.AND || op >= isa.MUL && op <= isa.REMU:
 		if rd != 0 {
-			for m := w.tmask; m != 0; m &= m - 1 {
-				b := bits.TrailingZeros64(m) * 32
-				w.regs[b+rd] = intALU(op, w.regs[b+rs1], w.regs[b+rs2])
-			}
+			intALURow(op, row(regs, rd, n), row(regs, rs1, n), row(regs, rs2, n), w.tmask)
 			w.pendI[rd] = s.cycle + uint64(intLatency(op, lat))
 		}
 
 	case op >= isa.ADDI && op <= isa.SRAI:
 		if rd != 0 {
-			for m := w.tmask; m != 0; m &= m - 1 {
-				b := bits.TrailingZeros64(m) * 32
-				w.regs[b+rd] = intALUImm(op, w.regs[b+rs1], in.Imm)
-			}
+			intALUImmRow(op, row(regs, rd, n), row(regs, rs1, n), in.Imm, w.tmask)
 			w.pendI[rd] = s.cycle + uint64(lat.ALU)
 		}
 
 	case op == isa.LUI:
 		if rd != 0 {
-			for m := w.tmask; m != 0; m &= m - 1 {
-				b := bits.TrailingZeros64(m) * 32
-				w.regs[b+rd] = uint32(in.Imm)
-			}
+			setLanes(row(regs, rd, n), w.tmask, uint32(in.Imm))
 			w.pendI[rd] = s.cycle + uint64(lat.ALU)
 		}
 
 	case op == isa.AUIPC:
 		if rd != 0 {
-			for m := w.tmask; m != 0; m &= m - 1 {
-				b := bits.TrailingZeros64(m) * 32
-				w.regs[b+rd] = w.pc + uint32(in.Imm)
-			}
+			setLanes(row(regs, rd, n), w.tmask, w.pc+uint32(in.Imm))
 			w.pendI[rd] = s.cycle + uint64(lat.ALU)
 		}
 
 	case op == isa.JAL:
 		if rd != 0 {
-			for m := w.tmask; m != 0; m &= m - 1 {
-				b := bits.TrailingZeros64(m) * 32
-				w.regs[b+rd] = w.pc + 4
-			}
+			setLanes(row(regs, rd, n), w.tmask, w.pc+4)
 			w.pendI[rd] = s.cycle + uint64(lat.ALU)
 		}
 		nextPC = w.pc + uint32(in.Imm)
@@ -75,9 +62,9 @@ func (s *Sim) execute(c *simCore, wid int, w *warp, in isa.Inst) error {
 	case op == isa.JALR:
 		var target uint32
 		first := true
+		a := row(regs, rs1, n)
 		for m := w.tmask; m != 0; m &= m - 1 {
-			b := bits.TrailingZeros64(m) * 32
-			t := (w.regs[b+rs1] + uint32(in.Imm)) &^ 1
+			t := (a[bits.TrailingZeros64(m)] + uint32(in.Imm)) &^ 1
 			if first {
 				target, first = t, false
 			} else if t != target {
@@ -85,19 +72,17 @@ func (s *Sim) execute(c *simCore, wid int, w *warp, in isa.Inst) error {
 			}
 		}
 		if rd != 0 {
-			for m := w.tmask; m != 0; m &= m - 1 {
-				b := bits.TrailingZeros64(m) * 32
-				w.regs[b+rd] = w.pc + 4
-			}
+			setLanes(row(regs, rd, n), w.tmask, w.pc+4)
 			w.pendI[rd] = s.cycle + uint64(lat.ALU)
 		}
 		nextPC = target
 
 	case in.IsBranch():
 		var taken, first = false, true
+		a, b := row(regs, rs1, n), row(regs, rs2, n)
 		for m := w.tmask; m != 0; m &= m - 1 {
-			b := bits.TrailingZeros64(m) * 32
-			t := branchTaken(op, w.regs[b+rs1], w.regs[b+rs2])
+			l := bits.TrailingZeros64(m)
+			t := branchTaken(op, a[l], b[l])
 			if first {
 				taken, first = t, false
 			} else if t != taken {
@@ -146,7 +131,7 @@ func (s *Sim) execute(c *simCore, wid int, w *warp, in isa.Inst) error {
 				return s.trapf(c, wid, w, "%v", err)
 			}
 			if rd != 0 {
-				w.regs[lane*32+rd] = v
+				regs[rd*n+lane] = v
 			}
 		}
 		if rd != 0 {
@@ -176,7 +161,7 @@ func (s *Sim) execute(c *simCore, wid int, w *warp, in isa.Inst) error {
 		}
 
 	case op == isa.VXTMC:
-		nm := uint64(s.firstLaneValue(w, in.Rs1)) & s.fullMask
+		nm := uint64(firstLaneValue(w, rs1, n)) & s.fullMask
 		if nm == 0 {
 			w.active = false
 			c.active--
@@ -186,12 +171,12 @@ func (s *Sim) execute(c *simCore, wid int, w *warp, in isa.Inst) error {
 		}
 
 	case op == isa.VXWSPAWN:
-		n := int(s.firstLaneValue(w, in.Rs1))
-		entry := s.firstLaneValue(w, in.Rs2)
-		if n > s.cfg.Warps {
-			n = s.cfg.Warps
+		count := int(firstLaneValue(w, rs1, n))
+		entry := firstLaneValue(w, rs2, n)
+		if count > s.cfg.Warps {
+			count = s.cfg.Warps
 		}
-		for k := 1; k < n; k++ {
+		for k := 1; k < count; k++ {
 			tgt := &c.warps[k]
 			if tgt.active {
 				return s.trapf(c, wid, w, "vx_wspawn: warp %d already active", k)
@@ -205,7 +190,7 @@ func (s *Sim) execute(c *simCore, wid int, w *warp, in isa.Inst) error {
 		if len(w.ipdom) >= maxIPDOMDepth {
 			return s.trapf(c, wid, w, "IPDOM stack overflow")
 		}
-		pred := predMask(w, rs1)
+		pred := predMask(w, rs1, n)
 		then := w.tmask & pred
 		els := w.tmask &^ pred
 		if then == 0 || els == 0 {
@@ -230,8 +215,8 @@ func (s *Sim) execute(c *simCore, wid int, w *warp, in isa.Inst) error {
 		}
 
 	case op == isa.VXBAR:
-		id := int(s.firstLaneValue(w, in.Rs1))
-		count := int(s.firstLaneValue(w, in.Rs2))
+		id := int(firstLaneValue(w, rs1, n))
+		count := int(firstLaneValue(w, rs2, n))
 		if id < 0 || id >= maxBarriers {
 			return s.trapf(c, wid, w, "barrier id %d out of range", id)
 		}
@@ -261,17 +246,14 @@ func (s *Sim) execute(c *simCore, wid int, w *warp, in isa.Inst) error {
 		}
 
 	case op == isa.VXPRED:
-		if nm := w.tmask & predMask(w, rs1); nm != 0 {
+		if nm := w.tmask & predMask(w, rs1, n); nm != 0 {
 			w.tmask = nm
 		}
 
 	case op == isa.VXBALLOT:
-		count := uint32(bits.OnesCount64(w.tmask & predMask(w, rs1)))
+		count := uint32(bits.OnesCount64(w.tmask & predMask(w, rs1, n)))
 		if rd != 0 {
-			for m := w.tmask; m != 0; m &= m - 1 {
-				b := bits.TrailingZeros64(m) * 32
-				w.regs[b+rd] = count
-			}
+			setLanes(row(regs, rd, n), w.tmask, count)
 			w.pendI[rd] = s.cycle + uint64(lat.ALU)
 		}
 
@@ -287,13 +269,96 @@ func (s *Sim) trapf(c *simCore, wid int, w *warp, format string, args ...any) er
 	return &Trap{Cycle: s.cycle, Core: c.id, Warp: wid, PC: w.pc, Reason: fmt.Sprintf(format, args...)}
 }
 
+// row returns register r's lanes of a register-major file of n-lane warps.
+func row(regs []uint32, r, n int) []uint32 { return regs[r*n : r*n+n] }
+
+// setLanes writes v to the active lanes of a register row.
+func setLanes(dst []uint32, tmask uint64, v uint32) {
+	for m := tmask; m != 0; m &= m - 1 {
+		dst[bits.TrailingZeros64(m)] = v
+	}
+}
+
+// intALURow applies register-register op to the active lanes of rows a
+// and b. A mask covering lanes 0..k-1 (every full warp) runs a dense loop,
+// with the commonest ops dispatched once per warp rather than once per lane.
+func intALURow(op isa.Op, dst, a, b []uint32, tmask uint64) {
+	if tmask&(tmask+1) != 0 {
+		for m := tmask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			dst[l] = intALU(op, a[l], b[l])
+		}
+		return
+	}
+	k := bits.Len64(tmask)
+	dst, a, b = dst[:k], a[:k], b[:k]
+	switch op {
+	case isa.ADD:
+		for l := range dst {
+			dst[l] = a[l] + b[l]
+		}
+	case isa.SUB:
+		for l := range dst {
+			dst[l] = a[l] - b[l]
+		}
+	case isa.AND:
+		for l := range dst {
+			dst[l] = a[l] & b[l]
+		}
+	case isa.OR:
+		for l := range dst {
+			dst[l] = a[l] | b[l]
+		}
+	case isa.XOR:
+		for l := range dst {
+			dst[l] = a[l] ^ b[l]
+		}
+	case isa.MUL:
+		for l := range dst {
+			dst[l] = a[l] * b[l]
+		}
+	default:
+		for l := range dst {
+			dst[l] = intALU(op, a[l], b[l])
+		}
+	}
+}
+
+// intALUImmRow is intALURow for the register-immediate ops.
+func intALUImmRow(op isa.Op, dst, a []uint32, imm int32, tmask uint64) {
+	if tmask&(tmask+1) != 0 {
+		for m := tmask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			dst[l] = intALUImm(op, a[l], imm)
+		}
+		return
+	}
+	k := bits.Len64(tmask)
+	dst, a = dst[:k], a[:k]
+	switch op {
+	case isa.ADDI:
+		for l := range dst {
+			dst[l] = a[l] + uint32(imm)
+		}
+	case isa.SLLI:
+		for l := range dst {
+			dst[l] = a[l] << uint(imm&31)
+		}
+	default:
+		for l := range dst {
+			dst[l] = intALUImm(op, a[l], imm)
+		}
+	}
+}
+
 // predMask builds the lane mask of active lanes whose integer register r
-// is non-zero.
-func predMask(w *warp, r int) uint64 {
+// is non-zero (n lanes per warp).
+func predMask(w *warp, r, n int) uint64 {
 	var pred uint64
+	a := row(w.regs, r, n)
 	for m := w.tmask; m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros64(m)
-		if w.regs[lane*32+r] != 0 {
+		if a[lane] != 0 {
 			pred |= 1 << uint(lane)
 		}
 	}
@@ -301,13 +366,22 @@ func predMask(w *warp, r int) uint64 {
 }
 
 // firstLaneValue reads integer register r of the lowest active lane.
-func (s *Sim) firstLaneValue(w *warp, r uint8) uint32 {
-	lane := bits.TrailingZeros64(w.tmask)
-	return w.regs[lane*32+int(r)]
+func firstLaneValue(w *warp, r, n int) uint32 {
+	return w.regs[r*n+bits.TrailingZeros64(w.tmask)]
 }
 
 // executeMem performs a load/store: functional access now, timing through
 // the coalescer and hierarchy. It returns the cycle loaded data is ready.
+//
+// Every active lane is validated before any functional access, so a store
+// warp that traps on a later lane never leaves earlier lanes' stores
+// committed. Two address shapes skip the per-lane walk: a broadcast (every
+// active lane at one address — uniform operands, single-lane warps) is
+// checked and accessed once, and a unit-stride word access (active lanes
+// one contiguous run at base+4*lane) is checked once as a span and copied
+// in one piece between memory and the register row. Each knows its line
+// list without coalescing. An access that fails its shape's check goes
+// through the per-lane loop, which raises the same trap for the same lane.
 func (s *Sim) executeMem(c *simCore, wid int, w *warp, in isa.Inst) (uint64, error) {
 	size := uint32(4)
 	switch in.Op {
@@ -317,97 +391,140 @@ func (s *Sim) executeMem(c *simCore, wid int, w *warp, in isa.Inst) (uint64, err
 		size = 2
 	}
 	isStore := in.IsStore()
-	rd, rs1, rs2 := int(in.Rd), int(in.Rs1), int(in.Rs2)
+	n := s.cfg.Threads
+	tm := w.tmask
+	imm := uint32(in.Imm)
+	base := row(w.regs, int(in.Rs1), n)
+	addrs := c.addrBuf[:n]
 
-	// Gather lane addresses and validate every active lane before any
-	// functional access: a store warp that traps on a later lane must not
-	// leave earlier lanes' stores committed to memory.
-	for m := w.tmask; m != 0; m &= m - 1 {
+	// Gather lane addresses, noting any lane off the lowest active lane's
+	// address (diff) and off the unit-stride line through it (off).
+	lo := bits.TrailingZeros64(tm)
+	first := base[lo] + imm
+	var diff, off uint32
+	for m := tm; m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros64(m)
-		addr := w.regs[lane*32+rs1] + uint32(in.Imm)
-		c.addrBuf[lane] = addr
-		if !s.memory.InBounds(addr, size) {
-			return 0, s.trapf(c, wid, w, "%s lane %d address %#x out of bounds (mem size %#x)", in.Op, lane, addr, s.memory.Size())
-		}
-		if addr%size != 0 {
-			return 0, s.trapf(c, wid, w, "%s lane %d address %#x misaligned", in.Op, lane, addr)
-		}
+		addr := base[lane] + imm
+		addrs[lane] = addr
+		diff |= addr ^ first
+		off |= addr ^ (first + uint32(lane-lo)*4)
+	}
+	// The register row the access reads (store) or writes (load); nil for
+	// an integer load into x0, which is dropped.
+	var data []uint32
+	switch {
+	case in.Op == isa.FLW:
+		data = row(w.fregs, int(in.Rd), n)
+	case in.Op == isa.FSW:
+		data = row(w.fregs, int(in.Rs2), n)
+	case isStore:
+		data = row(w.regs, int(in.Rs2), n)
+	case in.Rd != 0:
+		data = row(w.regs, int(in.Rd), n)
 	}
 
-	// Functional access, now that no lane can trap.
-	for m := w.tmask; m != 0; m &= m - 1 {
-		lane := bits.TrailingZeros64(m)
-		b := lane * 32
-		addr := c.addrBuf[lane]
-		switch in.Op {
-		case isa.LW:
-			v, _ := s.memory.Read32(addr)
-			if rd != 0 {
-				w.regs[b+rd] = v
-			}
-		case isa.FLW:
-			v, _ := s.memory.Read32(addr)
-			w.fregs[b+rd] = v
-		case isa.LH:
-			v, _ := s.memory.Read16(addr)
-			if rd != 0 {
-				w.regs[b+rd] = uint32(int32(int16(v)))
-			}
-		case isa.LHU:
-			v, _ := s.memory.Read16(addr)
-			if rd != 0 {
-				w.regs[b+rd] = uint32(v)
-			}
-		case isa.LB:
-			v, _ := s.memory.Read8(addr)
-			if rd != 0 {
-				w.regs[b+rd] = uint32(int32(int8(v)))
-			}
-		case isa.LBU:
-			v, _ := s.memory.Read8(addr)
-			if rd != 0 {
-				w.regs[b+rd] = uint32(v)
-			}
-		case isa.SW:
-			s.memory.Write32(addr, w.regs[b+rs2])
-		case isa.FSW:
-			s.memory.Write32(addr, w.fregs[b+rs2])
-		case isa.SH:
-			s.memory.Write16(addr, uint16(w.regs[b+rs2]))
-		case isa.SB:
-			s.memory.Write8(addr, uint8(w.regs[b+rs2]))
-		}
-	}
-
-	// Timing: coalesce lanes into line requests, streamed 1/cycle. The
-	// scratch buffers are per-core and preallocated: this path runs once per
-	// memory instruction and must not allocate.
 	shift := s.hier.LineShift()
+	run := tm >> uint(lo)
 	var lines []uint32
-	if s.NoCoalesce {
-		lines = c.lineBuf[:0]
-		for m := w.tmask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros64(m)
-			lines = append(lines, c.addrBuf[lane]>>shift<<shift)
+	switch {
+	case diff == 0 && first&(size-1) == 0 && s.memory.InBounds(first, size):
+		if isStore {
+			// Lanes store in ascending order: the highest lane's value lands.
+			s.store(in.Op, first, data[63-bits.LeadingZeros64(tm)])
+		} else if data != nil {
+			setLanes(data, tm, s.load(in.Op, first))
 		}
-		c.lineBuf = lines
-	} else {
-		c.lineBuf = mem.Coalesce(c.addrBuf[:s.cfg.Threads], w.tmask, shift, c.lineBuf)
-		lines = c.lineBuf
+		lines = append(c.lineBuf[:0], first>>shift<<shift)
+	case size == 4 && off == 0 && run&(run+1) == 0 && first&3 == 0 &&
+		s.memory.InBounds(first, uint32(bits.Len64(run))*4):
+		width := bits.Len64(run)
+		if isStore {
+			s.memory.WriteWords(first, data[lo:lo+width])
+		} else if data != nil {
+			s.memory.ReadWords(first, data[lo:lo+width])
+		}
+		lines = mem.CoalesceUnit(first, width, shift, c.lineBuf)
+	default:
+		for m := tm; m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros64(m)
+			addr := addrs[lane]
+			if !s.memory.InBounds(addr, size) {
+				return 0, s.trapf(c, wid, w, "%s lane %d address %#x out of bounds (mem size %#x)", in.Op, lane, addr, s.memory.Size())
+			}
+			if addr&(size-1) != 0 {
+				return 0, s.trapf(c, wid, w, "%s lane %d address %#x misaligned", in.Op, lane, addr)
+			}
+		}
+		// Functional access, now that no lane can trap.
+		for m := tm; m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros64(m)
+			if isStore {
+				s.store(in.Op, addrs[lane], data[lane])
+			} else if data != nil {
+				data[lane] = s.load(in.Op, addrs[lane])
+			}
+		}
+		lines = mem.Coalesce(addrs, tm, shift, c.lineBuf)
 	}
+	if s.NoCoalesce {
+		// Ablation A2: one request per active lane, in lane order.
+		lines = lines[:0]
+		for m := tm; m != 0; m &= m - 1 {
+			lines = append(lines, addrs[bits.TrailingZeros64(m)]>>shift<<shift)
+		}
+	}
+	// The line buffer is per-core and preallocated: this path runs once per
+	// memory instruction and must not allocate.
+	c.lineBuf = lines
 	return s.memTiming(c, isStore, lines), nil
 }
 
+// load returns the register value load op delivers from the validated
+// address addr: sign- or zero-extended for sub-word loads.
+func (s *Sim) load(op isa.Op, addr uint32) uint32 {
+	switch op {
+	case isa.LH:
+		v, _ := s.memory.Read16(addr)
+		return uint32(int32(int16(v)))
+	case isa.LHU:
+		v, _ := s.memory.Read16(addr)
+		return uint32(v)
+	case isa.LB:
+		v, _ := s.memory.Read8(addr)
+		return uint32(int32(int8(v)))
+	case isa.LBU:
+		v, _ := s.memory.Read8(addr)
+		return uint32(v)
+	}
+	v, _ := s.memory.Read32(addr)
+	return v
+}
+
+// store writes register value v to the validated address addr, truncated
+// to the width of store op.
+func (s *Sim) store(op isa.Op, addr, v uint32) {
+	switch op {
+	case isa.SH:
+		s.memory.Write16(addr, uint16(v))
+	case isa.SB:
+		s.memory.Write8(addr, uint8(v))
+	default:
+		s.memory.Write32(addr, v)
+	}
+}
+
 // memTiming walks one memory instruction's coalesced line requests through
-// the hierarchy and applies the LSU/MSHR and statistics side effects — the
-// timing half of executeMem, shared verbatim by the batched-memory replay
-// (finishBatchedMem), which must produce the same completion cycles and
-// MSHR allocations as the per-warp path. Returns the completion cycle.
+// the hierarchy and applies the LSU/MSHR and statistics side effects: the
+// LSU issues LSUPorts lines per cycle, so line i goes out at cycle
+// s.cycle + i/LSUPorts and the LSU stays busy ceil(len(lines)/LSUPorts)
+// cycles. Both are tracked with a per-cycle counter instead of divisions.
+// Returns the completion cycle.
 func (s *Sim) memTiming(c *simCore, isStore bool, lines []uint32) uint64 {
 	ports := s.cfg.LSUPorts
+	at, k := s.cycle, 0 // issue cycle of the next line, lines already issued at it
 	var done uint64
-	for i, line := range lines {
-		r := s.hier.Access(c.id, line, isStore, s.cycle+uint64(i/ports))
+	for _, line := range lines {
+		r := s.hier.Access(c.id, line, isStore, at)
 		if r.Done > done {
 			done = r.Done
 		}
@@ -416,8 +533,14 @@ func (s *Sim) memTiming(c *simCore, isStore bool, lines []uint32) uint64 {
 			// write-allocate fills).
 			c.mshr = append(c.mshr, r.Done)
 		}
+		if k++; k == ports {
+			at, k = at+1, 0
+		}
 	}
-	c.lsuFree = s.cycle + uint64((len(lines)+ports-1)/ports)
+	if k != 0 {
+		at++ // a partly used last cycle still occupies the LSU
+	}
+	c.lsuFree = at
 	c.stats.LineRequests += uint64(len(lines))
 	if isStore {
 		c.stats.Stores++
@@ -461,72 +584,75 @@ func (s *Sim) csrRead(c *simCore, wid int, w *warp, lane int, csr uint16) (uint3
 func (s *Sim) executeFP(w *warp, in isa.Inst) error {
 	f32 := math.Float32frombits
 	b32 := math.Float32bits
-	rd, rs1, rs2, rs3 := int(in.Rd), int(in.Rs1), int(in.Rs2), int(in.Rs3)
+	n := s.cfg.Threads
+	rd := int(in.Rd)
+	fd, f1, f2, f3 := row(w.fregs, rd, n), row(w.fregs, int(in.Rs1), n), row(w.fregs, int(in.Rs2), n), row(w.fregs, int(in.Rs3), n)
+	xd, x1 := row(w.regs, rd, n), row(w.regs, int(in.Rs1), n)
 
 	for m := w.tmask; m != 0; m &= m - 1 {
-		b := bits.TrailingZeros64(m) * 32
+		l := bits.TrailingZeros64(m)
 		switch in.Op {
 		case isa.FADDS:
-			w.fregs[b+rd] = b32(f32(w.fregs[b+rs1]) + f32(w.fregs[b+rs2]))
+			fd[l] = b32(f32(f1[l]) + f32(f2[l]))
 		case isa.FSUBS:
-			w.fregs[b+rd] = b32(f32(w.fregs[b+rs1]) - f32(w.fregs[b+rs2]))
+			fd[l] = b32(f32(f1[l]) - f32(f2[l]))
 		case isa.FMULS:
-			w.fregs[b+rd] = b32(f32(w.fregs[b+rs1]) * f32(w.fregs[b+rs2]))
+			fd[l] = b32(f32(f1[l]) * f32(f2[l]))
 		case isa.FDIVS:
-			w.fregs[b+rd] = b32(f32(w.fregs[b+rs1]) / f32(w.fregs[b+rs2]))
+			fd[l] = b32(f32(f1[l]) / f32(f2[l]))
 		case isa.FSQRTS:
-			w.fregs[b+rd] = b32(float32(math.Sqrt(float64(f32(w.fregs[b+rs1])))))
+			fd[l] = b32(float32(math.Sqrt(float64(f32(f1[l])))))
 		case isa.FMINS:
-			w.fregs[b+rd] = b32(fmin(f32(w.fregs[b+rs1]), f32(w.fregs[b+rs2])))
+			fd[l] = b32(fmin(f32(f1[l]), f32(f2[l])))
 		case isa.FMAXS:
-			w.fregs[b+rd] = b32(fmax(f32(w.fregs[b+rs1]), f32(w.fregs[b+rs2])))
+			fd[l] = b32(fmax(f32(f1[l]), f32(f2[l])))
 		case isa.FSGNJS:
-			w.fregs[b+rd] = w.fregs[b+rs1]&^signBit | w.fregs[b+rs2]&signBit
+			fd[l] = f1[l]&^signBit | f2[l]&signBit
 		case isa.FSGNJNS:
-			w.fregs[b+rd] = w.fregs[b+rs1]&^signBit | (^w.fregs[b+rs2])&signBit
+			fd[l] = f1[l]&^signBit | (^f2[l])&signBit
 		case isa.FSGNJXS:
-			w.fregs[b+rd] = w.fregs[b+rs1] ^ w.fregs[b+rs2]&signBit
+			fd[l] = f1[l] ^ f2[l]&signBit
 		case isa.FMADDS:
-			w.fregs[b+rd] = b32(fma32(f32(w.fregs[b+rs1]), f32(w.fregs[b+rs2]), f32(w.fregs[b+rs3])))
+			fd[l] = b32(fma32(f32(f1[l]), f32(f2[l]), f32(f3[l])))
 		case isa.FMSUBS:
-			w.fregs[b+rd] = b32(fma32(f32(w.fregs[b+rs1]), f32(w.fregs[b+rs2]), -f32(w.fregs[b+rs3])))
+			fd[l] = b32(fma32(f32(f1[l]), f32(f2[l]), -f32(f3[l])))
 		case isa.FNMSUBS:
-			w.fregs[b+rd] = b32(fma32(-f32(w.fregs[b+rs1]), f32(w.fregs[b+rs2]), f32(w.fregs[b+rs3])))
+			fd[l] = b32(fma32(-f32(f1[l]), f32(f2[l]), f32(f3[l])))
 		case isa.FNMADDS:
-			w.fregs[b+rd] = b32(fma32(-f32(w.fregs[b+rs1]), f32(w.fregs[b+rs2]), -f32(w.fregs[b+rs3])))
+			fd[l] = b32(fma32(-f32(f1[l]), f32(f2[l]), -f32(f3[l])))
 		case isa.FEQS:
 			if rd != 0 {
-				w.regs[b+rd] = boolBit(f32(w.fregs[b+rs1]) == f32(w.fregs[b+rs2]))
+				xd[l] = boolBit(f32(f1[l]) == f32(f2[l]))
 			}
 		case isa.FLTS:
 			if rd != 0 {
-				w.regs[b+rd] = boolBit(f32(w.fregs[b+rs1]) < f32(w.fregs[b+rs2]))
+				xd[l] = boolBit(f32(f1[l]) < f32(f2[l]))
 			}
 		case isa.FLES:
 			if rd != 0 {
-				w.regs[b+rd] = boolBit(f32(w.fregs[b+rs1]) <= f32(w.fregs[b+rs2]))
+				xd[l] = boolBit(f32(f1[l]) <= f32(f2[l]))
 			}
 		case isa.FCVTWS:
 			if rd != 0 {
-				w.regs[b+rd] = cvtWS(f32(w.fregs[b+rs1]))
+				xd[l] = cvtWS(f32(f1[l]))
 			}
 		case isa.FCVTWUS:
 			if rd != 0 {
-				w.regs[b+rd] = cvtWUS(f32(w.fregs[b+rs1]))
+				xd[l] = cvtWUS(f32(f1[l]))
 			}
 		case isa.FCVTSW:
-			w.fregs[b+rd] = b32(float32(int32(w.regs[b+rs1])))
+			fd[l] = b32(float32(int32(x1[l])))
 		case isa.FCVTSWU:
-			w.fregs[b+rd] = b32(float32(w.regs[b+rs1]))
+			fd[l] = b32(float32(x1[l]))
 		case isa.FMVXW:
 			if rd != 0 {
-				w.regs[b+rd] = w.fregs[b+rs1]
+				xd[l] = f1[l]
 			}
 		case isa.FMVWX:
-			w.fregs[b+rd] = w.regs[b+rs1]
+			fd[l] = x1[l]
 		case isa.FCLASSS:
 			if rd != 0 {
-				w.regs[b+rd] = fclass(f32(w.fregs[b+rs1]))
+				xd[l] = fclass(f32(f1[l]))
 			}
 		default:
 			return fmt.Errorf("unimplemented FP op %s", in.Op)

@@ -252,18 +252,8 @@ func (c *simCore) resetSched() {
 // cycle using the ready-set/wake-heap engine. It returns whether an
 // instruction issued and, if not, the earliest cycle the core might become
 // ready — byte-identical in every simulated observable to the legacy scan
-// loop (issueScan) for the policies both implement.
-//
-// Under Config.BatchExec the picked warp's instruction, when batchable,
-// is executed once for the whole lockstep cohort (collectCohort +
-// batchExec, exec_batch.go); cohort mates are marked and merely replay
-// their issue bookkeeping (finishBatched) when their own slot arrives, so
-// timing, statistics and the observer stream are untouched. Under
-// Config.BatchMem the same cohort machinery covers loads and stores: the
-// leader executes normally and affinely congruent mates replay through the
-// core's address template (tryBatchMem / finishBatchedMem) — functional
-// access, coalescing, hierarchy timing and MSHR allocation all at the
-// mate's true issue cycle, behind the same structural LSU gate.
+// loop (issueScan) for the policies both implement. Every issue goes
+// through execute, one warp at a time.
 func (s *Sim) issueHeap(c *simCore) (bool, uint64, error) {
 	c.wakeWarps(s.cycle)
 	pol := s.sched
@@ -272,44 +262,7 @@ func (s *Sim) issueHeap(c *simCore) (bool, uint64, error) {
 		wid := pol.Pick(c, avail)
 		w := &c.warps[wid]
 		bit := uint64(1) << uint(wid)
-		if w.batched && w.batchPC == w.pc {
-			// Cohort mate whose pre-executed slot has arrived: replay the
-			// per-warp issue bookkeeping at the true issue cycle. The fetch
-			// and scoreboard checks are provably redundant here — the pc was
-			// validated when the cohort leader fetched it, and the warp's
-			// pending completions cannot have changed since the leader
-			// verified them (they are only written at the warp's own issue,
-			// which is this one).
-			if w.batchDst != batchDstMem {
-				s.finishBatched(c, wid, w)
-				w.wakeValid = false
-				w.last = s.cycle
-				pol.Issued(c, wid)
-				return true, 0, nil
-			}
-			// Memory cohort mate: the structural LSU/MSHR gate still applies
-			// at the mate's own slot, exactly as on the per-warp path, with
-			// the oracle's stall-cache write so the wake key and cache state
-			// match byte for byte.
-			if at := s.lsuReadyAt(c); at > s.cycle {
-				w.wakeValid, w.wakePC, w.wake, w.wakeMem = true, w.pc, 0, true
-				avail &^= bit
-				c.sleepWarp(wid, at)
-				continue
-			}
-			if s.finishBatchedMem(c, wid, w) {
-				w.wakeValid = false
-				w.last = s.cycle
-				pol.Issued(c, wid)
-				return true, 0, nil
-			}
-			// The core's template was overwritten by a later cohort before
-			// this mate's slot arrived (stale generation): fall through to
-			// plain per-warp execution.
-			w.batched = false
-		}
 		var in isa.Inst
-		var m instMeta
 		if w.wakeValid && w.wakePC == w.pc {
 			// Stall cache hit: reuse the cached scoreboard outcome — same
 			// fast path as the scan engine, minus the rescan that computed
@@ -331,9 +284,7 @@ func (s *Sim) issueHeap(c *simCore) (bool, uint64, error) {
 					continue
 				}
 			}
-			idx := (w.pc - s.progBase) / 4
-			in = s.prog[idx]
-			m = s.meta[idx]
+			in = s.prog[(w.pc-s.progBase)/4]
 		} else {
 			if w.pc < s.progBase || w.pc-s.progBase >= uint32(len(s.prog))*4 || w.pc%4 != 0 {
 				return false, 0, &Trap{Cycle: s.cycle, Core: c.id, Warp: wid, PC: w.pc, Reason: "instruction fetch outside program"}
@@ -343,7 +294,7 @@ func (s *Sim) issueHeap(c *simCore) (bool, uint64, error) {
 			if in.Op == isa.OpInvalid {
 				return false, 0, &Trap{Cycle: s.cycle, Core: c.id, Warp: wid, PC: w.pc, Reason: "executed data word / invalid instruction"}
 			}
-			m = s.meta[idx]
+			m := s.meta[idx]
 			if ready := regsReadyAt(w, in, m); ready > s.cycle {
 				w.wakeValid, w.wakePC, w.wake, w.wakeMem = true, w.pc, ready, m&mIsMem != 0
 				avail &^= bit
@@ -359,34 +310,8 @@ func (s *Sim) issueHeap(c *simCore) (bool, uint64, error) {
 				}
 			}
 		}
-		switch {
-		case s.batch && m&mBatch != 0:
-			if span := s.collectCohort(c, wid, w, in, m); span != nil {
-				batchExec(span, in)
-				dst, lat := batchWriteback(in, s.cfg.Lat)
-				w.batchDst, w.batchRd, w.batchLat = dst, in.Rd, lat
-				for _, mw := range span[1:] {
-					mw.batched, mw.batchPC = true, w.pc
-					mw.batchDst, mw.batchRd, mw.batchLat = dst, in.Rd, lat
-				}
-				s.finishBatched(c, wid, w)
-				break
-			}
-			fallthrough
-		default:
-			w.batched = false // defensive: a stale mark must never suppress execution
-			if s.batchMem && m&mIsMem != 0 {
-				issued, err := s.tryBatchMem(c, wid, w, in, m)
-				if err != nil {
-					return false, 0, err
-				}
-				if issued {
-					break
-				}
-			}
-			if err := s.execute(c, wid, w, in); err != nil {
-				return false, 0, err
-			}
+		if err := s.execute(c, wid, w, in); err != nil {
+			return false, 0, err
 		}
 		w.wakeValid = false
 		w.last = s.cycle
@@ -394,58 +319,6 @@ func (s *Sim) issueHeap(c *simCore) (bool, uint64, error) {
 		return true, 0, nil
 	}
 	return false, s.stallOutcome(c), nil
-}
-
-// collectCohort gathers the lockstep cohort led by the picked warp wid:
-// every other ready warp of the core at the same pc with an identical
-// thread mask, no scoreboard hazard on the (shared, pre-decoded)
-// instruction, and not itself carrying an unconsumed pre-execution. The
-// scan walks the ready bitmask only, so grouping costs O(ready warps).
-// Returns nil when the leader has no mates — the caller falls back to the
-// per-warp path. The returned span (leader first) aliases the core's
-// preallocated cohort scratch.
-func (s *Sim) collectCohort(c *simCore, wid int, w *warp, in isa.Inst, m instMeta) []*warp {
-	span := c.cohort[:0]
-	span = append(span, w)
-	// The instruction (and so its operand indices and meta bits) is shared
-	// by the whole cohort: hoist them and inline the scoreboard check as
-	// early-exit compares against the current cycle — cheaper than the
-	// general regsReadyAt max fold per candidate, and the meta-bit branches
-	// are loop-invariant so they predict perfectly.
-	pc, tm, cyc := w.pc, w.tmask, s.cycle
-	rs1, rs2, rs3, rd := in.Rs1, in.Rs2, in.Rs3, in.Rd
-	for rm := c.ready &^ (1 << uint(wid)); rm != 0; rm &= rm - 1 {
-		mw := &c.warps[bits.TrailingZeros64(rm)]
-		if mw.pc != pc || mw.tmask != tm || mw.batched {
-			continue
-		}
-		if m&mReadsI1 != 0 && mw.pendI[rs1] > cyc {
-			continue
-		}
-		if m&mReadsI2 != 0 && mw.pendI[rs2] > cyc {
-			continue
-		}
-		if m&mReadsF1 != 0 && mw.pendF[rs1] > cyc {
-			continue
-		}
-		if m&mReadsF2 != 0 && mw.pendF[rs2] > cyc {
-			continue
-		}
-		if m&mReadsF3 != 0 && mw.pendF[rs3] > cyc {
-			continue
-		}
-		if m&mWritesI != 0 && mw.pendI[rd] > cyc {
-			continue
-		}
-		if m&mWritesF != 0 && mw.pendF[rd] > cyc {
-			continue
-		}
-		span = append(span, mw)
-	}
-	if len(span) < 2 {
-		return nil
-	}
-	return span
 }
 
 // stallOutcome computes a failed issue attempt's result — the earliest wake

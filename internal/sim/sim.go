@@ -49,8 +49,8 @@ type warp struct {
 	barWait bool
 	pc      uint32
 	tmask   uint64
-	regs    []uint32 // threads x 32 integer registers, lane-major
-	fregs   []uint32 // threads x 32 float registers (IEEE-754 bits)
+	regs    []uint32 // 32 x threads integer registers, register-major: regs[r*Threads+lane]
+	fregs   []uint32 // 32 x threads float registers (IEEE-754 bits), same layout
 	pendI   [32]uint64
 	pendF   [32]uint64
 	ipdom   []ipdomEntry
@@ -65,36 +65,7 @@ type warp struct {
 	wakeMem   bool   // decoded instruction is a memory op (LSU hazard applies)
 	wakePC    uint32 // pc the cache was computed for (safety cross-check)
 	wake      uint64 // earliest cycle the registers are ready
-
-	// Batched-execution state (exec_batch.go): the instruction at batchPC
-	// was already executed functionally as part of a uniform-warp cohort;
-	// when the scheduler picks this warp at that pc, finishBatched replays
-	// the per-warp issue bookkeeping instead of re-executing. batchDst and
-	// batchLat carry the instruction's writeback class and latency,
-	// computed once per cohort so the replay skips the opcode switches.
-	// Cleared at issue and on warp reset.
-	batched  bool
-	batchDst uint8 // batchDstNone/Int/FP/Mem: which replay path finishes the issue
-	batchRd  uint8 // destination register of the pre-executed instruction
-	batchPC  uint32
-	batchLat uint32 // completion latency added to the replay's issue cycle
-
-	// Batched-memory replay state (batchDst == batchDstMem): the mate's
-	// lane addresses are the core's memory template shifted by
-	// batchMemDelta; batchGen must match the template's generation or the
-	// template was overwritten by a later cohort and the mate re-executes
-	// normally. Only meaningful while batched is set.
-	batchGen      uint64
-	batchMemDelta uint32
 }
-
-// Writeback classes for warp.batchDst.
-const (
-	batchDstNone = uint8(iota) // no register write (rd == x0)
-	batchDstInt                // pendI[rd]
-	batchDstFP                 // pendF[rd]
-	batchDstMem                // memory replay through the core's memTemplate
-)
 
 type barrier struct {
 	arrived int
@@ -111,34 +82,6 @@ type CoreStats struct {
 	MemStall     uint64 // cycles with active warps blocked only by memory
 	ExecStall    uint64 // cycles with active warps blocked by FU latency
 	IdleAfterEnd uint64 // cycles after the core's last warp retired
-}
-
-// memTemplate captures a memory cohort leader's decoded operation, lane
-// address vector and coalesced line list at cohort formation, so congruent
-// mates replay through fused kernels (exec_batch.go) without re-decoding,
-// re-validating or re-coalescing. One template per core suffices: the LSU
-// admits one memory instruction per core per cycle, and gen — bumped per
-// cohort — invalidates marks left over when a later cohort overwrites the
-// template before every mate of the earlier one drained (such mates fall
-// back to normal execution).
-type memTemplate struct {
-	gen     uint64
-	op      isa.Op
-	rd      uint8
-	rs2     uint8
-	size    uint32
-	isStore bool
-	fp      bool // FLW/FSW: the float register file holds the data
-	// unit marks the contiguous bulk-copy fast path: full thread mask,
-	// 32-bit access, lane addresses base + 4*lane — one bounds check and
-	// one tight copy loop instead of per-lane accesses.
-	unit bool
-	base uint32 // lane-0 address when unit
-
-	minA, maxA uint32 // extremes of the leader's active-lane addresses
-	nLines     int
-	addrs      [64]uint32 // leader lane addresses (copied: addrBuf is reused)
-	lines      [64]uint32 // leader line list (copied: lineBuf is reused)
 }
 
 type simCore struct {
@@ -171,12 +114,10 @@ type simCore struct {
 	stallFrom uint64
 	stats     CoreStats
 
-	// Per-core scratch for the coalescing path and the batched-execution
-	// cohort span, preallocated so the issue path never allocates.
+	// Per-core scratch for the coalescing path, preallocated so the issue
+	// path never allocates.
 	addrBuf [64]uint32
 	lineBuf []uint32
-	cohort  []*warp
-	memT    memTemplate
 }
 
 // Sim is one device instance. Memory and the cache hierarchy are injected
@@ -199,8 +140,6 @@ type Sim struct {
 
 	fullMask uint64
 	maxFU    uint64 // cached Lat.max(): the longest FU latency, for stall attribution
-	batch    bool   // cached cfg.BatchExec && !cfg.ScanSched (the scan oracle is always per-warp)
-	batchMem bool   // cached cfg.BatchMem && batch: memory cohorts need the heap engine too
 	mshrs    int    // cached cfg.Mem.L1.MSHRs: per-core outstanding-miss bound (0 = unbounded)
 
 	// Event engine's core wake queue (event.go), kept on the Sim so its
@@ -242,8 +181,6 @@ func (s *Sim) Reshape(cfg Config, memory *mem.Memory, hier *mem.Hierarchy) error
 	s.sched = newScheduler(cfg.Sched)
 	s.fullMask = fullMask(cfg.Threads)
 	s.maxFU = uint64(cfg.Lat.max())
-	s.batch = cfg.BatchExec && !cfg.ScanSched
-	s.batchMem = cfg.BatchMem && s.batch
 	s.mshrs = cfg.Mem.L1.MSHRs
 	// Cores and warps a shrink left beyond len keep their arrays for the
 	// next growth; Reset below visits exactly the new shape, so whatever a
@@ -256,13 +193,11 @@ func (s *Sim) Reshape(cfg Config, memory *mem.Memory, hier *mem.Hierarchy) error
 		c.id = i
 		c.warps = resized(c.warps, cfg.Warps)
 		// The capacities below are the preconditions that keep the issue
-		// path allocation-free: a coalesced access has at most 64 lines; a
-		// cohort spans at most the core's warps; each warp holds at most
-		// one wake-heap entry; and one memory instruction can allocate up
-		// to 64 MSHR entries past a single free one (the gate requires one
-		// free slot, not one per line).
+		// path allocation-free: a coalesced access has at most 64 lines;
+		// each warp holds at most one wake-heap entry; and one memory
+		// instruction can allocate up to 64 MSHR entries past a single
+		// free one (the gate requires one free slot, not one per line).
 		c.lineBuf = resized(c.lineBuf, 64)[:0]
-		c.cohort = resized(c.cohort, cfg.Warps)[:0]
 		c.wakeHeap = resized(c.wakeHeap, cfg.Warps)[:0]
 		if s.mshrs > 0 {
 			c.mshr = resized(c.mshr, s.mshrs+64)[:0]
@@ -307,7 +242,6 @@ const (
 	mWritesI
 	mWritesF
 	mIsMem
-	mBatch // pure compute, eligible for uniform-warp cohort execution
 )
 
 func metaOf(in isa.Inst) instMeta {
@@ -335,9 +269,6 @@ func metaOf(in isa.Inst) instMeta {
 	}
 	if in.IsMem() {
 		m |= mIsMem
-	}
-	if batchable(in.Op) {
-		m |= mBatch
 	}
 	return m
 }
@@ -386,13 +317,11 @@ func (s *Sim) Reset() {
 		c.barriers = [maxBarriers]barrier{}
 		c.blockMem = false
 		c.stats = CoreStats{}
-		c.memT = memTemplate{}
 		for j := range c.warps {
 			w := &c.warps[j]
 			w.active = false
 			w.barWait = false
 			w.wakeValid = false
-			w.batched = false
 			w.last = 0
 		}
 	}
@@ -436,7 +365,6 @@ func (s *Sim) resetWarp(w *warp, pc uint32, tmask uint64) {
 	w.active = true
 	w.barWait = false
 	w.wakeValid = false
-	w.batched = false
 	// Clear the issue timestamp so oldest-first gives fresh warps top
 	// priority instead of inheriting a previous launch's (or a previous
 	// incarnation's) history. rr/gto never read it.

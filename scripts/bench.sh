@@ -15,7 +15,7 @@ cd "$(dirname "$0")/.."
 
 COUNT="${COUNT:-5}"
 BENCHTIME="${BENCHTIME:-1x}"
-BENCH="${BENCH:-BenchmarkFig2|BenchmarkAblation|BenchmarkSimulator|BenchmarkSweep|BenchmarkHighWarp|BenchmarkManyCore|BenchmarkUniformWarp|BenchmarkMemCohort|BenchmarkMSHR}"
+BENCH="${BENCH:-BenchmarkFig2|BenchmarkAblation|BenchmarkSimulator|BenchmarkSweep|BenchmarkHighWarp|BenchmarkManyCore|BenchmarkMSHR}"
 OUT="${1:-BENCH_baseline.json}"
 
 RAW="$(mktemp)"
