@@ -1,38 +1,24 @@
 package sim
 
 import (
-	"errors"
+	"encoding/binary"
 	"fmt"
 	"testing"
-
-	"repro/internal/asm"
-	"repro/internal/mem"
 )
 
-// Batched-memory differential harness (bare-simulator level). The contract
-// under test: with Config.BatchMem on, every simulated observable — cycles,
-// per-core statistics, cache/DRAM statistics down to individual L2 banks
-// and DRAM channels, memory contents, traps — is byte-identical to the
-// per-warp oracle (BatchMem off), under every scheduler policy and both
-// engines. Timing is never batched: each cohort
-// mate's L1/hierarchy walk, MSHR allocation and LSU occupancy happen at its
-// true issue cycle; only the functional access and coalescing are derived
-// from the leader's affine address template.
-
-// batchMemOracle runs prog with the full per-warp oracle (both batching
-// layers off) and returns its snapshot; cfg is taken by value so the
-// caller's copy keeps its settings.
-func batchMemOracle(t *testing.T, cfg Config, prog string, activate func(*Sim) error) snapshot {
-	t.Helper()
-	cfg.BatchExec = false
-	cfg.BatchMem = false
-	return runSnapshot(t, cfg, prog, activate)
-}
+// Lockstep-batch memory harness (bare-simulator level): batches of warps
+// issuing the same load or store at the same pc — the unit-stride,
+// broadcast and per-lane arms of executeMem, coalescing, the L1/hierarchy
+// walk, MSHR allocation and LSU occupancy — held byte-identical, down to
+// individual L2 banks and DRAM channels, to the per-cycle oracles of
+// batch_test.go under every scheduler policy.
 
 // memUnitProg: every warp streams full-mask unit-stride words — the
-// contiguous bulk-copy fast path. The loop reuses static offsets from a
-// fixed base (no pointer advance), so after the first pass every access is
-// an L1 hit and the warps stay in lockstep.
+// contiguous fast path. The loop reuses static offsets from a fixed base
+// (no pointer advance), so after the first pass every access is an L1 hit
+// and the warps stay in lockstep. Each lane owns the words at
+// base = 0x8000 + cid<<13 + wid<<7 + tid<<2 and base+32, so the final
+// memory has a closed form (see checkMemUnitResults).
 const memUnitProg = `
 	csrr s0, cid
 	slli s0, s0, 13
@@ -58,9 +44,33 @@ loop:
 	ecall
 `
 
-// memStridedProg: lane stride of 64 bytes — affinely congruent across
-// warps but not unit-stride, so mates replay through the per-lane template
-// path and the shifted coalesced line list.
+// checkMemUnitResults holds memUnitProg's final memory to its closed form:
+// after 24 passes a lane's first word is 24*(wid+3) and its second the sum
+// of the first word's running values, 300*(wid+3); lanes outside their
+// warp's mask leave both words zero.
+func checkMemUnitResults(t *testing.T, name string, cfg Config, tmask func(w int) uint64, snap snapshot) {
+	t.Helper()
+	for c := 0; c < cfg.Cores; c++ {
+		for w := 0; w < cfg.Warps; w++ {
+			for lane := 0; lane < cfg.Threads; lane++ {
+				off := c<<13 + w<<7 + lane<<2
+				first := binary.LittleEndian.Uint32(snap.memData[off:])
+				second := binary.LittleEndian.Uint32(snap.memData[off+32:])
+				var wantFirst, wantSecond uint32
+				if tmask(w)>>lane&1 == 1 {
+					wantFirst, wantSecond = uint32(24*(w+3)), uint32(300*(w+3))
+				}
+				if first != wantFirst || second != wantSecond {
+					t.Errorf("%s: core %d warp %d lane %d: words (%d, %d), want (%d, %d)",
+						name, c, w, lane, first, second, wantFirst, wantSecond)
+				}
+			}
+		}
+	}
+}
+
+// memStridedProg: lane stride of 64 bytes — each lane its own line, so
+// every access takes the per-lane arm and coalesces into eight lines.
 const memStridedProg = `
 	csrr s0, cid
 	slli s0, s0, 14
@@ -84,9 +94,8 @@ loop:
 `
 
 // memOverlapProg: every warp of a core stores to and loads from the SAME
-// addresses (per-warp delta zero). Mate stores overlap the leader's lines;
-// the store each warp observes with its own load depends purely on issue
-// order, which batching must not change.
+// addresses. Each warp's stores overwrite the others' lines; the value a
+// warp observes with its own load depends purely on issue order.
 const memOverlapProg = `
 	csrr s0, cid
 	slli s0, s0, 10
@@ -108,9 +117,8 @@ loop:
 	ecall
 `
 
-// memByteHalfProg: sub-word loads and stores (sb/lb/lbu, sh/lh/lhu) — the
-// fused per-op kernels without a bulk path — folded into a word store so
-// the results land in the snapshot window.
+// memByteHalfProg: sub-word loads and stores (sb/lb/lbu, sh/lh/lhu) folded
+// into a word store so the results land in the snapshot window.
 const memByteHalfProg = `
 	csrr s0, cid
 	slli s0, s0, 12
@@ -137,9 +145,8 @@ const memByteHalfProg = `
 `
 
 // memNonCongruentProg: the lane stride is wid*4, so warp 0's lanes all hit
-// one address while higher warps spread out — the per-warp deltas vary by
-// lane and no mate is affinely congruent with the leader. Every mate must
-// fall back to plain per-warp execution mid-cohort.
+// one address (the broadcast arm) while higher warps spread out, each warp
+// with its own stride.
 const memNonCongruentProg = `
 	csrr s1, wid
 	csrr t1, tid
@@ -162,67 +169,49 @@ const memNonCongruentProg = `
 	ecall
 `
 
-// TestBatchMemMatchesOracle is the core differential: batched memory
-// execution against the per-warp oracle across all scheduler policies and
-// both engines — unit-stride (bulk path), strided
-// (template path), partial and mixed thread masks, overlapping stores
-// between mates, sub-word ops, non-congruent fallback, and the
-// compute+mem mixes shared with the engine harness.
+// TestBatchMemMatchesOracle is the core memory differential: the default
+// device against the per-cycle oracles across all scheduler policies —
+// unit-stride (full, partial and mixed thread masks, each also checked
+// against its closed form), strided, overlapping stores between warps,
+// sub-word ops, per-warp strides, and the compute+memory mixes shared with
+// the engine harness.
 func TestBatchMemMatchesOracle(t *testing.T) {
-	mixedMasks := func(cfg Config) func(*Sim) error {
-		return func(s *Sim) error {
-			for c := 0; c < cfg.Cores; c++ {
-				for w := 0; w < cfg.Warps; w++ {
-					tmask := uint64(0xFF)
-					if w%2 == 1 {
-						tmask = 0x33
-					}
-					if err := s.ActivateWarp(c, w, 0x1000, tmask); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
+	full := func(int) uint64 { return 0xFF }
+	mixed := func(w int) uint64 {
+		if w%2 == 1 {
+			return 0x33
 		}
+		return 0xFF
 	}
 	cases := []struct {
-		name     string
-		prog     string
-		activate func(Config) func(*Sim) error
+		name  string
+		prog  string
+		warps int              // 0: all warps, each under tmask
+		tmask func(int) uint64 // per-warp mask
+		unit  bool             // closed-form check of memUnitProg
 	}{
-		{"unit", memUnitProg,
-			func(cfg Config) func(*Sim) error { return activateAll(cfg, cfg.Warps, 0xFF) }},
-		{"unit/partial-mask", memUnitProg,
-			func(cfg Config) func(*Sim) error { return activateAll(cfg, cfg.Warps, 0x55) }},
-		{"unit/mixed-masks", memUnitProg, mixedMasks},
-		{"strided", memStridedProg,
-			func(cfg Config) func(*Sim) error { return activateAll(cfg, cfg.Warps, 0xFF) }},
-		{"store-overlap", memOverlapProg,
-			func(cfg Config) func(*Sim) error { return activateAll(cfg, cfg.Warps, 0xFF) }},
-		{"byte-half", memByteHalfProg,
-			func(cfg Config) func(*Sim) error { return activateAll(cfg, cfg.Warps, 0xFF) }},
-		{"non-congruent", memNonCongruentProg,
-			func(cfg Config) func(*Sim) error { return activateAll(cfg, cfg.Warps, 0xFF) }},
-		{"compute-mem-mix", diffMemProg,
-			func(cfg Config) func(*Sim) error { return activateAll(cfg, 4, 0xF) }},
-		{"compute-mem-uniform", batchUniformProg,
-			func(cfg Config) func(*Sim) error { return activateAll(cfg, cfg.Warps, 0xFF) }},
+		{"unit", memUnitProg, 0, full, true},
+		{"unit/partial-mask", memUnitProg, 0, func(int) uint64 { return 0x55 }, true},
+		{"unit/mixed-masks", memUnitProg, 0, mixed, true},
+		{"strided", memStridedProg, 0, full, false},
+		{"store-overlap", memOverlapProg, 0, full, false},
+		{"byte-half", memByteHalfProg, 0, full, false},
+		{"non-congruent", memNonCongruentProg, 0, full, false},
+		{"compute-mem-mix", diffMemProg, 4, func(int) uint64 { return 0xF }, false},
+		{"compute-mem-uniform", batchUniformProg, 0, full, false},
 	}
 	for _, tc := range cases {
 		for _, pol := range SchedPolicies() {
 			t.Run(fmt.Sprintf("%s/%s", tc.name, pol), func(t *testing.T) {
 				cfg := DefaultConfig(2, 8, 8)
 				cfg.Sched = pol
-				oracle := batchMemOracle(t, cfg, tc.prog, tc.activate(cfg))
-				cfg.BatchExec = true
-				cfg.BatchMem = true
-				for _, engine := range []struct {
-					name string
-					tick bool
-				}{{"event", false}, {"tick", true}} {
-					cfg.TickEngine = engine.tick
-					got := runSnapshot(t, cfg, tc.prog, tc.activate(cfg))
-					diffSnapshots(t, fmt.Sprintf("%s/%s", pol, engine.name), oracle, got)
+				activate := activateMasks(cfg, tc.tmask)
+				if tc.warps != 0 {
+					activate = activateAll(cfg, tc.warps, tc.tmask(0))
+				}
+				got := diffBatchOracles(t, pol.String(), cfg, tc.prog, activate)
+				if tc.unit {
+					checkMemUnitResults(t, pol.String(), cfg, tc.tmask, got)
 				}
 			})
 		}
@@ -230,8 +219,8 @@ func TestBatchMemMatchesOracle(t *testing.T) {
 }
 
 // TestBatchMemMSHRBound reruns the strided differential with a tight MSHR
-// bound: the structural LSU/MSHR gate must stall replaying mates exactly
-// where it stalls the oracle's per-warp instructions.
+// bound: the structural LSU/MSHR gate must stall lockstep warps exactly
+// where it stalls them in the oracles.
 func TestBatchMemMSHRBound(t *testing.T) {
 	for _, pol := range SchedPolicies() {
 		t.Run(pol.String(), func(t *testing.T) {
@@ -239,262 +228,21 @@ func TestBatchMemMSHRBound(t *testing.T) {
 			cfg.Sched = pol
 			cfg.Mem.L1.MSHRs = 2
 			cfg.Mem.L2.MSHRs = 2
-			activate := activateAll(cfg, cfg.Warps, 0xFF)
-			oracle := batchMemOracle(t, cfg, memStridedProg, activate)
-			cfg.BatchExec, cfg.BatchMem = true, true
-			got := runSnapshot(t, cfg, memStridedProg, activate)
-			diffSnapshots(t, pol.String(), oracle, got)
+			diffBatchOracles(t, pol.String(), cfg, memStridedProg, activateAll(cfg, cfg.Warps, 0xFF))
 		})
 	}
 }
 
-// batchMemWhiteboxProg: four lockstep warps, identical unit-stride lane
-// addresses (per-warp delta zero), one load.
-const batchMemWhiteboxProg = `
-	csrr t1, tid
-	slli t1, t1, 2
-	li   t0, 0x8000
-	add  t0, t0, t1
-	lw   t2, 0(t0)
-	ecall
-`
-
-// driveCore steps the heap issue loop like the engines do — advancing the
-// device cycle on stalls — until pred returns true or the step budget runs
-// out (the test then fails).
-func driveCore(t *testing.T, s *Sim, c *simCore, pred func() bool) {
-	t.Helper()
-	for step := 0; step < 10000; step++ {
-		if pred() {
-			return
-		}
-		issued, _, err := s.issueHeap(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !issued {
-			s.cycle++
-		}
-	}
-	t.Fatal("condition not reached within step budget")
-}
-
-// newWhiteboxSim builds a 1-core simulator for direct issueHeap driving.
-func newWhiteboxSim(t *testing.T, cfg Config, prog string, warps int, tmask uint64) (*Sim, *mem.Memory) {
-	t.Helper()
-	p := asm.MustAssemble(prog, 0x1000, nil)
-	memory := mem.NewMemory(1 << 20)
-	hier, err := mem.NewHierarchy(cfg.Cores, cfg.Mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(cfg, memory, hier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.LoadProgram(p.Base, p.Insts); err != nil {
-		t.Fatal(err)
-	}
-	for w := 0; w < warps; w++ {
-		if err := s.ActivateWarp(0, w, 0x1000, tmask); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return s, memory
-}
-
-// TestBatchMemCohortForms is the whitebox guard that memory batching
-// actually engages: with four warps in lockstep at a load, the leader's
-// issue must execute it and mark every mate with a memory replay
-// (batchDstMem, the template generation, and the per-warp delta), and each
-// mate's own slot must consume the mark and deliver the loaded data.
-func TestBatchMemCohortForms(t *testing.T) {
-	cfg := DefaultConfig(1, 4, 4)
-	s, memory := newWhiteboxSim(t, cfg, batchMemWhiteboxProg, 4, 0xF)
-	for lane := 0; lane < 4; lane++ {
-		memory.Write32(0x8000+uint32(lane)*4, 0x111*uint32(lane+1))
-	}
-	c := &s.cores[0]
-	memMarks := func() int {
-		n := 0
-		for w := range c.warps {
-			if c.warps[w].batched && c.warps[w].batchDst == batchDstMem {
-				n++
-			}
-		}
-		return n
-	}
-	driveCore(t, s, c, func() bool { return memMarks() == 3 })
-	lwPC := uint32(0x1000 + 5*4) // li 0x8000 expands to lui+addi
-	for w := range c.warps {
-		mw := &c.warps[w]
-		if !mw.batched || mw.batchDst != batchDstMem {
-			continue
-		}
-		if mw.batchPC != lwPC {
-			t.Errorf("warp %d batchPC = %#x, want %#x", w, mw.batchPC, lwPC)
-		}
-		if mw.batchGen != c.memT.gen {
-			t.Errorf("warp %d batchGen = %d, want %d", w, mw.batchGen, c.memT.gen)
-		}
-		if mw.batchMemDelta != 0 {
-			t.Errorf("warp %d delta = %#x, want 0 (identical addresses)", w, mw.batchMemDelta)
-		}
-	}
-	if !c.memT.unit {
-		t.Error("full-mask unit-stride word load did not set the bulk fast-path flag")
-	}
-	driveCore(t, s, c, func() bool { return c.active == 0 })
-	if n := memMarks(); n != 0 {
-		t.Fatalf("%d warps still marked after completion", n)
-	}
-	for w := 0; w < 4; w++ {
-		for lane := 0; lane < 4; lane++ {
-			v, err := s.Reg(0, w, lane, 7) // t2
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := 0x111 * uint32(lane+1); v != want {
-				t.Errorf("warp %d lane %d: loaded %#x, want %#x", w, lane, v, want)
-			}
-		}
-	}
-}
-
-// TestBatchMemNonCongruentNoMarks pins the mid-cohort fallback: a cohort
-// whose mates are not affinely congruent with the leader (lane-varying
-// deltas) must mark nobody — the mates execute normally — and still finish
-// with correct data.
-func TestBatchMemNonCongruentNoMarks(t *testing.T) {
-	cfg := DefaultConfig(1, 4, 4)
-	prog := `
-	csrr s1, wid
-	csrr t1, tid
-	mul  t0, t1, s1
-	slli t0, t0, 2
-	li   t2, 0x8000
-	add  t0, t0, t2
-	lw   t2, 0(t0)
-	ecall
-`
-	s, memory := newWhiteboxSim(t, cfg, prog, 4, 0xF)
-	for i := uint32(0); i < 16; i++ {
-		memory.Write32(0x8000+i*4, 0x1000+i)
-	}
-	c := &s.cores[0]
-	sawMemMark := false
-	driveCore(t, s, c, func() bool {
-		for w := range c.warps {
-			if c.warps[w].batched && c.warps[w].batchDst == batchDstMem {
-				sawMemMark = true
-			}
-		}
-		return c.active == 0
-	})
-	if sawMemMark {
-		t.Error("non-congruent mate was marked for batched memory replay")
-	}
-	for w := 0; w < 4; w++ {
-		for lane := 0; lane < 4; lane++ {
-			v, err := s.Reg(0, w, lane, 7) // t2
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := 0x1000 + uint32(w*lane); v != want {
-				t.Errorf("warp %d lane %d: loaded %#x, want %#x", w, lane, v, want)
-			}
-		}
-	}
-}
-
-// TestBatchMemInert pins the gating: memory batching requires the heap
-// scheduler and the compute-batching layer — under ScanSched or with
-// BatchExec off, s.batchMem must be false and the per-warp oracle path
-// runs unconditionally.
-func TestBatchMemInert(t *testing.T) {
-	build := func(mut func(*Config)) *Sim {
-		cfg := DefaultConfig(1, 4, 4)
-		cfg.BatchExec, cfg.BatchMem = true, true
-		mut(&cfg)
-		memory := mem.NewMemory(1 << 16)
-		hier, err := mem.NewHierarchy(cfg.Cores, cfg.Mem)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := New(cfg, memory, hier)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	if s := build(func(cfg *Config) { cfg.ScanSched = true }); s.batchMem {
-		t.Error("ScanSched config has memory batching enabled; the scan oracle must stay per-warp")
-	}
-	if s := build(func(cfg *Config) { cfg.BatchExec = false }); s.batchMem {
-		t.Error("BatchExec=false config has memory batching enabled; BatchMem rides on the cohort machinery")
-	}
-	if s := build(func(cfg *Config) {}); !s.batchMem {
-		t.Error("default heap-scheduler config should have memory batching enabled")
-	}
-}
-
-// memTrapProg: lane addresses of tid<<20 + 0x8000 — lane 0 in bounds,
-// every higher lane far outside the 1 MiB device memory. The store must
-// trap without committing lane 0's write.
-const memTrapProg = `
-	csrr t0, tid
-	slli t2, t0, 20
-	li   t3, 0x8000
-	add  t2, t2, t3
-	li   t4, 0xdead
-	sw   t4, 0(t2)
-	ecall
-`
-
-// TestMemTrapNoPartialMutation pins the validate-before-mutate contract of
-// executeMem: a store warp that traps on a later lane must leave memory
-// untouched — including the earlier lanes that individually were in bounds
-// — identically under both engines and both BatchMem settings, with
-// byte-identical trap records. The multi-warp activation also covers the
-// cohort-leader trap path (the leader fails during batched formation and
-// the error propagates unchanged).
-func TestMemTrapNoPartialMutation(t *testing.T) {
-	run := func(tick, batchMem bool, warps int) *Trap {
-		t.Helper()
-		cfg := DefaultConfig(1, 4, 4)
-		cfg.TickEngine = tick
-		cfg.BatchMem = batchMem
-		s, memory := newWhiteboxSim(t, cfg, memTrapProg, warps, 0x3)
-		err := s.Run()
-		var trap *Trap
-		if !errors.As(err, &trap) {
-			t.Fatalf("tick=%v batchMem=%v warps=%d: expected out-of-bounds trap, got %v", tick, batchMem, warps, err)
-		}
-		if v, _ := memory.Read32(0x8000); v != 0 {
-			t.Fatalf("tick=%v batchMem=%v warps=%d: lane 0 store committed (%#x) despite lane 1 trap", tick, batchMem, warps, v)
-		}
-		return trap
-	}
-	for _, warps := range []int{1, 4} {
-		oracle := run(false, false, warps)
-		for _, engine := range []bool{false, true} {
-			got := run(engine, true, warps)
-			if *oracle != *got {
-				t.Errorf("warps=%d tick=%v: trap differs:\noracle  %+v\nbatched %+v", warps, engine, oracle, got)
-			}
-		}
-	}
-}
-
-// TestBatchMemScanSchedDifferential runs a memory-heavy program under
-// ScanSched with BatchMem requested: the scan oracle must stay
-// byte-identical to itself with the flag off (the flag is inert there).
+// TestBatchMemScanSchedDifferential runs the unit-stride lockstep program
+// on the scan issue loop of the event engine against the ready-set/wake-heap
+// scheduler: the two issue loops must agree byte for byte, and both must
+// leave memUnitProg's closed-form memory.
 func TestBatchMemScanSchedDifferential(t *testing.T) {
 	cfg := DefaultConfig(2, 8, 8)
-	cfg.ScanSched = true
 	activate := activateAll(cfg, cfg.Warps, 0xFF)
-	oracle := batchMemOracle(t, cfg, memUnitProg, activate)
-	cfg.BatchExec, cfg.BatchMem = true, true
-	got := runSnapshot(t, cfg, memUnitProg, activate)
-	diffSnapshots(t, "scan-sched", oracle, got)
+	heap := runSnapshot(t, cfg, memUnitProg, activate)
+	cfg.ScanSched = true
+	scan := runSnapshot(t, cfg, memUnitProg, activate)
+	diffSnapshots(t, "scan-sched", scan, heap)
+	checkMemUnitResults(t, "scan-sched", cfg, func(int) uint64 { return 0xFF }, scan)
 }

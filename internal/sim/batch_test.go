@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -9,18 +10,23 @@ import (
 	"repro/internal/mem"
 )
 
-// Batched-execution differential harness (bare-simulator level). The
-// contract under test: with Config.BatchExec on, every simulated observable
-// — cycles, per-core statistics, cache/DRAM statistics, memory contents,
-// the observer stream, traps — is byte-identical to the per-warp oracle
-// (BatchExec off), under every scheduler policy and both engines.
+// Lockstep-batch harness (bare-simulator level): programs that keep a whole
+// batch of warps at the same pc, issue after issue, with lane-varying data.
+// The contract under test: the default device (ready-set/wake-heap
+// scheduler on the event engine) is byte-identical in every simulated
+// observable — cycles, per-core statistics, cache/DRAM statistics, memory
+// contents, the observer stream, traps — to the legacy oracles that step
+// every warp every cycle: the tick loop under the same policy and, for the
+// policies it implements (rr, gto), the scan issue loop on the tick loop.
+// Where a program's results have a closed form, the stored values are also
+// checked against it directly.
 
 // batchUniformProg keeps every warp of a core in lockstep through a
-// compute-heavy loop that covers the whole batchable set: fast ALU ops,
-// the slow mul/div arm, immediates, lui/auipc, and the FP pipelines.
-// Lane values differ (tid-dependent), so the fused warps x lanes loops are
-// exercised with non-uniform data; control flow is warp-uniform (bnez on a
-// loop counter every lane shares). Results land in the snapshot window.
+// compute-heavy loop over the fast ALU ops, the slow mul/div arm,
+// immediates, lui/auipc and the FP pipelines. Lane values differ
+// (tid-dependent), so the dense lane loops run with non-uniform data;
+// control flow is warp-uniform (bnez on a loop counter every lane shares).
+// Results land in the snapshot window at 0x8000 + cid<<12 + wid<<7 + tid<<3.
 const batchUniformProg = `
 	csrr s0, cid
 	csrr s1, wid
@@ -61,99 +67,157 @@ loop:
 	ecall
 `
 
-// batchOracle runs prog with BatchExec off (the per-warp oracle) and
-// returns its snapshot; cfg is taken by value so the caller's copy keeps
-// its BatchExec setting.
-func batchOracle(t *testing.T, cfg Config, prog string, activate func(*Sim) error) snapshot {
-	t.Helper()
-	cfg.BatchExec = false
-	return runSnapshot(t, cfg, prog, activate)
+// batchUniformT2 is the closed form of the integer result batchUniformProg
+// stores for one lane.
+func batchUniformT2(cid, wid, tid int) uint32 {
+	t0 := uint32(wid*8 + tid + cid)
+	var t2 uint32
+	for t1 := uint32(48); t1 > 0; t1-- {
+		t2 += t0
+		t4 := t2 ^ t1
+		t2 = t4*7 - t4
+	}
+	return t2
 }
 
-// TestBatchMatchesUnbatchedOracle is the core differential: batched
-// execution vs the per-warp oracle across all four scheduler policies and
-// both engines — on the uniform cohort-heavy program,
-// on the memory/FP/divergence programs shared with the engine harness
-// (cohorts form and dissolve around fallback ops), and on partial and
-// per-warp-mixed thread masks.
-func TestBatchMatchesUnbatchedOracle(t *testing.T) {
-	mixedMasks := func(cfg Config) func(*Sim) error {
-		return func(s *Sim) error {
-			for c := 0; c < cfg.Cores; c++ {
-				for w := 0; w < cfg.Warps; w++ {
-					tmask := uint64(0xFF)
-					if w%2 == 1 {
-						tmask = 0x0F
-					}
-					if err := s.ActivateWarp(c, w, 0x1000, tmask); err != nil {
-						return err
-					}
+// checkBatchUniformResults holds every lane's stored integer result to
+// batchUniformT2; lanes outside their warp's mask must have stored nothing.
+func checkBatchUniformResults(t *testing.T, name string, cfg Config, tmask func(w int) uint64, snap snapshot) {
+	t.Helper()
+	for c := 0; c < cfg.Cores; c++ {
+		for w := 0; w < cfg.Warps; w++ {
+			for lane := 0; lane < cfg.Threads; lane++ {
+				off := c<<12 + w<<7 + lane<<3
+				got := binary.LittleEndian.Uint32(snap.memData[off:])
+				want := uint32(0)
+				if tmask(w)>>lane&1 == 1 {
+					want = batchUniformT2(c, w, lane)
+				}
+				if got != want {
+					t.Errorf("%s: core %d warp %d lane %d stored %#x, want %#x", name, c, w, lane, got, want)
 				}
 			}
-			return nil
 		}
 	}
+}
+
+// batchOracleConfigs returns the oracle configurations the default device
+// running cfg is held to: the tick loop under cfg's policy, plus the scan
+// issue loop on the tick loop where the policy has a scan implementation.
+func batchOracleConfigs(cfg Config) []struct {
+	name string
+	cfg  Config
+} {
+	cfg.ScanSched = false
+	cfg.TickEngine = true
+	oracles := []struct {
+		name string
+		cfg  Config
+	}{{"tick", cfg}}
+	if cfg.Sched == SchedRoundRobin || cfg.Sched == SchedGTO {
+		cfg.ScanSched = true
+		oracles = append(oracles, struct {
+			name string
+			cfg  Config
+		}{"scan-tick", cfg})
+	}
+	return oracles
+}
+
+// diffBatchOracles runs prog on the default device for cfg's policy, diffs
+// it against every oracle of batchOracleConfigs, and returns its snapshot.
+func diffBatchOracles(t *testing.T, name string, cfg Config, prog string, activate func(*Sim) error) snapshot {
+	t.Helper()
+	cfg.ScanSched, cfg.TickEngine = false, false
+	got := runSnapshot(t, cfg, prog, activate)
+	for _, o := range batchOracleConfigs(cfg) {
+		diffSnapshots(t, fmt.Sprintf("%s/%s-vs-event", name, o.name), runSnapshot(t, o.cfg, prog, activate), got)
+	}
+	return got
+}
+
+// activateMasks starts every warp of every core with the mask tmask(w).
+func activateMasks(cfg Config, tmask func(w int) uint64) func(*Sim) error {
+	return func(s *Sim) error {
+		for c := 0; c < cfg.Cores; c++ {
+			for w := 0; w < cfg.Warps; w++ {
+				if err := s.ActivateWarp(c, w, 0x1000, tmask(w)); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+}
+
+// TestBatchMatchesUnbatchedOracle is the core lockstep differential: the
+// default device against the per-cycle oracles across all four scheduler
+// policies — on the uniform lockstep program (full, partial and per-warp
+// mixed thread masks, each also checked against its closed form) and on the
+// memory/FP/divergence programs shared with the engine harness, where the
+// warps fall in and out of step.
+func TestBatchMatchesUnbatchedOracle(t *testing.T) {
+	mixed := func(w int) uint64 {
+		if w%2 == 1 {
+			return 0x0F
+		}
+		return 0xFF
+	}
 	cases := []struct {
-		name     string
-		prog     string
-		activate func(Config) func(*Sim) error
+		name  string
+		prog  string
+		warps int              // 0: all warps, each under tmask
+		tmask func(int) uint64 // per-warp mask
+		check bool             // closed-form check of batchUniformProg
 	}{
-		{"uniform", batchUniformProg,
-			func(cfg Config) func(*Sim) error { return activateAll(cfg, cfg.Warps, 0xFF) }},
-		{"partial-mask", batchUniformProg,
-			func(cfg Config) func(*Sim) error { return activateAll(cfg, cfg.Warps, 0x55) }},
-		{"mixed-masks", batchUniformProg, mixedMasks},
-		{"mem", diffMemProg,
-			func(cfg Config) func(*Sim) error { return activateAll(cfg, 4, 0xF) }},
-		{"fp-divergence", diffFPProg,
-			func(cfg Config) func(*Sim) error { return activateAll(cfg, 4, 0xF) }},
+		{"uniform", batchUniformProg, 0, func(int) uint64 { return 0xFF }, true},
+		{"partial-mask", batchUniformProg, 0, func(int) uint64 { return 0x55 }, true},
+		{"mixed-masks", batchUniformProg, 0, mixed, true},
+		{"mem", diffMemProg, 4, func(int) uint64 { return 0xF }, false},
+		{"fp-divergence", diffFPProg, 4, func(int) uint64 { return 0xF }, false},
 	}
 	for _, tc := range cases {
 		for _, pol := range SchedPolicies() {
 			t.Run(fmt.Sprintf("%s/%s", tc.name, pol), func(t *testing.T) {
 				cfg := DefaultConfig(2, 8, 8)
 				cfg.Sched = pol
-				oracle := batchOracle(t, cfg, tc.prog, tc.activate(cfg))
-				cfg.BatchExec = true
-				for _, engine := range []struct {
-					name string
-					tick bool
-				}{{"event", false}, {"tick", true}} {
-					cfg.TickEngine = engine.tick
-					got := runSnapshot(t, cfg, tc.prog, tc.activate(cfg))
-					diffSnapshots(t, fmt.Sprintf("%s/%s", pol, engine.name), oracle, got)
+				activate := activateMasks(cfg, tc.tmask)
+				if tc.warps != 0 {
+					activate = activateAll(cfg, tc.warps, tc.tmask(0))
+				}
+				got := diffBatchOracles(t, pol.String(), cfg, tc.prog, activate)
+				if tc.check {
+					checkBatchUniformResults(t, pol.String(), cfg, tc.tmask, got)
 				}
 			})
 		}
 	}
 }
 
-// TestBatchRotationBoundary pins cohort formation across the round-robin
+// TestBatchRotationBoundary pins lockstep issue across the round-robin
 // rotation boundary: an odd warp count keeps the rr pointer sliding
-// relative to cohort membership, so the leader is regularly picked
-// mid-mask with mates on both sides of the wrap. The two-level policy
-// gets the same program so group-boundary rotation is covered too.
+// relative to the batch, so the issuing warp is regularly picked mid-mask
+// with ready warps on both sides of the wrap. The two-level policy gets the
+// same program so group-boundary rotation is covered too.
 func TestBatchRotationBoundary(t *testing.T) {
 	for _, pol := range []SchedPolicy{SchedRoundRobin, SchedTwoLevel} {
 		t.Run(pol.String(), func(t *testing.T) {
 			cfg := DefaultConfig(1, 5, 8)
 			cfg.Sched = pol
-			activate := activateAll(cfg, 5, 0xFF)
-			oracle := batchOracle(t, cfg, batchUniformProg, activate)
-			cfg.BatchExec = true
-			got := runSnapshot(t, cfg, batchUniformProg, activate)
-			diffSnapshots(t, pol.String(), oracle, got)
+			full := func(int) uint64 { return 0xFF }
+			got := diffBatchOracles(t, pol.String(), cfg, batchUniformProg, activateMasks(cfg, full))
+			checkBatchUniformResults(t, pol.String(), cfg, full, got)
 		})
 	}
 }
 
-// TestBatchObserverStream pins observer byte-identity: the per-issue event
-// stream (order included) must not change when cohort mates replay their
-// bookkeeping instead of executing.
+// TestBatchObserverStream pins the observer contract on the lockstep
+// program: the per-issue event stream, order included, of the default
+// device must equal the scan-on-tick oracle's.
 func TestBatchObserverStream(t *testing.T) {
-	run := func(batch bool) []IssueEvent {
+	run := func(legacy bool) []IssueEvent {
 		cfg := DefaultConfig(2, 8, 8)
-		cfg.BatchExec = batch
+		cfg.ScanSched, cfg.TickEngine = legacy, legacy
 		p := asm.MustAssemble(batchUniformProg, 0x1000, nil)
 		memory := mem.NewMemory(1 << 20)
 		hier, err := mem.NewHierarchy(cfg.Cores, cfg.Mem)
@@ -177,96 +241,20 @@ func TestBatchObserverStream(t *testing.T) {
 		}
 		return events
 	}
-	oracle := run(false)
-	batched := run(true)
-	if len(oracle) != len(batched) {
-		t.Fatalf("event count differs: oracle %d, batched %d", len(oracle), len(batched))
+	oracle := run(true)
+	got := run(false)
+	if len(oracle) != len(got) {
+		t.Fatalf("event count differs: oracle %d, default %d", len(oracle), len(got))
 	}
 	for i := range oracle {
-		if oracle[i] != batched[i] {
-			t.Fatalf("event %d differs:\noracle  %+v\nbatched %+v", i, oracle[i], batched[i])
+		if oracle[i] != got[i] {
+			t.Fatalf("event %d differs:\noracle  %+v\ndefault %+v", i, oracle[i], got[i])
 		}
 	}
 }
 
-// TestBatchCohortForms is the whitebox guard that batching actually
-// engages: with several warps parked at the same pc on a batchable
-// instruction, the first issue must pre-execute the cohort and mark every
-// mate, and each mate's own issue must consume the mark.
-func TestBatchCohortForms(t *testing.T) {
-	cfg := DefaultConfig(1, 4, 4)
-	p := asm.MustAssemble("add t0, t1, t2\necall\n", 0x1000, nil)
-	memory := mem.NewMemory(1 << 16)
-	hier, err := mem.NewHierarchy(cfg.Cores, cfg.Mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(cfg, memory, hier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.LoadProgram(p.Base, p.Insts); err != nil {
-		t.Fatal(err)
-	}
-	for w := 0; w < 4; w++ {
-		if err := s.ActivateWarp(0, w, 0x1000, 0xF); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := &s.cores[0]
-	issued, _, err := s.issueHeap(c)
-	if err != nil || !issued {
-		t.Fatalf("first issue: issued=%v err=%v", issued, err)
-	}
-	marked := 0
-	for w := range c.warps {
-		if c.warps[w].batched {
-			if c.warps[w].batchPC != 0x1000 {
-				t.Errorf("warp %d batchPC = %#x, want 0x1000", w, c.warps[w].batchPC)
-			}
-			marked++
-		}
-	}
-	if marked != 3 {
-		t.Fatalf("cohort mates marked = %d, want 3", marked)
-	}
-	// Each mate's own issue slot consumes its mark.
-	for i := 0; i < 3; i++ {
-		if issued, _, err := s.issueHeap(c); err != nil || !issued {
-			t.Fatalf("mate issue %d: issued=%v err=%v", i, issued, err)
-		}
-	}
-	for w := range c.warps {
-		if c.warps[w].batched {
-			t.Errorf("warp %d still marked batched after its issue", w)
-		}
-	}
-}
-
-// TestBatchScanSchedInert pins that the legacy scan oracle never batches:
-// ScanSched forces the per-warp path even with BatchExec requested, so the
-// scan engine stays a fully independent oracle.
-func TestBatchScanSchedInert(t *testing.T) {
-	cfg := DefaultConfig(1, 4, 4)
-	cfg.ScanSched = true
-	cfg.BatchExec = true
-	memory := mem.NewMemory(1 << 16)
-	hier, err := mem.NewHierarchy(cfg.Cores, cfg.Mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(cfg, memory, hier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.batch {
-		t.Fatal("ScanSched config has batching enabled; the scan oracle must stay per-warp")
-	}
-}
-
-// batchTrapProg: uniform compute, then every lane jumps through a
-// tid-dependent register — a divergent jalr, which is not batchable and
-// must fall back per-warp and trap identically in both modes.
+// batchTrapProg: lockstep compute, then every lane jumps through a
+// tid-dependent register — a divergent jalr, which traps.
 const batchTrapProg = `
 	csrr t0, tid
 	li   t1, 16
@@ -284,15 +272,11 @@ done:
 	ecall
 `
 
-// TestBatchTrapIdentity pins the mid-cohort trap contract: a warp whose
-// next instruction is trap-capable (here a lane-divergent jalr) falls back
-// to the per-warp path, and the resulting trap — cycle, core, warp, pc,
-// reason — is byte-identical to the unbatched oracle under every policy.
+// TestBatchTrapIdentity pins the trap contract of a lockstep batch: the
+// divergent-jalr trap — cycle, core, warp, pc, reason — of the default
+// device is byte-identical to every per-cycle oracle under every policy.
 func TestBatchTrapIdentity(t *testing.T) {
-	run := func(pol SchedPolicy, batch bool) *Trap {
-		cfg := DefaultConfig(2, 4, 4)
-		cfg.Sched = pol
-		cfg.BatchExec = batch
+	run := func(cfg Config) *Trap {
 		p := asm.MustAssemble(batchTrapProg, 0x1000, nil)
 		memory := mem.NewMemory(1 << 16)
 		hier, err := mem.NewHierarchy(cfg.Cores, cfg.Mem)
@@ -312,23 +296,27 @@ func TestBatchTrapIdentity(t *testing.T) {
 		err = s.Run()
 		var trap *Trap
 		if !errors.As(err, &trap) {
-			t.Fatalf("sched=%s batch=%v: expected divergent-jalr trap, got %v", pol, batch, err)
+			t.Fatalf("sched=%s scan=%v tick=%v: expected divergent-jalr trap, got %v",
+				cfg.Sched, cfg.ScanSched, cfg.TickEngine, err)
 		}
 		return trap
 	}
 	for _, pol := range SchedPolicies() {
-		oracle := run(pol, false)
-		batched := run(pol, true)
-		if *oracle != *batched {
-			t.Errorf("sched=%s: trap differs:\noracle  %+v\nbatched %+v", pol, oracle, batched)
+		cfg := DefaultConfig(2, 4, 4)
+		cfg.Sched = pol
+		got := run(cfg)
+		for _, o := range batchOracleConfigs(cfg) {
+			if oracle := run(o.cfg); *oracle != *got {
+				t.Errorf("sched=%s: trap differs from %s oracle:\noracle  %+v\ndefault %+v", pol, o.name, oracle, got)
+			}
 		}
 	}
 }
 
-// batchEarlyExitProg: warp 0 leaves the cohort mid-stream through a
-// warp-uniform branch and a jalr (both fallback ops) while its former
-// mates keep computing; the run completes, so full snapshots — including
-// the mates' stored results — must match the oracle.
+// batchEarlyExitProg: warp 0 leaves the lockstep batch mid-stream through a
+// warp-uniform branch and a jalr while the other warps keep computing; the
+// run completes, so full snapshots — including every warp's stored result
+// at 0x8000 + wid<<6 + tid<<2 — must match the oracles.
 const batchEarlyExitProg = `
 	csrr s1, wid
 	csrr t0, tid
@@ -360,24 +348,27 @@ store:
 	ecall
 `
 
-// TestBatchMateEarlyExit pins that a warp leaving the cohort stream via
-// fallback control flow does not corrupt the warps it was batched with.
+// TestBatchMateEarlyExit pins that a warp leaving the lockstep stream via
+// control flow does not disturb the warps it was in step with.
 func TestBatchMateEarlyExit(t *testing.T) {
 	for _, pol := range SchedPolicies() {
 		t.Run(pol.String(), func(t *testing.T) {
 			cfg := DefaultConfig(1, 4, 4)
 			cfg.Sched = pol
-			activate := activateAll(cfg, 4, 0xF)
-			oracle := batchOracle(t, cfg, batchEarlyExitProg, activate)
-			cfg.BatchExec = true
-			got := runSnapshot(t, cfg, batchEarlyExitProg, activate)
-			diffSnapshots(t, pol.String(), oracle, got)
+			got := diffBatchOracles(t, pol.String(), cfg, batchEarlyExitProg, activateAll(cfg, 4, 0xF))
+			// Warp 0 stores loopA's sum 12*tid.
+			for lane := 0; lane < 4; lane++ {
+				v := binary.LittleEndian.Uint32(got.memData[lane<<2:])
+				if want := uint32(12 * lane); v != want {
+					t.Errorf("warp 0 lane %d stored %#x, want %#x", lane, v, want)
+				}
+			}
 		})
 	}
 }
 
-// batchX0Prog: batchable ops with rd == x0 in a lockstep cohort. The
-// batched kernels must discard the writes exactly like the per-warp path.
+// batchX0Prog: ops with rd == x0 issued by a lockstep batch. Every write
+// must be discarded.
 const batchX0Prog = `
 	csrr t0, tid
 	addi t1, t0, 5
@@ -400,13 +391,13 @@ const batchX0Prog = `
 	ecall
 `
 
-// TestBatchRdX0 runs an x0-destination cohort and checks both snapshot
-// identity and that x0 stayed architecturally zero in every lane.
+// TestBatchRdX0 runs an x0-destination lockstep batch and checks snapshot
+// identity with the oracles, the stored results, and that x0 stayed
+// architecturally zero in every lane.
 func TestBatchRdX0(t *testing.T) {
 	cfg := DefaultConfig(1, 4, 4)
 	activate := activateAll(cfg, 4, 0xF)
-	oracle := batchOracle(t, cfg, batchX0Prog, activate)
-	cfg.BatchExec = true
+	want := diffBatchOracles(t, "rd-x0", cfg, batchX0Prog, activate)
 	p := asm.MustAssemble(batchX0Prog, 0x1000, nil)
 	memory := mem.NewMemory(1 << 20)
 	hier, err := mem.NewHierarchy(cfg.Cores, cfg.Mem)
@@ -431,7 +422,7 @@ func TestBatchRdX0(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diffSnapshots(t, "rd-x0", oracle, got)
+	diffSnapshots(t, "rd-x0/rerun", want, got)
 	for w := 0; w < 4; w++ {
 		for lane := 0; lane < 4; lane++ {
 			v, err := s.Reg(0, w, lane, 0)
@@ -439,7 +430,14 @@ func TestBatchRdX0(t *testing.T) {
 				t.Fatal(err)
 			}
 			if v != 0 {
-				t.Errorf("warp %d lane %d: x0 = %#x after batched x0-destination ops", w, lane, v)
+				t.Errorf("warp %d lane %d: x0 = %#x after x0-destination ops", w, lane, v)
+			}
+			stored, ok := memory.Read32(0x8000 + uint32(w<<6+lane<<2))
+			if !ok {
+				t.Fatal("result word out of bounds")
+			}
+			if wantT2 := uint32(2*lane + 5); stored != wantT2 {
+				t.Errorf("warp %d lane %d: stored %#x, want %#x", w, lane, stored, wantT2)
 			}
 		}
 	}

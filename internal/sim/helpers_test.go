@@ -2,7 +2,7 @@ package sim
 
 // Shared fixtures of the bare-simulator differential tests: the snapshot of
 // everything a run can be observed to do, the runner that produces one, and
-// the standard programs the engine, scheduler, batching and memory-axis
+// the standard programs the engine, scheduler, lockstep-batch and memory-axis
 // differentials all run.
 
 import (
