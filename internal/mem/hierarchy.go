@@ -282,13 +282,31 @@ type AccessResult struct {
 // miss fills the L1 immediately (tags only; the simulator is functional at
 // issue), retires the dirty victim it displaced into the L2 without
 // stalling the requester, and then completes through the line's L2 bank or,
-// on an L2 miss, its DRAM channel.
+// on an L2 miss, its DRAM channel. Access is AccessL1 followed, on a miss,
+// by AccessMiss; callers on a hot path call the two halves directly so a
+// hit costs one L1 probe.
 func (h *Hierarchy) Access(core int, addr uint32, write bool, now uint64) AccessResult {
+	if done, hit := h.AccessL1(core, addr, write, now); hit {
+		return AccessResult{Done: done, L1Hit: true}
+	}
+	done, l2Hit := h.AccessMiss(core, addr, write, now)
+	return AccessResult{Done: done, L2Hit: l2Hit}
+}
+
+// AccessL1 is the first half of Access: it probes core's L1 for addr's line,
+// counting the access and updating LRU and dirty state, and reports whether
+// it hit; done is the completion cycle of a hit. A miss must be completed by
+// AccessMiss with the same arguments before the next access.
+func (h *Hierarchy) AccessL1(core int, addr uint32, write bool, now uint64) (done uint64, hit bool) {
+	return now + uint64(h.cfg.L1.HitLatency), h.l1[core].lookup(addr, write)
+}
+
+// AccessMiss is the second half of Access, for a request AccessL1 reported
+// as an L1 miss: it fills the L1 and completes through the L2 or DRAM. It
+// returns the completion cycle and whether the line hit in the L2.
+func (h *Hierarchy) AccessMiss(core int, addr uint32, write bool, now uint64) (done uint64, l2Hit bool) {
 	l1 := &h.l1[core]
 	t := now + uint64(h.cfg.L1.HitLatency)
-	if l1.lookup(addr, write) {
-		return AccessResult{Done: t, L1Hit: true}
-	}
 	wb, victim := l1.fill(addr, write)
 	if h.cfg.Prefetch == PrefetchNextLine {
 		// Tag-only next-line prefetch: free of timing (the fill models a
@@ -302,7 +320,7 @@ func (h *Hierarchy) Access(core int, addr uint32, write bool, now uint64) Access
 		if wb {
 			h.dramWriteback(victim, t)
 		}
-		return AccessResult{Done: h.dramRead(addr, t)}
+		return h.dramRead(addr, t), false
 	}
 	if wb {
 		// The dirty L1 victim is looked up in (or allocated dirty into) its
@@ -318,7 +336,7 @@ func (h *Hierarchy) Access(core int, addr uint32, write bool, now uint64) Access
 	b := &h.banks[bank]
 	t += uint64(h.cfg.L2.HitLatency)
 	if b.lookup(baddr, write) {
-		return AccessResult{Done: t, L2Hit: true}
+		return t, true
 	}
 	wb, victim = b.fill(baddr, write)
 	if h.cfg.L2.MSHRs > 0 {
@@ -327,7 +345,7 @@ func (h *Hierarchy) Access(core int, addr uint32, write bool, now uint64) Access
 	if wb {
 		h.dramWriteback(h.bankVictim(bank, victim), t)
 	}
-	return AccessResult{Done: h.dramRead(addr, t)}
+	return h.dramRead(addr, t), false
 }
 
 // bankFetchSlot applies the bank's MSHR bound to a DRAM fetch that wants to

@@ -166,6 +166,9 @@ func (c Config) Validate() error {
 	if c.Lat == (Latencies{}) {
 		return fmt.Errorf("sim: zero latencies; use DefaultLatencies")
 	}
+	if err := c.Lat.validate(); err != nil {
+		return err
+	}
 	if c.Mem.L1.MSHRs < 0 {
 		return fmt.Errorf("sim: negative L1 MSHR count %d", c.Mem.L1.MSHRs)
 	}
@@ -188,8 +191,8 @@ func (c Config) HP() int { return c.Cores * c.Warps * c.Threads }
 // Name renders the paper's compact configuration notation, e.g. "4c8w16t".
 func (c Config) Name() string { return fmt.Sprintf("%dc%dw%dt", c.Cores, c.Warps, c.Threads) }
 
-// latencyFor returns the writeback latency of op-class lat entries; memory
-// instructions are timed by the hierarchy instead.
+// max returns the longest functional-unit latency: a stall that clears
+// later than that is waiting on memory, not on a functional unit.
 func (l Latencies) max() int {
 	m := l.ALU
 	for _, v := range []int{l.Mul, l.Div, l.FAdd, l.FMul, l.FMA, l.FDiv, l.FSqrt} {
@@ -198,4 +201,18 @@ func (l Latencies) max() int {
 		}
 	}
 	return m
+}
+
+// validate refuses negative latencies: a result would complete before the
+// cycle its instruction issues, and the unsigned completion cycle wraps.
+func (l Latencies) validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"ALU", l.ALU}, {"Mul", l.Mul}, {"Div", l.Div}, {"FAdd", l.FAdd}, {"FMul", l.FMul}, {"FMA", l.FMA}, {"FDiv", l.FDiv}, {"FSqrt", l.FSqrt}} {
+		if f.v < 0 {
+			return fmt.Errorf("sim: negative %s latency %d", f.name, f.v)
+		}
+	}
+	return nil
 }

@@ -7,7 +7,7 @@ import "fmt"
 //
 // PR 5's scheduler subsystem already computes, on every failed issue
 // attempt, the earliest cycle a core can possibly issue again
-// (simCore.nextWake, from the per-warp stall caches). The tick loop throws
+// (simCore.nextWake, from the per-warp stall records). The tick loop throws
 // that knowledge away at device level: every cycle it still visits every
 // core with active warps, if only to charge one stall cycle and min-reduce
 // nextWake, and it fast-forwards only when *zero* cores issued. On
@@ -39,7 +39,7 @@ import "fmt"
 // Stall attribution is lazy. The tick loop charges each non-issuing core
 // one stall cycle per visited cycle, split MemStall/ExecStall by the core's
 // blockMem attribution — which issue() fixes at the failed attempt and which
-// cannot change while the core sleeps (the per-warp stall caches are only
+// cannot change while the core sleeps (the per-warp stall records are only
 // rewritten when the core itself issues). The event engine therefore records
 // only the span start (simCore.stallFrom) when a core goes to sleep and
 // settles the whole span through accountStall when the core is next touched
@@ -145,8 +145,15 @@ func (q *eventQueue) pop() coreEvent {
 // running list is appended in due-processing order, and the heap never
 // holds an entry with at < cycle (every cycle's due entries are drained
 // before the cycle advances), so a cycle's pops all share one key and come
-// off in core order.
+// off in core order. When no sleeping core is due the running list is the
+// whole answer, and the two buffers are swapped instead of copied; either
+// way the caller may then reuse q.running, which no longer aliases the
+// returned slice.
 func (q *eventQueue) collectDue(cycle uint64) []int32 {
+	if len(q.heap) == 0 || q.heap[0].at > cycle {
+		q.due, q.running = q.running, q.due
+		return q.due
+	}
 	due := q.due[:0]
 	run := q.running
 	ri := 0

@@ -12,54 +12,53 @@ import (
 // execute runs one issued instruction on warp w (functionally at issue,
 // with latencies applied through the scoreboard) and advances the pc.
 // Lane loops are written out explicitly: this function runs once per
-// simulated instruction and must not allocate.
-func (s *Sim) execute(c *simCore, wid int, w *warp, in isa.Inst) error {
+// simulated instruction and must not allocate. The switch has constant case
+// lists only, so it compiles to a jump table; a trap returns before the
+// instruction writes anything.
+func (s *Sim) execute(c *simCore, wid int, w *warp, d *decoded) error {
+	in := &d.in
 	if s.observer != nil {
-		s.observer(IssueEvent{Cycle: s.cycle, Core: c.id, Warp: wid, PC: w.pc, Mask: w.tmask, Inst: in})
+		s.observer(IssueEvent{Cycle: s.cycle, Core: c.id, Warp: wid, PC: w.pc, Mask: w.tmask, Inst: *in})
 	}
 	c.stats.Issued++
 	c.stats.LaneOps += uint64(bits.OnesCount64(w.tmask))
 
 	nextPC := w.pc + 4
-	lat := s.cfg.Lat
+	done := s.cycle + d.lat // completion of the result in slot d.dst, if any
 	op := in.Op
 	rd, rs1, rs2 := int(in.Rd), int(in.Rs1), int(in.Rs2)
 	n := s.cfg.Threads
 	regs := w.regs
 
-	switch {
-	case op >= isa.ADD && op <= isa.AND || op >= isa.MUL && op <= isa.REMU:
+	switch op {
+	case isa.ADD, isa.SUB, isa.SLL, isa.SLT, isa.SLTU, isa.XOR, isa.SRL, isa.SRA, isa.OR, isa.AND,
+		isa.MUL, isa.MULH, isa.MULHSU, isa.MULHU, isa.DIV, isa.DIVU, isa.REM, isa.REMU:
 		if rd != 0 {
 			intALURow(op, row(regs, rd, n), row(regs, rs1, n), row(regs, rs2, n), w.tmask)
-			w.pendI[rd] = s.cycle + uint64(intLatency(op, lat))
 		}
 
-	case op >= isa.ADDI && op <= isa.SRAI:
+	case isa.ADDI, isa.SLTI, isa.SLTIU, isa.XORI, isa.ORI, isa.ANDI, isa.SLLI, isa.SRLI, isa.SRAI:
 		if rd != 0 {
 			intALUImmRow(op, row(regs, rd, n), row(regs, rs1, n), in.Imm, w.tmask)
-			w.pendI[rd] = s.cycle + uint64(lat.ALU)
 		}
 
-	case op == isa.LUI:
+	case isa.LUI:
 		if rd != 0 {
 			setLanes(row(regs, rd, n), w.tmask, uint32(in.Imm))
-			w.pendI[rd] = s.cycle + uint64(lat.ALU)
 		}
 
-	case op == isa.AUIPC:
+	case isa.AUIPC:
 		if rd != 0 {
 			setLanes(row(regs, rd, n), w.tmask, w.pc+uint32(in.Imm))
-			w.pendI[rd] = s.cycle + uint64(lat.ALU)
 		}
 
-	case op == isa.JAL:
+	case isa.JAL:
 		if rd != 0 {
 			setLanes(row(regs, rd, n), w.tmask, w.pc+4)
-			w.pendI[rd] = s.cycle + uint64(lat.ALU)
 		}
 		nextPC = w.pc + uint32(in.Imm)
 
-	case op == isa.JALR:
+	case isa.JALR:
 		var target uint32
 		first := true
 		a := row(regs, rs1, n)
@@ -73,54 +72,39 @@ func (s *Sim) execute(c *simCore, wid int, w *warp, in isa.Inst) error {
 		}
 		if rd != 0 {
 			setLanes(row(regs, rd, n), w.tmask, w.pc+4)
-			w.pendI[rd] = s.cycle + uint64(lat.ALU)
 		}
 		nextPC = target
 
-	case in.IsBranch():
-		var taken, first = false, true
-		a, b := row(regs, rs1, n), row(regs, rs2, n)
-		for m := w.tmask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			t := branchTaken(op, a[l], b[l])
-			if first {
-				taken, first = t, false
-			} else if t != taken {
-				return s.trapf(c, wid, w, "divergent %s across active lanes (use vx_split/vx_join)", op)
-			}
-		}
-		if taken {
+	case isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLTU, isa.BGEU:
+		switch branchMask(op, row(regs, rs1, n), row(regs, rs2, n), w.tmask) {
+		case 0:
+		case w.tmask:
 			nextPC = w.pc + uint32(in.Imm)
+		default:
+			return s.trapf(c, wid, w, "divergent %s across active lanes (use vx_split/vx_join)", op)
 		}
 
-	case in.IsMem():
-		done, err := s.executeMem(c, wid, w, in)
-		if err != nil {
+	case isa.LB, isa.LH, isa.LW, isa.LBU, isa.LHU, isa.SB, isa.SH, isa.SW, isa.FLW, isa.FSW:
+		var err error
+		if done, err = s.executeMem(c, wid, w, d); err != nil {
 			return err
 		}
-		if in.IsLoad() {
-			if op == isa.FLW {
-				w.pendF[rd] = done
-			} else if rd != 0 {
-				w.pendI[rd] = done
-			}
-		}
 
-	case op == isa.FENCE:
+	case isa.FENCE:
 		// Memory ordering is trivially satisfied: the model performs all
 		// functional accesses at issue, in order. FENCE is a 1-cycle nop.
 
-	case op == isa.ECALL:
+	case isa.ECALL:
 		// Kernel exit for the issuing warp. The issuing warp is always in
 		// the ready set, so deactivation leaves it in neither scheduler set.
 		w.active = false
 		c.active--
 		c.ready &^= 1 << uint(wid)
 
-	case op == isa.EBREAK:
+	case isa.EBREAK:
 		return s.trapf(c, wid, w, "ebreak")
 
-	case op >= isa.CSRRW && op <= isa.CSRRCI:
+	case isa.CSRRW, isa.CSRRS, isa.CSRRC, isa.CSRRWI, isa.CSRRSI, isa.CSRRCI:
 		if op != isa.CSRRS || rs1 != 0 {
 			return s.trapf(c, wid, w, "only csrr (csrrs rd, csr, zero) is supported; CSRs are read-only")
 		}
@@ -134,33 +118,19 @@ func (s *Sim) execute(c *simCore, wid int, w *warp, in isa.Inst) error {
 				regs[rd*n+lane] = v
 			}
 		}
-		if rd != 0 {
-			w.pendI[rd] = s.cycle + uint64(lat.ALU)
+
+	case isa.FADDS, isa.FSUBS, isa.FMULS, isa.FDIVS, isa.FSQRTS,
+		isa.FSGNJS, isa.FSGNJNS, isa.FSGNJXS, isa.FMINS, isa.FMAXS,
+		isa.FCVTWS, isa.FCVTWUS, isa.FCVTSW, isa.FCVTSWU, isa.FMVXW, isa.FMVWX,
+		isa.FEQS, isa.FLTS, isa.FLES, isa.FCLASSS,
+		isa.FMADDS, isa.FMSUBS, isa.FNMSUBS, isa.FNMADDS:
+		// Every FP compute writes a result; dst is 0 only for an integer
+		// result into x0, which is dropped.
+		if d.dst != 0 {
+			s.executeFP(w, in)
 		}
 
-	case op >= isa.FADDS && op <= isa.FNMADDS:
-		if err := s.executeFP(w, in); err != nil {
-			return s.trapf(c, wid, w, "%v", err)
-		}
-		switch op {
-		case isa.FADDS, isa.FSUBS, isa.FSGNJS, isa.FSGNJNS, isa.FSGNJXS, isa.FMINS, isa.FMAXS,
-			isa.FCVTSW, isa.FCVTSWU, isa.FMVWX:
-			w.pendF[rd] = s.cycle + uint64(lat.FAdd)
-		case isa.FMULS:
-			w.pendF[rd] = s.cycle + uint64(lat.FMul)
-		case isa.FMADDS, isa.FMSUBS, isa.FNMSUBS, isa.FNMADDS:
-			w.pendF[rd] = s.cycle + uint64(lat.FMA)
-		case isa.FDIVS:
-			w.pendF[rd] = s.cycle + uint64(lat.FDiv)
-		case isa.FSQRTS:
-			w.pendF[rd] = s.cycle + uint64(lat.FSqrt)
-		case isa.FEQS, isa.FLTS, isa.FLES, isa.FCVTWS, isa.FCVTWUS, isa.FMVXW, isa.FCLASSS:
-			if rd != 0 {
-				w.pendI[rd] = s.cycle + uint64(lat.FAdd)
-			}
-		}
-
-	case op == isa.VXTMC:
+	case isa.VXTMC:
 		nm := uint64(firstLaneValue(w, rs1, n)) & s.fullMask
 		if nm == 0 {
 			w.active = false
@@ -170,7 +140,7 @@ func (s *Sim) execute(c *simCore, wid int, w *warp, in isa.Inst) error {
 			w.tmask = nm
 		}
 
-	case op == isa.VXWSPAWN:
+	case isa.VXWSPAWN:
 		count := int(firstLaneValue(w, rs1, n))
 		entry := firstLaneValue(w, rs2, n)
 		if count > s.cfg.Warps {
@@ -186,7 +156,7 @@ func (s *Sim) execute(c *simCore, wid int, w *warp, in isa.Inst) error {
 			c.active++
 		}
 
-	case op == isa.VXSPLIT:
+	case isa.VXSPLIT:
 		if len(w.ipdom) >= maxIPDOMDepth {
 			return s.trapf(c, wid, w, "IPDOM stack overflow")
 		}
@@ -203,7 +173,7 @@ func (s *Sim) execute(c *simCore, wid int, w *warp, in isa.Inst) error {
 			w.tmask = then
 		}
 
-	case op == isa.VXJOIN:
+	case isa.VXJOIN:
 		if len(w.ipdom) == 0 {
 			return s.trapf(c, wid, w, "vx_join with empty IPDOM stack")
 		}
@@ -214,7 +184,7 @@ func (s *Sim) execute(c *simCore, wid int, w *warp, in isa.Inst) error {
 			nextPC = e.pc
 		}
 
-	case op == isa.VXBAR:
+	case isa.VXBAR:
 		id := int(firstLaneValue(w, rs1, n))
 		count := int(firstLaneValue(w, rs2, n))
 		if id < 0 || id >= maxBarriers {
@@ -229,7 +199,7 @@ func (s *Sim) execute(c *simCore, wid int, w *warp, in isa.Inst) error {
 			if b.arrived >= count {
 				// Release everyone (the arriving warp never blocks). Waiters
 				// re-enter the scheduler's ready set: a released warp's next
-				// attempt re-decodes at its post-barrier pc.
+				// attempt fetches its post-barrier pc.
 				for m := b.waiters; m != 0; m &= m - 1 {
 					c.warps[bits.TrailingZeros64(m)].barWait = false
 				}
@@ -245,22 +215,24 @@ func (s *Sim) execute(c *simCore, wid int, w *warp, in isa.Inst) error {
 			}
 		}
 
-	case op == isa.VXPRED:
+	case isa.VXPRED:
 		if nm := w.tmask & predMask(w, rs1, n); nm != 0 {
 			w.tmask = nm
 		}
 
-	case op == isa.VXBALLOT:
+	case isa.VXBALLOT:
 		count := uint32(bits.OnesCount64(w.tmask & predMask(w, rs1, n)))
 		if rd != 0 {
 			setLanes(row(regs, rd, n), w.tmask, count)
-			w.pendI[rd] = s.cycle + uint64(lat.ALU)
 		}
 
 	default:
 		return s.trapf(c, wid, w, "unimplemented op %s", op)
 	}
 
+	if d.dst != 0 {
+		w.pend[d.dst&63] = done
+	}
 	w.pc = nextPC
 	return nil
 }
@@ -276,78 +248,6 @@ func row(regs []uint32, r, n int) []uint32 { return regs[r*n : r*n+n] }
 func setLanes(dst []uint32, tmask uint64, v uint32) {
 	for m := tmask; m != 0; m &= m - 1 {
 		dst[bits.TrailingZeros64(m)] = v
-	}
-}
-
-// intALURow applies register-register op to the active lanes of rows a
-// and b. A mask covering lanes 0..k-1 (every full warp) runs a dense loop,
-// with the commonest ops dispatched once per warp rather than once per lane.
-func intALURow(op isa.Op, dst, a, b []uint32, tmask uint64) {
-	if tmask&(tmask+1) != 0 {
-		for m := tmask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			dst[l] = intALU(op, a[l], b[l])
-		}
-		return
-	}
-	k := bits.Len64(tmask)
-	dst, a, b = dst[:k], a[:k], b[:k]
-	switch op {
-	case isa.ADD:
-		for l := range dst {
-			dst[l] = a[l] + b[l]
-		}
-	case isa.SUB:
-		for l := range dst {
-			dst[l] = a[l] - b[l]
-		}
-	case isa.AND:
-		for l := range dst {
-			dst[l] = a[l] & b[l]
-		}
-	case isa.OR:
-		for l := range dst {
-			dst[l] = a[l] | b[l]
-		}
-	case isa.XOR:
-		for l := range dst {
-			dst[l] = a[l] ^ b[l]
-		}
-	case isa.MUL:
-		for l := range dst {
-			dst[l] = a[l] * b[l]
-		}
-	default:
-		for l := range dst {
-			dst[l] = intALU(op, a[l], b[l])
-		}
-	}
-}
-
-// intALUImmRow is intALURow for the register-immediate ops.
-func intALUImmRow(op isa.Op, dst, a []uint32, imm int32, tmask uint64) {
-	if tmask&(tmask+1) != 0 {
-		for m := tmask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			dst[l] = intALUImm(op, a[l], imm)
-		}
-		return
-	}
-	k := bits.Len64(tmask)
-	dst, a = dst[:k], a[:k]
-	switch op {
-	case isa.ADDI:
-		for l := range dst {
-			dst[l] = a[l] + uint32(imm)
-		}
-	case isa.SLLI:
-		for l := range dst {
-			dst[l] = a[l] << uint(imm&31)
-		}
-	default:
-		for l := range dst {
-			dst[l] = intALUImm(op, a[l], imm)
-		}
 	}
 }
 
@@ -382,15 +282,10 @@ func firstLaneValue(w *warp, r, n int) uint32 {
 // in one piece between memory and the register row. Each knows its line
 // list without coalescing. An access that fails its shape's check goes
 // through the per-lane loop, which raises the same trap for the same lane.
-func (s *Sim) executeMem(c *simCore, wid int, w *warp, in isa.Inst) (uint64, error) {
-	size := uint32(4)
-	switch in.Op {
-	case isa.LB, isa.LBU, isa.SB:
-		size = 1
-	case isa.LH, isa.LHU, isa.SH:
-		size = 2
-	}
-	isStore := in.IsStore()
+func (s *Sim) executeMem(c *simCore, wid int, w *warp, d *decoded) (uint64, error) {
+	in := &d.in
+	size := uint32(d.size)
+	isStore := d.store
 	n := s.cfg.Threads
 	tm := w.tmask
 	imm := uint32(in.Imm)
@@ -412,15 +307,12 @@ func (s *Sim) executeMem(c *simCore, wid int, w *warp, in isa.Inst) (uint64, err
 	// The register row the access reads (store) or writes (load); nil for
 	// an integer load into x0, which is dropped.
 	var data []uint32
-	switch {
-	case in.Op == isa.FLW:
-		data = row(w.fregs, int(in.Rd), n)
-	case in.Op == isa.FSW:
-		data = row(w.fregs, int(in.Rs2), n)
-	case isStore:
-		data = row(w.regs, int(in.Rs2), n)
-	case in.Rd != 0:
-		data = row(w.regs, int(in.Rd), n)
+	if d.data != noData {
+		file := w.regs
+		if d.data >= 32 {
+			file = w.fregs
+		}
+		data = row(file, int(d.data&31), n)
 	}
 
 	shift := s.hier.LineShift()
@@ -518,21 +410,24 @@ func (s *Sim) store(op isa.Op, addr, v uint32) {
 // LSU issues LSUPorts lines per cycle, so line i goes out at cycle
 // s.cycle + i/LSUPorts and the LSU stays busy ceil(len(lines)/LSUPorts)
 // cycles. Both are tracked with a per-cycle counter instead of divisions.
-// Returns the completion cycle.
+// Each line probes its L1 first and takes the hierarchy's miss path only on
+// a miss — almost every line of a campaign hits. Returns the completion
+// cycle.
 func (s *Sim) memTiming(c *simCore, isStore bool, lines []uint32) uint64 {
 	ports := s.cfg.LSUPorts
 	at, k := s.cycle, 0 // issue cycle of the next line, lines already issued at it
 	var done uint64
 	for _, line := range lines {
-		r := s.hier.Access(c.id, line, isStore, at)
-		if r.Done > done {
-			done = r.Done
+		t, hit := s.hier.AccessL1(c.id, line, isStore, at)
+		if !hit {
+			t, _ = s.hier.AccessMiss(c.id, line, isStore, at)
+			if s.mshrs > 0 {
+				// Allocate an MSHR per L1 miss (stores allocate too:
+				// write-allocate fills).
+				c.mshr = append(c.mshr, t)
+			}
 		}
-		if s.mshrs > 0 && !r.L1Hit {
-			// Allocate an MSHR per L1 miss (stores allocate too:
-			// write-allocate fills).
-			c.mshr = append(c.mshr, r.Done)
-		}
+		done = max(done, t)
 		if k++; k == ports {
 			at, k = at+1, 0
 		}
@@ -579,87 +474,72 @@ func (s *Sim) csrRead(c *simCore, wid int, w *warp, lane int, csr uint16) (uint3
 	return 0, fmt.Errorf("unknown csr %#x", csr)
 }
 
-// executeFP runs the functional part of floating-point computes with
-// explicit lane loops (no allocation on the hot path).
-func (s *Sim) executeFP(w *warp, in isa.Inst) error {
-	f32 := math.Float32frombits
-	b32 := math.Float32bits
+// executeFP runs the functional part of a floating-point compute: the op
+// is chosen once per warp and each case loops over the active lanes.
+func (s *Sim) executeFP(w *warp, in *isa.Inst) {
 	n := s.cfg.Threads
-	rd := int(in.Rd)
-	fd, f1, f2, f3 := row(w.fregs, rd, n), row(w.fregs, int(in.Rs1), n), row(w.fregs, int(in.Rs2), n), row(w.fregs, int(in.Rs3), n)
-	xd, x1 := row(w.regs, rd, n), row(w.regs, int(in.Rs1), n)
+	tm := w.tmask
+	rd, rs1 := int(in.Rd), int(in.Rs1)
+	fd, f1, f2, f3 := row(w.fregs, rd, n), row(w.fregs, rs1, n), row(w.fregs, int(in.Rs2), n), row(w.fregs, int(in.Rs3), n)
+	xd, x1 := row(w.regs, rd, n), row(w.regs, rs1, n)
 
-	for m := w.tmask; m != 0; m &= m - 1 {
-		l := bits.TrailingZeros64(m)
-		switch in.Op {
-		case isa.FADDS:
-			fd[l] = b32(f32(f1[l]) + f32(f2[l]))
-		case isa.FSUBS:
-			fd[l] = b32(f32(f1[l]) - f32(f2[l]))
-		case isa.FMULS:
-			fd[l] = b32(f32(f1[l]) * f32(f2[l]))
-		case isa.FDIVS:
-			fd[l] = b32(f32(f1[l]) / f32(f2[l]))
-		case isa.FSQRTS:
-			fd[l] = b32(float32(math.Sqrt(float64(f32(f1[l])))))
-		case isa.FMINS:
-			fd[l] = b32(fmin(f32(f1[l]), f32(f2[l])))
-		case isa.FMAXS:
-			fd[l] = b32(fmax(f32(f1[l]), f32(f2[l])))
-		case isa.FSGNJS:
-			fd[l] = f1[l]&^signBit | f2[l]&signBit
-		case isa.FSGNJNS:
-			fd[l] = f1[l]&^signBit | (^f2[l])&signBit
-		case isa.FSGNJXS:
-			fd[l] = f1[l] ^ f2[l]&signBit
-		case isa.FMADDS:
-			fd[l] = b32(fma32(f32(f1[l]), f32(f2[l]), f32(f3[l])))
-		case isa.FMSUBS:
-			fd[l] = b32(fma32(f32(f1[l]), f32(f2[l]), -f32(f3[l])))
-		case isa.FNMSUBS:
-			fd[l] = b32(fma32(-f32(f1[l]), f32(f2[l]), f32(f3[l])))
-		case isa.FNMADDS:
-			fd[l] = b32(fma32(-f32(f1[l]), f32(f2[l]), -f32(f3[l])))
-		case isa.FEQS:
-			if rd != 0 {
-				xd[l] = boolBit(f32(f1[l]) == f32(f2[l]))
-			}
-		case isa.FLTS:
-			if rd != 0 {
-				xd[l] = boolBit(f32(f1[l]) < f32(f2[l]))
-			}
-		case isa.FLES:
-			if rd != 0 {
-				xd[l] = boolBit(f32(f1[l]) <= f32(f2[l]))
-			}
-		case isa.FCVTWS:
-			if rd != 0 {
-				xd[l] = cvtWS(f32(f1[l]))
-			}
-		case isa.FCVTWUS:
-			if rd != 0 {
-				xd[l] = cvtWUS(f32(f1[l]))
-			}
-		case isa.FCVTSW:
-			fd[l] = b32(float32(int32(x1[l])))
-		case isa.FCVTSWU:
-			fd[l] = b32(float32(x1[l]))
-		case isa.FMVXW:
-			if rd != 0 {
-				xd[l] = f1[l]
-			}
-		case isa.FMVWX:
-			fd[l] = x1[l]
-		case isa.FCLASSS:
-			if rd != 0 {
-				xd[l] = fclass(f32(f1[l]))
-			}
-		default:
-			return fmt.Errorf("unimplemented FP op %s", in.Op)
-		}
+	switch in.Op {
+	case isa.FADDS:
+		lanes2(fd, f1, f2, tm, func(x, y uint32) uint32 { return b32(f32(x) + f32(y)) })
+	case isa.FSUBS:
+		lanes2(fd, f1, f2, tm, func(x, y uint32) uint32 { return b32(f32(x) - f32(y)) })
+	case isa.FMULS:
+		lanes2(fd, f1, f2, tm, func(x, y uint32) uint32 { return b32(f32(x) * f32(y)) })
+	case isa.FDIVS:
+		lanes2(fd, f1, f2, tm, func(x, y uint32) uint32 { return b32(f32(x) / f32(y)) })
+	case isa.FSQRTS:
+		lanes1(fd, f1, tm, func(x uint32) uint32 { return b32(float32(math.Sqrt(float64(f32(x))))) })
+	case isa.FMINS:
+		lanes2(fd, f1, f2, tm, func(x, y uint32) uint32 { return b32(fmin(f32(x), f32(y))) })
+	case isa.FMAXS:
+		lanes2(fd, f1, f2, tm, func(x, y uint32) uint32 { return b32(fmax(f32(x), f32(y))) })
+	case isa.FSGNJS:
+		lanes2(fd, f1, f2, tm, func(x, y uint32) uint32 { return x&^signBit | y&signBit })
+	case isa.FSGNJNS:
+		lanes2(fd, f1, f2, tm, func(x, y uint32) uint32 { return x&^signBit | (^y)&signBit })
+	case isa.FSGNJXS:
+		lanes2(fd, f1, f2, tm, func(x, y uint32) uint32 { return x ^ y&signBit })
+	case isa.FMADDS:
+		lanes3(fd, f1, f2, f3, tm, func(x, y, z uint32) uint32 { return b32(fma32(f32(x), f32(y), f32(z))) })
+	case isa.FMSUBS:
+		lanes3(fd, f1, f2, f3, tm, func(x, y, z uint32) uint32 { return b32(fma32(f32(x), f32(y), -f32(z))) })
+	case isa.FNMSUBS:
+		lanes3(fd, f1, f2, f3, tm, func(x, y, z uint32) uint32 { return b32(fma32(-f32(x), f32(y), f32(z))) })
+	case isa.FNMADDS:
+		lanes3(fd, f1, f2, f3, tm, func(x, y, z uint32) uint32 { return b32(fma32(-f32(x), f32(y), -f32(z))) })
+	case isa.FEQS:
+		lanes2(xd, f1, f2, tm, func(x, y uint32) uint32 { return boolBit(f32(x) == f32(y)) })
+	case isa.FLTS:
+		lanes2(xd, f1, f2, tm, func(x, y uint32) uint32 { return boolBit(f32(x) < f32(y)) })
+	case isa.FLES:
+		lanes2(xd, f1, f2, tm, func(x, y uint32) uint32 { return boolBit(f32(x) <= f32(y)) })
+	case isa.FCVTWS:
+		lanes1(xd, f1, tm, func(x uint32) uint32 { return cvtWS(f32(x)) })
+	case isa.FCVTWUS:
+		lanes1(xd, f1, tm, func(x uint32) uint32 { return cvtWUS(f32(x)) })
+	case isa.FCVTSW:
+		lanes1(fd, x1, tm, func(x uint32) uint32 { return b32(float32(int32(x))) })
+	case isa.FCVTSWU:
+		lanes1(fd, x1, tm, func(x uint32) uint32 { return b32(float32(x)) })
+	case isa.FMVXW:
+		lanes1(xd, f1, tm, func(x uint32) uint32 { return x })
+	case isa.FMVWX:
+		lanes1(fd, x1, tm, func(x uint32) uint32 { return x })
+	case isa.FCLASSS:
+		lanes1(xd, f1, tm, func(x uint32) uint32 { return fclass(f32(x)) })
+	default:
+		panic("executeFP: bad op " + in.Op.String())
 	}
-	return nil
 }
+
+// f32 and b32 convert between a float register's bits and its value.
+func f32(x uint32) float32 { return math.Float32frombits(x) }
+func b32(f float32) uint32 { return math.Float32bits(f) }
 
 const signBit = uint32(1) << 31
 

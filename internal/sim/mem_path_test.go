@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -269,7 +270,8 @@ func checkMemParity(t *testing.T, tc memCase, threads int, memSize uint32) {
 	wantImage := slices.Clone(image)
 	wantReason := refMemAccess(wantImage, wantRegs, wantFRegs, threads, w.tmask, in)
 
-	_, err = s.executeMem(c, 0, w, in)
+	d := decode(in, cfg.Lat)
+	_, err = s.executeMem(c, 0, w, &d)
 	gotReason := ""
 	if err != nil {
 		var trap *Trap
@@ -398,4 +400,102 @@ func TestIntALURowsMatchPerLane(t *testing.T) {
 	if tested != 27 {
 		t.Fatalf("tested %d ops, want the 27 integer ALU ops", tested)
 	}
+}
+
+// intALU is the per-lane reference of the register-register integer ops.
+func intALU(op isa.Op, a, b uint32) uint32 {
+	switch op {
+	case isa.ADD:
+		return a + b
+	case isa.SUB:
+		return a - b
+	case isa.SLL:
+		return a << (b & 31)
+	case isa.SLT:
+		if int32(a) < int32(b) {
+			return 1
+		}
+		return 0
+	case isa.SLTU:
+		if a < b {
+			return 1
+		}
+		return 0
+	case isa.XOR:
+		return a ^ b
+	case isa.SRL:
+		return a >> (b & 31)
+	case isa.SRA:
+		return uint32(int32(a) >> (b & 31))
+	case isa.OR:
+		return a | b
+	case isa.AND:
+		return a & b
+	case isa.MUL:
+		return a * b
+	case isa.MULH:
+		return uint32(uint64(int64(int32(a))*int64(int32(b))) >> 32)
+	case isa.MULHSU:
+		return uint32(uint64(int64(int32(a))*int64(b)) >> 32)
+	case isa.MULHU:
+		return uint32(uint64(a) * uint64(b) >> 32)
+	case isa.DIV:
+		if b == 0 {
+			return ^uint32(0)
+		}
+		if int32(a) == math.MinInt32 && int32(b) == -1 {
+			return a
+		}
+		return uint32(int32(a) / int32(b))
+	case isa.DIVU:
+		if b == 0 {
+			return ^uint32(0)
+		}
+		return a / b
+	case isa.REM:
+		if b == 0 {
+			return a
+		}
+		if int32(a) == math.MinInt32 && int32(b) == -1 {
+			return 0
+		}
+		return uint32(int32(a) % int32(b))
+	case isa.REMU:
+		if b == 0 {
+			return a
+		}
+		return a % b
+	}
+	panic("intALU: bad op " + op.String())
+}
+
+// intALUImm is the per-lane reference of the register-immediate ops.
+func intALUImm(op isa.Op, a uint32, imm int32) uint32 {
+	switch op {
+	case isa.ADDI:
+		return a + uint32(imm)
+	case isa.SLTI:
+		if int32(a) < imm {
+			return 1
+		}
+		return 0
+	case isa.SLTIU:
+		if a < uint32(imm) {
+			return 1
+		}
+		return 0
+	case isa.XORI:
+		return a ^ uint32(imm)
+	case isa.ORI:
+		return a | uint32(imm)
+	case isa.ANDI:
+		return a & uint32(imm)
+	case isa.SLLI:
+		return a << uint(imm&31)
+	case isa.SRLI:
+		return a >> uint(imm&31)
+	case isa.SRAI:
+		return uint32(int32(a) >> uint(imm&31))
+	}
+	panic("intALUImm: bad op " + op.String())
 }

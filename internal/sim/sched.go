@@ -6,11 +6,12 @@ package sim
 //     instruction may issue this cycle as far as the core knows — freshly
 //     activated, just issued, just woken, or just released from a barrier;
 //   - a wake-ordered min-heap (simCore.wakeHeap): warps known to be stalled,
-//     keyed by the earliest cycle their stall can clear (the per-warp stall
-//     cache's `wake`, or the LSU's busy-until cycle for structural stalls).
+//     keyed by the earliest cycle their stall can clear (the warp's
+//     scoreboard ready time, or the LSU's busy-until cycle for structural
+//     stalls).
 //
 // Issue cycles first drain every heap entry whose wake time has arrived into
-// the ready set, then let the configured Scheduler policy pick candidates
+// the ready set, then let the configured policy (pick) choose candidates
 // from the ready set until one issues. A candidate that turns out stalled
 // migrates ready -> heap in O(log Warps); warps the heap holds are never
 // touched, so an issue cycle costs O(ready warps), not O(Warps) — the win
@@ -32,46 +33,62 @@ package sim
 // policies the two engines are byte-identical in every simulated observable
 // (cycles, statistics, stall attribution, architectural state).
 
-import (
-	"math/bits"
+import "math/bits"
 
-	"repro/internal/isa"
-)
-
-// Scheduler is a warp-scheduling policy: it orders a core's ready warps for
-// issue selection and absorbs issue feedback. Implementations are stateless
-// singletons — per-core rotation state (rr, cur, grp) lives in simCore — so
-// one Scheduler serves every core of a device.
-type Scheduler interface {
-	// Name returns the policy's canonical name (SchedPolicy.String).
-	Name() string
-	// Pick returns the warp the core should try to issue next, chosen from
-	// the non-empty candidate mask in the policy's priority order. The
-	// engine re-Picks with the candidate removed when the warp turns out
-	// stalled, so Pick sees exactly the policy's scan order.
-	Pick(c *simCore, avail uint64) int
-	// Issued informs the policy that wid issued this cycle, so it can
-	// advance its per-core rotation state.
-	Issued(c *simCore, wid int)
-	// ScanStart anchors the circular stall-attribution fold run when no
-	// warp can issue (see stallOutcome): the fold visits warps in ascending
-	// wid order starting here, which for rr/gto reproduces the legacy
-	// scan's visit order exactly.
-	ScanStart(c *simCore) int
+// pick returns the warp core c should try to issue next, chosen from the
+// non-empty candidate mask avail in the policy's priority order. The engine
+// re-picks with the candidate removed when the warp turns out stalled, so
+// pick sees exactly the policy's scan order. Policies are stateless; their
+// per-core rotation state (rr, cur, grp) lives in simCore.
+func (s *Sim) pick(c *simCore, avail uint64) int {
+	switch s.cfg.Sched {
+	case SchedGTO:
+		// Greedy-then-oldest: keep issuing the same warp until it stalls,
+		// then take the next ready warp in circular scan order from it.
+		return circNext(avail, c.cur)
+	case SchedOldestFirst:
+		return pickOldest(c, avail)
+	case SchedTwoLevel:
+		return pickTwoLevel(c, avail)
+	}
+	// Round-robin: the scan starts one past the last issuer.
+	return circNext(avail, c.rr)
 }
 
-// newScheduler returns the singleton implementing p. Config.Validate has
-// already rejected unknown policies.
-func newScheduler(p SchedPolicy) Scheduler {
-	switch p {
+// issued advances the policy's per-core rotation state after wid issued.
+func (s *Sim) issued(c *simCore, wid int) {
+	switch s.cfg.Sched {
 	case SchedGTO:
-		return gtoSched{}
+		c.cur = wid
+		return
 	case SchedOldestFirst:
-		return oldestSched{}
+		return
 	case SchedTwoLevel:
-		return twoLevelSched{}
+		c.grp = wid / fetchGroup
 	}
-	return rrSched{}
+	c.rr = wid + 1
+	if c.rr >= len(c.warps) {
+		c.rr = 0
+	}
+}
+
+// scanStart anchors the circular stall-attribution fold run when no warp
+// can issue (see stallOutcome): the fold visits warps in ascending wid
+// order starting here, which for rr/gto reproduces the legacy scan's visit
+// order exactly.
+func (s *Sim) scanStart(c *simCore) int {
+	switch s.cfg.Sched {
+	case SchedGTO:
+		return c.cur
+	case SchedOldestFirst:
+		return 0
+	case SchedTwoLevel:
+		if lo := c.grp * fetchGroup; lo < len(c.warps) {
+			return lo
+		}
+		return 0
+	}
+	return c.rr
 }
 
 // circNext returns the lowest set bit of mask at or after start, wrapping
@@ -85,36 +102,10 @@ func circNext(mask uint64, start int) int {
 	return bits.TrailingZeros64(mask)
 }
 
-// rrSched rotates issue priority over warps each cycle: the scan starts
-// one past the last issuer.
-type rrSched struct{}
-
-func (rrSched) Name() string                      { return SchedRoundRobin.String() }
-func (rrSched) Pick(c *simCore, avail uint64) int { return circNext(avail, c.rr) }
-func (rrSched) Issued(c *simCore, wid int) {
-	c.rr = wid + 1
-	if c.rr >= len(c.warps) {
-		c.rr = 0
-	}
-}
-func (rrSched) ScanStart(c *simCore) int { return c.rr }
-
-// gtoSched is greedy-then-oldest: keep issuing the same warp until it
-// stalls, then take the next ready warp in circular scan order from it.
-type gtoSched struct{}
-
-func (gtoSched) Name() string                      { return SchedGTO.String() }
-func (gtoSched) Pick(c *simCore, avail uint64) int { return circNext(avail, c.cur) }
-func (gtoSched) Issued(c *simCore, wid int)        { c.cur = wid }
-func (gtoSched) ScanStart(c *simCore) int          { return c.cur }
-
-// oldestSched issues the ready warp that has gone longest without issuing
+// pickOldest issues the ready warp that has gone longest without issuing
 // (smallest last-issue cycle; lowest wid breaks ties). Freshly activated
 // warps carry last = 0 and therefore have top priority.
-type oldestSched struct{}
-
-func (oldestSched) Name() string { return SchedOldestFirst.String() }
-func (oldestSched) Pick(c *simCore, avail uint64) int {
+func pickOldest(c *simCore, avail uint64) int {
 	best, bestLast := -1, uint64(0)
 	for m := avail; m != 0; m &= m - 1 {
 		wid := bits.TrailingZeros64(m)
@@ -124,8 +115,6 @@ func (oldestSched) Pick(c *simCore, avail uint64) int {
 	}
 	return best
 }
-func (oldestSched) Issued(c *simCore, wid int) {}
-func (oldestSched) ScanStart(c *simCore) int   { return 0 }
 
 // fetchGroup is the two-level scheduler's group width (Narasiman et al.:
 // small groups stagger the groups' long-latency misses in time).
@@ -135,13 +124,10 @@ const fetchGroup = 8
 // group's base wid.
 const fetchGroupMask = uint64(1)<<fetchGroup - 1
 
-// twoLevelSched round-robins within the active fetch group and moves to
-// the next group (in circular group order) only when no warp of the active
+// pickTwoLevel round-robins within the active fetch group and moves to the
+// next group (in circular group order) only when no warp of the active
 // group is a candidate.
-type twoLevelSched struct{}
-
-func (twoLevelSched) Name() string { return SchedTwoLevel.String() }
-func (twoLevelSched) Pick(c *simCore, avail uint64) int {
+func pickTwoLevel(c *simCore, avail uint64) int {
 	n := len(c.warps)
 	ng := (n + fetchGroup - 1) / fetchGroup
 	g := c.grp
@@ -165,19 +151,6 @@ func (twoLevelSched) Pick(c *simCore, avail uint64) int {
 		return bits.TrailingZeros64(gm)
 	}
 	return bits.TrailingZeros64(avail) // unreachable: avail is non-empty
-}
-func (twoLevelSched) Issued(c *simCore, wid int) {
-	c.grp = wid / fetchGroup
-	c.rr = wid + 1
-	if c.rr >= len(c.warps) {
-		c.rr = 0
-	}
-}
-func (twoLevelSched) ScanStart(c *simCore) int {
-	if lo := c.grp * fetchGroup; lo < len(c.warps) {
-		return lo
-	}
-	return 0
 }
 
 // wakeEntry is one stalled warp in a core's wake heap.
@@ -255,67 +228,40 @@ func (c *simCore) resetSched() {
 // loop (issueScan) for the policies both implement. Every issue goes
 // through execute, one warp at a time.
 func (s *Sim) issueHeap(c *simCore) (bool, uint64, error) {
-	c.wakeWarps(s.cycle)
-	pol := s.sched
+	if h := c.wakeHeap; len(h) > 0 && h[0].at <= s.cycle {
+		c.wakeWarps(s.cycle)
+	}
 	avail := c.ready
 	for avail != 0 {
-		wid := pol.Pick(c, avail)
+		wid := s.pick(c, avail)
 		w := &c.warps[wid]
-		bit := uint64(1) << uint(wid)
-		var in isa.Inst
-		if w.wakeValid && w.wakePC == w.pc {
-			// Stall cache hit: reuse the cached scoreboard outcome — same
-			// fast path as the scan engine, minus the rescan that computed
-			// it there.
-			if w.wake > s.cycle {
-				// Defensive: a ready-set warp with a future wake re-sleeps
-				// (cannot occur while the invariant holds).
-				avail &^= bit
-				c.sleepWarp(wid, w.wake)
+		idx := s.fetchIndex(w.pc)
+		if idx >= uint32(len(s.dec)) || s.dec[idx].invalid {
+			return false, 0, s.fetchTrap(c, wid, w)
+		}
+		d := &s.dec[idx]
+		if ready := regsReadyAt(w, d); ready > s.cycle {
+			w.wake, w.wakeMem = ready, d.isMem
+			avail &^= 1 << uint(wid)
+			c.sleepWarp(wid, ready)
+			continue
+		}
+		if d.isMem {
+			if at := s.lsuReadyAt(c); at > s.cycle {
+				// Structural LSU/MSHR stall. The heap key is the current
+				// ready-at lower bound; it only moves forward, so a woken
+				// warp re-checks and re-sleeps if it moved.
+				w.wake, w.wakeMem = 0, true
+				avail &^= 1 << uint(wid)
+				c.sleepWarp(wid, at)
 				continue
-			}
-			if w.wakeMem {
-				if at := s.lsuReadyAt(c); at > s.cycle {
-					// Structural LSU/MSHR stall. The heap key is the current
-					// ready-at lower bound; it only moves forward, so a woken
-					// warp re-checks and re-sleeps if it moved.
-					avail &^= bit
-					c.sleepWarp(wid, at)
-					continue
-				}
-			}
-			in = s.prog[(w.pc-s.progBase)/4]
-		} else {
-			if w.pc < s.progBase || w.pc-s.progBase >= uint32(len(s.prog))*4 || w.pc%4 != 0 {
-				return false, 0, &Trap{Cycle: s.cycle, Core: c.id, Warp: wid, PC: w.pc, Reason: "instruction fetch outside program"}
-			}
-			idx := (w.pc - s.progBase) / 4
-			in = s.prog[idx]
-			if in.Op == isa.OpInvalid {
-				return false, 0, &Trap{Cycle: s.cycle, Core: c.id, Warp: wid, PC: w.pc, Reason: "executed data word / invalid instruction"}
-			}
-			m := s.meta[idx]
-			if ready := regsReadyAt(w, in, m); ready > s.cycle {
-				w.wakeValid, w.wakePC, w.wake, w.wakeMem = true, w.pc, ready, m&mIsMem != 0
-				avail &^= bit
-				c.sleepWarp(wid, ready)
-				continue
-			}
-			if m&mIsMem != 0 {
-				if at := s.lsuReadyAt(c); at > s.cycle {
-					w.wakeValid, w.wakePC, w.wake, w.wakeMem = true, w.pc, 0, true
-					avail &^= bit
-					c.sleepWarp(wid, at)
-					continue
-				}
 			}
 		}
-		if err := s.execute(c, wid, w, in); err != nil {
+		if err := s.execute(c, wid, w, d); err != nil {
 			return false, 0, err
 		}
-		w.wakeValid = false
 		w.last = s.cycle
-		pol.Issued(c, wid)
+		s.issued(c, wid)
 		return true, 0, nil
 	}
 	return false, s.stallOutcome(c), nil
@@ -323,15 +269,15 @@ func (s *Sim) issueHeap(c *simCore) (bool, uint64, error) {
 
 // stallOutcome computes a failed issue attempt's result — the earliest wake
 // cycle and the core's dominant stall attribution (c.blockMem) — from the
-// per-warp stall caches. Every active non-barrier warp is heap-resident
-// with a valid cache at this point, and the fold visits them in a circular
+// per-warp stall records. Every active non-barrier warp is heap-resident
+// with its record written at this point, and the fold visits them in a circular
 // scan from the policy's priority origin, reproducing the legacy scan's
 // accumulation (and therefore its MemStall/ExecStall split) byte-exactly
 // for rr and gto. noWake comes back when only barrier waiters remain (no
 // timed event exists).
 func (s *Sim) stallOutcome(c *simCore) uint64 {
 	n := len(c.warps)
-	start := s.sched.ScanStart(c)
+	start := s.scanStart(c)
 	wake := noWake
 	blockMem := false
 	maxFU := s.maxFU

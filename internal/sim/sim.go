@@ -51,20 +51,19 @@ type warp struct {
 	tmask   uint64
 	regs    []uint32 // 32 x threads integer registers, register-major: regs[r*Threads+lane]
 	fregs   []uint32 // 32 x threads float registers (IEEE-754 bits), same layout
-	pendI   [32]uint64
-	pendF   [32]uint64
-	ipdom   []ipdomEntry
-	last    uint64 // last issue cycle (GTO tiebreak)
+	// pend holds each register's pending-result completion cycle, indexed by
+	// scoreboard slot (decoded): x0-x31 then f0-f31.
+	pend  [64]uint64
+	ipdom []ipdomEntry
+	last  uint64 // last issue cycle (GTO tiebreak)
 
-	// Ready-warp scoreboard cache: while a warp is stalled its pending
-	// register completions cannot change (they are only written when the
-	// warp itself issues), so the scheduler caches the outcome of the
-	// fetch/decode/scoreboard walk and skips it on every rescan until the
-	// warp issues again. wakeValid is cleared at issue and on warp reset.
-	wakeValid bool
-	wakeMem   bool   // decoded instruction is a memory op (LSU hazard applies)
-	wakePC    uint32 // pc the cache was computed for (safety cross-check)
-	wake      uint64 // earliest cycle the registers are ready
+	// Stall record, written by the heap engine when the warp fails to issue
+	// and read while it sleeps in the wake heap (its key, and stallOutcome's
+	// fold). A stalled warp's pending completions cannot change — they are
+	// only written when the warp itself issues — so the record stays exact
+	// until the warp is next attempted.
+	wakeMem bool   // the stalled instruction is a memory op (LSU hazard applies)
+	wake    uint64 // earliest cycle the registers are ready (0: LSU stall)
 }
 
 type barrier struct {
@@ -128,11 +127,10 @@ type Sim struct {
 	memory   *mem.Memory
 	hier     *mem.Hierarchy
 	progBase uint32
-	prog     []isa.Inst
-	meta     []instMeta
+	prog     []isa.Inst // the resident program, as loaded (identity check only)
+	dec      []decoded  // the resident program, decoded under cfg.Lat
 	cores    []simCore
 	cycle    uint64
-	sched    Scheduler // policy singleton for cfg.Sched (sched.go)
 	observer func(IssueEvent)
 
 	// NoCoalesce issues one line request per active lane (ablation A2).
@@ -178,7 +176,6 @@ func (s *Sim) Reshape(cfg Config, memory *mem.Memory, hier *mem.Hierarchy) error
 		return fmt.Errorf("sim: nil memory system")
 	}
 	s.cfg, s.memory, s.hier = cfg, memory, hier
-	s.sched = newScheduler(cfg.Sched)
 	s.fullMask = fullMask(cfg.Threads)
 	s.maxFU = uint64(cfg.Lat.max())
 	s.mshrs = cfg.Mem.L1.MSHRs
@@ -229,55 +226,13 @@ func (s *Sim) Hierarchy() *mem.Hierarchy { return s.hier }
 // SetObserver installs a per-issue callback (nil disables tracing).
 func (s *Sim) SetObserver(fn func(IssueEvent)) { s.observer = fn }
 
-// instMeta is pre-decoded scheduling metadata for one instruction, so the
-// per-cycle scoreboard checks avoid repeated predicate evaluation.
-type instMeta uint16
-
-const (
-	mReadsI1 instMeta = 1 << iota
-	mReadsI2
-	mReadsF1
-	mReadsF2
-	mReadsF3
-	mWritesI
-	mWritesF
-	mIsMem
-)
-
-func metaOf(in isa.Inst) instMeta {
-	var m instMeta
-	if in.ReadsIntRs1() {
-		m |= mReadsI1
-	}
-	if in.ReadsIntRs2() {
-		m |= mReadsI2
-	}
-	if in.ReadsFloatRs1() {
-		m |= mReadsF1
-	}
-	if in.ReadsFloatRs2() {
-		m |= mReadsF2
-	}
-	if in.ReadsFloatRs3() {
-		m |= mReadsF3
-	}
-	if in.WritesInt() {
-		m |= mWritesI
-	}
-	if in.WritesFloat() {
-		m |= mWritesF
-	}
-	if in.IsMem() {
-		m |= mIsMem
-	}
-	return m
-}
-
-// LoadProgram installs the instruction stream at base and pre-computes
-// scheduling metadata. Instruction fetch is modeled as ideal (the paper's
-// bottlenecks are issue- and data-side). Re-loading the program already
-// resident (same backing array, the common case under the ocl program
-// cache) skips the metadata rebuild.
+// LoadProgram installs the instruction stream at base and decodes every
+// instruction once into its issue record (decode.go). Instruction fetch is
+// modeled as ideal (the paper's bottlenecks are issue- and data-side).
+// Re-loading the program already resident (same backing array, the common
+// case under the ocl program cache) skips the decode. Records depend on
+// cfg.Lat, which only Reshape changes, and Reshape (through Reset) drops the
+// resident program.
 func (s *Sim) LoadProgram(base uint32, insts []isa.Inst) error {
 	if base%4 != 0 {
 		return fmt.Errorf("sim: program base %#x misaligned", base)
@@ -288,9 +243,9 @@ func (s *Sim) LoadProgram(base uint32, insts []isa.Inst) error {
 	}
 	s.progBase = base
 	s.prog = insts
-	s.meta = resized(s.meta, len(insts))
+	s.dec = resized(s.dec, len(insts))
 	for i, in := range insts {
-		s.meta[i] = metaOf(in)
+		s.dec[i] = decode(in, s.cfg.Lat)
 	}
 	return nil
 }
@@ -304,7 +259,7 @@ func (s *Sim) LoadProgram(base uint32, insts []isa.Inst) error {
 // device).
 func (s *Sim) Reset() {
 	s.cycle = 0
-	s.progBase, s.prog, s.meta = 0, nil, s.meta[:0]
+	s.progBase, s.prog, s.dec = 0, nil, s.dec[:0]
 	s.NoCoalesce = false
 	for i := range s.cores {
 		c := &s.cores[i]
@@ -321,7 +276,6 @@ func (s *Sim) Reset() {
 			w := &c.warps[j]
 			w.active = false
 			w.barWait = false
-			w.wakeValid = false
 			w.last = 0
 		}
 	}
@@ -359,12 +313,10 @@ func (s *Sim) resetWarp(w *warp, pc uint32, tmask uint64) {
 	w.regs, w.fregs = resized(w.regs, n), resized(w.fregs, n)
 	clear(w.regs)
 	clear(w.fregs)
-	w.pendI = [32]uint64{}
-	w.pendF = [32]uint64{}
+	w.pend = [64]uint64{}
 	w.ipdom = w.ipdom[:0]
 	w.active = true
 	w.barWait = false
-	w.wakeValid = false
 	// Clear the issue timestamp so oldest-first gives fresh warps top
 	// priority instead of inheriting a previous launch's (or a previous
 	// incarnation's) history. rr/gto never read it.
@@ -502,8 +454,9 @@ func (s *Sim) deadlockTrap() error {
 // issue attempts to issue one instruction on core c at the current cycle,
 // dispatching to the ready-set/wake-heap engine (sched.go) or, under
 // Config.ScanSched, to the legacy scan loop kept as its differential-test
-// oracle. Both engines share execute(), the stall cache and the stall
-// attribution, and are byte-identical in every simulated observable.
+// oracle. Both engines share fetch, the scoreboard (decode.go), execute()
+// and the stall attribution, and are byte-identical in every simulated
+// observable.
 func (s *Sim) issue(c *simCore) (bool, uint64, error) {
 	if s.cfg.ScanSched {
 		return s.issueScan(c)
@@ -537,70 +490,36 @@ func (s *Sim) issueScan(c *simCore) (bool, uint64, error) {
 		if !w.active || w.barWait {
 			continue
 		}
-		var in isa.Inst
-		if w.wakeValid && w.wakePC == w.pc {
-			// Stall cache hit: the warp failed the scoreboard at this pc on
-			// an earlier scan and nothing it depends on can have changed, so
-			// skip fetch/decode and reuse the cached ready time. The stall
-			// attribution below mirrors the cold path exactly.
-			if ready := w.wake; ready > s.cycle {
-				if ready < wake {
-					wake = ready
-					blockMem = w.wakeMem || ready > s.cycle+maxFU
-				} else if ready > s.cycle+maxFU {
+		idx := s.fetchIndex(w.pc)
+		if idx >= uint32(len(s.dec)) || s.dec[idx].invalid {
+			return false, 0, s.fetchTrap(c, wid, w)
+		}
+		d := &s.dec[idx]
+		// Scoreboard: all read and written registers must be ready.
+		if ready := regsReadyAt(w, d); ready > s.cycle {
+			if ready < wake {
+				wake = ready
+				blockMem = d.isMem || ready > s.cycle+maxFU
+			} else if ready > s.cycle+maxFU {
+				blockMem = true
+			}
+			continue
+		}
+		// Structural hazard: the LSU accepts one memory instruction at a
+		// time (it streams line requests at 1/cycle), and a bounded MSHR
+		// file must have a free slot before a new miss can be tracked.
+		if d.isMem {
+			if at := s.lsuReadyAt(c); at > s.cycle {
+				if at < wake {
+					wake = at
 					blockMem = true
 				}
 				continue
-			}
-			if w.wakeMem {
-				if at := s.lsuReadyAt(c); at > s.cycle {
-					if at < wake {
-						wake = at
-						blockMem = true
-					}
-					continue
-				}
-			}
-			in = s.prog[(w.pc-s.progBase)/4]
-		} else {
-			if w.pc < s.progBase || w.pc-s.progBase >= uint32(len(s.prog))*4 || w.pc%4 != 0 {
-				return false, 0, &Trap{Cycle: s.cycle, Core: c.id, Warp: wid, PC: w.pc, Reason: "instruction fetch outside program"}
-			}
-			idx := (w.pc - s.progBase) / 4
-			in = s.prog[idx]
-			if in.Op == isa.OpInvalid {
-				return false, 0, &Trap{Cycle: s.cycle, Core: c.id, Warp: wid, PC: w.pc, Reason: "executed data word / invalid instruction"}
-			}
-			m := s.meta[idx]
-			// Scoreboard: all read and written registers must be ready.
-			if ready := regsReadyAt(w, in, m); ready > s.cycle {
-				w.wakeValid, w.wakePC, w.wake, w.wakeMem = true, w.pc, ready, m&mIsMem != 0
-				if ready < wake {
-					wake = ready
-					blockMem = m&mIsMem != 0 || ready > s.cycle+maxFU
-				} else if ready > s.cycle+maxFU {
-					blockMem = true
-				}
-				continue
-			}
-			// Structural hazard: the LSU accepts one memory instruction at a
-			// time (it streams line requests at 1/cycle), and a bounded MSHR
-			// file must have a free slot before a new miss can be tracked.
-			if m&mIsMem != 0 {
-				if at := s.lsuReadyAt(c); at > s.cycle {
-					w.wakeValid, w.wakePC, w.wake, w.wakeMem = true, w.pc, 0, true
-					if at < wake {
-						wake = at
-						blockMem = true
-					}
-					continue
-				}
 			}
 		}
-		if err := s.execute(c, wid, w, in); err != nil {
+		if err := s.execute(c, wid, w, d); err != nil {
 			return false, 0, err
 		}
-		w.wakeValid = false
 		w.last = s.cycle
 		if gto {
 			c.cur = wid
@@ -665,32 +584,4 @@ func (s *Sim) mshrFreeAt(c *simCore) uint64 {
 		return s.cycle
 	}
 	return min
-}
-
-// regsReadyAt returns the earliest cycle all registers read or written by
-// in are free (max of their pending completions).
-func regsReadyAt(w *warp, in isa.Inst, m instMeta) uint64 {
-	var ready uint64
-	if m&mReadsI1 != 0 && w.pendI[in.Rs1] > ready {
-		ready = w.pendI[in.Rs1]
-	}
-	if m&mReadsI2 != 0 && w.pendI[in.Rs2] > ready {
-		ready = w.pendI[in.Rs2]
-	}
-	if m&mReadsF1 != 0 && w.pendF[in.Rs1] > ready {
-		ready = w.pendF[in.Rs1]
-	}
-	if m&mReadsF2 != 0 && w.pendF[in.Rs2] > ready {
-		ready = w.pendF[in.Rs2]
-	}
-	if m&mReadsF3 != 0 && w.pendF[in.Rs3] > ready {
-		ready = w.pendF[in.Rs3]
-	}
-	if m&mWritesI != 0 && w.pendI[in.Rd] > ready {
-		ready = w.pendI[in.Rd]
-	}
-	if m&mWritesF != 0 && w.pendF[in.Rd] > ready {
-		ready = w.pendF[in.Rd]
-	}
-	return ready
 }
