@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mem"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -145,6 +147,47 @@ func TestGoldenCSV(t *testing.T) {
 			t.Errorf("record %d mismatch:\n%+v\n%+v", i, a, b)
 		}
 	}
+}
+
+// goldenGridOpts is a campaign whose every grid axis is multi-valued, over
+// the configs and kernels of goldenResults.
+func goldenGridOpts() Options {
+	return Options{
+		Configs:  []core.HWInfo{{Cores: 1, Warps: 2, Threads: 2}, {Cores: 4, Warps: 4, Threads: 4}, {Cores: 16, Warps: 8, Threads: 16}},
+		Kernels:  []string{"vecadd", "gcn_aggr"},
+		Scheds:   []sim.SchedPolicy{sim.SchedRoundRobin, sim.SchedGTO},
+		MSHRs:    []int{0, 4},
+		L1Geoms:  []string{"16k4w", "8k2w"},
+		Prefetch: []mem.PrefetchPolicy{mem.PrefetchOff, mem.PrefetchNextLine},
+		Scale:    0.05,
+		Seed:     7,
+	}
+}
+
+// TestGoldenCheckpoint freezes the v4 checkpoint bytes — meta header and
+// record lines — of a multi-valued grid, and the canonical task-key order
+// of that grid.
+func TestGoldenCheckpoint(t *testing.T) {
+	opts := goldenGridOpts()
+	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	if err := WriteCheckpoint(path, MetaFor(opts), goldenResults().Records); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "checkpoint_v4.golden", got)
+
+	grid, err := TaskGrid(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys bytes.Buffer
+	for _, task := range grid {
+		keys.WriteString(task.Key() + "\n")
+	}
+	checkGolden(t, "task_grid.golden", keys.Bytes())
 }
 
 func TestGoldenFigure2(t *testing.T) {
