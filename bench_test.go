@@ -190,14 +190,17 @@ func BenchmarkAblationCoalescing(b *testing.B) {
 // policies under the paper's mapper, using the sweep's scheduler grid axis
 // (one campaign, one record per policy in axis order).
 func BenchmarkAblationScheduler(b *testing.B) {
-	scheds := sim.SchedPolicies()
+	var scheds []string
+	for _, p := range sim.SchedPolicies() {
+		scheds = append(scheds, p.String())
+	}
 	cycles := make([]float64, len(scheds))
 	for i := 0; i < b.N; i++ {
 		res, err := sweep.Run(sweep.Options{
 			Configs: []core.HWInfo{{Cores: 2, Warps: 8, Threads: 8}},
 			Kernels: []string{"sgemm"},
 			Mappers: []core.Mapper{core.Auto{}},
-			Scheds:  scheds,
+			Axes:    map[string][]string{"sched": scheds},
 			Scale:   0.25,
 			Seed:    42,
 		})
@@ -209,7 +212,7 @@ func BenchmarkAblationScheduler(b *testing.B) {
 		}
 	}
 	for j, pol := range scheds {
-		b.ReportMetric(cycles[j], "cycles_"+pol.String())
+		b.ReportMetric(cycles[j], "cycles_"+pol)
 	}
 }
 

@@ -18,12 +18,13 @@ import (
 	"io"
 	"os"
 	"runtime/pprof"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/kernels"
-	"repro/internal/mem"
 	"repro/internal/ocl"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 func main() {
@@ -42,10 +43,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	scale := fs.Float64("scale", 1.0, "workload scale (1.0 = paper size)")
 	seed := fs.Int64("seed", 42, "input seed")
 	compare := fs.Bool("compare", false, "run all three mappings and print the ratio table")
-	sched := fs.String("sched", "rr", "warp scheduler policy: rr, gto, oldest or 2lev")
-	mshrs := fs.Int("mshrs", 0, "outstanding-miss bound per L1 and per L2 bank (0 = unbounded)")
-	l1geom := fs.String("l1", mem.DefaultL1Geometry(), "L1 geometry (<size-KiB>k<ways>w, e.g. 16k4w)")
-	prefetch := fs.String("prefetch", "off", "L1 prefetch policy: off or nextline")
+	axes := sweep.RegisterAxisFlags(fs, "")
 	cacheStats := fs.Bool("cache-stats", false, "print the campaign-engine cache counters (program cache, input memo) after the run")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof format)")
 	if err := fs.Parse(args); err != nil {
@@ -70,23 +68,11 @@ func cli(args []string, stdout, stderr io.Writer) int {
 		defer pprof.StopCPUProfile()
 	}
 
-	schedPol, err := sim.ParseSchedPolicy(*sched)
+	point, err := axes.Point()
 	if err != nil {
 		return fail(err)
 	}
-	if *mshrs < 0 {
-		return fail(fmt.Errorf("-mshrs must be >= 0 (got %d; 0 = unbounded)", *mshrs))
-	}
-	l1Size, l1Ways, err := mem.ParseL1Geometry(*l1geom)
-	if err != nil {
-		return fail(err)
-	}
-	pfetch, err := mem.ParsePrefetchPolicy(*prefetch)
-	if err != nil {
-		return fail(err)
-	}
-	dev := devOpts{sched: schedPol, mshrs: *mshrs, l1Size: l1Size, l1Ways: l1Ways, prefetch: pfetch}
-	if err := run(stdout, *cfgName, *kernel, *lws, *mapper, *scale, *seed, *compare, dev); err != nil {
+	if err := run(stdout, *cfgName, *kernel, *lws, *mapper, *scale, *seed, *compare, point); err != nil {
 		return fail(err)
 	}
 	if *cacheStats {
@@ -110,31 +96,9 @@ func mapperByName(name string) (core.Mapper, error) {
 	return nil, fmt.Errorf("unknown mapper %q", name)
 }
 
-// devOpts bundles the device axes forwarded to every device built by this
-// command: the warp scheduler policy and the memory-side axes (MSHR bound,
-// L1 geometry, prefetch policy).
-type devOpts struct {
-	sched          sim.SchedPolicy
-	mshrs          int
-	l1Size, l1Ways int
-	prefetch       mem.PrefetchPolicy
-}
-
-// deviceConfig builds the simulator config for hw at the dev axis point.
-func deviceConfig(hw core.HWInfo, dev devOpts) sim.Config {
-	cfg := sim.DefaultConfig(hw.Cores, hw.Warps, hw.Threads)
-	cfg.Sched = dev.sched
-	cfg.Mem.L1.MSHRs = dev.mshrs
-	cfg.Mem.L2.MSHRs = dev.mshrs
-	if dev.l1Size > 0 {
-		cfg.Mem.L1.SizeBytes = dev.l1Size
-		cfg.Mem.L1.Ways = dev.l1Ways
-	}
-	cfg.Mem.Prefetch = dev.prefetch
-	return cfg
-}
-
-func run(out io.Writer, cfgName, kernel string, lws int, mapperName string, scale float64, seed int64, compare bool, dev devOpts) error {
+// run builds every device at the grid point (one value per sweep.Axes
+// entry) the axis flags name.
+func run(out io.Writer, cfgName, kernel string, lws int, mapperName string, scale float64, seed int64, compare bool, point []string) error {
 	hw, err := core.ParseName(cfgName)
 	if err != nil {
 		return err
@@ -143,15 +107,19 @@ func run(out io.Writer, cfgName, kernel string, lws int, mapperName string, scal
 	if err != nil {
 		return err
 	}
+	cfg, err := sweep.ApplyPoint(sim.DefaultConfig(hw.Cores, hw.Warps, hw.Threads), point)
+	if err != nil {
+		return err
+	}
 	if compare {
-		return runCompare(out, hw, spec, scale, seed, dev)
+		return runCompare(out, hw, spec, scale, seed, cfg, point)
 	}
 	m, err := mapperByName(mapperName)
 	if err != nil {
 		return err
 	}
 
-	d, err := ocl.NewDevice(deviceConfig(hw, dev))
+	d, err := ocl.NewDevice(cfg)
 	if err != nil {
 		return err
 	}
@@ -190,8 +158,12 @@ func run(out io.Writer, cfgName, kernel string, lws int, mapperName string, scal
 	return nil
 }
 
-func runCompare(out io.Writer, hw core.HWInfo, spec kernels.Spec, scale float64, seed int64, dev devOpts) error {
-	fmt.Fprintf(out, "kernel %s on %s (hp=%d, sched=%s): comparing mappings\n\n", spec.Name, hw.Name(), hw.HP(), dev.sched)
+func runCompare(out io.Writer, hw core.HWInfo, spec kernels.Spec, scale float64, seed int64, cfg sim.Config, point []string) error {
+	desc := []string{fmt.Sprintf("hp=%d", hw.HP())}
+	for i, a := range sweep.Axes {
+		desc = append(desc, a.Name+"="+point[i])
+	}
+	fmt.Fprintf(out, "kernel %s on %s (%s): comparing mappings\n\n", spec.Name, hw.Name(), strings.Join(desc, ", "))
 	type row struct {
 		name   string
 		mapper core.Mapper
@@ -207,7 +179,7 @@ func runCompare(out io.Writer, hw core.HWInfo, spec kernels.Spec, scale float64,
 	// byte-identical to building a fresh device and skips the reallocation.
 	pool := ocl.NewDevicePool(1)
 	for i := range rows {
-		d, err := pool.Get(deviceConfig(hw, dev))
+		d, err := pool.Get(cfg)
 		if err != nil {
 			return err
 		}

@@ -46,6 +46,23 @@ func TestRemovedFlagsRejected(t *testing.T) {
 	}
 }
 
+// TestAxisFlagRefusals pins that each grid-axis flag takes exactly one
+// value the axis table accepts: a bad value or a list fails the run.
+func TestAxisFlagRefusals(t *testing.T) {
+	for _, tc := range []struct{ flag, value, want string }{
+		{"-sched", "rr,gto", `bad sched value "rr,gto"`},
+		{"-mshrs", "-1", `bad mshrs value "-1"`},
+		{"-l1", "16kb4w", "bad L1 geometry"},
+		{"-prefetch", "banana", "unknown prefetch policy"},
+	} {
+		var out, errb bytes.Buffer
+		if code := cli([]string{"-config", "2c2w4t", "-scale", "0.05", tc.flag, tc.value}, &out, &errb); code != 1 ||
+			!strings.Contains(errb.String(), tc.want) {
+			t.Errorf("%s %s: exit %d, stderr %q; want exit 1 naming %q", tc.flag, tc.value, code, errb.String(), tc.want)
+		}
+	}
+}
+
 // TestCPUProfileFlag checks that -cpuprofile writes a non-empty profile
 // and leaves the report unchanged.
 func TestCPUProfileFlag(t *testing.T) {

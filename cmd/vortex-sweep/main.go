@@ -62,8 +62,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kernels"
-	"repro/internal/mem"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/sweep/service"
@@ -98,32 +96,26 @@ func fatal(args ...any) {
 // the service validates that by meta comparison — while the latter never
 // crosses the wire.
 type campaignFlags struct {
-	scale       *float64
-	nConfigs    *int
-	kernelCSV   *string
-	gridCSV     *string
-	schedCSV    *string
-	mshrsCSV    *string
-	l1CSV       *string
-	prefetchCSV *string
-	seed        *int64
-	verify      *bool
-	workers     *int
+	scale     *float64
+	nConfigs  *int
+	kernelCSV *string
+	gridCSV   *string
+	axes      sweep.AxisFlags
+	seed      *int64
+	verify    *bool
+	workers   *int
 }
 
 func addCampaignFlags(fs *flag.FlagSet) *campaignFlags {
 	return &campaignFlags{
-		scale:       fs.Float64("scale", 1.0, "workload scale factor (1.0 = paper sizes)"),
-		nConfigs:    fs.Int("configs", 450, "number of grid configurations (subsampled deterministically)"),
-		kernelCSV:   fs.String("kernels", "all", "comma-separated kernels or 'all'"),
-		gridCSV:     fs.String("grid", "", "explicit comma-separated config names (e.g. 1c2w2t,4c4w4t); overrides -configs"),
-		schedCSV:    fs.String("sched", "rr", "comma-separated warp-scheduler grid axis (rr, gto, oldest, 2lev)"),
-		mshrsCSV:    fs.String("mshrs", "0", "comma-separated MSHR grid axis: outstanding-miss bound per L1 and per L2 bank (0 = unbounded)"),
-		l1CSV:       fs.String("l1", mem.DefaultL1Geometry(), "comma-separated L1 geometry grid axis (<size-KiB>k<ways>w, e.g. 16k4w,32k8w)"),
-		prefetchCSV: fs.String("prefetch", "off", "comma-separated L1 prefetch grid axis (off, nextline)"),
-		seed:        fs.Int64("seed", 42, "input generation seed"),
-		verify:      fs.Bool("verify", false, "verify device output against CPU references on every run"),
-		workers:     fs.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)"),
+		scale:     fs.Float64("scale", 1.0, "workload scale factor (1.0 = paper sizes)"),
+		nConfigs:  fs.Int("configs", 450, "number of grid configurations (subsampled deterministically)"),
+		kernelCSV: fs.String("kernels", "all", "comma-separated kernels or 'all'"),
+		gridCSV:   fs.String("grid", "", "explicit comma-separated config names (e.g. 1c2w2t,4c4w4t); overrides -configs"),
+		axes:      sweep.RegisterAxisFlags(fs, "grid axis (comma-separated): "),
+		seed:      fs.Int64("seed", 42, "input generation seed"),
+		verify:    fs.Bool("verify", false, "verify device output against CPU references on every run"),
+		workers:   fs.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)"),
 	}
 }
 
@@ -139,63 +131,9 @@ func (cf *campaignFlags) options() (sweep.Options, error) {
 	if *cf.nConfigs < 1 {
 		return opts, fmt.Errorf("-configs must be >= 1 (got %d)", *cf.nConfigs)
 	}
-	var scheds []sim.SchedPolicy
-	seenSched := map[sim.SchedPolicy]bool{}
-	for _, name := range strings.Split(*cf.schedCSV, ",") {
-		p, err := sim.ParseSchedPolicy(strings.TrimSpace(name))
-		if err != nil {
-			return opts, err
-		}
-		if seenSched[p] {
-			// A repeated policy would alias two grid cells onto one task
-			// key; sweep.Run refuses it too, but catch it here with the
-			// flag named.
-			return opts, fmt.Errorf("duplicate -sched entry %s: each scheduler appears on the grid axis once", p)
-		}
-		seenSched[p] = true
-		scheds = append(scheds, p)
-	}
-	var mshrs []int
-	seenMSHR := map[int]bool{}
-	for _, field := range strings.Split(*cf.mshrsCSV, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(field))
-		if err != nil {
-			return opts, fmt.Errorf("bad -mshrs entry %q (want a non-negative count, 0 = unbounded)", strings.TrimSpace(field))
-		}
-		if n < 0 {
-			return opts, fmt.Errorf("-mshrs entries must be >= 0 (got %d; 0 = unbounded)", n)
-		}
-		if seenMSHR[n] {
-			return opts, fmt.Errorf("duplicate -mshrs entry %d: each MSHR bound appears on the grid axis once", n)
-		}
-		seenMSHR[n] = true
-		mshrs = append(mshrs, n)
-	}
-	var l1s []string
-	seenL1 := map[string]bool{}
-	for _, field := range strings.Split(*cf.l1CSV, ",") {
-		spec := strings.TrimSpace(field)
-		if _, _, err := mem.ParseL1Geometry(spec); err != nil {
-			return opts, err
-		}
-		if seenL1[spec] {
-			return opts, fmt.Errorf("duplicate -l1 entry %s: each L1 geometry appears on the grid axis once", spec)
-		}
-		seenL1[spec] = true
-		l1s = append(l1s, spec)
-	}
-	var prefetch []mem.PrefetchPolicy
-	seenPf := map[mem.PrefetchPolicy]bool{}
-	for _, field := range strings.Split(*cf.prefetchCSV, ",") {
-		p, err := mem.ParsePrefetchPolicy(strings.TrimSpace(field))
-		if err != nil {
-			return opts, err
-		}
-		if seenPf[p] {
-			return opts, fmt.Errorf("duplicate -prefetch entry %s: each prefetch policy appears on the grid axis once", p)
-		}
-		seenPf[p] = true
-		prefetch = append(prefetch, p)
+	axes, err := cf.axes.Values()
+	if err != nil {
+		return opts, err
 	}
 	names := kernels.Names()
 	if *cf.kernelCSV != "all" && *cf.kernelCSV != "" {
@@ -223,16 +161,13 @@ func (cf *campaignFlags) options() (sweep.Options, error) {
 		}
 	}
 	return sweep.Options{
-		Configs:  configs,
-		Kernels:  names,
-		Scheds:   scheds,
-		MSHRs:    mshrs,
-		L1Geoms:  l1s,
-		Prefetch: prefetch,
-		Scale:    *cf.scale,
-		Seed:     *cf.seed,
-		Verify:   *cf.verify,
-		Workers:  *cf.workers,
+		Configs: configs,
+		Kernels: names,
+		Axes:    axes,
+		Scale:   *cf.scale,
+		Seed:    *cf.seed,
+		Verify:  *cf.verify,
+		Workers: *cf.workers,
 	}, nil
 }
 
@@ -340,16 +275,18 @@ func runCampaign(args []string) {
 	if shardCount > 1 {
 		shardNote = fmt.Sprintf(", shard %d/%d", shardIndex, shardCount)
 	}
-	schedNote := ""
-	if len(opts.Scheds) > 1 {
-		schedNote = fmt.Sprintf(" x %d schedulers (%s)", len(opts.Scheds), *cf.schedCSV)
+	axisNote := ""
+	if points := sweep.Points(opts.Axes); len(points) > 1 {
+		var swept []string
+		for _, a := range sweep.Axes {
+			if vs := opts.Axes[a.Name]; len(vs) > 1 {
+				swept = append(swept, a.Name+"="+strings.Join(vs, ","))
+			}
+		}
+		axisNote = fmt.Sprintf(" x %d grid points (%s)", len(points), strings.Join(swept, " "))
 	}
-	memNote := ""
-	if n := len(opts.MSHRs) * len(opts.L1Geoms) * len(opts.Prefetch); n > 1 {
-		memNote = fmt.Sprintf(" x %d memory points (mshrs=%s, l1=%s, prefetch=%s)", n, *cf.mshrsCSV, *cf.l1CSV, *cf.prefetchCSV)
-	}
-	fmt.Printf("Figure 2 reproduction: %d configs x %d kernels x 3 mappings%s%s, scale=%.2f, seed=%d%s\n\n",
-		len(opts.Configs), len(opts.Kernels), schedNote, memNote, *cf.scale, *cf.seed, shardNote)
+	fmt.Printf("Figure 2 reproduction: %d configs x %d kernels x 3 mappings%s, scale=%.2f, seed=%d%s\n\n",
+		len(opts.Configs), len(opts.Kernels), axisNote, *cf.scale, *cf.seed, shardNote)
 
 	res, err := sweep.Run(opts)
 	if err != nil {

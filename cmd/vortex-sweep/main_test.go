@@ -353,7 +353,7 @@ func TestCampaignFlagRefusals(t *testing.T) {
 		want string
 	}{
 		{"dup sched", append(append([]string{}, base...), "-sched", "rr,gto,rr"),
-			"duplicate -sched entry rr"},
+			"duplicate sched entry rr"},
 		{"zero scale", []string{"-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "0"},
 			"-scale must be > 0"},
 		{"negative scale", []string{"-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "-0.5"},
@@ -374,11 +374,11 @@ func TestCampaignFlagRefusals(t *testing.T) {
 			"-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "0"},
 			"-scale must be > 0"},
 		{"serve with dup sched", append([]string{"serve", "-checkpoint", filepath.Join(dir, "c.jsonl"),
-			"-sched", "gto,gto"}, base...), "duplicate -sched entry gto"},
+			"-sched", "gto,gto"}, base...), "duplicate sched entry gto"},
 		{"work without coordinator", append([]string{"work"}, base...),
 			"work requires -coordinator"},
 		{"work with dup sched", append([]string{"work", "-coordinator", "127.0.0.1:1",
-			"-sched", "rr,rr"}, base...), "duplicate -sched entry rr"},
+			"-sched", "rr,rr"}, base...), "duplicate sched entry rr"},
 	} {
 		out, err := exec.Command(bin, tc.args...).CombinedOutput()
 		if err == nil {

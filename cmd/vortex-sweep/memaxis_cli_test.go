@@ -41,7 +41,7 @@ func TestMemAxisSweepCLI(t *testing.T) {
 	refCSV := filepath.Join(dir, "ref.csv")
 	out := runSweep(t, bin, append(append([]string{}, memAxisArgs...),
 		"-checkpoint", refCkpt, "-csv", refCSV)...)
-	if !strings.Contains(out, "memory points") {
+	if !strings.Contains(out, "x 8 grid points (mshrs=0,4 l1=16k4w,32k8w prefetch=off,nextline)") {
 		t.Errorf("campaign banner does not announce the memory grid:\n%s", out)
 	}
 
@@ -180,21 +180,21 @@ func TestMemAxisFlagRefusals(t *testing.T) {
 		want string
 	}{
 		{"negative mshrs", append(append([]string{}, base...), "-mshrs", "-1"),
-			"-mshrs"},
+			`bad mshrs value "-1"`},
 		{"garbage mshrs", append(append([]string{}, base...), "-mshrs", "four"),
-			"-mshrs"},
+			`bad mshrs value "four"`},
 		{"dup mshrs", append(append([]string{}, base...), "-mshrs", "0,4,0"),
-			"duplicate -mshrs entry 0"},
+			"duplicate mshrs entry 0"},
 		{"bad l1", append(append([]string{}, base...), "-l1", "16kb4w"),
 			"bad L1 geometry"},
 		{"dup l1", append(append([]string{}, base...), "-l1", "16k4w,16k4w"),
-			"duplicate -l1 entry 16k4w"},
+			"duplicate l1 entry 16k4w"},
 		{"bad prefetch", append(append([]string{}, base...), "-prefetch", "banana"),
 			"unknown prefetch policy"},
 		{"dup prefetch", append(append([]string{}, base...), "-prefetch", "off,off"),
-			"duplicate -prefetch entry off"},
+			"duplicate prefetch entry off"},
 		{"serve with dup mshrs", append([]string{"serve", "-checkpoint", filepath.Join(dir, "c.jsonl"),
-			"-mshrs", "4,4"}, base...), "duplicate -mshrs entry 4"},
+			"-mshrs", "4,4"}, base...), "duplicate mshrs entry 4"},
 		{"work with bad l1", append([]string{"work", "-coordinator", "127.0.0.1:1",
 			"-l1", "nope"}, base...), "bad L1 geometry"},
 	} {

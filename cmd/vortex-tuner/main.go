@@ -21,14 +21,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/kernels"
-	"repro/internal/mem"
 	"repro/internal/ocl"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 	"repro/internal/tuner"
 )
 
@@ -45,10 +44,8 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	kernel := fs.String("kernel", "saxpy", "kernel (registry name)")
 	scale := fs.Float64("scale", 0.5, "workload scale")
 	strategy := fs.String("strategy", "exhaustive", "search strategy: exhaustive or hillclimb")
-	sched := fs.String("sched", "rr", "warp scheduler to tune under (rr, gto, oldest, 2lev), or 'all' to search the policy axis too")
-	mshrsCSV := fs.String("mshrs", "0", "comma-separated MSHR bounds to search (outstanding misses per L1/L2 bank, 0 = unbounded)")
-	l1CSV := fs.String("l1", mem.DefaultL1Geometry(), "comma-separated L1 geometries to search (<size-KiB>k<ways>w)")
-	prefetchCSV := fs.String("prefetch", "off", "comma-separated L1 prefetch policies to search (off, nextline)")
+	axisFlags := sweep.RegisterAxisFlags(fs, "search axis (comma-separated): ")
+	fs.Lookup("sched").Usage += ", or 'all'"
 	seed := fs.Int64("seed", 42, "input seed")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -56,24 +53,14 @@ func cli(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	if err := run(stdout, *cfgName, *kernel, *scale, *strategy, *sched, *mshrsCSV, *l1CSV, *prefetchCSV, *seed); err != nil {
+	if err := run(stdout, *cfgName, *kernel, *scale, *strategy, axisFlags, *seed); err != nil {
 		fmt.Fprintln(stderr, "vortex-tuner:", err)
 		return 1
 	}
 	return 0
 }
 
-// axisPoint is one cell of the tuner's device-axis search space: a warp
-// scheduler plus the memory-side knobs. Its name doubles as the opaque axis
-// label tuner.AcrossScheds searches over.
-type axisPoint struct {
-	sched          sim.SchedPolicy
-	mshrs          int
-	l1Size, l1Ways int
-	prefetch       mem.PrefetchPolicy
-}
-
-func run(out io.Writer, cfgName, kernel string, scale float64, strategy, schedName, mshrsCSV, l1CSV, prefetchCSV string, seed int64) error {
+func run(out io.Writer, cfgName, kernel string, scale float64, strategy string, axisFlags sweep.AxisFlags, seed int64) error {
 	hw, err := core.ParseName(cfgName)
 	if err != nil {
 		return err
@@ -82,85 +69,42 @@ func run(out io.Writer, cfgName, kernel string, scale float64, strategy, schedNa
 	if err != nil {
 		return err
 	}
-	baseCfg := func(pt axisPoint) sim.Config {
-		cfg := sim.DefaultConfig(hw.Cores, hw.Warps, hw.Threads)
-		cfg.Sched = pt.sched
-		cfg.Mem.L1.MSHRs = pt.mshrs
-		cfg.Mem.L2.MSHRs = pt.mshrs
-		if pt.l1Size > 0 {
-			cfg.Mem.L1.SizeBytes = pt.l1Size
-			cfg.Mem.L1.Ways = pt.l1Ways
+	if s := axisFlags["sched"]; *s == "all" {
+		var names []string
+		for _, p := range sim.SchedPolicies() {
+			names = append(names, p.String())
 		}
-		cfg.Mem.Prefetch = pt.prefetch
-		return cfg
+		*s = strings.Join(names, ",")
+	}
+	axes, err := axisFlags.Values()
+	if err != nil {
+		return err
 	}
 
-	var schedPols []sim.SchedPolicy
-	if schedName == "all" {
-		schedPols = sim.SchedPolicies()
-	} else {
-		p, err := sim.ParseSchedPolicy(schedName)
-		if err != nil {
-			return err
-		}
-		schedPols = []sim.SchedPolicy{p}
-	}
-	var mshrsList []int
-	for _, field := range strings.Split(mshrsCSV, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(field))
-		if err != nil || n < 0 {
-			return fmt.Errorf("bad -mshrs entry %q (want a non-negative count, 0 = unbounded)", strings.TrimSpace(field))
-		}
-		mshrsList = append(mshrsList, n)
-	}
-	type geom struct {
-		spec       string
-		size, ways int
-	}
-	var l1List []geom
-	for _, field := range strings.Split(l1CSV, ",") {
-		spec := strings.TrimSpace(field)
-		size, ways, err := mem.ParseL1Geometry(spec)
-		if err != nil {
-			return err
-		}
-		l1List = append(l1List, geom{spec: spec, size: size, ways: ways})
-	}
-	var pfList []mem.PrefetchPolicy
-	for _, field := range strings.Split(prefetchCSV, ",") {
-		p, err := mem.ParsePrefetchPolicy(strings.TrimSpace(field))
-		if err != nil {
-			return err
-		}
-		pfList = append(pfList, p)
-	}
-
-	// The search axis is the cross product of scheduler and memory points.
-	// When the memory axes are single points (the default), labels stay the
-	// bare scheduler names, preserving the sched-only output.
-	memMulti := len(mshrsList)*len(l1List)*len(pfList) > 1
-	pointByName := map[string]axisPoint{}
+	// The search axis is every grid point of the device axes, labelled by
+	// its first axis value alone while the other axes are single points
+	// (the default), and by every axis value otherwise.
+	all := sweep.Points(axes)
+	first := axes[sweep.Axes[0].Name]
+	cfgByName := map[string]sim.Config{}
 	var points []string
-	for _, pol := range schedPols {
-		for _, n := range mshrsList {
-			for _, g := range l1List {
-				for _, pf := range pfList {
-					name := pol.String()
-					if memMulti {
-						name = fmt.Sprintf("%s/mshrs=%d/l1=%s/prefetch=%s", pol, n, g.spec, pf)
-					}
-					if _, dup := pointByName[name]; dup {
-						return fmt.Errorf("duplicate search point %s: list each -sched/-mshrs/-l1/-prefetch value once", name)
-					}
-					pointByName[name] = axisPoint{sched: pol, mshrs: n, l1Size: g.size, l1Ways: g.ways, prefetch: pf}
-					points = append(points, name)
-				}
+	for _, pt := range all {
+		name := pt[0]
+		if len(all) > len(first) {
+			for i, a := range sweep.Axes[1:] {
+				name += "/" + a.Name + "=" + pt[i+1]
 			}
 		}
+		cfg, err := sweep.ApplyPoint(sim.DefaultConfig(hw.Cores, hw.Warps, hw.Threads), pt)
+		if err != nil {
+			return err
+		}
+		cfgByName[name] = cfg
+		points = append(points, name)
 	}
 
 	// Discover the gws from a throwaway build.
-	probeDev, err := ocl.NewDevice(baseCfg(pointByName[points[0]]))
+	probeDev, err := ocl.NewDevice(cfgByName[points[0]])
 	if err != nil {
 		return err
 	}
@@ -174,9 +118,9 @@ func run(out io.Writer, cfgName, kernel string, scale float64, strategy, schedNa
 	gws := c0.Launches[0].GWS
 
 	mkRunner := func(pointName string) tuner.Runner {
-		pt := pointByName[pointName]
+		cfg := cfgByName[pointName]
 		return func(lws int) (uint64, error) {
-			d, err := ocl.NewDevice(baseCfg(pt))
+			d, err := ocl.NewDevice(cfg)
 			if err != nil {
 				return 0, err
 			}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 )
@@ -49,10 +48,10 @@ type Meta struct {
 	ConfigTag        string  `json:"config_tag,omitempty"`
 	ShardIndex       int     `json:"shard_index"`
 	ShardCount       int     `json:"shard_count"`
-	// Configs, Kernels, Mappers, Scheds, MSHRs, L1Geoms and Prefetch are
-	// the comma-joined axes of the canonical task grid, in grid order. They
-	// let Merge reconstruct the full task list (and verify shard coverage)
-	// from shard files alone.
+	// Configs, Kernels, Mappers and one field per Axes entry are the
+	// comma-joined dimensions of the canonical task grid (Options.grid), in
+	// grid order. They let Merge reconstruct the full task list (and verify
+	// shard coverage) from shard files alone.
 	Configs  string `json:"configs"`
 	Kernels  string `json:"kernels"`
 	Mappers  string `json:"mappers"`
@@ -67,31 +66,8 @@ type Meta struct {
 // validates worker enrollment against.
 func MetaFor(opts Options) Meta {
 	opts.fill()
-	configs := make([]string, len(opts.Configs))
-	for i, hw := range opts.Configs {
-		configs[i] = hw.Name()
-	}
-	mappers := make([]string, len(opts.Mappers))
-	for i, m := range opts.Mappers {
-		mappers[i] = m.Name()
-	}
-	scheds := make([]string, len(opts.Scheds))
-	for i, p := range opts.Scheds {
-		scheds[i] = p.String()
-	}
-	mshrs := make([]string, len(opts.MSHRs))
-	for i, n := range opts.MSHRs {
-		mshrs[i] = strconv.Itoa(n)
-	}
-	prefetch := make([]string, len(opts.Prefetch))
-	for i, p := range opts.Prefetch {
-		prefetch[i] = p.String()
-	}
-	count := opts.ShardCount
-	if count < 1 {
-		count = 1
-	}
-	return Meta{
+	g := opts.grid()
+	m := Meta{
 		Version:          checkpointVersion,
 		Scale:            opts.Scale,
 		Seed:             opts.Seed,
@@ -100,28 +76,59 @@ func MetaFor(opts Options) Meta {
 		NoCoalesce:       opts.NoCoalesce,
 		ConfigTag:        opts.ConfigTag,
 		ShardIndex:       opts.ShardIndex,
-		ShardCount:       count,
-		Configs:          strings.Join(configs, ","),
-		Kernels:          strings.Join(opts.Kernels, ","),
-		Mappers:          strings.Join(mappers, ","),
-		Scheds:           strings.Join(scheds, ","),
-		MSHRs:            strings.Join(mshrs, ","),
-		L1Geoms:          strings.Join(opts.L1Geoms, ","),
-		Prefetch:         strings.Join(prefetch, ","),
+		ShardCount:       opts.ShardCount,
+		Configs:          strings.Join(g[0], ","),
+		Kernels:          strings.Join(g[1], ","),
+		Mappers:          strings.Join(g[2], ","),
 	}
+	for i, a := range Axes {
+		*a.meta(&m) = strings.Join(g[3+i], ",")
+	}
+	return m
 }
 
-// taskKey is the single definition of a task's identity string; the resume
-// splice, Record.Key and Merge's grid reconstruction must all agree on it.
-func taskKey(config, kernel, mapper, sched, mshrs, l1, prefetch string) string {
-	return config + "/" + kernel + "/" + mapper + "/" + sched + "/" + mshrs + "/" + l1 + "/" + prefetch
+// grid splits the meta back into the task grid's dimensions, in the order
+// of Options.grid.
+func (m Meta) grid() [][]string {
+	g := [][]string{splitAxis(m.Configs), splitAxis(m.Kernels), splitAxis(m.Mappers)}
+	for _, a := range Axes {
+		g = append(g, splitAxis(*a.meta(&m)))
+	}
+	return g
 }
 
-// Key identifies the record's task: one (config, kernel, mapper, sched,
-// mshrs, l1, prefetch) cell of the campaign grid. Resume skips tasks whose
-// key is already checkpointed.
+// splitAxis splits one comma-joined grid dimension of the meta; an empty
+// string is an empty dimension, not [""].
+func splitAxis(s string) []string {
+	if s == "" {
+		return nil
+	}
+	return strings.Split(s, ",")
+}
+
+// taskKey is the single definition of a task's identity string — its grid
+// cell's values, in Options.grid order — on which the resume splice,
+// Record.Key, Task.Key and Merge's grid reconstruction all agree.
+func taskKey(cell []string) string { return strings.Join(cell, "/") }
+
+// Key identifies the record's task: one (config, kernel, mapper, grid
+// point) cell of the campaign grid. Resume skips tasks whose key is already
+// checkpointed.
 func (r Record) Key() string {
-	return taskKey(r.Config.Name(), r.Kernel, r.Mapper, r.Sched, strconv.Itoa(r.MSHRs), r.L1, r.Prefetch)
+	cell := append(make([]string, 0, 8), r.Config.Name(), r.Kernel, r.Mapper)
+	for _, a := range Axes {
+		cell = append(cell, a.get(r))
+	}
+	return taskKey(cell)
+}
+
+// point returns the record's grid point: one value per Axes entry.
+func (r Record) point() []string {
+	point := make([]string, len(Axes))
+	for i, a := range Axes {
+		point[i] = a.get(r)
+	}
+	return point
 }
 
 // ReadCheckpoint parses a JSONL checkpoint stream into its meta header (nil

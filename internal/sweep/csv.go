@@ -12,7 +12,12 @@ import (
 
 // WriteCSV dumps every record.
 func (r *Results) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "config,cores,warps,threads,kernel,mapper,sched,mshrs,l1,prefetch,lws,cycles,instrs,mem_stall,exec_stall,energy_pj,boundedness,err"); err != nil {
+	axes := make([]string, len(Axes))
+	for i, a := range Axes {
+		axes[i] = a.Name
+	}
+	if _, err := fmt.Fprintf(w, "config,cores,warps,threads,kernel,mapper,%s,lws,cycles,instrs,mem_stall,exec_stall,energy_pj,boundedness,err\n",
+		strings.Join(axes, ",")); err != nil {
 		return err
 	}
 	for _, rec := range r.Records {
@@ -20,9 +25,9 @@ func (r *Results) WriteCSV(w io.Writer) error {
 		// is the last column (ReadCSV rejoins it), but a newline would split
 		// the row, so flatten it.
 		errStr := strings.ReplaceAll(strings.ReplaceAll(rec.Err, "\r", " "), "\n", " ")
-		_, err := fmt.Fprintf(w, "%s,%d,%d,%d,%s,%s,%s,%d,%s,%s,%d,%d,%d,%d,%d,%.0f,%s,%s\n",
+		_, err := fmt.Fprintf(w, "%s,%d,%d,%d,%s,%s,%s,%d,%d,%d,%d,%d,%.0f,%s,%s\n",
 			rec.Config.Name(), rec.Config.Cores, rec.Config.Warps, rec.Config.Threads,
-			rec.Kernel, rec.Mapper, rec.Sched, rec.MSHRs, rec.L1, rec.Prefetch, rec.LWS, rec.Cycles, rec.Instrs,
+			rec.Kernel, rec.Mapper, strings.Join(rec.point(), ","), rec.LWS, rec.Cycles, rec.Instrs,
 			rec.MemStall, rec.ExecStall, rec.EnergyPJ, rec.Boundedness, errStr)
 		if err != nil {
 			return err
@@ -33,9 +38,10 @@ func (r *Results) WriteCSV(w io.Writer) error {
 
 // ReadCSV parses records previously written by WriteCSV, so committed
 // sweep results can be re-analyzed and re-plotted without re-simulating.
-// It accepts both current files and older ones without the energy, sched
-// or memory-axis columns (records from the latter come back with an empty
-// Sched/L1/Prefetch and MSHRs zero).
+// It accepts both current files and older ones without the energy or
+// grid-axis columns (records from the latter come back with zero-valued
+// axis fields), and empty numeric cells; a cell that is present but does
+// not parse is refused with its line number.
 func ReadCSV(r io.Reader) (*Results, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -81,18 +87,13 @@ func ReadCSV(r io.Reader) (*Results, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sweep: line %d: %w", lineNo, err)
 		}
-		rec := Record{
-			Config:   hw,
-			Kernel:   get("kernel"),
-			Mapper:   get("mapper"),
-			Sched:    get("sched"),
-			L1:       get("l1"),
-			Prefetch: get("prefetch"),
-			Err:      get("err"),
-		}
-		if v := get("mshrs"); v != "" {
-			if rec.MSHRs, err = strconv.Atoi(v); err != nil {
-				return nil, fmt.Errorf("sweep: line %d: mshrs: %w", lineNo, err)
+		rec := Record{Config: hw, Kernel: get("kernel"), Mapper: get("mapper"), Err: get("err")}
+		for _, a := range Axes {
+			if v := get(a.Name); v != "" {
+				if err := a.check([]string{v}); err != nil {
+					return nil, fmt.Errorf("sweep: line %d: %w", lineNo, err)
+				}
+				rec = a.set(rec, v)
 			}
 		}
 		if rec.LWS, err = strconv.Atoi(get("lws")); err != nil {
@@ -101,17 +102,20 @@ func ReadCSV(r io.Reader) (*Results, error) {
 		if rec.Cycles, err = strconv.ParseUint(get("cycles"), 10, 64); err != nil {
 			return nil, fmt.Errorf("sweep: line %d: cycles: %w", lineNo, err)
 		}
-		if v := get("instrs"); v != "" {
-			rec.Instrs, _ = strconv.ParseUint(v, 10, 64)
-		}
-		if v := get("mem_stall"); v != "" {
-			rec.MemStall, _ = strconv.ParseUint(v, 10, 64)
-		}
-		if v := get("exec_stall"); v != "" {
-			rec.ExecStall, _ = strconv.ParseUint(v, 10, 64)
+		for _, c := range []struct {
+			name string
+			dst  *uint64
+		}{{"instrs", &rec.Instrs}, {"mem_stall", &rec.MemStall}, {"exec_stall", &rec.ExecStall}} {
+			if v := get(c.name); v != "" {
+				if *c.dst, err = strconv.ParseUint(v, 10, 64); err != nil {
+					return nil, fmt.Errorf("sweep: line %d: %s: %w", lineNo, c.name, err)
+				}
+			}
 		}
 		if v := get("energy_pj"); v != "" {
-			rec.EnergyPJ, _ = strconv.ParseFloat(v, 64)
+			if rec.EnergyPJ, err = strconv.ParseFloat(v, 64); err != nil {
+				return nil, fmt.Errorf("sweep: line %d: energy_pj: %w", lineNo, err)
+			}
 		}
 		// WriteCSV renders Boundedness as its String form; restore it so
 		// the classification survives the round trip. Anything else in the

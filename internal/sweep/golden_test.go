@@ -8,8 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/mem"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -128,8 +126,9 @@ func TestGoldenCSV(t *testing.T) {
 	}
 	checkGolden(t, "records_csv.golden", buf.Bytes())
 
-	// The golden CSV round-trips: ReadCSV restores every rendered field,
-	// including the boundedness classification.
+	// The golden CSV round-trips: ReadCSV restores every field of every
+	// record (the golden energies are whole picojoules, which the %.0f
+	// column holds exactly).
 	back, err := ReadCSV(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -138,12 +137,7 @@ func TestGoldenCSV(t *testing.T) {
 		t.Fatalf("round trip: %d records, want %d", len(back.Records), len(res.Records))
 	}
 	for i := range res.Records {
-		a, b := res.Records[i], back.Records[i]
-		if a.Config != b.Config || a.Kernel != b.Kernel || a.Mapper != b.Mapper ||
-			a.MSHRs != b.MSHRs || a.L1 != b.L1 || a.Prefetch != b.Prefetch ||
-			a.LWS != b.LWS || a.Cycles != b.Cycles || a.Instrs != b.Instrs ||
-			a.MemStall != b.MemStall || a.ExecStall != b.ExecStall ||
-			a.Boundedness != b.Boundedness || a.Err != b.Err {
+		if a, b := res.Records[i], back.Records[i]; a != b {
 			t.Errorf("record %d mismatch:\n%+v\n%+v", i, a, b)
 		}
 	}
@@ -153,14 +147,16 @@ func TestGoldenCSV(t *testing.T) {
 // the configs and kernels of goldenResults.
 func goldenGridOpts() Options {
 	return Options{
-		Configs:  []core.HWInfo{{Cores: 1, Warps: 2, Threads: 2}, {Cores: 4, Warps: 4, Threads: 4}, {Cores: 16, Warps: 8, Threads: 16}},
-		Kernels:  []string{"vecadd", "gcn_aggr"},
-		Scheds:   []sim.SchedPolicy{sim.SchedRoundRobin, sim.SchedGTO},
-		MSHRs:    []int{0, 4},
-		L1Geoms:  []string{"16k4w", "8k2w"},
-		Prefetch: []mem.PrefetchPolicy{mem.PrefetchOff, mem.PrefetchNextLine},
-		Scale:    0.05,
-		Seed:     7,
+		Configs: []core.HWInfo{{Cores: 1, Warps: 2, Threads: 2}, {Cores: 4, Warps: 4, Threads: 4}, {Cores: 16, Warps: 8, Threads: 16}},
+		Kernels: []string{"vecadd", "gcn_aggr"},
+		Axes: map[string][]string{
+			"sched":    {"rr", "gto"},
+			"mshrs":    {"0", "4"},
+			"l1":       {"16k4w", "8k2w"},
+			"prefetch": {"off", "nextline"},
+		},
+		Scale: 0.05,
+		Seed:  7,
 	}
 }
 

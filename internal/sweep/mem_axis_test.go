@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -25,13 +26,15 @@ func memCampaignOpts() Options {
 			{Cores: 1, Warps: 2, Threads: 2},
 			{Cores: 2, Warps: 4, Threads: 4},
 		},
-		Kernels:  []string{"vecadd"},
-		MSHRs:    []int{0, 4},
-		L1Geoms:  []string{mem.DefaultL1Geometry(), "8k2w"},
-		Prefetch: []mem.PrefetchPolicy{mem.PrefetchOff, mem.PrefetchNextLine},
-		Scale:    0.05,
-		Seed:     7,
-		Workers:  2,
+		Kernels: []string{"vecadd"},
+		Axes: map[string][]string{
+			"mshrs":    {"0", "4"},
+			"l1":       {mem.DefaultL1Geometry(), "8k2w"},
+			"prefetch": {"off", "nextline"},
+		},
+		Scale:   0.05,
+		Seed:    7,
+		Workers: 2,
 	}
 }
 
@@ -46,69 +49,33 @@ func TestSweepMemAxes(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := memCampaignOpts()
-	nm, nl, np := len(opts.MSHRs), len(opts.L1Geoms), len(opts.Prefetch)
-	want := len(opts.Configs) * len(opts.Kernels) * 3 * nm * nl * np
+	points := Points(opts.Axes)
+	want := len(opts.Configs) * len(opts.Kernels) * 3 * len(points)
 	if len(res.Records) != want {
 		t.Fatalf("swept %d records, want %d", len(res.Records), want)
 	}
 	for i, rec := range res.Records {
-		wantPf := opts.Prefetch[i%np]
-		wantL1 := opts.L1Geoms[(i/np)%nl]
-		wantMS := opts.MSHRs[(i/(np*nl))%nm]
-		if rec.Prefetch != wantPf.String() || rec.L1 != wantL1 || rec.MSHRs != wantMS {
-			t.Fatalf("record %d: memory point (%d, %s, %s), want (%d, %s, %s) (mshrs>l1>prefetch must nest innermost)",
-				i, rec.MSHRs, rec.L1, rec.Prefetch, wantMS, wantL1, wantPf)
+		if got, want := rec.point(), points[i%len(points)]; !slices.Equal(got, want) {
+			t.Fatalf("record %d: grid point %v, want %v (mshrs>l1>prefetch must nest innermost)", i, got, want)
 		}
 	}
-	for _, ms := range opts.MSHRs {
-		single := memCampaignOpts()
-		single.MSHRs = []int{ms}
-		sres, err := Run(single)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var subset []Record
-		for _, rec := range res.Records {
-			if rec.MSHRs == ms {
-				subset = append(subset, rec)
+	for _, a := range Axes {
+		for _, v := range opts.Axes[a.Name] {
+			single := memCampaignOpts()
+			single.Axes[a.Name] = []string{v}
+			sres, err := Run(single)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if !bytes.Equal(mustJSON(t, subset), mustJSON(t, sres.Records)) {
-			t.Errorf("mshrs=%d: records from the full sweep differ from a single-value sweep", ms)
-		}
-	}
-	for _, l1 := range opts.L1Geoms {
-		single := memCampaignOpts()
-		single.L1Geoms = []string{l1}
-		sres, err := Run(single)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var subset []Record
-		for _, rec := range res.Records {
-			if rec.L1 == l1 {
-				subset = append(subset, rec)
+			var subset []Record
+			for _, rec := range res.Records {
+				if a.get(rec) == v {
+					subset = append(subset, rec)
+				}
 			}
-		}
-		if !bytes.Equal(mustJSON(t, subset), mustJSON(t, sres.Records)) {
-			t.Errorf("l1=%s: records from the full sweep differ from a single-value sweep", l1)
-		}
-	}
-	for _, pf := range opts.Prefetch {
-		single := memCampaignOpts()
-		single.Prefetch = []mem.PrefetchPolicy{pf}
-		sres, err := Run(single)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var subset []Record
-		for _, rec := range res.Records {
-			if rec.Prefetch == pf.String() {
-				subset = append(subset, rec)
+			if !bytes.Equal(mustJSON(t, subset), mustJSON(t, sres.Records)) {
+				t.Errorf("%s=%s: records from the full sweep differ from a single-value sweep", a.Name, v)
 			}
-		}
-		if !bytes.Equal(mustJSON(t, subset), mustJSON(t, sres.Records)) {
-			t.Errorf("prefetch=%s: records from the full sweep differ from a single-value sweep", pf)
 		}
 	}
 }
@@ -123,9 +90,7 @@ func TestSweepMemDefaultPointIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain := memCampaignOpts()
-	plain.MSHRs = nil
-	plain.L1Geoms = nil
-	plain.Prefetch = nil
+	plain.Axes = nil
 	oracle, err := Run(plain)
 	if err != nil {
 		t.Fatal(err)
@@ -189,13 +154,13 @@ func TestShardMergeMemAxes(t *testing.T) {
 
 	// A duplicated entry on any of the three axes aliases task keys and
 	// must be refused when checkpointing.
-	for name, mutate := range map[string]func(*Options){
-		"mshrs":    func(o *Options) { o.MSHRs = []int{4, 4} },
-		"l1":       func(o *Options) { o.L1Geoms = []string{"8k2w", "8k2w"} },
-		"prefetch": func(o *Options) { o.Prefetch = []mem.PrefetchPolicy{mem.PrefetchOff, mem.PrefetchOff} },
+	for name, values := range map[string][]string{
+		"mshrs":    {"4", "4"},
+		"l1":       {"8k2w", "8k2w"},
+		"prefetch": {"off", "off"},
 	} {
 		dup := memCampaignOpts()
-		mutate(&dup)
+		dup.Axes[name] = values
 		dup.Checkpoint = filepath.Join(dir, "dup-"+name+".jsonl")
 		if _, err := Run(dup); err == nil {
 			t.Errorf("checkpointed sweep accepted a duplicated %s-axis entry", name)
@@ -205,22 +170,22 @@ func TestShardMergeMemAxes(t *testing.T) {
 
 // TestSweepRejectsTemplateMemKnobs pins that a ConfigTemplate setting any
 // memory-side knob the grid owns — MSHR capacity, L1 geometry, prefetch
-// policy — is refused loudly, naming the Options field to use, instead of
-// being silently overridden by the axis.
+// policy — is refused loudly, naming the axis, instead of being silently
+// overridden by the axis.
 func TestSweepRejectsTemplateMemKnobs(t *testing.T) {
 	cases := []struct {
 		name  string
 		set   func(*sim.Config)
 		wants string
 	}{
-		{"mshrs", func(c *sim.Config) { c.Mem.L1.MSHRs = 4; c.Mem.L2.MSHRs = 4 }, "Options.MSHRs"},
-		{"l1-geometry", func(c *sim.Config) { c.Mem.L1.SizeBytes = 8 << 10; c.Mem.L1.Ways = 2 }, "Options.L1Geoms"},
-		{"prefetch", func(c *sim.Config) { c.Mem.Prefetch = mem.PrefetchNextLine }, "Options.Prefetch"},
+		{"mshrs", func(c *sim.Config) { c.Mem.L2.MSHRs = 4 }, "sets the mshrs knob"},
+		{"l1-geometry", func(c *sim.Config) { c.Mem.L1.SizeBytes = 8 << 10; c.Mem.L1.Ways = 2 }, "sets the l1 knob"},
+		{"prefetch", func(c *sim.Config) { c.Mem.Prefetch = mem.PrefetchNextLine }, "sets the prefetch knob"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := memCampaignOpts()
-			opts.MSHRs, opts.L1Geoms, opts.Prefetch = nil, nil, nil
+			opts.Axes = nil
 			opts.ConfigTemplate = func(hw core.HWInfo) sim.Config {
 				cfg := sim.DefaultConfig(hw.Cores, hw.Warps, hw.Threads)
 				tc.set(&cfg)
@@ -235,27 +200,31 @@ func TestSweepRejectsTemplateMemKnobs(t *testing.T) {
 }
 
 // TestSweepRejectsBadMemAxisValues pins the Options-boundary validation of
-// the three axes: negative or duplicated MSHR bounds, malformed or
-// duplicated geometry specs, and duplicated prefetch policies are refused
-// before any task runs.
+// the three axes: negative, non-canonical or duplicated MSHR bounds,
+// malformed or duplicated geometry specs, unknown or duplicated prefetch
+// policies, and an axis the table does not know are refused before any
+// task runs.
 func TestSweepRejectsBadMemAxisValues(t *testing.T) {
 	cases := []struct {
 		name   string
-		mutate func(*Options)
+		axis   string
+		values []string
 		wants  string
 	}{
-		{"negative mshrs", func(o *Options) { o.MSHRs = []int{-1} }, "negative MSHR"},
-		{"dup mshrs", func(o *Options) { o.MSHRs = []int{4, 4} }, "duplicate MSHR"},
-		{"bad l1 spec", func(o *Options) { o.L1Geoms = []string{"16kb4"} }, "l1 axis"},
-		{"unrealizable l1", func(o *Options) { o.L1Geoms = []string{"3k4w"} }, "l1 axis"},
-		{"dup l1", func(o *Options) { o.L1Geoms = []string{"8k2w", "8k2w"} }, "duplicate L1 geometry"},
-		{"dup prefetch", func(o *Options) { o.Prefetch = []mem.PrefetchPolicy{mem.PrefetchOff, mem.PrefetchOff} }, "duplicate prefetch"},
-		{"unknown prefetch", func(o *Options) { o.Prefetch = []mem.PrefetchPolicy{mem.PrefetchPolicy(9)} }, "prefetch"},
+		{"negative mshrs", "mshrs", []string{"-1"}, `bad mshrs value "-1"`},
+		{"non-canonical mshrs", "mshrs", []string{"04"}, `bad mshrs value "04": spell it 4`},
+		{"dup mshrs", "mshrs", []string{"4", "4"}, "duplicate mshrs entry 4"},
+		{"bad l1 spec", "l1", []string{"16kb4"}, `bad l1 value "16kb4"`},
+		{"unrealizable l1", "l1", []string{"3k4w"}, `bad l1 value "3k4w"`},
+		{"dup l1", "l1", []string{"8k2w", "8k2w"}, "duplicate l1 entry 8k2w"},
+		{"dup prefetch", "prefetch", []string{"off", "off"}, "duplicate prefetch entry off"},
+		{"unknown prefetch", "prefetch", []string{"banana"}, "unknown prefetch policy"},
+		{"unknown axis", "mshr", []string{"4"}, `unknown grid axis "mshr"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := memCampaignOpts()
-			tc.mutate(&opts)
+			opts.Axes[tc.axis] = tc.values
 			_, err := Run(opts)
 			if err == nil || !strings.Contains(err.Error(), tc.wants) {
 				t.Errorf("%s: err = %v, want a refusal mentioning %q", tc.name, err, tc.wants)
@@ -271,9 +240,7 @@ func TestSweepRejectsBadMemAxisValues(t *testing.T) {
 func TestSweepResumeRejectsV3Checkpoint(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "old.jsonl")
-	opts := memCampaignOpts()
-	opts.fill()
-	meta := MetaFor(opts)
+	meta := MetaFor(memCampaignOpts())
 	meta.Version = 3
 	meta.MSHRs, meta.L1Geoms, meta.Prefetch = "", "", ""
 	var buf bytes.Buffer

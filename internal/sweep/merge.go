@@ -4,12 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
+	"slices"
 
 	"repro/internal/core"
-	"repro/internal/mem"
-	"repro/internal/sim"
 )
 
 // Merge recombines the checkpoints of a sharded campaign into the Results
@@ -48,25 +45,20 @@ func Merge(out string, paths []string) (*Results, error) {
 		shards[i] = recs
 	}
 
-	// Pairwise meta agreement, modulo the shard index. A scheduler-axis
-	// disagreement gets its own diagnostic: mixing shards of campaigns
-	// that swept different policy sets is the likeliest way to end up
-	// here since the sched axis became part of the grid.
+	// Pairwise meta agreement, modulo the shard index. A grid-axis
+	// disagreement gets its own diagnostic naming the axis: mixing shards
+	// of campaigns that swept different policy sets is the likeliest way to
+	// end up here.
 	base := metas[0]
 	base.ShardIndex = 0
 	for i := 1; i < len(metas); i++ {
 		m := metas[i]
 		m.ShardIndex = 0
-		if m.Scheds != base.Scheds {
-			return nil, fmt.Errorf("sweep: merge: mixed-sched shard set: %s sweeps schedulers %q but %s sweeps %q",
-				paths[0], base.Scheds, paths[i], m.Scheds)
-		}
-		if m.MSHRs != base.MSHRs || m.L1Geoms != base.L1Geoms || m.Prefetch != base.Prefetch {
-			// Like the scheduler, the memory axes get a named diagnostic:
-			// mixing shards that swept different memory grids is the likely
-			// mistake now that they are part of the task identity.
-			return nil, fmt.Errorf("sweep: merge: mixed memory-axis shard set: %s sweeps mshrs=%q l1=%q prefetch=%q but %s sweeps mshrs=%q l1=%q prefetch=%q",
-				paths[0], base.MSHRs, base.L1Geoms, base.Prefetch, paths[i], m.MSHRs, m.L1Geoms, m.Prefetch)
+		for _, a := range Axes {
+			if want, got := *a.meta(&base), *a.meta(&m); got != want {
+				return nil, fmt.Errorf("sweep: merge: mixed-%s shard set: %s sweeps %s=%q but %s sweeps %q",
+					a.Name, paths[0], a.Name, want, paths[i], got)
+			}
 		}
 		if m != base {
 			return nil, fmt.Errorf("sweep: merge: meta mismatch: %s and %s were written with different sweep options",
@@ -96,50 +88,30 @@ func Merge(out string, paths []string) (*Results, error) {
 
 	// Reconstruct the canonical task grid from the meta and place every
 	// shard record at its grid index, verifying shard membership.
-	configs := splitAxis(base.Configs)
-	kernels := splitAxis(base.Kernels)
-	mappers := splitAxis(base.Mappers)
-	scheds := splitAxis(base.Scheds)
-	mshrs := splitAxis(base.MSHRs)
-	l1s := splitAxis(base.L1Geoms)
-	prefetch := splitAxis(base.Prefetch)
-	if len(configs) == 0 || len(kernels) == 0 || len(mappers) == 0 || len(scheds) == 0 ||
-		len(mshrs) == 0 || len(l1s) == 0 || len(prefetch) == 0 {
-		return nil, fmt.Errorf("sweep: merge: %s: meta does not describe a task grid", paths[0])
-	}
-	// A repeated scheduler gets its own diagnostic (mirroring Options
-	// validation, which refuses it before any run): the generic
-	// duplicate-task check below would fire too, but naming the policy makes
-	// a hand-edited meta diagnosable.
-	if dup := firstDuplicate(scheds); dup != "" {
-		return nil, fmt.Errorf("sweep: merge: %s: duplicate scheduler %s on the campaign sched axis", paths[0], dup)
-	}
-	size := len(configs) * len(kernels) * len(mappers) * len(scheds) * len(mshrs) * len(l1s) * len(prefetch)
-	keyIdx := make(map[string]int, size)
-	keys := make([]string, 0, size)
-	for _, c := range configs {
-		for _, k := range kernels {
-			for _, m := range mappers {
-				for _, s := range scheds {
-					for _, ms := range mshrs {
-						for _, l1 := range l1s {
-							for _, pf := range prefetch {
-								key := taskKey(c, k, m, s, ms, l1, pf)
-								if _, dup := keyIdx[key]; dup {
-									// Run refuses to checkpoint such a grid; a meta claiming
-									// one is hand-edited, and shard membership would be
-									// ambiguous.
-									return nil, fmt.Errorf("sweep: merge: %s: duplicate task %s in the campaign grid", paths[0], key)
-								}
-								keyIdx[key] = len(keys)
-								keys = append(keys, key)
-							}
-						}
-					}
-				}
-			}
+	// Every axis value is checked as Options validation checks it before
+	// any run, so a hand-edited meta gets a diagnostic naming the axis
+	// rather than surfacing as records missing from the grid.
+	g := base.grid()
+	for i, a := range Axes {
+		if err := a.check(g[3+i]); err != nil {
+			return nil, fmt.Errorf("sweep: merge: %s: %w", paths[0], err)
 		}
 	}
+	if slices.ContainsFunc(g, func(dim []string) bool { return len(dim) == 0 }) {
+		return nil, fmt.Errorf("sweep: merge: %s: meta does not describe a task grid", paths[0])
+	}
+	if dup := duplicateEntry(g); dup != "" {
+		// Run refuses to checkpoint such a grid; a meta claiming one is
+		// hand-edited, and shard membership would be ambiguous.
+		return nil, fmt.Errorf("sweep: merge: %s: duplicate grid entry %s: its tasks would share keys", paths[0], dup)
+	}
+	keyIdx := map[string]int{}
+	var keys []string
+	eachCell(g, func(_ []int, cell []string) {
+		key := taskKey(cell)
+		keyIdx[key] = len(keys)
+		keys = append(keys, key)
+	})
 	merged := make([]*Record, len(keys))
 	for i, recs := range shards {
 		shard := metas[i].ShardIndex
@@ -175,7 +147,7 @@ func Merge(out string, paths []string) (*Results, error) {
 	for gi, rec := range merged {
 		res.Records[gi] = *rec
 	}
-	res.Options = optionsFromMeta(base, configs, kernels, scheds, mshrs, l1s, prefetch)
+	res.Options = optionsFromMeta(base, g)
 	if out != "" {
 		if err := WriteCheckpoint(out, base, res.Records); err != nil {
 			return nil, fmt.Errorf("sweep: merge: %w", err)
@@ -184,36 +156,15 @@ func Merge(out string, paths []string) (*Results, error) {
 	return res, nil
 }
 
-// firstDuplicate returns the first repeated entry of axis, or "".
-func firstDuplicate(axis []string) string {
-	seen := make(map[string]bool, len(axis))
-	for _, name := range axis {
-		if seen[name] {
-			return name
-		}
-		seen[name] = true
-	}
-	return ""
-}
-
-// splitAxis splits one comma-joined grid axis from the meta; an empty
-// string is an empty axis, not [""].
-func splitAxis(s string) []string {
-	if s == "" {
-		return nil
-	}
-	return strings.Split(s, ",")
-}
-
 // optionsFromMeta reconstructs the sweep parameters recorded in a merged
-// checkpoint meta, for reporting. Mappers are left nil: mapper objects
-// cannot be rebuilt from their names, and the render paths only read
-// Records. Unparseable config, scheduler, MSHR or prefetch names are
-// skipped (they cannot occur in a meta Run wrote).
-func optionsFromMeta(m Meta, configs, kernels, scheds, mshrs, l1s, prefetch []string) Options {
+// checkpoint meta, whose grid g Merge has checked, for reporting. Mappers
+// are left nil: mapper objects cannot be rebuilt from their names, and the
+// render paths only read Records. Unparseable config names are skipped
+// (they cannot occur in a meta Run wrote).
+func optionsFromMeta(m Meta, g [][]string) Options {
 	opts := Options{
-		Kernels:          kernels,
-		L1Geoms:          l1s,
+		Kernels:          g[1],
+		Axes:             map[string][]string{},
 		Scale:            m.Scale,
 		Seed:             m.Seed,
 		Verify:           m.Verify,
@@ -221,25 +172,13 @@ func optionsFromMeta(m Meta, configs, kernels, scheds, mshrs, l1s, prefetch []st
 		NoCoalesce:       m.NoCoalesce,
 		ConfigTag:        m.ConfigTag,
 	}
-	for _, name := range configs {
+	for _, name := range g[0] {
 		if hw, err := core.ParseName(name); err == nil {
 			opts.Configs = append(opts.Configs, hw)
 		}
 	}
-	for _, name := range scheds {
-		if p, err := sim.ParseSchedPolicy(name); err == nil {
-			opts.Scheds = append(opts.Scheds, p)
-		}
-	}
-	for _, name := range mshrs {
-		if n, err := strconv.Atoi(name); err == nil {
-			opts.MSHRs = append(opts.MSHRs, n)
-		}
-	}
-	for _, name := range prefetch {
-		if p, err := mem.ParsePrefetchPolicy(name); err == nil {
-			opts.Prefetch = append(opts.Prefetch, p)
-		}
+	for i, a := range Axes {
+		opts.Axes[a.Name] = g[3+i]
 	}
 	return opts
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 )
 
 // renderAll captures every render path fed by merged results: the Figure 2
@@ -272,21 +271,11 @@ func shardFixture(t *testing.T, dir string) (Options, []string) {
 // shardRecords synthesizes the records of one shard of the fixture grid.
 func shardRecords(opts Options, shard int) []Record {
 	var recs []Record
-	idx := 0
-	for _, hw := range opts.Configs {
-		for _, k := range opts.Kernels {
-			for _, m := range opts.Mappers {
-				for _, p := range opts.Scheds {
-					if idx%2 == shard {
-						recs = append(recs, Record{
-							Config: hw, Kernel: k, Mapper: m.Name(), Sched: p.String(),
-							MSHRs: opts.MSHRs[0], L1: opts.L1Geoms[0], Prefetch: opts.Prefetch[0].String(),
-							LWS: 1, Cycles: uint64(1000 + idx), Instrs: uint64(100 + idx),
-						})
-					}
-					idx++
-				}
-			}
+	for _, task := range enumerateTasks(opts) {
+		if task.Index%2 == shard {
+			rec := task.Record()
+			rec.LWS, rec.Cycles, rec.Instrs = 1, uint64(1000+task.Index), uint64(100+task.Index)
+			recs = append(recs, rec)
 		}
 	}
 	return recs
@@ -349,12 +338,40 @@ func TestMergeErrorPaths(t *testing.T) {
 	// is a meta mismatch too, but gets its own diagnostic naming the two
 	// policy sets.
 	mixed := opts
-	mixed.Scheds = []sim.SchedPolicy{sim.SchedGTO}
+	mixed.Axes = map[string][]string{"sched": {"gto"}}
+	mixed.fill()
 	mixed.ShardIndex = 1
 	mixed.ShardCount = 2
 	mixedPath := filepath.Join(dir, "mixedsched.jsonl")
 	writeShardFile(t, mixedPath, MetaFor(mixed), shardRecords(mixed, 1))
 	check("mixed-sched shard set", "mixed-sched shard set", paths[0], mixedPath)
+
+	// Every grid axis gets the same named diagnostic.
+	mixedMem := opts
+	mixedMem.Axes = map[string][]string{"mshrs": {"4"}}
+	mixedMem.fill()
+	mixedMem.ShardIndex = 1
+	mixedMem.ShardCount = 2
+	mixedMemPath := filepath.Join(dir, "mixedmshrs.jsonl")
+	writeShardFile(t, mixedMemPath, MetaFor(mixedMem), shardRecords(mixedMem, 1))
+	check("mixed-mshrs shard set", `mixed-mshrs shard set`, paths[0], mixedMemPath)
+
+	// A hand-edited meta with an unparseable or repeated axis value is
+	// refused naming the axis, not reported as records outside the grid.
+	for _, tc := range []struct {
+		name, want string
+		edit       func(*Meta)
+	}{
+		{"unparseable mshrs in meta", `bad mshrs value "x"`, func(m *Meta) { m.MSHRs = "x" }},
+		{"repeated l1 in meta", "duplicate l1 entry 16k4w", func(m *Meta) { m.L1Geoms = "16k4w,16k4w" }},
+	} {
+		meta := MetaFor(opts)
+		meta.ShardIndex, meta.ShardCount = 0, 1
+		tc.edit(&meta)
+		path := filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "_")+".jsonl")
+		writeShardFile(t, path, meta, append(shardRecords(opts, 0), shardRecords(opts, 1)...))
+		check(tc.name, tc.want, path)
+	}
 
 	// A v2 shard file (pre-sched-axis): refused by the checkpoint reader
 	// with the version diagnostic, before any merge validation runs.
@@ -415,5 +432,5 @@ func TestMergeErrorPaths(t *testing.T) {
 	dupMeta.Configs = "1c2w2t,1c2w2t"
 	dupPath := filepath.Join(dir, "dupgrid.jsonl")
 	writeShardFile(t, dupPath, dupMeta, nil)
-	check("duplicate grid in meta", "duplicate task", dupPath)
+	check("duplicate grid in meta", "duplicate grid entry 1c2w2t", dupPath)
 }

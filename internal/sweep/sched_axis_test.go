@@ -22,7 +22,7 @@ func schedCampaignOpts() Options {
 			{Cores: 2, Warps: 4, Threads: 4},
 		},
 		Kernels: []string{"vecadd"},
-		Scheds:  []sim.SchedPolicy{sim.SchedRoundRobin, sim.SchedGTO, sim.SchedOldestFirst, sim.SchedTwoLevel},
+		Axes:    map[string][]string{"sched": {"rr", "gto", "oldest", "2lev"}},
 		Scale:   0.05,
 		Seed:    7,
 		Workers: 2,
@@ -39,26 +39,26 @@ func TestSweepSchedAxis(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := schedCampaignOpts()
-	want := len(opts.Configs) * len(opts.Kernels) * 3 * len(opts.Scheds)
+	scheds := opts.Axes["sched"]
+	want := len(opts.Configs) * len(opts.Kernels) * 3 * len(scheds)
 	if len(res.Records) != want {
 		t.Fatalf("swept %d records, want %d", len(res.Records), want)
 	}
 	for i, rec := range res.Records {
-		wantSched := opts.Scheds[i%len(opts.Scheds)]
-		if rec.Sched != wantSched.String() {
+		if wantSched := scheds[i%len(scheds)]; rec.Sched != wantSched {
 			t.Fatalf("record %d: sched %q, want %q (policy axis must nest innermost)", i, rec.Sched, wantSched)
 		}
 	}
-	for _, sched := range opts.Scheds {
+	for _, sched := range scheds {
 		single := schedCampaignOpts()
-		single.Scheds = []sim.SchedPolicy{sched}
+		single.Axes = map[string][]string{"sched": {sched}}
 		sres, err := Run(single)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var subset []Record
 		for _, rec := range res.Records {
-			if rec.Sched == sched.String() {
+			if rec.Sched == sched {
 				subset = append(subset, rec)
 			}
 		}
@@ -117,7 +117,7 @@ func TestShardMergeSchedAxis(t *testing.T) {
 	// A duplicated sched-axis entry aliases task keys and must be refused
 	// when checkpointing, like any other duplicated axis entry.
 	dup := schedCampaignOpts()
-	dup.Scheds = []sim.SchedPolicy{sim.SchedGTO, sim.SchedGTO}
+	dup.Axes = map[string][]string{"sched": {"gto", "gto"}}
 	dup.Checkpoint = filepath.Join(dir, "dup.jsonl")
 	if _, err := Run(dup); err == nil {
 		t.Error("checkpointed sweep accepted a duplicated sched-axis entry")
@@ -126,17 +126,17 @@ func TestShardMergeSchedAxis(t *testing.T) {
 
 // TestSweepRejectsTemplateSched pins that a ConfigTemplate setting a
 // non-default scheduler — the pre-axis way to vary the policy — is refused
-// loudly instead of being silently overridden by the Scheds axis.
+// loudly instead of being silently overridden by the sched axis.
 func TestSweepRejectsTemplateSched(t *testing.T) {
 	opts := schedCampaignOpts()
-	opts.Scheds = nil
+	opts.Axes = nil
 	opts.ConfigTemplate = func(hw core.HWInfo) sim.Config {
 		cfg := sim.DefaultConfig(hw.Cores, hw.Warps, hw.Threads)
 		cfg.Sched = sim.SchedGTO
 		return cfg
 	}
 	_, err := Run(opts)
-	if err == nil || !strings.Contains(err.Error(), "Options.Scheds") {
+	if err == nil || !strings.Contains(err.Error(), "sets the sched knob") {
 		t.Errorf("template-set scheduler: err = %v, want the grid-axis refusal", err)
 	}
 }

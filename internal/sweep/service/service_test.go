@@ -107,11 +107,9 @@ func leaseTasks(t *testing.T, s *Server, worker string, max int, meta sweep.Meta
 
 // fabricate builds a plausible successful record for one grid task.
 func fabricate(task sweep.Task, cycles uint64) sweep.Record {
-	return sweep.Record{
-		Config: task.Config, Kernel: task.Kernel, Mapper: task.Mapper.Name(), Sched: task.Sched.String(),
-		MSHRs: task.MSHRs, L1: task.L1, Prefetch: task.Prefetch.String(),
-		LWS: 1, Cycles: cycles, Instrs: 10,
-	}
+	rec := task.Record()
+	rec.LWS, rec.Cycles, rec.Instrs = 1, cycles, 10
+	return rec
 }
 
 // TestLeaseExpiryReissue pins the recovery path: a worker that leases

@@ -9,14 +9,13 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/kernels"
-	"repro/internal/mem"
 	"repro/internal/ocl"
 	"repro/internal/sim"
 )
@@ -69,26 +68,13 @@ type Options struct {
 	Kernels []string
 	// Mappers defaults to the paper's three: lws=1, lws=32, ours.
 	Mappers []core.Mapper
-	// Scheds is the warp-scheduler grid axis; it defaults to the simulator
-	// default {rr}. Each task's sim.Config.Sched is set from this axis —
-	// a ConfigTemplate that sets a non-default policy is refused (put the
-	// policies on this axis instead; the checkpoint meta records and
-	// validates them, which it could not do for a template's choice).
-	Scheds []sim.SchedPolicy
-	// MSHRs is the miss-status-holding-register grid axis: each value bounds
-	// the outstanding L1 misses per core (and L2 misses per bank) of a
-	// task's device. It defaults to {0} — the unbounded pre-MSHR model, which
-	// is the differential oracle. Like the scheduler, the knob is axis-owned:
-	// a ConfigTemplate that sets it is refused, so the checkpoint meta can
-	// validate the swept values on resume/merge.
-	MSHRs []int
-	// L1Geoms is the L1 geometry grid axis, each entry a compact spec in the
-	// grammar of mem.ParseL1Geometry ("16k4w" = 16 KiB, 4-way). It defaults
-	// to the simulator default geometry. Axis-owned like MSHRs.
-	L1Geoms []string
-	// Prefetch is the L1 prefetcher grid axis; it defaults to
-	// {mem.PrefetchOff}, the pre-prefetch model. Axis-owned like MSHRs.
-	Prefetch []mem.PrefetchPolicy
+	// Axes holds the values swept on each grid axis of the Axes table, by
+	// axis name and in canonical spelling (e.g. {"sched": {"rr", "gto"},
+	// "mshrs": {"0", "4"}}). A missing or empty axis sweeps only its
+	// default. The axes own their simulator knobs: a ConfigTemplate that
+	// sets one is refused, so the checkpoint meta can validate the swept
+	// values.
+	Axes map[string][]string
 	// Scale is the workload scale factor (1.0 = paper sizes).
 	Scale float64
 	// Seed drives input generation (shared by all runs of a kernel so
@@ -150,18 +136,6 @@ func (o *Options) fill() {
 	if o.Mappers == nil {
 		o.Mappers = []core.Mapper{core.Naive{}, core.Fixed{N: 32}, core.Auto{}}
 	}
-	if len(o.Scheds) == 0 {
-		o.Scheds = []sim.SchedPolicy{sim.SchedRoundRobin}
-	}
-	if len(o.MSHRs) == 0 {
-		o.MSHRs = []int{0}
-	}
-	if len(o.L1Geoms) == 0 {
-		o.L1Geoms = []string{mem.DefaultL1Geometry()}
-	}
-	if len(o.Prefetch) == 0 {
-		o.Prefetch = []mem.PrefetchPolicy{mem.PrefetchOff}
-	}
 	if o.Scale == 0 {
 		o.Scale = 1
 	}
@@ -177,8 +151,9 @@ func (o *Options) fill() {
 }
 
 // Normalized returns o with every default applied — the exact option set a
-// Run of o executes. The campaign service normalizes once so its stored
-// options, meta and task grid all describe the same campaign.
+// Run of o executes (a missing grid axis stays missing: it sweeps its
+// default). The campaign service normalizes once so its stored options,
+// meta and task grid all describe the same campaign.
 func (o Options) Normalized() Options {
 	o.fill()
 	return o
@@ -193,133 +168,98 @@ func (o *Options) validate() error {
 	if o.Scale < 0 {
 		return fmt.Errorf("sweep: scale must be positive (got %v)", o.Scale)
 	}
-	seen := map[sim.SchedPolicy]bool{}
-	for _, p := range o.Scheds {
-		if seen[p] {
-			// A repeated scheduler can never mean anything but the same
-			// records twice under aliased task keys, so it is refused even
-			// on plain runs (duplicate configs, by contrast, stay legal
-			// there).
-			return fmt.Errorf("sweep: duplicate scheduler %s on the sched axis", p)
+	for name := range o.Axes {
+		if !slices.ContainsFunc(Axes, func(a Axis) bool { return a.Name == name }) {
+			return fmt.Errorf("sweep: unknown grid axis %q", name)
 		}
-		seen[p] = true
 	}
-	// The memory-side axes hold the same bargain as the scheduler: small
-	// enumerable policy axes whose duplicates could only alias task keys,
-	// refused on every path.
-	seenM := map[int]bool{}
-	for _, n := range o.MSHRs {
-		if n < 0 {
-			return fmt.Errorf("sweep: negative MSHR count %d on the mshrs axis", n)
+	// A repeated axis value can never mean anything but the same records
+	// twice under aliased task keys, so it is refused even on plain runs
+	// (duplicate configs, by contrast, stay legal there).
+	for _, a := range Axes {
+		if err := a.check(a.values(o.Axes)); err != nil {
+			return fmt.Errorf("sweep: %w", err)
 		}
-		if seenM[n] {
-			return fmt.Errorf("sweep: duplicate MSHR count %d on the mshrs axis", n)
-		}
-		seenM[n] = true
-	}
-	seenG := map[string]bool{}
-	for _, g := range o.L1Geoms {
-		if _, _, err := mem.ParseL1Geometry(g); err != nil {
-			return fmt.Errorf("sweep: l1 axis: %w", err)
-		}
-		if seenG[g] {
-			return fmt.Errorf("sweep: duplicate L1 geometry %s on the l1 axis", g)
-		}
-		seenG[g] = true
-	}
-	seenP := map[mem.PrefetchPolicy]bool{}
-	for _, p := range o.Prefetch {
-		if _, err := mem.ParsePrefetchPolicy(p.String()); err != nil {
-			return err
-		}
-		if seenP[p] {
-			return fmt.Errorf("sweep: duplicate prefetch policy %s on the prefetch axis", p)
-		}
-		seenP[p] = true
 	}
 	return nil
 }
 
-// duplicateAxisEntry returns the name of the first repeated entry on any
-// grid axis (a task key is duplicated exactly when an axis value is), or
-// "" when all seven axes are duplicate-free.
-func duplicateAxisEntry(opts Options) string {
-	axes := [][]string{nil, opts.Kernels, nil, nil, nil, opts.L1Geoms, nil}
-	for _, hw := range opts.Configs {
-		axes[0] = append(axes[0], hw.Name())
+// grid lists the dimensions of the task grid of filled options by name:
+// configs, kernels, mappers, then each entry of Axes. The checkpoint meta
+// stores exactly these lists, comma-joined.
+func (o Options) grid() [][]string {
+	configs := make([]string, len(o.Configs))
+	for i, hw := range o.Configs {
+		configs[i] = hw.Name()
 	}
-	for _, m := range opts.Mappers {
-		axes[2] = append(axes[2], m.Name())
+	mappers := make([]string, len(o.Mappers))
+	for i, m := range o.Mappers {
+		mappers[i] = m.Name()
 	}
-	for _, p := range opts.Scheds {
-		axes[3] = append(axes[3], p.String())
+	g := [][]string{configs, o.Kernels, mappers}
+	for _, a := range Axes {
+		g = append(g, a.values(o.Axes))
 	}
-	for _, n := range opts.MSHRs {
-		axes[4] = append(axes[4], strconv.Itoa(n))
-	}
-	for _, p := range opts.Prefetch {
-		axes[6] = append(axes[6], p.String())
-	}
-	for _, axis := range axes {
-		seen := map[string]bool{}
-		for _, name := range axis {
-			if seen[name] {
-				return name
+	return g
+}
+
+// duplicateEntry returns the first repeated entry on any dimension of grid
+// g (a task key is duplicated exactly when a dimension's value is), or "".
+func duplicateEntry(g [][]string) string {
+	for _, dim := range g {
+		seen := make(map[string]bool, len(dim))
+		for _, v := range dim {
+			if seen[v] {
+				return v
 			}
-			seen[name] = true
+			seen[v] = true
 		}
 	}
 	return ""
 }
 
-// Task is one cell of the canonical campaign grid: the (config, kernel,
-// mapper, sched, mshrs, l1, prefetch) tuple a single simulation runs, plus
-// its canonical grid index. The campaign service hands out tasks by index;
-// both sides enumerate the same grid (validated by Meta equality), so
-// indices — not mapper objects, which do not serialize — cross the wire.
+// Task is one cell of the canonical campaign grid: the config, kernel,
+// mapper and grid point a single simulation runs, plus its canonical grid
+// index. The campaign service hands out tasks by index; both sides
+// enumerate the same grid (validated by Meta equality), so indices — not
+// mapper objects, which do not serialize — cross the wire.
 type Task struct {
-	Index    int // position in the canonical grid (config-major, memory axes innermost)
-	Config   core.HWInfo
-	Kernel   string
-	Mapper   core.Mapper
-	Sched    sim.SchedPolicy
-	MSHRs    int    // outstanding-miss bound per L1 and per L2 bank (0 = unbounded)
-	L1       string // L1 geometry spec ("16k4w")
-	Prefetch mem.PrefetchPolicy
+	Index  int // position in the canonical grid (config-major, Axes innermost)
+	Config core.HWInfo
+	Kernel string
+	Mapper core.Mapper
+	Point  []string // one canonical value per Axes entry, in table order; shared, read-only
 }
 
 // Key is the task's identity string; it matches Record.Key for the record
 // the task produces.
 func (t Task) Key() string {
-	return taskKey(t.Config.Name(), t.Kernel, t.Mapper.Name(), t.Sched.String(),
-		strconv.Itoa(t.MSHRs), t.L1, t.Prefetch.String())
+	return taskKey(append(append(make([]string, 0, 8), t.Config.Name(), t.Kernel, t.Mapper.Name()), t.Point...))
 }
 
-// enumerateTasks lists the canonical task grid of filled options, in
-// canonical order: config-major, then kernel, mapper, sched, and the
-// memory-side axes (mshrs, l1, prefetch) innermost. Every keyed consumer
+// Record returns the identity of the record the task produces — config,
+// kernel, mapper and grid point — with no outcome.
+func (t Task) Record() Record {
+	rec := Record{Config: t.Config, Kernel: t.Kernel, Mapper: t.Mapper.Name()}
+	for i, a := range Axes[:min(len(Axes), len(t.Point))] {
+		rec = a.set(rec, t.Point[i])
+	}
+	return rec
+}
+
+// enumerateTasks lists the canonical task grid of filled options, in the
+// order of Options.grid with the last axis innermost. Every keyed consumer
 // (Run's shard slice, Merge's grid reconstruction, the campaign service)
 // must agree with this order.
 func enumerateTasks(opts Options) []Task {
-	n := len(opts.Configs) * len(opts.Kernels) * len(opts.Mappers) * len(opts.Scheds) *
-		len(opts.MSHRs) * len(opts.L1Geoms) * len(opts.Prefetch)
-	out := make([]Task, 0, n)
-	for _, hw := range opts.Configs {
-		for _, kname := range opts.Kernels {
-			for _, m := range opts.Mappers {
-				for _, sched := range opts.Scheds {
-					for _, mshrs := range opts.MSHRs {
-						for _, l1 := range opts.L1Geoms {
-							for _, pf := range opts.Prefetch {
-								out = append(out, Task{Index: len(out), Config: hw, Kernel: kname,
-									Mapper: m, Sched: sched, MSHRs: mshrs, L1: l1, Prefetch: pf})
-							}
-						}
-					}
-				}
-			}
+	points := Points(opts.Axes)
+	out := make([]Task, 0, len(opts.Configs)*len(opts.Kernels)*len(opts.Mappers)*len(points))
+	eachCell(opts.grid()[:3], func(ix []int, _ []string) {
+		for _, pt := range points {
+			out = append(out, Task{Index: len(out), Config: opts.Configs[ix[0]], Kernel: opts.Kernels[ix[1]],
+				Mapper: opts.Mappers[ix[2]], Point: pt})
 		}
-	}
+	})
 	return out
 }
 
@@ -332,7 +272,7 @@ func TaskGrid(opts Options) ([]Task, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	if dup := duplicateAxisEntry(opts); dup != "" {
+	if dup := duplicateEntry(opts.grid()); dup != "" {
 		return nil, fmt.Errorf("sweep: duplicate grid entry %s: task handout requires unique task keys", dup)
 	}
 	return enumerateTasks(opts), nil
@@ -348,8 +288,8 @@ func RunTask(opts Options, pool *ocl.DevicePool, t Task) Record {
 	return runOne(opts, pool, t)
 }
 
-// Record is one (config, kernel, mapper, sched, mshrs, l1, prefetch)
-// simulation outcome.
+// Record is one simulation outcome: a (config, kernel, mapper) cell at one
+// grid point, with one field per Axes entry.
 type Record struct {
 	Config      core.HWInfo
 	Kernel      string
@@ -414,7 +354,7 @@ func Run(opts Options) (*Results, error) {
 		// Sharding and checkpointing identify tasks by their task key; a
 		// duplicated grid entry would alias
 		// two tasks onto one key and silently mis-splice on resume or merge.
-		if dup := duplicateAxisEntry(opts); dup != "" {
+		if dup := duplicateEntry(opts.grid()); dup != "" {
 			return nil, fmt.Errorf("sweep: duplicate grid entry %s: sharding/checkpointing requires unique task keys", dup)
 		}
 	}
@@ -422,8 +362,7 @@ func Run(opts Options) (*Results, error) {
 	// task starting at ShardIndex. Records (and the checkpoint) cover only
 	// this shard, in shard-local canonical order (the index into tasks),
 	// while Task.Index keeps the full-grid position; Merge reassembles
-	// shards into full-grid order. The scheduler axis nests innermost,
-	// after the mapper.
+	// shards into full-grid order.
 	var tasks []Task
 	for _, t := range enumerateTasks(opts) {
 		if t.Index%opts.ShardCount == opts.ShardIndex {
@@ -539,53 +478,31 @@ func Run(opts Options) (*Results, error) {
 
 func runOne(opts Options, pool *ocl.DevicePool, t Task) Record {
 	hw := t.Config
-	rec := Record{Config: hw, Kernel: t.Kernel, Mapper: t.Mapper.Name(), Sched: t.Sched.String(),
-		MSHRs: t.MSHRs, L1: t.L1, Prefetch: t.Prefetch.String()}
+	rec := t.Record()
+	if len(t.Point) != len(Axes) {
+		rec.Err = fmt.Sprintf("task has %d grid-axis values, want %d", len(t.Point), len(Axes))
+		return rec
+	}
 	spec, err := kernels.ByName(t.Kernel)
 	if err != nil {
 		rec.Err = err.Error()
 		return rec
 	}
-	var cfg sim.Config
+	cfg := sim.DefaultConfig(hw.Cores, hw.Warps, hw.Threads)
 	if opts.ConfigTemplate != nil {
 		cfg = opts.ConfigTemplate(hw)
-		if cfg.Sched != sim.SchedRoundRobin {
-			// The scheduler is a grid axis, not a template knob: the axis
-			// value is authoritative so the checkpoint meta can validate it
-			// on resume/merge. A template that sets a non-default policy
-			// (the pre-axis way to vary it) would be silently overridden —
-			// refuse it loudly instead.
-			rec.Err = fmt.Sprintf("ConfigTemplate sets the warp scheduler (%s); the scheduler is a grid axis — use Options.Scheds", cfg.Sched)
-			return rec
+		for _, a := range Axes {
+			if a.setBy(cfg) {
+				rec.Err = fmt.Sprintf("ConfigTemplate sets the %s knob; it is a grid axis — set it through Options.Axes", a.Name)
+				return rec
+			}
 		}
-		// The memory-side knobs are axis-owned for the same reason.
-		if cfg.Mem.L1.MSHRs != 0 || cfg.Mem.L2.MSHRs != 0 {
-			rec.Err = fmt.Sprintf("ConfigTemplate sets MSHR capacity (L1 %d, L2 %d); MSHRs are a grid axis — use Options.MSHRs",
-				cfg.Mem.L1.MSHRs, cfg.Mem.L2.MSHRs)
-			return rec
-		}
-		if def := mem.DefaultHierarchyConfig().L1; cfg.Mem.L1.SizeBytes != def.SizeBytes || cfg.Mem.L1.Ways != def.Ways {
-			rec.Err = fmt.Sprintf("ConfigTemplate sets the L1 geometry (%s); the geometry is a grid axis — use Options.L1Geoms",
-				mem.FormatL1Geometry(cfg.Mem.L1.SizeBytes, cfg.Mem.L1.Ways))
-			return rec
-		}
-		if cfg.Mem.Prefetch != mem.PrefetchOff {
-			rec.Err = fmt.Sprintf("ConfigTemplate sets the prefetch policy (%s); prefetch is a grid axis — use Options.Prefetch", cfg.Mem.Prefetch)
-			return rec
-		}
-	} else {
-		cfg = sim.DefaultConfig(hw.Cores, hw.Warps, hw.Threads)
 	}
-	cfg.Sched = t.Sched
-	cfg.Mem.L1.MSHRs = t.MSHRs
-	cfg.Mem.L2.MSHRs = t.MSHRs
-	size, ways, gerr := mem.ParseL1Geometry(t.L1)
-	if gerr != nil {
-		rec.Err = gerr.Error()
+	cfg, err = ApplyPoint(cfg, t.Point)
+	if err != nil {
+		rec.Err = err.Error()
 		return rec
 	}
-	cfg.Mem.L1.SizeBytes, cfg.Mem.L1.Ways = size, ways
-	cfg.Mem.Prefetch = t.Prefetch
 	d, err := pool.Get(cfg)
 	if err != nil {
 		rec.Err = err.Error()

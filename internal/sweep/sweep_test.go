@@ -468,6 +468,17 @@ func TestReadCSVErrors(t *testing.T) {
 			t.Errorf("case %d accepted", i)
 		}
 	}
+
+	// A corrupt numeric or grid-axis cell is refused with its line and
+	// column; an empty one (older files) is accepted as zero.
+	for _, col := range []string{"instrs", "mem_stall", "exec_stall", "energy_pj", "mshrs", "sched"} {
+		header := "config,kernel,mapper,lws,cycles," + col + "\n"
+		src := header + "1c2w2t,k,m,1,10,\n1c2w2t,k,m,1,10,x\n"
+		_, err := ReadCSV(strings.NewReader(src))
+		if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), col) {
+			t.Errorf("corrupt %s cell: err = %v, want a line-3 refusal naming the column", col, err)
+		}
+	}
 }
 
 // TestWriteCSVSanitizesErr pins that free-form error strings cannot break

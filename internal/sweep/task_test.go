@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ocl"
-	"repro/internal/sim"
 )
 
 // TestRunRejectsDuplicateScheds pins the sched-axis uniqueness rule:
@@ -19,11 +18,11 @@ import (
 // every per-sched aggregate.
 func TestRunRejectsDuplicateScheds(t *testing.T) {
 	dup := campaignOpts()
-	dup.Scheds = []sim.SchedPolicy{sim.SchedRoundRobin, sim.SchedGTO, sim.SchedRoundRobin}
-	if _, err := Run(dup); err == nil || !strings.Contains(err.Error(), "duplicate scheduler") {
+	dup.Axes = map[string][]string{"sched": {"rr", "gto", "rr"}}
+	if _, err := Run(dup); err == nil || !strings.Contains(err.Error(), "duplicate sched entry rr") {
 		t.Errorf("plain duplicate-sched run: err = %v", err)
 	}
-	if _, err := TaskGrid(dup); err == nil || !strings.Contains(err.Error(), "duplicate scheduler") {
+	if _, err := TaskGrid(dup); err == nil || !strings.Contains(err.Error(), "duplicate sched entry rr") {
 		t.Errorf("duplicate-sched task grid: err = %v", err)
 	}
 }
@@ -38,7 +37,7 @@ func TestMergeRejectsDuplicateScheds(t *testing.T) {
 	meta.Scheds = "rr,rr"
 	path := filepath.Join(t.TempDir(), "dupsched.jsonl")
 	writeShardFile(t, path, meta, nil)
-	if _, err := Merge("", []string{path}); err == nil || !strings.Contains(err.Error(), "duplicate scheduler") {
+	if _, err := Merge("", []string{path}); err == nil || !strings.Contains(err.Error(), "duplicate sched entry rr") {
 		t.Errorf("merge with duplicate sched axis: err = %v", err)
 	}
 }
