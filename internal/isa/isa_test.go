@@ -7,34 +7,32 @@ import (
 	"testing/quick"
 )
 
-// randInst builds a random but encodable instruction for op.
+// randInst builds a random but encodable instruction for op. It names the
+// ops of each encoding itself rather than reading the specs table, so it is
+// an independent reference for the table-driven Encode and Decode.
 func randInst(r *rand.Rand, op Op) Inst {
 	in := Inst{Op: op}
 	in.Rd = uint8(r.Intn(32))
 	in.Rs1 = uint8(r.Intn(32))
 	in.Rs2 = uint8(r.Intn(32))
-	switch specs[op].fmt {
-	case FmtR4:
+	switch op {
+	case FMADDS, FMSUBS, FNMSUBS, FNMADDS:
 		in.Rs3 = uint8(r.Intn(32))
-	case FmtI:
-		switch op {
-		case SLLI, SRLI, SRAI:
-			in.Imm = int32(r.Intn(32))
-		case ECALL, EBREAK, FENCE:
-			in.Rd, in.Rs1, in.Rs2 = 0, 0, 0
-		case CSRRW, CSRRS, CSRRC, CSRRWI, CSRRSI, CSRRCI:
-			in.CSR = uint16(r.Intn(0x1000))
-			in.Imm = int32(in.CSR)
-		default:
-			in.Imm = int32(r.Intn(4096)) - 2048
-		}
-	case FmtS:
+	case SLLI, SRLI, SRAI:
+		in.Imm = int32(r.Intn(32))
+	case ECALL, EBREAK, FENCE:
+		in.Rd, in.Rs1, in.Rs2 = 0, 0, 0
+	case CSRRW, CSRRS, CSRRC, CSRRWI, CSRRSI, CSRRCI:
+		in.CSR = uint16(r.Intn(0x1000))
+		in.Imm = int32(in.CSR)
+	case JALR, LB, LH, LW, LBU, LHU, FLW, ADDI, SLTI, SLTIU, XORI, ORI, ANDI,
+		SB, SH, SW, FSW:
 		in.Imm = int32(r.Intn(4096)) - 2048
-	case FmtB:
+	case BEQ, BNE, BLT, BGE, BLTU, BGEU:
 		in.Imm = (int32(r.Intn(4096)) - 2048) * 2
-	case FmtU:
+	case LUI, AUIPC:
 		in.Imm = int32(r.Intn(1<<20)) << 12
-	case FmtJ:
+	case JAL:
 		in.Imm = (int32(r.Intn(1<<19)) - 1<<18) * 2
 	}
 	// Normalize fields the encoding does not carry.
@@ -42,33 +40,30 @@ func randInst(r *rand.Rand, op Op) Inst {
 	return in
 }
 
-// normalize zeroes fields that a given format does not encode, so that
+// normalize zeroes fields that an op's encoding does not carry, so that
 // encode/decode round-trips compare equal.
 func normalize(in *Inst) {
-	switch specs[in.Op].fmt {
-	case FmtU, FmtJ:
+	switch in.Op {
+	case LUI, AUIPC, JAL:
 		in.Rs1, in.Rs2, in.Rs3 = 0, 0, 0
-	case FmtI:
+	case ECALL, EBREAK, FENCE:
+		in.Rd, in.Rs1, in.Rs2, in.Rs3, in.Imm = 0, 0, 0, 0, 0
+	case JALR, LB, LH, LW, LBU, LHU, FLW, ADDI, SLTI, SLTIU, XORI, ORI, ANDI,
+		SLLI, SRLI, SRAI, CSRRW, CSRRS, CSRRC, CSRRWI, CSRRSI, CSRRCI:
 		in.Rs2, in.Rs3 = 0, 0
-		if in.Op == ECALL || in.Op == EBREAK || in.Op == FENCE {
-			in.Rd, in.Rs1, in.Imm = 0, 0, 0
-		}
-	case FmtS, FmtB:
+	case SB, SH, SW, FSW, BEQ, BNE, BLT, BGE, BLTU, BGEU:
 		in.Rd, in.Rs3 = 0, 0
-	case FmtR:
+	case FMADDS, FMSUBS, FNMSUBS, FNMADDS:
+	case FSQRTS, FCVTWS, FCVTWUS, FCVTSW, FCVTSWU, FMVXW, FMVWX, FCLASSS, VXBALLOT:
+		in.Rs2, in.Rs3 = 0, 0
+	case VXTMC, VXSPLIT, VXPRED:
+		in.Rd, in.Rs2, in.Rs3 = 0, 0, 0
+	case VXJOIN:
+		in.Rd, in.Rs1, in.Rs2, in.Rs3 = 0, 0, 0, 0
+	case VXWSPAWN, VXBAR:
+		in.Rd, in.Rs3 = 0, 0
+	default: // the remaining R-format ops carry rd, rs1 and rs2
 		in.Rs3 = 0
-		switch in.Op {
-		case FSQRTS, FCVTWS, FCVTWUS, FCVTSW, FCVTSWU, FMVXW, FMVWX, FCLASSS:
-			in.Rs2 = 0
-		case VXTMC, VXSPLIT, VXPRED:
-			in.Rd, in.Rs2 = 0, 0
-		case VXJOIN:
-			in.Rd, in.Rs1, in.Rs2 = 0, 0, 0
-		case VXWSPAWN, VXBAR:
-			in.Rd = 0
-		case VXBALLOT:
-			in.Rs2 = 0
-		}
 	}
 }
 
