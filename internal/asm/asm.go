@@ -144,18 +144,9 @@ func (a *assembler) errf(line int, format string, args ...any) error {
 func (a *assembler) parse(src string) error {
 	a.labels = map[string]int{}
 	for lineNo, raw := range strings.Split(src, "\n") {
-		line := raw
-		if i := strings.IndexAny(line, "#"); i >= 0 {
-			line = line[:i]
-		}
-		if i := strings.Index(line, "//"); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		// Labels: one or more "name:" prefixes.
+		line := strings.TrimSpace(raw)
+		// Labels: one or more "name:" prefixes. A comment cannot hide in a
+		// label, which is all identifier characters.
 		for {
 			i := strings.Index(line, ":")
 			if i < 0 {
@@ -174,6 +165,7 @@ func (a *assembler) parse(src string) error {
 			a.labels[name] = len(a.items)
 			line = strings.TrimSpace(line[i+1:])
 		}
+		line = strings.TrimSpace(line[:commentAt(line)])
 		if line == "" {
 			continue
 		}
@@ -212,6 +204,28 @@ func (a *assembler) parse(src string) error {
 		a.items = append(a.items, item{line: lineNo + 1, src: line, op: op, args: args})
 	}
 	return nil
+}
+
+// commentAt returns where the trailing comment (# or //) of a statement
+// starts, or len(s). In an .ascii/.asciz statement a comment marker inside
+// the quoted string is text.
+func commentAt(s string) int {
+	op, _, _ := strings.Cut(s, " ")
+	op = strings.ToLower(op)
+	quoted := op == ".ascii" || op == ".asciz"
+	in := false
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case quoted && in && c == '\\':
+			i++
+		case quoted && c == '"':
+			in = !in
+		case in:
+		case c == '#' || c == '/' && strings.HasPrefix(s[i:], "//"):
+			return i
+		}
+	}
+	return len(s)
 }
 
 // splitArgs splits on commas that are not inside parentheses.
@@ -448,10 +462,15 @@ func (a *assembler) parseMem(it *item, s string) (int32, uint8, error) {
 	return int32(off), base, nil
 }
 
-func (a *assembler) enc(it *item, in isa.Inst) ([]uint32, error) {
-	w, err := isa.Encode(in)
-	if err != nil {
-		return nil, a.errf(it.line, "%v", err)
+// enc encodes instructions, reporting an Encode error at the item's line.
+func (a *assembler) enc(it *item, ins ...isa.Inst) ([]uint32, error) {
+	words := make([]uint32, len(ins))
+	for i, in := range ins {
+		w, err := isa.Encode(in)
+		if err != nil {
+			return nil, a.errf(it.line, "%v", err)
+		}
+		words[i] = w
 	}
-	return []uint32{w}, nil
+	return words, nil
 }

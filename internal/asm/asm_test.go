@@ -612,3 +612,91 @@ func TestMultipleLabelsPerLine(t *testing.T) {
 		}
 	}
 }
+
+func TestRegisterTrailingJunkRefused(t *testing.T) {
+	for _, src := range []string{
+		"add a0, x5junk, a1",
+		"add a0, x0x10, a1",
+		"lw a0, 0(x6q)",
+		"fadd.s f1oo, f1, f2",
+		"fsw f5-, 0(a0)",
+	} {
+		if _, err := Assemble(src, 0x1000, nil); err == nil || !strings.Contains(err.Error(), "register") {
+			t.Errorf("Assemble(%q) = %v, want a bad-register error", src, err)
+		}
+	}
+	p := assemble(t, "add x5, x 6, x07\nfadd.s f1, f02, fa0")
+	want := []isa.Inst{{Op: isa.ADD, Rd: 5, Rs1: 6, Rs2: 7}, {Op: isa.FADDS, Rd: 1, Rs1: 2, Rs2: 10}}
+	for i, w := range want {
+		if p.Insts[i] != w {
+			t.Errorf("inst %d = %+v, want %+v", i, p.Insts[i], w)
+		}
+	}
+}
+
+func TestZeroOperandMnemonicsRefuseOperands(t *testing.T) {
+	for _, src := range []string{"nop junk", "ecall a0", "ebreak 1", "ret a0", "fence 1,2", "vx_join a0"} {
+		if _, err := Assemble(src, 0x1000, nil); err == nil || !strings.Contains(err.Error(), "needs 0 operands") {
+			t.Errorf("Assemble(%q) = %v, want an operand-count error", src, err)
+		}
+	}
+}
+
+func TestCommentMarkersInStrings(t *testing.T) {
+	p := assemble(t, `
+	s:	.asciz "C#"   # the # after the string starts a comment
+		.ascii "a//b\"#" // and so does this //
+		nop # "quoted" text in a comment
+	`)
+	// "C#\0", then "a//b" and `"#`, then the nop.
+	want := []uint32{0x00002343, 0x622f2f61, 0x00002322, 0x00000013}
+	if len(p.Words) != len(want) {
+		t.Fatalf("words = %d, want %d:\n%s", len(p.Words), len(want), Disassemble(p))
+	}
+	for i, w := range want {
+		if p.Words[i] != w {
+			t.Errorf("word %d = %#08x, want %#08x", i, p.Words[i], w)
+		}
+	}
+	if _, err := Assemble(`.asciz "C#`, 0x1000, nil); err == nil {
+		t.Error("unterminated string accepted")
+	}
+}
+
+// FuzzDisasmAssemble holds the assembler, Disasm and Decode to one table:
+// any word Decode accepts, rendered by Disasm at pc and assembled at pc,
+// gives the same word back.
+func FuzzDisasmAssemble(f *testing.F) {
+	for i, op := range isa.Ops() {
+		in := isa.Inst{Op: op, Rd: 5, Rs1: 6, Rs2: 7, Rs3: 8, CSR: isa.CSRThreadID}
+		switch {
+		case op == isa.LUI || op == isa.AUIPC:
+			in.Imm = 0x12345 << 12
+		case op == isa.SLLI || op == isa.SRLI || op == isa.SRAI:
+			in.Imm = 3
+		default:
+			in.Imm = -8
+		}
+		w, err := isa.Encode(in)
+		if err != nil {
+			f.Fatalf("%s: %v", op, err)
+		}
+		f.Add(w, uint32(i)*4)
+	}
+	f.Fuzz(func(t *testing.T, w, pc uint32) {
+		in, err := isa.Decode(w)
+		if err != nil {
+			return
+		}
+		// Keep pc word-aligned and every jump target inside 32 bits.
+		pc = 1<<20 + pc%(1<<31)&^3
+		src := isa.Disasm(in, pc)
+		p, err := Assemble(src, pc, nil)
+		if err != nil {
+			t.Fatalf("%#08x: Assemble(%q): %v", w, src, err)
+		}
+		if len(p.Words) != 1 || p.Words[0] != w {
+			t.Fatalf("%#08x: %q assembles to %#x", w, src, p.Words)
+		}
+	})
+}

@@ -7,65 +7,61 @@ import (
 	"repro/internal/isa"
 )
 
-// mnemonic tables for the regular (non-pseudo) instruction classes.
-var (
-	r3IntOps = map[string]isa.Op{
-		"add": isa.ADD, "sub": isa.SUB, "sll": isa.SLL, "slt": isa.SLT,
-		"sltu": isa.SLTU, "xor": isa.XOR, "srl": isa.SRL, "sra": isa.SRA,
-		"or": isa.OR, "and": isa.AND,
-		"mul": isa.MUL, "mulh": isa.MULH, "mulhsu": isa.MULHSU, "mulhu": isa.MULHU,
-		"div": isa.DIV, "divu": isa.DIVU, "rem": isa.REM, "remu": isa.REMU,
+// pseudo rewrites a pseudo-instruction onto a real op: the real mnemonic
+// and its operands, in which $N stands for the written operand N.
+type pseudo struct {
+	op   string
+	args []string
+	n    int // operands the pseudo-instruction takes (derived from args)
+}
+
+// pseudos are the pseudo-instructions besides li and la. jal and jalr are
+// real ops as well; they are pseudo-instructions only with one operand.
+var pseudos = map[string]pseudo{
+	"nop":    {op: "addi", args: []string{"zero", "zero", "0"}},
+	"mv":     {op: "addi", args: []string{"$0", "$1", "0"}},
+	"not":    {op: "xori", args: []string{"$0", "$1", "-1"}},
+	"neg":    {op: "sub", args: []string{"$0", "zero", "$1"}},
+	"seqz":   {op: "sltiu", args: []string{"$0", "$1", "1"}},
+	"snez":   {op: "sltu", args: []string{"$0", "zero", "$1"}},
+	"j":      {op: "jal", args: []string{"zero", "$0"}},
+	"call":   {op: "jal", args: []string{"ra", "$0"}},
+	"jal":    {op: "jal", args: []string{"ra", "$0"}},
+	"jr":     {op: "jalr", args: []string{"zero", "0($0)"}},
+	"jalr":   {op: "jalr", args: []string{"ra", "0($0)"}},
+	"ret":    {op: "jalr", args: []string{"zero", "0(ra)"}},
+	"beqz":   {op: "beq", args: []string{"$0", "zero", "$1"}},
+	"bnez":   {op: "bne", args: []string{"$0", "zero", "$1"}},
+	"bltz":   {op: "blt", args: []string{"$0", "zero", "$1"}},
+	"bgez":   {op: "bge", args: []string{"$0", "zero", "$1"}},
+	"blez":   {op: "bge", args: []string{"zero", "$0", "$1"}},
+	"bgtz":   {op: "blt", args: []string{"zero", "$0", "$1"}},
+	"bgt":    {op: "blt", args: []string{"$1", "$0", "$2"}},
+	"ble":    {op: "bge", args: []string{"$1", "$0", "$2"}},
+	"bgtu":   {op: "bltu", args: []string{"$1", "$0", "$2"}},
+	"bleu":   {op: "bgeu", args: []string{"$1", "$0", "$2"}},
+	"fmv.s":  {op: "fsgnj.s", args: []string{"$0", "$1", "$1"}},
+	"fneg.s": {op: "fsgnjn.s", args: []string{"$0", "$1", "$1"}},
+	"fabs.s": {op: "fsgnjx.s", args: []string{"$0", "$1", "$1"}},
+	"csrr":   {op: "csrrs", args: []string{"$0", "$1", "zero"}},
+	"csrw":   {op: "csrrw", args: []string{"zero", "$0", "$1"}},
+}
+
+func init() {
+	for name, p := range pseudos {
+		for _, t := range p.args {
+			if i := strings.IndexByte(t, '$'); i >= 0 {
+				p.n = max(p.n, int(t[i+1]-'0')+1)
+			}
+		}
+		pseudos[name] = p
 	}
-	iOps = map[string]isa.Op{
-		"addi": isa.ADDI, "slti": isa.SLTI, "sltiu": isa.SLTIU,
-		"xori": isa.XORI, "ori": isa.ORI, "andi": isa.ANDI,
-		"slli": isa.SLLI, "srli": isa.SRLI, "srai": isa.SRAI,
-	}
-	loadOps = map[string]isa.Op{
-		"lb": isa.LB, "lh": isa.LH, "lw": isa.LW, "lbu": isa.LBU, "lhu": isa.LHU,
-	}
-	storeOps = map[string]isa.Op{
-		"sb": isa.SB, "sh": isa.SH, "sw": isa.SW,
-	}
-	branchOps = map[string]isa.Op{
-		"beq": isa.BEQ, "bne": isa.BNE, "blt": isa.BLT, "bge": isa.BGE,
-		"bltu": isa.BLTU, "bgeu": isa.BGEU,
-	}
-	// Branch pseudo-ops that swap operands.
-	branchSwapOps = map[string]isa.Op{
-		"bgt": isa.BLT, "ble": isa.BGE, "bgtu": isa.BLTU, "bleu": isa.BGEU,
-	}
-	fr3Ops = map[string]isa.Op{
-		"fadd.s": isa.FADDS, "fsub.s": isa.FSUBS, "fmul.s": isa.FMULS,
-		"fdiv.s": isa.FDIVS, "fsgnj.s": isa.FSGNJS, "fsgnjn.s": isa.FSGNJNS,
-		"fsgnjx.s": isa.FSGNJXS, "fmin.s": isa.FMINS, "fmax.s": isa.FMAXS,
-	}
-	fr4Ops = map[string]isa.Op{
-		"fmadd.s": isa.FMADDS, "fmsub.s": isa.FMSUBS,
-		"fnmsub.s": isa.FNMSUBS, "fnmadd.s": isa.FNMADDS,
-	}
-	fcmpOps = map[string]isa.Op{
-		"feq.s": isa.FEQS, "flt.s": isa.FLTS, "fle.s": isa.FLES,
-	}
-	csrOps = map[string]isa.Op{
-		"csrrw": isa.CSRRW, "csrrs": isa.CSRRS, "csrrc": isa.CSRRC,
-	}
-	csrImmOps = map[string]isa.Op{
-		"csrrwi": isa.CSRRWI, "csrrsi": isa.CSRRSI, "csrrci": isa.CSRRCI,
-	}
-)
+}
 
 // encodeItem translates one parsed statement into machine words.
 func (a *assembler) encodeItem(it *item) ([]uint32, error) {
-	need := func(n int) error {
-		if len(it.args) != n {
-			return a.errf(it.line, "%s needs %d operands, got %d", it.op, n, len(it.args))
-		}
-		return nil
-	}
-
-	switch {
-	case it.op == ".word":
+	switch it.op {
+	case ".word":
 		var words []uint32
 		for _, arg := range it.args {
 			v, err := a.evalImm(it, arg)
@@ -76,38 +72,30 @@ func (a *assembler) encodeItem(it *item) ([]uint32, error) {
 		}
 		return words, nil
 
-	case it.op == ".space", it.op == ".align":
+	case ".space", ".align":
 		return make([]uint32, it.nwords), nil
 
-	case it.op == ".byte":
+	case ".byte", ".half":
+		size := 1
+		if it.op == ".half" {
+			size = 2
+		}
 		var bytes []byte
 		for _, arg := range it.args {
 			v, err := a.evalImm(it, arg)
 			if err != nil {
 				return nil, err
 			}
-			if v < -128 || v > 255 {
-				return nil, a.errf(it.line, ".byte value %d out of range", v)
+			if v < -1<<(8*size-1) || v >= 1<<(8*size) {
+				return nil, a.errf(it.line, "%s value %d out of range", it.op, v)
 			}
-			bytes = append(bytes, byte(v))
+			for k := 0; k < size; k++ {
+				bytes = append(bytes, byte(v>>(8*k)))
+			}
 		}
 		return packBytes(bytes), nil
 
-	case it.op == ".half":
-		var bytes []byte
-		for _, arg := range it.args {
-			v, err := a.evalImm(it, arg)
-			if err != nil {
-				return nil, err
-			}
-			if v < -32768 || v > 65535 {
-				return nil, a.errf(it.line, ".half value %d out of range", v)
-			}
-			bytes = append(bytes, byte(v), byte(v>>8))
-		}
-		return packBytes(bytes), nil
-
-	case it.op == ".ascii", it.op == ".asciz":
+	case ".ascii", ".asciz":
 		str, err := parseStringLit(it.args[0])
 		if err != nil {
 			return nil, a.errf(it.line, "%s: %v", it.op, err)
@@ -118,251 +106,7 @@ func (a *assembler) encodeItem(it *item) ([]uint32, error) {
 		}
 		return packBytes(bytes), nil
 
-	case r3IntOps[it.op] != isa.OpInvalid:
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		rd, err := a.intReg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		rs1, err := a.intReg(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		rs2, err := a.intReg(it, it.args[2])
-		if err != nil {
-			return nil, err
-		}
-		return a.enc(it, isa.Inst{Op: r3IntOps[it.op], Rd: rd, Rs1: rs1, Rs2: rs2})
-
-	case iOps[it.op] != isa.OpInvalid:
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		rd, err := a.intReg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		rs1, err := a.intReg(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		imm, err := a.evalImm(it, it.args[2])
-		if err != nil {
-			return nil, err
-		}
-		return a.enc(it, isa.Inst{Op: iOps[it.op], Rd: rd, Rs1: rs1, Imm: int32(imm)})
-
-	case loadOps[it.op] != isa.OpInvalid:
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := a.intReg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		off, base, err := a.parseMem(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		return a.enc(it, isa.Inst{Op: loadOps[it.op], Rd: rd, Rs1: base, Imm: off})
-
-	case storeOps[it.op] != isa.OpInvalid:
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rs2, err := a.intReg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		off, base, err := a.parseMem(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		return a.enc(it, isa.Inst{Op: storeOps[it.op], Rs1: base, Rs2: rs2, Imm: off})
-
-	case it.op == "flw":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := a.floatReg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		off, base, err := a.parseMem(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		return a.enc(it, isa.Inst{Op: isa.FLW, Rd: rd, Rs1: base, Imm: off})
-
-	case it.op == "fsw":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rs2, err := a.floatReg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		off, base, err := a.parseMem(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		return a.enc(it, isa.Inst{Op: isa.FSW, Rs1: base, Rs2: rs2, Imm: off})
-
-	case branchOps[it.op] != isa.OpInvalid, branchSwapOps[it.op] != isa.OpInvalid:
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		rs1, err := a.intReg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		rs2, err := a.intReg(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		op, swapped := branchOps[it.op], false
-		if op == isa.OpInvalid {
-			op, swapped = branchSwapOps[it.op], true
-		}
-		if swapped {
-			rs1, rs2 = rs2, rs1
-		}
-		off, err := a.branchOffset(it, it.args[2])
-		if err != nil {
-			return nil, err
-		}
-		return a.enc(it, isa.Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: off})
-
-	case it.op == "beqz" || it.op == "bnez" || it.op == "bltz" || it.op == "bgez" || it.op == "blez" || it.op == "bgtz":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rs, err := a.intReg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		off, err := a.branchOffset(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		var in isa.Inst
-		switch it.op {
-		case "beqz":
-			in = isa.Inst{Op: isa.BEQ, Rs1: rs, Rs2: 0, Imm: off}
-		case "bnez":
-			in = isa.Inst{Op: isa.BNE, Rs1: rs, Rs2: 0, Imm: off}
-		case "bltz":
-			in = isa.Inst{Op: isa.BLT, Rs1: rs, Rs2: 0, Imm: off}
-		case "bgez":
-			in = isa.Inst{Op: isa.BGE, Rs1: rs, Rs2: 0, Imm: off}
-		case "blez": // rs <= 0  <=>  0 >= rs  <=> bge zero, rs
-			in = isa.Inst{Op: isa.BGE, Rs1: 0, Rs2: rs, Imm: off}
-		case "bgtz": // rs > 0   <=>  0 < rs   <=> blt zero, rs
-			in = isa.Inst{Op: isa.BLT, Rs1: 0, Rs2: rs, Imm: off}
-		}
-		return a.enc(it, in)
-
-	case it.op == "jal":
-		// jal label | jal rd, label
-		switch len(it.args) {
-		case 1:
-			off, err := a.jumpOffset(it, it.args[0])
-			if err != nil {
-				return nil, err
-			}
-			return a.enc(it, isa.Inst{Op: isa.JAL, Rd: 1, Imm: off})
-		case 2:
-			rd, err := a.intReg(it, it.args[0])
-			if err != nil {
-				return nil, err
-			}
-			off, err := a.jumpOffset(it, it.args[1])
-			if err != nil {
-				return nil, err
-			}
-			return a.enc(it, isa.Inst{Op: isa.JAL, Rd: rd, Imm: off})
-		}
-		return nil, a.errf(it.line, "jal needs 1 or 2 operands")
-
-	case it.op == "j":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		off, err := a.jumpOffset(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		return a.enc(it, isa.Inst{Op: isa.JAL, Rd: 0, Imm: off})
-
-	case it.op == "call":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		off, err := a.jumpOffset(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		return a.enc(it, isa.Inst{Op: isa.JAL, Rd: 1, Imm: off})
-
-	case it.op == "jalr":
-		// jalr rs | jalr rd, imm(rs1)
-		if len(it.args) == 1 {
-			rs, err := a.intReg(it, it.args[0])
-			if err != nil {
-				return nil, err
-			}
-			return a.enc(it, isa.Inst{Op: isa.JALR, Rd: 1, Rs1: rs})
-		}
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := a.intReg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		off, base, err := a.parseMem(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		return a.enc(it, isa.Inst{Op: isa.JALR, Rd: rd, Rs1: base, Imm: off})
-
-	case it.op == "jr":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		rs, err := a.intReg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		return a.enc(it, isa.Inst{Op: isa.JALR, Rd: 0, Rs1: rs})
-
-	case it.op == "ret":
-		return a.enc(it, isa.Inst{Op: isa.JALR, Rd: 0, Rs1: 1})
-
-	case it.op == "lui" || it.op == "auipc":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := a.intReg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		v, err := a.evalImm(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		if v < 0 || v > 0xFFFFF {
-			return nil, a.errf(it.line, "%s immediate %d out of 20-bit range", it.op, v)
-		}
-		op := isa.LUI
-		if it.op == "auipc" {
-			op = isa.AUIPC
-		}
-		return a.enc(it, isa.Inst{Op: op, Rd: rd, Imm: int32(v) << 12})
-
-	case it.op == "li" || it.op == "la":
+	case "li", "la":
 		rd, err := a.intReg(it, it.args[0])
 		if err != nil {
 			return nil, err
@@ -374,344 +118,88 @@ func (a *assembler) encodeItem(it *item) ([]uint32, error) {
 		if v < -(1<<31) || v > (1<<32)-1 {
 			return nil, a.errf(it.line, "%s value %d out of 32-bit range", it.op, v)
 		}
-		v32 := int64(int32(uint32(v)))
+		v32 := int32(uint32(v))
 		if it.nwords == 1 {
 			if v32 < -2048 || v32 > 2047 {
 				return nil, a.errf(it.line, "internal: li value %d changed between passes", v32)
 			}
-			return a.enc(it, isa.Inst{Op: isa.ADDI, Rd: rd, Rs1: 0, Imm: int32(v32)})
+			return a.enc(it, isa.Inst{Op: isa.ADDI, Rd: rd, Imm: v32})
 		}
 		// lui+addi: hi compensates for the sign extension of the 12-bit lo.
 		u := uint32(v32)
 		hi := (u + 0x800) & 0xFFFFF000
-		lo := int32(u - hi)
-		w1, err := isa.Encode(isa.Inst{Op: isa.LUI, Rd: rd, Imm: int32(hi)})
-		if err != nil {
-			return nil, a.errf(it.line, "%v", err)
-		}
-		w2, err := isa.Encode(isa.Inst{Op: isa.ADDI, Rd: rd, Rs1: rd, Imm: lo})
-		if err != nil {
-			return nil, a.errf(it.line, "%v", err)
-		}
-		return []uint32{w1, w2}, nil
-
-	case it.op == "mv":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := a.intReg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		rs, err := a.intReg(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		return a.enc(it, isa.Inst{Op: isa.ADDI, Rd: rd, Rs1: rs})
-
-	case it.op == "nop":
-		return a.enc(it, isa.Inst{Op: isa.ADDI})
-
-	case it.op == "not":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := a.intReg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		rs, err := a.intReg(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		return a.enc(it, isa.Inst{Op: isa.XORI, Rd: rd, Rs1: rs, Imm: -1})
-
-	case it.op == "neg":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := a.intReg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		rs, err := a.intReg(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		return a.enc(it, isa.Inst{Op: isa.SUB, Rd: rd, Rs1: 0, Rs2: rs})
-
-	case it.op == "seqz":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := a.intReg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		rs, err := a.intReg(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		return a.enc(it, isa.Inst{Op: isa.SLTIU, Rd: rd, Rs1: rs, Imm: 1})
-
-	case it.op == "snez":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := a.intReg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		rs, err := a.intReg(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		return a.enc(it, isa.Inst{Op: isa.SLTU, Rd: rd, Rs1: 0, Rs2: rs})
-
-	case fr3Ops[it.op] != isa.OpInvalid:
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		rd, err := a.floatReg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		rs1, err := a.floatReg(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		rs2, err := a.floatReg(it, it.args[2])
-		if err != nil {
-			return nil, err
-		}
-		return a.enc(it, isa.Inst{Op: fr3Ops[it.op], Rd: rd, Rs1: rs1, Rs2: rs2})
-
-	case fr4Ops[it.op] != isa.OpInvalid:
-		if err := need(4); err != nil {
-			return nil, err
-		}
-		rd, err := a.floatReg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		rs1, err := a.floatReg(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		rs2, err := a.floatReg(it, it.args[2])
-		if err != nil {
-			return nil, err
-		}
-		rs3, err := a.floatReg(it, it.args[3])
-		if err != nil {
-			return nil, err
-		}
-		return a.enc(it, isa.Inst{Op: fr4Ops[it.op], Rd: rd, Rs1: rs1, Rs2: rs2, Rs3: rs3})
-
-	case fcmpOps[it.op] != isa.OpInvalid:
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		rd, err := a.intReg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		rs1, err := a.floatReg(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		rs2, err := a.floatReg(it, it.args[2])
-		if err != nil {
-			return nil, err
-		}
-		return a.enc(it, isa.Inst{Op: fcmpOps[it.op], Rd: rd, Rs1: rs1, Rs2: rs2})
-
-	case it.op == "fsqrt.s":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := a.floatReg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		rs1, err := a.floatReg(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		return a.enc(it, isa.Inst{Op: isa.FSQRTS, Rd: rd, Rs1: rs1})
-
-	case it.op == "fmv.s" || it.op == "fneg.s" || it.op == "fabs.s":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := a.floatReg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		rs, err := a.floatReg(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		op := map[string]isa.Op{"fmv.s": isa.FSGNJS, "fneg.s": isa.FSGNJNS, "fabs.s": isa.FSGNJXS}[it.op]
-		return a.enc(it, isa.Inst{Op: op, Rd: rd, Rs1: rs, Rs2: rs})
-
-	case it.op == "fcvt.w.s" || it.op == "fcvt.wu.s" || it.op == "fmv.x.w" || it.op == "fclass.s":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := a.intReg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		rs, err := a.floatReg(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		op := map[string]isa.Op{
-			"fcvt.w.s": isa.FCVTWS, "fcvt.wu.s": isa.FCVTWUS,
-			"fmv.x.w": isa.FMVXW, "fclass.s": isa.FCLASSS,
-		}[it.op]
-		return a.enc(it, isa.Inst{Op: op, Rd: rd, Rs1: rs})
-
-	case it.op == "fcvt.s.w" || it.op == "fcvt.s.wu" || it.op == "fmv.w.x":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := a.floatReg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		rs, err := a.intReg(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		op := map[string]isa.Op{
-			"fcvt.s.w": isa.FCVTSW, "fcvt.s.wu": isa.FCVTSWU, "fmv.w.x": isa.FMVWX,
-		}[it.op]
-		return a.enc(it, isa.Inst{Op: op, Rd: rd, Rs1: rs})
-
-	case csrOps[it.op] != isa.OpInvalid:
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		rd, err := a.intReg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		csr, err := a.csrNum(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		rs1, err := a.intReg(it, it.args[2])
-		if err != nil {
-			return nil, err
-		}
-		return a.enc(it, isa.Inst{Op: csrOps[it.op], Rd: rd, Rs1: rs1, CSR: csr})
-
-	case csrImmOps[it.op] != isa.OpInvalid:
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		rd, err := a.intReg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		csr, err := a.csrNum(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		z, err := a.evalImm(it, it.args[2])
-		if err != nil {
-			return nil, err
-		}
-		if z < 0 || z > 31 {
-			return nil, a.errf(it.line, "csr immediate %d out of range", z)
-		}
-		return a.enc(it, isa.Inst{Op: csrImmOps[it.op], Rd: rd, Rs1: uint8(z), CSR: csr})
-
-	case it.op == "csrr":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := a.intReg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		csr, err := a.csrNum(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		return a.enc(it, isa.Inst{Op: isa.CSRRS, Rd: rd, Rs1: 0, CSR: csr})
-
-	case it.op == "csrw":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		csr, err := a.csrNum(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		rs, err := a.intReg(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		return a.enc(it, isa.Inst{Op: isa.CSRRW, Rd: 0, Rs1: rs, CSR: csr})
-
-	case it.op == "ecall":
-		return a.enc(it, isa.Inst{Op: isa.ECALL})
-	case it.op == "ebreak":
-		return a.enc(it, isa.Inst{Op: isa.EBREAK})
-	case it.op == "fence":
-		return a.enc(it, isa.Inst{Op: isa.FENCE})
-
-	case it.op == "vx_tmc" || it.op == "vx_split" || it.op == "vx_pred":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		rs, err := a.intReg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		op := map[string]isa.Op{"vx_tmc": isa.VXTMC, "vx_split": isa.VXSPLIT, "vx_pred": isa.VXPRED}[it.op]
-		return a.enc(it, isa.Inst{Op: op, Rs1: rs})
-
-	case it.op == "vx_join":
-		return a.enc(it, isa.Inst{Op: isa.VXJOIN})
-
-	case it.op == "vx_wspawn" || it.op == "vx_bar":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rs1, err := a.intReg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		rs2, err := a.intReg(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		op := isa.VXWSPAWN
-		if it.op == "vx_bar" {
-			op = isa.VXBAR
-		}
-		return a.enc(it, isa.Inst{Op: op, Rs1: rs1, Rs2: rs2})
-
-	case it.op == "vx_ballot":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := a.intReg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		rs1, err := a.intReg(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		return a.enc(it, isa.Inst{Op: isa.VXBALLOT, Rd: rd, Rs1: rs1})
+		return a.enc(it, isa.Inst{Op: isa.LUI, Rd: rd, Imm: int32(hi)},
+			isa.Inst{Op: isa.ADDI, Rd: rd, Rs1: rd, Imm: int32(u - hi)})
 	}
 
-	return nil, a.errf(it.line, "unknown mnemonic %q", it.op)
+	in, err := a.parseInst(it)
+	if err != nil {
+		return nil, err
+	}
+	return a.enc(it, in)
+}
+
+// parseInst parses one instruction: a pseudo-instruction is first rewritten
+// onto its real op, then each operand is parsed as the op's signature says.
+func (a *assembler) parseInst(it *item) (isa.Inst, error) {
+	name, args := it.op, it.args
+	var buf [4]string
+	if p, ok := pseudos[name]; ok && (len(args) == p.n || p.op != name) {
+		if len(args) != p.n {
+			return isa.Inst{}, a.errf(it.line, "%s needs %d operands, got %d", it.op, p.n, len(args))
+		}
+		for i, t := range p.args {
+			if j := strings.IndexByte(t, '$'); j >= 0 {
+				t = t[:j] + args[t[j+1]-'0'] + t[j+2:]
+			}
+			buf[i] = t
+		}
+		name, args = p.op, buf[:len(p.args)]
+	}
+	op, ok := isa.OpByName(name)
+	if !ok {
+		return isa.Inst{}, a.errf(it.line, "unknown mnemonic %q", it.op)
+	}
+	sig := op.Args()
+	if len(args) != len(sig) {
+		return isa.Inst{}, a.errf(it.line, "%s needs %d operands, got %d", it.op, len(sig), len(args))
+	}
+	in := isa.Inst{Op: op}
+	for i, k := range sig {
+		var err error
+		var v int64
+		switch s := args[i]; k {
+		case isa.XRd, isa.XRs1, isa.XRs2:
+			*in.RegField(k), err = a.intReg(it, s)
+		case isa.FRd, isa.FRs1, isa.FRs2, isa.FRs3:
+			*in.RegField(k), err = a.floatReg(it, s)
+		case isa.Imm12, isa.Shamt:
+			v, err = a.evalImm(it, s)
+			in.Imm = int32(v) // Encode range-checks the 32-bit value
+		case isa.Mem, isa.StoreMem:
+			in.Imm, in.Rs1, err = a.parseMem(it, s)
+		case isa.BranchTarget:
+			in.Imm, err = a.pcOffset(it, s, 13, "branch")
+		case isa.JumpTarget:
+			in.Imm, err = a.pcOffset(it, s, 21, "jump")
+		case isa.Upper20:
+			if v, err = a.evalImm(it, s); err == nil && (v < 0 || v > 0xFFFFF) {
+				err = a.errf(it.line, "%s immediate %d out of 20-bit range", it.op, v)
+			}
+			in.Imm = int32(v) << 12
+		case isa.CSRAddr:
+			in.CSR, err = a.csrNum(it, s)
+		case isa.Zimm:
+			if v, err = a.evalImm(it, s); err == nil && (v < 0 || v > 31) {
+				err = a.errf(it.line, "csr immediate %d out of range", v)
+			}
+			in.Rs1 = uint8(v)
+		}
+		if err != nil {
+			return isa.Inst{}, err
+		}
+	}
+	return in, nil
 }
 
 // packBytes packs little-endian bytes into words, zero-padding the tail.
@@ -726,6 +214,7 @@ func packBytes(b []byte) []uint32 {
 // parseStringLit parses a double-quoted string with \n, \t, \0, \\ and
 // \" escapes.
 func parseStringLit(s string) (string, error) {
+	const escapes, values = "nt0\\\"", "\n\t\x00\\\""
 	s = strings.TrimSpace(s)
 	if len(s) < 2 || s[0] != '"' || s[len(s)-1] != '"' {
 		return "", fmt.Errorf("want a double-quoted string, got %q", s)
@@ -742,20 +231,11 @@ func parseStringLit(s string) (string, error) {
 		if i >= len(body) {
 			return "", fmt.Errorf("dangling escape in %q", s)
 		}
-		switch body[i] {
-		case 'n':
-			b.WriteByte('\n')
-		case 't':
-			b.WriteByte('\t')
-		case '0':
-			b.WriteByte(0)
-		case '\\':
-			b.WriteByte('\\')
-		case '"':
-			b.WriteByte('"')
-		default:
+		k := strings.IndexByte(escapes, body[i])
+		if k < 0 {
 			return "", fmt.Errorf("unknown escape \\%c", body[i])
 		}
+		b.WriteByte(values[k])
 	}
 	return b.String(), nil
 }
@@ -776,29 +256,16 @@ func (a *assembler) csrNum(it *item, s string) (uint16, error) {
 	return uint16(v), nil
 }
 
-// branchOffset resolves a branch target (label or expression) into a
-// pc-relative offset and checks the B-format range.
-func (a *assembler) branchOffset(it *item, s string) (int32, error) {
+// pcOffset resolves a branch or jump target (label or expression) into a
+// pc-relative offset, which must be even and fit in bits signed bits.
+func (a *assembler) pcOffset(it *item, s string, bits uint, what string) (int32, error) {
 	target, err := a.evalImm(it, s)
 	if err != nil {
 		return 0, err
 	}
 	off := target - int64(it.pc)
-	if off < -4096 || off > 4095 || off%2 != 0 {
-		return 0, a.errf(it.line, "branch target out of range (offset %d)", off)
-	}
-	return int32(off), nil
-}
-
-// jumpOffset resolves a jump target into a pc-relative J-format offset.
-func (a *assembler) jumpOffset(it *item, s string) (int32, error) {
-	target, err := a.evalImm(it, s)
-	if err != nil {
-		return 0, err
-	}
-	off := target - int64(it.pc)
-	if off < -(1<<20) || off >= 1<<20 || off%2 != 0 {
-		return 0, a.errf(it.line, "jump target out of range (offset %d)", off)
+	if off < -1<<(bits-1) || off >= 1<<(bits-1) || off%2 != 0 {
+		return 0, a.errf(it.line, "%s target out of range (offset %d)", what, off)
 	}
 	return int32(off), nil
 }

@@ -28,60 +28,32 @@ const (
 	CSRInstRetH uint16 = 0xC82
 )
 
+// csrNames are the assembler names of the known CSRs.
+var csrNames = [...]struct {
+	addr uint16
+	name string
+}{
+	{CSRThreadID, "tid"}, {CSRWarpID, "wid"}, {CSRCoreID, "cid"}, {CSRTMask, "tmask"},
+	{CSRNumThreads, "nt"}, {CSRNumWarps, "nw"}, {CSRNumCores, "nc"},
+	{CSRCycle, "cycle"}, {CSRCycleH, "cycleh"}, {CSRInstRet, "instret"}, {CSRInstRetH, "instreth"},
+}
+
 // CSRName returns a human-readable name for known CSRs, or "" if unknown.
 func CSRName(csr uint16) string {
-	switch csr {
-	case CSRThreadID:
-		return "tid"
-	case CSRWarpID:
-		return "wid"
-	case CSRCoreID:
-		return "cid"
-	case CSRTMask:
-		return "tmask"
-	case CSRNumThreads:
-		return "nt"
-	case CSRNumWarps:
-		return "nw"
-	case CSRNumCores:
-		return "nc"
-	case CSRCycle:
-		return "cycle"
-	case CSRCycleH:
-		return "cycleh"
-	case CSRInstRet:
-		return "instret"
-	case CSRInstRetH:
-		return "instreth"
+	for _, c := range csrNames {
+		if c.addr == csr {
+			return c.name
+		}
 	}
 	return ""
 }
 
 // CSRByName resolves an assembler CSR name to its address.
 func CSRByName(name string) (uint16, bool) {
-	switch name {
-	case "tid":
-		return CSRThreadID, true
-	case "wid":
-		return CSRWarpID, true
-	case "cid":
-		return CSRCoreID, true
-	case "tmask":
-		return CSRTMask, true
-	case "nt":
-		return CSRNumThreads, true
-	case "nw":
-		return CSRNumWarps, true
-	case "nc":
-		return CSRNumCores, true
-	case "cycle":
-		return CSRCycle, true
-	case "cycleh":
-		return CSRCycleH, true
-	case "instret":
-		return CSRInstRet, true
-	case "instreth":
-		return CSRInstRetH, true
+	for _, c := range csrNames {
+		if c.name == name {
+			return c.addr, true
+		}
 	}
 	return 0, false
 }

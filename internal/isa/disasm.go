@@ -1,6 +1,10 @@
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // Integer register ABI names, x0..x31.
 var intRegNames = [32]string{
@@ -21,22 +25,20 @@ func IntRegName(r uint8) string {
 // FloatRegName returns the name of float register r.
 func FloatRegName(r uint8) string { return fmt.Sprintf("f%d", r) }
 
-// IntRegByName resolves an integer register name (ABI or xN) to its index.
+// IntRegByName resolves an integer register name (ABI, fp or xN) to its
+// index. A blank between x and the number is allowed ("x 5" is x5); any
+// other text after the number is not.
 func IntRegByName(name string) (uint8, bool) {
 	for i, n := range intRegNames {
 		if n == name {
 			return uint8(i), true
 		}
 	}
-	if len(name) >= 2 && name[0] == 'x' {
-		var n int
-		if _, err := fmt.Sscanf(name, "x%d", &n); err == nil && n >= 0 && n < 32 {
-			return uint8(n), true
-		}
-	}
-	// Common aliases.
 	if name == "fp" {
 		return 8, true
+	}
+	if len(name) >= 2 && name[0] == 'x' {
+		return regNum(strings.TrimLeft(name[1:], " \t"))
 	}
 	return 0, false
 }
@@ -57,79 +59,53 @@ func FloatRegByName(name string) (uint8, bool) {
 		return r, true
 	}
 	if len(name) >= 2 && name[0] == 'f' && name[1] >= '0' && name[1] <= '9' {
-		var n int
-		if _, err := fmt.Sscanf(name, "f%d", &n); err == nil && n >= 0 && n < 32 {
-			return uint8(n), true
-		}
+		return regNum(name[1:])
 	}
 	return 0, false
 }
 
-// Disasm renders a decoded instruction as assembler text. pc is used to
-// resolve branch and jump targets into absolute addresses.
+// regNum parses the decimal number of an xN or fN register name.
+func regNum(s string) (uint8, bool) {
+	n, err := strconv.Atoi(s)
+	return uint8(n), err == nil && n >= 0 && n < 32
+}
+
+// Disasm renders a decoded instruction as assembler text: the mnemonic and
+// the op's operands in signature order. pc is used to resolve branch and
+// jump targets into absolute addresses.
 func Disasm(in Inst, pc uint32) string {
-	ir := IntRegName
-	fr := FloatRegName
-	switch in.Op {
-	case LUI, AUIPC:
-		return fmt.Sprintf("%s %s, %#x", in.Op, ir(in.Rd), uint32(in.Imm)>>12)
-	case JAL:
-		return fmt.Sprintf("%s %s, %#x", in.Op, ir(in.Rd), pc+uint32(in.Imm))
-	case JALR:
-		return fmt.Sprintf("%s %s, %d(%s)", in.Op, ir(in.Rd), in.Imm, ir(in.Rs1))
-	case BEQ, BNE, BLT, BGE, BLTU, BGEU:
-		return fmt.Sprintf("%s %s, %s, %#x", in.Op, ir(in.Rs1), ir(in.Rs2), pc+uint32(in.Imm))
-	case LB, LH, LW, LBU, LHU:
-		return fmt.Sprintf("%s %s, %d(%s)", in.Op, ir(in.Rd), in.Imm, ir(in.Rs1))
-	case FLW:
-		return fmt.Sprintf("%s %s, %d(%s)", in.Op, fr(in.Rd), in.Imm, ir(in.Rs1))
-	case SB, SH, SW:
-		return fmt.Sprintf("%s %s, %d(%s)", in.Op, ir(in.Rs2), in.Imm, ir(in.Rs1))
-	case FSW:
-		return fmt.Sprintf("%s %s, %d(%s)", in.Op, fr(in.Rs2), in.Imm, ir(in.Rs1))
-	case ADDI, SLTI, SLTIU, XORI, ORI, ANDI, SLLI, SRLI, SRAI:
-		return fmt.Sprintf("%s %s, %s, %d", in.Op, ir(in.Rd), ir(in.Rs1), in.Imm)
-	case ADD, SUB, SLL, SLT, SLTU, XOR, SRL, SRA, OR, AND,
-		MUL, MULH, MULHSU, MULHU, DIV, DIVU, REM, REMU:
-		return fmt.Sprintf("%s %s, %s, %s", in.Op, ir(in.Rd), ir(in.Rs1), ir(in.Rs2))
-	case FENCE:
-		return "fence"
-	case ECALL:
-		return "ecall"
-	case EBREAK:
-		return "ebreak"
-	case CSRRW, CSRRS, CSRRC:
-		name := CSRName(in.CSR)
-		if name == "" {
-			name = fmt.Sprintf("%#x", in.CSR)
-		}
-		return fmt.Sprintf("%s %s, %s, %s", in.Op, ir(in.Rd), name, ir(in.Rs1))
-	case CSRRWI, CSRRSI, CSRRCI:
-		name := CSRName(in.CSR)
-		if name == "" {
-			name = fmt.Sprintf("%#x", in.CSR)
-		}
-		return fmt.Sprintf("%s %s, %s, %d", in.Op, ir(in.Rd), name, in.Rs1)
-	case FADDS, FSUBS, FMULS, FDIVS, FSGNJS, FSGNJNS, FSGNJXS, FMINS, FMAXS:
-		return fmt.Sprintf("%s %s, %s, %s", in.Op, fr(in.Rd), fr(in.Rs1), fr(in.Rs2))
-	case FSQRTS:
-		return fmt.Sprintf("%s %s, %s", in.Op, fr(in.Rd), fr(in.Rs1))
-	case FCVTWS, FCVTWUS, FMVXW, FCLASSS:
-		return fmt.Sprintf("%s %s, %s", in.Op, ir(in.Rd), fr(in.Rs1))
-	case FCVTSW, FCVTSWU, FMVWX:
-		return fmt.Sprintf("%s %s, %s", in.Op, fr(in.Rd), ir(in.Rs1))
-	case FEQS, FLTS, FLES:
-		return fmt.Sprintf("%s %s, %s, %s", in.Op, ir(in.Rd), fr(in.Rs1), fr(in.Rs2))
-	case FMADDS, FMSUBS, FNMSUBS, FNMADDS:
-		return fmt.Sprintf("%s %s, %s, %s, %s", in.Op, fr(in.Rd), fr(in.Rs1), fr(in.Rs2), fr(in.Rs3))
-	case VXTMC, VXSPLIT, VXPRED:
-		return fmt.Sprintf("%s %s", in.Op, ir(in.Rs1))
-	case VXWSPAWN, VXBAR:
-		return fmt.Sprintf("%s %s, %s", in.Op, ir(in.Rs1), ir(in.Rs2))
-	case VXJOIN:
-		return "vx_join"
-	case VXBALLOT:
-		return fmt.Sprintf("%s %s, %s", in.Op, ir(in.Rd), ir(in.Rs1))
+	if in.Op == OpInvalid || in.Op >= opCount {
+		return fmt.Sprintf("unknown(%d)", in.Op)
 	}
-	return fmt.Sprintf("unknown(%d)", in.Op)
+	b := []byte(in.Op.String())
+	for i, a := range specs[in.Op].args {
+		if i == 0 {
+			b = append(b, ' ')
+		} else {
+			b = append(b, ", "...)
+		}
+		switch a {
+		case XRd, XRs1, XRs2:
+			b = append(b, IntRegName(*in.RegField(a))...)
+		case FRd, FRs1, FRs2, FRs3:
+			b = append(b, FloatRegName(*in.RegField(a))...)
+		case Imm12, Shamt:
+			b = strconv.AppendInt(b, int64(in.Imm), 10)
+		case Zimm:
+			b = strconv.AppendInt(b, int64(in.Rs1), 10)
+		case Mem, StoreMem:
+			b = fmt.Appendf(b, "%d(%s)", in.Imm, IntRegName(in.Rs1))
+		case BranchTarget, JumpTarget:
+			b = fmt.Appendf(b, "%#x", pc+uint32(in.Imm))
+		case Upper20:
+			b = fmt.Appendf(b, "%#x", uint32(in.Imm)>>12)
+		case CSRAddr:
+			if name := CSRName(in.CSR); name != "" {
+				b = append(b, name...)
+			} else {
+				b = fmt.Appendf(b, "%#x", in.CSR)
+			}
+		}
+	}
+	return string(b)
 }

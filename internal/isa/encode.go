@@ -1,10 +1,14 @@
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
-// Encode packs a decoded instruction into its 32-bit machine word.
-// It validates register indices and immediate ranges, returning an error for
-// values that do not fit the op's format.
+// Encode packs a decoded instruction into its 32-bit machine word: the op's
+// match bits or'ed with the fields its operands name. Fields the op has no
+// operand for are ignored. It validates register indices and immediate
+// ranges, returning an error for values that do not fit.
 func Encode(in Inst) (uint32, error) {
 	if in.Op == OpInvalid || in.Op >= opCount {
 		return 0, fmt.Errorf("isa: encode: invalid op %d", in.Op)
@@ -12,347 +16,95 @@ func Encode(in Inst) (uint32, error) {
 	if in.Rd > 31 || in.Rs1 > 31 || in.Rs2 > 31 || in.Rs3 > 31 {
 		return 0, fmt.Errorf("isa: encode %s: register index out of range", in.Op)
 	}
-	s := specs[in.Op]
-	w := s.opcode
-	switch s.fmt {
-	case FmtR:
-		rs2 := uint32(in.Rs2)
-		switch in.Op {
-		case FCVTWUS, FCVTSWU:
-			rs2 = 1 // unsigned-conversion selector lives in the rs2 field
-		case FCVTWS, FCVTSW, FSQRTS, FMVXW, FMVWX, FCLASSS:
-			rs2 = 0
-		}
-		w |= uint32(in.Rd) << 7
-		w |= s.funct3 << 12
-		w |= uint32(in.Rs1) << 15
-		w |= rs2 << 20
-		w |= s.funct7 << 25
-	case FmtR4:
-		w |= uint32(in.Rd) << 7
-		w |= s.funct3 << 12
-		w |= uint32(in.Rs1) << 15
-		w |= uint32(in.Rs2) << 20
-		w |= uint32(in.Rs3) << 27
-	case FmtI:
-		imm := in.Imm
-		switch in.Op {
-		case SLLI, SRLI, SRAI:
-			if imm < 0 || imm > 31 {
-				return 0, fmt.Errorf("isa: encode %s: shift amount %d out of range", in.Op, imm)
+	w := specs[in.Op].match
+	imm := uint32(in.Imm)
+	for _, a := range specs[in.Op].args {
+		switch a {
+		case XRd, FRd, XRs1, FRs1, XRs2, FRs2, FRs3, Zimm:
+			w |= uint32(*in.RegField(a)) << regShift(a)
+		case Imm12, Mem, StoreMem:
+			if in.Imm < -2048 || in.Imm > 2047 {
+				return 0, fmt.Errorf("isa: encode %s: immediate %d out of range", in.Op, in.Imm)
 			}
-			imm |= int32(s.funct7) << 5
-		case ECALL, EBREAK:
-			imm = int32(s.funct7)
-		case CSRRW, CSRRS, CSRRC, CSRRWI, CSRRSI, CSRRCI:
+			if a == StoreMem {
+				w |= imm&0x1F<<7 | imm>>5<<25
+			} else {
+				w |= imm << 20
+			}
+			if a != Imm12 { // the base register of offset(rs1)
+				w |= uint32(in.Rs1) << 15
+			}
+		case Shamt:
+			if in.Imm < 0 || in.Imm > 31 {
+				return 0, fmt.Errorf("isa: encode %s: shift amount %d out of range", in.Op, in.Imm)
+			}
+			w |= imm << 20
+		case BranchTarget:
+			if in.Imm < -4096 || in.Imm > 4095 || in.Imm&1 != 0 {
+				return 0, fmt.Errorf("isa: encode %s: branch offset %d invalid", in.Op, in.Imm)
+			}
+			w |= imm>>11&1<<7 | imm>>1&0xF<<8 | imm>>5&0x3F<<25 | imm>>12&1<<31
+		case JumpTarget:
+			if in.Imm < -(1<<20) || in.Imm >= 1<<20 || in.Imm&1 != 0 {
+				return 0, fmt.Errorf("isa: encode %s: jump offset %d invalid", in.Op, in.Imm)
+			}
+			w |= imm>>12&0xFF<<12 | imm>>11&1<<20 | imm>>1&0x3FF<<21 | imm>>20&1<<31
+		case Upper20:
+			if imm&0xFFF != 0 {
+				return 0, fmt.Errorf("isa: encode %s: immediate %#x has low bits set", in.Op, in.Imm)
+			}
+			w |= imm
+		case CSRAddr:
 			if in.CSR > 0xFFF {
 				return 0, fmt.Errorf("isa: encode %s: csr %#x out of range", in.Op, in.CSR)
 			}
-			// For immediate CSR forms rs1 carries the 5-bit zimm.
-			imm = int32(in.CSR)
-		default:
-			if imm < -2048 || imm > 2047 {
-				return 0, fmt.Errorf("isa: encode %s: immediate %d out of range", in.Op, imm)
-			}
+			w |= uint32(in.CSR) << 20
 		}
-		w |= uint32(in.Rd) << 7
-		w |= s.funct3 << 12
-		w |= uint32(in.Rs1) << 15
-		w |= uint32(imm&0xFFF) << 20
-	case FmtS:
-		if in.Imm < -2048 || in.Imm > 2047 {
-			return 0, fmt.Errorf("isa: encode %s: immediate %d out of range", in.Op, in.Imm)
-		}
-		imm := uint32(in.Imm)
-		w |= (imm & 0x1F) << 7
-		w |= s.funct3 << 12
-		w |= uint32(in.Rs1) << 15
-		w |= uint32(in.Rs2) << 20
-		w |= (imm >> 5 & 0x7F) << 25
-	case FmtB:
-		if in.Imm < -4096 || in.Imm > 4095 || in.Imm&1 != 0 {
-			return 0, fmt.Errorf("isa: encode %s: branch offset %d invalid", in.Op, in.Imm)
-		}
-		imm := uint32(in.Imm)
-		w |= (imm >> 11 & 1) << 7
-		w |= (imm >> 1 & 0xF) << 8
-		w |= s.funct3 << 12
-		w |= uint32(in.Rs1) << 15
-		w |= uint32(in.Rs2) << 20
-		w |= (imm >> 5 & 0x3F) << 25
-		w |= (imm >> 12 & 1) << 31
-	case FmtU:
-		if in.Imm&0xFFF != 0 {
-			return 0, fmt.Errorf("isa: encode %s: immediate %#x has low bits set", in.Op, in.Imm)
-		}
-		w |= uint32(in.Rd) << 7
-		w |= uint32(in.Imm) & 0xFFFFF000
-	case FmtJ:
-		if in.Imm < -(1<<20) || in.Imm >= 1<<20 || in.Imm&1 != 0 {
-			return 0, fmt.Errorf("isa: encode %s: jump offset %d invalid", in.Op, in.Imm)
-		}
-		imm := uint32(in.Imm)
-		w |= uint32(in.Rd) << 7
-		w |= (imm >> 12 & 0xFF) << 12
-		w |= (imm >> 11 & 1) << 20
-		w |= (imm >> 1 & 0x3FF) << 21
-		w |= (imm >> 20 & 1) << 31
 	}
 	return w, nil
 }
 
-// Decode unpacks a 32-bit machine word into a decoded instruction.
-func Decode(w uint32) (Inst, error) {
-	opcode := w & 0x7F
-	rd := uint8(w >> 7 & 0x1F)
-	funct3 := w >> 12 & 0x7
-	rs1 := uint8(w >> 15 & 0x1F)
-	rs2 := uint8(w >> 20 & 0x1F)
-	funct7 := w >> 25 & 0x7F
-
-	immI := int32(w) >> 20
-	immS := int32(w)>>25<<5 | int32(rd)
-	// Sign-extended branch immediate: imm[12|10:5|4:1|11].
-	immB := int32(w)>>31<<12 |
-		int32(w>>7&1)<<11 |
-		int32(w>>25&0x3F)<<5 |
-		int32(w>>8&0xF)<<1
-	immU := int32(w & 0xFFFFF000)
-	immJ := int32(w)>>31<<20 |
-		int32(w>>12&0xFF)<<12 |
-		int32(w>>20&1)<<11 |
-		int32(w>>21&0x3FF)<<1
-
-	bad := func() (Inst, error) {
-		return Inst{}, fmt.Errorf("isa: decode: unsupported instruction %#08x", w)
-	}
-	r := func(op Op) (Inst, error) {
-		return Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}, nil
-	}
-	i := func(op Op) (Inst, error) {
-		return Inst{Op: op, Rd: rd, Rs1: rs1, Imm: immI}, nil
-	}
-
-	switch opcode {
-	case opcLUI:
-		return Inst{Op: LUI, Rd: rd, Imm: immU}, nil
-	case opcAUIPC:
-		return Inst{Op: AUIPC, Rd: rd, Imm: immU}, nil
-	case opcJAL:
-		return Inst{Op: JAL, Rd: rd, Imm: immJ}, nil
-	case opcJALR:
-		if funct3 != 0 {
-			return bad()
-		}
-		return i(JALR)
-	case opcBRANCH:
-		var op Op
-		switch funct3 {
-		case 0:
-			op = BEQ
-		case 1:
-			op = BNE
-		case 4:
-			op = BLT
-		case 5:
-			op = BGE
-		case 6:
-			op = BLTU
-		case 7:
-			op = BGEU
-		default:
-			return bad()
-		}
-		return Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: immB}, nil
-	case opcLOAD:
-		var op Op
-		switch funct3 {
-		case 0:
-			op = LB
-		case 1:
-			op = LH
-		case 2:
-			op = LW
-		case 4:
-			op = LBU
-		case 5:
-			op = LHU
-		default:
-			return bad()
-		}
-		return i(op)
-	case opcLOADFP:
-		if funct3 != 2 {
-			return bad()
-		}
-		return i(FLW)
-	case opcSTORE:
-		var op Op
-		switch funct3 {
-		case 0:
-			op = SB
-		case 1:
-			op = SH
-		case 2:
-			op = SW
-		default:
-			return bad()
-		}
-		return Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: immS}, nil
-	case opcSTOREFP:
-		if funct3 != 2 {
-			return bad()
-		}
-		return Inst{Op: FSW, Rs1: rs1, Rs2: rs2, Imm: immS}, nil
-	case opcOPIMM:
-		switch funct3 {
-		case 0:
-			return i(ADDI)
-		case 2:
-			return i(SLTI)
-		case 3:
-			return i(SLTIU)
-		case 4:
-			return i(XORI)
-		case 6:
-			return i(ORI)
-		case 7:
-			return i(ANDI)
-		case 1:
-			if funct7 != 0 {
-				return bad()
-			}
-			return Inst{Op: SLLI, Rd: rd, Rs1: rs1, Imm: int32(rs2)}, nil
-		case 5:
-			switch funct7 {
-			case 0x00:
-				return Inst{Op: SRLI, Rd: rd, Rs1: rs1, Imm: int32(rs2)}, nil
-			case 0x20:
-				return Inst{Op: SRAI, Rd: rd, Rs1: rs1, Imm: int32(rs2)}, nil
-			}
-			return bad()
-		}
-		return bad()
-	case opcOP:
-		type key struct{ f3, f7 uint32 }
-		m := map[key]Op{
-			{0, 0x00}: ADD, {0, 0x20}: SUB, {1, 0x00}: SLL, {2, 0x00}: SLT,
-			{3, 0x00}: SLTU, {4, 0x00}: XOR, {5, 0x00}: SRL, {5, 0x20}: SRA,
-			{6, 0x00}: OR, {7, 0x00}: AND,
-			{0, 0x01}: MUL, {1, 0x01}: MULH, {2, 0x01}: MULHSU, {3, 0x01}: MULHU,
-			{4, 0x01}: DIV, {5, 0x01}: DIVU, {6, 0x01}: REM, {7, 0x01}: REMU,
-		}
-		op, ok := m[key{funct3, funct7}]
-		if !ok {
-			return bad()
-		}
-		return r(op)
-	case opcMISCMEM:
-		if funct3 != 0 {
-			return bad()
-		}
-		return Inst{Op: FENCE}, nil
-	case opcSYSTEM:
-		switch funct3 {
-		case 0:
-			switch w >> 20 {
-			case 0:
-				return Inst{Op: ECALL}, nil
-			case 1:
-				return Inst{Op: EBREAK}, nil
-			}
-			return bad()
-		case 1, 2, 3, 5, 6, 7:
-			ops := map[uint32]Op{1: CSRRW, 2: CSRRS, 3: CSRRC, 5: CSRRWI, 6: CSRRSI, 7: CSRRCI}
-			return Inst{Op: ops[funct3], Rd: rd, Rs1: rs1, CSR: uint16(w >> 20), Imm: int32(w >> 20)}, nil
-		}
-		return bad()
-	case opcOPFP:
-		type key struct{ f3, f7 uint32 }
-		// fsqrt/fcvt/fmv/fclass use rs2 as a sub-opcode selector; funct3 is
-		// the rounding mode for arithmetic ops (we model RNE only, f3=0).
-		switch funct7 {
-		case 0x00, 0x04, 0x08, 0x0C:
-			op := map[uint32]Op{0x00: FADDS, 0x04: FSUBS, 0x08: FMULS, 0x0C: FDIVS}[funct7]
-			return r(op)
-		case 0x2C:
-			return Inst{Op: FSQRTS, Rd: rd, Rs1: rs1}, nil
-		case 0x10:
-			m := map[uint32]Op{0: FSGNJS, 1: FSGNJNS, 2: FSGNJXS}
-			op, ok := m[funct3]
-			if !ok {
-				return bad()
-			}
-			return r(op)
-		case 0x14:
-			m := map[uint32]Op{0: FMINS, 1: FMAXS}
-			op, ok := m[funct3]
-			if !ok {
-				return bad()
-			}
-			return r(op)
-		case 0x60:
-			switch rs2 {
-			case 0:
-				return Inst{Op: FCVTWS, Rd: rd, Rs1: rs1}, nil
-			case 1:
-				return Inst{Op: FCVTWUS, Rd: rd, Rs1: rs1}, nil
-			}
-			return bad()
-		case 0x68:
-			switch rs2 {
-			case 0:
-				return Inst{Op: FCVTSW, Rd: rd, Rs1: rs1}, nil
-			case 1:
-				return Inst{Op: FCVTSWU, Rd: rd, Rs1: rs1}, nil
-			}
-			return bad()
-		case 0x70:
-			switch funct3 {
-			case 0:
-				return Inst{Op: FMVXW, Rd: rd, Rs1: rs1}, nil
-			case 1:
-				return Inst{Op: FCLASSS, Rd: rd, Rs1: rs1}, nil
-			}
-			return bad()
-		case 0x78:
-			return Inst{Op: FMVWX, Rd: rd, Rs1: rs1}, nil
-		case 0x50:
-			m := map[uint32]Op{2: FEQS, 1: FLTS, 0: FLES}
-			op, ok := m[funct3]
-			if !ok {
-				return bad()
-			}
-			return r(op)
-		}
-		_ = key{}
-		return bad()
-	case opcFMADD, opcFMSUB, opcFNMSUB, opcFNMADD:
-		op := map[uint32]Op{opcFMADD: FMADDS, opcFMSUB: FMSUBS, opcFNMSUB: FNMSUBS, opcFNMADD: FNMADDS}[opcode]
-		return Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2, Rs3: uint8(w >> 27 & 0x1F)}, nil
-	case opcCUSTOM0:
-		if funct3 != 0 {
-			return bad()
-		}
-		m := map[uint32]Op{
-			0x00: VXTMC, 0x01: VXWSPAWN, 0x02: VXSPLIT, 0x03: VXJOIN,
-			0x04: VXBAR, 0x05: VXPRED, 0x06: VXBALLOT,
-		}
-		op, ok := m[funct7]
-		if !ok {
-			return bad()
-		}
-		return r(op)
-	}
-	return bad()
+// regShift is the bit position of the 5-bit field a register operand (or a
+// zimm) occupies.
+func regShift(a Arg) uint {
+	return uint(bits.TrailingZeros32(argBits[a]))
 }
 
-// MustEncode is Encode for known-good instructions; it panics on error and
-// is intended for code generators and tests.
-func MustEncode(in Inst) uint32 {
-	w, err := Encode(in)
-	if err != nil {
-		panic(err)
+// Decode unpacks a 32-bit machine word into a decoded instruction. It picks
+// the op, among those sharing the word's major opcode, whose match equals the
+// word's non-operand bits, and fills only the fields the op's operands name.
+// Decode accepts exactly the words Encode produces: a word with a non-zero
+// bit outside the op's operand fields (a rounding mode, an fmt, an unused rs2)
+// is refused.
+func Decode(w uint32) (Inst, error) {
+	for _, op := range byOpcode[w&0x7F] {
+		if w&masks[op] != specs[op].match {
+			continue
+		}
+		in := Inst{Op: op}
+		for _, a := range specs[op].args {
+			switch a {
+			case XRd, FRd, XRs1, FRs1, XRs2, FRs2, FRs3, Zimm:
+				*in.RegField(a) = uint8(w >> regShift(a) & 0x1F)
+			case Imm12:
+				in.Imm = int32(w) >> 20
+			case Mem:
+				in.Imm, in.Rs1 = int32(w)>>20, uint8(w>>15&0x1F)
+			case StoreMem:
+				in.Imm, in.Rs1 = int32(w)>>25<<5|int32(w>>7&0x1F), uint8(w>>15&0x1F)
+			case Shamt:
+				in.Imm = int32(w >> 20 & 0x1F)
+			case BranchTarget: // imm[12|10:5|4:1|11]
+				in.Imm = int32(w)>>31<<12 | int32(w>>7&1)<<11 | int32(w>>25&0x3F)<<5 | int32(w>>8&0xF)<<1
+			case JumpTarget: // imm[20|10:1|11|19:12]
+				in.Imm = int32(w)>>31<<20 | int32(w>>12&0xFF)<<12 | int32(w>>20&1)<<11 | int32(w>>21&0x3FF)<<1
+			case Upper20:
+				in.Imm = int32(w & 0xFFFFF000)
+			case CSRAddr: // Imm mirrors the address
+				in.CSR, in.Imm = uint16(w>>20), int32(w>>20)
+			}
+		}
+		return in, nil
 	}
-	return w
+	return Inst{}, fmt.Errorf("isa: decode: unsupported instruction %#08x", w)
 }
