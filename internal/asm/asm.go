@@ -216,7 +216,7 @@ func commentAt(s string) int {
 	in := false
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; {
-		case quoted && in && c == '\\':
+		case in && c == '\\':
 			i++
 		case quoted && c == '"':
 			in = !in
