@@ -38,6 +38,11 @@ func diffBatchKernel(t *testing.T, name string, sched sim.SchedPolicy) {
 	}
 	diffKernelRuns(t, fmt.Sprintf("%s/%s/scan-tick-vs-default", name, sched),
 		runBatchKernel(t, name, sched, true), runBatchKernel(t, name, sched, false))
+	cfg := sim.DefaultConfig(4, 8, 8)
+	cfg.Sched = sched
+	checkGoldenCell(t, name, cfg)
+	cfg.ScanSched, cfg.TickEngine = true, true
+	checkGoldenCell(t, name, cfg)
 }
 
 // TestBatchKernelMatrix runs the kernel-level lockstep differential under

@@ -233,16 +233,18 @@ func TestBatchMemMSHRBound(t *testing.T) {
 	}
 }
 
-// TestBatchMemScanSchedDifferential runs the unit-stride lockstep program
+// TestBatchMemUnitStrideDigest runs the unit-stride lockstep program
 // on the scan issue loop of the event engine against the ready-set/wake-heap
 // scheduler: the two issue loops must agree byte for byte, and both must
 // leave memUnitProg's closed-form memory.
-func TestBatchMemScanSchedDifferential(t *testing.T) {
+func TestBatchMemUnitStrideDigest(t *testing.T) {
 	cfg := DefaultConfig(2, 8, 8)
 	activate := activateAll(cfg, cfg.Warps, 0xFF)
 	heap := runSnapshot(t, cfg, memUnitProg, activate)
 	cfg.ScanSched = true
 	scan := runSnapshot(t, cfg, memUnitProg, activate)
 	diffSnapshots(t, "scan-sched", scan, heap)
+	CheckEngineDigest(t, "", digestOf(scan))
+	CheckEngineDigest(t, "", digestOf(heap))
 	checkMemUnitResults(t, "scan-sched", cfg, func(int) uint64 { return 0xFF }, scan)
 }

@@ -130,8 +130,11 @@ func diffBatchOracles(t *testing.T, name string, cfg Config, prog string, activa
 	t.Helper()
 	cfg.ScanSched, cfg.TickEngine = false, false
 	got := runSnapshot(t, cfg, prog, activate)
+	CheckEngineDigest(t, "", digestOf(got))
 	for _, o := range batchOracleConfigs(cfg) {
-		diffSnapshots(t, fmt.Sprintf("%s/%s-vs-event", name, o.name), runSnapshot(t, o.cfg, prog, activate), got)
+		oracle := runSnapshot(t, o.cfg, prog, activate)
+		CheckEngineDigest(t, "", digestOf(oracle))
+		diffSnapshots(t, fmt.Sprintf("%s/%s-vs-event", name, o.name), oracle, got)
 	}
 	return got
 }
@@ -243,6 +246,8 @@ func TestBatchObserverStream(t *testing.T) {
 	}
 	oracle := run(true)
 	got := run(false)
+	CheckEngineDigest(t, "", digestOf(oracle))
+	CheckEngineDigest(t, "", digestOf(got))
 	if len(oracle) != len(got) {
 		t.Fatalf("event count differs: oracle %d, default %d", len(oracle), len(got))
 	}
@@ -305,8 +310,11 @@ func TestBatchTrapIdentity(t *testing.T) {
 		cfg := DefaultConfig(2, 4, 4)
 		cfg.Sched = pol
 		got := run(cfg)
+		CheckEngineDigest(t, pol.String(), digestOf(*got))
 		for _, o := range batchOracleConfigs(cfg) {
-			if oracle := run(o.cfg); *oracle != *got {
+			oracle := run(o.cfg)
+			CheckEngineDigest(t, pol.String(), digestOf(*oracle))
+			if *oracle != *got {
 				t.Errorf("sched=%s: trap differs from %s oracle:\noracle  %+v\ndefault %+v", pol, o.name, oracle, got)
 			}
 		}

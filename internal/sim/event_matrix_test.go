@@ -33,6 +33,10 @@ func TestEventEngineKernelMatrix(t *testing.T) {
 				t.Skip("short mode: engine matrix runs the cheap kernels only")
 			}
 			diffKernelRuns(t, name+"/tick-vs-event", runEngineKernel(t, name, true), runEngineKernel(t, name, false))
+			cfg := sim.DefaultConfig(4, 8, 8)
+			checkGoldenCell(t, name, cfg)
+			cfg.TickEngine = true
+			checkGoldenCell(t, name, cfg)
 		})
 	}
 }

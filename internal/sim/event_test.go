@@ -32,6 +32,8 @@ func TestEventMatchesTickEngine(t *testing.T) {
 				cfg.TickEngine = false
 				ev := runSnapshot(t, cfg, tc.prog, tc.activate(cfg))
 				diffSnapshots(t, fmt.Sprintf("%s/%s/tick-vs-event", sched, tc.name), oracle, ev)
+				CheckEngineDigest(t, "", digestOf(oracle))
+				CheckEngineDigest(t, "", digestOf(ev))
 			})
 		}
 	}
@@ -65,6 +67,8 @@ func TestEventHighWarpDifferential(t *testing.T) {
 		cfg.TickEngine = false
 		ev := runSnapshot(t, cfg, highWarpProg, activate(cfg))
 		diffSnapshots(t, fmt.Sprintf("%s/tick-vs-event", sched), oracle, ev)
+		CheckEngineDigest(t, sched.String(), digestOf(oracle))
+		CheckEngineDigest(t, sched.String(), digestOf(ev))
 	}
 }
 
@@ -115,6 +119,8 @@ func TestEventPartialSkipAttribution(t *testing.T) {
 	cfg.TickEngine = false
 	ev := runSnapshot(t, cfg, partialSkipProg, activate)
 	diffSnapshots(t, "partial-skip", oracle, ev)
+	CheckEngineDigest(t, "", digestOf(oracle))
+	CheckEngineDigest(t, "", digestOf(ev))
 	if busy := oracle.cores[0]; busy.Issued < 3000 {
 		t.Errorf("core 0 issued %d instructions, want a >=3000-cycle busy loop keeping the device issuing", busy.Issued)
 	}
@@ -167,6 +173,8 @@ func TestEventDeadlockBarrier(t *testing.T) {
 		return o
 	}
 	oracle, got := run(true), run(false)
+	CheckEngineDigest(t, "", digestOf(oracle.trap, oracle.stats))
+	CheckEngineDigest(t, "", digestOf(got.trap, got.stats))
 	if got.trap != oracle.trap {
 		t.Errorf("trap %+v, tick oracle %+v", got.trap, oracle.trap)
 	}
@@ -245,7 +253,10 @@ func TestEventObserverStreamMatchesTick(t *testing.T) {
 				i, b.Cycle, b.Core, a.Cycle, a.Core)
 		}
 	}
-	if got := collect(false); !slices.Equal(got, oracle) {
+	CheckEngineDigest(t, "", digestOf(oracle))
+	got := collect(false)
+	CheckEngineDigest(t, "", digestOf(got))
+	if !slices.Equal(got, oracle) {
 		t.Errorf("observer stream differs from the tick oracle (%d vs %d events)", len(got), len(oracle))
 	}
 }
@@ -283,7 +294,15 @@ func TestEventMaxCyclesDeadline(t *testing.T) {
 		if oracleErr == nil {
 			t.Fatalf("limit %d did not trip the deadline", limit)
 		}
+		sub := fmt.Sprintf("limit=%d", limit)
+		digest := func(s *Sim, err error) string {
+			return digestOf(err.Error(), s.Cycle(), s.CoreStatsOf(0), s.CoreStatsOf(1))
+		}
+		CheckEngineDigest(t, sub, digest(oracleSim, oracleErr))
 		s, err := run(false, limit)
+		if err != nil {
+			CheckEngineDigest(t, sub, digest(s, err))
+		}
 		if err == nil || err.Error() != oracleErr.Error() {
 			t.Errorf("limit=%d: err %v, tick oracle %v", limit, err, oracleErr)
 			continue

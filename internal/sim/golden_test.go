@@ -14,7 +14,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"hash"
 	"math/rand"
@@ -28,8 +27,6 @@ import (
 	"repro/internal/ocl"
 	"repro/internal/sim"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_digests.json from the current engine")
 
 const goldenPath = "testdata/golden_digests.json"
 
@@ -134,6 +131,31 @@ func goldenDigest(t *testing.T, d *ocl.Device, kernel string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// kernelDigest runs one verified kernel on a new device of cfg and hashes
+// the run's observables.
+func kernelDigest(t *testing.T, kernel string, cfg sim.Config) string {
+	t.Helper()
+	d, err := ocl.NewDevice(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return goldenDigest(t, d, kernel)
+}
+
+// checkGoldenCell holds kernel on cfg, a golden geometry and policy under
+// the default memory system, to its checked-in cell.
+func checkGoldenCell(t *testing.T, kernel string, cfg sim.Config) {
+	t.Helper()
+	key := fmt.Sprintf("%s/%s/%s", kernel, cfg.Name(), cfg.Sched)
+	want, ok := readGolden(t)[key]
+	if !ok {
+		t.Fatalf("%s: no golden cell", key)
+	}
+	if got := kernelDigest(t, kernel, cfg); got != want {
+		t.Errorf("%s: digest %s, golden %s", key, got, want)
+	}
+}
+
 func TestGoldenDigests(t *testing.T) {
 	got := map[string]string{}
 	for _, cell := range goldenCells(t) {
@@ -143,7 +165,7 @@ func TestGoldenDigests(t *testing.T) {
 		}
 		got[cell.key] = goldenDigest(t, d, cell.kernel)
 	}
-	if *updateGolden {
+	if *sim.Update {
 		// Map keys marshal sorted, so the file is stable across runs.
 		raw, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {

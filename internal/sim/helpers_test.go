@@ -6,11 +6,84 @@ package sim
 // differentials all run.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"sync"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/mem"
 )
+
+// Update rewrites the digest files under testdata from the current engine:
+// go test ./internal/sim -update. Use it only for a deliberate model change.
+var Update = flag.Bool("update", false, "rewrite the digest files under testdata from the current engine")
+
+const engineDigestsPath = "testdata/engine_digests.json"
+
+var engineDigests struct {
+	once sync.Once
+	m    map[string]string
+	err  error
+}
+
+// digestOf hashes the %v rendering of vs: every field of a snapshot, a
+// trap record, a stats or observer-event slice.
+func digestOf(vs ...any) string {
+	h := sha256.New()
+	for _, v := range vs {
+		fmt.Fprintf(h, "%v\n", v)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// CheckEngineDigest holds digest to the frozen answer of testdata/
+// engine_digests.json keyed by the test's name, plus "/sub" when sub is
+// non-empty; under -update it records digest instead.
+func CheckEngineDigest(t *testing.T, sub, digest string) {
+	t.Helper()
+	key := t.Name()
+	if sub != "" {
+		key += "/" + sub
+	}
+	d := &engineDigests
+	d.once.Do(func() {
+		d.m = map[string]string{}
+		raw, err := os.ReadFile(engineDigestsPath)
+		if err == nil {
+			err = json.Unmarshal(raw, &d.m)
+		}
+		if err != nil && !*Update {
+			d.err = err
+		}
+	})
+	if d.err != nil {
+		t.Fatal(d.err)
+	}
+	if *Update {
+		d.m[key] = digest
+		// Map keys marshal sorted, so the file is stable across runs.
+		raw, err := json.MarshalIndent(d.m, "", "  ")
+		if err == nil {
+			err = os.WriteFile(engineDigestsPath, append(raw, '\n'), 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, ok := d.m[key]
+	switch {
+	case !ok:
+		t.Errorf("%s: no frozen digest in %s", key, engineDigestsPath)
+	case want != digest:
+		t.Errorf("%s: digest %s, frozen %s", key, digest, want)
+	}
+}
 
 // snapshot captures everything the determinism contract covers: the device
 // cycle, every core's pipeline counters, every cache level's statistics

@@ -78,7 +78,10 @@ func TestMemTrapNoPartialMutation(t *testing.T) {
 		return trap
 	}
 	for _, warps := range []int{1, 4} {
-		if event, tick := run(false, warps), run(true, warps); *event != *tick {
+		event, tick := run(false, warps), run(true, warps)
+		CheckEngineDigest(t, fmt.Sprintf("warps=%d", warps), digestOf(*tick))
+		CheckEngineDigest(t, fmt.Sprintf("warps=%d", warps), digestOf(*event))
+		if *event != *tick {
 			t.Errorf("warps=%d: trap differs between engines:\nevent %+v\ntick  %+v", warps, event, tick)
 		}
 	}

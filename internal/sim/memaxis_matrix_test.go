@@ -31,11 +31,11 @@ var memMatrixPoints = []struct {
 	{name: "mshrs=2/l1=8k2w/prefetch=nextline", mshrs: 2, l1: "8k2w", prefetch: mem.PrefetchNextLine},
 }
 
-func runMemAxisKernel(t *testing.T, name string, pt int, tick bool) kernelRun {
+// memMatrixConfig is the kernel matrix's device at memory point pt.
+func memMatrixConfig(t *testing.T, pt int) sim.Config {
 	t.Helper()
 	p := memMatrixPoints[pt]
 	cfg := sim.DefaultConfig(4, 8, 8)
-	cfg.TickEngine = tick
 	cfg.Mem.L1.MSHRs = p.mshrs
 	cfg.Mem.L2.MSHRs = p.mshrs
 	if p.l1 != "" {
@@ -47,7 +47,14 @@ func runMemAxisKernel(t *testing.T, name string, pt int, tick bool) kernelRun {
 		cfg.Mem.L1.Ways = ways
 	}
 	cfg.Mem.Prefetch = p.prefetch
-	return runMatrixKernelCfg(t, name, cfg, fmt.Sprintf("%s tick=%v", p.name, tick))
+	return cfg
+}
+
+func runMemAxisKernel(t *testing.T, name string, pt int, tick bool) kernelRun {
+	t.Helper()
+	cfg := memMatrixConfig(t, pt)
+	cfg.TickEngine = tick
+	return runMatrixKernelCfg(t, name, cfg, fmt.Sprintf("%s tick=%v", memMatrixPoints[pt].name, tick))
 }
 
 func TestMemAxisKernelMatrix(t *testing.T) {
@@ -59,6 +66,11 @@ func TestMemAxisKernelMatrix(t *testing.T) {
 		for pt := range memMatrixPoints {
 			t.Run(fmt.Sprintf("%s/%s", name, memMatrixPoints[pt].name), func(t *testing.T) {
 				diffKernelRuns(t, name+"/tick-vs-event", runMemAxisKernel(t, name, pt, true), runMemAxisKernel(t, name, pt, false))
+				cfg := memMatrixConfig(t, pt)
+				cfg.TickEngine = true
+				sim.CheckEngineDigest(t, "", kernelDigest(t, name, cfg))
+				cfg.TickEngine = false
+				sim.CheckEngineDigest(t, "", kernelDigest(t, name, cfg))
 			})
 		}
 	}

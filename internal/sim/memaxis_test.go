@@ -65,6 +65,8 @@ func TestMemAxisEngineDifferential(t *testing.T) {
 				cfg.TickEngine = false
 				ev := runSnapshot(t, cfg, diffMemProg, activateAll(cfg, 4, 0xF))
 				diffSnapshots(t, pt.name+"/tick-vs-event", oracle, ev)
+				CheckEngineDigest(t, "", digestOf(oracle))
+				CheckEngineDigest(t, "", digestOf(ev))
 			})
 		}
 	}
@@ -84,6 +86,8 @@ func TestMemAxisScanOracle(t *testing.T) {
 				cfg.ScanSched = false
 				heap := runSnapshot(t, cfg, diffMemProg, activateAll(cfg, 4, 0xF))
 				diffSnapshots(t, pt.name+"/scan-vs-heap", scan, heap)
+				CheckEngineDigest(t, "", digestOf(scan))
+				CheckEngineDigest(t, "", digestOf(heap))
 			})
 		}
 	}

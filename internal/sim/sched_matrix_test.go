@@ -36,6 +36,11 @@ func TestSchedulerKernelMatrix(t *testing.T) {
 				}
 				label := fmt.Sprintf("%s/%s/heap-vs-scan", name, sched)
 				diffKernelRuns(t, label, runSchedKernel(t, name, sched, true), runSchedKernel(t, name, sched, false))
+				cfg := sim.DefaultConfig(4, 8, 8)
+				cfg.Sched = sched
+				checkGoldenCell(t, name, cfg)
+				cfg.ScanSched = true
+				checkGoldenCell(t, name, cfg)
 			}
 		})
 	}

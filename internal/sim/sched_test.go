@@ -79,6 +79,8 @@ func TestSchedHeapMatchesScanOracle(t *testing.T) {
 				cfg.ScanSched = false
 				heap := runSnapshot(t, cfg, tc.prog, tc.activate(cfg))
 				diffSnapshots(t, fmt.Sprintf("%s/%s", sched, tc.name), oracle, heap)
+				CheckEngineDigest(t, "", digestOf(oracle))
+				CheckEngineDigest(t, "", digestOf(heap))
 			})
 		}
 	}
@@ -101,6 +103,8 @@ func TestSchedHighWarpDifferential(t *testing.T) {
 				cfg.ScanSched = true
 				oracle := runSnapshot(t, cfg, highWarpProg, activate(cfg))
 				diffSnapshots(t, fmt.Sprintf("%s/heap-vs-scan", sched), oracle, heap)
+				CheckEngineDigest(t, "", digestOf(oracle))
+				CheckEngineDigest(t, "", digestOf(heap))
 			}
 		})
 	}
