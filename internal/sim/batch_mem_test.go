@@ -10,8 +10,8 @@ import (
 // issuing the same load or store at the same pc — the unit-stride,
 // broadcast and per-lane arms of executeMem, coalescing, the L1/hierarchy
 // walk, MSHR allocation and LSU occupancy — held byte-identical, down to
-// individual L2 banks and DRAM channels, to the per-cycle oracles of
-// batch_test.go under every scheduler policy.
+// individual L2 banks and DRAM channels, to their frozen digests under
+// every scheduler policy.
 
 // memUnitProg: every warp streams full-mask unit-stride words — the
 // contiguous fast path. The loop reuses static offsets from a fixed base
@@ -169,8 +169,8 @@ const memNonCongruentProg = `
 	ecall
 `
 
-// TestBatchMemMatchesOracle is the core memory differential: the default
-// device against the per-cycle oracles across all scheduler policies —
+// TestBatchMemMatchesOracle is the core memory case, held to frozen digests
+// across all scheduler policies —
 // unit-stride (full, partial and mixed thread masks, each also checked
 // against its closed form), strided, overlapping stores between warps,
 // sub-word ops, per-warp strides, and the compute+memory mixes shared with
@@ -209,7 +209,7 @@ func TestBatchMemMatchesOracle(t *testing.T) {
 				if tc.warps != 0 {
 					activate = activateAll(cfg, tc.warps, tc.tmask(0))
 				}
-				got := diffBatchOracles(t, pol.String(), cfg, tc.prog, activate)
+				got := runFrozen(t, cfg, tc.prog, activate)
 				if tc.unit {
 					checkMemUnitResults(t, pol.String(), cfg, tc.tmask, got)
 				}
@@ -220,7 +220,7 @@ func TestBatchMemMatchesOracle(t *testing.T) {
 
 // TestBatchMemMSHRBound reruns the strided differential with a tight MSHR
 // bound: the structural LSU/MSHR gate must stall lockstep warps exactly
-// where it stalls them in the oracles.
+// where their frozen digests say it does.
 func TestBatchMemMSHRBound(t *testing.T) {
 	for _, pol := range SchedPolicies() {
 		t.Run(pol.String(), func(t *testing.T) {
@@ -228,23 +228,16 @@ func TestBatchMemMSHRBound(t *testing.T) {
 			cfg.Sched = pol
 			cfg.Mem.L1.MSHRs = 2
 			cfg.Mem.L2.MSHRs = 2
-			diffBatchOracles(t, pol.String(), cfg, memStridedProg, activateAll(cfg, cfg.Warps, 0xFF))
+			runFrozen(t, cfg, memStridedProg, activateAll(cfg, cfg.Warps, 0xFF))
 		})
 	}
 }
 
-// TestBatchMemUnitStrideDigest runs the unit-stride lockstep program
-// on the scan issue loop of the event engine against the ready-set/wake-heap
-// scheduler: the two issue loops must agree byte for byte, and both must
-// leave memUnitProg's closed-form memory.
+// TestBatchMemUnitStrideDigest runs the unit-stride lockstep program under
+// the rr policy: the snapshot is held to its frozen digest and to
+// memUnitProg's closed-form memory.
 func TestBatchMemUnitStrideDigest(t *testing.T) {
 	cfg := DefaultConfig(2, 8, 8)
-	activate := activateAll(cfg, cfg.Warps, 0xFF)
-	heap := runSnapshot(t, cfg, memUnitProg, activate)
-	cfg.ScanSched = true
-	scan := runSnapshot(t, cfg, memUnitProg, activate)
-	diffSnapshots(t, "scan-sched", scan, heap)
-	CheckEngineDigest(t, "", digestOf(scan))
-	CheckEngineDigest(t, "", digestOf(heap))
-	checkMemUnitResults(t, "scan-sched", cfg, func(int) uint64 { return 0xFF }, scan)
+	snap := runFrozen(t, cfg, memUnitProg, activateAll(cfg, cfg.Warps, 0xFF))
+	checkMemUnitResults(t, "rr", cfg, func(int) uint64 { return 0xFF }, snap)
 }

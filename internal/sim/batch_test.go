@@ -5,21 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-
-	"repro/internal/asm"
-	"repro/internal/mem"
 )
 
 // Lockstep-batch harness (bare-simulator level): programs that keep a whole
 // batch of warps at the same pc, issue after issue, with lane-varying data.
-// The contract under test: the default device (ready-set/wake-heap
-// scheduler on the event engine) is byte-identical in every simulated
-// observable — cycles, per-core statistics, cache/DRAM statistics, memory
-// contents, the observer stream, traps — to the legacy oracles that step
-// every warp every cycle: the tick loop under the same policy and, for the
-// policies it implements (rr, gto), the scan issue loop on the tick loop.
-// Where a program's results have a closed form, the stored values are also
-// checked against it directly.
+// Every simulated observable — cycles, per-core statistics, cache/DRAM
+// statistics, memory contents, the observer stream, traps — is held to its
+// frozen digest under every scheduling policy. Where a program's results
+// have a closed form, the stored values are also checked against it
+// directly.
 
 // batchUniformProg keeps every warp of a core in lockstep through a
 // compute-heavy loop over the fast ALU ops, the slow mul/div arm,
@@ -101,41 +95,12 @@ func checkBatchUniformResults(t *testing.T, name string, cfg Config, tmask func(
 	}
 }
 
-// batchOracleConfigs returns the oracle configurations the default device
-// running cfg is held to: the tick loop under cfg's policy, plus the scan
-// issue loop on the tick loop where the policy has a scan implementation.
-func batchOracleConfigs(cfg Config) []struct {
-	name string
-	cfg  Config
-} {
-	cfg.ScanSched = false
-	cfg.TickEngine = true
-	oracles := []struct {
-		name string
-		cfg  Config
-	}{{"tick", cfg}}
-	if cfg.Sched == SchedRoundRobin || cfg.Sched == SchedGTO {
-		cfg.ScanSched = true
-		oracles = append(oracles, struct {
-			name string
-			cfg  Config
-		}{"scan-tick", cfg})
-	}
-	return oracles
-}
-
-// diffBatchOracles runs prog on the default device for cfg's policy, diffs
-// it against every oracle of batchOracleConfigs, and returns its snapshot.
-func diffBatchOracles(t *testing.T, name string, cfg Config, prog string, activate func(*Sim) error) snapshot {
+// runFrozen runs prog on the device for cfg, holds the snapshot to the
+// test's frozen digest, and returns it.
+func runFrozen(t *testing.T, cfg Config, prog string, activate func(*Sim) error) snapshot {
 	t.Helper()
-	cfg.ScanSched, cfg.TickEngine = false, false
 	got := runSnapshot(t, cfg, prog, activate)
 	CheckEngineDigest(t, "", digestOf(got))
-	for _, o := range batchOracleConfigs(cfg) {
-		oracle := runSnapshot(t, o.cfg, prog, activate)
-		CheckEngineDigest(t, "", digestOf(oracle))
-		diffSnapshots(t, fmt.Sprintf("%s/%s-vs-event", name, o.name), oracle, got)
-	}
 	return got
 }
 
@@ -153,12 +118,11 @@ func activateMasks(cfg Config, tmask func(w int) uint64) func(*Sim) error {
 	}
 }
 
-// TestBatchMatchesUnbatchedOracle is the core lockstep differential: the
-// default device against the per-cycle oracles across all four scheduler
-// policies — on the uniform lockstep program (full, partial and per-warp
-// mixed thread masks, each also checked against its closed form) and on the
-// memory/FP/divergence programs shared with the engine harness, where the
-// warps fall in and out of step.
+// TestBatchMatchesUnbatchedOracle is the core lockstep case across all
+// four scheduler policies — on the uniform lockstep program (full, partial
+// and per-warp mixed thread masks, each also checked against its closed
+// form) and on the memory/FP/divergence programs shared with the engine
+// harness, where the warps fall in and out of step.
 func TestBatchMatchesUnbatchedOracle(t *testing.T) {
 	mixed := func(w int) uint64 {
 		if w%2 == 1 {
@@ -188,7 +152,7 @@ func TestBatchMatchesUnbatchedOracle(t *testing.T) {
 				if tc.warps != 0 {
 					activate = activateAll(cfg, tc.warps, tc.tmask(0))
 				}
-				got := diffBatchOracles(t, pol.String(), cfg, tc.prog, activate)
+				got := runFrozen(t, cfg, tc.prog, activate)
 				if tc.check {
 					checkBatchUniformResults(t, pol.String(), cfg, tc.tmask, got)
 				}
@@ -208,54 +172,24 @@ func TestBatchRotationBoundary(t *testing.T) {
 			cfg := DefaultConfig(1, 5, 8)
 			cfg.Sched = pol
 			full := func(int) uint64 { return 0xFF }
-			got := diffBatchOracles(t, pol.String(), cfg, batchUniformProg, activateMasks(cfg, full))
+			got := runFrozen(t, cfg, batchUniformProg, activateMasks(cfg, full))
 			checkBatchUniformResults(t, pol.String(), cfg, full, got)
 		})
 	}
 }
 
 // TestBatchObserverStream pins the observer contract on the lockstep
-// program: the per-issue event stream, order included, of the default
-// device must equal the scan-on-tick oracle's.
+// program: the per-issue event stream, order included, matches its frozen
+// digest.
 func TestBatchObserverStream(t *testing.T) {
-	run := func(legacy bool) []IssueEvent {
-		cfg := DefaultConfig(2, 8, 8)
-		cfg.ScanSched, cfg.TickEngine = legacy, legacy
-		p := asm.MustAssemble(batchUniformProg, 0x1000, nil)
-		memory := mem.NewMemory(1 << 20)
-		hier, err := mem.NewHierarchy(cfg.Cores, cfg.Mem)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := New(cfg, memory, hier)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.LoadProgram(p.Base, p.Insts); err != nil {
-			t.Fatal(err)
-		}
-		if err := activateAll(cfg, cfg.Warps, 0xFF)(s); err != nil {
-			t.Fatal(err)
-		}
-		var events []IssueEvent
-		s.SetObserver(func(ev IssueEvent) { events = append(events, ev) })
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return events
+	cfg := DefaultConfig(2, 8, 8)
+	s := newDiffSim(t, cfg, batchUniformProg, activateAll(cfg, cfg.Warps, 0xFF))
+	var events []IssueEvent
+	s.SetObserver(func(ev IssueEvent) { events = append(events, ev) })
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
 	}
-	oracle := run(true)
-	got := run(false)
-	CheckEngineDigest(t, "", digestOf(oracle))
-	CheckEngineDigest(t, "", digestOf(got))
-	if len(oracle) != len(got) {
-		t.Fatalf("event count differs: oracle %d, default %d", len(oracle), len(got))
-	}
-	for i := range oracle {
-		if oracle[i] != got[i] {
-			t.Fatalf("event %d differs:\noracle  %+v\ndefault %+v", i, oracle[i], got[i])
-		}
-	}
+	CheckEngineDigest(t, "", digestOf(events))
 }
 
 // batchTrapProg: lockstep compute, then every lane jumps through a
@@ -278,53 +212,25 @@ done:
 `
 
 // TestBatchTrapIdentity pins the trap contract of a lockstep batch: the
-// divergent-jalr trap — cycle, core, warp, pc, reason — of the default
-// device is byte-identical to every per-cycle oracle under every policy.
+// divergent-jalr trap — cycle, core, warp, pc, reason — is held to its
+// frozen digest under every policy.
 func TestBatchTrapIdentity(t *testing.T) {
-	run := func(cfg Config) *Trap {
-		p := asm.MustAssemble(batchTrapProg, 0x1000, nil)
-		memory := mem.NewMemory(1 << 16)
-		hier, err := mem.NewHierarchy(cfg.Cores, cfg.Mem)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := New(cfg, memory, hier)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.LoadProgram(p.Base, p.Insts); err != nil {
-			t.Fatal(err)
-		}
-		if err := activateAll(cfg, 4, 0xF)(s); err != nil {
-			t.Fatal(err)
-		}
-		err = s.Run()
-		var trap *Trap
-		if !errors.As(err, &trap) {
-			t.Fatalf("sched=%s scan=%v tick=%v: expected divergent-jalr trap, got %v",
-				cfg.Sched, cfg.ScanSched, cfg.TickEngine, err)
-		}
-		return trap
-	}
 	for _, pol := range SchedPolicies() {
 		cfg := DefaultConfig(2, 4, 4)
 		cfg.Sched = pol
-		got := run(cfg)
-		CheckEngineDigest(t, pol.String(), digestOf(*got))
-		for _, o := range batchOracleConfigs(cfg) {
-			oracle := run(o.cfg)
-			CheckEngineDigest(t, pol.String(), digestOf(*oracle))
-			if *oracle != *got {
-				t.Errorf("sched=%s: trap differs from %s oracle:\noracle  %+v\ndefault %+v", pol, o.name, oracle, got)
-			}
+		s := newDiffSim(t, cfg, batchTrapProg, activateAll(cfg, 4, 0xF))
+		var trap *Trap
+		if err := s.Run(); !errors.As(err, &trap) {
+			t.Fatalf("sched=%s: expected divergent-jalr trap, got %v", pol, err)
 		}
+		CheckEngineDigest(t, pol.String(), digestOf(*trap))
 	}
 }
 
 // batchEarlyExitProg: warp 0 leaves the lockstep batch mid-stream through a
 // warp-uniform branch and a jalr while the other warps keep computing; the
 // run completes, so full snapshots — including every warp's stored result
-// at 0x8000 + wid<<6 + tid<<2 — must match the oracles.
+// at 0x8000 + wid<<6 + tid<<2 — must match their frozen digests.
 const batchEarlyExitProg = `
 	csrr s1, wid
 	csrr t0, tid
@@ -363,7 +269,7 @@ func TestBatchMateEarlyExit(t *testing.T) {
 		t.Run(pol.String(), func(t *testing.T) {
 			cfg := DefaultConfig(1, 4, 4)
 			cfg.Sched = pol
-			got := diffBatchOracles(t, pol.String(), cfg, batchEarlyExitProg, activateAll(cfg, 4, 0xF))
+			got := runFrozen(t, cfg, batchEarlyExitProg, activateAll(cfg, 4, 0xF))
 			// Warp 0 stores loopA's sum 12*tid.
 			for lane := 0; lane < 4; lane++ {
 				v := binary.LittleEndian.Uint32(got.memData[lane<<2:])
@@ -399,38 +305,22 @@ const batchX0Prog = `
 	ecall
 `
 
-// TestBatchRdX0 runs an x0-destination lockstep batch and checks snapshot
-// identity with the oracles, the stored results, and that x0 stayed
+// TestBatchRdX0 runs an x0-destination lockstep batch and checks the
+// snapshot's frozen digest, the stored results, and that x0 stayed
 // architecturally zero in every lane.
 func TestBatchRdX0(t *testing.T) {
 	cfg := DefaultConfig(1, 4, 4)
-	activate := activateAll(cfg, 4, 0xF)
-	want := diffBatchOracles(t, "rd-x0", cfg, batchX0Prog, activate)
-	p := asm.MustAssemble(batchX0Prog, 0x1000, nil)
-	memory := mem.NewMemory(1 << 20)
-	hier, err := mem.NewHierarchy(cfg.Cores, cfg.Mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(cfg, memory, hier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.LoadProgram(p.Base, p.Insts); err != nil {
-		t.Fatal(err)
-	}
-	if err := activate(s); err != nil {
-		t.Fatal(err)
-	}
+	s := newDiffSim(t, cfg, batchX0Prog, activateAll(cfg, 4, 0xF))
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	got := takeSnapshot(s, hier, cfg.Cores)
-	got.memData, err = memory.ReadBytes(0x8000, 1<<16)
-	if err != nil {
+	memory := s.Memory()
+	got := takeSnapshot(s, s.Hierarchy(), cfg.Cores)
+	var err error
+	if got.memData, err = memory.ReadBytes(0x8000, 1<<16); err != nil {
 		t.Fatal(err)
 	}
-	diffSnapshots(t, "rd-x0/rerun", want, got)
+	CheckEngineDigest(t, "", digestOf(got))
 	for w := 0; w < 4; w++ {
 		for lane := 0; lane < 4; lane++ {
 			v, err := s.Reg(0, w, lane, 0)

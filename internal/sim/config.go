@@ -21,8 +21,8 @@ import (
 )
 
 // SchedPolicy selects the warp scheduling policy of a core. The policies
-// themselves (issue-priority semantics, the ready-set/wake-heap engine that
-// drives them, and the legacy scan oracle) live in sched.go.
+// themselves (issue-priority semantics and the ready-set/wake-heap engine
+// that drives them) live in sched.go.
 type SchedPolicy uint8
 
 const (
@@ -99,22 +99,6 @@ type Config struct {
 	Lat   Latencies
 	Sched SchedPolicy
 
-	// ScanSched selects the legacy O(Warps) scan issue loop instead of the
-	// ready-set/wake-heap scheduler engine. The scan implements only the
-	// rr and gto policies and is retained as the differential-test oracle
-	// (the heap engine is byte-identical to it; see internal/sim/README.md).
-	ScanSched bool
-
-	// TickEngine selects the legacy per-cycle tick loop instead of the
-	// event-driven device engine (event.go): every cycle visits every core
-	// with active warps, if only to account a stall and min-reduce its wake
-	// time. The tick loop is retained as the differential-test oracle — the
-	// event engine is byte-identical to it in every simulated observable
-	// (device cycles, statistics, stall attribution, observer stream; see
-	// internal/sim/README.md) — and composes with every scheduler policy
-	// and ScanSched.
-	TickEngine bool
-
 	// LSUPorts is the number of cache-line requests the load-store unit
 	// can issue per cycle (the banked L1 of Vortex services lanes hitting
 	// distinct banks in parallel). Uncoalesced warp accesses occupy the
@@ -159,9 +143,6 @@ func (c Config) Validate() error {
 	}
 	if _, err := ParseSchedPolicy(c.Sched.String()); err != nil {
 		return err
-	}
-	if c.ScanSched && c.Sched != SchedRoundRobin && c.Sched != SchedGTO {
-		return fmt.Errorf("sim: the scan-oracle issue loop implements only rr and gto, not %s", c.Sched)
 	}
 	if c.Lat == (Latencies{}) {
 		return fmt.Errorf("sim: zero latencies; use DefaultLatencies")

@@ -2,24 +2,11 @@ package sim
 
 import "fmt"
 
-// This file implements the event-driven device engine: the default
-// replacement for the per-cycle tick loop of sim.go.
-//
-// PR 5's scheduler subsystem already computes, on every failed issue
-// attempt, the earliest cycle a core can possibly issue again
-// (simCore.nextWake, from the per-warp stall records). The tick loop throws
-// that knowledge away at device level: every cycle it still visits every
-// core with active warps, if only to charge one stall cycle and min-reduce
-// nextWake, and it fast-forwards only when *zero* cores issued. On
-// DRAM-bound many-core configurations — the regime the paper's
-// characterization sweeps live in — almost every visit is such a bookkeeping
-// touch: one core issues while the rest sleep out a miss for hundreds of
-// cycles, so the tick engine pays O(total cores) per cycle for O(ready
-// cores) of real work.
-//
-// The event engine lifts the wake knowledge into a device-level core wake
-// queue (eventQueue) so a cycle touches only the cores that are actually
-// due:
+// This file implements the device engine. On every failed issue attempt
+// the scheduler (sched.go) computes the earliest cycle the core can possibly
+// issue again (simCore.nextWake, from the per-warp stall records). The
+// engine lifts that knowledge into a device-level core wake queue
+// (eventQueue), so a cycle touches only the cores that are due:
 //
 //   - heap: a (wake cycle, core id) min-heap of sleeping cores, exactly the
 //     per-core analogue of the per-warp wake heap;
@@ -34,20 +21,21 @@ import "fmt"
 // Every core with active warps is in exactly one of the three containers,
 // and a queued core's state cannot change from outside: warp activation
 // (vx_wspawn) and barrier release only ever touch the executing core, so
-// sleeping cores stay asleep until their key expires.
+// sleeping cores stay asleep until their key expires. Due cores are visited
+// in ascending core id; when no core issued, the cycle jumps to the heap
+// minimum.
 //
-// Stall attribution is lazy. The tick loop charges each non-issuing core
-// one stall cycle per visited cycle, split MemStall/ExecStall by the core's
-// blockMem attribution — which issue() fixes at the failed attempt and which
-// cannot change while the core sleeps (the per-warp stall records are only
-// rewritten when the core itself issues). The event engine therefore records
-// only the span start (simCore.stallFrom) when a core goes to sleep and
-// settles the whole span through accountStall when the core is next touched
-// (flushStall) or when the run ends abnormally (flushTrapStalls /
-// flushAllStalls). Summed over a sleep span [T0, W) this reproduces the tick
-// loop's per-cycle accounting byte-identically, including the partial-skip
-// case the old no-issue fast-forward never reached: one core issuing every
-// cycle while the others sleep for hundreds.
+// Stall attribution contract: every cycle on which a core with active warps
+// does not issue is one stall cycle of that core, charged to MemStall or
+// ExecStall by the core's blockMem — which the failed attempt fixes and
+// which cannot change while the core sleeps (the per-warp stall records are
+// only rewritten when the core itself issues). So on a core that runs to
+// completion, Issued + MemStall + ExecStall equals the cycles it had active
+// warps. The engine records only the span start (simCore.stallFrom) when a
+// core goes to sleep and settles the whole span through accountStall when
+// the core is next due (flushStall). A run that ends abnormally settles
+// every pending span at the trap or deadline (flushTrapStalls,
+// flushAllStalls) with the boundaries documented there.
 
 // coreEvent is one sleeping core in a device event queue, keyed by the
 // earliest cycle its scheduler can issue again.
@@ -73,8 +61,7 @@ type eventQueue struct {
 // init loads every core into the queue at the run's start cycle. Cores
 // woken by a previous launch's ActivateWarp are due immediately; a core
 // still sleeping out a previous launch's stall keeps its wake key, with the
-// pending span starting at the current cycle (the tick loop, too, only
-// charges it from here on).
+// pending span starting at the current cycle.
 func (q *eventQueue) init(s *Sim, cycle uint64) {
 	q.heap = q.heap[:0]
 	q.running = q.running[:0]
@@ -139,9 +126,8 @@ func (q *eventQueue) pop() coreEvent {
 
 // collectDue gathers the cores due at cycle — last cycle's issuers plus
 // every heap entry whose wake time has arrived — merged in ascending core
-// order. That order is load-bearing: it is the order the tick loop visits
-// cores, so it fixes both the interleaving of same-cycle shared-memory
-// accesses and the observer stream. Both inputs are already ascending: the
+// order. That order is load-bearing: it fixes both the interleaving of
+// same-cycle shared-memory accesses and the observer stream. Both inputs are already ascending: the
 // running list is appended in due-processing order, and the heap never
 // holds an entry with at < cycle (every cycle's due entries are drained
 // before the cycle advances), so a cycle's pops all share one key and come
@@ -171,9 +157,9 @@ func (q *eventQueue) collectDue(cycle uint64) []int32 {
 }
 
 // flushStall settles a core's pending stall span through the cycle before
-// the current one — exactly the cycles the tick loop has charged, one by
-// one, by the time it re-attempts the core. Called when a core is popped
-// due; the abnormal-exit paths use flushTrapStalls/flushAllStalls instead.
+// the current one, the cycle it is re-attempted on. Called when a core is
+// popped due; the abnormal-exit paths use flushTrapStalls/flushAllStalls
+// instead.
 func (s *Sim) flushStall(c *simCore) {
 	if c.stallFrom < s.cycle {
 		s.accountStall(c, s.cycle-c.stallFrom)
@@ -190,9 +176,9 @@ func (s *Sim) flushStallUpto(c *simCore, upto uint64) {
 }
 
 // flushTrapStalls settles every pending stall span at an execution trap
-// raised by trapCore at the current cycle. The tick loop visits cores in
-// ascending order and stops at the trapping core, so cores below it have
-// been charged through the trap cycle inclusive and cores at or above it
+// raised by trapCore at the current cycle. Due cores are visited in
+// ascending order and the visit stops at the trapping core, so cores below
+// it are charged through the trap cycle inclusive and cores at or above it
 // only through the previous cycle.
 func (s *Sim) flushTrapStalls(trapCore int) {
 	for i := range s.cores {
@@ -209,9 +195,9 @@ func (s *Sim) flushTrapStalls(trapCore int) {
 }
 
 // flushAllStalls settles every pending stall span through upto-1: the
-// current cycle inclusive at a deadlock trap (upto = cycle+1, the tick
-// loop charges parked cores on the trap cycle before classifying it), and
-// the pre-advance cycle at the MaxCycles deadline (upto = cycle).
+// current cycle inclusive at a deadlock trap (upto = cycle+1: the parked
+// cores stalled on the trap cycle too), and the pre-advance cycle at the
+// MaxCycles deadline (upto = cycle).
 func (s *Sim) flushAllStalls(upto uint64) {
 	for i := range s.cores {
 		c := &s.cores[i]
@@ -221,27 +207,9 @@ func (s *Sim) flushAllStalls(upto uint64) {
 	}
 }
 
-// jumpTo fast-forwards a no-issue tick cycle to the next wake event,
-// attributing the skipped cycles to each active core's standing stall
-// reason (each stalled core was already charged 1 for the current cycle by
-// the visit that failed or skipped it). It is the eager twin of flushStall,
-// which reproduces the same accounting lazily for the event engine.
-func (s *Sim) jumpTo(minWake uint64) {
-	if delta := minWake - s.cycle; delta > 1 {
-		for i := range s.cores {
-			c := &s.cores[i]
-			if c.active > 0 {
-				s.accountStall(c, delta-1)
-			}
-		}
-	}
-	s.cycle = minWake
-}
-
-// runEvent is the event-driven device engine: per cycle it touches only the
-// cores due now, advances to the queue's next wake when nothing issued, and
-// settles stall spans lazily. Byte-identical to runTick in every simulated
-// observable.
+// runEvent is the device engine: per cycle it touches only the cores due
+// now, advances to the queue's next wake when nothing issued, and settles
+// stall spans lazily.
 func (s *Sim) runEvent() error {
 	limit := s.cfg.MaxCycles
 	if limit == 0 {
@@ -259,13 +227,13 @@ func (s *Sim) runEvent() error {
 		for _, ci := range due {
 			c := &s.cores[ci]
 			if c.active == 0 {
-				// Retired since it last issued; it leaves the queue and, like
-				// under the tick loop, is never visited (or charged) again.
+				// Retired since it last issued; it leaves the queue and is
+				// never visited (or charged) again.
 				q.live--
 				continue
 			}
 			s.flushStall(c)
-			issued, wake, err := s.issue(c)
+			issued, wake, err := s.issueHeap(c)
 			if err != nil {
 				s.flushTrapStalls(int(ci))
 				return err

@@ -1,42 +1,32 @@
 package sim_test
 
-// Kernel-level half of the engine differential harness: every registry
-// kernel, run end-to-end through the OpenCL-style runtime, on the
-// event-driven device engine (the default) must produce byte-identical
-// launch reports — including the MemStall/ExecStall/IdleAfterEnd
-// attribution — and memory-system state to the legacy tick loop retained
-// behind Config.TickEngine.
+// Kernel-level half of the engine harness: every registry kernel, run
+// end-to-end through the OpenCL-style runtime on the event-driven device
+// engine, is held to its golden_digests.json cell — launch cycles, the
+// MemStall/ExecStall/IdleAfterEnd attribution, memory-system state and the
+// observer stream — with its output verified against the CPU reference.
 //
 // internal/sim/event_test.go pins the same property at the bare-simulator
 // level (including deadlocks, the deadline and the observer stream).
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/kernels"
 	"repro/internal/sim"
 )
 
-func runEngineKernel(t *testing.T, name string, tick bool) kernelRun {
-	t.Helper()
-	cfg := sim.DefaultConfig(4, 8, 8)
-	cfg.TickEngine = tick
-	return runMatrixKernelCfg(t, name, cfg, fmt.Sprintf("tick=%v", tick))
-}
+// cheapMatrixKernels are the registry kernels the matrices still run under
+// -short.
+var cheapMatrixKernels = map[string]bool{"vecadd": true, "relu": true, "saxpy": true}
 
 func TestEventEngineKernelMatrix(t *testing.T) {
 	for _, name := range kernels.Names() {
-		name := name
 		t.Run(name, func(t *testing.T) {
 			if testing.Short() && !cheapMatrixKernels[name] {
 				t.Skip("short mode: engine matrix runs the cheap kernels only")
 			}
-			diffKernelRuns(t, name+"/tick-vs-event", runEngineKernel(t, name, true), runEngineKernel(t, name, false))
-			cfg := sim.DefaultConfig(4, 8, 8)
-			checkGoldenCell(t, name, cfg)
-			cfg.TickEngine = true
-			checkGoldenCell(t, name, cfg)
+			checkGoldenCell(t, name, sim.DefaultConfig(4, 8, 8))
 		})
 	}
 }

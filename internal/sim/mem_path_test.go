@@ -59,31 +59,19 @@ const memTrapProg = `
 // TestMemTrapNoPartialMutation pins the validate-before-mutate contract of
 // executeMem: a store warp that traps on a later lane must leave memory
 // untouched — including the earlier lanes that individually were in bounds
-// — identically under both engines, with byte-identical trap records, for
-// one warp and for several warps at the same pc.
+// — with the trap record held to its frozen digest, for one warp and for
+// several warps at the same pc.
 func TestMemTrapNoPartialMutation(t *testing.T) {
-	run := func(tick bool, warps int) *Trap {
-		t.Helper()
-		cfg := DefaultConfig(1, 4, 4)
-		cfg.TickEngine = tick
-		s, memory := newWhiteboxSim(t, cfg, memTrapProg, warps, 0x3)
-		err := s.Run()
+	for _, warps := range []int{1, 4} {
+		s, memory := newWhiteboxSim(t, DefaultConfig(1, 4, 4), memTrapProg, warps, 0x3)
 		var trap *Trap
-		if !errors.As(err, &trap) {
-			t.Fatalf("tick=%v warps=%d: expected out-of-bounds trap, got %v", tick, warps, err)
+		if err := s.Run(); !errors.As(err, &trap) {
+			t.Fatalf("warps=%d: expected out-of-bounds trap, got %v", warps, err)
 		}
 		if v, _ := memory.Read32(0x8000); v != 0 {
-			t.Fatalf("tick=%v warps=%d: lane 0 store committed (%#x) despite lane 1 trap", tick, warps, v)
+			t.Fatalf("warps=%d: lane 0 store committed (%#x) despite lane 1 trap", warps, v)
 		}
-		return trap
-	}
-	for _, warps := range []int{1, 4} {
-		event, tick := run(false, warps), run(true, warps)
-		CheckEngineDigest(t, fmt.Sprintf("warps=%d", warps), digestOf(*tick))
-		CheckEngineDigest(t, fmt.Sprintf("warps=%d", warps), digestOf(*event))
-		if *event != *tick {
-			t.Errorf("warps=%d: trap differs between engines:\nevent %+v\ntick  %+v", warps, event, tick)
-		}
+		CheckEngineDigest(t, fmt.Sprintf("warps=%d", warps), digestOf(*trap))
 	}
 }
 

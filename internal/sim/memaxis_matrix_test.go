@@ -1,11 +1,11 @@
 package sim_test
 
-// Kernel-level half of the memory-axis differential harness: registry
-// kernels run end-to-end through the OpenCL-style runtime at non-default
-// memory grid points (MSHR bound, L1 geometry, next-line prefetch). At each
-// point the tick loop is the oracle; the event engine must produce
-// byte-identical launch reports and memory-system state, prefetch counters
-// included.
+// Kernel-level half of the memory-axis harness: registry kernels run
+// end-to-end through the OpenCL-style runtime at non-default memory grid
+// points (MSHR bound, L1 geometry, next-line prefetch), each held to its
+// frozen digest in testdata/engine_digests.json — launch cycles, stall
+// attribution, memory-system state with the prefetch counters, and the
+// observer stream.
 // internal/sim/memaxis_test.go pins the same property at the bare-sim
 // level; internal/sweep/mem_axis_test.go at sweep-record level.
 
@@ -50,13 +50,6 @@ func memMatrixConfig(t *testing.T, pt int) sim.Config {
 	return cfg
 }
 
-func runMemAxisKernel(t *testing.T, name string, pt int, tick bool) kernelRun {
-	t.Helper()
-	cfg := memMatrixConfig(t, pt)
-	cfg.TickEngine = tick
-	return runMatrixKernelCfg(t, name, cfg, fmt.Sprintf("%s tick=%v", memMatrixPoints[pt].name, tick))
-}
-
 func TestMemAxisKernelMatrix(t *testing.T) {
 	kernels := []string{"vecadd", "saxpy", "sgemm"}
 	if testing.Short() {
@@ -65,12 +58,7 @@ func TestMemAxisKernelMatrix(t *testing.T) {
 	for _, name := range kernels {
 		for pt := range memMatrixPoints {
 			t.Run(fmt.Sprintf("%s/%s", name, memMatrixPoints[pt].name), func(t *testing.T) {
-				diffKernelRuns(t, name+"/tick-vs-event", runMemAxisKernel(t, name, pt, true), runMemAxisKernel(t, name, pt, false))
-				cfg := memMatrixConfig(t, pt)
-				cfg.TickEngine = true
-				sim.CheckEngineDigest(t, "", kernelDigest(t, name, cfg))
-				cfg.TickEngine = false
-				sim.CheckEngineDigest(t, "", kernelDigest(t, name, cfg))
+				sim.CheckEngineDigest(t, "", kernelDigest(t, name, memMatrixConfig(t, pt)))
 			})
 		}
 	}

@@ -1,13 +1,12 @@
 package sim
 
-// Bare-simulator half of the memory-axis differential harness: the three
-// memory-side grid axes (per-core/per-bank MSHR bound, L1 geometry, L1
-// next-line prefetch) must compose with every execution engine without
-// breaking the determinism contract. For each non-default memory point the
-// tick loop is the oracle and the event engine must be byte-identical in
-// every simulated observable — cycles, per-core counters, per-level cache
-// stats including the prefetch counters, per-bank/per-channel stats, memory
-// contents. The kernel-level matrix lives in memaxis_matrix_test.go; the
+// Bare-simulator half of the memory-axis harness: the three memory-side
+// grid axes (per-core/per-bank MSHR bound, L1 geometry, L1 next-line
+// prefetch) compose with every scheduling policy without breaking the
+// determinism contract. Each non-default memory point is held to its frozen
+// digest in every simulated observable — cycles, per-core counters,
+// per-level cache stats including the prefetch counters,
+// per-bank/per-channel stats, memory contents. The kernel-level matrix lives in memaxis_matrix_test.go; the
 // sweep-record identity in internal/sweep/mem_axis_test.go.
 
 import (
@@ -51,43 +50,26 @@ func (pt memAxisPoint) apply(cfg Config) Config {
 	return cfg
 }
 
-// TestMemAxisEngineDifferential diffs, at every non-default memory point,
-// the event engine against the tick oracle, under both a scan-implemented
-// and a heap-only scheduler.
+// TestMemAxisEngineDifferential holds the engine, at every non-default
+// memory point, to its frozen digest under an rr and a 2lev scheduler.
 func TestMemAxisEngineDifferential(t *testing.T) {
-	for _, pt := range memAxisPoints() {
-		for _, sched := range []SchedPolicy{SchedRoundRobin, SchedTwoLevel} {
-			t.Run(fmt.Sprintf("%s/%s", pt.name, sched), func(t *testing.T) {
-				cfg := pt.apply(DefaultConfig(4, 4, 4))
-				cfg.Sched = sched
-				cfg.TickEngine = true
-				oracle := runSnapshot(t, cfg, diffMemProg, activateAll(cfg, 4, 0xF))
-				cfg.TickEngine = false
-				ev := runSnapshot(t, cfg, diffMemProg, activateAll(cfg, 4, 0xF))
-				diffSnapshots(t, pt.name+"/tick-vs-event", oracle, ev)
-				CheckEngineDigest(t, "", digestOf(oracle))
-				CheckEngineDigest(t, "", digestOf(ev))
-			})
-		}
-	}
+	checkMemAxisPoints(t, SchedRoundRobin, SchedTwoLevel)
 }
 
-// TestMemAxisScanOracle pins that the memory axes compose with the legacy
-// scan issue loop: heap and scan runs at the same memory point are
-// byte-identical for the policies both implement.
+// TestMemAxisScanOracle does the same under the rr and gto schedulers.
 func TestMemAxisScanOracle(t *testing.T) {
+	checkMemAxisPoints(t, SchedRoundRobin, SchedGTO)
+}
+
+// checkMemAxisPoints runs diffMemProg at every memory point under each
+// policy and holds the snapshot to its frozen digest.
+func checkMemAxisPoints(t *testing.T, policies ...SchedPolicy) {
 	for _, pt := range memAxisPoints() {
-		for _, sched := range []SchedPolicy{SchedRoundRobin, SchedGTO} {
+		for _, sched := range policies {
 			t.Run(fmt.Sprintf("%s/%s", pt.name, sched), func(t *testing.T) {
 				cfg := pt.apply(DefaultConfig(4, 4, 4))
 				cfg.Sched = sched
-				cfg.ScanSched = true
-				scan := runSnapshot(t, cfg, diffMemProg, activateAll(cfg, 4, 0xF))
-				cfg.ScanSched = false
-				heap := runSnapshot(t, cfg, diffMemProg, activateAll(cfg, 4, 0xF))
-				diffSnapshots(t, pt.name+"/scan-vs-heap", scan, heap)
-				CheckEngineDigest(t, "", digestOf(scan))
-				CheckEngineDigest(t, "", digestOf(heap))
+				CheckEngineDigest(t, "", digestOf(runSnapshot(t, cfg, diffMemProg, activateAll(cfg, 4, 0xF))))
 			})
 		}
 	}
@@ -123,7 +105,7 @@ loop:
 
 // TestMSHRBoundDiverges is the axis sanity check: a tight MSHR bound must
 // slow the memory-heavy differential program down relative to the
-// unbounded oracle — if it never does, the gate is dead code — while
+// unbounded default — if it never does, the gate is dead code — while
 // leaving the functional results (memory contents) and the demand traffic
 // (accesses, misses) untouched.
 func TestMSHRBoundDiverges(t *testing.T) {

@@ -14,8 +14,8 @@ package sim
 // the ready set, then let the configured policy (pick) choose candidates
 // from the ready set until one issues. A candidate that turns out stalled
 // migrates ready -> heap in O(log Warps); warps the heap holds are never
-// touched, so an issue cycle costs O(ready warps), not O(Warps) — the win
-// over the legacy scan loop at high warp counts. The invariant maintained by
+// touched, so an issue cycle costs O(ready warps), not O(Warps). The
+// invariant maintained by
 // this file and the transition hooks in exec.go/sim.go:
 //
 //     a warp is active && !barWait  <=>  it is in exactly one of
@@ -27,11 +27,6 @@ package sim
 // stalled warp's scoreboard wake time cannot change while it is stalled
 // (pending completions are only written when the warp itself issues), the
 // scoreboard keys are exact and a warp never wakes late.
-//
-// The legacy O(Warps) scan loop (sim.go issueScan) is retained behind
-// Config.ScanSched as the differential-test oracle: for the rr and gto
-// policies the two engines are byte-identical in every simulated observable
-// (cycles, statistics, stall attribution, architectural state).
 
 import "math/bits"
 
@@ -74,8 +69,7 @@ func (s *Sim) issued(c *simCore, wid int) {
 
 // scanStart anchors the circular stall-attribution fold run when no warp
 // can issue (see stallOutcome): the fold visits warps in ascending wid
-// order starting here, which for rr/gto reproduces the legacy scan's visit
-// order exactly.
+// order starting here, the policy's priority origin.
 func (s *Sim) scanStart(c *simCore) int {
 	switch s.cfg.Sched {
 	case SchedGTO:
@@ -92,8 +86,8 @@ func (s *Sim) scanStart(c *simCore) int {
 }
 
 // circNext returns the lowest set bit of mask at or after start, wrapping
-// to the lowest set bit overall when none — the circular scan order both
-// legacy policies use. mask must be non-zero; start may equal the warp
+// to the lowest set bit overall when none — the circular scan order of rr
+// and gto. mask must be non-zero; start may equal the warp
 // count (a fresh rr pointer past the last warp wraps naturally).
 func circNext(mask uint64, start int) int {
 	if hi := mask >> uint(start); hi != 0 {
@@ -224,9 +218,7 @@ func (c *simCore) resetSched() {
 // issueHeap attempts to issue one instruction on core c at the current
 // cycle using the ready-set/wake-heap engine. It returns whether an
 // instruction issued and, if not, the earliest cycle the core might become
-// ready — byte-identical in every simulated observable to the legacy scan
-// loop (issueScan) for the policies both implement. Every issue goes
-// through execute, one warp at a time.
+// ready. Every issue goes through execute, one warp at a time.
 func (s *Sim) issueHeap(c *simCore) (bool, uint64, error) {
 	if h := c.wakeHeap; len(h) > 0 && h[0].at <= s.cycle {
 		c.wakeWarps(s.cycle)
@@ -270,11 +262,13 @@ func (s *Sim) issueHeap(c *simCore) (bool, uint64, error) {
 // stallOutcome computes a failed issue attempt's result — the earliest wake
 // cycle and the core's dominant stall attribution (c.blockMem) — from the
 // per-warp stall records. Every active non-barrier warp is heap-resident
-// with its record written at this point, and the fold visits them in a circular
-// scan from the policy's priority origin, reproducing the legacy scan's
-// accumulation (and therefore its MemStall/ExecStall split) byte-exactly
-// for rr and gto. noWake comes back when only barrier waiters remain (no
-// timed event exists).
+// with its record written at this point. The fold visits them in a
+// circular scan from the policy's priority origin (scanStart): the wake is
+// the earliest record, and the stall counts as memory-bound when the first
+// warp to reach that earliest wake waits on a memory op or longer than the
+// longest FU latency, or when any warp visited after it waits longer than
+// that. noWake comes back when only barrier waiters remain (no timed event
+// exists).
 func (s *Sim) stallOutcome(c *simCore) uint64 {
 	n := len(c.warps)
 	start := s.scanStart(c)

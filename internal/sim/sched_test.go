@@ -10,16 +10,14 @@ import (
 	"repro/internal/mem"
 )
 
-// This file pins the scheduler subsystem (sched.go): heap-vs-scan-oracle
-// byte-identity for the policies both engines implement, determinism and
-// functional equivalence of the heap-only policies, the ready/sleep set
-// invariant and both deadlockTrap diagnostics. The kernel-level heap-vs-scan
-// matrix lives in sched_matrix_test.go.
+// This file pins the scheduler subsystem (sched.go): frozen digests for rr
+// and gto, determinism and functional equivalence of every policy, the
+// ready/sleep set invariant and both deadlockTrap diagnostics. The
+// kernel-level matrix lives in sched_matrix_test.go.
 
 // highWarpProg is a strided load/store loop laid out for up to 64 warps of
 // up to 4 cores without cross-core overlap (cid<<16, wid<<10, tid<<6),
-// so runs stay race-free at the high warp counts where the two issue
-// engines diverge most in cost.
+// so runs stay race-free at high warp counts.
 const highWarpProg = `
 	csrr s0, cid
 	slli s0, s0, 16
@@ -63,33 +61,25 @@ func schedDiffCases() []struct {
 }
 
 // TestSchedHeapMatchesScanOracle is the bare-simulator half of the
-// scheduler differential: for the rr and gto policies the
-// ready-set/wake-heap engine must be byte-identical — cycles, per-core
-// counters (including the MemStall/ExecStall attribution), cache and DRAM
-// statistics, memory contents — to the legacy scan loop retained behind
-// Config.ScanSched.
+// scheduler harness: under the rr and gto policies the ready-set/wake-heap
+// engine is held to its frozen digest — cycles, per-core counters
+// (including the MemStall/ExecStall attribution), cache and DRAM
+// statistics, memory contents.
 func TestSchedHeapMatchesScanOracle(t *testing.T) {
 	for _, sched := range []SchedPolicy{SchedRoundRobin, SchedGTO} {
 		for _, tc := range schedDiffCases() {
 			t.Run(fmt.Sprintf("%s/%s", sched, tc.name), func(t *testing.T) {
 				cfg := DefaultConfig(4, 4, 4)
 				cfg.Sched = sched
-				cfg.ScanSched = true
-				oracle := runSnapshot(t, cfg, tc.prog, tc.activate(cfg))
-				cfg.ScanSched = false
-				heap := runSnapshot(t, cfg, tc.prog, tc.activate(cfg))
-				diffSnapshots(t, fmt.Sprintf("%s/%s", sched, tc.name), oracle, heap)
-				CheckEngineDigest(t, "", digestOf(oracle))
-				CheckEngineDigest(t, "", digestOf(heap))
+				CheckEngineDigest(t, "", digestOf(runSnapshot(t, cfg, tc.prog, tc.activate(cfg))))
 			})
 		}
 	}
 }
 
-// TestSchedHighWarpDifferential runs the scheduler differential at the
-// warp count the wake heap exists for: 32 warps per core. rr and gto are
-// diffed against the scan oracle; every policy, including the heap-only
-// ones the scan loop does not implement, must reproduce itself run to run.
+// TestSchedHighWarpDifferential runs the scheduler at the warp count the
+// wake heap exists for: 32 warps per core. Every policy must reproduce
+// itself run to run; rr and gto are also held to their frozen digests.
 func TestSchedHighWarpDifferential(t *testing.T) {
 	activate := func(cfg Config) func(*Sim) error { return activateAll(cfg, 32, 0x3) }
 	for _, sched := range SchedPolicies() {
@@ -100,10 +90,6 @@ func TestSchedHighWarpDifferential(t *testing.T) {
 			again := runSnapshot(t, cfg, highWarpProg, activate(cfg))
 			diffSnapshots(t, fmt.Sprintf("%s/rerun", sched), heap, again)
 			if sched == SchedRoundRobin || sched == SchedGTO {
-				cfg.ScanSched = true
-				oracle := runSnapshot(t, cfg, highWarpProg, activate(cfg))
-				diffSnapshots(t, fmt.Sprintf("%s/heap-vs-scan", sched), oracle, heap)
-				CheckEngineDigest(t, "", digestOf(oracle))
 				CheckEngineDigest(t, "", digestOf(heap))
 			}
 		})
@@ -191,40 +177,20 @@ wait:
 `
 
 // TestDeadlockTrapBarrierNeverFills drives the first deadlockTrap variant
-// end-to-end through both issue engines: a warp parked on a barrier that
-// can never fill must trap with the barrier diagnostic and the waiting
-// warp's coordinates.
+// end-to-end: a warp parked on a barrier that can never fill must trap with
+// the barrier diagnostic and the waiting warp's coordinates.
 func TestDeadlockTrapBarrierNeverFills(t *testing.T) {
-	for _, scan := range []bool{false, true} {
-		name := fmt.Sprintf("scan=%v", scan)
-		cfg := DefaultConfig(2, 2, 2)
-		cfg.ScanSched = scan
-		p := asm.MustAssemble(deadlockBarrierProg, 0x1000, nil)
-		memory := mem.NewMemory(1 << 16)
-		hier, err := mem.NewHierarchy(cfg.Cores, cfg.Mem)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := New(cfg, memory, hier)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.LoadProgram(p.Base, p.Insts); err != nil {
-			t.Fatal(err)
-		}
-		if err := activateAll(cfg, 2, 0x3)(s); err != nil {
-			t.Fatal(err)
-		}
-		trap, ok := s.Run().(*Trap)
-		if !ok {
-			t.Fatalf("%s: want a deadlock *Trap, got %v", name, trap)
-		}
-		if !strings.Contains(trap.Reason, "barrier that can never fill") {
-			t.Errorf("%s: trap reason %q, want the barrier diagnostic", name, trap.Reason)
-		}
-		if trap.Warp != 1 {
-			t.Errorf("%s: trap names warp %d, want the waiting warp 1", name, trap.Warp)
-		}
+	cfg := DefaultConfig(2, 2, 2)
+	s := newDiffSim(t, cfg, deadlockBarrierProg, activateAll(cfg, 2, 0x3))
+	trap, ok := s.Run().(*Trap)
+	if !ok {
+		t.Fatal("want a deadlock *Trap")
+	}
+	if !strings.Contains(trap.Reason, "barrier that can never fill") {
+		t.Errorf("trap reason %q, want the barrier diagnostic", trap.Reason)
+	}
+	if trap.Warp != 1 {
+		t.Errorf("trap names warp %d, want the waiting warp 1", trap.Warp)
 	}
 }
 
@@ -260,22 +226,19 @@ func TestParseSchedPolicy(t *testing.T) {
 	}
 }
 
-// TestValidateSchedulerConstraints pins the two structural limits the
-// scheduler subsystem introduces: the 64-warp ready-mask width and the
-// scan oracle's restriction to the policies it implements.
+// TestValidateSchedulerConstraints pins the structural limit the
+// scheduler subsystem introduces, the 64-warp ready-mask width, and that
+// every policy validates.
 func TestValidateSchedulerConstraints(t *testing.T) {
 	cfg := DefaultConfig(1, 65, 2)
 	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "64") {
 		t.Errorf("Validate(65 warps) = %v, want the warp-mask width error", err)
 	}
-	cfg = DefaultConfig(1, 2, 2)
-	cfg.Sched = SchedOldestFirst
-	cfg.ScanSched = true
-	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "scan") {
-		t.Errorf("Validate(ScanSched+oldest) = %v, want the scan-oracle restriction", err)
-	}
-	cfg.ScanSched = false
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("Validate(heap+oldest) = %v, want ok", err)
+	for _, p := range SchedPolicies() {
+		cfg = DefaultConfig(1, 64, 2)
+		cfg.Sched = p
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Validate(64 warps, %s) = %v, want ok", p, err)
+		}
 	}
 }

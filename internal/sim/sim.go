@@ -98,14 +98,14 @@ type simCore struct {
 
 	lsuFree uint64
 	// mshr holds the completion cycles of the core's outstanding L1 misses
-	// when Config.Mem.L1.MSHRs bounds them (unused when unbounded, the
-	// oracle). An entry is live while its cycle lies in the future; retired
-	// entries are purged lazily by mshrFreeAt during issue.
+	// when Config.Mem.L1.MSHRs bounds them (unused when unbounded). An
+	// entry is live while its cycle lies in the future; retired entries are
+	// purged lazily by mshrFreeAt during issue.
 	mshr     []uint64
 	nextWake uint64
 	active   int // number of active (incl. barrier-waiting) warps
 	barriers [maxBarriers]barrier
-	blockMem bool // dominant stall reason of the last failed scan
+	blockMem bool // dominant stall reason of the last failed issue attempt
 	// stallFrom is the first cycle of the core's pending stall span under
 	// the event engine: stall cycles accrue lazily while the core sleeps in
 	// a device event queue and are settled in bulk by flushStall (event.go).
@@ -358,77 +358,13 @@ const noWake = ^uint64(0)
 
 // Run executes until every warp has retired. It returns a *Trap on
 // execution errors and a deadline error if MaxCycles is exceeded. Cores are
-// simulated by the event-driven device engine (event.go) or, under
-// Config.TickEngine, by the legacy per-cycle tick loop kept as its
-// differential-test oracle; both are byte-identical in every simulated
-// observable. An installed observer (SetObserver) receives per-issue
-// callbacks in the global (cycle, core) issue order.
-func (s *Sim) Run() error {
-	if s.cfg.TickEngine {
-		return s.runTick()
-	}
-	return s.runEvent()
-}
+// simulated by the event-driven device engine (event.go); an installed
+// observer (SetObserver) receives per-issue callbacks in the global
+// (cycle, core) issue order.
+func (s *Sim) Run() error { return s.runEvent() }
 
-// runTick is the legacy device engine: every cycle visits every core with
-// active warps, if only to account a stall and min-reduce its wake time, and
-// fast-forwards only when no core at all issued. It is O(total cores) per
-// cycle where the event engine touches only due cores.
-func (s *Sim) runTick() error {
-	limit := s.cfg.MaxCycles
-	if limit == 0 {
-		limit = 1 << 40
-	}
-	deadline := s.cycle + limit
-	for {
-		anyActive := false
-		issuedAny := false
-		minWake := noWake
-		for i := range s.cores {
-			c := &s.cores[i]
-			if c.active == 0 {
-				continue
-			}
-			anyActive = true
-			if c.nextWake > s.cycle {
-				if c.nextWake < minWake {
-					minWake = c.nextWake
-				}
-				s.accountStall(c, 1)
-				continue
-			}
-			issued, wake, err := s.issue(c)
-			if err != nil {
-				return err
-			}
-			if issued {
-				issuedAny = true
-				c.nextWake = s.cycle + 1
-			} else {
-				c.nextWake = wake
-				if wake < minWake {
-					minWake = wake
-				}
-				s.accountStall(c, 1)
-			}
-		}
-		if !anyActive {
-			return nil
-		}
-		if issuedAny {
-			s.cycle++
-		} else {
-			if minWake == noWake {
-				return s.deadlockTrap()
-			}
-			s.jumpTo(minWake)
-		}
-		if s.cycle > deadline {
-			return fmt.Errorf("sim: exceeded cycle limit %d on %s", limit, s.cfg.Name())
-		}
-	}
-}
-
+// accountStall charges n stall cycles of core c to the reason of its last
+// failed issue attempt: MemStall when blockMem, else ExecStall.
 func (s *Sim) accountStall(c *simCore, n uint64) {
 	if c.blockMem {
 		c.stats.MemStall += n
@@ -451,104 +387,11 @@ func (s *Sim) deadlockTrap() error {
 	return &Trap{Cycle: s.cycle, Reason: "deadlock: active warps but no schedulable event"}
 }
 
-// issue attempts to issue one instruction on core c at the current cycle,
-// dispatching to the ready-set/wake-heap engine (sched.go) or, under
-// Config.ScanSched, to the legacy scan loop kept as its differential-test
-// oracle. Both engines share fetch, the scoreboard (decode.go), execute()
-// and the stall attribution, and are byte-identical in every simulated
-// observable.
-func (s *Sim) issue(c *simCore) (bool, uint64, error) {
-	if s.cfg.ScanSched {
-		return s.issueScan(c)
-	}
-	return s.issueHeap(c)
-}
-
-// issueScan is the legacy issue loop: a full circular rescan of the core's
-// warps per attempt, with the rr/gto policy choice inlined. It is O(Warps)
-// per issue cycle where issueHeap touches only ready warps, and survives as
-// the oracle the scheduler differential matrices compare the heap engine
-// against. It returns whether an instruction issued and, if not, the
-// earliest cycle at which the core might become ready.
-func (s *Sim) issueScan(c *simCore) (bool, uint64, error) {
-	n := len(c.warps)
-	wake := noWake
-	blockMem := false
-	gto := s.cfg.Sched == SchedGTO
-	start := c.rr
-	if gto {
-		start = c.cur
-	}
-	maxFU := s.maxFU
-
-	for k := 0; k < n; k++ {
-		wid := start + k
-		if wid >= n {
-			wid -= n
-		}
-		w := &c.warps[wid]
-		if !w.active || w.barWait {
-			continue
-		}
-		idx := s.fetchIndex(w.pc)
-		if idx >= uint32(len(s.dec)) || s.dec[idx].invalid {
-			return false, 0, s.fetchTrap(c, wid, w)
-		}
-		d := &s.dec[idx]
-		// Scoreboard: all read and written registers must be ready.
-		if ready := regsReadyAt(w, d); ready > s.cycle {
-			if ready < wake {
-				wake = ready
-				blockMem = d.isMem || ready > s.cycle+maxFU
-			} else if ready > s.cycle+maxFU {
-				blockMem = true
-			}
-			continue
-		}
-		// Structural hazard: the LSU accepts one memory instruction at a
-		// time (it streams line requests at 1/cycle), and a bounded MSHR
-		// file must have a free slot before a new miss can be tracked.
-		if d.isMem {
-			if at := s.lsuReadyAt(c); at > s.cycle {
-				if at < wake {
-					wake = at
-					blockMem = true
-				}
-				continue
-			}
-		}
-		if err := s.execute(c, wid, w, d); err != nil {
-			return false, 0, err
-		}
-		w.last = s.cycle
-		if gto {
-			c.cur = wid
-		} else {
-			c.rr = wid + 1
-			if c.rr >= n {
-				c.rr = 0
-			}
-		}
-		return true, 0, nil
-	}
-	if wake == noWake {
-		// Only barrier-waiting warps (or none runnable): no timed event.
-		c.blockMem = false
-		return false, noWake, nil
-	}
-	c.blockMem = blockMem
-	if wake <= s.cycle {
-		wake = s.cycle + 1
-	}
-	return false, wake, nil
-}
-
 // lsuReadyAt returns the earliest cycle core c's LSU can accept a memory
 // instruction: the port-busy deadline (lsuFree) joined with the L1 MSHR
-// bound when one is configured. With MSHRs unbounded (the default and the
-// differential oracle) it is exactly lsuFree, so the issue paths below are
-// byte-identical to the pre-MSHR model. Like the LSU deadline, the result
-// is a lower bound the engines re-check on wake.
+// bound when one is configured. With MSHRs unbounded (the default) it is
+// exactly lsuFree. Like the LSU deadline, the result is a lower bound the
+// scheduler re-checks on wake.
 func (s *Sim) lsuReadyAt(c *simCore) uint64 {
 	at := c.lsuFree
 	if s.mshrs > 0 {
@@ -566,7 +409,7 @@ func (s *Sim) lsuReadyAt(c *simCore) uint64 {
 // that cycle or none may free a slot ahead of still-later ones — which is
 // sound because a core's occupancy only falls while its warps are blocked
 // (entries are added only when the core itself issues a memory op), and
-// every engine re-checks the gate at the woken cycle, exactly as it does
+// the scheduler re-checks the gate at the woken cycle, exactly as it does
 // for the moving lsuFree deadline.
 func (s *Sim) mshrFreeAt(c *simCore) uint64 {
 	q := c.mshr[:0]

@@ -112,3 +112,45 @@ func TestCycleSkipLongLatencyLoop(t *testing.T) {
 		t.Errorf("MemStall = %d of %d cycles; cold-miss loop should be memory-dominated", st.MemStall, s.Cycle())
 	}
 }
+
+// TestTrapSettlesStallSpans pins the stall accounting of an execution trap:
+// core 1 traps on an out-of-bounds load while core 0 sleeps out a DRAM
+// miss. Every cycle through the trap cycle is one issue or one stall on
+// both cores: core 0, visited before the trapping core, is charged the trap
+// cycle as a stall, and core 1's trapping load counts as issued.
+func TestTrapSettlesStallSpans(t *testing.T) {
+	s := rigNoStart(t, DefaultConfig(2, 1, 1), `
+		csrr t0, cid
+		bnez t0, trapper
+		li   s0, 0x8000
+		lw   t4, 0(s0)
+		add  t5, t4, t4
+		ecall
+	trapper:
+		li   t1, 8
+	spin:
+		addi t1, t1, -1
+		bnez t1, spin
+		li   s0, 0x7ffffff0
+		lw   t4, 0(s0)
+		ecall
+	`, nil)
+	for c := 0; c < 2; c++ {
+		if err := s.ActivateWarp(c, 0, 0x1000, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trap, ok := s.Run().(*Trap)
+	if !ok || trap.Core != 1 {
+		t.Fatalf("want core 1's out-of-bounds *Trap, got %v", trap)
+	}
+	for c := 0; c < 2; c++ {
+		st := s.CoreStatsOf(c)
+		if got := st.Issued + st.MemStall + st.ExecStall; got != trap.Cycle+1 {
+			t.Errorf("core %d: issues+stalls = %d (%+v), want %d at a trap on cycle %d", c, got, st, trap.Cycle+1, trap.Cycle)
+		}
+	}
+	if st := s.CoreStatsOf(0); st.MemStall == 0 {
+		t.Errorf("core 0 MemStall = 0, want its DRAM sleep charged at the trap")
+	}
+}
