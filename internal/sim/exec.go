@@ -555,14 +555,20 @@ func fma32(a, b, c float32) float32 {
 	return float32(math.FMA(float64(a), float64(b), float64(c)))
 }
 
-// fmin/fmax follow RISC-V: if one operand is NaN, return the other.
+// canonicalNaN is the RISC-V F canonical quiet NaN, 0x7fc00000.
+var canonicalNaN = math.Float32frombits(0x7fc00000)
+
+// fmin/fmax follow RISC-V F: if one operand is NaN, return the other; two
+// NaNs give the canonical NaN; -0.0 orders below +0.0.
 func fmin(a, b float32) float32 {
 	switch {
+	case a != a && b != b:
+		return canonicalNaN
 	case a != a:
 		return b
 	case b != b:
 		return a
-	case a < b:
+	case a < b || a == b && math.Signbit(float64(a)):
 		return a
 	}
 	return b
@@ -570,39 +576,41 @@ func fmin(a, b float32) float32 {
 
 func fmax(a, b float32) float32 {
 	switch {
+	case a != a && b != b:
+		return canonicalNaN
 	case a != a:
 		return b
 	case b != b:
 		return a
-	case a > b:
+	case a > b || a == b && !math.Signbit(float64(a)):
 		return a
 	}
 	return b
 }
 
-// cvtWS converts float32 to int32 with RISC-V truncation and clamping.
+// cvtWS converts float32 to int32 the RISC-V way: round to nearest even
+// (the rounding mode the ops encode), then clamp; NaN gives the maximum.
 func cvtWS(f float32) uint32 {
+	r := math.RoundToEven(float64(f))
 	switch {
-	case f != f:
+	case r != r, r >= math.MaxInt32:
 		return uint32(math.MaxInt32)
-	case f >= math.MaxInt32:
-		return uint32(math.MaxInt32)
-	case f <= math.MinInt32:
+	case r <= math.MinInt32:
 		return 0x80000000 // int32 min
 	}
-	return uint32(int32(f))
+	return uint32(int32(r))
 }
 
+// cvtWUS is cvtWS's unsigned twin: negative results clamp to 0.
 func cvtWUS(f float32) uint32 {
+	r := math.RoundToEven(float64(f))
 	switch {
-	case f != f:
+	case r != r, r >= math.MaxUint32:
 		return math.MaxUint32
-	case f >= math.MaxUint32:
-		return math.MaxUint32
-	case f <= 0:
+	case r <= 0:
 		return 0
 	}
-	return uint32(f)
+	return uint32(r)
 }
 
 // fclass returns the RISC-V fclass.s bit for f.
