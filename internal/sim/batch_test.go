@@ -314,13 +314,8 @@ func TestBatchRdX0(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
+	CheckEngineDigest(t, "", digestOf(takeSnapshot(t, s)))
 	memory := s.Memory()
-	got := takeSnapshot(s, s.Hierarchy(), cfg.Cores)
-	var err error
-	if got.memData, err = memory.ReadBytes(0x8000, 1<<16); err != nil {
-		t.Fatal(err)
-	}
-	CheckEngineDigest(t, "", digestOf(got))
 	for w := 0; w < 4; w++ {
 		for lane := 0; lane < 4; lane++ {
 			v, err := s.Reg(0, w, lane, 0)

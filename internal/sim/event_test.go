@@ -12,9 +12,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"repro/internal/asm"
-	"repro/internal/mem"
 )
 
 // Every scheduling policy on the standard differential programs is held to
@@ -89,28 +86,6 @@ func TestEventPartialSkipAttribution(t *testing.T) {
 			t.Errorf("core %d MemStall = 0, want long DRAM sleeps under a busy device", c)
 		}
 	}
-}
-
-// newDiffSim builds a device for cfg over 1 MiB of memory with prog loaded
-// and activate applied.
-func newDiffSim(t *testing.T, cfg Config, prog string, activate func(*Sim) error) *Sim {
-	t.Helper()
-	p := asm.MustAssemble(prog, 0x1000, nil)
-	hier, err := mem.NewHierarchy(cfg.Cores, cfg.Mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(cfg, mem.NewMemory(1<<20), hier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.LoadProgram(p.Base, p.Insts); err != nil {
-		t.Fatal(err)
-	}
-	if err := activate(s); err != nil {
-		t.Fatal(err)
-	}
-	return s
 }
 
 // TestEventDeadlockBarrier drives the first deadlockTrap variant through

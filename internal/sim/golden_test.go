@@ -3,11 +3,10 @@ package sim_test
 // Golden digests: one SHA-256 per registry kernel x device configuration x
 // scheduling policy over everything a run can be observed to do — the
 // observer's issue stream, the final cycle, the total and per-core pipeline
-// counters, and every L1, L2-bank and DRAM-channel statistic. The
-// differential matrices compare host paths with each other; this file pins
-// them all to checked-in values, so a change to the engine that moves every
-// path the same way is caught too. Regenerate only for a deliberate model
-// change: go test ./internal/sim -run TestGoldenDigests -update
+// counters, and every L1, L2-bank and DRAM-channel statistic. The kernel
+// matrices check their cells through checkGoldenCell. Regenerate only for a
+// deliberate model change: go test ./internal/sim -update (which rewrites
+// testdata/engine_digests.json too).
 
 import (
 	"crypto/sha256"
@@ -159,11 +158,7 @@ func checkGoldenCell(t *testing.T, kernel string, cfg sim.Config) {
 func TestGoldenDigests(t *testing.T) {
 	got := map[string]string{}
 	for _, cell := range goldenCells(t) {
-		d, err := ocl.NewDevice(cell.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got[cell.key] = goldenDigest(t, d, cell.kernel)
+		got[cell.key] = kernelDigest(t, cell.kernel, cell.cfg)
 	}
 	if *sim.Update {
 		// Map keys marshal sorted, so the file is stable across runs.

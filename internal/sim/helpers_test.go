@@ -1,9 +1,9 @@
 package sim
 
 // Shared fixtures of the bare-simulator differential tests: the snapshot of
-// everything a run can be observed to do, the runner that produces one, and
-// the standard programs the engine, scheduler, lockstep-batch and memory-axis
-// differentials all run.
+// everything a run can be observed to do, the runner that produces one, the
+// frozen-digest check every case is held to, and the standard programs the
+// engine, scheduler, lockstep-batch and memory-axis tests all run.
 
 import (
 	"crypto/sha256"
@@ -15,7 +15,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/asm"
 	"repro/internal/mem"
 )
 
@@ -100,10 +99,13 @@ type snapshot struct {
 	memData []byte
 }
 
-// takeSnapshot collects the contract state of a finished run.
-func takeSnapshot(s *Sim, hier *mem.Hierarchy, cores int) snapshot {
+// takeSnapshot collects the contract state of a finished run, with the
+// 64 KiB of memory at 0x8000 the differential programs write.
+func takeSnapshot(t *testing.T, s *Sim) snapshot {
+	t.Helper()
+	hier := s.Hierarchy()
 	snap := snapshot{cycles: s.Cycle(), l2: hier.L2Stats(), dram: hier.DRAM()}
-	for c := 0; c < cores; c++ {
+	for c := 0; c < s.Config().Cores; c++ {
 		snap.cores = append(snap.cores, s.CoreStatsOf(c))
 		snap.l1 = append(snap.l1, hier.L1Stats(c))
 	}
@@ -113,79 +115,33 @@ func takeSnapshot(s *Sim, hier *mem.Hierarchy, cores int) snapshot {
 	for ch := 0; ch < hier.DRAMChannels(); ch++ {
 		snap.dramCh = append(snap.dramCh, hier.DRAMChannelStats(ch))
 	}
+	var err error
+	if snap.memData, err = s.Memory().ReadBytes(0x8000, 1<<16); err != nil {
+		t.Fatal(err)
+	}
 	return snap
 }
 
-// runSnapshot assembles prog, runs it to completion on a fresh device after
-// activate has started its warps, and snapshots the result.
-func runSnapshot(t *testing.T, cfg Config, prog string, activate func(*Sim) error) snapshot {
+// newDiffSim builds a device for cfg over 1 MiB of memory with prog
+// loaded and activate applied.
+func newDiffSim(t *testing.T, cfg Config, prog string, activate func(*Sim) error) *Sim {
 	t.Helper()
-	p, err := asm.Assemble(prog, 0x1000, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	memory := mem.NewMemory(1 << 20)
-	hier, err := mem.NewHierarchy(cfg.Cores, cfg.Mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(cfg, memory, hier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.LoadProgram(p.Base, p.Insts); err != nil {
-		t.Fatal(err)
-	}
+	s := rigNoStart(t, cfg, prog, nil)
 	if err := activate(s); err != nil {
 		t.Fatal(err)
 	}
+	return s
+}
+
+// runSnapshot runs prog to completion on a fresh device after activate has
+// started its warps, and snapshots the result.
+func runSnapshot(t *testing.T, cfg Config, prog string, activate func(*Sim) error) snapshot {
+	t.Helper()
+	s := newDiffSim(t, cfg, prog, activate)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	snap := takeSnapshot(s, hier, cfg.Cores)
-	snap.memData, err = memory.ReadBytes(0x8000, 1<<16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return snap
-}
-
-// diffSnapshots reports every field in which got departs from want.
-func diffSnapshots(t *testing.T, name string, want, got snapshot) {
-	t.Helper()
-	if want.cycles != got.cycles {
-		t.Errorf("%s: cycles differ: want %d, got %d", name, want.cycles, got.cycles)
-	}
-	for c := range want.cores {
-		if want.cores[c] != got.cores[c] {
-			t.Errorf("%s: core %d stats differ:\nwant %+v\ngot  %+v", name, c, want.cores[c], got.cores[c])
-		}
-		if want.l1[c] != got.l1[c] {
-			t.Errorf("%s: core %d L1 stats differ:\nwant %+v\ngot  %+v", name, c, want.l1[c], got.l1[c])
-		}
-	}
-	if want.l2 != got.l2 {
-		t.Errorf("%s: L2 stats differ:\nwant %+v\ngot  %+v", name, want.l2, got.l2)
-	}
-	for b := range want.banks {
-		if want.banks[b] != got.banks[b] {
-			t.Errorf("%s: L2 bank %d stats differ:\nwant %+v\ngot  %+v", name, b, want.banks[b], got.banks[b])
-		}
-	}
-	if want.dram != got.dram {
-		t.Errorf("%s: DRAM stats differ:\nwant %+v\ngot  %+v", name, want.dram, got.dram)
-	}
-	for ch := range want.dramCh {
-		if want.dramCh[ch] != got.dramCh[ch] {
-			t.Errorf("%s: DRAM channel %d stats differ:\nwant %+v\ngot  %+v", name, ch, want.dramCh[ch], got.dramCh[ch])
-		}
-	}
-	for i := range want.memData {
-		if want.memData[i] != got.memData[i] {
-			t.Errorf("%s: memory differs at %#x: want %#x, got %#x", name, 0x8000+i, want.memData[i], got.memData[i])
-			break
-		}
-	}
+	return takeSnapshot(t, s)
 }
 
 // strided load/store loop: every warp walks a distinct region, so the cores
