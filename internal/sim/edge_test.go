@@ -10,6 +10,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/asm"
+	"repro/internal/mem"
 )
 
 // runObserved runs prog to completion on a fresh device after activate has
@@ -374,5 +377,69 @@ func TestEventParkedBesideSleeping(t *testing.T) {
 				CheckEngineDigest(t, "", digestOf(*trap, stats, evs))
 			})
 		}
+	}
+}
+
+// TestEventRunAfterAbnormalExit reshapes one device after runs that ended
+// with cores still queued — at the MaxCycles deadline while cores sleep out
+// near or far misses, and at a barrier deadlock — and holds its next run,
+// on half the cores, to a fresh device's.
+func TestEventRunAfterAbnormalExit(t *testing.T) {
+	halfActive := func(cfg Config) func(*Sim) error {
+		return func(s *Sim) error {
+			for c := 0; c < cfg.Cores; c += 2 {
+				for w := 0; w < 4; w++ {
+					if err := s.ActivateWarp(c, w, 0x1000, 0xF); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		}
+	}
+	next := DefaultConfig(4, 4, 4)
+	want, wantEvs := runObserved(t, next, diffMemProg, halfActive(next))
+	for _, tc := range []struct {
+		name string
+		prog string
+		dram int
+		max  uint64
+	}{
+		{"deadline-near", diffMemProg, 180, 300},
+		{"deadline-far", diffMemProg, 2000, 300},
+		{"deadlock", parkProg, 180, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(4, 4, 4)
+			cfg.Mem.DRAM.Latency = tc.dram
+			cfg.MaxCycles = tc.max
+			s := newDiffSim(t, cfg, tc.prog, activateAll(cfg, 4, 0xF))
+			if err := s.Run(); err == nil {
+				t.Fatal("first run ended cleanly, want a deadline or deadlock")
+			}
+			hier, err := mem.NewHierarchy(next.Cores, next.Mem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Reshape(next, mem.NewMemory(1<<20), hier); err != nil {
+				t.Fatal(err)
+			}
+			p := asm.MustAssemble(diffMemProg, 0x1000, nil)
+			if err := s.LoadProgram(p.Base, p.Insts); err != nil {
+				t.Fatal(err)
+			}
+			if err := halfActive(next)(s); err != nil {
+				t.Fatal(err)
+			}
+			var evs []IssueEvent
+			s.SetObserver(func(e IssueEvent) { evs = append(evs, e) })
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := takeSnapshot(t, s); digestOf(got, evs) != digestOf(want, wantEvs) {
+				t.Errorf("reshaped run: %d cycles, %d issues; fresh run: %d cycles, %d issues",
+					got.cycles, len(evs), want.cycles, len(wantEvs))
+			}
+		})
 	}
 }

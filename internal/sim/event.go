@@ -1,29 +1,41 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // This file implements the device engine. On every failed issue attempt
 // the scheduler (sched.go) computes the earliest cycle the core can possibly
 // issue again (simCore.nextWake, from the per-warp stall records). The
 // engine lifts that knowledge into a device-level core wake queue
-// (eventQueue), so a cycle touches only the cores that are due:
+// (eventQueue), a calendar queue (Brown, CACM 31(10), 1988) of core
+// bitsets, so a cycle touches only the cores that are due:
 //
-//   - heap: a (wake cycle, core id) min-heap of sleeping cores, exactly the
-//     per-core analogue of the per-warp wake heap;
-//   - running: the cores that issued last cycle and are therefore due again
-//     this cycle, kept as a plain list (a busy core would otherwise churn
-//     through the heap every cycle with the same key);
-//   - parked: cores whose failed issue returned noWake — every active warp
-//     waits on a barrier. Barriers are core-local and a parked core cannot
-//     execute the arrival that would fill one, so a parked core can never
-//     wake; it leaves the queue only at a deadlock trap.
+//   - ring: a power-of-two ring of horizon per-cycle core bitsets; a core
+//     sleeping until cycle at < cycle+horizon has its bit in slot
+//     at & (horizon-1). A summary bitset marks the non-empty slots, so a
+//     cycle on which nothing issued jumps straight to the next wake;
+//   - far: cores whose wake lies horizon or more cycles out, in an
+//     unordered overflow list with a cached minimum. Whenever the cycle
+//     moves, the wakes the horizon has reached move into the ring, so a
+//     far wake is exact and in its slot before it is due;
+//   - running: a bitset of the cores that issued last cycle and are
+//     therefore due again this cycle (a busy core would otherwise be filed
+//     into the next slot every cycle);
+//   - parked cores, whose failed issue returned noWake — every active warp
+//     waits on a barrier — are filed nowhere. Barriers are core-local and
+//     a parked core cannot execute the arrival that would fill one, so a
+//     parked core can never wake; it leaves the queue only at a deadlock
+//     trap.
 //
-// Every core with active warps is in exactly one of the three containers,
-// and a queued core's state cannot change from outside: warp activation
-// (vx_wspawn) and barrier release only ever touch the executing core, so
-// sleeping cores stay asleep until their key expires. Due cores are visited
-// in ascending core id; when no core issued, the cycle jumps to the heap
-// minimum.
+// Every core with active warps is in exactly one of ring, far, running or
+// parked, and a queued core's state cannot change from outside: warp
+// activation (vx_wspawn) and barrier release only ever touch the executing
+// core, so sleeping cores stay asleep until their key expires. A cycle's
+// due set is running | ring[cycle], visited in ascending core id; when no
+// core issued, the cycle jumps to the first non-empty slot after it, or to
+// the overflow minimum when the ring is empty.
 //
 // Stall attribution contract: every cycle on which a core with active warps
 // does not issue is one stall cycle of that core, charged to MemStall or
@@ -37,35 +49,64 @@ import "fmt"
 // every pending span at the trap or deadline (flushTrapStalls,
 // flushAllStalls) with the boundaries documented there.
 
-// coreEvent is one sleeping core in a device event queue, keyed by the
-// earliest cycle its scheduler can issue again.
+// Calendar geometry: a core sleeping until at sits in ring slot
+// at & (horizon-1) while at lies less than horizon cycles ahead of the
+// current cycle. The horizon is a power of two above every default wake
+// distance (the 180-cycle DRAM latency plus the L1/L2 hits and the line
+// transfer); longer wakes wait in the overflow list.
+const (
+	horizon     = 512
+	slotMask    = horizon - 1
+	wordBits    = 6 // a bitset word holds 64 cores (or 64 slots)
+	wordBitMask = 1<<wordBits - 1
+	summaryLen  = horizon >> wordBits
+)
+
+// coreEvent is one core in the overflow list, keyed by the earliest cycle
+// its scheduler can issue again.
 type coreEvent struct {
 	at   uint64
 	core int32
 }
 
-func coreEventBefore(a, b coreEvent) bool {
-	return a.at < b.at || (a.at == b.at && a.core < b.core)
-}
-
-// eventQueue tracks the device's cores by their next due cycle. See the
-// file comment for the invariants.
+// eventQueue tracks the device's cores by their next due cycle, as a
+// calendar of core bitsets (one bit per core, words 64-core words per
+// set). See the file comment for the invariants; in addition, ring slots
+// hold exactly the wakes in [cycle, cycle+horizon) and far the later ones,
+// and every ring slot whose summary bit is clear is all zero.
 type eventQueue struct {
-	heap    []coreEvent
-	running []int32
-	parked  []int32
-	due     []int32 // scratch for collectDue, reused across cycles
-	live    int     // cores with active warps still tracked by this queue
+	words   int                // 64-bit words per core bitset
+	ring    []uint64           // horizon slots of words words each
+	summary [summaryLen]uint64 // bit k: ring slot k is non-empty
+	running []uint64           // cores that issued last cycle
+	due     []uint64           // scratch for collectDue, reused across cycles
+	far     []coreEvent        // wakes at least horizon cycles out, unordered
+	farMin  uint64             // earliest at in far; noWake when far is empty
+	live    int                // cores with active warps still tracked by this queue
 }
 
 // init loads every core into the queue at the run's start cycle. Cores
 // woken by a previous launch's ActivateWarp are due immediately; a core
 // still sleeping out a previous launch's stall keeps its wake key, with the
-// pending span starting at the current cycle.
+// pending span starting at the current cycle. A run that ended at a trap or
+// deadline may leave cores filed; only the slots the summary marks are
+// cleared (at that run's width), so init costs O(live cores), not
+// O(horizon).
 func (q *eventQueue) init(s *Sim, cycle uint64) {
-	q.heap = q.heap[:0]
-	q.running = q.running[:0]
-	q.parked = q.parked[:0]
+	for i, m := range q.summary {
+		for ; m != 0; m &= m - 1 {
+			k := i<<wordBits + bits.TrailingZeros64(m)
+			clear(q.ring[k*q.words : (k+1)*q.words])
+		}
+		q.summary[i] = 0
+	}
+	q.words = (len(s.cores) + wordBitMask) >> wordBits
+	q.ring = resized(q.ring, horizon*q.words)
+	q.running = resized(q.running, q.words)
+	q.due = resized(q.due, q.words)
+	clear(q.running)
+	q.far = q.far[:0]
+	q.farMin = noWake
 	q.live = 0
 	for i := range s.cores {
 		c := &s.cores[i]
@@ -76,89 +117,100 @@ func (q *eventQueue) init(s *Sim, cycle uint64) {
 		switch {
 		case c.nextWake <= cycle:
 			c.stallFrom = noWake
-			q.running = append(q.running, int32(i))
+			q.running[i>>wordBits] |= 1 << uint(i&wordBitMask)
 		case c.nextWake == noWake:
+			// Parked: filed nowhere (see the file comment).
 			c.stallFrom = cycle
-			q.parked = append(q.parked, int32(i))
 		default:
 			c.stallFrom = cycle
-			q.push(c.nextWake, int32(i))
+			q.sleep(cycle, c.nextWake, int32(i))
 		}
 	}
 }
 
-func (q *eventQueue) push(at uint64, core int32) {
-	h := append(q.heap, coreEvent{at: at, core: core})
-	for i := len(h) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !coreEventBefore(h[i], h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
+// sleep files core until its wake cycle at > cycle: in the ring when at lies
+// within the horizon, else in the overflow list.
+func (q *eventQueue) sleep(cycle, at uint64, core int32) {
+	if at-cycle >= horizon {
+		q.far = append(q.far, coreEvent{at: at, core: core})
+		q.farMin = min(q.farMin, at)
+		return
 	}
-	q.heap = h
+	k := int(at & slotMask)
+	q.ring[k*q.words+int(core>>wordBits)] |= 1 << uint(core&wordBitMask)
+	q.summary[k>>wordBits] |= 1 << uint(k&wordBitMask)
 }
 
-func (q *eventQueue) pop() coreEvent {
-	h := q.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	for i := 0; ; {
-		small := i
-		if l := 2*i + 1; l < len(h) && coreEventBefore(h[l], h[small]) {
-			small = l
-		}
-		if r := 2*i + 2; r < len(h) && coreEventBefore(h[r], h[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
+// advance moves every overflow wake the horizon has reached at the new
+// current cycle into the ring. The engine calls it whenever the cycle
+// moves, so no overflow wake is ever due before it is in the ring.
+func (q *eventQueue) advance(cycle uint64) {
+	if q.farMin-cycle >= horizon {
+		return
 	}
-	q.heap = h
-	return top
+	far := q.far[:0]
+	q.farMin = noWake
+	for _, e := range q.far {
+		if e.at-cycle < horizon {
+			q.sleep(cycle, e.at, e.core)
+			continue
+		}
+		far = append(far, e)
+		q.farMin = min(q.farMin, e.at)
+	}
+	q.far = far
 }
 
-// collectDue gathers the cores due at cycle — last cycle's issuers plus
-// every heap entry whose wake time has arrived — merged in ascending core
-// order. That order is load-bearing: it fixes both the interleaving of
-// same-cycle shared-memory accesses and the observer stream. Both inputs are already ascending: the
-// running list is appended in due-processing order, and the heap never
-// holds an entry with at < cycle (every cycle's due entries are drained
-// before the cycle advances), so a cycle's pops all share one key and come
-// off in core order. When no sleeping core is due the running list is the
-// whole answer, and the two buffers are swapped instead of copied; either
-// way the caller may then reuse q.running, which no longer aliases the
-// returned slice.
-func (q *eventQueue) collectDue(cycle uint64) []int32 {
-	if len(q.heap) == 0 || q.heap[0].at > cycle {
-		q.due, q.running = q.running, q.due
-		return q.due
-	}
-	due := q.due[:0]
-	run := q.running
-	ri := 0
-	for len(q.heap) > 0 && q.heap[0].at <= cycle {
-		c := q.pop().core
-		for ri < len(run) && run[ri] < c {
-			due = append(due, run[ri])
-			ri++
+// collectDue returns the cores due at cycle — last cycle's issuers plus
+// the cores whose wake is this cycle — as a bitset, emptying both sources.
+// The engine visits its bits in ascending core id. That order is
+// load-bearing: it fixes both the interleaving of same-cycle
+// shared-memory accesses and the observer stream. When no sleeping core
+// is due the running set is the whole answer, and the two buffers are
+// swapped instead of merged; either way the caller may then refill
+// q.running, which no longer aliases the returned set.
+func (q *eventQueue) collectDue(cycle uint64) []uint64 {
+	k := int(cycle & slotMask)
+	q.due, q.running = q.running, q.due
+	clear(q.running)
+	if bit := uint64(1) << uint(k&wordBitMask); q.summary[k>>wordBits]&bit != 0 {
+		q.summary[k>>wordBits] &^= bit
+		slot := q.ring[k*q.words : (k+1)*q.words]
+		for i, m := range slot {
+			q.due[i] |= m
 		}
-		due = append(due, c)
+		clear(slot)
 	}
-	due = append(due, run[ri:]...)
-	q.due = due
-	return due
+	return q.due
+}
+
+// next returns the earliest wake still queued after cycle, whose ring slot
+// has just been drained: the first non-empty slot in circular order from
+// cycle+1, else the overflow minimum (noWake when the queue is empty). Ring
+// wakes all precede overflow ones.
+func (q *eventQueue) next(cycle uint64) uint64 {
+	p := int((cycle + 1) & slotMask)
+	w, off := p>>wordBits, uint(p&wordBitMask)
+	if m := q.summary[w] >> off; m != 0 {
+		return cycle + 1 + uint64(bits.TrailingZeros64(m))
+	}
+	for j := 1; j <= summaryLen; j++ {
+		wj := (w + j) % summaryLen
+		m := q.summary[wj]
+		if j == summaryLen {
+			m &= 1<<off - 1 // the start word's slots before p, reached last
+		}
+		if m != 0 {
+			k := wj<<wordBits + bits.TrailingZeros64(m)
+			return cycle + 1 + uint64((k-p)&slotMask)
+		}
+	}
+	return q.farMin
 }
 
 // flushStall settles a core's pending stall span through the cycle before
-// the current one, the cycle it is re-attempted on. Called when a core is
-// popped due; the abnormal-exit paths use flushTrapStalls/flushAllStalls
+// the current one, the cycle it is re-attempted on. Called when a due core
+// is visited; the abnormal-exit paths use flushTrapStalls/flushAllStalls
 // instead.
 func (s *Sim) flushStall(c *simCore) {
 	if c.stallFrom < s.cycle {
@@ -222,55 +274,56 @@ func (s *Sim) runEvent() error {
 
 	for q.live > 0 {
 		due := q.collectDue(s.cycle)
-		q.running = q.running[:0]
 		issuedAny := false
-		for _, ci := range due {
-			c := &s.cores[ci]
-			if c.active == 0 {
-				// Retired since it last issued; it leaves the queue and is
-				// never visited (or charged) again.
-				q.live--
-				continue
-			}
-			s.flushStall(c)
-			issued, wake, err := s.issueHeap(c)
-			if err != nil {
-				s.flushTrapStalls(int(ci))
-				return err
-			}
-			switch {
-			case issued:
-				issuedAny = true
-				c.nextWake = s.cycle + 1
-				c.stallFrom = noWake
-				q.running = append(q.running, ci)
-			case wake == noWake:
-				c.nextWake = noWake
-				c.stallFrom = s.cycle
-				q.parked = append(q.parked, ci)
-			default:
-				c.nextWake = wake
-				c.stallFrom = s.cycle
-				q.push(wake, ci)
+		for w, m := range due {
+			for ; m != 0; m &= m - 1 {
+				ci := int32(w<<wordBits + bits.TrailingZeros64(m))
+				c := &s.cores[ci]
+				if c.active == 0 {
+					// Retired since it last issued; it leaves the queue and
+					// is never visited (or charged) again.
+					q.live--
+					continue
+				}
+				s.flushStall(c)
+				issued, wake, err := s.issueHeap(c)
+				if err != nil {
+					s.flushTrapStalls(int(ci))
+					return err
+				}
+				switch {
+				case issued:
+					issuedAny = true
+					c.nextWake = s.cycle + 1
+					c.stallFrom = noWake
+					q.running[w] |= 1 << uint(ci&wordBitMask)
+				case wake == noWake:
+					c.nextWake = noWake
+					c.stallFrom = s.cycle
+				default:
+					c.nextWake = wake
+					c.stallFrom = s.cycle
+					q.sleep(s.cycle, wake, ci)
+				}
 			}
 		}
-		switch {
-		case issuedAny:
+		if issuedAny {
 			s.cycle++
-		case len(q.heap) > 0:
-			s.cycle = q.heap[0].at
-		case q.live > 0:
+		} else if at := q.next(s.cycle); at != noWake {
+			s.cycle = at
+		} else if q.live > 0 {
 			// No timed event left: every remaining live core is parked on a
 			// barrier that can never fill.
 			s.flushAllStalls(s.cycle + 1)
 			return s.deadlockTrap()
-		default:
+		} else {
 			return nil
 		}
 		if s.cycle > deadline {
 			s.flushAllStalls(s.cycle)
 			return fmt.Errorf("sim: exceeded cycle limit %d on %s", limit, s.cfg.Name())
 		}
+		q.advance(s.cycle)
 	}
 	return nil
 }

@@ -22,8 +22,11 @@ package sim
 //     {ready set, wake heap}
 //
 // (barrier waiters and inactive warps are in neither; release/activation
-// re-enters the ready set). Heap wake keys are lower bounds: a popped warp
-// re-checks its stall and re-sleeps if the LSU deadline moved. Because a
+// re-enters the ready set). A bitmask of the heap's warps (simCore.sleeping:
+// set in sleepWarp, cleared in wakeWarps and resetSched) lets the stall
+// fold visit only them instead of every warp slot. Heap wake keys are
+// lower bounds: a popped warp re-checks its stall and re-sleeps if the LSU
+// deadline moved. Because a
 // stalled warp's scoreboard wake time cannot change while it is stalled
 // (pending completions are only written when the warp itself issues), the
 // scoreboard keys are exact and a warp never wakes late.
@@ -161,6 +164,7 @@ func wakeBefore(a, b wakeEntry) bool {
 // earliest cycle its stall can clear.
 func (c *simCore) sleepWarp(wid int, at uint64) {
 	c.ready &^= 1 << uint(wid)
+	c.sleeping |= 1 << uint(wid)
 	h := append(c.wakeHeap, wakeEntry{at: at, wid: int32(wid)})
 	for i := len(h) - 1; i > 0; {
 		p := (i - 1) / 2
@@ -178,7 +182,9 @@ func (c *simCore) sleepWarp(wid int, at uint64) {
 // mask — but the (at, wid) heap order keeps the structure deterministic.
 func (c *simCore) wakeWarps(cycle uint64) {
 	for len(c.wakeHeap) > 0 && c.wakeHeap[0].at <= cycle {
-		c.ready |= 1 << uint(c.wakeHeap[0].wid)
+		bit := uint64(1) << uint(c.wakeHeap[0].wid)
+		c.ready |= bit
+		c.sleeping &^= bit
 		h := c.wakeHeap
 		last := len(h) - 1
 		h[0] = h[last]
@@ -209,6 +215,7 @@ func (c *simCore) siftDown(i int) {
 // rotation pointers) to the freshly constructed state.
 func (c *simCore) resetSched() {
 	c.ready = 0
+	c.sleeping = 0
 	c.wakeHeap = c.wakeHeap[:0]
 	c.rr = 0
 	c.cur = 0
@@ -261,42 +268,39 @@ func (s *Sim) issueHeap(c *simCore) (bool, uint64, error) {
 
 // stallOutcome computes a failed issue attempt's result — the earliest wake
 // cycle and the core's dominant stall attribution (c.blockMem) — from the
-// per-warp stall records. Every active non-barrier warp is heap-resident
-// with its record written at this point. The fold visits them in a
-// circular scan from the policy's priority origin (scanStart): the wake is
-// the earliest record, and the stall counts as memory-bound when the first
-// warp to reach that earliest wake waits on a memory op or longer than the
-// longest FU latency, or when any warp visited after it waits longer than
-// that. noWake comes back when only barrier waiters remain (no timed event
-// exists).
+// per-warp stall records. It runs with the ready set empty, so every active
+// non-barrier warp is heap-resident (c.sleeping) with its record written at
+// this point, and the heap-resident warps are exactly those. The fold
+// visits them in a circular scan from the policy's priority origin
+// (scanStart): the set bits at or above it in ascending wid, then the bits
+// below. The wake is the earliest record, and the stall counts as
+// memory-bound when the first warp to reach that earliest wake waits on a
+// memory op or longer than the longest FU latency, or when any warp visited
+// after it waits longer than that. noWake comes back when only barrier
+// waiters remain (no timed event exists).
 func (s *Sim) stallOutcome(c *simCore) uint64 {
-	n := len(c.warps)
-	start := s.scanStart(c)
+	start := uint(s.scanStart(c))
 	wake := noWake
 	blockMem := false
 	maxFU := s.maxFU
-	for k := 0; k < n; k++ {
-		wid := start + k
-		if wid >= n {
-			wid -= n
-		}
-		w := &c.warps[wid]
-		if !w.active || w.barWait {
-			continue
-		}
-		if ready := w.wake; ready > s.cycle {
-			if ready < wake {
-				wake = ready
-				blockMem = w.wakeMem || ready > s.cycle+maxFU
-			} else if ready > s.cycle+maxFU {
-				blockMem = true
+	hi := c.sleeping >> start << start
+	for _, m := range [2]uint64{hi, c.sleeping &^ hi} {
+		for ; m != 0; m &= m - 1 {
+			w := &c.warps[bits.TrailingZeros64(m)]
+			if ready := w.wake; ready > s.cycle {
+				if ready < wake {
+					wake = ready
+					blockMem = w.wakeMem || ready > s.cycle+maxFU
+				} else if ready > s.cycle+maxFU {
+					blockMem = true
+				}
+				continue
 			}
-			continue
-		}
-		if w.wakeMem {
-			if at := s.lsuReadyAt(c); at > s.cycle && at < wake {
-				wake = at
-				blockMem = true
+			if w.wakeMem {
+				if at := s.lsuReadyAt(c); at > s.cycle && at < wake {
+					wake = at
+					blockMem = true
+				}
 			}
 		}
 	}

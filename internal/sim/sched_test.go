@@ -5,9 +5,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/asm"
-	"repro/internal/mem"
 )
 
 // This file pins the scheduler subsystem (sched.go): frozen digests for rr
@@ -128,39 +125,50 @@ func TestSchedPoliciesFunctionallyIdentical(t *testing.T) {
 	}
 }
 
-// TestSchedSetsDrainAfterRun pins the scheduler-set invariant at the only
-// externally observable point: once every warp has retired, each core's
-// ready set and wake heap must both be empty (an active non-barrier warp
-// is in exactly one of them; inactive warps are in neither).
+// TestSchedSetsDrainAfterRun pins the scheduler-set invariant: at every
+// issue, each core's heap-resident mask names exactly the warps in its
+// wake heap, and once every warp has retired, each core's ready set, wake
+// heap and mask are all empty (an active non-barrier warp is in exactly
+// one of the two sets; inactive warps are in neither).
 func TestSchedSetsDrainAfterRun(t *testing.T) {
-	cfg := DefaultConfig(2, 4, 4)
-	p := asm.MustAssemble(diffSpawnProg, 0x1000, nil)
-	memory := mem.NewMemory(1 << 20)
-	hier, err := mem.NewHierarchy(cfg.Cores, cfg.Mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(cfg, memory, hier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.LoadProgram(p.Base, p.Insts); err != nil {
-		t.Fatal(err)
-	}
-	if err := activateAll(cfg, 1, 1)(s); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range s.cores {
-		c := &s.cores[i]
-		if c.ready != 0 {
-			t.Errorf("core %d: ready set %#x not drained after run", i, c.ready)
-		}
-		if len(c.wakeHeap) != 0 {
-			t.Errorf("core %d: wake heap holds %d entries after run", i, len(c.wakeHeap))
-		}
+	for _, tc := range []struct {
+		name  string
+		prog  string
+		warps int // activated per core
+	}{
+		{"wspawn-barrier", diffSpawnProg, 1},
+		{"high-warp", highWarpProg, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(2, 8, 4)
+			s := newDiffSim(t, cfg, tc.prog, activateAll(cfg, tc.warps, 0xF))
+			bad := 0
+			s.SetObserver(func(e IssueEvent) {
+				for i := range s.cores {
+					c := &s.cores[i]
+					var heap uint64
+					for _, en := range c.wakeHeap {
+						heap |= 1 << uint(en.wid)
+					}
+					if c.sleeping != heap && bad < 5 {
+						bad++
+						t.Errorf("cycle %d core %d: heap-resident mask %#x, wake heap holds %#x", e.Cycle, i, c.sleeping, heap)
+					}
+				}
+			})
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			for i := range s.cores {
+				c := &s.cores[i]
+				if c.ready != 0 {
+					t.Errorf("core %d: ready set %#x not drained after run", i, c.ready)
+				}
+				if len(c.wakeHeap) != 0 || c.sleeping != 0 {
+					t.Errorf("core %d: wake heap holds %d entries (mask %#x) after run", i, len(c.wakeHeap), c.sleeping)
+				}
+			}
+		})
 	}
 }
 

@@ -88,9 +88,11 @@ type simCore struct {
 	warps []warp
 
 	// Scheduler state (see sched.go): the ready set and wake heap hold
-	// every active non-barrier warp between them; rr/cur/grp are the
-	// policies' per-core rotation pointers.
+	// every active non-barrier warp between them, and sleeping marks the
+	// heap's warps; rr/cur/grp are the policies' per-core rotation
+	// pointers.
 	ready    uint64
+	sleeping uint64
 	wakeHeap []wakeEntry
 	rr       int
 	cur      int // GTO: warp currently owning issue priority

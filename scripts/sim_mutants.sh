@@ -6,6 +6,11 @@
 # top-level tests that killed it, and exits non-zero if a mutant survives,
 # no longer applies, or breaks the build.
 #
+# A mutant that makes the engine spin (a skipped calendar slot comes round
+# again only a horizon later, and the default cycle limit is 2^40) fails
+# by the 60 s test timeout instead (the package's tests take a few
+# seconds), and its killers are the tests still running when it fired.
+#
 # Usage: scripts/sim_mutants.sh [mutant-dir]   (default: scripts/sim_mutants)
 set -euo pipefail
 
@@ -34,11 +39,16 @@ for p in "${patches[@]}"; do
 	fi
 	patch -s -p1 -d "$tree" -F0 <"$p"
 	set +e
-	out=$(cd "$tree" && go test -count=1 ./internal/sim 2>&1)
+	out=$(cd "$tree" && go test -count=1 -timeout 60s ./internal/sim 2>&1)
 	status=$?
 	set -e
 	patch -s -R -p1 -d "$tree" -F0 <"$p"
 	killers=$(printf '%s\n' "$out" | sed -n 's/^--- FAIL: \([^ ]*\).*/\1/p' | tr '\n' ' ')
+	if [ -z "$killers" ] && printf '%s\n' "$out" | grep -q '^panic: test timed out'; then
+		# A mutant that hangs the engine is killed by the tests still
+		# running when the timeout fires.
+		killers="timeout in $(printf '%s\n' "$out" | sed -n 's/^[[:space:]]*\(Test[^ ]*\) (.*/\1/p' | tr '\n' ' ')"
+	fi
 	if [ $status -eq 0 ]; then
 		echo "SURVIVE $name"
 		failed=1
