@@ -5,7 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
+	"flag"
 	"net/http"
 	"os"
 	"os/exec"
@@ -15,6 +15,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/sweep"
+	"repro/internal/sweep/service"
 )
 
 // buildSweep compiles the vortex-sweep binary into dir.
@@ -169,6 +172,28 @@ poll:
 	}
 }
 
+// postLease enrolls over POST /lease and returns the coordinator's reply.
+func postLease(t *testing.T, addr string, req service.LeaseRequest) service.LeaseResponse {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post("http://"+addr+"/lease", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /lease: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /lease: %s", resp.Status)
+	}
+	var lr service.LeaseResponse
+	if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
+		t.Fatalf("decode lease: %v", err)
+	}
+	return lr
+}
+
 // pollStatus fetches the coordinator's /status JSON.
 func pollStatus(t *testing.T, addr string) (st struct {
 	Total     int  `json:"total"`
@@ -191,23 +216,19 @@ func pollStatus(t *testing.T, addr string) (st struct {
 }
 
 // TestServeWorkKillRecoveryCLI drives the work-stealing campaign service as
-// real subprocesses: a coordinator on a kernel-picked port, one worker that
-// is SIGKILLed while it provably holds an unfinished lease, and a second
-// worker that triggers the lease re-issue and finishes the grid. The
-// coordinator's canonical -out checkpoint and CSV must be byte-identical to
-// a clean single-process run — a worker dying mid-lease must not perturb a
-// single record.
+// real subprocesses: a coordinator on a kernel-picked port, a worker that
+// dies holding an unfinished lease — the test enrolls itself, draws a batch
+// and never submits it — and a worker that triggers the lease re-issue and
+// finishes the grid. The coordinator's canonical -out checkpoint and CSV
+// must be byte-identical to a clean single-process run — a worker dying
+// mid-lease must not perturb a single record.
 func TestServeWorkKillRecoveryCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses and builds the binary")
 	}
 	dir := t.TempDir()
 	bin := buildSweep(t, dir)
-	// The kill needs a campaign no worker can finish between two status
-	// polls. The 18 tasks of campaignArgs take a few milliseconds in all
-	// now that a worker reshapes one device instead of building one per
-	// task, so this drive runs them at full scale under every scheduler:
-	// 72 tasks of a few milliseconds each.
+	// 72 tasks: the campaign's 18 under every scheduler, at full scale.
 	campaignArgs := []string{
 		"-grid", "1c2w2t,2c2w4t,4c4w4t",
 		"-kernels", "vecadd,saxpy",
@@ -268,39 +289,30 @@ func TestServeWorkKillRecoveryCLI(t *testing.T) {
 		t.Errorf("meta-mismatch refusal not diagnosable:\n%s", out)
 	}
 
-	// Start victim workers until one is SIGKILLed while status shows tasks
-	// still leased — after the kill lands, nothing can submit them, so
-	// those leases MUST expire and be re-issued. (A victim that submits its
-	// whole batch in the poll-to-kill window is retried; each victim holds
-	// a 3-task lease for ~hundreds of ms, so the first try all but always
-	// sticks.)
-	killedHoldingLease := false
-	for attempt := 0; attempt < 10 && !killedHoldingLease; attempt++ {
-		st := pollStatus(t, addr)
-		if st.Pending+st.Leased < 6 {
-			t.Fatalf("campaign nearly done (status %+v) before a victim could be killed mid-lease", st)
-		}
-		victim := exec.Command(bin, append([]string{"work", "-coordinator", addr, "-worker",
-			fmt.Sprintf("victim%d", attempt), "-batch", "3"}, campaignArgs...)...)
-		if err := victim.Start(); err != nil {
-			t.Fatal(err)
-		}
-		deadline := time.Now().Add(30 * time.Second)
-		for time.Now().Before(deadline) {
-			if pollStatus(t, addr).Leased > 0 {
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		victim.Process.Kill() // SIGKILL, no cleanup, no farewell submit
-		victim.Wait()
-		killedHoldingLease = pollStatus(t, addr).Leased > 0
+	// The test itself enrolls as a worker, draws a 3-task lease and never
+	// submits it: a worker that died holding a lease, with no race against
+	// the campaign's progress. Its meta is what a worker started with
+	// campaignArgs computes.
+	fs := flag.NewFlagSet("holder", flag.ContinueOnError)
+	cf := addCampaignFlags(fs)
+	if err := fs.Parse(campaignArgs); err != nil {
+		t.Fatal(err)
 	}
-	if !killedHoldingLease {
-		t.Fatal("never caught a victim holding a lease at kill time")
+	opts, err := cf.options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := postLease(t, addr, service.LeaseRequest{
+		Worker: "holder", Proto: service.ProtocolVersion, Meta: sweep.MetaFor(opts), Max: 3,
+	})
+	if len(held.Tasks) == 0 || held.Done {
+		t.Fatalf("holder drew no tasks: %+v", held)
+	}
+	if st := pollStatus(t, addr); st.Leased != len(held.Tasks) {
+		t.Fatalf("status %+v, want the holder's %d tasks leased", st, len(held.Tasks))
 	}
 
-	// A clean worker finishes the grid: it polls, the dead victim's lease
+	// A clean worker finishes the grid: it polls, the holder's lease
 	// expires (2s TTL), and the freed tasks are re-issued to it.
 	finisher := runSweep(t, bin, append([]string{"work", "-coordinator", addr,
 		"-worker", "finisher"}, campaignArgs...)...)
@@ -317,7 +329,7 @@ func TestServeWorkKillRecoveryCLI(t *testing.T) {
 		t.Fatalf("serve output missing reissue count:\n%s", serveLog)
 	}
 	if n, _ := strconv.Atoi(m[1]); n < 1 {
-		t.Errorf("killed worker's lease was never reissued:\n%s", serveLog)
+		t.Errorf("the holder's lease was never reissued:\n%s", serveLog)
 	}
 
 	for _, pair := range [][2]string{{refCkpt, finalCkpt}, {refCSV, finalCSV}} {
