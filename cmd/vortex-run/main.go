@@ -99,6 +99,9 @@ func mapperByName(name string) (core.Mapper, error) {
 // run builds every device at the grid point (one value per sweep.Axes
 // entry) the axis flags name.
 func run(out io.Writer, cfgName, kernel string, lws int, mapperName string, scale float64, seed int64, compare bool, point []string) error {
+	if err := kernels.CheckScale(scale); err != nil {
+		return fmt.Errorf("-%w", err)
+	}
 	hw, err := core.ParseName(cfgName)
 	if err != nil {
 		return err

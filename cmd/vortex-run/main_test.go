@@ -82,3 +82,15 @@ func TestCPUProfileFlag(t *testing.T) {
 		t.Error("report differs from the golden report when profiling")
 	}
 }
+
+// TestScaleRefusals pins that a scale no workload can be built at fails the
+// run (exit 1) instead of running at minimum or paper size.
+func TestScaleRefusals(t *testing.T) {
+	for _, scale := range []string{"0", "-0.5", "NaN", "Inf", "-Inf"} {
+		var out, errb bytes.Buffer
+		if code := cli([]string{"-config", "2c2w4t", "-scale", scale}, &out, &errb); code != 1 || out.Len() != 0 ||
+			!strings.Contains(errb.String(), "-scale must be positive and finite") {
+			t.Errorf("-scale %s: exit %d, stdout %q, stderr %q; want exit 1 refusing the scale", scale, code, out.String(), errb.String())
+		}
+	}
+}

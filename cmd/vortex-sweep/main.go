@@ -125,8 +125,8 @@ func addCampaignFlags(fs *flag.FlagSet) *campaignFlags {
 // 450-point grid) or the workload builders (-scale 0 and negatives).
 func (cf *campaignFlags) options() (sweep.Options, error) {
 	var opts sweep.Options
-	if *cf.scale <= 0 {
-		return opts, fmt.Errorf("-scale must be > 0 (got %v)", *cf.scale)
+	if err := kernels.CheckScale(*cf.scale); err != nil {
+		return opts, fmt.Errorf("-%w", err)
 	}
 	if *cf.nConfigs < 1 {
 		return opts, fmt.Errorf("-configs must be >= 1 (got %d)", *cf.nConfigs)

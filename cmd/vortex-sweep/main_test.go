@@ -367,9 +367,13 @@ func TestCampaignFlagRefusals(t *testing.T) {
 		{"dup sched", append(append([]string{}, base...), "-sched", "rr,gto,rr"),
 			"duplicate sched entry rr"},
 		{"zero scale", []string{"-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "0"},
-			"-scale must be > 0"},
+			"-scale must be positive and finite"},
 		{"negative scale", []string{"-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "-0.5"},
-			"-scale must be > 0"},
+			"-scale must be positive and finite"},
+		{"NaN scale", []string{"-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "NaN",
+			"-checkpoint", filepath.Join(dir, "nan.jsonl")}, "-scale must be positive and finite (got NaN)"},
+		{"infinite scale", []string{"-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "Inf"},
+			"-scale must be positive and finite (got +Inf)"},
 		{"zero configs", []string{"-kernels", "vecadd", "-scale", "0.05", "-configs", "0"},
 			"-configs must be >= 1"},
 		{"negative configs", []string{"-kernels", "vecadd", "-scale", "0.05", "-configs", "-3"},
@@ -384,7 +388,7 @@ func TestCampaignFlagRefusals(t *testing.T) {
 			"serve requires -checkpoint"},
 		{"serve with zero scale", []string{"serve", "-checkpoint", "c.jsonl",
 			"-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "0"},
-			"-scale must be > 0"},
+			"-scale must be positive and finite"},
 		{"serve with dup sched", append([]string{"serve", "-checkpoint", filepath.Join(dir, "c.jsonl"),
 			"-sched", "gto,gto"}, base...), "duplicate sched entry gto"},
 		{"work without coordinator", append([]string{"work"}, base...),

@@ -61,6 +61,9 @@ func cli(args []string, stdout, stderr io.Writer) int {
 }
 
 func run(out io.Writer, cfgName, kernel string, scale float64, strategy string, axisFlags sweep.AxisFlags, seed int64) error {
+	if err := kernels.CheckScale(scale); err != nil {
+		return fmt.Errorf("-%w", err)
+	}
 	hw, err := core.ParseName(cfgName)
 	if err != nil {
 		return err

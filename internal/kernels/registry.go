@@ -18,6 +18,17 @@ type Params struct {
 	Seed int64
 }
 
+// CheckScale refuses a workload scale no build can honour: zero, negative,
+// NaN or infinite. The builders would otherwise run a NaN or infinite scale
+// at minimum size and a non-positive one at paper size, labelled with the
+// scale that was asked for.
+func CheckScale(scale float64) error {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return fmt.Errorf("scale must be positive and finite (got %v)", scale)
+	}
+	return nil
+}
+
 // Group labels the kernel families of Figure 2.
 type Group string
 

@@ -165,8 +165,8 @@ func (o Options) Normalized() Options {
 // is harmless and deliberate — these hold on every path, including the
 // campaign service, whose task handouts are always keyed.
 func (o *Options) validate() error {
-	if o.Scale < 0 {
-		return fmt.Errorf("sweep: scale must be positive (got %v)", o.Scale)
+	if err := kernels.CheckScale(o.Scale); err != nil {
+		return fmt.Errorf("sweep: %w", err)
 	}
 	for name := range o.Axes {
 		if !slices.ContainsFunc(Axes, func(a Axis) bool { return a.Name == name }) {

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"encoding/json"
+	"math"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -43,13 +44,18 @@ func TestMergeRejectsDuplicateScheds(t *testing.T) {
 }
 
 // TestRunRejectsNegativeScale pins scale validation: zero still means
-// "default to full scale" (the long-standing fill rule), negative is a
-// refused request.
+// "default to full scale" (the long-standing fill rule), a negative, NaN or
+// infinite scale is a refused request on both Run and TaskGrid.
 func TestRunRejectsNegativeScale(t *testing.T) {
-	bad := campaignOpts()
-	bad.Scale = -0.5
-	if _, err := Run(bad); err == nil || !strings.Contains(err.Error(), "scale must be positive") {
-		t.Errorf("negative scale: err = %v", err)
+	for _, scale := range []float64{-0.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := campaignOpts()
+		bad.Scale = scale
+		if _, err := Run(bad); err == nil || !strings.Contains(err.Error(), "scale must be positive") {
+			t.Errorf("Run with scale %v: err = %v", scale, err)
+		}
+		if _, err := TaskGrid(bad); err == nil || !strings.Contains(err.Error(), "scale must be positive") {
+			t.Errorf("TaskGrid with scale %v: err = %v", scale, err)
+		}
 	}
 	if got := (Options{}).Normalized().Scale; got != 1 {
 		t.Errorf("zero scale normalized to %v, want 1", got)
