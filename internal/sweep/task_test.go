@@ -156,37 +156,44 @@ func TestRunTaskSteadyStateAllocs(t *testing.T) {
 }
 
 // TestRunCampaignAllocs bounds what a whole warm campaign allocates: the
-// Figure-2 vecadd campaign (15 subsampled configurations x 3 mappers,
-// scale 0.25) run once to fill the program cache and input memo, then
-// measured on a second Run. It runs on one worker because only then do the
-// counts repeat: with two, which pooled device each task lands on varies
-// from run to run, and so do the counts. The bounds are 1.2x what
-// the campaign measured when the test was written (7.49 MB, 3,920
+// Figure-2 vecadd and saxpy campaigns (15 subsampled configurations x 3
+// mappers, scale 0.25), each run once to fill the program cache and input
+// memo, then measured on a second Run. They run on one worker because only
+// then do the counts repeat: with two, which pooled device each task lands
+// on varies from run to run, and so do the counts. The bounds are 1.2x what
+// either campaign measured when the test was written (7.49 MB, 3,920
 // allocations).
 func TestRunCampaignAllocs(t *testing.T) {
-	opts := Options{
-		Configs: Subsample(Grid(), 15),
-		Kernels: []string{"vecadd"},
-		Scale:   0.25,
-		Seed:    42,
-		Workers: 1,
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own; the bounds hold for a plain build")
 	}
-	if _, err := Run(opts); err != nil {
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := Run(opts); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	bytes := after.TotalAlloc - before.TotalAlloc
-	allocs := after.Mallocs - before.Mallocs
-	t.Logf("%d B and %d allocations per warm campaign", bytes, allocs)
-	if bytes > 8_980_000 {
-		t.Errorf("%d B allocated per campaign, want at most 8980000", bytes)
-	}
-	if allocs > 4700 {
-		t.Errorf("%d allocations per campaign, want at most 4700", allocs)
+	for _, kernel := range []string{"vecadd", "saxpy"} {
+		t.Run(kernel, func(t *testing.T) {
+			opts := Options{
+				Configs: Subsample(Grid(), 15),
+				Kernels: []string{kernel},
+				Scale:   0.25,
+				Seed:    42,
+				Workers: 1,
+			}
+			if _, err := Run(opts); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := Run(opts); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			bytes := after.TotalAlloc - before.TotalAlloc
+			allocs := after.Mallocs - before.Mallocs
+			t.Logf("%d B and %d allocations per warm campaign", bytes, allocs)
+			if bytes > 8_980_000 {
+				t.Errorf("%d B allocated per campaign, want at most 8980000", bytes)
+			}
+			if allocs > 4700 {
+				t.Errorf("%d allocations per campaign, want at most 4700", allocs)
+			}
+		})
 	}
 }
