@@ -122,7 +122,8 @@ func addCampaignFlags(fs *flag.FlagSet) *campaignFlags {
 // options validates the campaign flags and assembles sweep.Options.
 // Numeric nonsense is refused here, at the CLI boundary, instead of
 // flowing into Subsample (-configs 0 used to silently run the full
-// 450-point grid) or the workload builders (-scale 0 and negatives).
+// 450-point grid) or the workload builders (-scale 0, negatives, NaN and
+// infinities).
 func (cf *campaignFlags) options() (sweep.Options, error) {
 	var opts sweep.Options
 	if err := kernels.CheckScale(*cf.scale); err != nil {
