@@ -261,15 +261,7 @@ func runCampaign(args []string) {
 	opts.ShardIndex = shardIndex
 	opts.ShardCount = shardCount
 	if *progress {
-		start := time.Now()
-		opts.Progress = func(done, total int) {
-			if done%25 == 0 || done == total {
-				fmt.Fprintf(os.Stderr, "\r%d/%d runs (%.0fs elapsed)", done, total, time.Since(start).Seconds())
-				if done == total {
-					fmt.Fprintln(os.Stderr)
-				}
-			}
-		}
+		opts.Progress = stderrProgress()
 	}
 
 	shardNote := ""
@@ -291,11 +283,10 @@ func runCampaign(args []string) {
 
 	res, err := sweep.Run(opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "vortex-sweep:", err)
 		if *checkpoint != "" {
-			fmt.Fprintf(os.Stderr, "vortex-sweep: completed runs are preserved in %s; restart with -resume to continue\n", *checkpoint)
+			fatal(fmt.Sprintf("%v\nvortex-sweep: completed runs are preserved in %s; restart with -resume to continue", err, *checkpoint))
 		}
-		os.Exit(1)
+		fatal(err)
 	}
 	fmt.Printf("campaign caches: %s\n\n", res.Cache)
 
@@ -306,6 +297,11 @@ func runCampaign(args []string) {
 		writeCSVFile(res, *csvPath)
 	}
 }
+
+// requestTimeout bounds reading one coordinator request and writing its
+// answer. It matches the worker client's own timeout: a /submit at the
+// body-size cap still reads, checkpoints and answers well within it.
+const requestTimeout = 60 * time.Second
 
 // runServe is the campaign coordinator: it owns the task grid and the
 // crash-safe checkpoint, hands out leases over HTTP, and exits once the
@@ -337,17 +333,10 @@ func runServe(args []string) {
 	opts.Checkpoint = *checkpoint
 	opts.Resume = *resume
 
-	scfg := service.Config{LeaseTTL: *leaseTTL, BatchSize: *batch}
 	if *progress {
-		start := time.Now()
-		scfg.Progress = func(done, total int) {
-			fmt.Fprintf(os.Stderr, "\r%d/%d tasks (%.0fs elapsed)", done, total, time.Since(start).Seconds())
-			if done == total {
-				fmt.Fprintln(os.Stderr)
-			}
-		}
+		opts.Progress = stderrProgress()
 	}
-	srv, err := service.New(opts, scfg)
+	srv, err := service.New(opts, service.Config{LeaseTTL: *leaseTTL, BatchSize: *batch})
 	if err != nil {
 		fatal(err)
 	}
@@ -359,7 +348,8 @@ func runServe(args []string) {
 	// The resolved address line is the contract the CLI tests (and shell
 	// scripts) scrape the port from when -addr ends in :0.
 	fmt.Printf("serving campaign on %s (%d tasks, %d resumed)\n", ln.Addr(), st.Total, st.Completed)
-	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second}
+	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout: requestTimeout, WriteTimeout: requestTimeout}
 	go httpSrv.Serve(ln)
 
 	<-srv.Done()
@@ -377,14 +367,9 @@ func runServe(args []string) {
 	st = srv.Status()
 	fmt.Printf("campaign complete: %d records (%d failed), %d duplicate submissions, %d leases reissued, %d workers\n\n",
 		st.Completed, st.Failed, st.Dupes, st.Reissued, st.Workers)
-	if err := srv.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "vortex-sweep:", err)
-		fmt.Fprintf(os.Stderr, "vortex-sweep: completed runs are preserved in %s; restart serve with -resume to retry the failures\n", *checkpoint)
-		os.Exit(1)
-	}
 	res, err := srv.Results()
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Sprintf("%v\nvortex-sweep: completed runs are preserved in %s; restart serve with -resume to retry the failures", err, *checkpoint))
 	}
 	if *out != "" {
 		if err := srv.WriteFinal(*out); err != nil {
@@ -475,6 +460,20 @@ func runMerge(args []string) {
 	}
 	if *csvPath != "" {
 		writeCSVFile(res, *csvPath)
+	}
+}
+
+// stderrProgress returns an Options.Progress that redraws one stderr line
+// every 25 completed tasks and at the end.
+func stderrProgress() func(done, total int) {
+	start := time.Now()
+	return func(done, total int) {
+		if done%25 == 0 || done == total {
+			fmt.Fprintf(os.Stderr, "\r%d/%d runs (%.0fs elapsed)", done, total, time.Since(start).Seconds())
+			if done == total {
+				fmt.Fprintln(os.Stderr)
+			}
+		}
 	}
 }
 

@@ -114,7 +114,15 @@ func TestCampaignRunServeAgree(t *testing.T) {
 	}
 
 	servedCkpt := filepath.Join(dir, "served.jsonl")
-	srv, err := service.New(failingCampaign(servedCkpt), service.Config{BatchSize: 2})
+	served := failingCampaign(servedCkpt)
+	var progressMu sync.Mutex
+	var progressed [2]int // the last Progress call's done and total
+	served.Progress = func(done, total int) {
+		progressMu.Lock()
+		defer progressMu.Unlock()
+		progressed = [2]int{done, total}
+	}
+	srv, err := service.New(served, service.Config{BatchSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,18 +150,26 @@ func TestCampaignRunServeAgree(t *testing.T) {
 	if got := failureText(t, srv.Err()); got != wantErr {
 		t.Errorf("served error %q, want %q", got, wantErr)
 	}
+	if srv.Err().Error() != runErr.Error() {
+		t.Errorf("served error %q differs from Run's %q", srv.Err(), runErr)
+	}
+	progressMu.Lock()
+	if progressed != [2]int{6, 6} {
+		t.Errorf("served Progress ended at %d/%d, want 6/6: a failed task completes too", progressed[0], progressed[1])
+	}
+	progressMu.Unlock()
 	if _, err := srv.Results(); failureText(t, err) != wantErr {
 		t.Errorf("served Results error %v, want the task failure", err)
 	}
 	if got := sortedLines(t, servedCkpt); !slices.Equal(got, wantLines) {
 		t.Errorf("served checkpoint lines differ from Run's:\n%s", strings.Join(got, "\n"))
 	}
-	_, served, err := sweep.ReadCheckpointFile(servedCkpt)
+	_, streamed, err := sweep.ReadCheckpointFile(servedCkpt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, rec := range res.Records {
-		if rec.Err == "" && !bytes.Equal(mustMarshal(t, served[rec.Key()]), mustMarshal(t, rec)) {
+		if rec.Err == "" && !bytes.Equal(mustMarshal(t, streamed[rec.Key()]), mustMarshal(t, rec)) {
 			t.Errorf("%s: served record differs from Run's", rec.Key())
 		}
 	}

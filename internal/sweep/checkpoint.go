@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"sync"
 )
 
 // Checkpoint format: a JSONL file. The first line is a meta header binding
@@ -230,12 +229,10 @@ func ReadCheckpointFile(path string) (*Meta, map[string]Record, error) {
 }
 
 // ResumeRecords loads opts.Checkpoint and validates it against opts,
-// returning the recorded tasks by Key. It is the single resume gate Run and
-// the campaign service share: a checkpoint written by a different
-// experiment (or carrying records it cannot bind to options) is refused
-// rather than spliced.
+// returning the recorded tasks by Key. It is the resume gate of every
+// Campaign: a checkpoint written by a different experiment (or carrying
+// records it cannot bind to options) is refused rather than spliced.
 func ResumeRecords(opts Options) (map[string]Record, error) {
-	opts.fill()
 	meta, seen, err := ReadCheckpointFile(opts.Checkpoint)
 	if err != nil {
 		return nil, err
@@ -254,11 +251,11 @@ func ResumeRecords(opts Options) (map[string]Record, error) {
 
 // CheckpointWriter appends records to the JSONL checkpoint as they
 // complete, flushing per record so a killed campaign loses at most the
-// records in flight. It is safe for concurrent use.
+// records in flight. It is not safe for concurrent use: a Campaign
+// serializes its appends.
 type CheckpointWriter struct {
-	mu sync.Mutex
-	f  *os.File
-	w  *bufio.Writer
+	f *os.File
+	w *bufio.Writer
 }
 
 // OpenCheckpoint opens path for streaming. resume appends to an existing
@@ -268,7 +265,6 @@ type CheckpointWriter struct {
 // off first, so the retried record starts on a fresh line instead of
 // concatenating onto the torn bytes and corrupting the file.
 func OpenCheckpoint(path string, resume bool, opts Options) (*CheckpointWriter, error) {
-	opts.fill()
 	flags := os.O_RDWR | os.O_CREATE
 	if resume {
 		flags |= os.O_APPEND
@@ -383,8 +379,6 @@ func writeJSONLine(w io.Writer, v any) error {
 }
 
 func (c *CheckpointWriter) appendJSON(v any) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if err := writeJSONLine(c.w, v); err != nil {
 		return err
 	}
@@ -397,8 +391,6 @@ func (c *CheckpointWriter) Append(rec Record) error { return c.appendJSON(rec) }
 
 // Close flushes and closes the underlying file.
 func (c *CheckpointWriter) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if err := c.w.Flush(); err != nil {
 		c.f.Close()
 		return err

@@ -22,12 +22,7 @@ type CrossoverPoint struct {
 // order.
 func (r *Results) CrossoverCurve(kernel, baseline string) []CrossoverPoint {
 	base := map[int][]float64{} // hp -> ratios
-	ours := map[string]uint64{} // sample key (config/sched) -> cycles
-	for _, rec := range r.Records {
-		if rec.Kernel == kernel && rec.Mapper == "ours" && rec.Err == "" {
-			ours[sampleKey(rec)] = rec.Cycles
-		}
-	}
+	ours := r.samples(kernel, "ours", cycles)
 	for _, rec := range r.Records {
 		if rec.Kernel != kernel || rec.Mapper != baseline || rec.Err != "" {
 			continue
@@ -37,7 +32,7 @@ func (r *Results) CrossoverCurve(kernel, baseline string) []CrossoverPoint {
 			continue
 		}
 		hp := rec.Config.HP()
-		base[hp] = append(base[hp], float64(rec.Cycles)/float64(o))
+		base[hp] = append(base[hp], float64(rec.Cycles)/o)
 	}
 	hps := make([]int, 0, len(base))
 	for hp := range base {

@@ -290,3 +290,40 @@ func TestMemAxisMetaAndKeys(t *testing.T) {
 		t.Errorf("task key %q has %d separators, want 6 (seven axes)", a.Key(), got)
 	}
 }
+
+// TestReportPairsWithinGridPoint pins that the Figure-2 report compares
+// mappers within one grid point: with a memory axis swept, every
+// (configuration, point) is its own ratio sample, and the crossover curve
+// divides each point's baseline by the same point's "ours".
+func TestReportPairsWithinGridPoint(t *testing.T) {
+	// Per point: lws=1, lws=32 and ours cycles; ratios 3x/2x at mshrs=0
+	// and 2x/1x at mshrs=1.
+	cyclesAt := map[string][3]uint64{"0": {300, 200, 100}, "1": {800, 400, 400}}
+	res := &Results{}
+	for _, hw := range []core.HWInfo{{Cores: 1, Warps: 2, Threads: 2}, {Cores: 2, Warps: 2, Threads: 4}} {
+		for _, mshrs := range []string{"0", "1"} {
+			for mi, m := range []string{"lws=1", "lws=32", "ours"} {
+				rec := Task{Config: hw, Kernel: "vecadd", Mapper: namedMapper(m), Point: []string{"rr", mshrs, "16k4w", "off"}}.Record()
+				rec.Cycles = cyclesAt[mshrs][mi]
+				rec.EnergyPJ = 2 * float64(rec.Cycles)
+				res.Records = append(res.Records, rec)
+			}
+		}
+	}
+	if got, want := res.Ratios("vecadd", "lws=1", "ours"), []float64{3, 2, 3, 2}; !slices.Equal(got, want) {
+		t.Errorf("Ratios = %v, want %v (one sample per config and point)", got, want)
+	}
+	if got, want := res.EnergyRatios("vecadd", "lws=32", "ours"), []float64{2, 1, 2, 1}; !slices.Equal(got, want) {
+		t.Errorf("EnergyRatios = %v, want %v", got, want)
+	}
+	want := []CrossoverPoint{{HP: 4, MeanRatio: 1.5, N: 2}, {HP: 16, MeanRatio: 1.5, N: 2}}
+	if got := res.CrossoverCurve("vecadd", "lws=32"); !slices.Equal(got, want) {
+		t.Errorf("CrossoverCurve = %v, want %v (baseline and ours paired within each point)", got, want)
+	}
+}
+
+// namedMapper is a mapper known only by its name, for fabricated records.
+type namedMapper string
+
+func (m namedMapper) Name() string           { return string(m) }
+func (namedMapper) LWS(int, core.HWInfo) int { return 1 }

@@ -128,21 +128,11 @@ func Merge(out string, paths []string) (*Results, error) {
 			merged[gi] = &rec
 		}
 	}
-	missing := 0
-	firstMissing := ""
-	for gi, rec := range merged {
-		if rec == nil {
-			if missing == 0 {
-				firstMissing = keys[gi]
-			}
-			missing++
-		}
-	}
-	if missing > 0 {
+	if first := slices.Index(merged, nil); first >= 0 {
+		missing := len(merged) - len(slices.DeleteFunc(merged, func(r *Record) bool { return r == nil }))
 		return nil, fmt.Errorf("sweep: merge: grid not covered: %d of %d tasks missing (first: %s)",
-			missing, len(keys), firstMissing)
+			missing, len(keys), keys[first])
 	}
-
 	res := &Results{Records: make([]Record, len(merged))}
 	for gi, rec := range merged {
 		res.Records[gi] = *rec

@@ -9,22 +9,51 @@ import (
 	"repro/internal/stats"
 )
 
-// sampleKey identifies one ratio sample point: a (config, sched) pair.
-// With the scheduler swept as a grid axis, each policy contributes its own
-// sample per configuration — mapper ratios are always compared within a
-// policy, never across (a single-sched sweep degenerates to config-only
-// keys, matching the pre-axis behaviour).
+// sampleKey identifies one ratio sample: a configuration at one grid
+// point. Mapper ratios are always compared within a point — same
+// scheduler, MSHR bound, L1 geometry and prefetcher — never across points
+// (a single-point sweep degenerates to config-only samples).
 func sampleKey(rec Record) string {
-	return rec.Config.Name() + "/" + rec.Sched
+	// Built in one stack buffer, the configuration spelled as
+	// core.HWInfo.Name does: the report keys every record once per ratio
+	// it takes part in.
+	c := rec.Config
+	key := fmt.Appendf(make([]byte, 0, 64), "%dc%dw%dt", c.Cores, c.Warps, c.Threads)
+	for _, a := range Axes {
+		key = append(append(key, '/'), a.get(rec)...)
+	}
+	return string(key)
 }
 
-// lookup returns cycles per sample key for one (kernel, mapper).
-func (r *Results) lookup(kernel, mapper string) map[string]uint64 {
-	out := map[string]uint64{}
+// samples returns value per sample key over the successful records of one
+// (kernel, mapper).
+func (r *Results) samples(kernel, mapper string, value func(Record) float64) map[string]float64 {
+	out := map[string]float64{}
 	for _, rec := range r.Records {
 		if rec.Kernel == kernel && rec.Mapper == mapper && rec.Err == "" {
-			out[sampleKey(rec)] = rec.Cycles
+			out[sampleKey(rec)] = value(rec)
 		}
+	}
+	return out
+}
+
+func cycles(rec Record) float64 { return float64(rec.Cycles) }
+
+// ratios returns baseline/ours ratios of value, one per sample both
+// mappers ran (and ours did not score zero on), in sample-key order.
+func (r *Results) ratios(kernel, baseline, ours string, value func(Record) float64) []float64 {
+	base := r.samples(kernel, baseline, value)
+	our := r.samples(kernel, ours, value)
+	names := make([]string, 0, len(base))
+	for name := range base {
+		if our[name] > 0 {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	out := make([]float64, 0, len(names))
+	for _, name := range names {
+		out = append(out, base[name]/our[name])
 	}
 	return out
 }
@@ -55,27 +84,11 @@ func (r *Results) Kernels() []string {
 	return out
 }
 
-// Ratios returns baseline/ours cycle ratios per configuration for one
-// kernel — the samples of one Figure 2 violin. Ratios > 1 mean "ours" is
-// faster.
+// Ratios returns baseline/ours cycle ratios per configuration and grid
+// point for one kernel — the samples of one Figure 2 violin. Ratios > 1
+// mean "ours" is faster.
 func (r *Results) Ratios(kernel, baseline, ours string) []float64 {
-	base := r.lookup(kernel, baseline)
-	our := r.lookup(kernel, ours)
-	names := make([]string, 0, len(base))
-	for name := range base {
-		if _, ok := our[name]; ok {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	out := make([]float64, 0, len(names))
-	for _, name := range names {
-		if our[name] == 0 {
-			continue
-		}
-		out = append(out, float64(base[name])/float64(our[name]))
-	}
-	return out
+	return r.ratios(kernel, baseline, ours, cycles)
 }
 
 // KernelSummary is one kernel's Figure 2 data-table row pair.
@@ -138,36 +151,12 @@ func (r *Results) Aggregates() []Aggregate {
 	return out
 }
 
-// EnergyRatios returns baseline/ours energy ratios per configuration for
-// one kernel — the energy analogue of Ratios. Eq. 1 optimizes latency;
-// this quantifies what it does to consumption (mostly instruction-count
-// effects: fewer workgroup-launcher executions).
+// EnergyRatios returns baseline/ours energy ratios per configuration and
+// grid point for one kernel — the energy analogue of Ratios. Eq. 1
+// optimizes latency; this quantifies what it does to consumption (mostly
+// instruction-count effects: fewer workgroup-launcher executions).
 func (r *Results) EnergyRatios(kernel, baseline, ours string) []float64 {
-	base := map[string]float64{}
-	our := map[string]float64{}
-	for _, rec := range r.Records {
-		if rec.Kernel != kernel || rec.Err != "" {
-			continue
-		}
-		switch rec.Mapper {
-		case baseline:
-			base[sampleKey(rec)] = rec.EnergyPJ
-		case ours:
-			our[sampleKey(rec)] = rec.EnergyPJ
-		}
-	}
-	names := make([]string, 0, len(base))
-	for name := range base {
-		if our[name] > 0 {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	out := make([]float64, 0, len(names))
-	for _, name := range names {
-		out = append(out, base[name]/our[name])
-	}
-	return out
+	return r.ratios(kernel, baseline, ours, func(rec Record) float64 { return rec.EnergyPJ })
 }
 
 // RenderEnergyTable prints per-kernel mean energy ratios of the baselines

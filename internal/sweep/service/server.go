@@ -26,8 +26,6 @@ type Config struct {
 	// RetryDelay is the poll interval suggested to workers when everything
 	// pending is leased elsewhere. Default 200ms.
 	RetryDelay time.Duration
-	// Progress, if non-nil, is called after every newly completed task.
-	Progress func(done, total int)
 	// Clock overrides time.Now for lease-expiry tests.
 	Clock func() time.Time
 }
@@ -47,106 +45,59 @@ func (c *Config) fill() {
 	}
 }
 
-type taskState int8
-
-const (
-	statePending taskState = iota // not yet handed out (or returned by an expiry)
-	stateLeased                   // owned by a live lease
-	stateDone                     // a successful record is held (and checkpointed)
-	stateFailed                   // latest submission for the task carried Record.Err
-)
-
 // lease is one outstanding batch handed to a worker.
 type lease struct {
 	id       string
-	worker   string
 	tasks    map[int]bool // grid indices still unfinished under this lease
 	deadline time.Time
 }
 
-// Server coordinates one campaign: it owns the canonical task grid, the
-// lease state machine and the streamed checkpoint. It implements
-// http.Handler (POST /lease, POST /submit, GET /status).
+// Server coordinates one campaign: a lease table over a sweep.Campaign,
+// which owns the records, the acceptance rule and the streamed checkpoint.
+// It implements http.Handler (POST /lease, POST /submit, GET /status).
 type Server struct {
-	opts  sweep.Options
-	meta  sweep.Meta
-	tasks []sweep.Task
-	byKey map[string]int
-	cfg   Config
+	camp *sweep.Campaign
+	meta sweep.Meta
+	cfg  Config
 
 	mu        sync.Mutex
-	state     []taskState
-	recs      []sweep.Record
 	taskLease []string // lease id currently owning each task, "" if none
 	leases    map[string]*lease
 	workers   map[string]bool // enrolled (meta-validated) worker ids
-	ckpt      *sweep.CheckpointWriter
-	completed int // done + failed
-	failed    int
-	reissued  int // leases whose unfinished tasks were returned to pending
-	dupes     int // duplicate successful submissions (later wins)
+	reissued  int             // leases whose unfinished tasks were returned to pending
+	dupes     int             // duplicate successful submissions (later wins)
 	nextLease int
-	sinkErr   error
 	done      chan struct{}
 	closed    bool
 }
 
 // New builds a coordinator for the campaign described by opts. The grid is
-// always keyed (tasks cross the wire by index), so duplicated grid axes are
-// refused exactly as Run refuses them when checkpointing; sharding is
-// meaningless under dynamic work distribution and refused outright. With
-// opts.Checkpoint set, every accepted record is appended and flushed before
-// its submission is acknowledged; with opts.Resume too, tasks already in
-// the checkpoint are marked done up front and never handed out.
+// always keyed (tasks cross the wire by index), so it is opened as a
+// handout sweep.Campaign; sharding is meaningless under dynamic work
+// distribution and refused outright. With opts.Checkpoint set, every
+// accepted record is appended and flushed before its submission is
+// acknowledged; with opts.Resume too, tasks already in the checkpoint are
+// marked done up front and never handed out.
 func New(opts sweep.Options, cfg Config) (*Server, error) {
 	if opts.ShardCount > 1 {
 		return nil, fmt.Errorf("service: a served campaign cannot be sharded (leases replace -shard %d/%d)", opts.ShardIndex, opts.ShardCount)
 	}
-	if opts.ConfigTemplate != nil && opts.ConfigTag == "" {
-		return nil, fmt.Errorf("service: serving with a ConfigTemplate requires Options.ConfigTag")
-	}
-	tasks, err := sweep.TaskGrid(opts)
+	camp, err := sweep.NewCampaign(opts, true)
 	if err != nil {
 		return nil, err
 	}
-	opts = opts.Normalized()
 	cfg.fill()
+	total, done, _ := camp.Counts()
 	s := &Server{
-		opts:      opts,
+		camp:      camp,
 		meta:      sweep.MetaFor(opts),
-		tasks:     tasks,
-		byKey:     make(map[string]int, len(tasks)),
 		cfg:       cfg,
-		state:     make([]taskState, len(tasks)),
-		recs:      make([]sweep.Record, len(tasks)),
-		taskLease: make([]string, len(tasks)),
+		taskLease: make([]string, total),
 		leases:    map[string]*lease{},
 		workers:   map[string]bool{},
 		done:      make(chan struct{}),
 	}
-	for _, t := range tasks {
-		s.byKey[t.Key()] = t.Index
-	}
-	if opts.Resume && opts.Checkpoint != "" {
-		seen, err := sweep.ResumeRecords(opts)
-		if err != nil {
-			return nil, fmt.Errorf("service: resume: %w", err)
-		}
-		for key, rec := range seen {
-			if idx, ok := s.byKey[key]; ok {
-				s.recs[idx] = rec
-				s.state[idx] = stateDone
-				s.completed++
-			}
-		}
-	}
-	if opts.Checkpoint != "" {
-		s.ckpt, err = sweep.OpenCheckpoint(opts.Checkpoint, opts.Resume, opts)
-		if err != nil {
-			return nil, fmt.Errorf("service: checkpoint: %w", err)
-		}
-	}
-	if s.completed == len(s.tasks) {
+	if done == total {
 		s.closeDoneLocked()
 	}
 	return s, nil
@@ -166,17 +117,7 @@ func (s *Server) closeDoneLocked() {
 // Records (and their rendering) are byte-identical to a single-process
 // sweep.Run of the same options. It errors if the campaign is still in
 // flight or any task failed.
-func (s *Server) Results() (*sweep.Results, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.completed != len(s.tasks) {
-		return nil, fmt.Errorf("service: campaign in flight: %d of %d tasks outstanding", len(s.tasks)-s.completed, len(s.tasks))
-	}
-	if err := s.errLocked(); err != nil {
-		return nil, err
-	}
-	return &sweep.Results{Options: s.opts, Records: append([]sweep.Record(nil), s.recs...)}, nil
-}
+func (s *Server) Results() (*sweep.Results, error) { return s.camp.Results() }
 
 // WriteFinal writes the completed campaign as a single canonical-order
 // checkpoint at path — byte-identical to the file a Workers=1 checkpointed
@@ -184,50 +125,20 @@ func (s *Server) Results() (*sweep.Results, error) {
 // in submission order and may hold superseded duplicates; this is the
 // deliverable artifact).
 func (s *Server) WriteFinal(path string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.completed != len(s.tasks) {
-		return fmt.Errorf("service: campaign in flight")
-	}
-	if err := s.errLocked(); err != nil {
+	res, err := s.Results()
+	if err != nil {
 		return err
 	}
-	return sweep.WriteCheckpoint(path, s.meta, s.recs)
+	return sweep.WriteCheckpoint(path, s.meta, res.Records)
 }
 
-// Err reports the first task failure (like Run's end-of-campaign error) or
-// a checkpoint write fault; nil while records are clean.
-func (s *Server) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.errLocked()
-}
-
-func (s *Server) errLocked() error {
-	if s.sinkErr != nil {
-		return fmt.Errorf("service: checkpoint write: %w", s.sinkErr)
-	}
-	for i, st := range s.state {
-		if st == stateFailed {
-			r := s.recs[i]
-			return fmt.Errorf("service: %s/%s on %s: %s", r.Kernel, r.Mapper, r.Config.Name(), r.Err)
-		}
-	}
-	return nil
-}
+// Err is the campaign's end-of-campaign error (sweep.Campaign.Err): a
+// checkpoint write fault, outstanding tasks, or the first task failure.
+func (s *Server) Err() error { return s.camp.Err() }
 
 // Close releases the streamed checkpoint writer (the http.Server shutdown
 // is the caller's).
-func (s *Server) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ckpt == nil {
-		return nil
-	}
-	err := s.ckpt.Close()
-	s.ckpt = nil
-	return err
-}
+func (s *Server) Close() error { return s.camp.Close() }
 
 // Status snapshots campaign progress (expiring dead leases first, so a
 // stalled fleet becomes visible as pending work, not phantom leases).
@@ -235,22 +146,21 @@ func (s *Server) Status() Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.expireLocked(s.cfg.Clock())
-	leased := 0
-	for _, st := range s.state {
-		if st == stateLeased {
-			leased++
-		}
+	leased := 0 // a task is in at most one live lease's set
+	for _, l := range s.leases {
+		leased += len(l.tasks)
 	}
+	total, done, failed := s.camp.Counts()
 	return Status{
-		Total:     len(s.tasks),
-		Completed: s.completed - s.failed,
-		Failed:    s.failed,
+		Total:     total,
+		Completed: done - failed,
+		Failed:    failed,
 		Leased:    leased,
-		Pending:   len(s.tasks) - s.completed - leased,
+		Pending:   total - done - leased,
 		Workers:   len(s.workers),
 		Reissued:  s.reissued,
 		Dupes:     s.dupes,
-		Done:      s.completed == len(s.tasks),
+		Done:      done == total,
 	}
 }
 
@@ -265,8 +175,7 @@ func (s *Server) expireLocked(now time.Time) {
 		}
 		returned := 0
 		for idx := range l.tasks {
-			if s.state[idx] == stateLeased && s.taskLease[idx] == id {
-				s.state[idx] = statePending
+			if s.taskLease[idx] == id {
 				s.taskLease[idx] = ""
 				returned++
 			}
@@ -295,11 +204,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // the worker puts on responses; a submission of ~50k records still fits.
 const maxBodyBytes = 16 << 20
 
-// decodeBody decodes a request body of at most maxBodyBytes into v. On
-// failure it answers the request itself (413 when the body is over the
-// limit, 400 otherwise) and reports false.
+// decodeBody decodes a request body of at most maxBodyBytes into v,
+// refusing fields v does not declare (a misspelled field would otherwise be
+// dropped silently). On failure it answers the request itself (413 when the
+// body is over the limit, 400 otherwise) and reports false.
 func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
 	if err == nil {
 		return true
 	}
@@ -341,19 +253,11 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	defer s.mu.Unlock()
 	s.workers[req.Worker] = true
 	s.expireLocked(s.cfg.Clock())
-	if s.completed == len(s.tasks) {
+	if s.closed {
 		writeJSON(w, http.StatusOK, LeaseResponse{Done: true})
 		return
 	}
-	var batch []int
-	for idx, st := range s.state {
-		if st == statePending {
-			batch = append(batch, idx)
-			if len(batch) == max {
-				break
-			}
-		}
-	}
+	batch := s.camp.Open(max, func(idx int) bool { return s.taskLease[idx] == "" })
 	if len(batch) == 0 {
 		// Everything unfinished is leased elsewhere; the worker polls
 		// again (a lease expiry or failure may free work).
@@ -363,13 +267,11 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	s.nextLease++
 	l := &lease{
 		id:       fmt.Sprintf("L%d", s.nextLease),
-		worker:   req.Worker,
 		tasks:    make(map[int]bool, len(batch)),
 		deadline: s.cfg.Clock().Add(s.cfg.LeaseTTL),
 	}
 	for _, idx := range batch {
 		l.tasks[idx] = true
-		s.state[idx] = stateLeased
 		s.taskLease[idx] = l.id
 	}
 	s.leases[l.id] = l
@@ -394,65 +296,31 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.expireLocked(s.cfg.Clock())
 	var resp SubmitResponse
 	for _, rec := range req.Records {
-		idx, ok := s.byKey[rec.Key()]
+		idx, ok := s.camp.Slot(rec.Key())
 		if !ok {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("service: record %s is not in the campaign grid", rec.Key()))
 			return
 		}
-		if rec.Err != "" {
-			// Failures are recorded (for the end-of-campaign error and the
-			// status counters) but never checkpointed: a resume retries
-			// them, exactly like Run. A success already held wins over a
-			// late failure.
-			resp.Failed++
-			if s.state[idx] != stateDone {
-				if s.state[idx] != stateFailed {
-					s.completed++
-					s.failed++
-				}
-				s.recs[idx] = rec
-				s.state[idx] = stateFailed
-				s.finishTaskLocked(idx)
-			}
-			continue
+		// Durable before acknowledged: Submit appends and flushes a success
+		// to the streamed checkpoint before the worker hears "accepted", so
+		// a coordinator crash can never lose acknowledged work.
+		outcome, err := s.camp.Submit(idx, rec)
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, fmt.Sprintf("service: checkpoint write: %v", err))
+			return
 		}
-		// Durable before acknowledged: the record lands in the streamed
-		// checkpoint (flushed) before the worker hears "accepted", so a
-		// coordinator crash can never lose acknowledged work. Duplicates
-		// (an expired lease's late submission racing its re-issue) are
-		// appended too — the checkpoint reader keeps the later line, which
-		// is exactly the in-memory rule.
-		if s.ckpt != nil {
-			if err := s.ckpt.Append(rec); err != nil {
-				if s.sinkErr == nil {
-					s.sinkErr = err
-				}
-				writeError(w, http.StatusInternalServerError, fmt.Sprintf("service: checkpoint write: %v", err))
-				return
-			}
-		}
-		switch s.state[idx] {
-		case stateDone:
+		switch outcome {
+		case sweep.Accepted:
+			resp.Accepted++
+		case sweep.Duplicate:
 			resp.Duplicates++
 			s.dupes++
-			s.recs[idx] = rec // later duplicates win
-		case stateFailed:
-			s.failed--
-			s.recs[idx] = rec
-			s.state[idx] = stateDone
-			resp.Accepted++
 		default:
-			s.recs[idx] = rec
-			s.state[idx] = stateDone
-			s.completed++
-			resp.Accepted++
-			if s.cfg.Progress != nil {
-				s.cfg.Progress(s.completed, len(s.tasks))
-			}
+			resp.Failed++
 		}
 		s.finishTaskLocked(idx)
 	}
-	if s.completed == len(s.tasks) {
+	if total, done, _ := s.camp.Counts(); done == total {
 		s.closeDoneLocked()
 		resp.Done = true
 	}

@@ -177,7 +177,8 @@ func TestLeaseExpiryReissue(t *testing.T) {
 // TestDuplicateSubmissionLaterWins pins idempotent submission: the same
 // task submitted twice (an expired lease racing its re-issue) is counted
 // as a duplicate and the later record wins, matching the checkpoint
-// reader's rule.
+// reader's rule. The rule itself is tabled in sweep.TestCampaignSubmit;
+// this test holds it at the wire.
 func TestDuplicateSubmissionLaterWins(t *testing.T) {
 	dir := t.TempDir()
 	opts := protoOpts()
@@ -233,7 +234,8 @@ func TestDuplicateSubmissionLaterWins(t *testing.T) {
 
 // TestFailureRecordedNotCheckpointed pins failure semantics: a failed
 // record completes its task (campaign can finish, Err surfaces it) but is
-// never checkpointed, and a later success supersedes it.
+// never checkpointed, and a later success supersedes it (the rule itself
+// is tabled in sweep.TestCampaignSubmit).
 func TestFailureRecordedNotCheckpointed(t *testing.T) {
 	dir := t.TempDir()
 	opts := protoOpts()
@@ -332,6 +334,20 @@ func TestEnrollmentRefusals(t *testing.T) {
 	code, msg = doJSON(t, s, http.MethodPost, "/submit", SubmitRequest{Worker: "w1", Records: aliens}, nil)
 	if code != http.StatusBadRequest || !strings.Contains(msg, "not in the campaign grid") {
 		t.Fatalf("alien record: HTTP %d (%s), want 400", code, msg)
+	}
+
+	// A misspelled field is refused, not silently dropped.
+	for path, body := range map[string]map[string]any{
+		"/lease":  {"worker": "w1", "protocol_version": ProtocolVersion, "meta": sweep.MetaFor(protoOpts()), "max_task": 1},
+		"/submit": {"worker": "w1", "record": []sweep.Record{fabricate(grid[0], 1)}},
+	} {
+		code, msg = doJSON(t, s, http.MethodPost, path, body, nil)
+		if code != http.StatusBadRequest || !strings.Contains(msg, "unknown field") {
+			t.Errorf("%s with a misspelled field: HTTP %d (%s), want 400", path, code, msg)
+		}
+	}
+	if st := s.Status(); st.Completed != 0 || st.Leased != 1 {
+		t.Errorf("refused requests changed the campaign state: %+v", st)
 	}
 }
 

@@ -85,15 +85,17 @@ type Options struct {
 	Verify bool
 	// Workers bounds parallel simulations; 0 means GOMAXPROCS.
 	Workers int
-	// Progress, if non-nil, is called after each completed run.
+	// Progress, if non-nil, is called with the count of completed tasks
+	// on each task's first completion (failures included) and once up
+	// front when a resume spliced records in. Campaign.Submit serializes it.
 	Progress func(done, total int)
 	// ConfigTemplate customizes the non-geometry simulator parameters
 	// (memory hierarchy, latencies, scheduler); nil uses defaults.
 	ConfigTemplate func(hw core.HWInfo) sim.Config
-	// ConfigTag names the ConfigTemplate for checkpointing. A function
-	// cannot be fingerprinted, so a checkpointed sweep with a non-nil
-	// ConfigTemplate must carry a caller-chosen tag; the tag is recorded
-	// in the checkpoint meta and must match on Resume.
+	// ConfigTag names the ConfigTemplate for checkpointing and serving. A
+	// function cannot be fingerprinted, so a checkpointed or served sweep
+	// with a non-nil ConfigTemplate must carry a caller-chosen tag; the tag
+	// is recorded in the meta and must match on Resume and enrollment.
 	ConfigTag string
 	// DispatchOverhead overrides the per-launch driver cost in cycles;
 	// negative keeps the runtime default.
@@ -109,9 +111,9 @@ type Options struct {
 	// final Results.Records are byte-identical to an uninterrupted run.
 	// Failed records are not checkpointed, so a resume retries them.
 	Resume bool
-	// OnRecord, if non-nil, is called with each record as it completes
-	// (in completion order, serialized by the runner). Resumed records are
-	// not replayed through OnRecord.
+	// OnRecord, if non-nil, is called with each task's first record as it
+	// completes (in completion order, serialized by Campaign.Submit).
+	// Resumed records are not replayed through OnRecord.
 	OnRecord func(Record)
 	// ShardIndex/ShardCount partition the canonical task grid across
 	// independent processes: the run executes
@@ -152,8 +154,7 @@ func (o *Options) fill() {
 
 // Normalized returns o with every default applied — the exact option set a
 // Run of o executes (a missing grid axis stays missing: it sweeps its
-// default). The campaign service normalizes once so its stored options,
-// meta and task grid all describe the same campaign.
+// default).
 func (o Options) Normalized() Options {
 	o.fill()
 	return o
@@ -249,7 +250,7 @@ func (t Task) Record() Record {
 
 // enumerateTasks lists the canonical task grid of filled options, in the
 // order of Options.grid with the last axis innermost. Every keyed consumer
-// (Run's shard slice, Merge's grid reconstruction, the campaign service)
+// (a Campaign's shard slice, Merge's grid reconstruction, TaskGrid)
 // must agree with this order.
 func enumerateTasks(opts Options) []Task {
 	points := Points(opts.Axes)
@@ -265,8 +266,8 @@ func enumerateTasks(opts Options) []Task {
 
 // TaskGrid returns the canonical task grid of a campaign after defaulting
 // and validating opts. Task keys must be unique — grids whose axes repeat
-// an entry are refused, exactly as Run refuses them when sharding or
-// checkpointing — so the grid index and the task key name the same cell.
+// an entry are refused, exactly as a keyed Campaign refuses them — so the
+// grid index and the task key name the same cell.
 func TaskGrid(opts Options) ([]Task, error) {
 	opts.fill()
 	if err := opts.validate(); err != nil {
@@ -337,69 +338,18 @@ type Results struct {
 }
 
 // Run executes the sweep as a streaming campaign: tasks fan out over the
-// worker pool, each completed record is streamed to the checkpoint (when
-// configured) and OnRecord sink in completion order, and the final record
-// grid is assembled in deterministic task order. With Resume, tasks already
-// present in the checkpoint are spliced in without re-simulating; the
-// resulting Records are byte-identical to an uninterrupted run.
+// worker pool, each completed record goes through Campaign.Submit to the
+// checkpoint (when configured) and the OnRecord sink in completion order,
+// and the final record grid is assembled in deterministic task order. With
+// Resume, tasks already present in the checkpoint are spliced in without
+// re-simulating; the resulting Records are byte-identical to an
+// uninterrupted run.
 func Run(opts Options) (*Results, error) {
-	opts.fill()
-	if err := opts.validate(); err != nil {
+	c, err := NewCampaign(opts, false)
+	if err != nil {
 		return nil, err
 	}
-	if opts.ShardIndex < 0 || opts.ShardIndex >= opts.ShardCount {
-		return nil, fmt.Errorf("sweep: shard index %d out of range for %d shards", opts.ShardIndex, opts.ShardCount)
-	}
-	if opts.ShardCount > 1 || opts.Checkpoint != "" {
-		// Sharding and checkpointing identify tasks by their task key; a
-		// duplicated grid entry would alias
-		// two tasks onto one key and silently mis-splice on resume or merge.
-		if dup := duplicateEntry(opts.grid()); dup != "" {
-			return nil, fmt.Errorf("sweep: duplicate grid entry %s: sharding/checkpointing requires unique task keys", dup)
-		}
-	}
-	// tasks is this process's slice of the canonical grid: every ShardCount-th
-	// task starting at ShardIndex. Records (and the checkpoint) cover only
-	// this shard, in shard-local canonical order (the index into tasks),
-	// while Task.Index keeps the full-grid position; Merge reassembles
-	// shards into full-grid order.
-	var tasks []Task
-	for _, t := range enumerateTasks(opts) {
-		if t.Index%opts.ShardCount == opts.ShardIndex {
-			tasks = append(tasks, t)
-		}
-	}
-	records := make([]Record, len(tasks))
-	skip := make([]bool, len(tasks))
-	resumed := 0
-	if opts.Checkpoint != "" && opts.ConfigTemplate != nil && opts.ConfigTag == "" {
-		// The simulator configuration determines every record; an unnamed
-		// template cannot be validated on resume, so refuse to checkpoint
-		// records that a later resume could silently mis-splice.
-		return nil, fmt.Errorf("sweep: checkpointing with a ConfigTemplate requires Options.ConfigTag")
-	}
-	if opts.Resume && opts.Checkpoint != "" {
-		seen, err := ResumeRecords(opts)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: resume: %w", err)
-		}
-		for i, tk := range tasks {
-			if rec, ok := seen[tk.Key()]; ok {
-				records[i] = rec
-				skip[i] = true
-				resumed++
-			}
-		}
-	}
-	var ckpt *CheckpointWriter
-	if opts.Checkpoint != "" {
-		var err error
-		ckpt, err = OpenCheckpoint(opts.Checkpoint, opts.Resume, opts)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: checkpoint: %w", err)
-		}
-	}
-
+	opts = c.opts
 	pool := ocl.NewDevicePool(opts.Workers)
 	progBase := ocl.ProgramCacheStats()
 	inputBase := kernels.InputCacheStats()
@@ -409,71 +359,41 @@ func Run(opts Options) (*Results, error) {
 	// measurable share of the run.
 	var wg sync.WaitGroup
 	var cursor atomic.Int64
-	var mu sync.Mutex
-	var sinkErr error
-	done := resumed
-	if opts.Progress != nil && resumed > 0 {
-		opts.Progress(done, len(tasks))
-	}
 	for w := 0; w < opts.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
 				slot := int(cursor.Add(1)) - 1
-				if slot >= len(tasks) {
+				if slot >= len(c.tasks) {
 					return
 				}
-				if skip[slot] {
-					continue
+				// Only the resume splice fills a slot before the workers
+				// start, and a slot's own worker is its only writer after.
+				// A checkpoint fault stays recorded for Err.
+				if c.state[slot] == slotOpen {
+					c.Submit(slot, runOne(opts, pool, c.tasks[slot]))
 				}
-				rec := runOne(opts, pool, tasks[slot])
-				records[slot] = rec
-				mu.Lock()
-				if ckpt != nil && rec.Err == "" {
-					if err := ckpt.Append(rec); err != nil && sinkErr == nil {
-						sinkErr = err
-					}
-				}
-				done++
-				if opts.Progress != nil {
-					opts.Progress(done, len(tasks))
-				}
-				if opts.OnRecord != nil {
-					opts.OnRecord(rec)
-				}
-				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
-	if ckpt != nil {
-		if err := ckpt.Close(); err != nil && sinkErr == nil {
-			sinkErr = err
-		}
-	}
+	c.Close() // a close fault is reported by Results, through Err
 
+	// Every worker has returned, so the slots are final and need no copy.
 	prog := ocl.ProgramCacheStats()
 	inp := kernels.InputCacheStats()
 	dev := pool.Stats()
-	res := &Results{Options: opts, Records: records, Cache: CacheReport{
+	res := &Results{Options: opts, Records: c.recs, Cache: CacheReport{
 		ProgramHits:   prog.Hits - progBase.Hits,
 		ProgramMisses: prog.Misses - progBase.Misses,
 		InputHits:     inp.Hits - inputBase.Hits,
 		InputMisses:   inp.Misses - inputBase.Misses,
 		DevicesReused: dev.Hits,
 		DevicesNew:    dev.Misses,
-		Resumed:       resumed,
+		Resumed:       c.resumed,
 	}}
-	if sinkErr != nil {
-		return res, fmt.Errorf("sweep: checkpoint write: %w", sinkErr)
-	}
-	for _, r := range records {
-		if r.Err != "" {
-			return res, fmt.Errorf("sweep: %s/%s on %s: %s", r.Kernel, r.Mapper, r.Config.Name(), r.Err)
-		}
-	}
-	return res, nil
+	return res, c.Err()
 }
 
 func runOne(opts Options, pool *ocl.DevicePool, t Task) Record {
