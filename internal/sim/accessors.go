@@ -5,21 +5,19 @@ import "fmt"
 // Reg reads integer register r of (core, warp, lane). Intended for tests,
 // debuggers and the host runtime; not part of the timed machine.
 func (s *Sim) Reg(core, warp, lane int, r uint8) (uint32, error) {
-	w, err := s.warpAt(core, warp)
-	if err != nil {
-		return 0, err
-	}
-	if lane < 0 || lane >= s.cfg.Threads || r > 31 {
-		return 0, fmt.Errorf("sim: bad lane %d or register %d", lane, r)
-	}
-	if len(w.regs) != 32*s.cfg.Threads {
-		return 0, nil // never activated under this shape
-	}
-	return w.regs[int(r)*s.cfg.Threads+lane], nil
+	return s.readReg(core, warp, lane, r, r)
 }
 
 // FReg reads float register r (as IEEE-754 bits) of (core, warp, lane).
 func (s *Sim) FReg(core, warp, lane int, r uint8) (uint32, error) {
+	return s.readReg(core, warp, lane, r, floatSlot(r))
+}
+
+// readReg reads the row of scoreboard slot of (core, warp, lane). A register
+// no program loaded since the last Reset or Reshape names maps to x0's row,
+// which is never written, and a warp not activated since then has no rows:
+// both read 0, as on a freshly constructed Sim.
+func (s *Sim) readReg(core, warp, lane int, r, slot uint8) (uint32, error) {
 	w, err := s.warpAt(core, warp)
 	if err != nil {
 		return 0, err
@@ -27,10 +25,10 @@ func (s *Sim) FReg(core, warp, lane int, r uint8) (uint32, error) {
 	if lane < 0 || lane >= s.cfg.Threads || r > 31 {
 		return 0, fmt.Errorf("sim: bad lane %d or register %d", lane, r)
 	}
-	if len(w.fregs) != 32*s.cfg.Threads {
-		return 0, nil // never activated under this shape
+	if i := int(s.rowOf[slot])*s.cfg.Threads + lane; i < len(w.regs) {
+		return w.regs[i], nil
 	}
-	return w.fregs[int(r)*s.cfg.Threads+lane], nil
+	return 0, nil
 }
 
 // WarpActive reports whether (core, warp) is currently active.

@@ -7,32 +7,33 @@ import (
 )
 
 // decoded is one instruction as the issue path consumes it, resolved once
-// by LoadProgram against the device's latencies: fetch, the scoreboard,
-// execute and executeMem read this record and nothing else that is static.
+// by LoadProgram against the device's latencies and the register layout:
+// fetch, the scoreboard, execute and executeMem read this record and
+// nothing else that is static.
 //
-// Scoreboard slots index warp.pend: x0-x31 are slots 0-31, f0-f31 slots
-// 32-63. Slot 0 (x0) is never written, so its completion stays 0 and an
-// unused or x0 entry in slots adds nothing to the readiness max.
+// decode fills the register fields with scoreboard slots — x0-x31 are
+// slots 0-31, f0-f31 slots 32-63 — and remap then rewrites every one to the
+// slot's row in the per-warp register file and scoreboard (layout.go). x0
+// is row 0, which is never written: its value and completion stay 0, so an
+// unused or x0 entry reads zero and adds nothing to the readiness max.
 type decoded struct {
 	in isa.Inst
 	// slots are the registers the instruction reads or writes, the set the
 	// isa predicates name; the write is included so a result cannot land
 	// under an older, slower one still in flight.
 	slots [4]uint8
-	dst   uint8 // slot the result lands in; 0 when there is none (or it is x0)
-	// Memory operands: access width in bytes, and the slot of the register
-	// whose row the access reads (store) or writes (load); noData for an
-	// integer load into x0, which is dropped.
-	size    uint8
-	data    uint8
+	// dst is the register the result lands in (rd in the file the op
+	// writes; a load's data register), 0 when there is none or it is x0;
+	// rs1-rs3 are the operands the op reads, each in the file the op reads
+	// it from (a store's data register is rs2), 0 when unread.
+	dst, rs1, rs2, rs3 uint8
+
+	size    uint8 // memory access width in bytes
 	isMem   bool
 	store   bool
 	invalid bool   // a data word or malformed instruction: fetching it traps
 	lat     uint64 // result latency of a non-memory op (its cfg.Lat class)
 }
-
-// noData marks a load whose result is dropped (decoded.data).
-const noData = 0xFF
 
 // floatSlot is the scoreboard slot of float register r.
 func floatSlot(r uint8) uint8 { return 32 + r }
@@ -47,21 +48,24 @@ func decode(in isa.Inst, lat Latencies) decoded {
 			n++
 		}
 	}
-	if in.ReadsIntRs1() {
-		use(in.Rs1)
+	switch {
+	case in.ReadsIntRs1():
+		d.rs1 = in.Rs1
+	case in.ReadsFloatRs1():
+		d.rs1 = floatSlot(in.Rs1)
 	}
-	if in.ReadsIntRs2() {
-		use(in.Rs2)
-	}
-	if in.ReadsFloatRs1() {
-		use(floatSlot(in.Rs1))
-	}
-	if in.ReadsFloatRs2() {
-		use(floatSlot(in.Rs2))
+	switch {
+	case in.ReadsIntRs2():
+		d.rs2 = in.Rs2
+	case in.ReadsFloatRs2():
+		d.rs2 = floatSlot(in.Rs2)
 	}
 	if in.ReadsFloatRs3() {
-		use(floatSlot(in.Rs3))
+		d.rs3 = floatSlot(in.Rs3)
 	}
+	use(d.rs1)
+	use(d.rs2)
+	use(d.rs3)
 	switch {
 	case in.WritesInt():
 		d.dst = in.Rd
@@ -77,16 +81,6 @@ func decode(in isa.Inst, lat Latencies) decoded {
 		d.size = 2
 	case isa.LW, isa.SW, isa.FLW, isa.FSW:
 		d.size = 4
-	}
-	switch {
-	case d.store && in.Op == isa.FSW:
-		d.data = floatSlot(in.Rs2)
-	case d.store:
-		d.data = in.Rs2
-	case d.isMem && d.dst == 0:
-		d.data = noData
-	case d.isMem:
-		d.data = d.dst
 	}
 	if !d.isMem && (in.WritesInt() || in.WritesFloat()) {
 		d.lat = uint64(latencyClass(in.Op, lat))
@@ -119,10 +113,10 @@ func latencyClass(op isa.Op, lat Latencies) int {
 }
 
 // regsReadyAt returns the earliest cycle every register d reads or writes
-// is free: the latest pending completion among its scoreboard slots.
+// is free: the latest pending completion among its scoreboard rows.
 func regsReadyAt(w *warp, d *decoded) uint64 {
-	p := &w.pend
-	return max(p[d.slots[0]&63], p[d.slots[1]&63], p[d.slots[2]&63], p[d.slots[3]&63])
+	p := w.pend
+	return max(p[d.slots[0]], p[d.slots[1]], p[d.slots[2]], p[d.slots[3]])
 }
 
 // fetchIndex returns the program index of pc, or a value at least

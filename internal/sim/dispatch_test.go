@@ -44,9 +44,9 @@ func TestValidateNegativeLatency(t *testing.T) {
 // TestDecodeAgreesWithISA holds every decoded record to the isa predicates
 // and the config, for every op and register fields that include x0 and f0:
 // the scoreboard slots are exactly the registers the predicates name (x0
-// dropped, f0 kept), the destination and memory operands follow the op,
-// and the latency is the op's cfg.Lat class. Distinct class latencies make
-// a wrong class visible.
+// dropped, f0 kept), the destination, the operands read and the access
+// width follow the op, and the latency is the op's cfg.Lat class. Distinct
+// class latencies make a wrong class visible.
 func TestDecodeAgreesWithISA(t *testing.T) {
 	lat := Latencies{ALU: 2, Mul: 3, Div: 5, FAdd: 7, FMul: 11, FMA: 13, FDiv: 17, FSqrt: 19}
 	wantLat := func(in isa.Inst) uint64 {
@@ -109,6 +109,22 @@ func TestDecodeAgreesWithISA(t *testing.T) {
 			if d.dst != dst {
 				t.Errorf("%s %v: dst slot %d, want %d", op, f, d.dst, dst)
 			}
+			// Each operand the op reads, in the file it reads it from.
+			operand := func(reads, readsFloat bool, r uint8) uint8 {
+				switch {
+				case reads:
+					return r
+				case readsFloat:
+					return 32 + r
+				}
+				return 0
+			}
+			rs := [3]uint8{operand(in.ReadsIntRs1(), in.ReadsFloatRs1(), in.Rs1),
+				operand(in.ReadsIntRs2(), in.ReadsFloatRs2(), in.Rs2),
+				operand(false, in.ReadsFloatRs3(), in.Rs3)}
+			if got := [3]uint8{d.rs1, d.rs2, d.rs3}; got != rs {
+				t.Errorf("%s %v: operand slots %v, want %v", op, f, got, rs)
+			}
 			if d.isMem != in.IsMem() || d.store != in.IsStore() || d.invalid {
 				t.Errorf("%s %v: isMem/store/invalid %v/%v/%v, want %v/%v/false", op, f, d.isMem, d.store, d.invalid, in.IsMem(), in.IsStore())
 			}
@@ -116,25 +132,15 @@ func TestDecodeAgreesWithISA(t *testing.T) {
 				t.Errorf("%s %v: latency %d, want %d", op, f, d.lat, got)
 			}
 			if in.IsMem() {
-				size, data := uint8(4), in.Rd
+				size := uint8(4)
 				switch op {
 				case isa.LB, isa.LBU, isa.SB:
 					size = 1
 				case isa.LH, isa.LHU, isa.SH:
 					size = 2
 				}
-				switch {
-				case op == isa.FLW:
-					data = 32 + in.Rd
-				case op == isa.FSW:
-					data = 32 + in.Rs2
-				case in.IsStore():
-					data = in.Rs2
-				case in.Rd == 0:
-					data = noData
-				}
-				if d.size != size || d.data != data {
-					t.Errorf("%s %v: size/data slot %d/%d, want %d/%d", op, f, d.size, d.data, size, data)
+				if d.size != size {
+					t.Errorf("%s %v: size %d, want %d", op, f, d.size, size)
 				}
 			}
 		}
@@ -223,29 +229,34 @@ func TestLaneRowsMatchPerLane(t *testing.T) {
 	if err := s.ActivateWarp(0, 0, 0, s.fullMask); err != nil {
 		t.Fatal(err)
 	}
+	identityLayout(s)
 	w := &s.cores[0].warps[0]
+	const f = 32 * n // float register r is row 32+r
 	tested := 0
 	for op := isa.FADDS; op <= isa.FNMADDS; op++ {
 		tested++
 		for _, tm := range masks {
 			for i := range w.regs {
-				w.regs[i], w.fregs[i] = operand(i%n), operand(i%n)
+				w.regs[i] = operand(i % n)
 			}
 			clear(row(w.regs, 0, n))
 			in := isa.Inst{Op: op, Rd: 3, Rs1: 4, Rs2: 5, Rs3: 6}
-			wantRegs, wantFRegs := slices.Clone(w.regs), slices.Clone(w.fregs)
-			dst := wantFRegs
+			want := slices.Clone(w.regs)
+			dst := want[f:]
 			if in.WritesInt() {
-				dst = wantRegs
+				dst = want
 			}
+			regs := w.regs
 			for l := 0; l < n; l++ {
 				if tm>>l&1 != 0 {
-					dst[3*n+l] = fpLane(op, w.fregs[4*n+l], w.fregs[5*n+l], w.fregs[6*n+l], w.regs[4*n+l])
+					dst[3*n+l] = fpLane(op, regs[f+4*n+l], regs[f+5*n+l], regs[f+6*n+l], regs[4*n+l])
 				}
 			}
 			w.tmask = tm
-			s.executeFP(w, &in)
-			if !slices.Equal(w.regs, wantRegs) || !slices.Equal(w.fregs, wantFRegs) {
+			d := decode(in, s.cfg.Lat)
+			s.remap(&d)
+			s.executeFP(w, &d)
+			if !slices.Equal(w.regs, want) {
 				t.Errorf("%s mask %#x: registers differ from the per-lane reference", op, tm)
 			}
 		}

@@ -206,7 +206,7 @@ func rigFold(t *testing.T, sched SchedPolicy, kind func(wid int) stallKind, wait
 		w := &c.warps[wid]
 		switch k {
 		case kindRegMem, kindRegExec:
-			w.pend[7] = s.cycle + wait(wid) // t2
+			w.pend[s.rowOf[7]] = s.cycle + wait(wid) // t2's row
 		case kindBarrier:
 			w.barWait = true
 			c.ready &^= 1 << uint(wid)

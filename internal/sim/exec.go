@@ -24,9 +24,9 @@ func (s *Sim) execute(c *simCore, wid int, w *warp, d *decoded) error {
 	c.stats.LaneOps += uint64(bits.OnesCount64(w.tmask))
 
 	nextPC := w.pc + 4
-	done := s.cycle + d.lat // completion of the result in slot d.dst, if any
+	done := s.cycle + d.lat // completion of the result in row d.dst, if any
 	op := in.Op
-	rd, rs1, rs2 := int(in.Rd), int(in.Rs1), int(in.Rs2)
+	rd, rs1, rs2 := int(d.dst), int(d.rs1), int(d.rs2)
 	n := s.cfg.Threads
 	regs := w.regs
 
@@ -127,7 +127,7 @@ func (s *Sim) execute(c *simCore, wid int, w *warp, d *decoded) error {
 		// Every FP compute writes a result; dst is 0 only for an integer
 		// result into x0, which is dropped.
 		if d.dst != 0 {
-			s.executeFP(w, in)
+			s.executeFP(w, d)
 		}
 
 	case isa.VXTMC:
@@ -231,7 +231,7 @@ func (s *Sim) execute(c *simCore, wid int, w *warp, d *decoded) error {
 	}
 
 	if d.dst != 0 {
-		w.pend[d.dst&63] = done
+		w.pend[d.dst] = done
 	}
 	w.pc = nextPC
 	return nil
@@ -241,7 +241,7 @@ func (s *Sim) trapf(c *simCore, wid int, w *warp, format string, args ...any) er
 	return &Trap{Cycle: s.cycle, Core: c.id, Warp: wid, PC: w.pc, Reason: fmt.Sprintf(format, args...)}
 }
 
-// row returns register r's lanes of a register-major file of n-lane warps.
+// row returns row r's lanes of a register-major file of n-lane warps.
 func row(regs []uint32, r, n int) []uint32 { return regs[r*n : r*n+n] }
 
 // setLanes writes v to the active lanes of a register row.
@@ -251,8 +251,8 @@ func setLanes(dst []uint32, tmask uint64, v uint32) {
 	}
 }
 
-// predMask builds the lane mask of active lanes whose integer register r
-// is non-zero (n lanes per warp).
+// predMask builds the lane mask of active lanes whose register row r is
+// non-zero (n lanes per warp).
 func predMask(w *warp, r, n int) uint64 {
 	var pred uint64
 	a := row(w.regs, r, n)
@@ -265,7 +265,7 @@ func predMask(w *warp, r, n int) uint64 {
 	return pred
 }
 
-// firstLaneValue reads integer register r of the lowest active lane.
+// firstLaneValue reads register row r of the lowest active lane.
 func firstLaneValue(w *warp, r, n int) uint32 {
 	return w.regs[r*n+bits.TrailingZeros64(w.tmask)]
 }
@@ -289,7 +289,7 @@ func (s *Sim) executeMem(c *simCore, wid int, w *warp, d *decoded) (uint64, erro
 	n := s.cfg.Threads
 	tm := w.tmask
 	imm := uint32(in.Imm)
-	base := row(w.regs, int(in.Rs1), n)
+	base := row(w.regs, int(d.rs1), n)
 	addrs := c.addrBuf[:n]
 
 	// Gather lane addresses, noting any lane off the lowest active lane's
@@ -307,12 +307,11 @@ func (s *Sim) executeMem(c *simCore, wid int, w *warp, d *decoded) (uint64, erro
 	// The register row the access reads (store) or writes (load); nil for
 	// an integer load into x0, which is dropped.
 	var data []uint32
-	if d.data != noData {
-		file := w.regs
-		if d.data >= 32 {
-			file = w.fregs
-		}
-		data = row(file, int(d.data&31), n)
+	switch {
+	case isStore:
+		data = row(w.regs, int(d.rs2), n)
+	case d.dst != 0:
+		data = row(w.regs, int(d.dst), n)
 	}
 
 	shift := s.hier.LineShift()
@@ -475,65 +474,67 @@ func (s *Sim) csrRead(c *simCore, wid int, w *warp, lane int, csr uint16) (uint3
 }
 
 // executeFP runs the functional part of a floating-point compute: the op
-// is chosen once per warp and each case loops over the active lanes.
-func (s *Sim) executeFP(w *warp, in *isa.Inst) {
+// is chosen once per warp and each case loops over the active lanes. The
+// record's rows already sit in the file the op reads or writes: dst is an
+// integer row for a compare, conversion to integer, move or class, and a is
+// an integer row for a conversion or move from integer.
+func (s *Sim) executeFP(w *warp, d *decoded) {
 	n := s.cfg.Threads
 	tm := w.tmask
-	rd, rs1 := int(in.Rd), int(in.Rs1)
-	fd, f1, f2, f3 := row(w.fregs, rd, n), row(w.fregs, rs1, n), row(w.fregs, int(in.Rs2), n), row(w.fregs, int(in.Rs3), n)
-	xd, x1 := row(w.regs, rd, n), row(w.regs, rs1, n)
+	dst, a := row(w.regs, int(d.dst), n), row(w.regs, int(d.rs1), n)
+	b, c := row(w.regs, int(d.rs2), n), row(w.regs, int(d.rs3), n)
 
-	switch in.Op {
+	switch d.in.Op {
 	case isa.FADDS:
-		lanes2(fd, f1, f2, tm, func(x, y uint32) uint32 { return b32(f32(x) + f32(y)) })
+		lanes2(dst, a, b, tm, func(x, y uint32) uint32 { return b32(f32(x) + f32(y)) })
 	case isa.FSUBS:
-		lanes2(fd, f1, f2, tm, func(x, y uint32) uint32 { return b32(f32(x) - f32(y)) })
+		lanes2(dst, a, b, tm, func(x, y uint32) uint32 { return b32(f32(x) - f32(y)) })
 	case isa.FMULS:
-		lanes2(fd, f1, f2, tm, func(x, y uint32) uint32 { return b32(f32(x) * f32(y)) })
+		lanes2(dst, a, b, tm, func(x, y uint32) uint32 { return b32(f32(x) * f32(y)) })
 	case isa.FDIVS:
-		lanes2(fd, f1, f2, tm, func(x, y uint32) uint32 { return b32(f32(x) / f32(y)) })
+		lanes2(dst, a, b, tm, func(x, y uint32) uint32 { return b32(f32(x) / f32(y)) })
 	case isa.FSQRTS:
-		lanes1(fd, f1, tm, func(x uint32) uint32 { return b32(float32(math.Sqrt(float64(f32(x))))) })
+		lanes1(dst, a, tm, func(x uint32) uint32 { return b32(float32(math.Sqrt(float64(f32(x))))) })
 	case isa.FMINS:
-		lanes2(fd, f1, f2, tm, func(x, y uint32) uint32 { return b32(fmin(f32(x), f32(y))) })
+		lanes2(dst, a, b, tm, func(x, y uint32) uint32 { return b32(fmin(f32(x), f32(y))) })
 	case isa.FMAXS:
-		lanes2(fd, f1, f2, tm, func(x, y uint32) uint32 { return b32(fmax(f32(x), f32(y))) })
+		lanes2(dst, a, b, tm, func(x, y uint32) uint32 { return b32(fmax(f32(x), f32(y))) })
 	case isa.FSGNJS:
-		lanes2(fd, f1, f2, tm, func(x, y uint32) uint32 { return x&^signBit | y&signBit })
+		lanes2(dst, a, b, tm, func(x, y uint32) uint32 { return x&^signBit | y&signBit })
 	case isa.FSGNJNS:
-		lanes2(fd, f1, f2, tm, func(x, y uint32) uint32 { return x&^signBit | (^y)&signBit })
+		lanes2(dst, a, b, tm, func(x, y uint32) uint32 { return x&^signBit | (^y)&signBit })
 	case isa.FSGNJXS:
-		lanes2(fd, f1, f2, tm, func(x, y uint32) uint32 { return x ^ y&signBit })
+		lanes2(dst, a, b, tm, func(x, y uint32) uint32 { return x ^ y&signBit })
 	case isa.FMADDS:
-		lanes3(fd, f1, f2, f3, tm, func(x, y, z uint32) uint32 { return b32(fma32(f32(x), f32(y), f32(z))) })
+		lanes3(dst, a, b, c, tm, func(x, y, z uint32) uint32 { return b32(fma32(f32(x), f32(y), f32(z))) })
 	case isa.FMSUBS:
-		lanes3(fd, f1, f2, f3, tm, func(x, y, z uint32) uint32 { return b32(fma32(f32(x), f32(y), -f32(z))) })
+		lanes3(dst, a, b, c, tm, func(x, y, z uint32) uint32 { return b32(fma32(f32(x), f32(y), -f32(z))) })
 	case isa.FNMSUBS:
-		lanes3(fd, f1, f2, f3, tm, func(x, y, z uint32) uint32 { return b32(fma32(-f32(x), f32(y), f32(z))) })
+		lanes3(dst, a, b, c, tm, func(x, y, z uint32) uint32 { return b32(fma32(-f32(x), f32(y), f32(z))) })
 	case isa.FNMADDS:
-		lanes3(fd, f1, f2, f3, tm, func(x, y, z uint32) uint32 { return b32(fma32(-f32(x), f32(y), -f32(z))) })
+		lanes3(dst, a, b, c, tm, func(x, y, z uint32) uint32 { return b32(fma32(-f32(x), f32(y), -f32(z))) })
 	case isa.FEQS:
-		lanes2(xd, f1, f2, tm, func(x, y uint32) uint32 { return boolBit(f32(x) == f32(y)) })
+		lanes2(dst, a, b, tm, func(x, y uint32) uint32 { return boolBit(f32(x) == f32(y)) })
 	case isa.FLTS:
-		lanes2(xd, f1, f2, tm, func(x, y uint32) uint32 { return boolBit(f32(x) < f32(y)) })
+		lanes2(dst, a, b, tm, func(x, y uint32) uint32 { return boolBit(f32(x) < f32(y)) })
 	case isa.FLES:
-		lanes2(xd, f1, f2, tm, func(x, y uint32) uint32 { return boolBit(f32(x) <= f32(y)) })
+		lanes2(dst, a, b, tm, func(x, y uint32) uint32 { return boolBit(f32(x) <= f32(y)) })
 	case isa.FCVTWS:
-		lanes1(xd, f1, tm, func(x uint32) uint32 { return cvtWS(f32(x)) })
+		lanes1(dst, a, tm, func(x uint32) uint32 { return cvtWS(f32(x)) })
 	case isa.FCVTWUS:
-		lanes1(xd, f1, tm, func(x uint32) uint32 { return cvtWUS(f32(x)) })
+		lanes1(dst, a, tm, func(x uint32) uint32 { return cvtWUS(f32(x)) })
 	case isa.FCVTSW:
-		lanes1(fd, x1, tm, func(x uint32) uint32 { return b32(float32(int32(x))) })
+		lanes1(dst, a, tm, func(x uint32) uint32 { return b32(float32(int32(x))) })
 	case isa.FCVTSWU:
-		lanes1(fd, x1, tm, func(x uint32) uint32 { return b32(float32(x)) })
+		lanes1(dst, a, tm, func(x uint32) uint32 { return b32(float32(x)) })
 	case isa.FMVXW:
-		lanes1(xd, f1, tm, func(x uint32) uint32 { return x })
+		lanes1(dst, a, tm, func(x uint32) uint32 { return x })
 	case isa.FMVWX:
-		lanes1(fd, x1, tm, func(x uint32) uint32 { return x })
+		lanes1(dst, a, tm, func(x uint32) uint32 { return x })
 	case isa.FCLASSS:
-		lanes1(xd, f1, tm, func(x uint32) uint32 { return fclass(f32(x)) })
+		lanes1(dst, a, tm, func(x uint32) uint32 { return fclass(f32(x)) })
 	default:
-		panic("executeFP: bad op " + in.Op.String())
+		panic("executeFP: bad op " + d.in.Op.String())
 	}
 }
 

@@ -225,6 +225,31 @@ work:
 	ecall
 `
 
+// identityLayout gives every scoreboard slot the row of its own number —
+// x0-x31 rows 0-31, f0-f31 rows 32-63 — and fits the active warps to it, so
+// a whitebox test addresses integer register r at row r and float register
+// r at row 32+r. Records decoded afterwards remap to themselves; s must not
+// hold a program decoded under another layout.
+func identityLayout(s *Sim) {
+	if len(s.dec) > 0 {
+		panic("identityLayout: a program is loaded")
+	}
+	for slot := range s.rowOf {
+		s.rowOf[slot] = uint8(slot)
+	}
+	s.nrows = len(s.rowOf)
+	s.growActive()
+}
+
+// setReg writes v to lane of scoreboard slot's row in w when the loaded
+// programs name the slot; a slot they never name has no row and is never
+// read.
+func setReg(s *Sim, w *warp, slot uint8, lane int, v uint32) {
+	if r := s.rowOf[slot]; r != 0 {
+		w.regs[int(r)*s.cfg.Threads+lane] = v
+	}
+}
+
 func activateAll(cfg Config, warps int, tmask uint64) func(*Sim) error {
 	return func(s *Sim) error {
 		for c := 0; c < cfg.Cores; c++ {

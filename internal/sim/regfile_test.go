@@ -1,7 +1,8 @@
 package sim
 
-// Register files as the accessors see them: a program loaded while a warp
-// of an earlier one is still active.
+// Register files: as the accessors see them across a program loaded while a
+// warp of an earlier one is still active and across Reset and Reshape, and
+// the program-sized layout behind them.
 
 import (
 	"math"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/isa"
 )
 
 // growA and growB share their first seven instructions: warp 0 loops there,
@@ -110,4 +112,151 @@ func TestLoadProgramWhileWarpActive(t *testing.T) {
 		}
 	}
 	CheckEngineDigest(t, "", digestOf(regs, s.Cycle(), s.CoreStatsOf(0)))
+}
+
+// TestResetForgetsRegisters: Reset and Reshape promise the freshly
+// constructed state, so registers the last run wrote read 0 afterwards —
+// through Reg and FReg, before and after the next program is loaded, and
+// to that program, which reads them before writing anything.
+func TestResetForgetsRegisters(t *testing.T) {
+	read := func(t *testing.T, s *Sim, r uint8, float bool) uint32 {
+		t.Helper()
+		get := s.Reg
+		if float {
+			get = s.FReg
+		}
+		v, err := get(0, 0, 0, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	for _, rewind := range []string{"reset", "reshape"} {
+		t.Run(rewind, func(t *testing.T) {
+			s := rig(t, cfg1c1w1t(), "li t0, 77\nfmv.w.x f1, t0\necall", nil)
+			mustRun(t, s)
+			if t0, f1 := read(t, s, 5, false), read(t, s, 1, true); t0 != 77 || f1 != 77 {
+				t.Fatalf("after the run t0, f1 = %d, %d, want 77, 77", t0, f1)
+			}
+			if rewind == "reset" {
+				s.Reset()
+			} else if err := s.Reshape(s.cfg, s.memory, s.hier); err != nil {
+				t.Fatal(err)
+			}
+			if t0, f1 := read(t, s, 5, false), read(t, s, 1, true); t0 != 0 || f1 != 0 {
+				t.Errorf("after %s t0, f1 = %d, %d, want 0, 0 (a fresh Sim's)", rewind, t0, f1)
+			}
+			p, err := asm.Assemble("addi t1, t0, 1\nfmv.x.w t2, f1\necall", 0x1000, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.LoadProgram(p.Base, p.Insts); err != nil {
+				t.Fatal(err)
+			}
+			if t0, f1 := read(t, s, 5, false), read(t, s, 1, true); t0 != 0 || f1 != 0 {
+				t.Errorf("after %s and a load t0, f1 = %d, %d, want 0, 0 (not activated since)", rewind, t0, f1)
+			}
+			if err := s.ActivateWarp(0, 0, 0x1000, 1); err != nil {
+				t.Fatal(err)
+			}
+			mustRun(t, s)
+			if t1, t2 := read(t, s, 6, false), read(t, s, 7, false); t1 != 1 || t2 != 0 {
+				t.Errorf("next program read t0+1, f1 = %d, %d, want 1, 0", t1, t2)
+			}
+		})
+	}
+}
+
+// TestProgramSizedLayout holds the register layout to its rules: a row per
+// slot the loaded programs name and none for any other, x0 at row 0, every
+// record field the row of the slot decode gives it; rows only added between
+// Resets, with active warps fitted and inactive ones left alone; and Reset
+// dropping the layout and every warp's rows.
+func TestProgramSizedLayout(t *testing.T) {
+	cfg := DefaultConfig(1, 3, 4)
+	s := rigNoStart(t, cfg, growA, nil)
+	check := func(prog []isa.Inst, named map[uint8]bool) {
+		t.Helper()
+		for _, in := range prog {
+			d := decode(in, s.cfg.Lat)
+			for _, slot := range append(d.slots[:], d.dst, d.rs1, d.rs2, d.rs3) {
+				if slot != 0 {
+					named[slot] = true
+				}
+			}
+		}
+		if s.nrows != 1+len(named) {
+			t.Errorf("%d rows for %d named slots, want one more for x0", s.nrows, len(named))
+		}
+		rows := map[uint8]uint8{}
+		for slot, r := range s.rowOf {
+			switch {
+			case !named[uint8(slot)] && r != 0:
+				t.Errorf("unnamed slot %d has row %d", slot, r)
+			case named[uint8(slot)] && (r == 0 || int(r) >= s.nrows):
+				t.Errorf("named slot %d has row %d of %d", slot, r, s.nrows)
+			case r != 0 && rows[r] != 0:
+				t.Errorf("slots %d and %d share row %d", rows[r], slot, r)
+			}
+			if r != 0 {
+				rows[r] = uint8(slot)
+			}
+		}
+		for i, in := range prog {
+			want := decode(in, s.cfg.Lat)
+			for k, slot := range want.slots {
+				want.slots[k] = s.rowOf[slot]
+			}
+			want.dst, want.rs1, want.rs2, want.rs3 = s.rowOf[want.dst], s.rowOf[want.rs1], s.rowOf[want.rs2], s.rowOf[want.rs3]
+			if s.dec[i] != want {
+				t.Errorf("record %d (%s) = %+v, want %+v", i, in.Op, s.dec[i], want)
+			}
+		}
+	}
+	fits := func(wid, rows int) {
+		t.Helper()
+		w := &s.cores[0].warps[wid]
+		if len(w.regs) != rows*cfg.Threads || len(w.pend) != rows {
+			t.Errorf("warp %d holds %d words and %d completions, want %d rows", wid, len(w.regs), len(w.pend), rows)
+		}
+	}
+
+	named := map[uint8]bool{}
+	check(s.prog, named)
+	rowsA := s.nrows
+	rowOfA := s.rowOf
+	for wid := 0; wid < 2; wid++ {
+		if err := s.ActivateWarp(0, wid, 0x1000, 0xF); err != nil {
+			t.Fatal(err)
+		}
+		fits(wid, rowsA)
+	}
+	s.cores[0].warps[1].active = false // as if it had retired
+	p, err := asm.Assemble(growB, 0x1000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadProgram(p.Base, p.Insts); err != nil {
+		t.Fatal(err)
+	}
+	check(p.Insts, named)
+	if s.nrows <= rowsA {
+		t.Fatalf("growB added no rows to growA's %d", rowsA)
+	}
+	for slot, r := range rowOfA {
+		if r != 0 && s.rowOf[slot] != r {
+			t.Errorf("slot %d moved from row %d to %d", slot, r, s.rowOf[slot])
+		}
+	}
+	fits(0, s.nrows)
+	fits(1, rowsA)
+	fits(2, 0)
+
+	s.Reset()
+	if s.nrows != 1 || s.rowOf != [64]uint8{} {
+		t.Errorf("Reset left %d rows, layout %v", s.nrows, s.rowOf)
+	}
+	for wid := 0; wid < 3; wid++ {
+		fits(wid, 0)
+	}
 }

@@ -49,11 +49,11 @@ type warp struct {
 	barWait bool
 	pc      uint32
 	tmask   uint64
-	regs    []uint32 // 32 x threads integer registers, register-major: regs[r*Threads+lane]
-	fregs   []uint32 // 32 x threads float registers (IEEE-754 bits), same layout
-	// pend holds each register's pending-result completion cycle, indexed by
-	// scoreboard slot (decoded): x0-x31 then f0-f31.
-	pend  [64]uint64
+	// regs and pend hold one row per register the layout names (layout.go):
+	// regs[r*Threads+lane] is row r's value in lane (float registers as
+	// IEEE-754 bits) and pend[r] its pending-result completion cycle.
+	regs  []uint32
+	pend  []uint64
 	ipdom []ipdomEntry
 	last  uint64 // last issue cycle (GTO tiebreak)
 
@@ -130,7 +130,12 @@ type Sim struct {
 	hier     *mem.Hierarchy
 	progBase uint32
 	prog     []isa.Inst // the resident program, as loaded (identity check only)
-	dec      []decoded  // the resident program, decoded under cfg.Lat
+	dec      []decoded  // the resident program, decoded under cfg.Lat and the layout
+	// The register layout of the programs loaded since the last Reset
+	// (layout.go): rowOf maps a scoreboard slot to its row (0 for x0 and
+	// for slots no program names), nrows counts the rows.
+	rowOf    [64]uint8
+	nrows    int
 	cores    []simCore
 	cycle    uint64
 	observer func(IssueEvent)
@@ -185,7 +190,7 @@ func (s *Sim) Reshape(cfg Config, memory *mem.Memory, hier *mem.Hierarchy) error
 	// next growth; Reset below visits exactly the new shape, so whatever a
 	// re-exposed slot last held (active warps of a trapped run included)
 	// is rewound before anything reads it. Register files are sized to
-	// cfg.Threads when a warp is activated (resetWarp).
+	// the layout and cfg.Threads when a warp is activated (resetWarp).
 	s.cores = resized(s.cores, cfg.Cores)
 	for i := range s.cores {
 		c := &s.cores[i]
@@ -229,12 +234,14 @@ func (s *Sim) Hierarchy() *mem.Hierarchy { return s.hier }
 func (s *Sim) SetObserver(fn func(IssueEvent)) { s.observer = fn }
 
 // LoadProgram installs the instruction stream at base and decodes every
-// instruction once into its issue record (decode.go). Instruction fetch is
-// modeled as ideal (the paper's bottlenecks are issue- and data-side).
-// Re-loading the program already resident (same backing array, the common
-// case under the ocl program cache) skips the decode. Records depend on
-// cfg.Lat, which only Reshape changes, and Reshape (through Reset) drops the
-// resident program.
+// instruction once into its issue record (decode.go), naming its registers
+// in the layout (layout.go); warps still active from an earlier program
+// gain the rows it adds, zeroed. Instruction fetch is modeled as ideal (the
+// paper's bottlenecks are issue- and data-side). Re-loading the program
+// already resident (same backing array, the common case under the ocl
+// program cache) skips the decode. Records depend on cfg.Lat, which only
+// Reshape changes, and on rows the layout keeps until Reset; Reshape
+// (through Reset) and Reset drop the resident program.
 func (s *Sim) LoadProgram(base uint32, insts []isa.Inst) error {
 	if base%4 != 0 {
 		return fmt.Errorf("sim: program base %#x misaligned", base)
@@ -246,22 +253,30 @@ func (s *Sim) LoadProgram(base uint32, insts []isa.Inst) error {
 	s.progBase = base
 	s.prog = insts
 	s.dec = resized(s.dec, len(insts))
+	rows := s.nrows
 	for i, in := range insts {
-		s.dec[i] = decode(in, s.cfg.Lat)
+		d := &s.dec[i]
+		*d = decode(in, s.cfg.Lat)
+		s.remap(d)
+	}
+	if s.nrows > rows {
+		s.growActive()
 	}
 	return nil
 }
 
 // Reset rewinds the simulator to its freshly constructed state — cycle
-// counter, per-core scheduler and LSU state, statistics, barriers and warp
-// flags — while keeping the register-file and scratch allocations, so a
-// pooled device can be reused across runs with byte-identical behaviour to
-// a new Sim. The loaded program is dropped (the next launch reloads one)
-// and any observer is kept (callers that pool devices clear it via the
-// device).
+// counter, per-core scheduler and LSU state, statistics, barriers, warp
+// flags and registers — while keeping the register-file and scratch
+// allocations, so a pooled device can be reused across runs with
+// byte-identical behaviour to a new Sim. The loaded program and the
+// register layout are dropped (the next launch reloads one), every warp's
+// rows are emptied so its registers read 0 until it is next activated, and
+// any observer is kept (callers that pool devices clear it via the device).
 func (s *Sim) Reset() {
 	s.cycle = 0
 	s.progBase, s.prog, s.dec = 0, nil, s.dec[:0]
+	s.resetLayout()
 	s.NoCoalesce = false
 	for i := range s.cores {
 		c := &s.cores[i]
@@ -279,6 +294,7 @@ func (s *Sim) Reset() {
 			w.active = false
 			w.barWait = false
 			w.last = 0
+			w.regs, w.pend = w.regs[:0], w.pend[:0]
 		}
 	}
 }
@@ -309,13 +325,10 @@ func (s *Sim) ActivateWarp(core, wid int, pc uint32, tmask uint64) error {
 }
 
 func (s *Sim) resetWarp(w *warp, pc uint32, tmask uint64) {
-	// The register files follow cfg.Threads: a warp reshaped from a wider
-	// device re-slices its arrays, a narrower (or new) one allocates.
-	n := s.cfg.Threads * 32
-	w.regs, w.fregs = resized(w.regs, n), resized(w.fregs, n)
-	clear(w.regs)
-	clear(w.fregs)
-	w.pend = [64]uint64{}
+	// The rows follow the layout and cfg.Threads: arrays large enough are
+	// re-sliced, smaller (or new) ones allocate.
+	w.regs, w.pend = w.regs[:0], w.pend[:0]
+	s.fitRows(w)
 	w.ipdom = w.ipdom[:0]
 	w.active = true
 	w.barWait = false

@@ -113,8 +113,10 @@ func TestSpecEdgeCases(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := &s.cores[0].warps[0]
-		w.regs[1], w.regs[2] = r.a, r.b
-		w.fregs[1], w.fregs[2] = r.a, r.b
+		setReg(s, w, 1, 0, r.a)
+		setReg(s, w, 2, 0, r.b)
+		setReg(s, w, floatSlot(1), 0, r.a)
+		setReg(s, w, floatSlot(2), 0, r.b)
 		mustRun(t, s)
 		read := s.Reg
 		if strings.Fields(r.inst)[1][0] == 'f' {
