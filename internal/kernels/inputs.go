@@ -149,24 +149,3 @@ func convInputsFor(ch, w int, seed int64) *convInputs {
 		return &convInputs{in: in, weights: weights, bias: bias, want: RefConv3x3(in, weights, bias, ch)}
 	}).(*convInputs)
 }
-
-type reduceInputs struct {
-	in   []float32
-	want float32
-}
-
-func reduceInputsFor(n, parts int, seed int64) *reduceInputs {
-	return memoize(fmt.Sprintf("reduce/%d/%d/%d", n, parts, seed), func() any {
-		in := workload.Floats(n, seed)
-		return &reduceInputs{in: in, want: RefReduceSum(in, parts)}
-	}).(*reduceInputs)
-}
-
-type transposeInputs struct{ in, want []float32 }
-
-func transposeInputsFor(r, c int, seed int64) *transposeInputs {
-	return memoize(fmt.Sprintf("transpose/%d/%d/%d", r, c, seed), func() any {
-		in := workload.Floats(r*c, seed)
-		return &transposeInputs{in: in, want: RefTranspose(in, r, c)}
-	}).(*transposeInputs)
-}

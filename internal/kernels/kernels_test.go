@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/ocl"
@@ -210,6 +211,34 @@ func TestGraphValidateOnGenerated(t *testing.T) {
 	for n := 0; n < g.N; n++ {
 		if g.Degree(n) < 1 {
 			t.Fatalf("node %d has degree 0", n)
+		}
+	}
+}
+
+func TestCompareFloatsBitExact(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	if err := compareFloats("k", []float32{negZero}, []float32{0}); err == nil {
+		t.Error("-0 accepted for +0")
+	}
+	if err := compareFloats("k", []float32{1, 0}, []float32{1, negZero}); err == nil {
+		t.Error("+0 accepted for -0")
+	}
+	quiet, payload := math.Float32frombits(0x7fc00000), math.Float32frombits(0xffc00001)
+	if err := compareFloats("k", []float32{quiet, 2}, []float32{payload, 2}); err != nil {
+		t.Errorf("NaN refused for NaN: %v", err)
+	}
+	if err := compareFloats("k", []float32{quiet}, []float32{0}); err == nil {
+		t.Error("NaN accepted for 0")
+	}
+}
+
+func TestBuildRefusesBadScale(t *testing.T) {
+	d := dev(t, 1, 2, 4)
+	for _, spec := range Registry() {
+		for _, scale := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+			if _, err := spec.Build(d, Params{Scale: scale, Seed: 1}); err == nil {
+				t.Errorf("%s built at scale %v", spec.Name, scale)
+			}
 		}
 	}
 }

@@ -28,41 +28,10 @@ var VecaddSource = ocl.KernelSource{
 // BuildVecadd prepares an n-element vector addition.
 func BuildVecadd(d *ocl.Device, n int, seed int64) (*Case, error) {
 	in := vecaddInputsFor(n, seed)
-	a, b, want := in.a, in.b, in.want
-	bufA, err := d.AllocFloat32(n)
-	if err != nil {
-		return nil, err
-	}
-	bufB, err := d.AllocFloat32(n)
-	if err != nil {
-		return nil, err
-	}
-	bufC, err := d.AllocFloat32(n)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.WriteFloat32(bufA, a); err != nil {
-		return nil, err
-	}
-	if err := d.WriteFloat32(bufB, b); err != nil {
-		return nil, err
-	}
-	k := mustKernel(VecaddSource)
-	if err := k.SetArgs(bufA, bufB, bufC); err != nil {
-		return nil, err
-	}
-	return &Case{
-		Name:      "vecadd",
-		Launches:  []LaunchSpec{{Kernel: k, GWS: n}},
-		WorkItems: n,
-		Verify: func(d *ocl.Device) error {
-			got, err := d.ReadFloat32(bufC, n)
-			if err != nil {
-				return err
-			}
-			return compareFloats("vecadd", got, want)
-		},
-	}, nil
+	b := &binder{d: d}
+	bufA, bufB, bufC := b.floats(in.a), b.floats(in.b), b.alloc(n)
+	b.launch(VecaddSource, nil, n, bufA, bufB, bufC)
+	return b.verified("vecadd", bufC, in.want)
 }
 
 // RefVecadd is the CPU reference.
@@ -94,35 +63,11 @@ var ReluSource = ocl.KernelSource{
 
 // BuildRelu prepares an n-element ReLU.
 func BuildRelu(d *ocl.Device, n int, seed int64) (*Case, error) {
-	mi := reluInputsFor(n, seed)
-	in, want := mi.in, mi.want
-	bufI, err := d.AllocFloat32(n)
-	if err != nil {
-		return nil, err
-	}
-	bufO, err := d.AllocFloat32(n)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.WriteFloat32(bufI, in); err != nil {
-		return nil, err
-	}
-	k := mustKernel(ReluSource)
-	if err := k.SetArgs(bufI, bufO); err != nil {
-		return nil, err
-	}
-	return &Case{
-		Name:      "relu",
-		Launches:  []LaunchSpec{{Kernel: k, GWS: n}},
-		WorkItems: n,
-		Verify: func(d *ocl.Device) error {
-			got, err := d.ReadFloat32(bufO, n)
-			if err != nil {
-				return err
-			}
-			return compareFloats("relu", got, want)
-		},
-	}, nil
+	in := reluInputsFor(n, seed)
+	b := &binder{d: d}
+	bufI, bufO := b.floats(in.in), b.alloc(n)
+	b.launch(ReluSource, nil, n, bufI, bufO)
+	return b.verified("relu", bufO, in.want)
 }
 
 // RefRelu is the CPU reference.
@@ -159,37 +104,10 @@ var SaxpySource = ocl.KernelSource{
 func BuildSaxpy(d *ocl.Device, n int, seed int64) (*Case, error) {
 	const alpha = float32(2.5)
 	in := saxpyInputsFor(alpha, n, seed)
-	x, y, want := in.x, in.y, in.want
-	bufX, err := d.AllocFloat32(n)
-	if err != nil {
-		return nil, err
-	}
-	bufY, err := d.AllocFloat32(n)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.WriteFloat32(bufX, x); err != nil {
-		return nil, err
-	}
-	if err := d.WriteFloat32(bufY, y); err != nil {
-		return nil, err
-	}
-	k := mustKernel(SaxpySource)
-	if err := k.SetArgs(bufX, bufY, alpha); err != nil {
-		return nil, err
-	}
-	return &Case{
-		Name:      "saxpy",
-		Launches:  []LaunchSpec{{Kernel: k, GWS: n}},
-		WorkItems: n,
-		Verify: func(d *ocl.Device) error {
-			got, err := d.ReadFloat32(bufY, n)
-			if err != nil {
-				return err
-			}
-			return compareFloats("saxpy", got, want)
-		},
-	}, nil
+	b := &binder{d: d}
+	bufX, bufY := b.floats(in.x), b.floats(in.y)
+	b.launch(SaxpySource, nil, n, bufX, bufY, alpha)
+	return b.verified("saxpy", bufY, in.want)
 }
 
 // RefSaxpy is the CPU reference (fused multiply-add, like the device).
@@ -241,43 +159,10 @@ __sg_loop:
 // x:256 y:16 z:144 corresponds to m=256, n=16, k=144).
 func BuildSgemm(d *ocl.Device, m, n, k int, seed int64) (*Case, error) {
 	in := sgemmInputsFor(m, n, k, seed)
-	a, b, want := in.a, in.b, in.want
-	bufA, err := d.AllocFloat32(m * k)
-	if err != nil {
-		return nil, err
-	}
-	bufB, err := d.AllocFloat32(k * n)
-	if err != nil {
-		return nil, err
-	}
-	bufC, err := d.AllocFloat32(m * n)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.WriteFloat32(bufA, a); err != nil {
-		return nil, err
-	}
-	if err := d.WriteFloat32(bufB, b); err != nil {
-		return nil, err
-	}
-	src := SgemmSource
-	src.Defs = map[string]int64{"SG_N": int64(n), "SG_K": int64(k)}
-	kn := mustKernel(src)
-	if err := kn.SetArgs(bufA, bufB, bufC); err != nil {
-		return nil, err
-	}
-	return &Case{
-		Name:      "sgemm",
-		Launches:  []LaunchSpec{{Kernel: kn, GWS: m * n}},
-		WorkItems: m * n,
-		Verify: func(d *ocl.Device) error {
-			got, err := d.ReadFloat32(bufC, m*n)
-			if err != nil {
-				return err
-			}
-			return compareFloats("sgemm", got, want)
-		},
-	}, nil
+	b := &binder{d: d}
+	bufA, bufB, bufC := b.floats(in.a), b.floats(in.b), b.alloc(m*n)
+	b.launch(SgemmSource, map[string]int64{"SG_N": int64(n), "SG_K": int64(k)}, m*n, bufA, bufB, bufC)
+	return b.verified("sgemm", bufC, in.want)
 }
 
 // RefSgemm is the CPU reference (fused multiply-adds in k order).
@@ -326,41 +211,10 @@ var KNNSource = ocl.KernelSource{
 func BuildKNN(d *ocl.Device, n int, seed int64) (*Case, error) {
 	const qlat, qlng = float32(30.5), float32(-120.25)
 	in := knnInputsFor(n, qlat, qlng, seed)
-	pts, want := in.pts, in.want
-	bufLat, err := d.AllocFloat32(n)
-	if err != nil {
-		return nil, err
-	}
-	bufLng, err := d.AllocFloat32(n)
-	if err != nil {
-		return nil, err
-	}
-	bufDist, err := d.AllocFloat32(n)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.WriteFloat32(bufLat, pts.Lat); err != nil {
-		return nil, err
-	}
-	if err := d.WriteFloat32(bufLng, pts.Lng); err != nil {
-		return nil, err
-	}
-	k := mustKernel(KNNSource)
-	if err := k.SetArgs(bufLat, bufLng, bufDist, qlat, qlng); err != nil {
-		return nil, err
-	}
-	return &Case{
-		Name:      "knn",
-		Launches:  []LaunchSpec{{Kernel: k, GWS: n}},
-		WorkItems: n,
-		Verify: func(d *ocl.Device) error {
-			got, err := d.ReadFloat32(bufDist, n)
-			if err != nil {
-				return err
-			}
-			return compareFloats("knn", got, want)
-		},
-	}, nil
+	b := &binder{d: d}
+	bufLat, bufLng, bufDist := b.floats(in.pts.Lat), b.floats(in.pts.Lng), b.alloc(n)
+	b.launch(KNNSource, nil, n, bufLat, bufLng, bufDist, qlat, qlng)
+	return b.verified("knn", bufDist, in.want)
 }
 
 // RefKNN is the CPU reference.
@@ -423,46 +277,15 @@ __gf_row:
 `,
 }
 
-// BuildGauss prepares a w x h Gaussian blur.
+// BuildGauss prepares a w x h Gaussian blur. Its output buffer is
+// allocated between the image and the weights, an order the golden digests
+// pin.
 func BuildGauss(d *ocl.Device, w, h int, seed int64) (*Case, error) {
 	in := gaussInputsFor(w, h, seed)
-	im, weights, want := in.im, in.weights, in.want
-	bufIn, err := d.AllocFloat32(len(im.Data))
-	if err != nil {
-		return nil, err
-	}
-	bufOut, err := d.AllocFloat32(w * h)
-	if err != nil {
-		return nil, err
-	}
-	bufW, err := d.AllocFloat32(25)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.WriteFloat32(bufIn, im.Data); err != nil {
-		return nil, err
-	}
-	if err := d.WriteFloat32(bufW, weights); err != nil {
-		return nil, err
-	}
-	src := GaussSource
-	src.Defs = map[string]int64{"GF_W": int64(w)}
-	k := mustKernel(src)
-	if err := k.SetArgs(bufIn, bufOut, bufW); err != nil {
-		return nil, err
-	}
-	return &Case{
-		Name:      "gauss",
-		Launches:  []LaunchSpec{{Kernel: k, GWS: w * h}},
-		WorkItems: w * h,
-		Verify: func(d *ocl.Device) error {
-			got, err := d.ReadFloat32(bufOut, w*h)
-			if err != nil {
-				return err
-			}
-			return compareFloats("gauss", got, want)
-		},
-	}, nil
+	b := &binder{d: d}
+	bufIn, bufOut, bufW := b.floats(in.im.Data), b.alloc(w*h), b.floats(in.weights)
+	b.launch(GaussSource, map[string]int64{"GF_W": int64(w)}, w*h, bufIn, bufOut, bufW)
+	return b.verified("gauss", bufOut, in.want)
 }
 
 // RefGauss is the CPU reference, accumulating in the device's order

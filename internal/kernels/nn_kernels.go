@@ -63,66 +63,13 @@ __ga_done:
 `,
 }
 
-// gcnBuffers uploads a graph and feature matrix, returning device buffers.
-func gcnBuffers(d *ocl.Device, g *workload.Graph, x []float32, hs int) (rowptr, col, xin, xout ocl.Buffer, err error) {
-	if rowptr, err = d.AllocUint32(len(g.RowPtr)); err != nil {
-		return
-	}
-	if col, err = d.AllocUint32(maxInt(len(g.Col), 1)); err != nil {
-		return
-	}
-	if xin, err = d.AllocFloat32(g.N * hs); err != nil {
-		return
-	}
-	if xout, err = d.AllocFloat32(g.N * hs); err != nil {
-		return
-	}
-	if err = d.WriteUint32(rowptr, g.RowPtr); err != nil {
-		return
-	}
-	if len(g.Col) > 0 {
-		if err = d.WriteUint32(col, g.Col); err != nil {
-			return
-		}
-	}
-	err = d.WriteFloat32(xin, x)
-	return
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // BuildGCNAggr prepares mean aggregation over graph g with hs features.
 func BuildGCNAggr(d *ocl.Device, g *workload.Graph, hs int, seed int64) (*Case, error) {
 	in := gcnAggrInputsFor(g, hs, seed)
-	x, want := in.x, in.want
-	rowptr, col, xin, xout, err := gcnBuffers(d, g, x, hs)
-	if err != nil {
-		return nil, err
-	}
-	src := GCNAggrSource
-	src.Defs = map[string]int64{"GA_HS": int64(hs)}
-	k := mustKernel(src)
-	if err := k.SetArgs(rowptr, col, xin, xout); err != nil {
-		return nil, err
-	}
-	gws := g.N * hs
-	return &Case{
-		Name:      "gcn_aggr",
-		Launches:  []LaunchSpec{{Kernel: k, GWS: gws}},
-		WorkItems: gws,
-		Verify: func(d *ocl.Device) error {
-			got, err := d.ReadFloat32(xout, gws)
-			if err != nil {
-				return err
-			}
-			return compareFloats("gcn_aggr", got, want)
-		},
-	}, nil
+	b := &binder{d: d}
+	rowptr, col, xin, xout := b.words(g.RowPtr), b.words(g.Col), b.floats(in.x), b.alloc(g.N*hs)
+	b.launch(GCNAggrSource, map[string]int64{"GA_HS": int64(hs)}, g.N*hs, rowptr, col, xin, xout)
+	return b.verified("gcn_aggr", xout, in.want)
 }
 
 // RefGCNAggr is the CPU reference (sum in CSR order, then mean).
@@ -154,57 +101,16 @@ func RefGCNAggr(g *workload.Graph, x []float32, hs int) []float32 {
 // combined-kernel experiments.
 func BuildGCNLayer(d *ocl.Device, g *workload.Graph, hs int, seed int64) (*Case, error) {
 	in := gcnLayerInputsFor(g, hs, seed)
-	x, w, want := in.x, in.w, in.want
-
-	rowptr, col, xin, xout, err := gcnBuffers(d, g, x, hs)
-	if err != nil {
-		return nil, err
-	}
-	bufW, err := d.AllocFloat32(hs * hs)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.WriteFloat32(bufW, w); err != nil {
-		return nil, err
-	}
-	tmp, err := d.AllocFloat32(g.N * hs)
-	if err != nil {
-		return nil, err
-	}
-
+	b := &binder{d: d}
+	rowptr, col, xin, xout := b.words(g.RowPtr), b.words(g.Col), b.floats(in.x), b.alloc(g.N*hs)
+	bufW, tmp := b.floats(in.w), b.alloc(g.N*hs)
 	// Launch 1: T = X x W via the sgemm kernel (M=N nodes, N=K=hs).
-	tsrc := SgemmSource
-	tsrc.Name = "gcn_transform"
-	tsrc.Defs = map[string]int64{"SG_N": int64(hs), "SG_K": int64(hs)}
-	kt := mustKernel(tsrc)
-	if err := kt.SetArgs(xin, bufW, tmp); err != nil {
-		return nil, err
-	}
-
+	transform := SgemmSource
+	transform.Name = "gcn_transform"
+	b.launch(transform, map[string]int64{"SG_N": int64(hs), "SG_K": int64(hs)}, g.N*hs, xin, bufW, tmp)
 	// Launch 2: aggregate T over the graph.
-	asrc := GCNAggrSource
-	asrc.Defs = map[string]int64{"GA_HS": int64(hs)}
-	ka := mustKernel(asrc)
-	if err := ka.SetArgs(rowptr, col, tmp, xout); err != nil {
-		return nil, err
-	}
-
-	gws := g.N * hs
-	return &Case{
-		Name: "gcn_layer",
-		Launches: []LaunchSpec{
-			{Kernel: kt, GWS: gws},
-			{Kernel: ka, GWS: gws},
-		},
-		WorkItems: 2 * gws,
-		Verify: func(d *ocl.Device) error {
-			got, err := d.ReadFloat32(xout, gws)
-			if err != nil {
-				return err
-			}
-			return compareFloats("gcn_layer", got, want)
-		},
-	}, nil
+	b.launch(GCNAggrSource, map[string]int64{"GA_HS": int64(hs)}, g.N*hs, rowptr, col, tmp, xout)
+	return b.verified("gcn_layer", xout, in.want)
 }
 
 // --- ResNet20 conv layer ---------------------------------------------------
@@ -284,57 +190,13 @@ __cv_ic:
 // BuildConv3x3 prepares one ResNet20-style conv3x3(ch->ch)+bias+ReLU layer
 // over a w x w image (CIFAR-10 layer: ch=16, w=32).
 func BuildConv3x3(d *ocl.Device, ch, w int, seed int64) (*Case, error) {
-	mi := convInputsFor(ch, w, seed)
-	in, weights, bias, want := mi.in, mi.weights, mi.bias, mi.want
-
-	bufIn, err := d.AllocFloat32(len(in.Data))
-	if err != nil {
-		return nil, err
-	}
-	bufW, err := d.AllocFloat32(len(weights))
-	if err != nil {
-		return nil, err
-	}
-	bufB, err := d.AllocFloat32(ch)
-	if err != nil {
-		return nil, err
-	}
-	bufOut, err := d.AllocFloat32(ch * w * w)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.WriteFloat32(bufIn, in.Data); err != nil {
-		return nil, err
-	}
-	if err := d.WriteFloat32(bufW, weights); err != nil {
-		return nil, err
-	}
-	if err := d.WriteFloat32(bufB, bias); err != nil {
-		return nil, err
-	}
-	src := Conv3x3Source
-	src.Defs = map[string]int64{
-		"CV_C":  int64(ch),
-		"CV_W":  int64(w),
-		"CV_PW": int64(w + 2),
-	}
-	k := mustKernel(src)
-	if err := k.SetArgs(bufIn, bufW, bufB, bufOut); err != nil {
-		return nil, err
-	}
-	gws := ch * w * w
-	return &Case{
-		Name:      "resnet20_layer",
-		Launches:  []LaunchSpec{{Kernel: k, GWS: gws}},
-		WorkItems: gws,
-		Verify: func(d *ocl.Device) error {
-			got, err := d.ReadFloat32(bufOut, gws)
-			if err != nil {
-				return err
-			}
-			return compareFloats("resnet20_layer", got, want)
-		},
-	}, nil
+	in := convInputsFor(ch, w, seed)
+	b := &binder{d: d}
+	bufIn, bufW, bufB := b.floats(in.in.Data), b.floats(in.weights), b.floats(in.bias)
+	bufOut := b.alloc(ch * w * w)
+	defs := map[string]int64{"CV_C": int64(ch), "CV_W": int64(w), "CV_PW": int64(w + 2)}
+	b.launch(Conv3x3Source, defs, ch*w*w, bufIn, bufW, bufB, bufOut)
+	return b.verified("resnet20_layer", bufOut, in.want)
 }
 
 // RefConv3x3 is the CPU reference, accumulating in the device's order

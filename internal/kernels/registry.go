@@ -19,9 +19,9 @@ type Params struct {
 }
 
 // CheckScale refuses a workload scale no build can honour: zero, negative,
-// NaN or infinite. The builders would otherwise run a NaN or infinite scale
-// at minimum size and a non-positive one at paper size, labelled with the
-// scale that was asked for.
+// NaN or infinite. Spec.Build runs it first; the builders would otherwise
+// run a NaN or infinite scale at minimum size, labelled with the scale
+// that was asked for.
 func CheckScale(scale float64) error {
 	if !(scale > 0) || math.IsInf(scale, 1) {
 		return fmt.Errorf("scale must be positive and finite (got %v)", scale)
@@ -43,13 +43,18 @@ type Spec struct {
 	Group Group
 	// PaperSize describes the workload dimensions the paper reports.
 	PaperSize string
-	Build     func(d *ocl.Device, p Params) (*Case, error)
+	build     func(d *ocl.Device, p Params) (*Case, error)
+}
+
+// Build builds the kernel's case on d, refusing a scale CheckScale refuses.
+func (s Spec) Build(d *ocl.Device, p Params) (*Case, error) {
+	if err := CheckScale(p.Scale); err != nil {
+		return nil, fmt.Errorf("kernels: %s: %w", s.Name, err)
+	}
+	return s.build(d, p)
 }
 
 func scaled(base int, s float64, min int) int {
-	if s <= 0 {
-		s = 1
-	}
 	n := int(math.Round(float64(base) * s))
 	if n < min {
 		n = min
@@ -58,9 +63,6 @@ func scaled(base int, s float64, min int) int {
 }
 
 func scaledSqrt(base int, s float64, min int) int {
-	if s <= 0 {
-		s = 1
-	}
 	n := int(math.Round(float64(base) * math.Sqrt(s)))
 	if n < min {
 		n = min
@@ -69,64 +71,64 @@ func scaledSqrt(base int, s float64, min int) int {
 }
 
 // registry is the paper's nine benchmark kernels, built once: ByName runs
-// once per campaign task. Build functions honor Params.Scale so sweeps can
-// trade fidelity for wall-clock time; Scale=1 reproduces the sizes of
+// once per campaign task. The build functions honor Params.Scale so sweeps
+// can trade fidelity for wall-clock time; Scale=1 reproduces the sizes of
 // Figure 2.
 var registry = []Spec{
 	{
 		Name: "vecadd", Group: GroupMath, PaperSize: "len 4096",
-		Build: func(d *ocl.Device, p Params) (*Case, error) {
+		build: func(d *ocl.Device, p Params) (*Case, error) {
 			return BuildVecadd(d, scaled(4096, p.Scale, 16), p.Seed)
 		},
 	},
 	{
 		Name: "relu", Group: GroupMath, PaperSize: "len 4096",
-		Build: func(d *ocl.Device, p Params) (*Case, error) {
+		build: func(d *ocl.Device, p Params) (*Case, error) {
 			return BuildRelu(d, scaled(4096, p.Scale, 16), p.Seed)
 		},
 	},
 	{
 		Name: "saxpy", Group: GroupMath, PaperSize: "len 4096",
-		Build: func(d *ocl.Device, p Params) (*Case, error) {
+		build: func(d *ocl.Device, p Params) (*Case, error) {
 			return BuildSaxpy(d, scaled(4096, p.Scale, 16), p.Seed)
 		},
 	},
 	{
 		Name: "sgemm", Group: GroupMath, PaperSize: "x:256 y:16 z:144",
-		Build: func(d *ocl.Device, p Params) (*Case, error) {
+		build: func(d *ocl.Device, p Params) (*Case, error) {
 			return BuildSgemm(d, scaled(256, p.Scale, 8), 16, 144, p.Seed)
 		},
 	},
 	{
 		Name: "knn", Group: GroupMath, PaperSize: "42764 pts",
-		Build: func(d *ocl.Device, p Params) (*Case, error) {
+		build: func(d *ocl.Device, p Params) (*Case, error) {
 			return BuildKNN(d, scaled(workload.KNNPoints, p.Scale, 64), p.Seed)
 		},
 	},
 	{
 		Name: "gauss", Group: GroupMath, PaperSize: "x:360 y:360",
-		Build: func(d *ocl.Device, p Params) (*Case, error) {
+		build: func(d *ocl.Device, p Params) (*Case, error) {
 			side := scaledSqrt(360, p.Scale, 16)
 			return BuildGauss(d, side, side, p.Seed)
 		},
 	},
 	{
 		Name: "gcn_aggr", Group: GroupML, PaperSize: "cora hs:16",
-		Build: func(d *ocl.Device, p Params) (*Case, error) {
+		build: func(d *ocl.Device, p Params) (*Case, error) {
 			g := graphFor(scaled(workload.CoraNodes, p.Scale, 32), workload.CoraAvgDeg, p.Seed)
 			return BuildGCNAggr(d, g, workload.CoraHidden, p.Seed+100)
 		},
 	},
 	{
 		Name: "gcn_layer", Group: GroupML, PaperSize: "cora hs:16",
-		Build: func(d *ocl.Device, p Params) (*Case, error) {
+		build: func(d *ocl.Device, p Params) (*Case, error) {
 			g := graphFor(scaled(workload.CoraNodes, p.Scale, 32), workload.CoraAvgDeg, p.Seed)
 			return BuildGCNLayer(d, g, workload.CoraHidden, p.Seed+100)
 		},
 	},
 	{
 		Name: "resnet20_layer", Group: GroupML, PaperSize: "CIFAR-10, 1 layer, ch 16",
-		Build: func(d *ocl.Device, p Params) (*Case, error) {
+		build: func(d *ocl.Device, p Params) (*Case, error) {
 			return BuildConv3x3(d, 16, scaledSqrt(32, p.Scale, 8), p.Seed)
 		},
 	},

@@ -161,6 +161,12 @@ func TestLaunchReportFields(t *testing.T) {
 	if res.Regime != core.RegimeOver || res.WarpsActivated != 1 {
 		t.Errorf("lws=64 report: regime=%v warps=%d", res.Regime, res.WarpsActivated)
 	}
+	// A single work item under the mapper: hp > gws, so Eq. 1 clamps to
+	// lws=1 and the launch lands in the exact regime on one warp.
+	res = runVecadd(t, cfg, 1, 0)
+	if res.LWS != 1 || res.Regime != core.RegimeExact || res.WarpsActivated != 1 {
+		t.Errorf("gws=1 lws=0 report: lws=%d regime=%v warps=%d", res.LWS, res.Regime, res.WarpsActivated)
+	}
 }
 
 func TestPartialWarpMasks(t *testing.T) {
