@@ -15,7 +15,10 @@
 // simulator counters used to group kernels like Figure 2.
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // HWInfo is the runtime-visible micro-architecture of a device.
 type HWInfo struct {
@@ -28,7 +31,17 @@ type HWInfo struct {
 func (h HWInfo) HP() int { return h.Cores * h.Warps * h.Threads }
 
 // Name renders the paper's compact notation, e.g. "4c8w16t".
-func (h HWInfo) Name() string { return fmt.Sprintf("%dc%dw%dt", h.Cores, h.Warps, h.Threads) }
+func (h HWInfo) Name() string { return string(h.AppendName(make([]byte, 0, 16))) }
+
+// AppendName appends Name's spelling of h to b.
+func (h HWInfo) AppendName(b []byte) []byte {
+	b = strconv.AppendInt(b, int64(h.Cores), 10)
+	b = append(b, 'c')
+	b = strconv.AppendInt(b, int64(h.Warps), 10)
+	b = append(b, 'w')
+	b = strconv.AppendInt(b, int64(h.Threads), 10)
+	return append(b, 't')
+}
 
 // Valid reports whether the geometry is positive.
 func (h HWInfo) Valid() bool { return h.Cores > 0 && h.Warps > 0 && h.Threads > 0 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -140,6 +142,14 @@ func TestHWInfo(t *testing.T) {
 	}
 	if h.Name() != "4c8w16t" {
 		t.Errorf("Name = %q", h.Name())
+	}
+	// AppendName spells every geometry, invalid ones included, as the
+	// "%dc%dw%dt" format the notation is defined by.
+	for _, g := range []HWInfo{{1, 1, 1}, {64, 32, 32}, {0, -3, 1 << 30}, {math.MinInt, math.MaxInt, 10}} {
+		want := fmt.Sprintf("%dc%dw%dt", g.Cores, g.Warps, g.Threads)
+		if got := string(g.AppendName([]byte("x/"))); got != "x/"+want {
+			t.Errorf("AppendName(%+v) = %q, want %q", g, got, "x/"+want)
+		}
 	}
 	if !h.Valid() {
 		t.Error("valid geometry rejected")

@@ -83,13 +83,9 @@ func TestCampaignSubmit(t *testing.T) {
 				t.Fatal(err)
 			}
 			var want bytes.Buffer
-			if err := writeJSONLine(&want, MetaFor(opts)); err != nil {
-				t.Fatal(err)
-			}
+			want.Write(jsonLine(t, MetaFor(opts)))
 			for _, r := range tc.streamed {
-				if err := writeJSONLine(&want, identify(r)); err != nil {
-					t.Fatal(err)
-				}
+				want.Write(jsonLine(t, identify(r)))
 			}
 			if !bytes.Equal(raw, want.Bytes()) {
 				t.Errorf("checkpoint:\n%s\nwant:\n%s", raw, want.Bytes())

@@ -13,11 +13,12 @@ import (
 // Checkpoint format: a JSONL file. The first line is a meta header binding
 // the checkpoint to the sweep options that produced it; every following
 // line is one JSON-encoded Record, appended (and flushed) as its simulation
-// completes, in completion order. encoding/json round-trips every Record
-// field exactly (shortest-round-trip floats, full-precision integers), so a
-// resumed campaign that splices checkpointed records into the task grid is
-// byte-identical to an uninterrupted run. Failed records (Record.Err != "")
-// are never checkpointed: a resume retries them.
+// completes, in completion order. Record lines go through the record codec
+// (codec.go), which writes encoding/json's bytes; JSON round-trips every
+// Record field exactly (shortest-round-trip floats, full-precision
+// integers), so a resumed campaign that splices checkpointed records into
+// the task grid is byte-identical to an uninterrupted run. Failed records
+// (Record.Err != "") are never checkpointed: a resume retries them.
 
 // checkpointVersion guards the line format. Version 2 added the shard
 // identity and the canonical task grid to the meta header; version 3 added
@@ -114,20 +115,12 @@ func taskKey(cell []string) string { return strings.Join(cell, "/") }
 // point) cell of the campaign grid. Resume skips tasks whose key is already
 // checkpointed.
 func (r Record) Key() string {
-	cell := append(make([]string, 0, 8), r.Config.Name(), r.Kernel, r.Mapper)
+	var name [32]byte
+	cell := append(make([]string, 0, 8), string(r.Config.AppendName(name[:0])), r.Kernel, r.Mapper)
 	for _, a := range Axes {
 		cell = append(cell, a.get(r))
 	}
 	return taskKey(cell)
-}
-
-// point returns the record's grid point: one value per Axes entry.
-func (r Record) point() []string {
-	point := make([]string, len(Axes))
-	for i, a := range Axes {
-		point[i] = a.get(r)
-	}
-	return point
 }
 
 // ReadCheckpoint parses a JSONL checkpoint stream into its meta header (nil
@@ -141,6 +134,7 @@ func (r Record) point() []string {
 // Corrupt lines anywhere else in the stream are an error.
 func ReadCheckpoint(rd io.Reader) (*Meta, map[string]Record, error) {
 	out := map[string]Record{}
+	names := map[string]string{}
 	var meta *Meta
 	br := bufio.NewReaderSize(rd, 1<<16)
 	first := true
@@ -165,8 +159,8 @@ func ReadCheckpoint(rd io.Reader) (*Meta, map[string]Record, error) {
 				}
 			}
 			if !parsed {
-				var rec Record
-				if err := json.Unmarshal(line, &rec); err != nil {
+				rec, err := decodeRecord(line, names)
+				if err != nil {
 					if !terminated {
 						return meta, out, nil // torn tail of a killed writer
 					}
@@ -193,10 +187,14 @@ const maxCheckpointLine = 1 << 20
 // readCheckpointLine reads the next line of at most maxCheckpointLine
 // bytes, reporting whether its newline terminator was present. The final
 // line of a stream comes back with io.EOF (and terminated=false when the
-// stream ends mid-line).
+// stream ends mid-line). A line that fits br's buffer is returned in place:
+// it is valid only until the next read.
 func readCheckpointLine(br *bufio.Reader) (line []byte, terminated bool, err error) {
 	for {
 		frag, ferr := br.ReadSlice('\n')
+		if line == nil && ferr == nil {
+			return frag[:len(frag)-1], true, nil
+		}
 		line = append(line, frag...)
 		if len(line) > maxCheckpointLine {
 			return nil, false, fmt.Errorf("sweep: checkpoint line exceeds %d bytes", maxCheckpointLine)
@@ -289,7 +287,10 @@ func OpenCheckpoint(path string, resume bool, opts Options) (*CheckpointWriter, 
 	}
 	c := &CheckpointWriter{f: f, w: bufio.NewWriter(f)}
 	if size == 0 {
-		if err := c.appendJSON(MetaFor(opts)); err != nil {
+		if err = writeMetaLine(c.w, MetaFor(opts)); err == nil {
+			err = c.w.Flush()
+		}
+		if err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -355,39 +356,48 @@ func tornLineComplete(line []byte, isFirstLine bool) bool {
 			return true
 		}
 	}
-	var rec Record
-	if err := json.Unmarshal(line, &rec); err != nil {
-		return false
-	}
-	return rec.Kernel != "" && rec.Mapper != ""
+	rec, err := decodeRecord(line, nil)
+	return err == nil && rec.Kernel != "" && rec.Mapper != ""
 }
 
-// writeJSONLine renders v exactly as the checkpoint stream does — one
-// compact JSON document per line. Both the streaming writer and the merge
-// writer go through it, so merged checkpoints stay byte-identical to the
-// files Run writes, and neither can emit a line the reader would refuse.
-func writeJSONLine(w io.Writer, v any) error {
-	b, err := json.Marshal(v)
+// writeMetaLine and writeRecordLine render the checkpoint stream's lines —
+// one compact JSON document each, a record's through appendRecord. The
+// streaming writer and the merge writer both go through them, so merged
+// checkpoints stay byte-identical to the files Run writes, and neither can
+// emit a line the reader would refuse.
+func writeMetaLine(w *bufio.Writer, m Meta) error {
+	b, err := json.Marshal(m)
 	if err != nil {
 		return err
 	}
+	return writeLine(w, b)
+}
+
+func writeRecordLine(w *bufio.Writer, rec Record) error {
+	b, err := appendRecord(w.AvailableBuffer(), rec)
+	if err != nil {
+		return err
+	}
+	return writeLine(w, b)
+}
+
+// writeLine writes one line and its newline.
+func writeLine(w *bufio.Writer, b []byte) error {
 	if len(b) > maxCheckpointLine {
 		return fmt.Errorf("sweep: checkpoint line would exceed %d bytes", maxCheckpointLine)
 	}
-	_, err = w.Write(append(b, '\n'))
+	_, err := w.Write(append(b, '\n'))
 	return err
-}
-
-func (c *CheckpointWriter) appendJSON(v any) error {
-	if err := writeJSONLine(c.w, v); err != nil {
-		return err
-	}
-	return c.w.Flush()
 }
 
 // Append streams one completed record: one compact JSON line, flushed
 // before Append returns so a crash never loses an acknowledged record.
-func (c *CheckpointWriter) Append(rec Record) error { return c.appendJSON(rec) }
+func (c *CheckpointWriter) Append(rec Record) error {
+	if err := writeRecordLine(c.w, rec); err != nil {
+		return err
+	}
+	return c.w.Flush()
+}
 
 // Close flushes and closes the underlying file.
 func (c *CheckpointWriter) Close() error {

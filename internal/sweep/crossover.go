@@ -21,8 +21,13 @@ type CrossoverPoint struct {
 // configuration's hp and returns per-hp mean ratios in increasing hp
 // order.
 func (r *Results) CrossoverCurve(kernel, baseline string) []CrossoverPoint {
+	return r.crossoverCurve(r.samples(cycles)[series{kernel, "ours"}], kernel, baseline)
+}
+
+// crossoverCurve is CrossoverCurve given the kernel's "ours" cycles per
+// sample key.
+func (r *Results) crossoverCurve(ours map[string]float64, kernel, baseline string) []CrossoverPoint {
 	base := map[int][]float64{} // hp -> ratios
-	ours := r.samples(kernel, "ours", cycles)
 	for _, rec := range r.Records {
 		if rec.Kernel != kernel || rec.Mapper != baseline || rec.Err != "" {
 			continue
@@ -54,7 +59,10 @@ func (r *Results) CrossoverCurve(kernel, baseline string) []CrossoverPoint {
 // CrossoverHP returns the smallest hp from which the baseline's mean ratio
 // stays >= 1 (i.e. "ours" wins from there on), or -1 if it never does.
 func (r *Results) CrossoverHP(kernel, baseline string) int {
-	curve := r.CrossoverCurve(kernel, baseline)
+	return crossoverHP(r.CrossoverCurve(kernel, baseline))
+}
+
+func crossoverHP(curve []CrossoverPoint) int {
 	for i := len(curve) - 1; i >= 0; i-- {
 		if curve[i].MeanRatio < 1 {
 			if i == len(curve)-1 {
@@ -72,8 +80,9 @@ func (r *Results) CrossoverHP(kernel, baseline string) int {
 // RenderCrossover prints the per-hp ratio curve of each kernel against a
 // baseline — the "where does the fixed mapping start losing" analysis.
 func (r *Results) RenderCrossover(w io.Writer, baseline string) error {
+	samples := r.samples(cycles)
 	for _, k := range r.Kernels() {
-		curve := r.CrossoverCurve(k, baseline)
+		curve := r.crossoverCurve(samples[series{k, "ours"}], k, baseline)
 		if len(curve) == 0 {
 			continue
 		}
@@ -92,7 +101,7 @@ func (r *Results) RenderCrossover(w io.Writer, baseline string) error {
 				return err
 			}
 		}
-		if hp := r.CrossoverHP(k, baseline); hp >= 0 {
+		if hp := crossoverHP(curve); hp >= 0 {
 			if _, err := fmt.Fprintf(w, "  ours wins on average from hp >= %d\n", hp); err != nil {
 				return err
 			}

@@ -20,16 +20,29 @@ func (r *Results) WriteCSV(w io.Writer) error {
 		strings.Join(axes, ",")); err != nil {
 		return err
 	}
+	var row []byte
 	for _, rec := range r.Records {
+		row = rec.Config.AppendName(row[:0])
+		for _, n := range [...]int{rec.Config.Cores, rec.Config.Warps, rec.Config.Threads} {
+			row = strconv.AppendInt(append(row, ','), int64(n), 10)
+		}
+		row = append(append(row, ','), rec.Kernel...)
+		row = append(append(row, ','), rec.Mapper...)
+		for _, a := range Axes {
+			row = append(append(row, ','), a.get(rec)...)
+		}
+		row = strconv.AppendInt(append(row, ','), int64(rec.LWS), 10)
+		for _, n := range [...]uint64{rec.Cycles, rec.Instrs, rec.MemStall, rec.ExecStall} {
+			row = strconv.AppendUint(append(row, ','), n, 10)
+		}
+		row = strconv.AppendFloat(append(row, ','), rec.EnergyPJ, 'f', 0, 64)
+		row = append(append(row, ','), rec.Boundedness.String()...)
 		// Err is free-form (error strings): commas are tolerated because it
 		// is the last column (ReadCSV rejoins it), but a newline would split
 		// the row, so flatten it.
 		errStr := strings.ReplaceAll(strings.ReplaceAll(rec.Err, "\r", " "), "\n", " ")
-		_, err := fmt.Fprintf(w, "%s,%d,%d,%d,%s,%s,%s,%d,%d,%d,%d,%d,%.0f,%s,%s\n",
-			rec.Config.Name(), rec.Config.Cores, rec.Config.Warps, rec.Config.Threads,
-			rec.Kernel, rec.Mapper, strings.Join(rec.point(), ","), rec.LWS, rec.Cycles, rec.Instrs,
-			rec.MemStall, rec.ExecStall, rec.EnergyPJ, rec.Boundedness, errStr)
-		if err != nil {
+		row = append(append(append(row, ','), errStr...), '\n')
+		if _, err := w.Write(row); err != nil {
 			return err
 		}
 	}

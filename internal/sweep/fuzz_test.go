@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -76,7 +77,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 				if len(line) > maxCheckpointLine {
 					// Re-marshaling can expand a line past the reader's
 					// bound (raw '<' escapes to 6 bytes); the writer refuses
-					// such lines (writeJSONLine), so they never reach a file.
+					// such lines (writeLine), so they never reach a file.
 					return
 				}
 				buf.Write(line)
@@ -138,4 +139,76 @@ func TestReadCheckpointTornTail(t *testing.T) {
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("unterminated complete record: recs=%d err=%v", len(recs), err)
 	}
+}
+
+// FuzzRecordLine holds the record codec to encoding/json, its reference, in
+// both directions: (a) for any line the fast decoder accepts, json.Unmarshal
+// accepts it too and decodes the identical Record — the fallback decides
+// every other line, so the reader accepts exactly what encoding/json does;
+// (b) for any Record, the encoder's bytes are json.Marshal's, or both refuse
+// it with the same error.
+func FuzzRecordLine(f *testing.F) {
+	canon := codecRecord
+	add := func(line string, r Record) {
+		f.Add([]byte(line), r.Config.Cores, r.Config.Warps, r.Config.Threads, r.Kernel, r.Mapper, r.Sched,
+			r.MSHRs, r.L1, r.Prefetch, r.LWS, r.Cycles, r.Instrs, r.MemStall, r.ExecStall, r.EnergyPJ,
+			uint8(r.Boundedness), r.Err)
+	}
+	line := string(bytes.TrimSuffix(jsonLine(f, canon), []byte("\n")))
+	add(line, canon)
+	for _, row := range recordLineRows {
+		add(strings.Replace(line, row.field, row.value, 1), canon)
+	}
+	odd := canon
+	odd.Kernel, odd.Err, odd.EnergyPJ, odd.LWS = "a<b&c>", "bad \"dims\"\n\xff", 1e-7, -1
+	add("", odd)
+	odd.EnergyPJ = math.NaN()
+	add("", odd)
+
+	f.Fuzz(func(t *testing.T, line []byte, cores, warps, threads int, kernel, mapper, sched string,
+		mshrs int, l1, prefetch string, lws int, cycles, instrs, memStall, execStall uint64,
+		energy float64, bound uint8, errStr string) {
+		// (a) The fast decoder accepts only what encoding/json decodes alike.
+		if fast, ok := parseRecord(line, map[string]string{}); ok {
+			var ref Record
+			if err := json.Unmarshal(line, &ref); err != nil {
+				t.Fatalf("fast path accepted %q, encoding/json refuses it: %v", line, err)
+			}
+			if !sameRecord(fast, ref) {
+				t.Fatalf("line %q: fast path decodes %+v, encoding/json %+v", line, fast, ref)
+			}
+		}
+
+		// (b) The encoder writes json.Marshal's bytes.
+		rec := Record{Config: core.HWInfo{Cores: cores, Warps: warps, Threads: threads}, Kernel: kernel,
+			Mapper: mapper, Sched: sched, MSHRs: mshrs, L1: l1, Prefetch: prefetch, LWS: lws, Cycles: cycles,
+			Instrs: instrs, MemStall: memStall, ExecStall: execStall, EnergyPJ: energy,
+			Boundedness: core.Boundedness(bound), Err: errStr}
+		got, gotErr := appendRecord(nil, rec)
+		want, wantErr := json.Marshal(rec)
+		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+			t.Fatalf("encoder error %v, json.Marshal error %v", gotErr, wantErr)
+		}
+		if gotErr != nil {
+			return
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("encoder wrote\n%s\njson.Marshal writes\n%s", got, want)
+		}
+		// Its own output takes the fast path back whenever no string needed
+		// escaping, to the record it came from.
+		if back, ok := parseRecord(got, nil); ok && !sameRecord(back, rec) {
+			t.Fatalf("round trip of %+v decodes %+v", rec, back)
+		}
+	})
+}
+
+// sameRecord reports whether a and b are identical, EnergyPJ bit for bit
+// (so -0 and +0 differ).
+func sameRecord(a, b Record) bool {
+	if math.Float64bits(a.EnergyPJ) != math.Float64bits(b.EnergyPJ) {
+		return false
+	}
+	a.EnergyPJ, b.EnergyPJ = 0, 0
+	return a == b
 }

@@ -38,6 +38,15 @@ func memCampaignOpts() Options {
 	}
 }
 
+// point returns the record's grid point: one value per Axes entry.
+func (r Record) point() []string {
+	point := make([]string, len(Axes))
+	for i, a := range Axes {
+		point[i] = a.get(r)
+	}
+	return point
+}
+
 // TestSweepMemAxes pins the memory-axis semantics: the grid nests mshrs,
 // then l1, then prefetch innermost after the scheduler; every record names
 // its memory point; and the per-value record slices are byte-identical to

@@ -184,13 +184,13 @@ func WriteCheckpoint(path string, meta Meta, records []Record) error {
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriter(f)
+	w := bufio.NewWriterSize(f, 64<<10)
 	werr := func() error {
-		if err := writeJSONLine(w, meta); err != nil {
+		if err := writeMetaLine(w, meta); err != nil {
 			return err
 		}
 		for _, rec := range records {
-			if err := writeJSONLine(w, rec); err != nil {
+			if err := writeRecordLine(w, rec); err != nil {
 				return err
 			}
 		}

@@ -14,36 +14,40 @@ import (
 // scheduler, MSHR bound, L1 geometry and prefetcher — never across points
 // (a single-point sweep degenerates to config-only samples).
 func sampleKey(rec Record) string {
-	// Built in one stack buffer, the configuration spelled as
-	// core.HWInfo.Name does: the report keys every record once per ratio
-	// it takes part in.
-	c := rec.Config
-	key := fmt.Appendf(make([]byte, 0, 64), "%dc%dw%dt", c.Cores, c.Warps, c.Threads)
+	key := rec.Config.AppendName(make([]byte, 0, 64))
 	for _, a := range Axes {
 		key = append(append(key, '/'), a.get(rec)...)
 	}
 	return string(key)
 }
 
-// samples returns value per sample key over the successful records of one
-// (kernel, mapper).
-func (r *Results) samples(kernel, mapper string, value func(Record) float64) map[string]float64 {
-	out := map[string]float64{}
+// series names the records of one kernel under one mapper.
+type series struct{ kernel, mapper string }
+
+// samples returns value per sample key for every series, over the
+// successful records, grouped in one pass.
+func (r *Results) samples(value func(Record) float64) map[series]map[string]float64 {
+	out := map[series]map[string]float64{}
 	for _, rec := range r.Records {
-		if rec.Kernel == kernel && rec.Mapper == mapper && rec.Err == "" {
-			out[sampleKey(rec)] = value(rec)
+		if rec.Err != "" {
+			continue
 		}
+		s := series{rec.Kernel, rec.Mapper}
+		if out[s] == nil {
+			out[s] = map[string]float64{}
+		}
+		out[s][sampleKey(rec)] = value(rec)
 	}
 	return out
 }
 
 func cycles(rec Record) float64 { return float64(rec.Cycles) }
 
-// ratios returns baseline/ours ratios of value, one per sample both
-// mappers ran (and ours did not score zero on), in sample-key order.
-func (r *Results) ratios(kernel, baseline, ours string, value func(Record) float64) []float64 {
-	base := r.samples(kernel, baseline, value)
-	our := r.samples(kernel, ours, value)
+// ratios returns baseline/ours ratios of one kernel's samples, one per
+// sample both mappers ran (and ours did not score zero on), in sample-key
+// order.
+func ratios(samples map[series]map[string]float64, kernel, baseline, ours string) []float64 {
+	base, our := samples[series{kernel, baseline}], samples[series{kernel, ours}]
 	names := make([]string, 0, len(base))
 	for name := range base {
 		if our[name] > 0 {
@@ -88,7 +92,7 @@ func (r *Results) Kernels() []string {
 // point for one kernel — the samples of one Figure 2 violin. Ratios > 1
 // mean "ours" is faster.
 func (r *Results) Ratios(kernel, baseline, ours string) []float64 {
-	return r.ratios(kernel, baseline, ours, cycles)
+	return ratios(r.samples(cycles), kernel, baseline, ours)
 }
 
 // KernelSummary is one kernel's Figure 2 data-table row pair.
@@ -99,17 +103,40 @@ type KernelSummary struct {
 	VsFixed stats.RatioSummary // lws=32 / ours
 }
 
+// kernelRatios holds one kernel's Figure 2 violin samples.
+type kernelRatios struct {
+	kernel       string
+	naive, fixed []float64 // lws=1 / ours and lws=32 / ours
+}
+
+// figure2Ratios computes every kernel's Figure 2 ratio sets, from one
+// grouping of the records.
+func (r *Results) figure2Ratios() []kernelRatios {
+	samples := r.samples(cycles)
+	var out []kernelRatios
+	for _, k := range r.Kernels() {
+		out = append(out, kernelRatios{
+			kernel: k,
+			naive:  ratios(samples, k, "lws=1", "ours"),
+			fixed:  ratios(samples, k, "lws=32", "ours"),
+		})
+	}
+	return out
+}
+
 // Summaries computes the per-kernel Figure 2 tables against the "ours"
 // mapper.
-func (r *Results) Summaries() []KernelSummary {
+func (r *Results) Summaries() []KernelSummary { return summarize(r.figure2Ratios()) }
+
+func summarize(krs []kernelRatios) []KernelSummary {
 	var out []KernelSummary
-	for _, k := range r.Kernels() {
-		ks := KernelSummary{Kernel: k}
-		if spec, err := kernels.ByName(k); err == nil {
+	for _, kr := range krs {
+		ks := KernelSummary{Kernel: kr.kernel}
+		if spec, err := kernels.ByName(kr.kernel); err == nil {
 			ks.Group = spec.Group
 		}
-		ks.VsNaive = stats.SummarizeRatios(r.Ratios(k, "lws=1", "ours"))
-		ks.VsFixed = stats.SummarizeRatios(r.Ratios(k, "lws=32", "ours"))
+		ks.VsNaive = stats.SummarizeRatios(kr.naive)
+		ks.VsFixed = stats.SummarizeRatios(kr.fixed)
 		out = append(out, ks)
 	}
 	return out
@@ -125,10 +152,12 @@ type Aggregate struct {
 }
 
 // Aggregates computes group-level mean ratios.
-func (r *Results) Aggregates() []Aggregate {
+func (r *Results) Aggregates() []Aggregate { return aggregate(r.Summaries()) }
+
+func aggregate(sums []KernelSummary) []Aggregate {
 	byGroup := map[kernels.Group]*Aggregate{}
 	order := []kernels.Group{}
-	for _, s := range r.Summaries() {
+	for _, s := range sums {
 		a := byGroup[s.Group]
 		if a == nil {
 			a = &Aggregate{Group: s.Group}
@@ -156,8 +185,10 @@ func (r *Results) Aggregates() []Aggregate {
 // optimizes latency; this quantifies what it does to consumption (mostly
 // instruction-count effects: fewer workgroup-launcher executions).
 func (r *Results) EnergyRatios(kernel, baseline, ours string) []float64 {
-	return r.ratios(kernel, baseline, ours, func(rec Record) float64 { return rec.EnergyPJ })
+	return ratios(r.samples(energy), kernel, baseline, ours)
 }
+
+func energy(rec Record) float64 { return rec.EnergyPJ }
 
 // RenderEnergyTable prints per-kernel mean energy ratios of the baselines
 // against "ours".
@@ -165,9 +196,10 @@ func (r *Results) RenderEnergyTable(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "%-16s | %-22s | %-22s\n", "kernel", "energy lws=1/ours", "energy lws=32/ours"); err != nil {
 		return err
 	}
+	samples := r.samples(energy)
 	for _, k := range r.Kernels() {
-		n := stats.SummarizeRatios(r.EnergyRatios(k, "lws=1", "ours"))
-		f := stats.SummarizeRatios(r.EnergyRatios(k, "lws=32", "ours"))
+		n := stats.SummarizeRatios(ratios(samples, k, "lws=1", "ours"))
+		f := stats.SummarizeRatios(ratios(samples, k, "lws=32", "ours"))
 		if _, err := fmt.Fprintf(w, "%-16s | avg %.2f worst %.2f     | avg %.2f worst %.2f\n",
 			k, n.Avg, n.Worst, f.Avg, f.Worst); err != nil {
 			return err
@@ -178,14 +210,16 @@ func (r *Results) RenderEnergyTable(w io.Writer) error {
 
 // RenderTable writes the Figure 2 data tables (E3): per kernel, the
 // average, worse-% and worst entries for both baselines.
-func (r *Results) RenderTable(w io.Writer) error {
+func (r *Results) RenderTable(w io.Writer) error { return renderTable(w, r.Summaries()) }
+
+func renderTable(w io.Writer, sums []KernelSummary) error {
 	if _, err := fmt.Fprintf(w, "%-16s %-6s | %-28s | %-28s\n", "kernel", "group", "lws=1 / ours", "lws=32 / ours"); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintln(w, "-----------------------------------------------------------------------------------"); err != nil {
 		return err
 	}
-	for _, s := range r.Summaries() {
+	for _, s := range sums {
 		_, err := fmt.Fprintf(w, "%-16s %-6s | %-28s | %-28s\n", s.Kernel, s.Group, s.VsNaive, s.VsFixed)
 		if err != nil {
 			return err
@@ -194,7 +228,7 @@ func (r *Results) RenderTable(w io.Writer) error {
 	if _, err := fmt.Fprintln(w); err != nil {
 		return err
 	}
-	for _, a := range r.Aggregates() {
+	for _, a := range aggregate(sums) {
 		_, err := fmt.Fprintf(w, "aggregate %-5s kernels=%d: avg %.2fx over lws=1, %.2fx over lws=32\n",
 			a.Group, a.Kernels, a.VsNaive, a.VsFixed)
 		if err != nil {
@@ -207,15 +241,14 @@ func (r *Results) RenderTable(w io.Writer) error {
 // RenderFigure2 writes the violin plots with their data tables — the full
 // figure reproduction (E2+E3).
 func (r *Results) RenderFigure2(w io.Writer, opts stats.ViolinOptions) error {
-	for _, k := range r.Kernels() {
-		naive := r.Ratios(k, "lws=1", "ours")
-		fixed := r.Ratios(k, "lws=32", "ours")
-		if err := stats.RenderViolinPair(w, k, naive, fixed, opts); err != nil {
+	krs := r.figure2Ratios()
+	for _, kr := range krs {
+		if err := stats.RenderViolinPair(w, kr.kernel, kr.naive, kr.fixed, opts); err != nil {
 			return err
 		}
 		if _, err := fmt.Fprintln(w); err != nil {
 			return err
 		}
 	}
-	return r.RenderTable(w)
+	return renderTable(w, summarize(krs))
 }
