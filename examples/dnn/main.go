@@ -13,7 +13,6 @@ import (
 	vortex "repro"
 	"repro/internal/core"
 	"repro/internal/kernels"
-	"repro/internal/ocl"
 )
 
 func main() {
@@ -90,5 +89,4 @@ func main() {
 		a := vortex.Advise(channels*side*side, hw)
 		fmt.Printf("  %s: %s\n", hw.Name(), a.Explanation)
 	}
-	_ = ocl.DefaultDispatchOverhead
 }

@@ -87,28 +87,14 @@ type item struct {
 	args   []string // raw operand strings
 	pc     uint32
 	nwords int
+	varies bool // its size or encoding read a template slot
 }
 
 // Assemble translates source into a Program based at base. defs provides
 // pre-defined symbols (in addition to labels and .equ definitions).
 func Assemble(src string, base uint32, defs map[string]int64) (*Program, error) {
-	if base%4 != 0 {
-		return nil, fmt.Errorf("asm: base address %#x not word aligned", base)
-	}
-	a := &assembler{
-		prog: &Program{Base: base, Symbols: map[string]uint32{}},
-		syms: map[string]int64{},
-	}
-	for k, v := range defs {
-		a.syms[k] = v
-	}
-	if err := a.parse(src); err != nil {
-		return nil, err
-	}
-	if err := a.layout(); err != nil {
-		return nil, err
-	}
-	if err := a.emit(); err != nil {
+	a := new(assembler)
+	if err := a.assemble(src, base, defs); err != nil {
 		return nil, err
 	}
 	return a.prog, nil
@@ -134,6 +120,54 @@ type assembler struct {
 	tags   []tagMark
 	syms   map[string]int64 // defines, .equ values and (after layout) labels
 	labels map[string]int   // label name -> item index, resolved to pc in layout
+
+	// A template (template.go) keeps its launch symbols and every .equ
+	// name in slots (slot maps a name to its index in vals), records in
+	// read whether an evaluation looked one up, and lists in equs every
+	// .equ statement, which an instance replays in source order.
+	slot map[string]int
+	vals []int64
+	read bool
+	equs []equ
+}
+
+// assemble runs both passes over src into a.prog.
+func (a *assembler) assemble(src string, base uint32, defs map[string]int64) error {
+	if base%4 != 0 {
+		return fmt.Errorf("asm: base address %#x not word aligned", base)
+	}
+	a.prog = &Program{Base: base, Symbols: map[string]uint32{}}
+	a.syms = make(map[string]int64, len(defs)+len(a.slot))
+	for k, v := range defs {
+		a.syms[k] = v
+	}
+	for k, i := range a.slot {
+		a.syms[k] = a.vals[i]
+	}
+	if err := a.parse(src); err != nil {
+		return err
+	}
+	if err := a.layout(); err != nil {
+		return err
+	}
+	return a.emit()
+}
+
+// define sets an .equ symbol. In a template the name gets a slot and the
+// statement is recorded for instances to replay.
+func (a *assembler) define(name, expr string, v int64) {
+	a.syms[name] = v
+	if a.slot == nil {
+		return
+	}
+	i, ok := a.slot[name]
+	if !ok {
+		i = len(a.vals)
+		a.slot[name] = i
+		a.vals = append(a.vals, 0)
+	}
+	a.vals[i] = v
+	a.equs = append(a.equs, equ{slot: i, expr: expr})
 }
 
 func (a *assembler) errf(line int, format string, args ...any) error {
@@ -188,11 +222,14 @@ func (a *assembler) parse(src string) error {
 			if !isIdent(args[0]) {
 				return a.errf(lineNo+1, ".equ: bad name %q", args[0])
 			}
-			v, err := evalExpr(args[1], a.lookupNoLabels)
+			if _, dup := a.labels[args[0]]; dup {
+				return a.errf(lineNo+1, ".equ %q collides with a label", args[0])
+			}
+			v, err := evalExpr(args[1], a.lookup)
 			if err != nil {
 				return a.errf(lineNo+1, ".equ %s: %v", args[0], err)
 			}
-			a.syms[args[0]] = v
+			a.define(args[0], args[1], v)
 			continue
 		case ".tag":
 			if len(args) != 1 {
@@ -261,17 +298,15 @@ func isIdent(s string) bool {
 	return true
 }
 
-func (a *assembler) lookupNoLabels(name string) (int64, bool) {
+// lookup resolves a symbol: a define or .equ value, or (after layout) a
+// label. In a template a slot takes precedence, and reading one sets read.
+func (a *assembler) lookup(name string) (int64, bool) {
+	if i, ok := a.slot[name]; ok {
+		a.read = true
+		return a.vals[i], true
+	}
 	v, ok := a.syms[name]
 	return v, ok
-}
-
-// lookup resolves symbols including labels (valid after layout).
-func (a *assembler) lookup(name string) (int64, bool) {
-	if v, ok := a.syms[name]; ok {
-		return v, true
-	}
-	return 0, false
 }
 
 // layout (pass 1) assigns a pc to every item, sizing multi-word
@@ -281,11 +316,12 @@ func (a *assembler) layout() error {
 	for i := range a.items {
 		it := &a.items[i]
 		it.pc = pc // sizeOf needs the pc for .align
+		a.read = false
 		n, err := a.sizeOf(it)
 		if err != nil {
 			return err
 		}
-		it.nwords = n
+		it.nwords, it.varies = n, a.read
 		pc += uint32(n) * 4
 	}
 	for name, idx := range a.labels {
@@ -349,7 +385,7 @@ func (a *assembler) sizeOf(it *item) (int, error) {
 		if len(it.args) != 1 {
 			return 0, a.errf(it.line, ".align needs a byte alignment")
 		}
-		n, err := evalExpr(it.args[0], a.lookupNoLabels)
+		n, err := evalExpr(it.args[0], a.lookup)
 		if err != nil {
 			return 0, a.errf(it.line, ".align: %v", err)
 		}
@@ -362,7 +398,7 @@ func (a *assembler) sizeOf(it *item) (int, error) {
 		if len(it.args) != 1 {
 			return 0, a.errf(it.line, ".space needs a byte count")
 		}
-		n, err := evalExpr(it.args[0], a.lookupNoLabels)
+		n, err := evalExpr(it.args[0], a.lookup)
 		if err != nil {
 			return 0, a.errf(it.line, ".space: %v", err)
 		}
@@ -376,7 +412,7 @@ func (a *assembler) sizeOf(it *item) (int, error) {
 		}
 		// If the value is fully resolvable now and fits 12 bits (after
 		// truncation to 32 bits), one word.
-		if v, err := evalExpr(it.args[1], a.lookupNoLabels); err == nil {
+		if v, err := evalExpr(it.args[1], a.lookup); err == nil {
 			if v >= -(1<<31) && v <= (1<<32)-1 {
 				if v32 := int64(int32(uint32(v))); v32 >= -2048 && v32 <= 2047 {
 					return 1, nil
@@ -390,26 +426,35 @@ func (a *assembler) sizeOf(it *item) (int, error) {
 
 // emit (pass 2) encodes every item.
 func (a *assembler) emit() error {
+	p := a.prog
 	for i := range a.items {
 		it := &a.items[i]
-		words, err := a.encodeItem(it)
+		at := len(p.Words)
+		a.read = false
+		words, err := a.encodeItem(it, p.Words)
 		if err != nil {
 			return err
 		}
-		if len(words) != it.nwords {
-			return a.errf(it.line, "internal: size mismatch for %q (%d != %d)", it.src, len(words), it.nwords)
+		it.varies = it.varies || a.read
+		if len(words)-at != it.nwords {
+			return a.errf(it.line, "internal: size mismatch for %q (%d != %d)", it.src, len(words)-at, it.nwords)
 		}
-		for _, w := range words {
-			in, derr := isa.Decode(w)
-			if derr != nil {
-				in = isa.Inst{} // data word
-			}
-			a.prog.Lines = append(a.prog.Lines, LineInfo{PC: a.prog.Base + uint32(len(a.prog.Words))*4, Line: it.line, Src: it.src})
-			a.prog.Words = append(a.prog.Words, w)
-			a.prog.Insts = append(a.prog.Insts, in)
+		p.Words = words
+		for _, w := range words[at:] {
+			p.Lines = append(p.Lines, LineInfo{PC: p.Base + uint32(len(p.Insts))*4, Line: it.line, Src: it.src})
+			p.Insts = append(p.Insts, decodeWord(w))
 		}
 	}
 	return nil
+}
+
+// decodeWord decodes an emitted word; a data word decodes to Op = OpInvalid.
+func decodeWord(w uint32) isa.Inst {
+	in, err := isa.Decode(w)
+	if err != nil {
+		return isa.Inst{}
+	}
+	return in
 }
 
 // evalImm evaluates an operand expression with all symbols visible.
@@ -462,15 +507,15 @@ func (a *assembler) parseMem(it *item, s string) (int32, uint8, error) {
 	return int32(off), base, nil
 }
 
-// enc encodes instructions, reporting an Encode error at the item's line.
-func (a *assembler) enc(it *item, ins ...isa.Inst) ([]uint32, error) {
-	words := make([]uint32, len(ins))
-	for i, in := range ins {
+// enc appends the encoded instructions to dst, reporting an Encode error
+// at the item's line.
+func (a *assembler) enc(dst []uint32, it *item, ins ...isa.Inst) ([]uint32, error) {
+	for _, in := range ins {
 		w, err := isa.Encode(in)
 		if err != nil {
 			return nil, a.errf(it.line, "%v", err)
 		}
-		words[i] = w
+		dst = append(dst, w)
 	}
-	return words, nil
+	return dst, nil
 }

@@ -58,22 +58,21 @@ func init() {
 	}
 }
 
-// encodeItem translates one parsed statement into machine words.
-func (a *assembler) encodeItem(it *item) ([]uint32, error) {
+// encodeItem appends the machine words of one parsed statement to dst.
+func (a *assembler) encodeItem(it *item, dst []uint32) ([]uint32, error) {
 	switch it.op {
 	case ".word":
-		var words []uint32
 		for _, arg := range it.args {
 			v, err := a.evalImm(it, arg)
 			if err != nil {
 				return nil, err
 			}
-			words = append(words, uint32(v))
+			dst = append(dst, uint32(v))
 		}
-		return words, nil
+		return dst, nil
 
 	case ".space", ".align":
-		return make([]uint32, it.nwords), nil
+		return append(dst, make([]uint32, it.nwords)...), nil
 
 	case ".byte", ".half":
 		size := 1
@@ -93,7 +92,7 @@ func (a *assembler) encodeItem(it *item) ([]uint32, error) {
 				bytes = append(bytes, byte(v>>(8*k)))
 			}
 		}
-		return packBytes(bytes), nil
+		return appendBytes(dst, bytes), nil
 
 	case ".ascii", ".asciz":
 		str, err := parseStringLit(it.args[0])
@@ -104,7 +103,7 @@ func (a *assembler) encodeItem(it *item) ([]uint32, error) {
 		if it.op == ".asciz" {
 			bytes = append(bytes, 0)
 		}
-		return packBytes(bytes), nil
+		return appendBytes(dst, bytes), nil
 
 	case "li", "la":
 		rd, err := a.intReg(it, it.args[0])
@@ -123,12 +122,12 @@ func (a *assembler) encodeItem(it *item) ([]uint32, error) {
 			if v32 < -2048 || v32 > 2047 {
 				return nil, a.errf(it.line, "internal: li value %d changed between passes", v32)
 			}
-			return a.enc(it, isa.Inst{Op: isa.ADDI, Rd: rd, Imm: v32})
+			return a.enc(dst, it, isa.Inst{Op: isa.ADDI, Rd: rd, Imm: v32})
 		}
 		// lui+addi: hi compensates for the sign extension of the 12-bit lo.
 		u := uint32(v32)
 		hi := (u + 0x800) & 0xFFFFF000
-		return a.enc(it, isa.Inst{Op: isa.LUI, Rd: rd, Imm: int32(hi)},
+		return a.enc(dst, it, isa.Inst{Op: isa.LUI, Rd: rd, Imm: int32(hi)},
 			isa.Inst{Op: isa.ADDI, Rd: rd, Rs1: rd, Imm: int32(u - hi)})
 	}
 
@@ -136,7 +135,7 @@ func (a *assembler) encodeItem(it *item) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	return a.enc(it, in)
+	return a.enc(dst, it, in)
 }
 
 // parseInst parses one instruction: a pseudo-instruction is first rewritten
@@ -202,13 +201,15 @@ func (a *assembler) parseInst(it *item) (isa.Inst, error) {
 	return in, nil
 }
 
-// packBytes packs little-endian bytes into words, zero-padding the tail.
-func packBytes(b []byte) []uint32 {
-	out := make([]uint32, (len(b)+3)/4)
+// appendBytes appends little-endian bytes to dst as words, zero-padding
+// the tail.
+func appendBytes(dst []uint32, b []byte) []uint32 {
+	start := len(dst)
+	dst = append(dst, make([]uint32, (len(b)+3)/4)...)
 	for i, v := range b {
-		out[i/4] |= uint32(v) << uint(8*(i%4))
+		dst[start+i/4] |= uint32(v) << uint(8*(i%4))
 	}
-	return out
+	return dst
 }
 
 // parseStringLit parses a double-quoted string with \n, \t, \0, \\ and

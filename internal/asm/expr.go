@@ -11,8 +11,8 @@ import (
 // + - * / % << >> & | ^, and parentheses. Symbols resolve through syms; a
 // reference to an unknown symbol returns errUndefined wrapping the name.
 func evalExpr(src string, syms func(string) (int64, bool)) (int64, error) {
-	p := &exprParser{src: src, syms: syms}
-	v, err := p.parseOr()
+	p := &exprParser{src: src}
+	v, err := p.parseLevel(0, syms)
 	if err != nil {
 		return 0, err
 	}
@@ -29,10 +29,13 @@ type errUndefined struct{ name string }
 
 func (e errUndefined) Error() string { return "undefined symbol " + e.name }
 
+// exprParser holds the scan position. The symbol resolver is passed down
+// the calls instead of stored here: error text read from the parser
+// escapes, and a resolver stored beside it would escape with it, so every
+// caller's closure would cost an allocation.
 type exprParser struct {
-	src  string
-	pos  int
-	syms func(string) (int64, bool)
+	src string
+	pos int
 }
 
 func (p *exprParser) skipSpace() {
@@ -54,166 +57,84 @@ func (p *exprParser) eat(s string) bool {
 	return false
 }
 
-func (p *exprParser) parseOr() (int64, error) {
-	v, err := p.parseXor()
-	if err != nil {
-		return 0, err
+// levels lists the binary operators by precedence, loosest first; the
+// operators of one level associate left to right.
+var levels = [][]string{{"|"}, {"^"}, {"&"}, {"<<", ">>"}, {"+", "-"}, {"*", "/", "%"}}
+
+// parseLevel parses a run of operands joined by the operators of levels[l]
+// and tighter; past the last level an operand is a unary expression.
+func (p *exprParser) parseLevel(l int, syms func(string) (int64, bool)) (int64, error) {
+	if l == len(levels) {
+		return p.parseUnary(syms)
 	}
-	for {
-		if p.peek("||") { // not supported; avoid eating single |
-			return 0, fmt.Errorf("unsupported operator || in %q", p.src)
+	v, err := p.parseLevel(l+1, syms)
+	for err == nil {
+		var op string
+		for _, o := range levels[l] {
+			if (o == "|" || o == "&") && p.peek(o+o) {
+				return 0, fmt.Errorf("unsupported operator %s%s in %q", o, o, p.src)
+			}
+			if p.eat(o) {
+				op = o
+				break
+			}
 		}
-		if !p.eat("|") {
+		if op == "" {
 			return v, nil
 		}
-		r, err := p.parseXor()
-		if err != nil {
-			return 0, err
+		var r int64
+		if r, err = p.parseLevel(l+1, syms); err == nil {
+			v, err = p.apply(op, v, r)
 		}
-		v |= r
 	}
+	return 0, err
 }
 
-func (p *exprParser) parseXor() (int64, error) {
-	v, err := p.parseAnd()
-	if err != nil {
-		return 0, err
-	}
-	for p.eat("^") {
-		r, err := p.parseAnd()
-		if err != nil {
-			return 0, err
+// apply evaluates one binary operation.
+func (p *exprParser) apply(op string, v, r int64) (int64, error) {
+	switch op {
+	case "|":
+		return v | r, nil
+	case "^":
+		return v ^ r, nil
+	case "&":
+		return v & r, nil
+	case "+":
+		return v + r, nil
+	case "-":
+		return v - r, nil
+	case "*":
+		return v * r, nil
+	case "<<", ">>":
+		if r < 0 || r > 63 {
+			return 0, fmt.Errorf("shift amount %d out of range", r)
 		}
-		v ^= r
+		if op == "<<" {
+			return v << uint(r), nil
+		}
+		return v >> uint(r), nil
+	case "/":
+		if r == 0 {
+			return 0, fmt.Errorf("division by zero in %q", p.src)
+		}
+		return v / r, nil
 	}
-	return v, nil
+	if r == 0 {
+		return 0, fmt.Errorf("modulo by zero in %q", p.src)
+	}
+	return v % r, nil
 }
 
-func (p *exprParser) parseAnd() (int64, error) {
-	v, err := p.parseShift()
-	if err != nil {
-		return 0, err
-	}
-	for {
-		if p.peek("&&") {
-			return 0, fmt.Errorf("unsupported operator && in %q", p.src)
-		}
-		if !p.eat("&") {
-			return v, nil
-		}
-		r, err := p.parseShift()
-		if err != nil {
-			return 0, err
-		}
-		v &= r
-	}
-}
-
-func (p *exprParser) parseShift() (int64, error) {
-	v, err := p.parseAdd()
-	if err != nil {
-		return 0, err
-	}
-	for {
-		switch {
-		case p.eat("<<"):
-			r, err := p.parseAdd()
-			if err != nil {
-				return 0, err
-			}
-			if r < 0 || r > 63 {
-				return 0, fmt.Errorf("shift amount %d out of range", r)
-			}
-			v <<= uint(r)
-		case p.eat(">>"):
-			r, err := p.parseAdd()
-			if err != nil {
-				return 0, err
-			}
-			if r < 0 || r > 63 {
-				return 0, fmt.Errorf("shift amount %d out of range", r)
-			}
-			v >>= uint(r)
-		default:
-			return v, nil
-		}
-	}
-}
-
-func (p *exprParser) parseAdd() (int64, error) {
-	v, err := p.parseMul()
-	if err != nil {
-		return 0, err
-	}
-	for {
-		switch {
-		case p.eat("+"):
-			r, err := p.parseMul()
-			if err != nil {
-				return 0, err
-			}
-			v += r
-		case p.peek(">>") || p.peek("<<"):
-			return v, nil
-		case p.eat("-"):
-			r, err := p.parseMul()
-			if err != nil {
-				return 0, err
-			}
-			v -= r
-		default:
-			return v, nil
-		}
-	}
-}
-
-func (p *exprParser) parseMul() (int64, error) {
-	v, err := p.parseUnary()
-	if err != nil {
-		return 0, err
-	}
-	for {
-		switch {
-		case p.eat("*"):
-			r, err := p.parseUnary()
-			if err != nil {
-				return 0, err
-			}
-			v *= r
-		case p.eat("/"):
-			r, err := p.parseUnary()
-			if err != nil {
-				return 0, err
-			}
-			if r == 0 {
-				return 0, fmt.Errorf("division by zero in %q", p.src)
-			}
-			v /= r
-		case p.eat("%"):
-			r, err := p.parseUnary()
-			if err != nil {
-				return 0, err
-			}
-			if r == 0 {
-				return 0, fmt.Errorf("modulo by zero in %q", p.src)
-			}
-			v %= r
-		default:
-			return v, nil
-		}
-	}
-}
-
-func (p *exprParser) parseUnary() (int64, error) {
+func (p *exprParser) parseUnary(syms func(string) (int64, bool)) (int64, error) {
 	switch {
 	case p.eat("-"):
-		v, err := p.parseUnary()
+		v, err := p.parseUnary(syms)
 		return -v, err
 	case p.eat("~"):
-		v, err := p.parseUnary()
+		v, err := p.parseUnary(syms)
 		return ^v, err
 	case p.eat("("):
-		v, err := p.parseOr()
+		v, err := p.parseLevel(0, syms)
 		if err != nil {
 			return 0, err
 		}
@@ -222,10 +143,10 @@ func (p *exprParser) parseUnary() (int64, error) {
 		}
 		return v, nil
 	}
-	return p.parseAtom()
+	return p.parseAtom(syms)
 }
 
-func (p *exprParser) parseAtom() (int64, error) {
+func (p *exprParser) parseAtom(syms func(string) (int64, bool)) (int64, error) {
 	p.skipSpace()
 	if p.pos >= len(p.src) {
 		return 0, fmt.Errorf("unexpected end of expression %q", p.src)
@@ -261,7 +182,7 @@ func (p *exprParser) parseAtom() (int64, error) {
 			p.pos++
 		}
 		name := p.src[start:p.pos]
-		v, ok := p.syms(name)
+		v, ok := syms(name)
 		if !ok {
 			return 0, errUndefined{name}
 		}

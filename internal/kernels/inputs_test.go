@@ -55,12 +55,15 @@ func TestInputMemoSharesBuilds(t *testing.T) {
 	if c := vecaddInputsFor(128, 42); &c.a[0] == &a.a[0] {
 		t.Error("size not part of the memo key")
 	}
+	// Builders of equal parameters keep apart: the key names the builder.
+	if r := reluInputsFor(256, 42); &r.in[0] == &a.a[0] {
+		t.Error("relu and vecadd share a memo entry")
+	}
 }
 
-// TestInputMemoConcurrentSingleBuild pins the build-once behaviour at the
-// kernels layer: many goroutines racing on one input key produce exactly
-// one build. (The LRU bound and eviction mechanics are pinned in
-// internal/cache.)
+// TestInputMemoConcurrentSingleBuild pins the build-once behaviour of the
+// once-per-key map: many goroutines racing on one input key produce exactly
+// one build.
 func TestInputMemoConcurrentSingleBuild(t *testing.T) {
 	ResetInputCache()
 	var mu sync.Mutex
@@ -70,7 +73,7 @@ func TestInputMemoConcurrentSingleBuild(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v := memoize("shared", func() any {
+			v := memoize(inputKey{kind: "shared"}, func() any {
 				mu.Lock()
 				builds++
 				mu.Unlock()

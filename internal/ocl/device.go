@@ -45,9 +45,15 @@ type Device struct {
 	// DispatchOverhead is charged once per EnqueueNDRange (cycles).
 	DispatchOverhead uint64
 
-	allocTop    uint32
-	currentProg *asm.Program // program of the launch in flight (for tagging)
-	observer    func(sim.IssueEvent)
+	allocTop uint32
+	observer func(sim.IssueEvent)
+
+	// prog is the resident launch program, the instance of template
+	// resident at residentGeom; its Words and Insts arrays are the
+	// device's, rewritten when the next launch needs another program.
+	prog         asm.Program
+	resident     *program
+	residentGeom geometry
 
 	// scratch is the pooled byte staging buffer for buffer uploads and
 	// readbacks (Write*/Read*). Verify-heavy campaigns read every output
@@ -247,5 +253,5 @@ func (d *Device) resetRuntime() {
 	d.mapper = core.Auto{}
 	d.DispatchOverhead = DefaultDispatchOverhead
 	d.allocTop = HeapBase
-	d.currentProg = nil
+	d.resident = nil
 }

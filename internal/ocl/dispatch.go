@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -34,8 +33,9 @@ type LaunchResult struct {
 	Energy sim.EnergyBreakdown
 }
 
-// wrapperTemplate is the Vortex-style spawn wrapper generated around every
-// kernel body. Constants are provided as assembler defines:
+// wrapperHead and wrapperTail are the Vortex-style spawn wrapper generated
+// around every kernel body. Its constants are assembler symbols, all but
+// ARGBASE re-encoded per launch by the kernel's template (progcache.go):
 //
 //	NTASKS   workgroups in the NDRange
 //	TPC      tasks per core (contiguous chunk, ceil(NTASKS/cores))
@@ -120,56 +120,40 @@ __wexit:
 	ecall
 `
 
-// buildProgram returns the assembled wrapper+body for one launch shape,
-// consulting the process-wide content-keyed program cache: the assembler
-// runs once per distinct (kernel, geometry) shape instead of once per
-// launch. Cached Programs are immutable and shared across devices.
-func buildProgram(k *Kernel, gws, lws, ntasks, tpc int, cfg sim.Config) (*asm.Program, error) {
-	defs := map[string]int64{
-		"NTASKS":  int64(ntasks),
-		"TPC":     int64(tpc),
-		"TPW":     int64(cfg.Threads),
-		"WT":      int64(cfg.Warps * cfg.Threads),
-		"GWS":     int64(gws),
-		"LWS":     int64(lws),
-		"ARGBASE": int64(ArgBase),
-	}
-	for name, v := range k.src.Defs {
-		if _, dup := defs[name]; dup {
-			return nil, fmt.Errorf("ocl: kernel %q redefines reserved symbol %q", k.src.Name, name)
-		}
-		defs[name] = v
-	}
-	key := progKey{name: k.src.Name, body: asm.SourceKey(k.src.Body, CodeBase, nil), defs: defsKey(defs)}
-	return programCache.GetOrBuild(key, func() (*asm.Program, error) {
-		src := wrapperHead + k.src.Body + wrapperTail
-		prog, err := asm.Assemble(src, CodeBase, defs)
-		if err != nil {
-			return nil, fmt.Errorf("ocl: kernel %q: %w", k.src.Name, err)
-		}
-		return prog, nil
-	})
-}
-
-// currentProgram is set during a launch so trace collectors can tag PCs.
-func (d *Device) currentTagAt(pc uint32) string {
-	if d.currentProg == nil {
-		return ""
-	}
-	return d.currentProg.TagAt(pc)
-}
-
 // EnableTracing installs a trace collector whose records are tagged with
 // the generated program's semantic sections. Tracing slows simulation and
 // should be enabled only for trace experiments (Figure 1).
 func (d *Device) EnableTracing() *trace.Collector {
-	col := trace.NewCollector(d.currentTagAt)
+	col := trace.NewCollector(d.prog.TagAt) // the resident program, as it changes
 	d.SetObserver(col.Observe)
 	return col
 }
 
 // DisableTracing removes any installed observer.
 func (d *Device) DisableTracing() { d.SetObserver(nil) }
+
+// load makes the program of k at geometry g the resident one: written into
+// the device's own arrays from the kernel's launch template and decoded by
+// the simulator, unless that (template, geometry) is resident already.
+func (d *Device) load(k *Kernel, g geometry) error {
+	if r := d.resident; r != nil && d.residentGeom == g && r.gen == programs.gen.Load() && r.builds(k.src) {
+		programs.hits.Add(1)
+		return nil
+	}
+	d.resident = nil
+	r, err := launchProgram(k.src, &g, &d.prog)
+	if err != nil {
+		return err
+	}
+	if d.prog.End() > ArgBase {
+		return fmt.Errorf("ocl: kernel %q program too large (%d bytes)", k.src.Name, d.prog.Size())
+	}
+	if err := d.sim.LoadProgram(d.prog.Base, d.prog.Insts); err != nil {
+		return err
+	}
+	d.resident, d.residentGeom = r, g
+	return nil
+}
 
 // EnqueueNDRange runs kernel k over gws work items. lws=0 delegates the
 // choice to the device's mapper (core.Auto by default — the paper's
@@ -187,20 +171,11 @@ func (d *Device) EnqueueNDRange(k *Kernel, gws, lws int) (*LaunchResult, error) 
 		return nil, fmt.Errorf("ocl: lws %d must be positive (or 0 for auto)", lws)
 	}
 
-	ntasks := core.Tasks(gws, lws)
-	tpc := (ntasks + d.cfg.Cores - 1) / d.cfg.Cores
-
-	prog, err := buildProgram(k, gws, lws, ntasks, tpc, d.cfg)
-	if err != nil {
+	g := launchGeometry(gws, lws, d.cfg)
+	if err := d.load(k, g); err != nil {
 		return nil, err
 	}
-	if prog.End() > ArgBase {
-		return nil, fmt.Errorf("ocl: kernel %q program too large (%d bytes)", k.src.Name, prog.Size())
-	}
-	d.currentProg = prog
-	if err := d.sim.LoadProgram(prog.Base, prog.Insts); err != nil {
-		return nil, err
-	}
+	ntasks, tpc := int(g[0]), int(g[1])
 
 	// Write the argument block.
 	for i, a := range k.args {
@@ -210,29 +185,15 @@ func (d *Device) EnqueueNDRange(k *Kernel, gws, lws int) (*LaunchResult, error) 
 	}
 
 	// Activate warps: contiguous task chunks per core, threads first.
-	entry, ok := prog.Symbols["__entry"]
+	entry, ok := d.prog.Symbols["__entry"]
 	if !ok {
 		return nil, fmt.Errorf("ocl: wrapper entry symbol missing")
 	}
 	warpsActivated := 0
-	wt := d.cfg.Warps * d.cfg.Threads
-	for c := 0; c < d.cfg.Cores; c++ {
-		tasksHere := ntasks - c*tpc
-		if tasksHere <= 0 {
-			break
-		}
-		if tasksHere > tpc {
-			tasksHere = tpc
-		}
-		slots := tasksHere
-		if slots > wt {
-			slots = wt
-		}
+	for c := 0; c*tpc < ntasks; c++ {
+		slots := min(ntasks-c*tpc, tpc, d.cfg.Warps*d.cfg.Threads)
 		for w := 0; w*d.cfg.Threads < slots; w++ {
-			lanes := slots - w*d.cfg.Threads
-			if lanes > d.cfg.Threads {
-				lanes = d.cfg.Threads
-			}
+			lanes := min(slots-w*d.cfg.Threads, d.cfg.Threads)
 			mask := (uint64(1) << uint(lanes)) - 1
 			if err := d.sim.ActivateWarp(c, w, entry, mask); err != nil {
 				return nil, err
@@ -249,7 +210,7 @@ func (d *Device) EnqueueNDRange(k *Kernel, gws, lws int) (*LaunchResult, error) 
 	startDRAM := d.hier.DRAM()
 
 	if err := d.sim.Run(); err != nil {
-		return nil, d.annotateTrap(err, prog)
+		return nil, d.annotateTrap(err)
 	}
 
 	res := &LaunchResult{
@@ -281,9 +242,9 @@ func (d *Device) EnqueueNDRange(k *Kernel, gws, lws int) (*LaunchResult, error) 
 }
 
 // annotateTrap attaches source context to simulator traps.
-func (d *Device) annotateTrap(err error, prog *asm.Program) error {
+func (d *Device) annotateTrap(err error) error {
 	if t, ok := err.(*sim.Trap); ok {
-		if src := prog.SourceAt(t.PC); src != "" {
+		if src := d.prog.SourceAt(t.PC); src != "" {
 			return fmt.Errorf("%w\n  at: %s", err, strings.TrimSpace(src))
 		}
 	}

@@ -16,6 +16,13 @@ import (
 // launchVecadd runs vecadd(gws) with lws on an existing device and returns
 // the launch report plus the output vector.
 func launchVecadd(d *Device, gws, lws int) (*LaunchResult, []float32, error) {
+	return launchBinary(d, vecaddSrc, gws, lws)
+}
+
+// launchBinary runs src, a kernel of vecadd's arguments (A, B, C), over
+// fresh buffers on an existing device and returns the launch report plus
+// the output vector C.
+func launchBinary(d *Device, src KernelSource, gws, lws int) (*LaunchResult, []float32, error) {
 	a := make([]float32, gws)
 	b := make([]float32, gws)
 	for i := range a {
@@ -35,7 +42,7 @@ func launchVecadd(d *Device, gws, lws int) (*LaunchResult, []float32, error) {
 	if err := d.WriteFloat32(bufs[1], b); err != nil {
 		return nil, nil, err
 	}
-	k, err := NewKernel(vecaddSrc)
+	k, err := NewKernel(src)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -222,7 +222,7 @@ func TestProgramSizedLayout(t *testing.T) {
 	}
 
 	named := map[uint8]bool{}
-	check(s.prog, named)
+	check(asm.MustAssemble(growA, 0x1000, nil).Insts, named)
 	rowsA := s.nrows
 	rowOfA := s.rowOf
 	for wid := 0; wid < 2; wid++ {

@@ -129,8 +129,7 @@ type Sim struct {
 	memory   *mem.Memory
 	hier     *mem.Hierarchy
 	progBase uint32
-	prog     []isa.Inst // the resident program, as loaded (identity check only)
-	dec      []decoded  // the resident program, decoded under cfg.Lat and the layout
+	dec      []decoded // the resident program, decoded under cfg.Lat and the layout
 	// The register layout of the programs loaded since the last Reset
 	// (layout.go): rowOf maps a scoreboard slot to its row (0 for x0 and
 	// for slots no program names), nrows counts the rows.
@@ -237,21 +236,15 @@ func (s *Sim) SetObserver(fn func(IssueEvent)) { s.observer = fn }
 // instruction once into its issue record (decode.go), naming its registers
 // in the layout (layout.go); warps still active from an earlier program
 // gain the rows it adds, zeroed. Instruction fetch is modeled as ideal (the
-// paper's bottlenecks are issue- and data-side). Re-loading the program
-// already resident (same backing array, the common case under the ocl
-// program cache) skips the decode. Records depend on cfg.Lat, which only
-// Reshape changes, and on rows the layout keeps until Reset; Reshape
-// (through Reset) and Reset drop the resident program.
+// paper's bottlenecks are issue- and data-side). Every call decodes and
+// keeps nothing of insts, which the caller may rewrite. Records depend on
+// cfg.Lat, which only Reshape changes, and on rows the layout keeps until
+// Reset; Reshape (through Reset) and Reset drop the resident program.
 func (s *Sim) LoadProgram(base uint32, insts []isa.Inst) error {
 	if base%4 != 0 {
 		return fmt.Errorf("sim: program base %#x misaligned", base)
 	}
-	if base == s.progBase && len(insts) == len(s.prog) &&
-		len(insts) > 0 && &insts[0] == &s.prog[0] {
-		return nil
-	}
 	s.progBase = base
-	s.prog = insts
 	s.dec = resized(s.dec, len(insts))
 	rows := s.nrows
 	for i, in := range insts {
@@ -275,7 +268,7 @@ func (s *Sim) LoadProgram(base uint32, insts []isa.Inst) error {
 // any observer is kept (callers that pool devices clear it via the device).
 func (s *Sim) Reset() {
 	s.cycle = 0
-	s.progBase, s.prog, s.dec = 0, nil, s.dec[:0]
+	s.progBase, s.dec = 0, s.dec[:0]
 	s.resetLayout()
 	s.NoCoalesce = false
 	for i := range s.cores {

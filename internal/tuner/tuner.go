@@ -3,8 +3,9 @@
 // It searches candidate local work sizes by timing probe launches on the
 // device, which costs one full (or scaled-down) execution per candidate;
 // Eq. 1 gets the same answer from two integers. The package exists to
-// quantify that trade-off (see the autotune example and the
-// TestTunerAgreesWithEq1 tests).
+// quantify that trade-off (see the autotune example, and
+// TestTunerOnRealDevice, which holds Eq. 1 within 15 % of the searched
+// optimum at a fraction of the search's cost).
 package tuner
 
 import (
