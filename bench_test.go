@@ -9,7 +9,7 @@ package vortex_test
 //
 // Each Fig. 2 benchmark runs the three mappers (lws=1, lws=32, ours) for
 // its kernel over a deterministic subsample of the 450-configuration grid
-// at reduced workload scale (cmd/vortex-sweep regenerates the full-scale
+// at reduced workload scale (vortex sweep regenerates the full-scale
 // figure) and reports the mean latency ratios as custom metrics:
 // ratio_naive = cycles(lws=1)/cycles(ours), ratio_fixed32 =
 // cycles(lws=32)/cycles(ours). Ratios above 1 mean the paper's mapper wins.

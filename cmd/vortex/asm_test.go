@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/binary"
-	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,9 +11,7 @@ import (
 	"repro/internal/asm"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/")
-
-var sumArgs = []string{"-D", "N=8", "-D", "BUF=0x20000", filepath.Join("testdata", "sum.s")}
+var sumArgs = []string{"asm", "-D", "N=8", "-D", "BUF=0x20000", filepath.Join("testdata", "asm", "sum.s")}
 
 // TestGoldenListing pins the listing of one small source: addresses,
 // machine words, disassembly, section markers and the summary line.
@@ -23,25 +20,13 @@ func TestGoldenListing(t *testing.T) {
 	if code := cli(sumArgs, &out, &errb); code != 0 {
 		t.Fatalf("exit %d: %s", code, errb.String())
 	}
-	path := filepath.Join("testdata", "sum.golden")
-	if *updateGolden {
-		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Errorf("listing differs from %s:\n--- got ---\n%s--- want ---\n%s", path, out.Bytes(), want)
-	}
+	checkGolden(t, "asm/sum.golden", out.Bytes())
 }
 
 // TestDisassembleRoundTrip feeds the assembled words back through -d and
 // requires the instruction lines of the golden listing.
 func TestDisassembleRoundTrip(t *testing.T) {
-	src, err := os.ReadFile(filepath.Join("testdata", "sum.s"))
+	src, err := os.ReadFile(filepath.Join("testdata", "asm", "sum.s"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,10 +43,10 @@ func TestDisassembleRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out, errb bytes.Buffer
-	if code := cli([]string{"-d", bin}, &out, &errb); code != 0 {
+	if code := cli([]string{"asm", "-d", bin}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d: %s", code, errb.String())
 	}
-	golden, err := os.ReadFile(filepath.Join("testdata", "sum.golden"))
+	golden, err := os.ReadFile(filepath.Join("testdata", "asm", "sum.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,21 +61,21 @@ func TestDisassembleRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCommandLineErrors pins the exit statuses: 2 for an unknown flag or a
-// missing file argument, 1 for a source that does not assemble.
-func TestCommandLineErrors(t *testing.T) {
+// TestAsmCommandLineErrors pins the exit statuses: 2 for an unknown flag or
+// a missing file argument, 1 for a source that does not assemble.
+func TestAsmCommandLineErrors(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := cli([]string{"-no-such-flag"}, &out, &errb); code != 2 || out.Len() != 0 ||
+	if code := cli([]string{"asm", "-no-such-flag"}, &out, &errb); code != 2 || out.Len() != 0 ||
 		!strings.Contains(errb.String(), "flag provided but not defined") {
 		t.Errorf("unknown flag: exit %d, stdout %q, stderr %q; want exit 2 naming the undefined flag", code, out.String(), errb.String())
 	}
 	errb.Reset()
-	if code := cli(nil, &out, &errb); code != 2 || !strings.Contains(errb.String(), "usage:") {
+	if code := cli([]string{"asm"}, &out, &errb); code != 2 || !strings.Contains(errb.String(), "usage:") {
 		t.Errorf("no file: exit %d, stderr %q; want exit 2 and the usage line", code, errb.String())
 	}
 	errb.Reset()
 	// Without its -D defines the source references undefined symbols.
-	if code := cli(sumArgs[len(sumArgs)-1:], &out, &errb); code != 1 || !strings.Contains(errb.String(), "vortex-asm:") {
+	if code := cli([]string{"asm", sumArgs[len(sumArgs)-1]}, &out, &errb); code != 1 || !strings.Contains(errb.String(), "vortex asm:") {
 		t.Errorf("undefined symbols: exit %d, stderr %q; want exit 1", code, errb.String())
 	}
 }

@@ -1,0 +1,138 @@
+package main
+
+import (
+	"flag"
+	"fmt"
+	"io"
+	"strings"
+
+	"repro/internal/core"
+	"repro/internal/kernels"
+	"repro/internal/ocl"
+	"repro/internal/sweep"
+)
+
+// runCmd executes one benchmark kernel on one device configuration, at the
+// grid point the axis flags name, and prints the full launch report: the
+// Eq. 1 advice, the chosen lws and regime, cycle counts, pipeline and cache
+// statistics, and the boundedness classification.
+var runCmd = subcommand("run", func(fs *flag.FlagSet) body {
+	var sf simFlags
+	sf.addDevice(fs, "4c8w16t", "vecadd")
+	sf.addWorkload(fs, 1.0, "")
+	lws := fs.Int("lws", 0, "local work size (0 = use the mapper)")
+	mapper := fs.String("mapper", "ours", "auto mapper when lws=0: ours, lws=1 or lws=32")
+	compare := fs.Bool("compare", false, "run all three mappings and print the ratio table")
+	cacheStats := fs.Bool("cache-stats", false, "print the campaign-engine cache counters (program cache, input memo) after the run")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof format)")
+	return func(stdout, _ io.Writer) error {
+		stop, err := startCPUProfile(*cpuProfile)
+		if err != nil {
+			return err
+		}
+		defer stop()
+		if err := sf.check(); err != nil {
+			return err
+		}
+		if *compare {
+			err = runCompare(stdout, &sf)
+		} else {
+			err = run(stdout, &sf, *lws, *mapper)
+		}
+		if err != nil {
+			return err
+		}
+		if *cacheStats {
+			prog, inp := ocl.ProgramCacheStats(), kernels.InputCacheStats()
+			fmt.Fprintf(stdout, "\ncampaign caches: programs %d hit / %d built; inputs %d hit / %d built\n",
+				prog.Hits, prog.Misses, inp.Hits, inp.Misses)
+		}
+		return nil
+	}
+})
+
+func run(out io.Writer, sf *simFlags, lws int, mapperName string) error {
+	m, err := core.ParseMapper(mapperName)
+	if err != nil {
+		return err
+	}
+	d, err := ocl.NewDevice(sf.cfg)
+	if err != nil {
+		return err
+	}
+	d.SetMapper(m)
+	spec, hw := sf.spec, sf.hw
+	c, err := spec.Build(d, sf.params)
+	if err != nil {
+		return err
+	}
+
+	fmt.Fprintf(out, "kernel %s (%s, paper size: %s) on %s: %d work items over %d launches\n",
+		spec.Name, spec.Group, spec.PaperSize, hw.Name(), c.WorkItems, len(c.Launches))
+	for _, l := range c.Launches {
+		fmt.Fprintf(out, "  advice for gws=%d: %s\n", l.GWS, core.Advise(l.GWS, hw).Explanation)
+	}
+	res, err := c.RunVerified(d, lws)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "\nverified OK; total %d cycles\n", res.Cycles)
+	for i, lr := range res.Launches {
+		fmt.Fprintf(out, "\nlaunch %d (%s):\n", i, lr.Kernel)
+		fmt.Fprintf(out, "  gws=%d lws=%d tasks=%d batches=%d regime=%s warps=%d\n",
+			lr.GWS, lr.LWS, lr.Tasks, lr.Batches, lr.Regime, lr.WarpsActivated)
+		fmt.Fprintf(out, "  cycles=%d (sim %d + dispatch %d)\n", lr.Cycles, lr.SimCycles, lr.Cycles-lr.SimCycles)
+		fmt.Fprintf(out, "  instrs=%d lane-ops=%d loads=%d stores=%d line-reqs=%d\n",
+			lr.Stats.Issued, lr.Stats.LaneOps, lr.Stats.Loads, lr.Stats.Stores, lr.Stats.LineRequests)
+		fmt.Fprintf(out, "  stalls: mem=%d exec=%d -> %s\n", lr.Stats.MemStall, lr.Stats.ExecStall, lr.Boundedness)
+		fmt.Fprintf(out, "  L1: %d accesses, %.1f%% hits; L2: %d accesses, %.1f%% hits; DRAM: %d line reads, %d writebacks\n",
+			lr.L1.Accesses, lr.L1.HitRate()*100, lr.L2.Accesses, lr.L2.HitRate()*100,
+			lr.DRAM.LineReads, lr.DRAM.Writebacks)
+		if lr.L1.PrefetchIssued > 0 || lr.L1.PrefetchHits > 0 {
+			fmt.Fprintf(out, "  L1 prefetch: %d issued, %d hits\n", lr.L1.PrefetchIssued, lr.L1.PrefetchHits)
+		}
+	}
+	return nil
+}
+
+// runCompare runs the paper's three mappings and prints each one's cycles
+// as a ratio to Eq. 1's.
+func runCompare(out io.Writer, sf *simFlags) error {
+	spec, hw := sf.spec, sf.hw
+	desc := []string{fmt.Sprintf("hp=%d", hw.HP())}
+	for i, a := range sweep.Axes {
+		desc = append(desc, a.Name+"="+sf.point[i])
+	}
+	fmt.Fprintf(out, "kernel %s on %s (%s): comparing mappings\n\n", spec.Name, hw.Name(), strings.Join(desc, ", "))
+	mappers := core.PaperMappers()
+	cycles, lwss := make([]uint64, len(mappers)), make([]int, len(mappers))
+	// One pooled device serves all three mappings: Reset between runs is
+	// byte-identical to building a fresh device and skips the reallocation.
+	pool := ocl.NewDevicePool(1)
+	for i, m := range mappers {
+		d, err := pool.Get(sf.cfg)
+		if err != nil {
+			return err
+		}
+		d.SetMapper(m)
+		c, err := spec.Build(d, sf.params)
+		if err != nil {
+			return err
+		}
+		res, err := c.RunVerified(d, 0)
+		if err != nil {
+			return err
+		}
+		if len(res.Launches) == 0 {
+			return fmt.Errorf("kernel %s completed without launches", spec.Name)
+		}
+		cycles[i], lwss[i] = res.Cycles, res.Launches[0].LWS
+		pool.Put(d)
+	}
+	ours := cycles[len(cycles)-1] // PaperMappers lists Eq. 1 last
+	fmt.Fprintf(out, "%-8s %-6s %-12s %s\n", "mapping", "lws", "cycles", "ratio vs ours")
+	for i, m := range mappers {
+		fmt.Fprintf(out, "%-8s %-6d %-12d %.3f\n", m.Name(), lwss[i], cycles[i], float64(cycles[i])/float64(ours))
+	}
+	return nil
+}

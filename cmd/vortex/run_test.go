@@ -1,0 +1,123 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestGoldenReport pins the launch report of one small verified run —
+// cycle counts and statistics included, so it also catches a model change
+// that reaches the CLI.
+func TestGoldenReport(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := cli([]string{"run", "-config", "2c2w4t", "-kernel", "vecadd", "-scale", "0.05"}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d: %s", code, errb.String())
+	}
+	checkGolden(t, "run/vecadd_2c2w4t.golden", out.Bytes())
+}
+
+// TestRunRemovedFlagsRejected pins that the host-mode flags deleted with
+// the parallel engine are command-line errors, not silently accepted no-ops.
+func TestRunRemovedFlagsRejected(t *testing.T) {
+	for _, name := range []string{"-workers=2", "-commit-workers=1", "-tick-engine", "-batch-exec=false", "-batch-mem=false"} {
+		var out, errb bytes.Buffer
+		if code := cli([]string{"run", name}, &out, &errb); code != 2 || out.Len() != 0 ||
+			!strings.Contains(errb.String(), "flag provided but not defined") {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 2 naming the undefined flag", name, code, out.String(), errb.String())
+		}
+	}
+}
+
+// TestAxisFlagRefusals pins that each grid-axis flag takes exactly one
+// value the axis table accepts: a bad value or a list fails the run.
+func TestAxisFlagRefusals(t *testing.T) {
+	for _, tc := range []struct{ flag, value, want string }{
+		{"-sched", "rr,gto", `bad sched value "rr,gto"`},
+		{"-mshrs", "-1", `bad mshrs value "-1"`},
+		{"-l1", "16kb4w", "bad L1 geometry"},
+		{"-prefetch", "banana", "unknown prefetch policy"},
+	} {
+		var out, errb bytes.Buffer
+		if code := cli([]string{"run", "-config", "2c2w4t", "-scale", "0.05", tc.flag, tc.value}, &out, &errb); code != 1 ||
+			!strings.Contains(errb.String(), tc.want) {
+			t.Errorf("%s %s: exit %d, stderr %q; want exit 1 naming %q", tc.flag, tc.value, code, errb.String(), tc.want)
+		}
+	}
+}
+
+// TestRunCPUProfileFlag checks that -cpuprofile writes a non-empty profile
+// and leaves the report unchanged.
+func TestRunCPUProfileFlag(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.prof")
+	var out, errb bytes.Buffer
+	if code := cli([]string{"run", "-config", "2c2w4t", "-kernel", "vecadd", "-scale", "0.05", "-cpuprofile", path}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d: %s", code, errb.String())
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+		t.Fatalf("profile %s not written (%v)", path, err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "run", "vecadd_2c2w4t.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Error("report differs from the golden report when profiling")
+	}
+}
+
+// TestRunScaleRefusals pins that a scale no workload can be built at fails
+// the run (exit 1) instead of running at minimum or paper size.
+func TestRunScaleRefusals(t *testing.T) {
+	for _, scale := range []string{"0", "-0.5", "NaN", "Inf", "-Inf"} {
+		var out, errb bytes.Buffer
+		if code := cli([]string{"run", "-config", "2c2w4t", "-scale", scale}, &out, &errb); code != 1 || out.Len() != 0 ||
+			!strings.Contains(errb.String(), "-scale must be positive and finite") {
+			t.Errorf("-scale %s: exit %d, stdout %q, stderr %q; want exit 1 refusing the scale", scale, code, out.String(), errb.String())
+		}
+	}
+}
+
+// TestRunConfigRefusals pins that -config takes only the canonical
+// spelling of a configuration: a list or trailing input used to run the
+// first configuration silently.
+func TestRunConfigRefusals(t *testing.T) {
+	for _, config := range []string{"4c8w16t,2c2w2t", "2c2w4tXYZ", "02c2w4t", "bogus"} {
+		var out, errb bytes.Buffer
+		if code := cli([]string{"run", "-config", config, "-scale", "0.05"}, &out, &errb); code != 1 || out.Len() != 0 ||
+			!strings.Contains(errb.String(), "vortex run: core: bad config") {
+			t.Errorf("-config %q: exit %d, stdout %q, stderr %q; want exit 1 refusing the config", config, code, out.String(), errb.String())
+		}
+	}
+}
+
+// TestRunMapperNames pins the -mapper names: each alias runs the same
+// launch as the name it stands for, each name the mapping it names, and an
+// unknown name fails the run.
+func TestRunMapperNames(t *testing.T) {
+	for _, tc := range []struct{ name, alias, want string }{
+		{"ours", "auto", "regime=exact"}, // hp = 1: Eq. 1 gives one task
+		{"lws=1", "naive", " lws=1 "},
+		{"lws=32", "fixed", " lws=32 "},
+	} {
+		var reports []string
+		for _, m := range []string{tc.name, tc.alias} {
+			var out, errb bytes.Buffer
+			if code := cli([]string{"run", "-config", "1c1w1t", "-scale", "0.05", "-mapper", m}, &out, &errb); code != 0 ||
+				!strings.Contains(out.String(), tc.want) {
+				t.Errorf("-mapper %s: exit %d, stderr %q, report:\n%s\nwant %q", m, code, errb.String(), out.String(), tc.want)
+			}
+			reports = append(reports, out.String())
+		}
+		if reports[0] != reports[1] {
+			t.Errorf("-mapper %s and -mapper %s report different launches", tc.name, tc.alias)
+		}
+	}
+	var out, errb bytes.Buffer
+	if code := cli([]string{"run", "-scale", "0.05", "-mapper", "lws=16"}, &out, &errb); code != 1 ||
+		!strings.Contains(errb.String(), `unknown mapper "lws=16"`) {
+		t.Errorf("-mapper lws=16: exit %d, stderr %q; want exit 1 naming the mapper", code, errb.String())
+	}
+}

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -26,20 +25,16 @@ var memAxisArgs = []string{
 	"-scale", "0.05", "-seed", "7", "-workers", "1",
 }
 
-// TestMemAxisSweepCLI drives the acceptance sweep as a real subprocess:
+// TestMemAxisSweepCLI drives the acceptance sweep through the command:
 // the checkpoint carries the v4 meta with the three memory axes, the CSV
 // grows the mshrs/l1/prefetch columns, and a two-shard split of the same
 // grid merges back byte-identical to the single-process run.
 func TestMemAxisSweepCLI(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns subprocesses and builds the binary")
-	}
 	dir := t.TempDir()
-	bin := buildSweep(t, dir)
 
 	refCkpt := filepath.Join(dir, "ref.jsonl")
 	refCSV := filepath.Join(dir, "ref.csv")
-	out := runSweep(t, bin, append(append([]string{}, memAxisArgs...),
+	out := runSweep(t, append(append([]string{}, memAxisArgs...),
 		"-checkpoint", refCkpt, "-csv", refCSV)...)
 	if !strings.Contains(out, "x 8 grid points (mshrs=0,4 l1=16k4w,32k8w prefetch=off,nextline)") {
 		t.Errorf("campaign banner does not announce the memory grid:\n%s", out)
@@ -78,12 +73,12 @@ func TestMemAxisSweepCLI(t *testing.T) {
 	shardPaths := make([]string, 2)
 	for i := range shardPaths {
 		shardPaths[i] = filepath.Join(dir, "shard"+string(rune('0'+i))+".jsonl")
-		runSweep(t, bin, append(append([]string{}, memAxisArgs...),
+		runSweep(t, append(append([]string{}, memAxisArgs...),
 			"-shard", string(rune('0'+i))+"/2", "-checkpoint", shardPaths[i])...)
 	}
 	mergedCkpt := filepath.Join(dir, "merged.jsonl")
 	mergedCSV := filepath.Join(dir, "merged.csv")
-	runSweep(t, bin, "merge", "-out", mergedCkpt, "-csv", mergedCSV, shardPaths[0], shardPaths[1])
+	runSweep(t, "merge", "-out", mergedCkpt, "-csv", mergedCSV, shardPaths[0], shardPaths[1])
 	for _, pair := range [][2]string{{refCkpt, mergedCkpt}, {refCSV, mergedCSV}} {
 		want, err := os.ReadFile(pair[0])
 		if err != nil {
@@ -105,20 +100,16 @@ func TestMemAxisSweepCLI(t *testing.T) {
 // (-mshrs 0 -l1 16k4w -prefetch off) must produce a checkpoint and CSV
 // byte-identical to a run that never mentions the memory flags.
 func TestMemAxisDefaultPointCheckpointDiff(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns subprocesses and builds the binary")
-	}
 	dir := t.TempDir()
-	bin := buildSweep(t, dir)
 
 	plainCkpt := filepath.Join(dir, "plain.jsonl")
 	plainCSV := filepath.Join(dir, "plain.csv")
-	runSweep(t, bin, append(append([]string{}, campaignArgs...),
+	runSweep(t, append(append([]string{}, campaignArgs...),
 		"-checkpoint", plainCkpt, "-csv", plainCSV)...)
 
 	explicitCkpt := filepath.Join(dir, "explicit.jsonl")
 	explicitCSV := filepath.Join(dir, "explicit.csv")
-	runSweep(t, bin, append(append([]string{}, campaignArgs...),
+	runSweep(t, append(append([]string{}, campaignArgs...),
 		"-mshrs", "0", "-l1", "16k4w", "-prefetch", "off",
 		"-checkpoint", explicitCkpt, "-csv", explicitCSV)...)
 
@@ -142,11 +133,7 @@ func TestMemAxisDefaultPointCheckpointDiff(t *testing.T) {
 // CLI: resuming a v3 (pre-memory-axes) checkpoint fails up front with the
 // version diagnostic.
 func TestMemAxisResumeRejectsV3CheckpointCLI(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns subprocesses and builds the binary")
-	}
 	dir := t.TempDir()
-	bin := buildSweep(t, dir)
 	ckpt := filepath.Join(dir, "old.jsonl")
 	v3meta := `{"checkpoint_version":3,"scale":0.05,"seed":7,"verify":false,` +
 		`"dispatch_overhead":0,"no_coalesce":false,"shard_index":0,"shard_count":1,` +
@@ -154,13 +141,12 @@ func TestMemAxisResumeRejectsV3CheckpointCLI(t *testing.T) {
 	if err := os.WriteFile(ckpt, []byte(v3meta), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(bin, "-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "0.05",
+	code, out := vortex("sweep", "-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "0.05",
 		"-seed", "7", "-checkpoint", ckpt, "-resume")
-	out, err := cmd.CombinedOutput()
-	if err == nil {
+	if code == 0 {
 		t.Fatalf("resume of a v3 checkpoint succeeded:\n%s", out)
 	}
-	if !strings.Contains(string(out), "version 3 not supported") {
+	if !strings.Contains(out, "version 3 not supported") {
 		t.Errorf("v3 refusal not diagnosable:\n%s", out)
 	}
 }
@@ -168,13 +154,9 @@ func TestMemAxisResumeRejectsV3CheckpointCLI(t *testing.T) {
 // TestMemAxisFlagRefusals pins the CLI-boundary diagnostics of the three
 // memory flags, on the sweep command and on serve/work enrollment paths.
 func TestMemAxisFlagRefusals(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns subprocesses and builds the binary")
-	}
 	dir := t.TempDir()
-	bin := buildSweep(t, dir)
 	base := []string{"-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "0.05"}
-	for _, tc := range []struct {
+	sweepRefusals(t, []struct {
 		name string
 		args []string
 		want string
@@ -197,14 +179,5 @@ func TestMemAxisFlagRefusals(t *testing.T) {
 			"-mshrs", "4,4"}, base...), "duplicate mshrs entry 4"},
 		{"work with bad l1", append([]string{"work", "-coordinator", "127.0.0.1:1",
 			"-l1", "nope"}, base...), "bad L1 geometry"},
-	} {
-		out, err := exec.Command(bin, tc.args...).CombinedOutput()
-		if err == nil {
-			t.Errorf("%s: accepted:\n%s", tc.name, out)
-			continue
-		}
-		if !strings.Contains(string(out), tc.want) {
-			t.Errorf("%s: diagnostic %q missing %q", tc.name, out, tc.want)
-		}
-	}
+	})
 }

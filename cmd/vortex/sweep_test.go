@@ -4,11 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
 	"flag"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -20,18 +18,7 @@ import (
 	"repro/internal/sweep/service"
 )
 
-// buildSweep compiles the vortex-sweep binary into dir.
-func buildSweep(t *testing.T, dir string) string {
-	t.Helper()
-	bin := filepath.Join(dir, "vortex-sweep")
-	cmd := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	return bin
-}
-
-// campaignArgs is the tiny fixed campaign every CLI test drives: explicit
+// campaignArgs is the tiny fixed campaign every sweep test drives: explicit
 // grid so shard runs and the reference run agree on the canonical task
 // order, Workers=1 so the reference checkpoint is written in that order.
 var campaignArgs = []string{
@@ -40,15 +27,48 @@ var campaignArgs = []string{
 	"-scale", "0.05", "-seed", "7", "-workers", "1",
 }
 
-func runSweep(t *testing.T, bin string, args ...string) string {
+// runSweep runs vortex sweep with args in-process and returns its stdout,
+// failing the test on a non-zero exit.
+func runSweep(t *testing.T, args ...string) string {
 	t.Helper()
-	cmd := exec.Command(bin, args...)
+	var out, errb bytes.Buffer
+	if code := cli(append([]string{"sweep"}, args...), &out, &errb); code != 0 {
+		t.Fatalf("vortex sweep %s: exit %d\nstderr: %s", strings.Join(args, " "), code, errb.String())
+	}
+	return out.String()
+}
+
+// runSweepProcess runs vortex sweep with args as a subprocess and returns
+// its stdout, failing the test on a non-zero exit.
+func runSweepProcess(t *testing.T, args ...string) string {
+	t.Helper()
+	cmd := vortexProcess(t, append([]string{"sweep"}, args...)...)
 	var out, errb bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errb
 	if err := cmd.Run(); err != nil {
-		t.Fatalf("%s %s: %v\nstderr: %s", bin, strings.Join(args, " "), err, errb.String())
+		t.Fatalf("vortex sweep %s: %v\nstderr: %s", strings.Join(args, " "), err, errb.String())
 	}
 	return out.String()
+}
+
+// sweepRefusals runs each case's vortex sweep args in-process and requires
+// a failed exit whose output names want.
+func sweepRefusals(t *testing.T, cases []struct {
+	name string
+	args []string
+	want string
+}) {
+	t.Helper()
+	for _, tc := range cases {
+		code, out := vortex(append([]string{"sweep"}, tc.args...)...)
+		if code == 0 {
+			t.Errorf("%s: accepted:\n%s", tc.name, out)
+			continue
+		}
+		if !strings.Contains(out, tc.want) {
+			t.Errorf("%s: diagnostic %q missing %q", tc.name, out, tc.want)
+		}
+	}
 }
 
 // countLines returns the number of complete (newline-terminated) lines.
@@ -80,14 +100,13 @@ func truncateToLines(t *testing.T, path string, n int) {
 // checkpoint and CSV must be byte-identical to a clean single-process run.
 func TestShardKillResumeMergeCLI(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spawns subprocesses and builds the binary")
+		t.Skip("spawns subprocesses")
 	}
 	dir := t.TempDir()
-	bin := buildSweep(t, dir)
 
 	refCkpt := filepath.Join(dir, "ref.jsonl")
 	refCSV := filepath.Join(dir, "ref.csv")
-	runSweep(t, bin, append(append([]string{}, campaignArgs...),
+	runSweepProcess(t, append(append([]string{}, campaignArgs...),
 		"-checkpoint", refCkpt, "-csv", refCSV)...)
 
 	shardPaths := make([]string, 3)
@@ -97,7 +116,7 @@ func TestShardKillResumeMergeCLI(t *testing.T) {
 
 	// Shards 0 and 2 run clean.
 	for _, i := range []int{0, 2} {
-		runSweep(t, bin, append(append([]string{}, campaignArgs...),
+		runSweepProcess(t, append(append([]string{}, campaignArgs...),
 			"-shard", string(rune('0'+i))+"/3", "-checkpoint", shardPaths[i])...)
 	}
 
@@ -105,7 +124,7 @@ func TestShardKillResumeMergeCLI(t *testing.T) {
 	// record (the meta line plus one). If the campaign finishes first the
 	// kill is a no-op; the truncation below re-creates the mid-campaign
 	// state deterministically either way.
-	killCmd := exec.Command(bin, append(append([]string{}, campaignArgs...),
+	killCmd := vortexProcess(t, append(append([]string{"sweep"}, campaignArgs...),
 		"-shard", "1/3", "-checkpoint", shardPaths[1])...)
 	if err := killCmd.Start(); err != nil {
 		t.Fatal(err)
@@ -145,12 +164,12 @@ poll:
 	f.Close()
 
 	// Resume shard 1 to completion, then merge.
-	runSweep(t, bin, append(append([]string{}, campaignArgs...),
+	runSweepProcess(t, append(append([]string{}, campaignArgs...),
 		"-shard", "1/3", "-checkpoint", shardPaths[1], "-resume")...)
 
 	mergedCkpt := filepath.Join(dir, "merged.jsonl")
 	mergedCSV := filepath.Join(dir, "merged.csv")
-	mergeOut := runSweep(t, bin, "merge", "-out", mergedCkpt, "-csv", mergedCSV,
+	mergeOut := runSweepProcess(t, "merge", "-out", mergedCkpt, "-csv", mergedCSV,
 		shardPaths[0], shardPaths[1], shardPaths[2])
 	if !strings.Contains(mergeOut, "merged 3 shards") {
 		t.Errorf("merge output missing summary:\n%s", mergeOut)
@@ -224,10 +243,9 @@ func pollStatus(t *testing.T, addr string) (st struct {
 // mid-lease must not perturb a single record.
 func TestServeWorkKillRecoveryCLI(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spawns subprocesses and builds the binary")
+		t.Skip("spawns subprocesses")
 	}
 	dir := t.TempDir()
-	bin := buildSweep(t, dir)
 	// 72 tasks: the campaign's 18 under every scheduler, at full scale.
 	campaignArgs := []string{
 		"-grid", "1c2w2t,2c2w4t,4c4w4t",
@@ -238,12 +256,12 @@ func TestServeWorkKillRecoveryCLI(t *testing.T) {
 
 	refCkpt := filepath.Join(dir, "ref.jsonl")
 	refCSV := filepath.Join(dir, "ref.csv")
-	runSweep(t, bin, append(append([]string{}, campaignArgs...),
+	runSweepProcess(t, append(append([]string{}, campaignArgs...),
 		"-checkpoint", refCkpt, "-csv", refCSV)...)
 
 	finalCkpt := filepath.Join(dir, "final.jsonl")
 	finalCSV := filepath.Join(dir, "final.csv")
-	serveCmd := exec.Command(bin, append([]string{"serve",
+	serveCmd := vortexProcess(t, append([]string{"sweep", "serve",
 		"-addr", "127.0.0.1:0", "-checkpoint", filepath.Join(dir, "served.jsonl"),
 		"-out", finalCkpt, "-csv", finalCSV,
 		"-lease-ttl", "2s", "-batch", "3", "-linger", "200ms"},
@@ -281,7 +299,7 @@ func TestServeWorkKillRecoveryCLI(t *testing.T) {
 
 	// A worker describing a different campaign must be refused at
 	// enrollment, permanently — not retried into the grid.
-	alien := exec.Command(bin, append(append([]string{"work", "-coordinator", addr},
+	alien := vortexProcess(t, append(append([]string{"sweep", "work", "-coordinator", addr},
 		campaignArgs...), "-seed", "9")...)
 	if out, err := alien.CombinedOutput(); err == nil {
 		t.Fatalf("meta-mismatched worker accepted:\n%s", out)
@@ -314,7 +332,7 @@ func TestServeWorkKillRecoveryCLI(t *testing.T) {
 
 	// A clean worker finishes the grid: it polls, the holder's lease
 	// expires (2s TTL), and the freed tasks are re-issued to it.
-	finisher := runSweep(t, bin, append([]string{"work", "-coordinator", addr,
+	finisher := runSweepProcess(t, append([]string{"work", "-coordinator", addr,
 		"-worker", "finisher"}, campaignArgs...)...)
 	if !strings.Contains(finisher, "campaign complete: this worker ran") {
 		t.Errorf("finisher output missing summary:\n%s", finisher)
@@ -353,13 +371,9 @@ func TestServeWorkKillRecoveryCLI(t *testing.T) {
 // simulation-only flags, and serve/work missing their required flags all
 // fail up front with the offending flag named.
 func TestCampaignFlagRefusals(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns subprocesses and builds the binary")
-	}
 	dir := t.TempDir()
-	bin := buildSweep(t, dir)
 	base := []string{"-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "0.05"}
-	for _, tc := range []struct {
+	sweepRefusals(t, []struct {
 		name string
 		args []string
 		want string
@@ -395,38 +409,24 @@ func TestCampaignFlagRefusals(t *testing.T) {
 			"work requires -coordinator"},
 		{"work with dup sched", append([]string{"work", "-coordinator", "127.0.0.1:1",
 			"-sched", "rr,rr"}, base...), "duplicate sched entry rr"},
-	} {
-		out, err := exec.Command(bin, tc.args...).CombinedOutput()
-		if err == nil {
-			t.Errorf("%s: accepted:\n%s", tc.name, out)
-			continue
-		}
-		if !strings.Contains(string(out), tc.want) {
-			t.Errorf("%s: diagnostic %q missing %q", tc.name, out, tc.want)
-		}
-	}
+	})
 }
 
 // TestRemovedHostModeFlagsRejected pins that the host-mode flags deleted
 // with the parallel engine are command-line errors (exit status 2) in every
 // simulating mode, not silently accepted no-ops.
 func TestRemovedHostModeFlagsRejected(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns subprocesses and builds the binary")
-	}
-	bin := buildSweep(t, t.TempDir())
 	for _, mode := range [][]string{nil, {"serve"}, {"work"}} {
 		for _, removed := range [][]string{
 			{"-sim-workers", "2"}, {"-commit-workers", "1"}, {"-tick-engine"},
 			{"-batch-exec=false"}, {"-batch-mem=false"},
 		} {
-			args := append(append([]string{}, mode...), removed...)
-			out, err := exec.Command(bin, args...).CombinedOutput()
-			var exit *exec.ExitError
-			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-				t.Errorf("%v: err %v, want exit status 2:\n%s", args, err, out)
+			args := append(append([]string{"sweep"}, mode...), removed...)
+			code, out := vortex(args...)
+			if code != 2 {
+				t.Errorf("%v: exit %d, want exit status 2:\n%s", args, code, out)
 			}
-			if !strings.Contains(string(out), "flag provided but not defined") {
+			if !strings.Contains(out, "flag provided but not defined") {
 				t.Errorf("%v: output does not name the undefined flag:\n%s", args, out)
 			}
 		}
@@ -437,26 +437,19 @@ func TestRemovedHostModeFlagsRejected(t *testing.T) {
 // out-of-range indexes and zero counts must be refused up front, not run
 // as a silently different shard.
 func TestShardFlagRejected(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns subprocesses and builds the binary")
-	}
-	dir := t.TempDir()
-	bin := buildSweep(t, dir)
 	for _, bad := range []string{"bogus", "1/3o", "1/3/4", "3/3", "-1/3", "0/0", "1/"} {
-		cmd := exec.Command(bin, "-shard", bad, "-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "0.05")
-		out, err := cmd.CombinedOutput()
-		if err == nil {
+		code, out := vortex("sweep", "-shard", bad, "-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "0.05")
+		if code == 0 {
 			t.Errorf("-shard %q accepted:\n%s", bad, out)
-		} else if !strings.Contains(string(out), "bad -shard") {
+		} else if !strings.Contains(out, "bad -shard") {
 			t.Errorf("-shard %q: unexpected error:\n%s", bad, out)
 		}
 	}
 	// -grid names must round-trip exactly: Sscanf-based parsing would
 	// otherwise accept trailing garbage and run a different grid.
 	for _, bad := range []string{"4c4w4t99", "4c4w4tt", "1c2w2t x"} {
-		cmd := exec.Command(bin, "-grid", bad, "-kernels", "vecadd", "-scale", "0.05")
-		out, err := cmd.CombinedOutput()
-		if err == nil {
+		code, out := vortex("sweep", "-grid", bad, "-kernels", "vecadd", "-scale", "0.05")
+		if code == 0 {
 			t.Errorf("-grid %q accepted:\n%s", bad, out)
 		}
 	}
@@ -465,34 +458,24 @@ func TestShardFlagRejected(t *testing.T) {
 // TestMergeCLIRefusesBadShardSet pins the CLI surface of the merge
 // validation: a missing shard is refused with a diagnosable error.
 func TestMergeCLIRefusesBadShardSet(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns subprocesses and builds the binary")
-	}
 	dir := t.TempDir()
-	bin := buildSweep(t, dir)
 	shard0 := filepath.Join(dir, "shard0.jsonl")
-	runSweep(t, bin, append(append([]string{}, campaignArgs...),
+	runSweep(t, append(append([]string{}, campaignArgs...),
 		"-shard", "0/2", "-checkpoint", shard0)...)
-	cmd := exec.Command(bin, "merge", "-out", filepath.Join(dir, "m.jsonl"), shard0)
-	out, err := cmd.CombinedOutput()
-	if err == nil {
+	code, out := vortex("sweep", "merge", "-out", filepath.Join(dir, "m.jsonl"), shard0)
+	if code == 0 {
 		t.Fatalf("merge of 1 of 2 shards succeeded:\n%s", out)
 	}
-	if !strings.Contains(string(out), "missing shard 1/2") {
+	if !strings.Contains(out, "missing shard 1/2") {
 		t.Errorf("merge error not diagnosable:\n%s", out)
 	}
 }
 
-// TestCPUProfileFlag checks that -cpuprofile writes a non-empty profile of
-// a completed campaign.
-func TestCPUProfileFlag(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns subprocesses and builds the binary")
-	}
-	dir := t.TempDir()
-	bin := buildSweep(t, dir)
-	path := filepath.Join(dir, "cpu.prof")
-	runSweep(t, bin, append([]string{"-cpuprofile", path}, campaignArgs...)...)
+// TestSweepCPUProfileFlag checks that -cpuprofile writes a non-empty
+// profile of a completed campaign.
+func TestSweepCPUProfileFlag(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.prof")
+	runSweep(t, append([]string{"-cpuprofile", path}, campaignArgs...)...)
 	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
 		t.Fatalf("profile %s not written (%v)", path, err)
 	}

@@ -1,0 +1,48 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// TestGoldenTrace pins the Figure 1 rendering of one small kernel under two
+// local work sizes: waveforms, section summaries and the issue table all
+// come from the per-issue observer, so this also catches an observer that
+// misses, repeats or reorders events.
+func TestGoldenTrace(t *testing.T) {
+	var out, errb bytes.Buffer
+	args := []string{"trace", "-config", "2c2w4t", "-kernel", "vecadd", "-gws", "64", "-lws", "1,8", "-width", "60", "-table", "4"}
+	if code := cli(args, &out, &errb); code != 0 {
+		t.Fatalf("exit %d: %s", code, errb.String())
+	}
+	checkGolden(t, "trace/vecadd_2c2w4t.golden", out.Bytes())
+}
+
+// TestTraceCommandLineErrors pins the exit statuses: 2 for an unknown flag,
+// 1 for a run that cannot start.
+func TestTraceCommandLineErrors(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := cli([]string{"trace", "-no-such-flag"}, &out, &errb); code != 2 || out.Len() != 0 ||
+		!strings.Contains(errb.String(), "flag provided but not defined") {
+		t.Errorf("unknown flag: exit %d, stdout %q, stderr %q; want exit 2 naming the undefined flag", code, out.String(), errb.String())
+	}
+	out.Reset()
+	errb.Reset()
+	if code := cli([]string{"trace", "-config", "bogus"}, &out, &errb); code != 1 || !strings.Contains(errb.String(), "vortex trace:") {
+		t.Errorf("bad config: exit %d, stderr %q; want exit 1", code, errb.String())
+	}
+}
+
+// TestTraceRefusesNonPositiveGWS pins that a work size no kernel can be
+// built at fails the run (exit 1) instead of panicking in the input
+// generator or failing inside the runtime.
+func TestTraceRefusesNonPositiveGWS(t *testing.T) {
+	for _, gws := range []string{"-5", "0"} {
+		var out, errb bytes.Buffer
+		if code := cli([]string{"trace", "-gws", gws}, &out, &errb); code != 1 ||
+			!strings.Contains(errb.String(), "vortex trace: kernels: vecadd: size "+gws+" is not positive") {
+			t.Errorf("-gws %s: exit %d, stderr %q; want exit 1 refusing the size", gws, code, errb.String())
+		}
+	}
+}

@@ -1,94 +1,50 @@
-// Command vortex-tuner contrasts empirical autotuning (the
-// hardware-agnostic approach the paper's runtime technique replaces) with
-// the closed-form Eq. 1 decision: it searches the lws space of a kernel on
-// a device — optionally widened to the warp-scheduler axis with -sched all
-// and to the memory-side axes with comma-separated -mshrs/-l1/-prefetch —
-// reports the probes, and quantifies both the quality gap and the search
-// overhead that Eq. 1 avoids.
-//
-// Usage:
-//
-//	vortex-tuner [-config 2c4w8t] [-kernel saxpy] [-scale 0.5]
-//	             [-strategy exhaustive|hillclimb]
-//	             [-sched rr|gto|oldest|2lev|all]
-//	             [-mshrs 0,4] [-l1 16k4w,32k8w] [-prefetch off,nextline]
-//	             [-seed 42]
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
-	"repro/internal/core"
-	"repro/internal/kernels"
 	"repro/internal/ocl"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/tuner"
 )
 
-func main() {
-	os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// cli parses args, runs the search and returns the process exit status:
-// 0 on success, 1 on a failed run, 2 on a command-line error.
-func cli(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("vortex-tuner", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	cfgName := fs.String("config", "2c4w8t", "device configuration (paper notation)")
-	kernel := fs.String("kernel", "saxpy", "kernel (registry name)")
-	scale := fs.Float64("scale", 0.5, "workload scale")
-	strategy := fs.String("strategy", "exhaustive", "search strategy: exhaustive or hillclimb")
-	axisFlags := sweep.RegisterAxisFlags(fs, "search axis (comma-separated): ")
+// tuneCmd contrasts empirical autotuning, which the paper's runtime
+// technique replaces, with Eq. 1: it searches a kernel's lws space on one
+// device, optionally across device axes (-sched all, or comma-separated
+// -mshrs/-l1/-prefetch), and reports Eq. 1's quality gap and the search
+// overhead Eq. 1 avoids.
+var tuneCmd = subcommand("tune", func(fs *flag.FlagSet) body {
+	var sf simFlags
+	sf.addDevice(fs, "2c4w8t", "saxpy")
+	sf.addWorkload(fs, 0.5, "search axis (comma-separated): ")
 	fs.Lookup("sched").Usage += ", or 'all'"
-	seed := fs.Int64("seed", 42, "input seed")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
+	strategy := fs.String("strategy", "exhaustive", "search strategy: exhaustive or hillclimb")
+	return func(stdout, _ io.Writer) error {
+		if s := sf.axes["sched"]; *s == "all" {
+			var names []string
+			for _, p := range sim.SchedPolicies() {
+				names = append(names, p.String())
+			}
+			*s = strings.Join(names, ",")
 		}
-		return 2
-	}
-	if err := run(stdout, *cfgName, *kernel, *scale, *strategy, axisFlags, *seed); err != nil {
-		fmt.Fprintln(stderr, "vortex-tuner:", err)
-		return 1
-	}
-	return 0
-}
-
-func run(out io.Writer, cfgName, kernel string, scale float64, strategy string, axisFlags sweep.AxisFlags, seed int64) error {
-	if err := kernels.CheckScale(scale); err != nil {
-		return fmt.Errorf("-%w", err)
-	}
-	hw, err := core.ParseName(cfgName)
-	if err != nil {
-		return err
-	}
-	spec, err := kernels.ByName(kernel)
-	if err != nil {
-		return err
-	}
-	if s := axisFlags["sched"]; *s == "all" {
-		var names []string
-		for _, p := range sim.SchedPolicies() {
-			names = append(names, p.String())
+		if err := sf.check(); err != nil {
+			return err
 		}
-		*s = strings.Join(names, ",")
+		return tune(stdout, &sf, *strategy)
 	}
-	axes, err := axisFlags.Values()
-	if err != nil {
-		return err
-	}
+})
 
+func tune(out io.Writer, sf *simFlags, strategy string) error {
+	spec, hw := sf.spec, sf.hw
 	// The search axis is every grid point of the device axes, labelled by
 	// its first axis value alone while the other axes are single points
 	// (the default), and by every axis value otherwise.
-	all := sweep.Points(axes)
-	first := axes[sweep.Axes[0].Name]
+	all := sweep.Points(sf.axisVals)
+	first := sf.axisVals[sweep.Axes[0].Name]
 	cfgByName := map[string]sim.Config{}
 	var points []string
 	for _, pt := range all {
@@ -98,7 +54,7 @@ func run(out io.Writer, cfgName, kernel string, scale float64, strategy string, 
 				name += "/" + a.Name + "=" + pt[i+1]
 			}
 		}
-		cfg, err := sweep.ApplyPoint(sim.DefaultConfig(hw.Cores, hw.Warps, hw.Threads), pt)
+		cfg, err := sweep.ApplyPoint(sf.cfg, pt)
 		if err != nil {
 			return err
 		}
@@ -111,12 +67,12 @@ func run(out io.Writer, cfgName, kernel string, scale float64, strategy string, 
 	if err != nil {
 		return err
 	}
-	c0, err := spec.Build(probeDev, kernels.Params{Scale: scale, Seed: seed})
+	c0, err := spec.Build(probeDev, sf.params)
 	if err != nil {
 		return err
 	}
 	if len(c0.Launches) == 0 {
-		return fmt.Errorf("kernel %s produced no launches", kernel)
+		return fmt.Errorf("kernel %s produced no launches", spec.Name)
 	}
 	gws := c0.Launches[0].GWS
 
@@ -127,7 +83,7 @@ func run(out io.Writer, cfgName, kernel string, scale float64, strategy string, 
 			if err != nil {
 				return 0, err
 			}
-			c, err := spec.Build(d, kernels.Params{Scale: scale, Seed: seed})
+			c, err := spec.Build(d, sf.params)
 			if err != nil {
 				return 0, err
 			}
@@ -149,7 +105,7 @@ func run(out io.Writer, cfgName, kernel string, scale float64, strategy string, 
 	}
 
 	fmt.Fprintf(out, "tuning %s (gws=%d) on %s (hp=%d), strategy: %s, device points: %v\n\n",
-		kernel, gws, hw.Name(), hw.HP(), strategy, points)
+		spec.Name, gws, hw.Name(), hw.HP(), strategy, points)
 
 	probes, best, err := tuner.AcrossScheds(points, mkRunner, search)
 	if err != nil {

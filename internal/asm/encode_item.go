@@ -272,7 +272,7 @@ func (a *assembler) pcOffset(it *item, s string, bits uint, what string) (int32,
 }
 
 // Disassemble renders a program listing with addresses and tags, mainly for
-// debugging and the vortex-asm tool.
+// debugging and the vortex asm command.
 func Disassemble(p *Program) string {
 	var b strings.Builder
 	lastTag := ""

@@ -147,6 +147,29 @@ type Auto struct{}
 func (Auto) Name() string               { return "ours" }
 func (Auto) LWS(gws int, hw HWInfo) int { return OptimalLWS(gws, hw) }
 
+// PaperMappers returns Figure 2's three mappings in report order: the lws=1
+// and lws=32 baselines, then Eq. 1.
+func PaperMappers() []Mapper { return []Mapper{Naive{}, Fixed{N: 32}, Auto{}} }
+
+// ParseMapper returns the paper mapper a name selects: its Name, or the
+// alias auto (ours), naive (lws=1) or fixed (lws=32).
+func ParseMapper(name string) (Mapper, error) {
+	switch name {
+	case "auto":
+		name = "ours"
+	case "naive":
+		name = "lws=1"
+	case "fixed":
+		name = "lws=32"
+	}
+	for _, m := range PaperMappers() {
+		if m.Name() == name {
+			return m, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown mapper %q", name)
+}
+
 // Advice is a tuning report for one prospective launch.
 type Advice struct {
 	LWS         int
@@ -158,7 +181,7 @@ type Advice struct {
 }
 
 // Advise explains the Eq. 1 decision for a launch, including the expected
-// occupancy, for tooling and the autotune example.
+// occupancy, for tooling.
 func Advise(gws int, hw HWInfo) Advice {
 	lws := OptimalLWS(gws, hw)
 	tasks := Tasks(gws, lws)
@@ -222,7 +245,9 @@ func Classify(memStall, execStall, cycles uint64) Boundedness {
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // ParseName parses the compact configuration notation ("4c8w16t") back
-// into an HWInfo.
+// into an HWInfo. It takes only the spelling Name writes: a sign, a leading
+// zero, a space or trailing input would otherwise name a config other than
+// the one that runs.
 func ParseName(s string) (HWInfo, error) {
 	var h HWInfo
 	if _, err := fmt.Sscanf(s, "%dc%dw%dt", &h.Cores, &h.Warps, &h.Threads); err != nil {
@@ -230,6 +255,9 @@ func ParseName(s string) (HWInfo, error) {
 	}
 	if !h.Valid() {
 		return HWInfo{}, fmt.Errorf("core: non-positive geometry %q", s)
+	}
+	if h.Name() != s {
+		return HWInfo{}, fmt.Errorf("core: bad config %q (want e.g. %s)", s, h.Name())
 	}
 	return h, nil
 }

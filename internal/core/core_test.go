@@ -157,6 +157,13 @@ func TestHWInfo(t *testing.T) {
 	if (HWInfo{0, 1, 1}).Valid() {
 		t.Error("invalid geometry accepted")
 	}
+	// Name is the only spelling ParseName takes: each of these scans as a
+	// valid geometry but names a config other than the one that would run.
+	for _, s := range []string{"4c8w16tXYZ", "4c8w16t,2c2w2t", "+4c8w16t", "04c8w16t", " 4c8w16t", "4c 8w16t", "4c8w16t\n"} {
+		if got, err := ParseName(s); err == nil {
+			t.Errorf("ParseName(%q) = %v, want a refusal", s, got)
+		}
+	}
 }
 
 func TestAdvise(t *testing.T) {
@@ -210,6 +217,30 @@ func TestTasksClampsLWS(t *testing.T) {
 	}
 	if got := Tasks(100, 1000); got != 1 {
 		t.Errorf("Tasks with lws>gws = %d", got)
+	}
+}
+
+func TestParseMapper(t *testing.T) {
+	for _, tc := range []struct{ name, want string }{
+		{"ours", "ours"}, {"auto", "ours"},
+		{"lws=1", "lws=1"}, {"naive", "lws=1"},
+		{"lws=32", "lws=32"}, {"fixed", "lws=32"},
+	} {
+		if m, err := ParseMapper(tc.name); err != nil || m.Name() != tc.want {
+			t.Errorf("ParseMapper(%q) = %v, %v; want %s", tc.name, m, err, tc.want)
+		}
+	}
+	for _, bad := range []string{"", "Ours", "lws=16", "lws=032", "oracle"} {
+		if m, err := ParseMapper(bad); err == nil {
+			t.Errorf("ParseMapper(%q) = %v, want a refusal", bad, m)
+		}
+	}
+	var names []string
+	for _, m := range PaperMappers() {
+		names = append(names, m.Name())
+	}
+	if got := strings.Join(names, ","); got != "lws=1,lws=32,ours" {
+		t.Errorf("PaperMappers = %s, want Figure 2's lws=1,lws=32,ours", got)
 	}
 }
 

@@ -73,6 +73,17 @@ func (c *Case) RunVerified(d *ocl.Device, lws int) (*Result, error) {
 	return res, nil
 }
 
+// checkSizes refuses a non-positive size, before a sized builder generates
+// inputs for it.
+func checkSizes(name string, sizes ...int) error {
+	for _, n := range sizes {
+		if n < 1 {
+			return fmt.Errorf("kernels: %s: size %d is not positive", name, n)
+		}
+	}
+	return nil
+}
+
 // binder builds one Case on a device. Buffers are allocated in call order,
 // which fixes their device addresses and so the simulated timing: a
 // builder must not reorder its calls. The first error sticks and turns

@@ -242,3 +242,29 @@ func TestBuildRefusesBadScale(t *testing.T) {
 		}
 	}
 }
+
+func TestSizedBuildersRefuseNonPositiveSizes(t *testing.T) {
+	d := dev(t, 1, 2, 4)
+	for _, tc := range []struct {
+		name  string
+		build func(n int) (*Case, error)
+	}{
+		{"vecadd", func(n int) (*Case, error) { return BuildVecadd(d, n, 1) }},
+		{"relu", func(n int) (*Case, error) { return BuildRelu(d, n, 1) }},
+		{"saxpy", func(n int) (*Case, error) { return BuildSaxpy(d, n, 1) }},
+		{"knn", func(n int) (*Case, error) { return BuildKNN(d, n, 1) }},
+		{"sgemm m", func(n int) (*Case, error) { return BuildSgemm(d, n, 4, 4, 1) }},
+		{"sgemm n", func(n int) (*Case, error) { return BuildSgemm(d, 4, n, 4, 1) }},
+		{"sgemm k", func(n int) (*Case, error) { return BuildSgemm(d, 4, 4, n, 1) }},
+		{"gauss w", func(n int) (*Case, error) { return BuildGauss(d, n, 4, 1) }},
+		{"gauss h", func(n int) (*Case, error) { return BuildGauss(d, 4, n, 1) }},
+		{"conv3x3 ch", func(n int) (*Case, error) { return BuildConv3x3(d, n, 4, 1) }},
+		{"conv3x3 w", func(n int) (*Case, error) { return BuildConv3x3(d, 2, n, 1) }},
+	} {
+		for _, n := range []int{0, -5} {
+			if c, err := tc.build(n); err == nil || c != nil {
+				t.Errorf("%s built at size %d", tc.name, n)
+			}
+		}
+	}
+}

@@ -27,6 +27,9 @@ var VecaddSource = ocl.KernelSource{
 
 // BuildVecadd prepares an n-element vector addition.
 func BuildVecadd(d *ocl.Device, n int, seed int64) (*Case, error) {
+	if err := checkSizes("vecadd", n); err != nil {
+		return nil, err
+	}
 	in := vecaddInputsFor(n, seed)
 	b := &binder{d: d}
 	bufA, bufB, bufC := b.floats(in.a), b.floats(in.b), b.alloc(n)
@@ -63,6 +66,9 @@ var ReluSource = ocl.KernelSource{
 
 // BuildRelu prepares an n-element ReLU.
 func BuildRelu(d *ocl.Device, n int, seed int64) (*Case, error) {
+	if err := checkSizes("relu", n); err != nil {
+		return nil, err
+	}
 	in := reluInputsFor(n, seed)
 	b := &binder{d: d}
 	bufI, bufO := b.floats(in.in), b.alloc(n)
@@ -102,6 +108,9 @@ var SaxpySource = ocl.KernelSource{
 
 // BuildSaxpy prepares an n-element saxpy with a = 2.5.
 func BuildSaxpy(d *ocl.Device, n int, seed int64) (*Case, error) {
+	if err := checkSizes("saxpy", n); err != nil {
+		return nil, err
+	}
 	const alpha = float32(2.5)
 	in := saxpyInputsFor(alpha, n, seed)
 	b := &binder{d: d}
@@ -158,6 +167,9 @@ __sg_loop:
 // BuildSgemm prepares C[m x n] = A[m x k] x B[k x n] (the paper's
 // x:256 y:16 z:144 corresponds to m=256, n=16, k=144).
 func BuildSgemm(d *ocl.Device, m, n, k int, seed int64) (*Case, error) {
+	if err := checkSizes("sgemm", m, n, k); err != nil {
+		return nil, err
+	}
 	in := sgemmInputsFor(m, n, k, seed)
 	b := &binder{d: d}
 	bufA, bufB, bufC := b.floats(in.a), b.floats(in.b), b.alloc(m*n)
@@ -209,6 +221,9 @@ var KNNSource = ocl.KernelSource{
 
 // BuildKNN prepares an n-point nearest-neighbor distance computation.
 func BuildKNN(d *ocl.Device, n int, seed int64) (*Case, error) {
+	if err := checkSizes("knn", n); err != nil {
+		return nil, err
+	}
 	const qlat, qlng = float32(30.5), float32(-120.25)
 	in := knnInputsFor(n, qlat, qlng, seed)
 	b := &binder{d: d}
@@ -281,6 +296,9 @@ __gf_row:
 // allocated between the image and the weights, an order the golden digests
 // pin.
 func BuildGauss(d *ocl.Device, w, h int, seed int64) (*Case, error) {
+	if err := checkSizes("gauss", w, h); err != nil {
+		return nil, err
+	}
 	in := gaussInputsFor(w, h, seed)
 	b := &binder{d: d}
 	bufIn, bufOut, bufW := b.floats(in.im.Data), b.alloc(w*h), b.floats(in.weights)

@@ -190,6 +190,9 @@ __cv_ic:
 // BuildConv3x3 prepares one ResNet20-style conv3x3(ch->ch)+bias+ReLU layer
 // over a w x w image (CIFAR-10 layer: ch=16, w=32).
 func BuildConv3x3(d *ocl.Device, ch, w int, seed int64) (*Case, error) {
+	if err := checkSizes("resnet20_layer", ch, w); err != nil {
+		return nil, err
+	}
 	in := convInputsFor(ch, w, seed)
 	b := &binder{d: d}
 	bufIn, bufW, bufB := b.floats(in.in.Data), b.floats(in.weights), b.floats(in.bias)

@@ -26,7 +26,7 @@ func TestTemplateMatchesAssemble(t *testing.T) {
 		t.Skip("assembles every distinct launch program of two full campaigns")
 	}
 	grid := sweep.Grid()
-	mappers := []core.Mapper{core.Naive{}, core.Fixed{N: 32}, core.Auto{}}
+	mappers := core.PaperMappers()
 	for _, scale := range []float64{0.02, 1} {
 		ocl.ResetProgramCache()
 		d, err := ocl.NewDevice(sim.DefaultConfig(1, 1, 1))

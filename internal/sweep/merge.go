@@ -148,9 +148,10 @@ func Merge(out string, paths []string) (*Results, error) {
 
 // optionsFromMeta reconstructs the sweep parameters recorded in a merged
 // checkpoint meta, whose grid g Merge has checked, for reporting. Mappers
-// are left nil: mapper objects cannot be rebuilt from their names, and the
-// render paths only read Records. Unparseable config names are skipped
-// (they cannot occur in a meta Run wrote).
+// are left nil: the render paths only read Records, which carry each
+// mapper's name (core.ParseMapper turns a paper mapper's name back into the
+// mapper). Unparseable config names are skipped (they cannot occur in a
+// meta Run wrote).
 func optionsFromMeta(m Meta, g [][]string) Options {
 	opts := Options{
 		Kernels:          g[1],

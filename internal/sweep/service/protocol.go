@@ -1,7 +1,7 @@
 // Package service turns a sweep campaign into a work-stealing
 // coordinator/worker fleet over HTTP. A long-lived coordinator
-// (vortex-sweep serve) enumerates the canonical task grid once and hands
-// out leased batches of task indices; workers (vortex-sweep work) run the
+// (vortex sweep serve) enumerates the canonical task grid once and hands
+// out leased batches of task indices; workers (vortex sweep work) run the
 // tasks through the shared device-pool substrate and stream records back.
 // The coordinator appends every accepted record to its JSONL checkpoint
 // immediately (crash-safe, resumable with the existing -resume machinery),

@@ -136,7 +136,7 @@ func (o *Options) fill() {
 		o.Kernels = kernels.Names()
 	}
 	if o.Mappers == nil {
-		o.Mappers = []core.Mapper{core.Naive{}, core.Fixed{N: 32}, core.Auto{}}
+		o.Mappers = core.PaperMappers()
 	}
 	if o.Scale == 0 {
 		o.Scale = 1

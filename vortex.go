@@ -6,18 +6,16 @@
 // micro-architecture parameters (Eq. 1: lws = gws / (cores x warps x
 // threads)).
 //
-// Quick start:
+// Quick start: the package Example (example_test.go, run and checked by
+// go test) allocates and fills device buffers, binds a kernel written in
+// device assembly, and launches it with lws=0, so that Eq. 1 picks the lws
+// at runtime from the device's micro-architecture; it then compares that
+// choice with the paper's fixed lws=1 and lws=32 mappings.
 //
-//	dev, _ := vortex.NewDevice(vortex.DefaultConfig(2, 4, 8))
-//	a, _ := dev.AllocFloat32(n)
-//	b, _ := dev.AllocFloat32(n)
-//	c, _ := dev.AllocFloat32(n)
-//	dev.WriteFloat32(a, xs)
-//	dev.WriteFloat32(b, ys)
-//	k, _ := vortex.NewKernel(myKernelSource)
-//	k.SetArgs(a, b, c)
-//	res, _ := dev.EnqueueNDRange(k, n, 0) // lws=0: Eq. 1 decides at runtime
-//	out, _ := dev.ReadFloat32(c, n)
+// The command-line front end is cmd/vortex: "vortex run" executes one
+// kernel and prints its launch report, "vortex sweep" regenerates the
+// Figure 2 campaign, "vortex trace" the Figure 1 waveforms, "vortex asm"
+// assembles device code and "vortex tune" searches the lws space.
 //
 // The deeper layers are importable directly: internal/sim (the simulator),
 // internal/ocl (the runtime), internal/core (the mapper), internal/kernels
