@@ -1,9 +1,10 @@
 // Command vortex drives the simulated Vortex-like GPGPU. "vortex help"
-// lists its subcommands — run, sweep (with merge, serve and work), trace,
-// asm and tune — and "vortex <subcommand> -h" the flags of one:
+// lists its subcommands — run, sweep (with merge, serve and work), trace
+// and asm — and "vortex <subcommand> -h" the flags of one:
 //
 //	vortex run -config 4c8w16t -kernel sgemm -scale 0.1
 //	vortex sweep -configs 4 -kernels vecadd -scale 0.05
+//	vortex sweep -grid 2c2w4t -kernels saxpy -scale 0.05 -oracle
 //
 // Every subcommand exits 0 on success, 1 on a failed run and 2 on a
 // command-line error.
@@ -38,7 +39,6 @@ var commands = []struct {
 	{"sweep", "regenerate Figure 2 over the configuration grid (also: merge, serve, work)", sweepCmd},
 	{"trace", "regenerate Figure 1: issue waveforms of a kernel under several lws", traceCmd},
 	{"asm", "assemble device code, or disassemble it with -d", asmCmd},
-	{"tune", "search a kernel's lws space and compare the best with Eq. 1", tuneCmd},
 }
 
 // cli runs the subcommand args name and returns the process exit status.
@@ -101,7 +101,9 @@ func subcommand(name string, setup func(fs *flag.FlagSet) body) func(args []stri
 // simFlags is the flag group the simulating subcommands share: -config and
 // -kernel, -scale and -seed, and one flag per grid axis. Each subcommand
 // registers the members it takes, with its own defaults; check is the one
-// path that validates them and resolves what they name.
+// path that validates them and resolves what they name. A campaign takes
+// the axis flags as lists and no device; vortex run takes one device at one
+// grid point.
 type simFlags struct {
 	config, kernel *string
 	scale          *float64
@@ -112,7 +114,7 @@ type simFlags struct {
 	// Resolved by check.
 	params   kernels.Params
 	hw       core.HWInfo
-	cfg      sim.Config // hw's default device, at point if the axes take one value each
+	cfg      sim.Config // hw's device, at point when the axes are registered
 	spec     kernels.Spec
 	axisVals map[string][]string // with axisLists: every axis's values
 	point    []string            // without: one value per sweep.Axes entry

@@ -64,19 +64,24 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 // TestHelp pins the front door: a bare vortex, vortex help and an unknown
-// subcommand list the five subcommands and exit 2.
+// subcommand list the four subcommands and exit 2. tune is unknown: the
+// lws search is vortex sweep -oracle.
 func TestHelp(t *testing.T) {
-	for _, args := range [][]string{nil, {"help"}, {"bogus"}, {"-h"}} {
+	for _, args := range [][]string{nil, {"help"}, {"bogus"}, {"-h"}, {"tune"}} {
 		var out, errb bytes.Buffer
 		if code := cli(args, &out, &errb); code != 2 || out.Len() != 0 {
 			t.Errorf("vortex %v: exit %d, stdout %q; want exit 2 and the listing on stderr", args, code, out.String())
 		}
-		for _, sub := range []string{"run", "sweep", "trace", "asm", "tune"} {
+		for _, sub := range []string{"run", "sweep", "trace", "asm"} {
 			if !strings.Contains(errb.String(), "\n  "+sub+" ") {
 				t.Errorf("vortex %v: listing misses %s:\n%s", args, sub, errb.String())
 			}
 		}
-		if unknown := len(args) > 0 && args[0] == "bogus"; unknown != strings.Contains(errb.String(), `unknown subcommand "bogus"`) {
+		if n := strings.Count(errb.String(), "\n  "); n != 4 {
+			t.Errorf("vortex %v: listing has %d subcommands, want 4:\n%s", args, n, errb.String())
+		}
+		unknown := len(args) > 0 && (args[0] == "bogus" || args[0] == "tune")
+		if unknown != strings.Contains(errb.String(), "unknown subcommand") {
 			t.Errorf("vortex %v: stderr %q", args, errb.String())
 		}
 	}
@@ -84,8 +89,7 @@ func TestHelp(t *testing.T) {
 
 // TestSubcommandFlags pins every subcommand's flags — names, types,
 // defaults and help — to testdata/flags.golden, the -h listings in one
-// file, and counts them: the five binaries the command replaced took the
-// same flags.
+// file, and counts them: a flag added or dropped is a reviewed change.
 func TestSubcommandFlags(t *testing.T) {
 	var all bytes.Buffer
 	for _, tc := range []struct {
@@ -93,13 +97,12 @@ func TestSubcommandFlags(t *testing.T) {
 		flags int
 	}{
 		{[]string{"run"}, 13},
-		{[]string{"sweep"}, 19},
-		{[]string{"sweep", "serve"}, 21},
-		{[]string{"sweep", "work"}, 15},
+		{[]string{"sweep"}, 20},
+		{[]string{"sweep", "serve"}, 22},
+		{[]string{"sweep", "work"}, 16},
 		{[]string{"sweep", "merge"}, 4},
 		{[]string{"trace"}, 8},
 		{[]string{"asm"}, 3},
-		{[]string{"tune"}, 9},
 	} {
 		var out, errb bytes.Buffer
 		if code := cli(append(tc.args, "-h"), &out, &errb); code != 0 || out.Len() != 0 {

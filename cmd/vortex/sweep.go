@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -24,12 +25,14 @@ import (
 // sweepCmd regenerates the paper's Figure 2: the three lws mappings (lws=1,
 // lws=32, ours) for every benchmark kernel across the 450-configuration
 // grid, as ratio violins, per-kernel tables and the Section 3 aggregate
-// speedups; -scale and -configs trade fidelity for time. -checkpoint streams
-// each record to a JSONL file that -resume continues from; -shard i/N runs
-// every N-th task, and merge recombines the shards' checkpoints. serve and
-// work replace static shards with leases over HTTP: serve owns the grid and
-// the checkpoint, and work runs leased tasks for it. Every path gives
-// records byte-identical to one uninterrupted single-process run.
+// speedups; -scale and -configs trade fidelity for time. -oracle runs the
+// empirical lws search (core.OracleMappers) instead and adds Eq. 1's regret
+// table. -checkpoint streams each record to a JSONL file that -resume
+// continues from; -shard i/N runs every N-th task, and merge recombines the
+// shards' checkpoints. serve and work replace static shards with leases
+// over HTTP: serve owns the grid and the checkpoint, and work runs leased
+// tasks for it. Every path gives records byte-identical to one
+// uninterrupted single-process run.
 func sweepCmd(args []string, stdout, stderr io.Writer) int {
 	if len(args) > 0 && sweepModes[args[0]] != nil {
 		return sweepModes[args[0]](args[1:], stdout, stderr)
@@ -51,6 +54,7 @@ type campaignFlags struct {
 	kernelCSV *string
 	gridCSV   *string
 	verify    *bool
+	oracle    *bool
 	workers   *int
 }
 
@@ -60,6 +64,7 @@ func addCampaignFlags(fs *flag.FlagSet) *campaignFlags {
 		kernelCSV: fs.String("kernels", "all", "comma-separated kernels or 'all'"),
 		gridCSV:   fs.String("grid", "", "explicit comma-separated config names (e.g. 1c2w2t,4c4w4t); overrides -configs"),
 		verify:    fs.Bool("verify", false, "verify device output against CPU references on every run"),
+		oracle:    fs.Bool("oracle", false, "run every lws = 2^0 … 2^12 and ours instead of Figure 2's three mappings, and report Eq. 1's regret"),
 		workers:   fs.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)"),
 	}
 	cf.sim.addWorkload(fs, 1.0, "grid axis (comma-separated): ")
@@ -95,9 +100,14 @@ func (cf *campaignFlags) options() (sweep.Options, error) {
 			configs = append(configs, hw)
 		}
 	}
+	mappers := core.PaperMappers()
+	if *cf.oracle {
+		mappers = core.OracleMappers()
+	}
 	return sweep.Options{
 		Configs: configs,
 		Kernels: names,
+		Mappers: mappers,
 		Axes:    cf.sim.axisVals,
 		Scale:   *cf.sim.scale,
 		Seed:    *cf.sim.seed,
@@ -183,8 +193,8 @@ var campaignCmd = subcommand("sweep", func(fs *flag.FlagSet) body {
 			}
 			axisNote = fmt.Sprintf(" x %d grid points (%s)", len(points), strings.Join(swept, " "))
 		}
-		fmt.Fprintf(stdout, "Figure 2 reproduction: %d configs x %d kernels x 3 mappings%s, scale=%.2f, seed=%d%s\n\n",
-			len(opts.Configs), len(opts.Kernels), axisNote, opts.Scale, opts.Seed, shardNote)
+		fmt.Fprintf(stdout, "Figure 2 reproduction: %d configs x %d kernels x %d mappings%s, scale=%.2f, seed=%d%s\n\n",
+			len(opts.Configs), len(opts.Kernels), len(opts.Mappers), axisNote, opts.Scale, opts.Seed, shardNote)
 
 		res, err := sweep.Run(opts)
 		if err != nil {
@@ -364,11 +374,30 @@ func progressTo(w io.Writer) func(done, total int) {
 	}
 }
 
+// render writes the Figure 2 table, or the violins, and after it Eq. 1's
+// regret table when the records carry a mapper Figure 2 does not run.
 func render(out io.Writer, res *sweep.Results, violins bool) error {
+	var err error
 	if violins {
-		return res.RenderFigure2(out, stats.ViolinOptions{Rows: 17, HalfWidth: 16})
+		err = res.RenderFigure2(out, stats.ViolinOptions{Rows: 17, HalfWidth: 16})
+	} else {
+		err = res.RenderTable(out)
 	}
-	return res.RenderTable(out)
+	if err != nil || !searched(res) {
+		return err
+	}
+	fmt.Fprintln(out)
+	return res.RenderOracle(out)
+}
+
+// searched reports whether res's records carry a mapper outside Figure 2's.
+func searched(res *sweep.Results) bool {
+	for _, name := range res.Mappers() {
+		if !slices.ContainsFunc(core.PaperMappers(), func(m core.Mapper) bool { return m.Name() == name }) {
+			return true
+		}
+	}
+	return false
 }
 
 // report renders res and, given a path, writes its CSV there.

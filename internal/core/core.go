@@ -151,6 +151,18 @@ func (Auto) LWS(gws int, hw HWInfo) int { return OptimalLWS(gws, hw) }
 // and lws=32 baselines, then Eq. 1.
 func PaperMappers() []Mapper { return []Mapper{Naive{}, Fixed{N: 32}, Auto{}} }
 
+// OracleMappers returns the empirical search's candidates, the same for
+// every launch: lws = 2^0 … 2^12, then Eq. 1. A campaign over them measures
+// how far Eq. 1 lands from the fastest candidate. An lws above gws is a
+// legal launch: its one workgroup leaves the other slots idle.
+func OracleMappers() []Mapper {
+	out := []Mapper{Naive{}}
+	for lws := 2; lws <= 1<<12; lws *= 2 {
+		out = append(out, Fixed{N: lws})
+	}
+	return append(out, Auto{})
+}
+
 // ParseMapper returns the paper mapper a name selects: its Name, or the
 // alias auto (ours), naive (lws=1) or fixed (lws=32).
 func ParseMapper(name string) (Mapper, error) {

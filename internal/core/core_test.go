@@ -244,6 +244,22 @@ func TestParseMapper(t *testing.T) {
 	}
 }
 
+// TestOracleMappers pins the search's candidates: every power of two up to
+// 4096, whatever the launch, then Eq. 1.
+func TestOracleMappers(t *testing.T) {
+	var names []string
+	for _, m := range OracleMappers() {
+		names = append(names, m.Name())
+		if lws := m.LWS(16, HWInfo{1, 2, 2}); m.Name() != "ours" && m.Name() != fmt.Sprintf("lws=%d", lws) {
+			t.Errorf("%s launches lws=%d", m.Name(), lws)
+		}
+	}
+	want := "lws=1,lws=2,lws=4,lws=8,lws=16,lws=32,lws=64,lws=128,lws=256,lws=512,lws=1024,lws=2048,lws=4096,ours"
+	if got := strings.Join(names, ","); got != want {
+		t.Errorf("OracleMappers = %s, want %s", got, want)
+	}
+}
+
 func TestParseName(t *testing.T) {
 	h, err := ParseName("4c8w16t")
 	if err != nil || h != (HWInfo{4, 8, 16}) {

@@ -40,24 +40,6 @@ func (s *Sim) WarpActive(core, warp int) (bool, error) {
 	return w.active, nil
 }
 
-// WarpPC returns the current pc of (core, warp).
-func (s *Sim) WarpPC(core, warp int) (uint32, error) {
-	w, err := s.warpAt(core, warp)
-	if err != nil {
-		return 0, err
-	}
-	return w.pc, nil
-}
-
-// WarpTMask returns the current thread mask of (core, warp).
-func (s *Sim) WarpTMask(core, warp int) (uint64, error) {
-	w, err := s.warpAt(core, warp)
-	if err != nil {
-		return 0, err
-	}
-	return w.tmask, nil
-}
-
 func (s *Sim) warpAt(core, warp int) (*warp, error) {
 	if core < 0 || core >= s.cfg.Cores || warp < 0 || warp >= s.cfg.Warps {
 		return nil, fmt.Errorf("sim: warp (%d,%d) outside %s", core, warp, s.cfg.Name())

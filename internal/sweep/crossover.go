@@ -3,6 +3,7 @@ package sweep
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -78,8 +79,12 @@ func crossoverHP(curve []CrossoverPoint) int {
 }
 
 // RenderCrossover prints the per-hp ratio curve of each kernel against a
-// baseline — the "where does the fixed mapping start losing" analysis.
+// baseline — the "where does the fixed mapping start losing" analysis. It
+// refuses a baseline none of the records ran.
 func (r *Results) RenderCrossover(w io.Writer, baseline string) error {
+	if mappers := r.Mappers(); !slices.Contains(mappers, baseline) {
+		return fmt.Errorf("sweep: no records of crossover baseline %q (the records carry %s)", baseline, strings.Join(mappers, ", "))
+	}
 	samples := r.samples(cycles)
 	for _, k := range r.Kernels() {
 		curve := r.crossoverCurve(samples[series{k, "ours"}], k, baseline)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"repro/internal/kernels"
 	"repro/internal/stats"
@@ -251,4 +252,75 @@ func (r *Results) RenderFigure2(w io.Writer, opts stats.ViolinOptions) error {
 		}
 	}
 	return renderTable(w, summarize(krs))
+}
+
+// RenderOracle writes Eq. 1's regret, one row per kernel, from the records
+// of a campaign over core.OracleMappers. A sample is a configuration at one
+// grid point ours ran on; at each, every mapper that ran is a probe of the
+// empirical search. Per kernel it gives ours ÷ the fastest mapper
+// (geomean, median, max), the samples where ours is within 5 % of it, the
+// search cost (geomean of all mappers' cycles summed ÷ the fastest's) and
+// the two mappers most often fastest. Ties go to the earlier mapper.
+func (r *Results) RenderOracle(w io.Writer) error {
+	if _, err := fmt.Fprintf(w, "Eq. 1's regret: ours / fastest mapper at each (config, grid point)\n%-16s %7s %8s %7s %7s %10s %12s  %s\n",
+		"kernel", "samples", "geomean", "median", "max", "within 5%", "search cost", "most often fastest"); err != nil {
+		return err
+	}
+	samples := r.samples(cycles)
+	mappers := r.Mappers()
+	near, total := 0, 0
+	for _, k := range r.Kernels() {
+		ours := samples[series{k, "ours"}]
+		keys := make([]string, 0, len(ours))
+		for key, c := range ours {
+			if c > 0 {
+				keys = append(keys, key)
+			}
+		}
+		sort.Strings(keys)
+		regret := make([]float64, 0, len(keys))
+		cost := make([]float64, 0, len(keys))
+		wins := make([]int, len(mappers))
+		kNear := 0
+		for _, key := range keys {
+			fastest, best, sum := -1, 0.0, 0.0
+			for i, m := range mappers {
+				c, ok := samples[series{k, m}][key]
+				if !ok {
+					continue
+				}
+				sum += c
+				if fastest < 0 || c < best {
+					fastest, best = i, c
+				}
+			}
+			wins[fastest]++
+			rg := ours[key] / best
+			regret = append(regret, rg)
+			cost = append(cost, sum/best)
+			if rg <= 1.05 {
+				kNear++
+			}
+		}
+		order := make([]int, len(mappers))
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(a, b int) bool { return wins[order[a]] > wins[order[b]] })
+		var top []string
+		for _, i := range order[:min(2, len(order))] {
+			if wins[i] > 0 {
+				top = append(top, mappers[i])
+			}
+		}
+		if _, err := fmt.Fprintf(w, "%-16s %7d %8.2f %7.2f %7.2f %10s %11.1fx  %s\n",
+			k, len(keys), stats.GeoMean(regret), stats.Quantile(regret, 0.5), stats.Max(regret),
+			fmt.Sprintf("%d/%d", kNear, len(keys)), stats.GeoMean(cost), strings.Join(top, ", ")); err != nil {
+			return err
+		}
+		near += kNear
+		total += len(keys)
+	}
+	_, err := fmt.Fprintf(w, "\nours is within 5%% of the fastest mapper on %d of %d samples\n", near, total)
+	return err
 }

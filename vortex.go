@@ -14,8 +14,9 @@
 //
 // The command-line front end is cmd/vortex: "vortex run" executes one
 // kernel and prints its launch report, "vortex sweep" regenerates the
-// Figure 2 campaign, "vortex trace" the Figure 1 waveforms, "vortex asm"
-// assembles device code and "vortex tune" searches the lws space.
+// Figure 2 campaign ("vortex sweep -oracle" also searches the lws space
+// and reports Eq. 1's regret), "vortex trace" the Figure 1 waveforms and
+// "vortex asm" assembles device code.
 //
 // The deeper layers are importable directly: internal/sim (the simulator),
 // internal/ocl (the runtime), internal/core (the mapper), internal/kernels
