@@ -222,32 +222,37 @@ func BenchmarkAblationScheduler(b *testing.B) {
 // (knn, gauss, GCN aggregation): with lws > 1 the Vortex mapping makes
 // warp lanes stride by lws work items, so large cache lines are fetched
 // for a single element once the stream count exceeds the L1 — an effect
-// that vanishes with the 16-byte lines of early Vortex dcache banks.
+// that vanishes with the 16-byte lines of early Vortex dcache banks. Line
+// size is not a grid axis, so it runs knn directly on one device per line
+// size and mapper.
 func BenchmarkAblationLineSize(b *testing.B) {
+	spec, err := kernels.ByName("knn")
+	if err != nil {
+		b.Fatal(err)
+	}
 	metrics := map[string]float64{}
 	for i := 0; i < b.N; i++ {
 		for _, lineBytes := range []int{64, 16} {
-			res, err := sweep.Run(sweep.Options{
-				Configs: []core.HWInfo{{Cores: 2, Warps: 32, Threads: 32}},
-				Kernels: []string{"knn"},
-				Mappers: []core.Mapper{core.Naive{}, core.Auto{}},
-				Scale:   1,
-				Seed:    42,
-				ConfigTemplate: func(hw core.HWInfo) sim.Config {
-					cfg := sim.DefaultConfig(hw.Cores, hw.Warps, hw.Threads)
-					cfg.Mem.L1.LineBytes = lineBytes
-					cfg.Mem.L2.LineBytes = lineBytes
-					return cfg
-				},
-			})
-			if err != nil {
-				b.Fatal(err)
+			cfg := sim.DefaultConfig(2, 32, 32)
+			cfg.Mem.L1.LineBytes, cfg.Mem.L2.LineBytes = lineBytes, lineBytes
+			var cycles [2]uint64
+			for j, m := range []core.Mapper{core.Naive{}, core.Auto{}} {
+				d, err := ocl.NewDevice(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				d.SetMapper(m)
+				c, err := spec.Build(d, kernels.Params{Scale: 1, Seed: 42})
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := c.Run(d, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cycles[j] = res.Cycles
 			}
-			ratio := res.Ratios("knn", "lws=1", "ours")
-			if len(ratio) != 1 {
-				b.Fatalf("line %d B: %d knn lws=1/ours ratios, want 1", lineBytes, len(ratio))
-			}
-			metrics[map[int]string{64: "ratio_naive_line64", 16: "ratio_naive_line16"}[lineBytes]] = ratio[0]
+			metrics[map[int]string{64: "ratio_naive_line64", 16: "ratio_naive_line16"}[lineBytes]] = float64(cycles[0]) / float64(cycles[1])
 		}
 	}
 	for name, v := range metrics {

@@ -35,6 +35,15 @@ var runCmd = subcommand("run", func(fs *flag.FlagSet) body {
 			return err
 		}
 		if *compare {
+			var clash []string
+			fs.Visit(func(f *flag.Flag) {
+				if f.Name == "lws" || f.Name == "mapper" {
+					clash = append(clash, "-"+f.Name)
+				}
+			})
+			if len(clash) > 0 {
+				return usageError(fmt.Sprintf("-compare runs the paper's three mappings and cannot be combined with %s", strings.Join(clash, ", ")))
+			}
 			err = runCompare(stdout, &sf)
 		} else {
 			err = run(stdout, &sf, *lws, *mapper)
@@ -95,44 +104,36 @@ func run(out io.Writer, sf *simFlags, lws int, mapperName string) error {
 	return nil
 }
 
-// runCompare runs the paper's three mappings and prints each one's cycles
-// as a ratio to Eq. 1's.
+// runCompare runs the paper's three mappings as a one-point campaign — the
+// run's device and kernel at its grid point, every output verified — and
+// prints each one's cycles as a ratio to Eq. 1's, so the table reads the
+// same cycles vortex sweep records for that cell.
 func runCompare(out io.Writer, sf *simFlags) error {
 	spec, hw := sf.spec, sf.hw
 	desc := []string{fmt.Sprintf("hp=%d", hw.HP())}
+	axes := make(map[string][]string, len(sweep.Axes))
 	for i, a := range sweep.Axes {
 		desc = append(desc, a.Name+"="+sf.point[i])
+		axes[a.Name] = sf.point[i : i+1]
 	}
 	fmt.Fprintf(out, "kernel %s on %s (%s): comparing mappings\n\n", spec.Name, hw.Name(), strings.Join(desc, ", "))
-	mappers := core.PaperMappers()
-	cycles, lwss := make([]uint64, len(mappers)), make([]int, len(mappers))
-	// One pooled device serves all three mappings: Reset between runs is
-	// byte-identical to building a fresh device and skips the reallocation.
-	pool := ocl.NewDevicePool(1)
-	for i, m := range mappers {
-		d, err := pool.Get(sf.cfg)
-		if err != nil {
-			return err
-		}
-		d.SetMapper(m)
-		c, err := spec.Build(d, sf.params)
-		if err != nil {
-			return err
-		}
-		res, err := c.RunVerified(d, 0)
-		if err != nil {
-			return err
-		}
-		if len(res.Launches) == 0 {
-			return fmt.Errorf("kernel %s completed without launches", spec.Name)
-		}
-		cycles[i], lwss[i] = res.Cycles, res.Launches[0].LWS
-		pool.Put(d)
+	res, err := sweep.Run(sweep.Options{
+		Configs: []core.HWInfo{hw},
+		Kernels: []string{spec.Name},
+		Mappers: core.PaperMappers(),
+		Axes:    axes,
+		Scale:   sf.params.Scale,
+		Seed:    sf.params.Seed,
+		Verify:  true,
+		Workers: 1,
+	})
+	if err != nil {
+		return err
 	}
-	ours := cycles[len(cycles)-1] // PaperMappers lists Eq. 1 last
+	ours := res.Records[len(res.Records)-1].Cycles // PaperMappers lists Eq. 1 last
 	fmt.Fprintf(out, "%-8s %-6s %-12s %s\n", "mapping", "lws", "cycles", "ratio vs ours")
-	for i, m := range mappers {
-		fmt.Fprintf(out, "%-8s %-6d %-12d %.3f\n", m.Name(), lwss[i], cycles[i], float64(cycles[i])/float64(ours))
+	for _, rec := range res.Records {
+		fmt.Fprintf(out, "%-8s %-6d %-12d %.3f\n", rec.Mapper, rec.LWS, rec.Cycles, float64(rec.Cycles)/float64(ours))
 	}
 	return nil
 }

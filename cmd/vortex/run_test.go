@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/sweep"
 )
 
 // TestGoldenReport pins the launch report of one small verified run —
@@ -119,5 +122,55 @@ func TestRunMapperNames(t *testing.T) {
 	if code := cli([]string{"run", "-scale", "0.05", "-mapper", "lws=16"}, &out, &errb); code != 1 ||
 		!strings.Contains(errb.String(), `unknown mapper "lws=16"`) {
 		t.Errorf("-mapper lws=16: exit %d, stderr %q; want exit 1 naming the mapper", code, errb.String())
+	}
+}
+
+// TestRunCompareMatchesCampaign pins that run -compare reads the same
+// cycles a one-point vortex sweep records for that cell: both charge the
+// same driver cost per launch (gcn_layer has two launches), so the ratio
+// table is the campaign's.
+func TestRunCompareMatchesCampaign(t *testing.T) {
+	for _, kernel := range []string{"vecadd", "gcn_layer"} {
+		var out, errb bytes.Buffer
+		if code := cli([]string{"run", "-config", "2c2w4t", "-kernel", kernel, "-scale", "0.05", "-compare"}, &out, &errb); code != 0 {
+			t.Fatalf("%s: run -compare: exit %d: %s", kernel, code, errb.String())
+		}
+		csvPath := filepath.Join(t.TempDir(), "one.csv")
+		var sweepOut bytes.Buffer
+		if code := cli([]string{"sweep", "-grid", "2c2w4t", "-kernels", kernel, "-scale", "0.05", "-csv", csvPath}, &sweepOut, &errb); code != 0 {
+			t.Fatalf("%s: sweep: exit %d: %s", kernel, code, errb.String())
+		}
+		f, err := os.Open(csvPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sweep.ReadCSV(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Records) != 3 {
+			t.Fatalf("%s: one-point sweep wrote %d records, want 3", kernel, len(res.Records))
+		}
+		for _, rec := range res.Records {
+			row := fmt.Sprintf("\n%-8s %-6d %-12d ", rec.Mapper, rec.LWS, rec.Cycles)
+			if !strings.Contains(out.String(), row) {
+				t.Errorf("%s: run -compare lacks the campaign's row %q:\n%s", kernel, strings.TrimSpace(row), out.String())
+			}
+		}
+	}
+}
+
+// TestRunCompareRefusesMapperFlags pins that -compare, which always runs
+// the paper's three mappings, refuses an explicit -lws or -mapper instead
+// of ignoring it.
+func TestRunCompareRefusesMapperFlags(t *testing.T) {
+	for _, flag := range [][]string{{"-lws", "4"}, {"-mapper", "ours"}, {"-lws", "0"}} {
+		var out, errb bytes.Buffer
+		args := append([]string{"run", "-config", "2c2w4t", "-scale", "0.05", "-compare"}, flag...)
+		if code := cli(args, &out, &errb); code != 2 || out.Len() != 0 ||
+			!strings.Contains(errb.String(), "cannot be combined with "+flag[0]) {
+			t.Errorf("-compare %s: exit %d, stdout %q, stderr %q; want exit 2 naming %s", strings.Join(flag, " "), code, out.String(), errb.String(), flag[0])
+		}
 	}
 }

@@ -136,14 +136,14 @@ var campaignCmd = subcommand("sweep", func(fs *flag.FlagSet) body {
 
 		if *replot != "" {
 			// -replot re-renders an existing CSV and never simulates;
-			// refuse the flags that only mean something for a simulating
+			// refuse every flag that only means something for a simulating
 			// campaign instead of ignoring the user's intent.
 			var clash []string
-			for _, name := range []string{"checkpoint", "resume", "shard", "csv", "verify"} {
-				if f := fs.Lookup(name); f.Value.String() != f.DefValue {
-					clash = append(clash, "-"+name)
+			fs.Visit(func(f *flag.Flag) {
+				if f.Name != "replot" && f.Name != "violins" && f.Name != "cpuprofile" {
+					clash = append(clash, "-"+f.Name)
 				}
-			}
+			})
 			if len(clash) > 0 {
 				return fmt.Errorf("-replot re-renders an existing CSV without simulating and cannot be combined with %s", strings.Join(clash, ", "))
 			}

@@ -397,7 +397,11 @@ func TestCampaignFlagRefusals(t *testing.T) {
 		{"replot with resume+verify", []string{"-replot", "x.csv", "-resume", "-verify"},
 			"cannot be combined with -resume, -verify"},
 		{"replot with shard+csv", []string{"-replot", "x.csv", "-shard", "0/2", "-csv", "z.csv"},
-			"cannot be combined with -shard, -csv"},
+			"cannot be combined with -csv, -shard"},
+		{"replot with scale+grid+oracle", []string{"-replot", "x.csv", "-scale", "0.25", "-grid", "1c2w2t", "-oracle"},
+			"cannot be combined with -grid, -oracle, -scale"},
+		{"replot with a default-valued flag", []string{"-replot", "x.csv", "-verify=false", "-workers", "0"},
+			"cannot be combined with -verify, -workers"},
 		{"serve without checkpoint", append([]string{"serve"}, base...),
 			"serve requires -checkpoint"},
 		{"serve with zero scale", []string{"serve", "-checkpoint", "c.jsonl",
@@ -410,6 +414,22 @@ func TestCampaignFlagRefusals(t *testing.T) {
 		{"work with dup sched", append([]string{"work", "-coordinator", "127.0.0.1:1",
 			"-sched", "rr,rr"}, base...), "duplicate sched entry rr"},
 	})
+}
+
+// TestReplotTakesRenderFlags pins the other side of the -replot refusal:
+// the render flags -violins and -cpuprofile still combine with it.
+func TestReplotTakesRenderFlags(t *testing.T) {
+	dir := t.TempDir()
+	csvPath := filepath.Join(dir, "records.csv")
+	var out, errb bytes.Buffer
+	if code := cli([]string{"sweep", "-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "0.05", "-csv", csvPath}, &out, &errb); code != 0 {
+		t.Fatalf("sweep: exit %d: %s", code, errb.String())
+	}
+	out.Reset()
+	if code := cli([]string{"sweep", "-replot", csvPath, "-violins", "-cpuprofile", filepath.Join(dir, "cpu.prof")}, &out, &errb); code != 0 ||
+		!strings.Contains(out.String(), "=== vecadd ===") {
+		t.Errorf("-replot -violins -cpuprofile: exit %d, stderr %q, stdout:\n%s", code, errb.String(), out.String())
+	}
 }
 
 // TestRemovedHostModeFlagsRejected pins that the host-mode flags deleted

@@ -31,6 +31,13 @@ var traceCmd = subcommand("trace", func(fs *flag.FlagSet) body {
 		if err := sf.check(); err != nil {
 			return err
 		}
+		if _, sized := sizedBuilders[sf.spec.Name]; !sized {
+			var explicit bool
+			fs.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == "gws" })
+			if explicit {
+				return usageError(fmt.Sprintf("-gws sizes only vecadd, relu, saxpy and knn; %s runs at its registry size", sf.spec.Name))
+			}
+		}
 		return traceRuns(stdout, &sf, *gws, *lwsList, *width, *tableRows, *csvDir, *jsonlDir)
 	}
 })
@@ -46,11 +53,7 @@ func traceRuns(out io.Writer, sf *simFlags, gws int, lwsList string, width, tabl
 	}
 
 	kernel, hw := sf.spec.Name, sf.hw
-	fmt.Fprintf(out, "Figure 1 reproduction: %s traces of %s (gws=%d) on %s (hp=%d)\n",
-		kernel, kernel, gws, hw.Name(), hw.HP())
-	fmt.Fprintf(out, "Eq. 1 optimal lws = %d\n\n", core.OptimalLWS(gws, hw))
-
-	for _, lws := range lwss {
+	for i, lws := range lwss {
 		d, err := ocl.NewDevice(sf.cfg)
 		if err != nil {
 			return err
@@ -59,6 +62,14 @@ func traceRuns(out io.Writer, sf *simFlags, gws int, lwsList string, width, tabl
 		c, err := buildScaledKernel(d, sf.spec, gws)
 		if err != nil {
 			return err
+		}
+		if i == 0 {
+			// The header names the work size the first launch runs, which
+			// is -gws only for the kernels sizedBuilders can size.
+			g := c.Launches[0].GWS
+			fmt.Fprintf(out, "Figure 1 reproduction: %s traces of %s (gws=%d) on %s (hp=%d)\n",
+				kernel, kernel, g, hw.Name(), hw.HP())
+			fmt.Fprintf(out, "Eq. 1 optimal lws = %d\n\n", core.OptimalLWS(g, hw))
 		}
 		res, err := c.RunVerified(d, lws)
 		if err != nil {
@@ -103,7 +114,8 @@ var sizedBuilders = map[string]func(d *ocl.Device, n int, seed int64) (*kernels.
 
 // buildScaledKernel builds the registry kernel sized to exactly gws work
 // items where the kernel's geometry allows it (the 1-D kernels); others
-// use their registry default size.
+// use their registry default size, and the trace command refuses an
+// explicit -gws for them.
 func buildScaledKernel(d *ocl.Device, spec kernels.Spec, gws int) (*kernels.Case, error) {
 	if build, ok := sizedBuilders[spec.Name]; ok {
 		return build(d, gws, 42)

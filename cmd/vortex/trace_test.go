@@ -46,3 +46,27 @@ func TestTraceRefusesNonPositiveGWS(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceGWSIsTheLaunchedSize pins that the header and the Eq. 1 line
+// name the work size the first launch runs: a kernel without a sized
+// builder runs its registry size, so an explicit -gws for it is a
+// command-line error, and without one the header reads the launched gws
+// rather than the flag's default.
+func TestTraceGWSIsTheLaunchedSize(t *testing.T) {
+	for _, kernel := range []string{"sgemm", "gauss", "gcn_aggr", "gcn_layer", "resnet20_layer"} {
+		var out, errb bytes.Buffer
+		if code := cli([]string{"trace", "-kernel", kernel, "-gws", "128", "-lws", "1"}, &out, &errb); code != 2 || out.Len() != 0 ||
+			!strings.Contains(errb.String(), "-gws sizes only") {
+			t.Errorf("%s -gws 128: exit %d, stdout %q, stderr %q; want exit 2 refusing -gws", kernel, code, out.String(), errb.String())
+		}
+	}
+	var out, errb bytes.Buffer
+	if code := cli([]string{"trace", "-config", "16c8w16t", "-kernel", "sgemm", "-lws", "0", "-width", "10"}, &out, &errb); code != 0 {
+		t.Fatalf("sgemm trace: exit %d: %s", code, errb.String())
+	}
+	for _, want := range []string{"sgemm (gws=4096) on 16c8w16t", "Eq. 1 optimal lws = 2\n", "tasks=2048,"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("sgemm trace lacks %q:\n%s", want, out.String())
+		}
+	}
+}

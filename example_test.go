@@ -86,7 +86,7 @@ func Example() {
 	}
 	// Output:
 	// device 2c4w8t: hp = 64 thread slots; Eq. 1 for gws=1024: lws=16
-	// lws=0  -> 16: 2522 cycles (1.00x ours), 64 workgroups in 1 batches, exact (single full batch)
-	// lws=1  ->  1: 4196 cycles (1.66x ours), 1024 workgroups in 16 batches, under (multiple batches)
-	// lws=32 -> 32: 2741 cycles (1.09x ours), 32 workgroups in 1 batches, over (under-utilized)
+	// lws=0  -> 16: 2022 cycles (1.00x ours), 64 workgroups in 1 batches, exact (single full batch)
+	// lws=1  ->  1: 3696 cycles (1.83x ours), 1024 workgroups in 16 batches, under (multiple batches)
+	// lws=32 -> 32: 2241 cycles (1.11x ours), 32 workgroups in 1 batches, over (under-utilized)
 }

@@ -26,9 +26,6 @@ const (
 	ArgBase uint32 = 0x10000
 	// HeapBase is the start of the buffer allocator.
 	HeapBase uint32 = 0x100000
-	// DefaultDispatchOverhead is the fixed driver cost per launch, in
-	// cycles (host-device handshake, program upload, warp setup).
-	DefaultDispatchOverhead uint64 = 500
 )
 
 // Device owns a simulated GPGPU: its memory, cache hierarchy and simulator
@@ -42,7 +39,9 @@ type Device struct {
 	sim    sim.Sim
 
 	mapper core.Mapper
-	// DispatchOverhead is charged once per EnqueueNDRange (cycles).
+	// DispatchOverhead is a fixed driver cost charged once per
+	// EnqueueNDRange, in cycles (host-device handshake, program upload, warp
+	// setup); a new or Reset device charges 0.
 	DispatchOverhead uint64
 
 	allocTop uint32
@@ -237,7 +236,7 @@ func (d *Device) FlushCaches() { d.hier.Flush() }
 // memory zeroed (the pages the run dirtied; see mem.Memory.Reset) and shrunk
 // to the heap base, cache and DRAM state rewound, simulator
 // cycle/statistics/scheduler state cleared, the mapper back to core.Auto,
-// the dispatch overhead back to the default, and any observer removed.
+// the dispatch overhead back to 0, and any observer removed.
 func (d *Device) Reset() {
 	d.hier.Reset()
 	d.sim.Reset()
@@ -251,7 +250,7 @@ func (d *Device) resetRuntime() {
 	d.memory.Reset()
 	d.SetObserver(nil)
 	d.mapper = core.Auto{}
-	d.DispatchOverhead = DefaultDispatchOverhead
+	d.DispatchOverhead = 0
 	d.allocTop = HeapBase
 	d.resident = nil
 }

@@ -146,8 +146,8 @@ func TestLaunchReportFields(t *testing.T) {
 	if res.Stats.Issued == 0 || res.Stats.Loads == 0 || res.Stats.Stores == 0 {
 		t.Errorf("stats not collected: %+v", res.Stats)
 	}
-	if res.Cycles != res.SimCycles+DefaultDispatchOverhead {
-		t.Errorf("dispatch overhead not applied")
+	if res.Cycles != res.SimCycles {
+		t.Errorf("a new device charged %d dispatch cycles, want 0", res.Cycles-res.SimCycles)
 	}
 	if res.L1.Accesses == 0 {
 		t.Errorf("L1 stats not collected")
@@ -375,7 +375,7 @@ func TestTrapAnnotatedWithSource(t *testing.T) {
 func TestDispatchOverheadKnob(t *testing.T) {
 	cfg := sim.DefaultConfig(1, 1, 2)
 	d, _ := NewDevice(cfg)
-	d.DispatchOverhead = 0
+	d.DispatchOverhead = 700
 	buf, _ := d.AllocFloat32(8)
 	k, _ := NewKernel(vecaddSrc)
 	k.SetArgs(buf, buf, buf)
@@ -383,8 +383,8 @@ func TestDispatchOverheadKnob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cycles != res.SimCycles {
-		t.Errorf("overhead 0: Cycles %d != SimCycles %d", res.Cycles, res.SimCycles)
+	if res.Cycles != res.SimCycles+700 {
+		t.Errorf("overhead 700: Cycles %d != SimCycles %d + 700", res.Cycles, res.SimCycles)
 	}
 }
 

@@ -170,6 +170,9 @@ func TestDeviceResetByteIdentical(t *testing.T) {
 	}
 	dirty(t, d, 300, 7)
 	d.Reset()
+	if d.DispatchOverhead != 0 {
+		t.Fatalf("Reset left a dispatch overhead of %d cycles, want 0", d.DispatchOverhead)
+	}
 	requireFreshEqual(t, "reset", d, 512, 0)
 
 	// Big -> small -> big geometry, every scheduler, and L1 geometry, MSHR

@@ -132,14 +132,6 @@ func (a Axis) check(vs []string) error {
 	return nil
 }
 
-// setBy reports whether cfg moves the axis's knob off its default. A
-// ConfigTemplate that does so is refused: the grid would silently override
-// it, and the checkpoint meta could not record it.
-func (a Axis) setBy(cfg sim.Config) bool {
-	reset, _ := a.apply(cfg, a.Default) // the default always applies
-	return reset != cfg
-}
-
 // ApplyPoint returns cfg with one grid point — a canonical value per Axes
 // entry, in table order — written into it.
 func ApplyPoint(cfg sim.Config, point []string) (sim.Config, error) {

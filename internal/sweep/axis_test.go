@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/ocl"
 	"repro/internal/sim"
 )
 
@@ -20,9 +19,8 @@ var axisSamples = map[string]string{
 
 // TestGridAxes checks every entry of the grid-axis table: its default
 // round-trips through parse and is the sim.DefaultConfig value, a
-// non-default sample changes the config, a garbage value is refused, a
-// ConfigTemplate that sets the sample is refused, and a repeated value is
-// refused.
+// non-default sample changes the config, a garbage value is refused, and a
+// repeated value is refused.
 func TestGridAxes(t *testing.T) {
 	hw := core.HWInfo{Cores: 1, Warps: 2, Threads: 2}
 	def := sim.DefaultConfig(hw.Cores, hw.Warps, hw.Threads)
@@ -38,8 +36,7 @@ func TestGridAxes(t *testing.T) {
 			if !ok {
 				t.Fatalf("no non-default sample value for axis %s", a.Name)
 			}
-			cfg, err := a.write(def, sample)
-			if err != nil || cfg == def {
+			if cfg, err := a.write(def, sample); err != nil || cfg == def {
 				t.Errorf("applying %q left the config unchanged (err %v)", sample, err)
 			}
 			if _, err := a.parse("bogus"); err == nil || !strings.Contains(err.Error(), "bad "+a.Name+" value") {
@@ -47,18 +44,7 @@ func TestGridAxes(t *testing.T) {
 			}
 
 			opts := Options{Configs: []core.HWInfo{hw}, Kernels: []string{"vecadd"}, Mappers: []core.Mapper{core.Auto{}},
-				Scale: 0.05, ConfigTemplate: func(core.HWInfo) sim.Config { return cfg }}
-			grid, err := TaskGrid(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec := RunTask(opts, ocl.NewDevicePool(1), grid[0])
-			if want := "sets the " + a.Name + " knob"; !strings.Contains(rec.Err, want) {
-				t.Errorf("template setting %s=%s: record err %q, want %q", a.Name, sample, rec.Err, want)
-			}
-
-			opts.ConfigTemplate = nil
-			opts.Axes = map[string][]string{a.Name: {sample, sample}}
+				Scale: 0.05, Axes: map[string][]string{a.Name: {sample, sample}}}
 			if _, err := TaskGrid(opts); err == nil || !strings.Contains(err.Error(), "duplicate "+a.Name+" entry "+sample) {
 				t.Errorf("repeated %s value: err = %v", a.Name, err)
 			}

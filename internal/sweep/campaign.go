@@ -46,10 +46,9 @@ const (
 
 // NewCampaign validates opts and opens the campaign they describe: every
 // ShardCount-th task of the canonical grid starting at ShardIndex. Tasks
-// are identified by key — so no grid entry may repeat, and a ConfigTemplate
-// needs a ConfigTag — when the campaign is sharded, checkpointed, or handed
-// out to other processes by index (handout, which also builds the Slot
-// index). With Checkpoint set the file is opened for streaming; with Resume
+// are identified by key — so no grid entry may repeat — when the campaign
+// is sharded, checkpointed, or handed out to other processes by index
+// (handout, which also builds the Slot index). With Checkpoint set the file is opened for streaming; with Resume
 // too, every task already recorded there is spliced into its slot first.
 func NewCampaign(opts Options, handout bool) (*Campaign, error) {
 	opts.fill()
@@ -65,11 +64,6 @@ func NewCampaign(opts Options, handout bool) (*Campaign, error) {
 		if dup := duplicateEntry(opts.grid()); dup != "" {
 			return nil, fmt.Errorf("sweep: duplicate grid entry %s: sharding, checkpointing and task handout require unique task keys", dup)
 		}
-	}
-	if (handout || opts.Checkpoint != "") && opts.ConfigTemplate != nil && opts.ConfigTag == "" {
-		// A function cannot be fingerprinted: an unnamed template could not
-		// be checked on resume or against a worker's options.
-		return nil, fmt.Errorf("sweep: checkpointing or serving a ConfigTemplate requires Options.ConfigTag")
 	}
 	c := &Campaign{opts: opts}
 	for _, t := range enumerateTasks(opts) {

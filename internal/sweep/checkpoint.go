@@ -45,7 +45,6 @@ type Meta struct {
 	Verify           bool    `json:"verify"`
 	DispatchOverhead int64   `json:"dispatch_overhead"`
 	NoCoalesce       bool    `json:"no_coalesce"`
-	ConfigTag        string  `json:"config_tag,omitempty"`
 	ShardIndex       int     `json:"shard_index"`
 	ShardCount       int     `json:"shard_count"`
 	// Configs, Kernels, Mappers and one field per Axes entry are the
@@ -74,7 +73,6 @@ func MetaFor(opts Options) Meta {
 		Verify:           opts.Verify,
 		DispatchOverhead: opts.DispatchOverhead,
 		NoCoalesce:       opts.NoCoalesce,
-		ConfigTag:        opts.ConfigTag,
 		ShardIndex:       opts.ShardIndex,
 		ShardCount:       opts.ShardCount,
 		Configs:          strings.Join(g[0], ","),

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kernels"
-	"repro/internal/sim"
 )
 
 func campaignOpts() Options {
@@ -136,53 +135,6 @@ func TestSweepResumeRejectsForeignCheckpoint(t *testing.T) {
 	other.Seed = 8 // different inputs -> different records
 	if _, err := Run(other); err == nil {
 		t.Fatal("resume accepted a checkpoint written with a different seed")
-	}
-}
-
-// TestSweepCheckpointRequiresConfigTag pins that an unnamed ConfigTemplate
-// cannot be checkpointed (a function can't be fingerprinted, so a resume
-// could not detect a changed simulator configuration), while a tagged one
-// can — and the tag must match on resume.
-func TestSweepCheckpointRequiresConfigTag(t *testing.T) {
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "campaign.jsonl")
-	tmpl := func(hw core.HWInfo) sim.Config {
-		cfg := sim.DefaultConfig(hw.Cores, hw.Warps, hw.Threads)
-		cfg.Mem.DRAM.Latency *= 2
-		return cfg
-	}
-
-	opts := campaignOpts()
-	opts.Checkpoint = ckpt
-	opts.ConfigTemplate = tmpl
-	if _, err := Run(opts); err == nil {
-		t.Fatal("checkpointing an unnamed ConfigTemplate was accepted")
-	}
-
-	opts.ConfigTag = "slow-dram"
-	if _, err := Run(opts); err != nil {
-		t.Fatal(err)
-	}
-
-	// Resuming under a different tag must be refused.
-	other := opts
-	other.Resume = true
-	other.ConfigTag = "default"
-	if _, err := Run(other); err == nil {
-		t.Fatal("resume accepted a checkpoint from a different config tag")
-	}
-
-	// Same tag resumes cleanly with nothing left to simulate.
-	same := opts
-	same.Resume = true
-	executed := 0
-	same.OnRecord = func(Record) { executed++ }
-	res, err := Run(same)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if executed != 0 || res.Cache.Resumed != len(res.Records) {
-		t.Errorf("tagged resume re-ran %d tasks (resumed %d)", executed, res.Cache.Resumed)
 	}
 }
 

@@ -22,7 +22,7 @@ type CrossoverPoint struct {
 // configuration's hp and returns per-hp mean ratios in increasing hp
 // order.
 func (r *Results) CrossoverCurve(kernel, baseline string) []CrossoverPoint {
-	return r.crossoverCurve(r.samples(cycles)[series{kernel, "ours"}], kernel, baseline)
+	return r.crossoverCurve(r.samples()[series{kernel, "ours"}], kernel, baseline)
 }
 
 // crossoverCurve is CrossoverCurve given the kernel's "ours" cycles per
@@ -85,7 +85,7 @@ func (r *Results) RenderCrossover(w io.Writer, baseline string) error {
 	if mappers := r.Mappers(); !slices.Contains(mappers, baseline) {
 		return fmt.Errorf("sweep: no records of crossover baseline %q (the records carry %s)", baseline, strings.Join(mappers, ", "))
 	}
-	samples := r.samples(cycles)
+	samples := r.samples()
 	for _, k := range r.Kernels() {
 		curve := r.crossoverCurve(samples[series{k, "ours"}], k, baseline)
 		if len(curve) == 0 {

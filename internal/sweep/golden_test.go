@@ -102,14 +102,6 @@ func TestGoldenRenderTable(t *testing.T) {
 	checkGolden(t, "report_table.golden", buf.Bytes())
 }
 
-func TestGoldenEnergyTable(t *testing.T) {
-	var buf bytes.Buffer
-	if err := goldenResults().RenderEnergyTable(&buf); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "energy_table.golden", buf.Bytes())
-}
-
 func TestGoldenCrossover(t *testing.T) {
 	var buf bytes.Buffer
 	if err := goldenResults().RenderCrossover(&buf, "lws=32"); err != nil {

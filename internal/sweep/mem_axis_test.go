@@ -11,12 +11,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mem"
-	"repro/internal/sim"
 )
 
 // Sweep-level half of the memory-axis harness: MSHR bound, L1 geometry and
 // prefetch policy as grid axes (canonical order, per-point record
-// identity, checkpoint/shard/merge round trips, template refusals, and the
+// identity, checkpoint/shard/merge round trips and the
 // v3 checkpoint version guard). The bare-sim and kernel-level halves live
 // in internal/sim/memaxis_test.go and memaxis_matrix_test.go.
 
@@ -177,37 +176,6 @@ func TestShardMergeMemAxes(t *testing.T) {
 	}
 }
 
-// TestSweepRejectsTemplateMemKnobs pins that a ConfigTemplate setting any
-// memory-side knob the grid owns — MSHR capacity, L1 geometry, prefetch
-// policy — is refused loudly, naming the axis, instead of being silently
-// overridden by the axis.
-func TestSweepRejectsTemplateMemKnobs(t *testing.T) {
-	cases := []struct {
-		name  string
-		set   func(*sim.Config)
-		wants string
-	}{
-		{"mshrs", func(c *sim.Config) { c.Mem.L2.MSHRs = 4 }, "sets the mshrs knob"},
-		{"l1-geometry", func(c *sim.Config) { c.Mem.L1.SizeBytes = 8 << 10; c.Mem.L1.Ways = 2 }, "sets the l1 knob"},
-		{"prefetch", func(c *sim.Config) { c.Mem.Prefetch = mem.PrefetchNextLine }, "sets the prefetch knob"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			opts := memCampaignOpts()
-			opts.Axes = nil
-			opts.ConfigTemplate = func(hw core.HWInfo) sim.Config {
-				cfg := sim.DefaultConfig(hw.Cores, hw.Warps, hw.Threads)
-				tc.set(&cfg)
-				return cfg
-			}
-			_, err := Run(opts)
-			if err == nil || !strings.Contains(err.Error(), tc.wants) {
-				t.Errorf("template-set %s: err = %v, want the %s refusal", tc.name, err, tc.wants)
-			}
-		})
-	}
-}
-
 // TestSweepRejectsBadMemAxisValues pins the Options-boundary validation of
 // the three axes: negative, non-canonical or duplicated MSHR bounds,
 // malformed or duplicated geometry specs, unknown or duplicated prefetch
@@ -314,16 +282,12 @@ func TestReportPairsWithinGridPoint(t *testing.T) {
 			for mi, m := range []string{"lws=1", "lws=32", "ours"} {
 				rec := Task{Config: hw, Kernel: "vecadd", Mapper: namedMapper(m), Point: []string{"rr", mshrs, "16k4w", "off"}}.Record()
 				rec.Cycles = cyclesAt[mshrs][mi]
-				rec.EnergyPJ = 2 * float64(rec.Cycles)
 				res.Records = append(res.Records, rec)
 			}
 		}
 	}
 	if got, want := res.Ratios("vecadd", "lws=1", "ours"), []float64{3, 2, 3, 2}; !slices.Equal(got, want) {
 		t.Errorf("Ratios = %v, want %v (one sample per config and point)", got, want)
-	}
-	if got, want := res.EnergyRatios("vecadd", "lws=32", "ours"), []float64{2, 1, 2, 1}; !slices.Equal(got, want) {
-		t.Errorf("EnergyRatios = %v, want %v", got, want)
 	}
 	want := []CrossoverPoint{{HP: 4, MeanRatio: 1.5, N: 2}, {HP: 16, MeanRatio: 1.5, N: 2}}
 	if got := res.CrossoverCurve("vecadd", "lws=32"); !slices.Equal(got, want) {

@@ -161,7 +161,6 @@ func optionsFromMeta(m Meta, g [][]string) Options {
 		Verify:           m.Verify,
 		DispatchOverhead: m.DispatchOverhead,
 		NoCoalesce:       m.NoCoalesce,
-		ConfigTag:        m.ConfigTag,
 	}
 	for _, name := range g[0] {
 		if hw, err := core.ParseName(name); err == nil {

@@ -12,14 +12,11 @@ import (
 )
 
 // renderAll captures every render path fed by merged results: the Figure 2
-// table, the energy table, the crossover curves and the raw CSV.
+// table, the crossover curves and the raw CSV.
 func renderAll(t *testing.T, res *Results) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := res.RenderTable(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.RenderEnergyTable(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := res.RenderCrossover(&buf, "lws=32"); err != nil {

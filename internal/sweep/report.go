@@ -25,9 +25,9 @@ func sampleKey(rec Record) string {
 // series names the records of one kernel under one mapper.
 type series struct{ kernel, mapper string }
 
-// samples returns value per sample key for every series, over the
+// samples returns the cycles per sample key for every series, over the
 // successful records, grouped in one pass.
-func (r *Results) samples(value func(Record) float64) map[series]map[string]float64 {
+func (r *Results) samples() map[series]map[string]float64 {
 	out := map[series]map[string]float64{}
 	for _, rec := range r.Records {
 		if rec.Err != "" {
@@ -37,12 +37,10 @@ func (r *Results) samples(value func(Record) float64) map[series]map[string]floa
 		if out[s] == nil {
 			out[s] = map[string]float64{}
 		}
-		out[s][sampleKey(rec)] = value(rec)
+		out[s][sampleKey(rec)] = float64(rec.Cycles)
 	}
 	return out
 }
-
-func cycles(rec Record) float64 { return float64(rec.Cycles) }
 
 // ratios returns baseline/ours ratios of one kernel's samples, one per
 // sample both mappers ran (and ours did not score zero on), in sample-key
@@ -93,7 +91,7 @@ func (r *Results) Kernels() []string {
 // point for one kernel — the samples of one Figure 2 violin. Ratios > 1
 // mean "ours" is faster.
 func (r *Results) Ratios(kernel, baseline, ours string) []float64 {
-	return ratios(r.samples(cycles), kernel, baseline, ours)
+	return ratios(r.samples(), kernel, baseline, ours)
 }
 
 // KernelSummary is one kernel's Figure 2 data-table row pair.
@@ -113,7 +111,7 @@ type kernelRatios struct {
 // figure2Ratios computes every kernel's Figure 2 ratio sets, from one
 // grouping of the records.
 func (r *Results) figure2Ratios() []kernelRatios {
-	samples := r.samples(cycles)
+	samples := r.samples()
 	var out []kernelRatios
 	for _, k := range r.Kernels() {
 		out = append(out, kernelRatios{
@@ -181,34 +179,6 @@ func aggregate(sums []KernelSummary) []Aggregate {
 	return out
 }
 
-// EnergyRatios returns baseline/ours energy ratios per configuration and
-// grid point for one kernel — the energy analogue of Ratios. Eq. 1
-// optimizes latency; this quantifies what it does to consumption (mostly
-// instruction-count effects: fewer workgroup-launcher executions).
-func (r *Results) EnergyRatios(kernel, baseline, ours string) []float64 {
-	return ratios(r.samples(energy), kernel, baseline, ours)
-}
-
-func energy(rec Record) float64 { return rec.EnergyPJ }
-
-// RenderEnergyTable prints per-kernel mean energy ratios of the baselines
-// against "ours".
-func (r *Results) RenderEnergyTable(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "%-16s | %-22s | %-22s\n", "kernel", "energy lws=1/ours", "energy lws=32/ours"); err != nil {
-		return err
-	}
-	samples := r.samples(energy)
-	for _, k := range r.Kernels() {
-		n := stats.SummarizeRatios(ratios(samples, k, "lws=1", "ours"))
-		f := stats.SummarizeRatios(ratios(samples, k, "lws=32", "ours"))
-		if _, err := fmt.Fprintf(w, "%-16s | avg %.2f worst %.2f     | avg %.2f worst %.2f\n",
-			k, n.Avg, n.Worst, f.Avg, f.Worst); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // RenderTable writes the Figure 2 data tables (E3): per kernel, the
 // average, worse-% and worst entries for both baselines.
 func (r *Results) RenderTable(w io.Writer) error { return renderTable(w, r.Summaries()) }
@@ -266,7 +236,7 @@ func (r *Results) RenderOracle(w io.Writer) error {
 		"kernel", "samples", "geomean", "median", "max", "within 5%", "search cost", "most often fastest"); err != nil {
 		return err
 	}
-	samples := r.samples(cycles)
+	samples := r.samples()
 	mappers := r.Mappers()
 	near, total := 0, 0
 	for _, k := range r.Kernels() {

@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 )
 
 // Sweep-level half of the scheduler harness: the warp scheduler as a grid
@@ -121,22 +119,5 @@ func TestShardMergeSchedAxis(t *testing.T) {
 	dup.Checkpoint = filepath.Join(dir, "dup.jsonl")
 	if _, err := Run(dup); err == nil {
 		t.Error("checkpointed sweep accepted a duplicated sched-axis entry")
-	}
-}
-
-// TestSweepRejectsTemplateSched pins that a ConfigTemplate setting a
-// non-default scheduler — the pre-axis way to vary the policy — is refused
-// loudly instead of being silently overridden by the sched axis.
-func TestSweepRejectsTemplateSched(t *testing.T) {
-	opts := schedCampaignOpts()
-	opts.Axes = nil
-	opts.ConfigTemplate = func(hw core.HWInfo) sim.Config {
-		cfg := sim.DefaultConfig(hw.Cores, hw.Warps, hw.Threads)
-		cfg.Sched = sim.SchedGTO
-		return cfg
-	}
-	_, err := Run(opts)
-	if err == nil || !strings.Contains(err.Error(), "sets the sched knob") {
-		t.Errorf("template-set scheduler: err = %v, want the grid-axis refusal", err)
 	}
 }

@@ -71,9 +71,8 @@ type Options struct {
 	// Axes holds the values swept on each grid axis of the Axes table, by
 	// axis name and in canonical spelling (e.g. {"sched": {"rr", "gto"},
 	// "mshrs": {"0", "4"}}). A missing or empty axis sweeps only its
-	// default. The axes own their simulator knobs: a ConfigTemplate that
-	// sets one is refused, so the checkpoint meta can validate the swept
-	// values.
+	// default. A task's device is sim.DefaultConfig of its configuration
+	// with its grid point applied, and nothing else.
 	Axes map[string][]string
 	// Scale is the workload scale factor (1.0 = paper sizes).
 	Scale float64
@@ -89,16 +88,8 @@ type Options struct {
 	// on each task's first completion (failures included) and once up
 	// front when a resume spliced records in. Campaign.Submit serializes it.
 	Progress func(done, total int)
-	// ConfigTemplate customizes the non-geometry simulator parameters
-	// (memory hierarchy, latencies, scheduler); nil uses defaults.
-	ConfigTemplate func(hw core.HWInfo) sim.Config
-	// ConfigTag names the ConfigTemplate for checkpointing and serving. A
-	// function cannot be fingerprinted, so a checkpointed or served sweep
-	// with a non-nil ConfigTemplate must carry a caller-chosen tag; the tag
-	// is recorded in the meta and must match on Resume and enrollment.
-	ConfigTag string
-	// DispatchOverhead overrides the per-launch driver cost in cycles;
-	// negative keeps the runtime default.
+	// DispatchOverhead is the driver cost charged per launch, in cycles
+	// (0, the default, charges none; negative is refused).
 	DispatchOverhead int64
 	// NoCoalesce disables the memory coalescer (ablation A2).
 	NoCoalesce bool
@@ -144,9 +135,6 @@ func (o *Options) fill() {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.DispatchOverhead < 0 {
-		o.DispatchOverhead = -1
-	}
 	if o.ShardCount < 1 {
 		o.ShardCount = 1
 	}
@@ -168,6 +156,9 @@ func (o Options) Normalized() Options {
 func (o *Options) validate() error {
 	if err := kernels.CheckScale(o.Scale); err != nil {
 		return fmt.Errorf("sweep: %w", err)
+	}
+	if o.DispatchOverhead < 0 {
+		return fmt.Errorf("sweep: negative dispatch overhead %d (cycles per launch, 0 = none)", o.DispatchOverhead)
 	}
 	for name := range o.Axes {
 		if !slices.ContainsFunc(Axes, func(a Axis) bool { return a.Name == name }) {
@@ -408,17 +399,7 @@ func runOne(opts Options, pool *ocl.DevicePool, t Task) Record {
 		rec.Err = err.Error()
 		return rec
 	}
-	cfg := sim.DefaultConfig(hw.Cores, hw.Warps, hw.Threads)
-	if opts.ConfigTemplate != nil {
-		cfg = opts.ConfigTemplate(hw)
-		for _, a := range Axes {
-			if a.setBy(cfg) {
-				rec.Err = fmt.Sprintf("ConfigTemplate sets the %s knob; it is a grid axis — set it through Options.Axes", a.Name)
-				return rec
-			}
-		}
-	}
-	cfg, err = ApplyPoint(cfg, t.Point)
+	cfg, err := ApplyPoint(sim.DefaultConfig(hw.Cores, hw.Warps, hw.Threads), t.Point)
 	if err != nil {
 		rec.Err = err.Error()
 		return rec
@@ -429,9 +410,7 @@ func runOne(opts Options, pool *ocl.DevicePool, t Task) Record {
 		return rec
 	}
 	defer pool.Put(d)
-	if opts.DispatchOverhead >= 0 {
-		d.DispatchOverhead = uint64(opts.DispatchOverhead)
-	}
+	d.DispatchOverhead = uint64(opts.DispatchOverhead)
 	d.Sim().NoCoalesce = opts.NoCoalesce
 	d.SetMapper(t.Mapper)
 	c, err := spec.Build(d, kernels.Params{Scale: opts.Scale, Seed: opts.Seed})

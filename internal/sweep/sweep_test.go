@@ -240,6 +240,34 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
+// TestDispatchOverheadPerLaunch pins Options.DispatchOverhead's one
+// meaning: cycles charged per launch, 0 by default, and a negative value
+// refused by every entry point before any task runs.
+func TestDispatchOverheadPerLaunch(t *testing.T) {
+	opts := Options{Configs: []core.HWInfo{{Cores: 1, Warps: 2, Threads: 2}}, Kernels: []string{"vecadd"},
+		Mappers: []core.Mapper{core.Auto{}}, Scale: 0.05}
+	base, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.DispatchOverhead = 300
+	charged, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := charged.Records[0].Cycles, base.Records[0].Cycles+300; got != want {
+		t.Errorf("overhead 300 on one launch: %d cycles, want %d", got, want)
+	}
+
+	opts.DispatchOverhead = -1
+	if _, err := Run(opts); err == nil || !strings.Contains(err.Error(), "negative dispatch overhead") {
+		t.Errorf("Run: err = %v, want the negative-overhead refusal", err)
+	}
+	if _, err := TaskGrid(opts); err == nil || !strings.Contains(err.Error(), "negative dispatch overhead") {
+		t.Errorf("TaskGrid: err = %v, want the negative-overhead refusal", err)
+	}
+}
+
 func TestUnknownKernelFails(t *testing.T) {
 	_, err := Run(Options{
 		Configs: []core.HWInfo{{Cores: 1, Warps: 2, Threads: 2}},
@@ -398,29 +426,25 @@ func TestCrossoverHPEdgeCases(t *testing.T) {
 	}
 }
 
-func TestEnergyRatiosAndTable(t *testing.T) {
+// TestRecordsCarryEnergy pins Record.EnergyPJ, the CSV's energy_pj column:
+// every record has an estimate, and lws=1, which executes more
+// instructions, spends more energy than Eq. 1's mapping on every
+// configuration.
+func TestRecordsCarryEnergy(t *testing.T) {
 	res := smallSweep(t, []string{"vecadd"})
+	ours := map[string]float64{}
 	for _, rec := range res.Records {
 		if rec.EnergyPJ <= 0 {
 			t.Fatalf("record without energy: %+v", rec)
 		}
-	}
-	er := res.EnergyRatios("vecadd", "lws=1", "ours")
-	if len(er) != 3 {
-		t.Fatalf("energy ratios = %v", er)
-	}
-	// lws=1 executes more instructions; its energy ratio must exceed 1.
-	for _, v := range er {
-		if v <= 1 {
-			t.Errorf("lws=1 energy ratio %v <= 1", v)
+		if rec.Mapper == "ours" {
+			ours[rec.Config.Name()] = rec.EnergyPJ
 		}
 	}
-	var buf bytes.Buffer
-	if err := res.RenderEnergyTable(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "energy lws=1/ours") {
-		t.Errorf("energy table header missing:\n%s", buf.String())
+	for _, rec := range res.Records {
+		if rec.Mapper == "lws=1" && rec.EnergyPJ <= ours[rec.Config.Name()] {
+			t.Errorf("%s: lws=1 energy %.0f pJ <= ours %.0f pJ", rec.Config.Name(), rec.EnergyPJ, ours[rec.Config.Name()])
+		}
 	}
 }
 

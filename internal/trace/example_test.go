@@ -42,11 +42,11 @@ func ExampleCollector_RenderOccupancy() {
 		fmt.Printf("SIMD efficiency: %.1f%% of lane slots used\n", col.SIMDEfficiency(hw.Threads)*100)
 	}
 	// Output:
-	// lws=1: 1512 cycles, 4 batches
+	// lws=1: 1012 cycles, 4 batches
 	// warps in flight |8888888875222 11112555777778776544322222232   11|
 	// issue util 67.6%, SIMD lanes/issue 7.75
 	// SIMD efficiency: 96.9% of lane slots used
-	// lws=4: 1262 cycles, 1 batches
+	// lws=4: 762 cycles, 1 batches
 	// warps in flight |88888888888741111122     34666667777777777764411|
 	// issue util 71.4%, SIMD lanes/issue 6.25
 	// SIMD efficiency: 78.1% of lane slots used
