@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -34,18 +35,20 @@ var runCmd = subcommand("run", func(fs *flag.FlagSet) body {
 		if err := sf.check(); err != nil {
 			return err
 		}
-		if *compare {
-			var clash []string
-			fs.Visit(func(f *flag.Flag) {
-				if f.Name == "lws" || f.Name == "mapper" {
-					clash = append(clash, "-"+f.Name)
-				}
-			})
-			if len(clash) > 0 {
-				return usageError(fmt.Sprintf("-compare runs the paper's three mappings and cannot be combined with %s", strings.Join(clash, ", ")))
+		var clash []string
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "lws" || f.Name == "mapper" {
+				clash = append(clash, "-"+f.Name)
 			}
+		})
+		switch {
+		case *compare && len(clash) > 0:
+			return usageError(fmt.Sprintf("-compare runs the paper's three mappings and cannot be combined with %s", strings.Join(clash, ", ")))
+		case *compare:
 			err = runCompare(stdout, &sf)
-		} else {
+		case *lws != 0 && slices.Contains(clash, "-mapper"):
+			return usageError(fmt.Sprintf("-lws %d fixes the local work size and cannot be combined with -mapper", *lws))
+		default:
 			err = run(stdout, &sf, *lws, *mapper)
 		}
 		if err != nil {

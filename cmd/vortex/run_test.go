@@ -174,3 +174,21 @@ func TestRunCompareRefusesMapperFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRefusesMapperWithLWS pins that an explicit -mapper next to a
+// non-zero -lws, which fixes the local work size and leaves no mapper to
+// run, is refused instead of ignored; -lws 0 still means "use the mapper".
+func TestRunRefusesMapperWithLWS(t *testing.T) {
+	var out, errb bytes.Buffer
+	args := []string{"run", "-config", "2c2w4t", "-kernel", "vecadd", "-scale", "0.05", "-lws", "4", "-mapper", "lws=32"}
+	if code := cli(args, &out, &errb); code != 2 || out.Len() != 0 ||
+		!strings.Contains(errb.String(), "cannot be combined with -mapper") {
+		t.Errorf("-lws 4 -mapper lws=32: exit %d, stdout %q, stderr %q; want exit 2 naming -mapper", code, out.String(), errb.String())
+	}
+	out.Reset()
+	errb.Reset()
+	if code := cli([]string{"run", "-config", "2c2w4t", "-kernel", "vecadd", "-scale", "0.05", "-lws", "0", "-mapper", "lws=32"}, &out, &errb); code != 0 ||
+		!strings.Contains(out.String(), " lws=32 ") {
+		t.Errorf("-lws 0 -mapper lws=32: exit %d, stderr %q, report:\n%s", code, errb.String(), out.String())
+	}
+}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -80,7 +79,7 @@ func (cf *campaignFlags) options() (sweep.Options, error) {
 		return opts, err
 	}
 	if *cf.nConfigs < 1 {
-		return opts, fmt.Errorf("-configs must be >= 1 (got %d)", *cf.nConfigs)
+		return opts, usageError(fmt.Sprintf("-configs must be >= 1 (got %d)", *cf.nConfigs))
 	}
 	names := kernels.Names()
 	if *cf.kernelCSV != "all" && *cf.kernelCSV != "" {
@@ -145,7 +144,7 @@ var campaignCmd = subcommand("sweep", func(fs *flag.FlagSet) body {
 				}
 			})
 			if len(clash) > 0 {
-				return fmt.Errorf("-replot re-renders an existing CSV without simulating and cannot be combined with %s", strings.Join(clash, ", "))
+				return usageError(fmt.Sprintf("-replot re-renders an existing CSV without simulating and cannot be combined with %s", strings.Join(clash, ", ")))
 			}
 			f, err := os.Open(*replot)
 			if err != nil {
@@ -160,7 +159,7 @@ var campaignCmd = subcommand("sweep", func(fs *flag.FlagSet) body {
 		}
 
 		if *resume && *checkpoint == "" {
-			return errors.New("-resume requires -checkpoint")
+			return usageError("-resume requires -checkpoint")
 		}
 		opts, err := cf.options()
 		if err != nil {
@@ -170,7 +169,7 @@ var campaignCmd = subcommand("sweep", func(fs *flag.FlagSet) body {
 			// Only the canonical spelling i/N, as for configuration names.
 			i, n := &opts.ShardIndex, &opts.ShardCount
 			if _, err := fmt.Sscanf(*shard, "%d/%d", i, n); err != nil || fmt.Sprintf("%d/%d", *i, *n) != *shard || *n < 1 || *i < 0 || *i >= *n {
-				return fmt.Errorf("bad -shard %q (want i/N with 0 <= i < N, e.g. 0/3)", *shard)
+				return usageError(fmt.Sprintf("bad -shard %q (want i/N with 0 <= i < N, e.g. 0/3)", *shard))
 			}
 		}
 		opts.Checkpoint = *checkpoint
@@ -228,7 +227,7 @@ var serveCmd = subcommand("sweep serve", func(fs *flag.FlagSet) body {
 			return usageError(fmt.Sprintf("vortex sweep: serve takes no positional arguments (got %q)", fs.Args()))
 		}
 		if *checkpoint == "" {
-			return errors.New("serve requires -checkpoint: it is the crash-safe campaign state a killed coordinator resumes from")
+			return usageError("serve requires -checkpoint: it is the crash-safe campaign state a killed coordinator resumes from")
 		}
 		opts, err := cf.options()
 		if err != nil {
@@ -297,7 +296,7 @@ var workCmd = subcommand("sweep work", func(fs *flag.FlagSet) body {
 			return usageError(fmt.Sprintf("vortex sweep: work takes no positional arguments (got %q)", fs.Args()))
 		}
 		if *coordinator == "" {
-			return errors.New("work requires -coordinator (the address of a vortex sweep serve)")
+			return usageError("work requires -coordinator (the address of a vortex sweep serve)")
 		}
 		opts, err := cf.options()
 		if err != nil {

@@ -156,28 +156,24 @@ func TestMemAxisResumeRejectsV3CheckpointCLI(t *testing.T) {
 func TestMemAxisFlagRefusals(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{"-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "0.05"}
-	sweepRefusals(t, []struct {
-		name string
-		args []string
-		want string
-	}{
+	sweepRefusals(t, []refusal{
 		{"negative mshrs", append(append([]string{}, base...), "-mshrs", "-1"),
-			`bad mshrs value "-1"`},
+			1, `bad mshrs value "-1"`},
 		{"garbage mshrs", append(append([]string{}, base...), "-mshrs", "four"),
-			`bad mshrs value "four"`},
+			1, `bad mshrs value "four"`},
 		{"dup mshrs", append(append([]string{}, base...), "-mshrs", "0,4,0"),
-			"duplicate mshrs entry 0"},
+			1, "duplicate mshrs entry 0"},
 		{"bad l1", append(append([]string{}, base...), "-l1", "16kb4w"),
-			"bad L1 geometry"},
+			1, "bad L1 geometry"},
 		{"dup l1", append(append([]string{}, base...), "-l1", "16k4w,16k4w"),
-			"duplicate l1 entry 16k4w"},
+			1, "duplicate l1 entry 16k4w"},
 		{"bad prefetch", append(append([]string{}, base...), "-prefetch", "banana"),
-			"unknown prefetch policy"},
+			1, "unknown prefetch policy"},
 		{"dup prefetch", append(append([]string{}, base...), "-prefetch", "off,off"),
-			"duplicate prefetch entry off"},
+			1, "duplicate prefetch entry off"},
 		{"serve with dup mshrs", append([]string{"serve", "-checkpoint", filepath.Join(dir, "c.jsonl"),
-			"-mshrs", "4,4"}, base...), "duplicate mshrs entry 4"},
+			"-mshrs", "4,4"}, base...), 1, "duplicate mshrs entry 4"},
 		{"work with bad l1", append([]string{"work", "-coordinator", "127.0.0.1:1",
-			"-l1", "nope"}, base...), "bad L1 geometry"},
+			"-l1", "nope"}, base...), 1, "bad L1 geometry"},
 	})
 }

@@ -51,18 +51,24 @@ func runSweepProcess(t *testing.T, args ...string) string {
 	return out.String()
 }
 
-// sweepRefusals runs each case's vortex sweep args in-process and requires
-// a failed exit whose output names want.
-func sweepRefusals(t *testing.T, cases []struct {
+// refusal is one vortex sweep command line that must fail: with exit 2 for
+// a command-line error (a flag clash, a missing required flag) and exit 1
+// for a value the run cannot take.
+type refusal struct {
 	name string
 	args []string
+	code int
 	want string
-}) {
+}
+
+// sweepRefusals runs each case's vortex sweep args in-process and requires
+// its exit code and an output that names want.
+func sweepRefusals(t *testing.T, cases []refusal) {
 	t.Helper()
 	for _, tc := range cases {
 		code, out := vortex(append([]string{"sweep"}, tc.args...)...)
-		if code == 0 {
-			t.Errorf("%s: accepted:\n%s", tc.name, out)
+		if code != tc.code {
+			t.Errorf("%s: exit %d, want %d:\n%s", tc.name, code, tc.code, out)
 			continue
 		}
 		if !strings.Contains(out, tc.want) {
@@ -373,46 +379,44 @@ func TestServeWorkKillRecoveryCLI(t *testing.T) {
 func TestCampaignFlagRefusals(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{"-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "0.05"}
-	sweepRefusals(t, []struct {
-		name string
-		args []string
-		want string
-	}{
+	sweepRefusals(t, []refusal{
 		{"dup sched", append(append([]string{}, base...), "-sched", "rr,gto,rr"),
-			"duplicate sched entry rr"},
+			1, "duplicate sched entry rr"},
 		{"zero scale", []string{"-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "0"},
-			"-scale must be positive and finite"},
+			1, "-scale must be positive and finite"},
 		{"negative scale", []string{"-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "-0.5"},
-			"-scale must be positive and finite"},
+			1, "-scale must be positive and finite"},
 		{"NaN scale", []string{"-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "NaN",
-			"-checkpoint", filepath.Join(dir, "nan.jsonl")}, "-scale must be positive and finite (got NaN)"},
+			"-checkpoint", filepath.Join(dir, "nan.jsonl")}, 1, "-scale must be positive and finite (got NaN)"},
 		{"infinite scale", []string{"-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "Inf"},
-			"-scale must be positive and finite (got +Inf)"},
+			1, "-scale must be positive and finite (got +Inf)"},
 		{"zero configs", []string{"-kernels", "vecadd", "-scale", "0.05", "-configs", "0"},
-			"-configs must be >= 1"},
+			2, "-configs must be >= 1"},
 		{"negative configs", []string{"-kernels", "vecadd", "-scale", "0.05", "-configs", "-3"},
-			"-configs must be >= 1"},
+			2, "-configs must be >= 1"},
+		{"resume without checkpoint", append(append([]string{}, base...), "-resume"),
+			2, "-resume requires -checkpoint"},
 		{"replot with checkpoint", []string{"-replot", "x.csv", "-checkpoint", "y.jsonl"},
-			"cannot be combined with -checkpoint"},
+			2, "cannot be combined with -checkpoint"},
 		{"replot with resume+verify", []string{"-replot", "x.csv", "-resume", "-verify"},
-			"cannot be combined with -resume, -verify"},
+			2, "cannot be combined with -resume, -verify"},
 		{"replot with shard+csv", []string{"-replot", "x.csv", "-shard", "0/2", "-csv", "z.csv"},
-			"cannot be combined with -csv, -shard"},
+			2, "cannot be combined with -csv, -shard"},
 		{"replot with scale+grid+oracle", []string{"-replot", "x.csv", "-scale", "0.25", "-grid", "1c2w2t", "-oracle"},
-			"cannot be combined with -grid, -oracle, -scale"},
+			2, "cannot be combined with -grid, -oracle, -scale"},
 		{"replot with a default-valued flag", []string{"-replot", "x.csv", "-verify=false", "-workers", "0"},
-			"cannot be combined with -verify, -workers"},
+			2, "cannot be combined with -verify, -workers"},
 		{"serve without checkpoint", append([]string{"serve"}, base...),
-			"serve requires -checkpoint"},
+			2, "serve requires -checkpoint"},
 		{"serve with zero scale", []string{"serve", "-checkpoint", "c.jsonl",
 			"-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "0"},
-			"-scale must be positive and finite"},
+			1, "-scale must be positive and finite"},
 		{"serve with dup sched", append([]string{"serve", "-checkpoint", filepath.Join(dir, "c.jsonl"),
-			"-sched", "gto,gto"}, base...), "duplicate sched entry gto"},
+			"-sched", "gto,gto"}, base...), 1, "duplicate sched entry gto"},
 		{"work without coordinator", append([]string{"work"}, base...),
-			"work requires -coordinator"},
+			2, "work requires -coordinator"},
 		{"work with dup sched", append([]string{"work", "-coordinator", "127.0.0.1:1",
-			"-sched", "rr,rr"}, base...), "duplicate sched entry rr"},
+			"-sched", "rr,rr"}, base...), 1, "duplicate sched entry rr"},
 	})
 }
 
@@ -459,8 +463,8 @@ func TestRemovedHostModeFlagsRejected(t *testing.T) {
 func TestShardFlagRejected(t *testing.T) {
 	for _, bad := range []string{"bogus", "1/3o", "1/3/4", "3/3", "-1/3", "0/0", "1/"} {
 		code, out := vortex("sweep", "-shard", bad, "-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "0.05")
-		if code == 0 {
-			t.Errorf("-shard %q accepted:\n%s", bad, out)
+		if code != 2 {
+			t.Errorf("-shard %q: exit %d, want 2:\n%s", bad, code, out)
 		} else if !strings.Contains(out, "bad -shard") {
 			t.Errorf("-shard %q: unexpected error:\n%s", bad, out)
 		}

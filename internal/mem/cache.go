@@ -77,7 +77,7 @@ type cacheLine struct {
 }
 
 // Cache is one set-associative, write-back, write-allocate cache level.
-// It tracks tags only; data lives in the flat Memory.
+// It tracks tags only; data lives in the device Memory.
 type Cache struct {
 	cfg       CacheConfig
 	lines     []cacheLine // sets*ways, set-major

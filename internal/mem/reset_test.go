@@ -9,7 +9,7 @@ import (
 
 // TestMemoryReset pins the pooled-device contract at the memory level: a
 // Reset memory is indistinguishable from a freshly constructed one (size
-// and contents), while keeping the grown backing array.
+// and contents), while keeping the pages it took on its free list.
 func TestMemoryReset(t *testing.T) {
 	m := NewMemory(128)
 	m.Grow(4096)
@@ -88,7 +88,7 @@ type memOp struct {
 }
 
 // randomMemOps draws a sequence that exercises every store method at the
-// addresses the dirty-page bookkeeping could get wrong: below and above the
+// addresses the page bookkeeping could get wrong: below and above the
 // construction size, straddling page boundaries, at the last in-bounds
 // bytes, just out of bounds, and in spans of several pages — interleaved
 // with Grow, which it tracks so later addresses follow the current size.
@@ -163,8 +163,8 @@ func memImage(t *testing.T, m *Memory) []byte {
 	return raw
 }
 
-// TestMemoryResetAfterRandomWrites holds Reset's dirty-page clearing to the
-// whole-image clear it replaced: after any sequence of stores and Grows a
+// TestMemoryResetAfterRandomWrites holds Reset's page release to a
+// whole-image clear: after any sequence of stores and Grows a
 // Reset memory has its construction size, is all zero once grown back, and
 // replays the sequence exactly like a fresh Memory.
 func TestMemoryResetAfterRandomWrites(t *testing.T) {
