@@ -155,36 +155,40 @@ func BenchmarkAblationDispatchOverhead(b *testing.B) {
 // leaving the coalescer nothing to merge). In this model the duplicate
 // requests of an uncoalesced warp hit the line the first request filled,
 // so the coalescer is nearly latency-neutral behind a banked LSU — its
-// measurable effect is the L1 access count (and hence access energy),
-// reported here alongside the cycles.
+// measurable effect is the L1 access count, reported here alongside the
+// cycles. NoCoalesce is a device knob, so it runs saxpy directly on one
+// device per setting.
 func BenchmarkAblationCoalescing(b *testing.B) {
-	configs := []core.HWInfo{{Cores: 2, Warps: 4, Threads: 32}}
-	var with, without, e1, e2 float64
+	spec, err := kernels.ByName("saxpy")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var cycles, l1 [2]float64
 	for i := 0; i < b.N; i++ {
-		for _, off := range []bool{false, true} {
-			res, err := sweep.Run(sweep.Options{
-				Configs:    configs,
-				Kernels:    []string{"saxpy"},
-				Mappers:    []core.Mapper{core.Naive{}},
-				Scale:      0.25,
-				Seed:       42,
-				NoCoalesce: off,
-			})
+		for j, off := range []bool{false, true} {
+			d, err := ocl.NewDevice(sim.DefaultConfig(2, 4, 32))
 			if err != nil {
 				b.Fatal(err)
 			}
-			if off {
-				without = float64(res.Records[0].Cycles)
-				e2 = res.Records[0].EnergyPJ
-			} else {
-				with = float64(res.Records[0].Cycles)
-				e1 = res.Records[0].EnergyPJ
+			d.Sim().NoCoalesce = off
+			d.SetMapper(core.Naive{})
+			c, err := spec.Build(d, kernels.Params{Scale: 0.25, Seed: 42})
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := c.Run(d, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cycles[j], l1[j] = float64(res.Cycles), 0
+			for _, l := range res.Launches {
+				l1[j] += float64(l.L1.Accesses)
 			}
 		}
 	}
-	b.ReportMetric(with, "cycles_coalesced")
-	b.ReportMetric(without, "cycles_uncoalesced")
-	b.ReportMetric(e2/e1, "energy_ratio_uncoalesced")
+	b.ReportMetric(cycles[0], "cycles_coalesced")
+	b.ReportMetric(cycles[1], "cycles_uncoalesced")
+	b.ReportMetric(l1[1]/l1[0], "l1_access_ratio_uncoalesced")
 }
 
 // BenchmarkAblationScheduler (A3) compares the four warp-scheduling

@@ -15,8 +15,8 @@ import (
 
 // runCmd executes one benchmark kernel on one device configuration, at the
 // grid point the axis flags name, and prints the full launch report: the
-// Eq. 1 advice, the chosen lws and regime, cycle counts, pipeline and cache
-// statistics, and the boundedness classification.
+// Eq. 1 advice, the chosen lws and regime, cycle counts, and pipeline and
+// cache statistics.
 var runCmd = subcommand("run", func(fs *flag.FlagSet) body {
 	var sf simFlags
 	sf.addDevice(fs, "4c8w16t", "vecadd")
@@ -96,7 +96,7 @@ func run(out io.Writer, sf *simFlags, lws int, mapperName string) error {
 		fmt.Fprintf(out, "  cycles=%d (sim %d + dispatch %d)\n", lr.Cycles, lr.SimCycles, lr.Cycles-lr.SimCycles)
 		fmt.Fprintf(out, "  instrs=%d lane-ops=%d loads=%d stores=%d line-reqs=%d\n",
 			lr.Stats.Issued, lr.Stats.LaneOps, lr.Stats.Loads, lr.Stats.Stores, lr.Stats.LineRequests)
-		fmt.Fprintf(out, "  stalls: mem=%d exec=%d -> %s\n", lr.Stats.MemStall, lr.Stats.ExecStall, lr.Boundedness)
+		fmt.Fprintf(out, "  stalls: mem=%d exec=%d\n", lr.Stats.MemStall, lr.Stats.ExecStall)
 		fmt.Fprintf(out, "  L1: %d accesses, %.1f%% hits; L2: %d accesses, %.1f%% hits; DRAM: %d line reads, %d writebacks\n",
 			lr.L1.Accesses, lr.L1.HitRate()*100, lr.L2.Accesses, lr.L2.HitRate()*100,
 			lr.DRAM.LineReads, lr.DRAM.Writebacks)

@@ -9,7 +9,7 @@ import (
 )
 
 // CLI surface of the memory-axis harness: the acceptance sweep over
-// -mshrs/-l1/-prefetch (checkpoint meta v4, shard+merge, CSV columns), the
+// -mshrs/-l1/-prefetch (checkpoint meta v5, shard+merge, CSV columns), the
 // checkpoint-diff identity of the explicit default point against a run
 // that never mentions the memory flags, the v3 version refusal, and the
 // per-flag validation diagnostics.
@@ -26,7 +26,7 @@ var memAxisArgs = []string{
 }
 
 // TestMemAxisSweepCLI drives the acceptance sweep through the command:
-// the checkpoint carries the v4 meta with the three memory axes, the CSV
+// the checkpoint carries the v5 meta with the three memory axes, the CSV
 // grows the mshrs/l1/prefetch columns, and a two-shard split of the same
 // grid merges back byte-identical to the single-process run.
 func TestMemAxisSweepCLI(t *testing.T) {
@@ -46,7 +46,7 @@ func TestMemAxisSweepCLI(t *testing.T) {
 	}
 	meta := string(bytes.SplitN(ckpt, []byte("\n"), 2)[0])
 	for _, want := range []string{
-		`"checkpoint_version":4`,
+		`"checkpoint_version":5`,
 		`"mshrs":"0,4"`,
 		`"l1_geoms":"16k4w,32k8w"`,
 		`"prefetch":"off,nextline"`,

@@ -436,6 +436,23 @@ func TestReplotTakesRenderFlags(t *testing.T) {
 	}
 }
 
+// TestReplotReadsLegacyCSV pins -replot of a CSV written before the energy
+// estimate and the boundedness label were deleted: it prints the current
+// CSV's tables, byte for byte.
+func TestReplotReadsLegacyCSV(t *testing.T) {
+	var outs []string
+	for _, name := range []string{"records_csv.golden", "records_csv_energy.golden"} {
+		var out, errb bytes.Buffer
+		if code := cli([]string{"sweep", "-replot", filepath.Join("..", "..", "internal", "sweep", "testdata", name), "-violins"}, &out, &errb); code != 0 {
+			t.Fatalf("-replot %s: exit %d: %s", name, code, errb.String())
+		}
+		outs = append(outs, out.String())
+	}
+	if outs[0] != outs[1] || !strings.Contains(outs[0], "=== vecadd ===") {
+		t.Errorf("-replot of the legacy CSV printed\n%s\nthe current CSV\n%s", outs[1], outs[0])
+	}
+}
+
 // TestRemovedHostModeFlagsRejected pins that the host-mode flags deleted
 // with the parallel engine are command-line errors (exit status 2) in every
 // simulating mode, not silently accepted no-ops.

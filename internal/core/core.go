@@ -10,9 +10,8 @@
 //
 // evaluated at runtime from the device's micro-architecture parameters, so
 // the programmer never specifies it. The package also provides the baseline
-// mappers the paper compares against (naive lws=1 and fixed lws=32), the
-// three-regime taxonomy of Section 2, and a boundedness classifier over
-// simulator counters used to group kernels like Figure 2.
+// mappers the paper compares against (naive lws=1 and fixed lws=32) and the
+// three-regime taxonomy of Section 2.
 package core
 
 import (
@@ -224,34 +223,6 @@ func Advise(gws int, hw HWInfo) Advice {
 			gws, hp, lws, filled, hp)
 	}
 	return a
-}
-
-// Boundedness labels a kernel execution as in Figure 2's grouping.
-type Boundedness uint8
-
-const (
-	ComputeBound Boundedness = iota
-	MemoryBound
-)
-
-func (b Boundedness) String() string {
-	if b == MemoryBound {
-		return "memory-bound"
-	}
-	return "compute-bound"
-}
-
-// Classify labels an execution from simulator stall counters: it is
-// memory-bound when memory stalls dominate lost issue slots and exceed a
-// third of total cycles.
-func Classify(memStall, execStall, cycles uint64) Boundedness {
-	if cycles == 0 {
-		return ComputeBound
-	}
-	if memStall > execStall && memStall*3 > cycles {
-		return MemoryBound
-	}
-	return ComputeBound
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -193,24 +193,6 @@ func TestAdvise(t *testing.T) {
 	}
 }
 
-func TestClassify(t *testing.T) {
-	if got := Classify(800, 100, 1000); got != MemoryBound {
-		t.Errorf("heavy mem stalls = %v", got)
-	}
-	if got := Classify(100, 800, 1000); got != ComputeBound {
-		t.Errorf("heavy exec stalls = %v", got)
-	}
-	if got := Classify(200, 100, 1000); got != ComputeBound {
-		t.Errorf("light mem stalls = %v (below 1/3 threshold)", got)
-	}
-	if got := Classify(0, 0, 0); got != ComputeBound {
-		t.Errorf("zero cycles = %v", got)
-	}
-	if MemoryBound.String() != "memory-bound" || ComputeBound.String() != "compute-bound" {
-		t.Error("bad boundedness strings")
-	}
-}
-
 func TestTasksClampsLWS(t *testing.T) {
 	if got := Tasks(100, 0); got != 100 {
 		t.Errorf("Tasks with lws=0 = %d", got)

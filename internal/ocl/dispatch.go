@@ -23,14 +23,10 @@ type LaunchResult struct {
 	SimCycles      uint64
 	WarpsActivated int
 
-	Stats       sim.CoreStats  // launch-delta pipeline counters
-	L1          mem.CacheStats // launch-delta, summed over cores
-	L2          mem.CacheStats
-	DRAM        mem.DRAMStats
-	Boundedness core.Boundedness
-	// Energy is the launch's estimated consumption under the default
-	// sim.EnergyModel (picojoules; relative comparisons only).
-	Energy sim.EnergyBreakdown
+	Stats sim.CoreStats  // launch-delta pipeline counters
+	L1    mem.CacheStats // launch-delta, summed over cores
+	L2    mem.CacheStats
+	DRAM  mem.DRAMStats
 }
 
 // wrapperHead and wrapperTail are the Vortex-style spawn wrapper generated
@@ -233,11 +229,6 @@ func (d *Device) EnqueueNDRange(k *Kernel, gws, lws int) (*LaunchResult, error) 
 		Writebacks: dram.Writebacks - startDRAM.Writebacks,
 		BusyCycles: dram.BusyCycles - startDRAM.BusyCycles,
 	}
-	res.Boundedness = core.Classify(res.Stats.MemStall, res.Stats.ExecStall, res.SimCycles*uint64(d.cfg.Cores))
-	res.Energy = sim.DefaultEnergyModel().EstimateEnergy(
-		res.Stats, res.L1.Accesses, res.L2.Accesses,
-		res.DRAM.LineReads+res.DRAM.Writebacks,
-		res.SimCycles*uint64(d.cfg.Cores), nil)
 	return res, nil
 }
 

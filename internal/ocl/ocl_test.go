@@ -387,15 +387,3 @@ func TestDispatchOverheadKnob(t *testing.T) {
 		t.Errorf("overhead 700: Cycles %d != SimCycles %d + 700", res.Cycles, res.SimCycles)
 	}
 }
-
-func TestBoundednessReported(t *testing.T) {
-	// On a wide, bandwidth-starved device vecadd must classify as
-	// memory-bound: many slots, almost no compute per byte, 2 B/cycle DRAM.
-	cfg := sim.DefaultConfig(2, 8, 8)
-	cfg.Mem.DRAM.BytesPerCycle = 2
-	res := runVecadd(t, cfg, 8192, 0)
-	if res.Boundedness != core.MemoryBound {
-		t.Errorf("vecadd classified %v (memStall=%d execStall=%d cycles=%d)",
-			res.Boundedness, res.Stats.MemStall, res.Stats.ExecStall, res.SimCycles)
-	}
-}

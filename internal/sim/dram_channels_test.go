@@ -2,7 +2,7 @@ package sim_test
 
 // Coverage for the per-channel DRAM statistics split: DRAMStats summed
 // over channels must equal the aggregate counters the rest of the system
-// consumes (LaunchResult.DRAM deltas, energy model inputs) — i.e. the
+// consumes (LaunchResult.DRAM deltas) — i.e. the
 // per-channel decomposition loses no traffic — pinned on the five Figure 2
 // math kernels the paper sweeps.
 

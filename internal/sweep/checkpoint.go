@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 )
 
@@ -24,11 +25,15 @@ import (
 // identity and the canonical task grid to the meta header; version 3 added
 // the warp-scheduler grid axis (meta `scheds`, per-record `Sched`);
 // version 4 added the memory-side grid axes (meta `mshrs`, `l1_geoms`,
-// `prefetch`, per-record `MSHRs`/`L1`/`Prefetch`). Older files are refused
-// rather than guessed at: a v3 record carries no memory-axis identity, so
-// splicing it into a v4 grid would silently assign it to an arbitrary
-// grid cell.
-const checkpointVersion = 4
+// `prefetch`, per-record `MSHRs`/`L1`/`Prefetch`); version 5 lists the
+// measured columns the records carry (meta `columns`), so a later column
+// needs no new version. A v4 file still reads: its records carry the four
+// columns of this build plus two since-deleted fields (`EnergyPJ`,
+// `Boundedness`) that the reader ignores. Older files are refused rather
+// than guessed at: a v3 record carries no memory-axis identity, so
+// splicing it into a grid would silently assign it to an arbitrary grid
+// cell.
+const checkpointVersion = 5
 
 // Meta pins the sweep parameters that determine per-record simulation
 // results, the canonical task grid, and which shard of it this checkpoint
@@ -58,6 +63,9 @@ type Meta struct {
 	MSHRs    string `json:"mshrs"`
 	L1Geoms  string `json:"l1_geoms"`
 	Prefetch string `json:"prefetch"`
+	// Columns is the comma-joined names of the measured columns the
+	// record lines carry.
+	Columns string `json:"columns"`
 }
 
 // MetaFor computes the campaign identity of opts (after defaulting). It is
@@ -78,11 +86,45 @@ func MetaFor(opts Options) Meta {
 		Configs:          strings.Join(g[0], ","),
 		Kernels:          strings.Join(g[1], ","),
 		Mappers:          strings.Join(g[2], ","),
+		Columns:          columnNames(),
 	}
 	for i, a := range Axes {
 		*a.meta(&m) = strings.Join(g[3+i], ",")
 	}
 	return m
+}
+
+// columnNames is the current column list, as the meta spells it.
+func columnNames() string {
+	names := make([]string, len(columns))
+	for i, c := range columns {
+		names[i] = c.name
+	}
+	return strings.Join(names, ",")
+}
+
+// parseMeta decodes a meta header line. ok is false for a line that is no
+// meta header; a header this build cannot read is an error. A v4 header
+// comes back as the v5 header of the same campaign: its records carry
+// every current column.
+func parseMeta(line []byte) (m Meta, ok bool, err error) {
+	if json.Unmarshal(line, &m) != nil || m.Version <= 0 {
+		return m, false, nil
+	}
+	switch m.Version {
+	case 4:
+		m.Version, m.Columns = checkpointVersion, columnNames()
+	case checkpointVersion:
+		for _, name := range splitAxis(m.Columns) {
+			if !slices.ContainsFunc(columns, func(c column) bool { return c.name == name }) {
+				return m, true, fmt.Errorf("sweep: checkpoint records carry column %q, which this build does not know (it reads %s)", name, columnNames())
+			}
+		}
+	default:
+		return m, true, fmt.Errorf("sweep: checkpoint version %d not supported (this build reads v4 and v%d; v3 files predate the memory-side grid axes — MSHRs, L1 geometry, prefetch — and carry no per-record values for them, so they cannot be spliced — re-run the campaign)",
+			m.Version, checkpointVersion)
+	}
+	return m, true, nil
 }
 
 // grid splits the meta back into the task grid's dimensions, in the order
@@ -146,14 +188,12 @@ func ReadCheckpoint(rd io.Reader) (*Meta, map[string]Record, error) {
 			first = false
 			parsed := false
 			if isMetaCandidate {
-				var m Meta
-				if err := json.Unmarshal(line, &m); err == nil && m.Version > 0 {
-					if m.Version != checkpointVersion {
-						return nil, nil, fmt.Errorf("sweep: checkpoint version %d not supported (this build reads v%d; v3 files predate the memory-side grid axes — MSHRs, L1 geometry, prefetch — and carry no per-record values for them, so they cannot be spliced — re-run the campaign)",
-							m.Version, checkpointVersion)
-					}
-					meta = &m
-					parsed = true
+				m, ok, err := parseMeta(line)
+				if err != nil {
+					return nil, nil, err
+				}
+				if ok {
+					meta, parsed = &m, true
 				}
 			}
 			if !parsed {
@@ -346,11 +386,10 @@ func repairTornTail(f *os.File, size int64) (int64, error) {
 
 // tornLineComplete mirrors ReadCheckpoint's accept decision for a final
 // unterminated line: a record carrying its task identity, or — when it is
-// the file's only line — a current-version meta header.
+// the file's only line — a meta header it reads.
 func tornLineComplete(line []byte, isFirstLine bool) bool {
 	if isFirstLine {
-		var m Meta
-		if err := json.Unmarshal(line, &m); err == nil && m.Version == checkpointVersion {
+		if _, ok, err := parseMeta(line); ok && err == nil {
 			return true
 		}
 	}
@@ -372,11 +411,7 @@ func writeMetaLine(w *bufio.Writer, m Meta) error {
 }
 
 func writeRecordLine(w *bufio.Writer, rec Record) error {
-	b, err := appendRecord(w.AvailableBuffer(), rec)
-	if err != nil {
-		return err
-	}
-	return writeLine(w, b)
+	return writeLine(w, appendRecord(w.AvailableBuffer(), rec))
 }
 
 // writeLine writes one line and its newline.

@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/kernels"
+	"repro/internal/ocl"
+	"repro/internal/sim"
 )
 
 func campaignOpts() Options {
@@ -323,6 +326,13 @@ func TestReadCheckpointCorruptLine(t *testing.T) {
 	if _, _, err := ReadCheckpoint(strings.NewReader("{\"Cycles\":12}\n")); err == nil {
 		t.Error("record without task identity accepted")
 	}
+	// A v5 meta names the columns its records carry; one this build does
+	// not know is refused by name.
+	alien := MetaFor(campaignOpts())
+	alien.Columns += ",bound"
+	if _, _, err := ReadCheckpoint(bytes.NewReader(mustJSON(t, alien))); err == nil || !strings.Contains(err.Error(), `column "bound"`) {
+		t.Errorf("meta with an unknown column: err = %v, want a refusal naming it", err)
+	}
 	meta, recs, err := ReadCheckpoint(strings.NewReader(""))
 	if err != nil || meta != nil || len(recs) != 0 {
 		t.Errorf("empty checkpoint: meta=%v recs=%v err=%v", meta, recs, err)
@@ -338,15 +348,105 @@ func TestReadCheckpointCorruptLine(t *testing.T) {
 	}
 }
 
+// TestV4CheckpointReadsResumesMerges holds the v4 reader. The frozen v4
+// golden reads to the meta and records of its v5 rewrite. A real
+// campaign's checkpoint, rewritten in the golden's v4 form (its meta line,
+// each record with the two since-deleted fields), merges to a fresh v5
+// run's records and checkpoint bytes, and resumes from half its records to
+// the fresh run's records.
+func TestV4CheckpointReadsResumesMerges(t *testing.T) {
+	v4golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v4.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, recs, err := ReadCheckpoint(bytes.NewReader(v4golden))
+	if err != nil || meta == nil || *meta != MetaFor(goldenGridOpts()) {
+		t.Fatalf("v4 golden reads as meta %+v, err %v", meta, err)
+	}
+	for _, rec := range goldenResults().Records {
+		if recs[rec.Key()] != rec {
+			t.Errorf("v4 golden record %s reads as %+v, want %+v", rec.Key(), recs[rec.Key()], rec)
+		}
+	}
+	toV4 := func(v5 []byte) string {
+		lines := strings.SplitAfter(string(v5), "\n")
+		lines[0] = strings.Replace(lines[0], `"checkpoint_version":5`, `"checkpoint_version":4`, 1)
+		lines[0] = strings.Replace(lines[0], `,"columns":"`+columnNames()+`"`, "", 1)
+		for i := 1; i < len(lines); i++ {
+			lines[i] = strings.Replace(lines[i], `,"Err":`, `,"EnergyPJ":12500,"Boundedness":0,"Err":`, 1)
+		}
+		return strings.Join(lines, "")
+	}
+	v5golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v5.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v4 := toV4(v5golden); v4[:strings.Index(v4, "\n")] != string(v4golden[:bytes.IndexByte(v4golden, '\n')]) {
+		t.Fatalf("the v4 rewrite of the v5 golden's meta line differs from the v4 golden's")
+	}
+
+	dir := t.TempDir()
+	opts := campaignOpts()
+	opts.Workers = 1
+	opts.Checkpoint = filepath.Join(dir, "fresh.jsonl")
+	fresh, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v5, err := os.ReadFile(opts.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v4Path, out := filepath.Join(dir, "v4.jsonl"), filepath.Join(dir, "merged.jsonl")
+	if err := os.WriteFile(v4Path, []byte(toV4(v5)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	merged, err := Merge(out, []string{v4Path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(merged.Records, fresh.Records) {
+		t.Error("merge of the v4 checkpoint: records differ from the fresh run's")
+	}
+	if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, v5) {
+		t.Errorf("merged v4 checkpoint differs from the fresh v5 checkpoint (err %v)", err)
+	}
+
+	truncateCheckpoint(t, v4Path, len(fresh.Records)/2)
+	opts.Checkpoint, opts.Resume = v4Path, true
+	resumed, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(resumed.Records, fresh.Records) || resumed.Cache.Resumed != len(fresh.Records)/2 {
+		t.Errorf("resume from half a v4 checkpoint: %d resumed, records equal to the fresh run's: %v",
+			resumed.Cache.Resumed, slices.Equal(resumed.Records, fresh.Records))
+	}
+}
+
 // TestFillRecordEmptyLaunches pins the satellite guard: a case result with
 // no launches becomes a Record.Err, not an index panic in a sweep worker.
 func TestFillRecordEmptyLaunches(t *testing.T) {
 	rec := Record{Kernel: "k", Mapper: "m"}
-	fillRecord(&rec, &kernels.Result{Case: "k"}, core.HWInfo{Cores: 1, Warps: 2, Threads: 2})
+	fillRecord(&rec, &kernels.Result{Case: "k"})
 	if rec.Err == "" {
 		t.Fatal("empty-launch result not recorded as an error")
 	}
 	if rec.Cycles != 0 || rec.LWS != 0 {
 		t.Errorf("empty-launch result filled counters: %+v", rec)
+	}
+}
+
+// TestFillRecordFoldsLaunches pins every column's fold: cycles is the
+// case total, the other columns sum their launch counter over every
+// launch, and LWS is the first launch's.
+func TestFillRecordFoldsLaunches(t *testing.T) {
+	rec := Record{Kernel: "k", Mapper: "m"}
+	fillRecord(&rec, &kernels.Result{Case: "k", Cycles: 1000, Launches: []*ocl.LaunchResult{
+		{LWS: 4, Stats: sim.CoreStats{Issued: 10, LaneOps: 99, MemStall: 20, ExecStall: 30}},
+		{LWS: 8, Stats: sim.CoreStats{Issued: 1, LaneOps: 99, MemStall: 2, ExecStall: 3}},
+	}})
+	if want := (Record{Kernel: "k", Mapper: "m", LWS: 4, Cycles: 1000, Instrs: 11, MemStall: 22, ExecStall: 33}); rec != want {
+		t.Errorf("fillRecord = %+v, want %+v", rec, want)
 	}
 }

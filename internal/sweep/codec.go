@@ -4,28 +4,22 @@ import (
 	"encoding/json"
 	"math"
 	"strconv"
-
-	"repro/internal/core"
 )
 
 // The checkpoint record codec. A campaign writes, merges and resumes from
 // thousands of record lines, and encoding/json's reflection dominated that
 // path, so record lines have one hand-written form: exactly the bytes
 // json.Marshal(Record) produces — the fields in declaration order, compact,
-// floats in encoding/json's notation, strings quoted as encoding/json quotes
-// them. appendRecord writes that form; parseRecord reads only that form.
+// strings quoted as encoding/json quotes them. appendRecord writes that
+// form; parseRecord reads only that form.
 // encoding/json stays the reference: every line parseRecord does not
 // recognize (reordered or escaped keys, whitespace, hand edits, torn or
-// corrupt bytes) goes to json.Unmarshal, so what the reader accepts, and the
-// errors it reports, are encoding/json's.
+// corrupt bytes, and the lines of v4 checkpoints, whose records carry two
+// since-deleted fields) goes to json.Unmarshal, so what the reader accepts,
+// and the errors it reports, are encoding/json's.
 
-// appendRecord appends json.Marshal(rec) to b, or refuses rec as
-// json.Marshal does (a NaN or infinite EnergyPJ).
-func appendRecord(b []byte, rec Record) ([]byte, error) {
-	if math.IsNaN(rec.EnergyPJ) || math.IsInf(rec.EnergyPJ, 0) {
-		_, err := json.Marshal(rec)
-		return b, err
-	}
+// appendRecord appends json.Marshal(rec) to b.
+func appendRecord(b []byte, rec Record) []byte {
 	b = append(b, `{"Config":{"Cores":`...)
 	b = strconv.AppendInt(b, int64(rec.Config.Cores), 10)
 	b = append(b, `,"Warps":`...)
@@ -46,21 +40,13 @@ func appendRecord(b []byte, rec Record) ([]byte, error) {
 	b = appendJSONString(b, rec.Prefetch)
 	b = append(b, `,"LWS":`...)
 	b = strconv.AppendInt(b, int64(rec.LWS), 10)
-	b = append(b, `,"Cycles":`...)
-	b = strconv.AppendUint(b, rec.Cycles, 10)
-	b = append(b, `,"Instrs":`...)
-	b = strconv.AppendUint(b, rec.Instrs, 10)
-	b = append(b, `,"MemStall":`...)
-	b = strconv.AppendUint(b, rec.MemStall, 10)
-	b = append(b, `,"ExecStall":`...)
-	b = strconv.AppendUint(b, rec.ExecStall, 10)
-	b = append(b, `,"EnergyPJ":`...)
-	b = appendJSONFloat(b, rec.EnergyPJ)
-	b = append(b, `,"Boundedness":`...)
-	b = strconv.AppendUint(b, uint64(rec.Boundedness), 10)
+	for _, c := range columns {
+		b = append(append(append(b, `,"`...), c.key...), `":`...)
+		b = strconv.AppendUint(b, c.get(rec), 10)
+	}
 	b = append(b, `,"Err":`...)
 	b = appendJSONString(b, rec.Err)
-	return append(b, '}'), nil
+	return append(b, '}')
 }
 
 // plainByte reports whether c stands for itself inside a string
@@ -81,24 +67,6 @@ func appendJSONString(b []byte, s string) []byte {
 	b = append(b, '"')
 	b = append(b, s...)
 	return append(b, '"')
-}
-
-// appendJSONFloat appends finite f in encoding/json's notation: the
-// shortest round-trip decimal, in exponent form (with a one-digit negative
-// exponent unpadded) only for magnitudes below 1e-6 or from 1e21 up.
-func appendJSONFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
 }
 
 // decodeRecord decodes one record line: the canonical form directly, any
@@ -141,18 +109,12 @@ func parseRecord(line []byte, names map[string]string) (Record, bool) {
 	rec.Prefetch = p.str()
 	p.lit(`,"LWS":`)
 	rec.LWS = p.int()
-	p.lit(`,"Cycles":`)
-	rec.Cycles = p.uint(math.MaxUint64)
-	p.lit(`,"Instrs":`)
-	rec.Instrs = p.uint(math.MaxUint64)
-	p.lit(`,"MemStall":`)
-	rec.MemStall = p.uint(math.MaxUint64)
-	p.lit(`,"ExecStall":`)
-	rec.ExecStall = p.uint(math.MaxUint64)
-	p.lit(`,"EnergyPJ":`)
-	rec.EnergyPJ = p.float()
-	p.lit(`,"Boundedness":`)
-	rec.Boundedness = core.Boundedness(p.uint(math.MaxUint8))
+	for _, c := range columns {
+		p.lit(`,"`)
+		p.lit(c.key)
+		p.lit(`":`)
+		rec = c.set(rec, p.uint(math.MaxUint64))
+	}
 	p.lit(`,"Err":`)
 	rec.Err = p.str()
 	p.lit(`}`)
@@ -207,62 +169,6 @@ func (p *recordParser) int() int {
 		return int(-p.uint(-math.MinInt))
 	}
 	return int(p.uint(math.MaxInt))
-}
-
-// float consumes a JSON number and parses it as encoding/json does.
-func (p *recordParser) float() float64 {
-	if !p.ok {
-		return 0
-	}
-	b := p.b
-	i := 0
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && b[i] >= '1' && b[i] <= '9':
-		i = skipDigits(b, i)
-	default:
-		p.ok = false
-		return 0
-	}
-	if i < len(b) && b[i] == '.' {
-		j := skipDigits(b, i+1)
-		if j == i+1 {
-			p.ok = false
-			return 0
-		}
-		i = j
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		j := skipDigits(b, i)
-		if j == i {
-			p.ok = false
-			return 0
-		}
-		i = j
-	}
-	f, err := strconv.ParseFloat(string(b[:i]), 64)
-	if err != nil {
-		p.ok = false
-		return 0
-	}
-	p.b = b[i:]
-	return f
-}
-
-// skipDigits returns the index of the first non-digit of b at or after i.
-func skipDigits(b []byte, i int) int {
-	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-		i++
-	}
-	return i
 }
 
 // str consumes a quoted string of plain bytes.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -12,12 +13,15 @@ import (
 
 // WriteCSV dumps every record.
 func (r *Results) WriteCSV(w io.Writer) error {
-	axes := make([]string, len(Axes))
-	for i, a := range Axes {
-		axes[i] = a.Name
+	header := []string{"config", "cores", "warps", "threads", "kernel", "mapper"}
+	for _, a := range Axes {
+		header = append(header, a.Name)
 	}
-	if _, err := fmt.Fprintf(w, "config,cores,warps,threads,kernel,mapper,%s,lws,cycles,instrs,mem_stall,exec_stall,energy_pj,boundedness,err\n",
-		strings.Join(axes, ",")); err != nil {
+	header = append(header, "lws")
+	for _, c := range columns {
+		header = append(header, c.name)
+	}
+	if _, err := io.WriteString(w, strings.Join(append(header, "err"), ",")+"\n"); err != nil {
 		return err
 	}
 	var row []byte
@@ -32,11 +36,9 @@ func (r *Results) WriteCSV(w io.Writer) error {
 			row = append(append(row, ','), a.get(rec)...)
 		}
 		row = strconv.AppendInt(append(row, ','), int64(rec.LWS), 10)
-		for _, n := range [...]uint64{rec.Cycles, rec.Instrs, rec.MemStall, rec.ExecStall} {
-			row = strconv.AppendUint(append(row, ','), n, 10)
+		for _, c := range columns {
+			row = strconv.AppendUint(append(row, ','), c.get(rec), 10)
 		}
-		row = strconv.AppendFloat(append(row, ','), rec.EnergyPJ, 'f', 0, 64)
-		row = append(append(row, ','), rec.Boundedness.String()...)
 		// Err is free-form (error strings): commas are tolerated because it
 		// is the last column (ReadCSV rejoins it), but a newline would split
 		// the row, so flatten it.
@@ -51,10 +53,12 @@ func (r *Results) WriteCSV(w io.Writer) error {
 
 // ReadCSV parses records previously written by WriteCSV, so committed
 // sweep results can be re-analyzed and re-plotted without re-simulating.
-// It accepts both current files and older ones without the energy or
-// grid-axis columns (records from the latter come back with zero-valued
-// axis fields), and empty numeric cells; a cell that is present but does
-// not parse is refused with its line number.
+// It accepts both current files and older ones: without the grid-axis
+// columns (records come back with zero-valued axis fields), with empty
+// cells in a column other than the required ones, or with the energy_pj
+// and boundedness columns of the deleted energy estimate and boundedness
+// label (ignored). A cell that is present but does not parse is refused
+// with its line number and column.
 func ReadCSV(r io.Reader) (*Results, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -66,9 +70,10 @@ func ReadCSV(r io.Reader) (*Results, error) {
 	for i, name := range header {
 		col[name] = i
 	}
-	for _, required := range []string{"config", "kernel", "mapper", "lws", "cycles"} {
-		if _, ok := col[required]; !ok {
-			return nil, fmt.Errorf("sweep: CSV missing column %q", required)
+	required := []string{"config", "kernel", "mapper", "lws", "cycles"}
+	for _, name := range required {
+		if _, ok := col[name]; !ok {
+			return nil, fmt.Errorf("sweep: CSV missing column %q", name)
 		}
 	}
 	res := &Results{}
@@ -112,35 +117,16 @@ func ReadCSV(r io.Reader) (*Results, error) {
 		if rec.LWS, err = strconv.Atoi(get("lws")); err != nil {
 			return nil, fmt.Errorf("sweep: line %d: lws: %w", lineNo, err)
 		}
-		if rec.Cycles, err = strconv.ParseUint(get("cycles"), 10, 64); err != nil {
-			return nil, fmt.Errorf("sweep: line %d: cycles: %w", lineNo, err)
-		}
-		for _, c := range []struct {
-			name string
-			dst  *uint64
-		}{{"instrs", &rec.Instrs}, {"mem_stall", &rec.MemStall}, {"exec_stall", &rec.ExecStall}} {
-			if v := get(c.name); v != "" {
-				if *c.dst, err = strconv.ParseUint(v, 10, 64); err != nil {
-					return nil, fmt.Errorf("sweep: line %d: %s: %w", lineNo, c.name, err)
-				}
+		for _, c := range columns {
+			v := get(c.name)
+			if v == "" && !slices.Contains(required, c.name) {
+				continue
 			}
-		}
-		if v := get("energy_pj"); v != "" {
-			if rec.EnergyPJ, err = strconv.ParseFloat(v, 64); err != nil {
-				return nil, fmt.Errorf("sweep: line %d: energy_pj: %w", lineNo, err)
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				return nil, fmt.Errorf("sweep: line %d: %s: %w", lineNo, c.name, err)
 			}
-		}
-		// WriteCSV renders Boundedness as its String form; restore it so
-		// the classification survives the round trip. Anything else in the
-		// column is corruption — refuse it rather than silently regrouping
-		// the record as compute-bound. Empty is allowed: older files lack
-		// the column, and failed records never got classified.
-		switch v := get("boundedness"); v {
-		case core.MemoryBound.String():
-			rec.Boundedness = core.MemoryBound
-		case core.ComputeBound.String(), "":
-		default:
-			return nil, fmt.Errorf("sweep: line %d: unknown boundedness %q", lineNo, v)
+			rec = c.set(rec, n)
 		}
 		res.Records = append(res.Records, rec)
 	}

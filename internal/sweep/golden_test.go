@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -15,8 +16,8 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files under te
 
 // goldenResults builds a fixed synthetic campaign over a small grid —
 // 3 configs x 2 kernels (one math, one ml) x 3 mappers, cycle counts chosen
-// by formula so every render path (ratios, aggregates, energy, crossover,
-// CSV) has non-trivial structure. Synthetic records pin the FORMATTING of
+// by formula so every render path (ratios, aggregates, crossover, CSV) has
+// non-trivial structure. Synthetic records pin the FORMATTING of
 // the render paths without also pinning simulator output (the differential
 // tests own that).
 func goldenResults() *Results {
@@ -43,23 +44,20 @@ func goldenResults() *Results {
 				default:
 					cycles = base - 1000
 				}
-				rec := Record{
-					Config:   hw,
-					Kernel:   k,
-					Mapper:   m,
-					Sched:    "rr",
-					MSHRs:    4,
-					L1:       "16k4w",
-					Prefetch: "off",
-					LWS:      1 + mi*31,
-					Cycles:   cycles,
-					Instrs:   base / 10,
-					MemStall: cycles / 4,
-					EnergyPJ: float64(cycles) * 1.25,
-				}
-				rec.ExecStall = cycles / 8
-				rec.Boundedness = core.Classify(rec.MemStall, rec.ExecStall, cycles*uint64(hw.Cores))
-				res.Records = append(res.Records, rec)
+				res.Records = append(res.Records, Record{
+					Config:    hw,
+					Kernel:    k,
+					Mapper:    m,
+					Sched:     "rr",
+					MSHRs:     4,
+					L1:        "16k4w",
+					Prefetch:  "off",
+					LWS:       1 + mi*31,
+					Cycles:    cycles,
+					Instrs:    base / 10,
+					MemStall:  cycles / 4,
+					ExecStall: cycles / 8,
+				})
 			}
 		}
 	}
@@ -119,18 +117,20 @@ func TestGoldenCSV(t *testing.T) {
 	checkGolden(t, "records_csv.golden", buf.Bytes())
 
 	// The golden CSV round-trips: ReadCSV restores every field of every
-	// record (the golden energies are whole picojoules, which the %.0f
-	// column holds exactly).
-	back, err := ReadCSV(bytes.NewReader(buf.Bytes()))
+	// record. So does the same campaign's CSV as written before the energy
+	// estimate and the boundedness label were deleted: its energy_pj and
+	// boundedness columns are ignored.
+	legacy, err := os.ReadFile(filepath.Join("testdata", "records_csv_energy.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Records) != len(res.Records) {
-		t.Fatalf("round trip: %d records, want %d", len(back.Records), len(res.Records))
-	}
-	for i := range res.Records {
-		if a, b := res.Records[i], back.Records[i]; a != b {
-			t.Errorf("record %d mismatch:\n%+v\n%+v", i, a, b)
+	for name, data := range map[string][]byte{"records_csv.golden": buf.Bytes(), "records_csv_energy.golden": legacy} {
+		back, err := ReadCSV(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !slices.Equal(back.Records, res.Records) {
+			t.Errorf("%s reads back as\n%+v\nwant\n%+v", name, back.Records, res.Records)
 		}
 	}
 }
@@ -152,7 +152,7 @@ func goldenGridOpts() Options {
 	}
 }
 
-// TestGoldenCheckpoint freezes the v4 checkpoint bytes — meta header and
+// TestGoldenCheckpoint freezes the v5 checkpoint bytes — meta header and
 // record lines — of a multi-valued grid, and the canonical task-key order
 // of that grid.
 func TestGoldenCheckpoint(t *testing.T) {
@@ -165,7 +165,7 @@ func TestGoldenCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "checkpoint_v4.golden", got)
+	checkGolden(t, "checkpoint_v5.golden", got)
 
 	grid, err := TaskGrid(opts)
 	if err != nil {

@@ -281,23 +281,75 @@ func RunTask(opts Options, pool *ocl.DevicePool, t Task) Record {
 }
 
 // Record is one simulation outcome: a (config, kernel, mapper) cell at one
-// grid point, with one field per Axes entry.
+// grid point, with one field per Axes entry and one per columns entry.
 type Record struct {
-	Config      core.HWInfo
-	Kernel      string
-	Mapper      string
-	Sched       string // warp-scheduler policy name (sim.SchedPolicy.String)
-	MSHRs       int    // outstanding-miss bound per L1 and per L2 bank (0 = unbounded)
-	L1          string // L1 geometry spec ("16k4w")
-	Prefetch    string // L1 prefetch policy name (mem.PrefetchPolicy.String)
-	LWS         int    // of the first launch
-	Cycles      uint64
-	Instrs      uint64
-	MemStall    uint64
-	ExecStall   uint64
-	EnergyPJ    float64 // summed launch energy estimate (picojoules)
-	Boundedness core.Boundedness
-	Err         string // non-empty if this run failed
+	Config    core.HWInfo
+	Kernel    string
+	Mapper    string
+	Sched     string // warp-scheduler policy name (sim.SchedPolicy.String)
+	MSHRs     int    // outstanding-miss bound per L1 and per L2 bank (0 = unbounded)
+	L1        string // L1 geometry spec ("16k4w")
+	Prefetch  string // L1 prefetch policy name (mem.PrefetchPolicy.String)
+	LWS       int    // of the first launch
+	Cycles    uint64
+	Instrs    uint64
+	MemStall  uint64
+	ExecStall uint64
+	Err       string // non-empty if this run failed
+}
+
+// column is one measured Record field. Its entry in columns is the only
+// place the measurement is named and folded: fillRecord, the checkpoint
+// codec, WriteCSV, ReadCSV and the checkpoint meta all iterate over the
+// table.
+type column struct {
+	name string // CSV column and checkpoint meta entry
+	key  string // JSON key: the Record field's name, as json.Marshal spells it
+
+	// get and set take and return values for the reason Axis.set does.
+	get  func(r Record) uint64
+	set  func(r Record, v uint64) Record
+	fold func(res *kernels.Result) uint64 // the value of a completed case
+}
+
+// columns is the measured-column table, in Record's field order: the
+// order json.Marshal writes, which the codec reproduces.
+var columns = []column{
+	{
+		name: "cycles", key: "Cycles",
+		get:  func(r Record) uint64 { return r.Cycles },
+		set:  func(r Record, v uint64) Record { r.Cycles = v; return r },
+		fold: func(res *kernels.Result) uint64 { return res.Cycles },
+	},
+	{
+		name: "instrs", key: "Instrs",
+		get:  func(r Record) uint64 { return r.Instrs },
+		set:  func(r Record, v uint64) Record { r.Instrs = v; return r },
+		fold: launchSum(func(l *ocl.LaunchResult) uint64 { return l.Stats.Issued }),
+	},
+	{
+		name: "mem_stall", key: "MemStall",
+		get:  func(r Record) uint64 { return r.MemStall },
+		set:  func(r Record, v uint64) Record { r.MemStall = v; return r },
+		fold: launchSum(func(l *ocl.LaunchResult) uint64 { return l.Stats.MemStall }),
+	},
+	{
+		name: "exec_stall", key: "ExecStall",
+		get:  func(r Record) uint64 { return r.ExecStall },
+		set:  func(r Record, v uint64) Record { r.ExecStall = v; return r },
+		fold: launchSum(func(l *ocl.LaunchResult) uint64 { return l.Stats.ExecStall }),
+	},
+}
+
+// launchSum folds a per-launch count over every launch of a case.
+func launchSum(count func(l *ocl.LaunchResult) uint64) func(*kernels.Result) uint64 {
+	return func(res *kernels.Result) uint64 {
+		var n uint64
+		for _, l := range res.Launches {
+			n += count(l)
+		}
+		return n
+	}
 }
 
 // CacheReport summarizes the campaign engine's cross-run reuse for one
@@ -428,25 +480,20 @@ func runOne(opts Options, pool *ocl.DevicePool, t Task) Record {
 		rec.Err = err.Error()
 		return rec
 	}
-	fillRecord(&rec, res, hw)
+	fillRecord(&rec, res)
 	return rec
 }
 
 // fillRecord folds a completed case result into rec. A case that produced
 // no launches is recorded as a failure instead of indexing Launches[0] (an
 // index panic here used to kill the whole worker).
-func fillRecord(rec *Record, res *kernels.Result, hw core.HWInfo) {
+func fillRecord(rec *Record, res *kernels.Result) {
 	if len(res.Launches) == 0 {
 		rec.Err = "case completed without launches"
 		return
 	}
-	rec.Cycles = res.Cycles
 	rec.LWS = res.Launches[0].LWS
-	for _, l := range res.Launches {
-		rec.Instrs += l.Stats.Issued
-		rec.MemStall += l.Stats.MemStall
-		rec.ExecStall += l.Stats.ExecStall
-		rec.EnergyPJ += l.Energy.Total()
+	for _, c := range columns {
+		*rec = c.set(*rec, c.fold(res))
 	}
-	rec.Boundedness = core.Classify(rec.MemStall, rec.ExecStall, rec.Cycles*uint64(hw.Cores))
 }
