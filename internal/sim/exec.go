@@ -27,7 +27,7 @@ func (s *Sim) execute(c *simCore, wid int, w *warp, d *decoded) error {
 	done := s.cycle + d.lat // completion of the result in row d.dst, if any
 	op := in.Op
 	rd, rs1, rs2 := int(d.dst), int(d.rs1), int(d.rs2)
-	n := s.cfg.Threads
+	n := int(w.lanes)
 	regs := w.regs
 
 	switch op {
@@ -137,6 +137,10 @@ func (s *Sim) execute(c *simCore, wid int, w *warp, d *decoded) error {
 			c.active--
 			c.ready &^= 1 << uint(wid)
 		} else {
+			if lanes := bits.Len64(nm); lanes > int(w.lanes) {
+				// Widen: the new lanes need a wider window.
+				s.recarve(w, lanes)
+			}
 			w.tmask = nm
 		}
 
@@ -277,16 +281,17 @@ func firstLaneValue(w *warp, r, n int) uint32 {
 // warp that traps on a later lane never leaves earlier lanes' stores
 // committed. Two address shapes skip the per-lane walk: a broadcast (every
 // active lane at one address — uniform operands, single-lane warps) is
-// checked and accessed once, and a unit-stride word access (active lanes
-// one contiguous run at base+4*lane) is checked once as a span and copied
-// in one piece between memory and the register row. Each knows its line
-// list without coalescing. An access that fails its shape's check goes
-// through the per-lane loop, which raises the same trap for the same lane.
+// accessed once, and a unit-stride word access (active lanes one
+// contiguous run at base+4*lane) is copied in one piece between memory and
+// the register row, the memory checking the whole span before it touches
+// any of it. Each knows its line list without coalescing. An access its
+// memory refuses goes through the per-lane loop, which raises the same
+// trap for the same lane.
 func (s *Sim) executeMem(c *simCore, wid int, w *warp, d *decoded) (uint64, error) {
 	in := &d.in
 	size := uint32(d.size)
 	isStore := d.store
-	n := s.cfg.Threads
+	n := int(w.lanes)
 	tm := w.tmask
 	imm := uint32(in.Imm)
 	base := row(w.regs, int(d.rs1), n)
@@ -316,24 +321,12 @@ func (s *Sim) executeMem(c *simCore, wid int, w *warp, d *decoded) (uint64, erro
 
 	shift := s.hier.LineShift()
 	run := tm >> uint(lo)
+	width := bits.Len64(run)
 	var lines []uint32
 	switch {
-	case diff == 0 && first&(size-1) == 0 && s.memory.InBounds(first, size):
-		if isStore {
-			// Lanes store in ascending order: the highest lane's value lands.
-			s.store(in.Op, first, data[63-bits.LeadingZeros64(tm)])
-		} else if data != nil {
-			setLanes(data, tm, s.load(in.Op, first))
-		}
+	case diff == 0 && first&(size-1) == 0 && s.accessBroadcast(in.Op, isStore, first, data, tm):
 		lines = append(c.lineBuf[:0], first>>shift<<shift)
-	case size == 4 && off == 0 && run&(run+1) == 0 && first&3 == 0 &&
-		s.memory.InBounds(first, uint32(bits.Len64(run))*4):
-		width := bits.Len64(run)
-		if isStore {
-			s.memory.WriteWords(first, data[lo:lo+width])
-		} else if data != nil {
-			s.memory.ReadWords(first, data[lo:lo+width])
-		}
+	case size == 4 && off == 0 && run&(run+1) == 0 && first&3 == 0 && s.accessUnit(isStore, first, data, lo, width):
 		lines = mem.CoalesceUnit(first, width, shift, c.lineBuf)
 	default:
 		for m := tm; m != 0; m &= m - 1 {
@@ -352,7 +345,7 @@ func (s *Sim) executeMem(c *simCore, wid int, w *warp, d *decoded) (uint64, erro
 			if isStore {
 				s.store(in.Op, addrs[lane], data[lane])
 			} else if data != nil {
-				data[lane] = s.load(in.Op, addrs[lane])
+				data[lane], _ = s.load(in.Op, addrs[lane])
 			}
 		}
 		lines = mem.Coalesce(addrs, tm, shift, c.lineBuf)
@@ -370,38 +363,67 @@ func (s *Sim) executeMem(c *simCore, wid int, w *warp, d *decoded) (uint64, erro
 	return s.memTiming(c, isStore, lines), nil
 }
 
-// load returns the register value load op delivers from the validated
-// address addr: sign- or zero-extended for sub-word loads.
-func (s *Sim) load(op isa.Op, addr uint32) uint32 {
-	switch op {
-	case isa.LH:
-		v, _ := s.memory.Read16(addr)
-		return uint32(int32(int16(v)))
-	case isa.LHU:
-		v, _ := s.memory.Read16(addr)
-		return uint32(v)
-	case isa.LB:
-		v, _ := s.memory.Read8(addr)
-		return uint32(int32(int8(v)))
-	case isa.LBU:
-		v, _ := s.memory.Read8(addr)
-		return uint32(v)
+// accessBroadcast performs a broadcast access — every active lane of tm at
+// the aligned address addr — once: a store of the highest lane's value (as
+// lanes storing in ascending order leave it), or a load into every active
+// lane of data (none for a load into x0). It reports false, having
+// accessed nothing, when addr is out of bounds.
+func (s *Sim) accessBroadcast(op isa.Op, isStore bool, addr uint32, data []uint32, tm uint64) bool {
+	if isStore {
+		return s.store(op, addr, data[63-bits.LeadingZeros64(tm)])
 	}
-	v, _ := s.memory.Read32(addr)
-	return v
+	v, ok := s.load(op, addr)
+	if ok && data != nil {
+		setLanes(data, tm, v)
+	}
+	return ok
 }
 
-// store writes register value v to the validated address addr, truncated
-// to the width of store op.
-func (s *Sim) store(op isa.Op, addr, v uint32) {
+// accessUnit performs a unit-stride word access of lanes lo..lo+width-1 at
+// the word-aligned address addr, in one piece. It reports false, having
+// accessed nothing, when the span is out of bounds.
+func (s *Sim) accessUnit(isStore bool, addr uint32, data []uint32, lo, width int) bool {
+	switch {
+	case isStore:
+		return s.memory.WriteWords(addr, data[lo:lo+width])
+	case data != nil:
+		return s.memory.ReadWords(addr, data[lo:lo+width])
+	}
+	return s.memory.InBounds(addr, uint32(width)*4)
+}
+
+// load returns the register value load op delivers from address addr:
+// sign- or zero-extended for sub-word loads. ok is false, and the value 0,
+// when addr is out of bounds.
+func (s *Sim) load(op isa.Op, addr uint32) (v uint32, ok bool) {
+	switch op {
+	case isa.LH:
+		h, ok := s.memory.Read16(addr)
+		return uint32(int32(int16(h))), ok
+	case isa.LHU:
+		h, ok := s.memory.Read16(addr)
+		return uint32(h), ok
+	case isa.LB:
+		b, ok := s.memory.Read8(addr)
+		return uint32(int32(int8(b))), ok
+	case isa.LBU:
+		b, ok := s.memory.Read8(addr)
+		return uint32(b), ok
+	}
+	return s.memory.Read32(addr)
+}
+
+// store writes register value v to address addr, truncated to the width of
+// store op, and reports false, having written nothing, when addr is out of
+// bounds.
+func (s *Sim) store(op isa.Op, addr, v uint32) bool {
 	switch op {
 	case isa.SH:
-		s.memory.Write16(addr, uint16(v))
+		return s.memory.Write16(addr, uint16(v))
 	case isa.SB:
-		s.memory.Write8(addr, uint8(v))
-	default:
-		s.memory.Write32(addr, v)
+		return s.memory.Write8(addr, uint8(v))
 	}
+	return s.memory.Write32(addr, v)
 }
 
 // memTiming walks one memory instruction's coalesced line requests through
@@ -479,7 +501,7 @@ func (s *Sim) csrRead(c *simCore, wid int, w *warp, lane int, csr uint16) (uint3
 // integer row for a compare, conversion to integer, move or class, and a is
 // an integer row for a conversion or move from integer.
 func (s *Sim) executeFP(w *warp, d *decoded) {
-	n := s.cfg.Threads
+	n := int(w.lanes)
 	tm := w.tmask
 	dst, a := row(w.regs, int(d.dst), n), row(w.regs, int(d.rs1), n)
 	b, c := row(w.regs, int(d.rs2), n), row(w.regs, int(d.rs3), n)

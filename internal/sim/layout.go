@@ -1,17 +1,67 @@
 package sim
 
-import "slices"
-
 // Program-sized warp state. A warp's register file and scoreboard hold one
 // row per scoreboard slot (x0-x31, f0-f31) that a program loaded since the
 // last Reset or Reshape names, not one per architectural register: the
-// registry kernels name 23-29 of the 64. Row r of a warp is
-// regs[r*Threads : (r+1)*Threads] and pend[r].
+// registry kernels name 23-29 of the 64. A row holds the lanes the warp
+// runs, not cfg.Threads: lanes is the bit length of the warp's activation
+// mask, and row r is regs[r*lanes : (r+1)*lanes] and pend[r].
 //
 // The layout only grows between Resets — a newly named slot takes the next
 // row, a named one keeps its row — so a decoded record stays valid for as
 // long as its program is resident, and a warp activated under a smaller
 // layout addresses the same rows under a larger one.
+//
+// Register arena. The rows are windows carved from one arena per Sim: two
+// lists of fixed-size chunks (register words and completion cycles), each
+// carved front to back, a window never spanning two chunks. An activation
+// carves a zeroed window of nrows × lanes words and nrows completions. All
+// of a launch's warps retire before a Run that returns nil, so such a Run
+// marks the arena spent and the next activation recycles it: the cursors
+// rewind and every warp's window is emptied. Reset recycles too. A warp
+// that outgrows its window — vx_tmc to a mask wider than its lanes, or a
+// program load adding rows under it — is carved a new one and its rows are
+// copied over; chunks never move, so no other window is touched.
+
+const (
+	// regChunkWords is 32 KiB of register words: two of the widest
+	// windows, 64 rows × 64 lanes.
+	regChunkWords = 8192
+	// pendChunkRows is 8 KiB of completion cycles.
+	pendChunkRows = 1024
+)
+
+// regArena holds every warp's register and scoreboard windows.
+type regArena struct {
+	regs  chunks[uint32]
+	pend  chunks[uint64]
+	spent bool // every window belongs to retired warps: the next activation recycles
+}
+
+// chunks is a list of equal-size chunks carved front to back from the
+// cursor (cur, off).
+type chunks[T any] struct {
+	list     [][]T
+	cur, off int
+}
+
+// carve returns a window of n elements from chunks of size elements,
+// moving to the next chunk, or allocating it, when the current one cannot
+// hold n more. A recycled window holds whatever it last held.
+func (a *chunks[T]) carve(n, size int) []T {
+	if a.cur < len(a.list) && a.off+n > size {
+		a.cur, a.off = a.cur+1, 0
+	}
+	if a.cur == len(a.list) {
+		a.list = append(a.list, make([]T, size))
+	}
+	w := a.list[a.cur][a.off : a.off+n : a.off+n]
+	a.off += n
+	return w
+}
+
+// rewind makes every chunk free again.
+func (a *chunks[T]) rewind() { a.cur, a.off = 0, 0 }
 
 // remap names d's registers in the layout and rewrites each field from its
 // scoreboard slot to the slot's row.
@@ -32,19 +82,30 @@ func (s *Sim) rowFor(slot uint8) uint8 {
 	return s.rowOf[slot]
 }
 
-// fitRows extends w's register file and scoreboard to the layout's rows,
-// keeping the rows it has and zeroing the rows it adds.
-func (s *Sim) fitRows(w *warp) {
-	rows, words := len(w.pend), len(w.regs)
-	w.regs = slices.Grow(w.regs, s.nrows*s.cfg.Threads-words)[:s.nrows*s.cfg.Threads]
-	w.pend = slices.Grow(w.pend, s.nrows-rows)[:s.nrows]
-	clear(w.regs[words:])
-	clear(w.pend[rows:])
+// carve gives w a zeroed window of the layout's rows, lanes wide.
+func (s *Sim) carve(w *warp, lanes int) {
+	w.lanes = uint8(lanes)
+	w.regs = s.arena.regs.carve(s.nrows*lanes, regChunkWords)
+	w.pend = s.arena.pend.carve(s.nrows, pendChunkRows)
+	clear(w.regs)
+	clear(w.pend)
 }
 
-// growActive fits every active warp to a layout a program load just grew,
-// so a warp still running an earlier program reads the new rows as 0.
-// Inactive warps are fitted when they are next activated.
+// recarve moves w to a new window of the layout's rows, lanes wide (no
+// narrower than its own), copying the rows it holds; the rows and lanes it
+// gains read 0.
+func (s *Sim) recarve(w *warp, lanes int) {
+	regs, pend, old := w.regs, w.pend, int(w.lanes)
+	s.carve(w, lanes)
+	for r := range pend {
+		copy(w.regs[r*lanes:], regs[r*old:(r+1)*old])
+	}
+	copy(w.pend, pend)
+}
+
+// growActive re-carves every active warp under a layout a program load just
+// grew, so a warp still running an earlier program reads the new rows as 0.
+// Inactive warps get the layout's rows when they are next activated.
 func (s *Sim) growActive() {
 	for i := range s.cores {
 		c := &s.cores[i]
@@ -53,8 +114,24 @@ func (s *Sim) growActive() {
 		}
 		for j := range c.warps {
 			if w := &c.warps[j]; w.active {
-				s.fitRows(w)
+				s.recarve(w, int(w.lanes))
 			}
+		}
+	}
+}
+
+// recycle rewinds the arena and every warp: each is left inactive with an
+// empty window, so a warp not activated since reads 0 everywhere. Only
+// Reset, or an activation after every warp has retired, may call it.
+func (s *Sim) recycle() {
+	s.arena.regs.rewind()
+	s.arena.pend.rewind()
+	s.arena.spent = false
+	for i := range s.cores {
+		for j := range s.cores[i].warps {
+			w := &s.cores[i].warps[j]
+			w.active, w.barWait, w.last = false, false, 0
+			w.regs, w.pend, w.lanes = nil, nil, 0
 		}
 	}
 }

@@ -54,7 +54,9 @@ short:
 // warp 0 inside its loop and warp 1 retired, loads growB over it and runs
 // to the end: warp 0 keeps its loop registers, finishes growB's tail, and
 // every register of both warps — read through Reg and FReg — and the run's
-// cycle and statistics are held to their frozen digest.
+// cycle and statistics are held to their frozen digest. Warp 0's register
+// window is not the last one carved (warp 1's follows it in the arena), so
+// the growth re-carves it past warp 1's and copies its rows over.
 func TestLoadProgramWhileWarpActive(t *testing.T) {
 	cfg := DefaultConfig(1, 2, 4)
 	cfg.MaxCycles = 100
@@ -68,12 +70,20 @@ func TestLoadProgramWhileWarpActive(t *testing.T) {
 	if a1, _ := s.WarpActive(0, 1); a1 {
 		t.Fatal("warp 1 still active at the deadline")
 	}
+	w0, w1 := &s.cores[0].warps[0], &s.cores[0].warps[1]
+	chunk, n := s.arena.regs.list[0], len(w0.regs)
+	if &w0.regs[0] != &chunk[0] || &w1.regs[0] != &chunk[n] {
+		t.Fatal("sanity: warp 0's window is not followed by warp 1's")
+	}
 	p, err := asm.Assemble(growB, 0x1000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.LoadProgram(p.Base, p.Insts); err != nil {
 		t.Fatal(err)
+	}
+	if &w0.regs[0] != &chunk[2*n] || &w1.regs[0] != &chunk[n] {
+		t.Fatal("the growth did not move warp 0 alone, to the window after warp 1's")
 	}
 	s.cfg.MaxCycles = 0
 	mustRun(t, s)

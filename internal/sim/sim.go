@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/isa"
@@ -47,11 +48,13 @@ const maxBarriers = 16
 type warp struct {
 	active  bool
 	barWait bool
+	lanes   uint8 // the row stride of regs: the bit length of the widest mask run since activation
 	pc      uint32
 	tmask   uint64
-	// regs and pend hold one row per register the layout names (layout.go):
-	// regs[r*Threads+lane] is row r's value in lane (float registers as
-	// IEEE-754 bits) and pend[r] its pending-result completion cycle.
+	// regs and pend are the warp's window of the register arena, one row
+	// per register the layout names (layout.go): regs[r*lanes+lane] is row
+	// r's value in lane (float registers as IEEE-754 bits) and pend[r] its
+	// pending-result completion cycle.
 	regs  []uint32
 	pend  []uint64
 	ipdom []ipdomEntry
@@ -135,6 +138,7 @@ type Sim struct {
 	// for slots no program names), nrows counts the rows.
 	rowOf    [64]uint8
 	nrows    int
+	arena    regArena // every warp's register and scoreboard window (layout.go)
 	cores    []simCore
 	cycle    uint64
 	observer func(IssueEvent)
@@ -168,8 +172,8 @@ func resized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // Reshape puts the simulator into the freshly constructed state of cfg over
 // the given memory system, keeping every backing array that is large
-// enough: the core and per-core warp arrays (with the warps' register
-// files and divergence stacks), the scheduler, MSHR and coalescing scratch,
+// enough: the core and per-core warp arrays (with the warps' divergence
+// stacks), the register arena, the scheduler, MSHR and coalescing scratch,
 // the event queue. It is the one construction path — New is the zero value
 // plus Reshape — so a Sim reshaped from any earlier shape, a trapped one
 // included, behaves byte-identically to a new one. Like Reset it keeps an
@@ -189,7 +193,8 @@ func (s *Sim) Reshape(cfg Config, memory *mem.Memory, hier *mem.Hierarchy) error
 	// next growth; Reset below visits exactly the new shape, so whatever a
 	// re-exposed slot last held (active warps of a trapped run included)
 	// is rewound before anything reads it. Register files are sized to
-	// the layout and cfg.Threads when a warp is activated (resetWarp).
+	// the layout and the activation mask when a warp is activated, from the
+	// register arena, which is kept whatever the shape (resetWarp).
 	s.cores = resized(s.cores, cfg.Cores)
 	for i := range s.cores {
 		c := &s.cores[i]
@@ -260,12 +265,13 @@ func (s *Sim) LoadProgram(base uint32, insts []isa.Inst) error {
 
 // Reset rewinds the simulator to its freshly constructed state — cycle
 // counter, per-core scheduler and LSU state, statistics, barriers, warp
-// flags and registers — while keeping the register-file and scratch
+// flags and registers — while keeping the register arena and scratch
 // allocations, so a pooled device can be reused across runs with
 // byte-identical behaviour to a new Sim. The loaded program and the
-// register layout are dropped (the next launch reloads one), every warp's
-// rows are emptied so its registers read 0 until it is next activated, and
-// any observer is kept (callers that pool devices clear it via the device).
+// register layout are dropped (the next launch reloads one), the arena is
+// recycled so every warp's registers read 0 until it is next activated,
+// and any observer is kept (callers that pool devices clear it via the
+// device).
 func (s *Sim) Reset() {
 	s.cycle = 0
 	s.progBase, s.dec = 0, s.dec[:0]
@@ -282,18 +288,15 @@ func (s *Sim) Reset() {
 		c.barriers = [maxBarriers]barrier{}
 		c.blockMem = false
 		c.stats = CoreStats{}
-		for j := range c.warps {
-			w := &c.warps[j]
-			w.active = false
-			w.barWait = false
-			w.last = 0
-			w.regs, w.pend = w.regs[:0], w.pend[:0]
-		}
 	}
+	s.recycle()
 }
 
 // ActivateWarp starts warp (core, wid) at pc with the given thread mask,
-// zeroing its register file and divergence stack.
+// zeroing its register file and divergence stack. The first activation
+// after a Run that returned nil recycles the register arena (layout.go):
+// from then on, a warp of the earlier launch that is not activated again
+// reads 0 in every register.
 func (s *Sim) ActivateWarp(core, wid int, pc uint32, tmask uint64) error {
 	if core < 0 || core >= s.cfg.Cores || wid < 0 || wid >= s.cfg.Warps {
 		return fmt.Errorf("sim: warp (%d,%d) outside %s", core, wid, s.cfg.Name())
@@ -305,6 +308,9 @@ func (s *Sim) ActivateWarp(core, wid int, pc uint32, tmask uint64) error {
 	w := &c.warps[wid]
 	if w.active {
 		return fmt.Errorf("sim: warp (%d,%d) already active", core, wid)
+	}
+	if s.arena.spent {
+		s.recycle()
 	}
 	s.resetWarp(w, pc, tmask)
 	// The warp was inactive, so it is in neither scheduler set (heap
@@ -318,10 +324,8 @@ func (s *Sim) ActivateWarp(core, wid int, pc uint32, tmask uint64) error {
 }
 
 func (s *Sim) resetWarp(w *warp, pc uint32, tmask uint64) {
-	// The rows follow the layout and cfg.Threads: arrays large enough are
-	// re-sliced, smaller (or new) ones allocate.
-	w.regs, w.pend = w.regs[:0], w.pend[:0]
-	s.fitRows(w)
+	// The window follows the layout and the lanes tmask reaches.
+	s.carve(w, bits.Len64(tmask))
 	w.ipdom = w.ipdom[:0]
 	w.active = true
 	w.barWait = false
@@ -368,8 +372,16 @@ const noWake = ^uint64(0)
 // execution errors and a deadline error if MaxCycles is exceeded. Cores are
 // simulated by the event-driven device engine (event.go); an installed
 // observer (SetObserver) receives per-issue callbacks in the global
-// (cycle, core) issue order.
-func (s *Sim) Run() error { return s.runEvent() }
+// (cycle, core) issue order. A nil return means every warp has retired, so
+// the register arena is spent: the next launch's first ActivateWarp
+// recycles it.
+func (s *Sim) Run() error {
+	err := s.runEvent()
+	if err == nil {
+		s.arena.spent = true
+	}
+	return err
+}
 
 // accountStall charges n stall cycles of core c to the reason of its last
 // failed issue attempt: MemStall when blockMem, else ExecStall.

@@ -65,8 +65,11 @@ func NewCampaign(opts Options, handout bool) (*Campaign, error) {
 			return nil, fmt.Errorf("sweep: duplicate grid entry %s: sharding, checkpointing and task handout require unique task keys", dup)
 		}
 	}
-	c := &Campaign{opts: opts}
-	for _, t := range enumerateTasks(opts) {
+	// The shard's tasks are filtered in place: the grid's own slice is the
+	// campaign's task list.
+	all := enumerateTasks(opts)
+	c := &Campaign{opts: opts, tasks: all[:0]}
+	for _, t := range all {
 		if t.Index%opts.ShardCount == opts.ShardIndex {
 			c.tasks = append(c.tasks, t)
 		}

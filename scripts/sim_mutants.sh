@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Engine mutation check: every patch under scripts/sim_mutants/ plants one
-# small bug in the device engine, the warp scheduler or the register layout
-# (internal/sim). Each is applied in turn to a temporary copy of the tree,
-# and `go test ./internal/sim` must fail on it. The script prints, per
-# mutant, the top-level tests that killed it, and exits non-zero if a
-# mutant survives, no longer applies, or breaks the build.
+# small bug in the device engine, the warp scheduler, the register layout
+# or the register arena (internal/sim). Each is applied in turn to a
+# temporary copy of the tree, and `go test ./internal/sim` must fail on it.
+# The script prints, per mutant, the top-level tests that killed it, and
+# exits non-zero if a mutant survives, no longer applies, or breaks the
+# build.
 #
 # A mutant that makes the engine spin (a skipped calendar slot comes round
 # again only a horizon later, and the default cycle limit is 2^40) fails
