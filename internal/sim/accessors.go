@@ -18,9 +18,9 @@ func (s *Sim) FReg(core, warp, lane int, r uint8) (uint32, error) {
 
 // readReg reads the row of scoreboard slot of (core, warp, lane). A register
 // no program loaded since the last Reset or Reshape names maps to x0's row,
-// which is never written; a warp not activated since then (or since the
-// arena was recycled) has no rows, and a lane beyond its window was never
-// run: all read 0, as on a freshly constructed Sim.
+// which is never written, and a warp not activated since then (or since the
+// arena was recycled) has no rows: both read 0, as on a freshly
+// constructed Sim.
 func (s *Sim) readReg(core, warp, lane int, r, slot uint8) (uint32, error) {
 	w, err := s.warpAt(core, warp)
 	if err != nil {
@@ -29,10 +29,8 @@ func (s *Sim) readReg(core, warp, lane int, r, slot uint8) (uint32, error) {
 	if lane < 0 || lane >= s.cfg.Threads || r > 31 {
 		return 0, fmt.Errorf("sim: bad lane %d or register %d", lane, r)
 	}
-	if n := int(w.lanes); lane < n {
-		if i := int(s.rowOf[slot])*n + lane; i < len(w.regs) {
-			return w.regs[i], nil
-		}
+	if i := int(s.rowOf[slot])*s.cfg.Threads + lane; i < len(w.regs) {
+		return w.regs[i], nil
 	}
 	return 0, nil
 }

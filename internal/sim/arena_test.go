@@ -1,12 +1,15 @@
 package sim
 
-// The register arena: what an activation costs once the arena is warm, the
-// re-carve of a warp that widens its mask, and what a warp of an earlier
+// The register arena: what an activation costs once the arena is warm,
+// within one launch and across launches, and what a warp of an earlier
 // launch reads once the arena is recycled.
 
 import (
 	"runtime"
+	"strings"
 	"testing"
+
+	"repro/internal/asm"
 )
 
 // arenaProg writes an integer and a float register on every active lane.
@@ -55,65 +58,164 @@ func TestArenaBoundedAllocation(t *testing.T) {
 	}
 }
 
-// widenProg narrows every warp to lane 0, writes s0 and f2 there, widens
-// to four lanes and rewrites t0 on all of them, so a warp activated on one
-// lane and one activated on four end with the same registers: lane 0's
-// narrow-phase values survive the widening, and lanes 1-3 read what the
-// wide phase wrote or 0.
-const widenProg = `
-	li    t0, 1
-	vx_tmc t0
-	li    s0, 42
-	fcvt.s.w f2, s0
-	li    t0, 15
-	vx_tmc t0
-	csrr  t1, tid
-	li    t0, 7
-	add   s1, s0, t1
-	fcvt.s.w f3, s1
-	fadd.s f4, f2, f3
+// spawnLoopProg, entered at 0x1004, has warp 0 spawn warp 1 spawnLoops
+// times. Each time both meet at barrier 0 — warp 1 arrives last, so it
+// never waits, and retires before warp 0 gets back to vx_wspawn — and
+// warp 1 adds 1 to a1, which holds 1 at the end only if every incarnation
+// started from zeroed rows. Entered at 0x1000, it retires at once.
+const spawnLoopProg = `
+	ecall
+	li   s1, spawnLoops
+	li   t1, 2
+	li   t3, 0
+	la   t2, child
+loop:
+	vx_wspawn t1, t2
+	vx_bar t3, t1
+	addi s1, s1, -1
+	bnez s1, loop
+	ecall
+child:
+	addi a1, a1, 1
+	csrr a0, wid
+	li   t1, 2
+	li   t3, 0
+	vx_bar t3, t1
 	ecall
 `
 
-// TestArenaWiden runs widenProg on warp 0 activated with mask 0b1 — whose
-// window is one lane wide until vx_tmc widens it — and on warp 1 activated
-// with 0xF, and requires every register of every lane to read the same on
-// both.
-func TestArenaWiden(t *testing.T) {
+// TestArenaSpawnReusesWindow runs two launches of spawnLoopProg on one
+// 1c2w32t Sim: a warm-up that retires at once, which carves the arena's
+// first chunks, then one that respawns warp 1 spawnLoops times inside one
+// Run. A spawn of a retired warp reuses its window, so the second launch
+// carves one window per warp from those chunks and allocates less than
+// one chunk, however many spawns it makes.
+func TestArenaSpawnReusesWindow(t *testing.T) {
+	const spawnLoops = 2000
+	cfg := DefaultConfig(1, 2, 32)
+	s := rigNoStart(t, cfg, spawnLoopProg, map[string]int64{"spawnLoops": spawnLoops})
+	launch := func(pc uint32) {
+		t.Helper()
+		if err := s.ActivateWarp(0, 0, pc, 1); err != nil {
+			t.Fatal(err)
+		}
+		mustRun(t, s)
+	}
+	launch(0x1000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	launch(0x1004)
+	runtime.ReadMemStats(&after)
+	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(pendChunkRows*8); got > bound {
+		t.Errorf("a launch spawning %d warps allocated %d bytes, want at most %d (one completion chunk)", spawnLoops, got, bound)
+	}
+	if a := &s.arena; len(a.regs.list) != 1 || a.regs.off != 2*s.nrows*cfg.Threads || len(a.pend.list) != 1 || a.pend.off != 2*s.nrows {
+		t.Errorf("arena after the launch: %d register chunks, offset %d; %d completion chunks, offset %d; want one of each, holding two windows",
+			len(a.regs.list), a.regs.off, len(a.pend.list), a.pend.off)
+	}
+	for r, want := range map[uint8]uint32{10: 1, 11: 1} { // a0 = wid, a1 = one increment
+		if v, err := s.Reg(0, 1, 0, r); err != nil || v != want {
+			t.Errorf("spawned warp's x%d = %d (%v), want %d", r, v, err, want)
+		}
+	}
+}
+
+// spinA and spinB share their first seven instructions: warp 0 spins
+// there for far longer than the test runs, warp 1 takes the short path and
+// retires. spinB's loop exit names f5, which spinA never does.
+const spinA = `
+	csrr t0, wid
+	bnez t0, short
+	li   t1, 0
+	li   t2, 100000
+loop:
+	addi t1, t1, 1
+	blt  t1, t2, loop
+	ecall
+short:
+	li   a0, 7
+	ecall
+`
+
+const spinB = `
+	csrr t0, wid
+	bnez t0, short
+	li   t1, 0
+	li   t2, 100000
+loop:
+	addi t1, t1, 1
+	blt  t1, t2, loop
+	fcvt.s.w f5, t1
+	ecall
+short:
+	li   a0, 7
+	ecall
+`
+
+// TestArenaReactivateAfterDeadline activates warp 1 again after each of a
+// run of MaxCycles deadlines, the way a host may between Runs that return
+// a deadline error; warp 0 spins throughout, so the arena is never spent.
+// While the layout is unchanged, warp 1 reuses its own window: a hundred
+// reactivations carve nothing. Once spinB has grown the layout, warp 1's
+// window is short of the new row, and its next activation carves a full
+// one. Every activation leaves warp 1 reading 0 until it runs.
+func TestArenaReactivateAfterDeadline(t *testing.T) {
 	cfg := DefaultConfig(1, 2, 4)
-	s := rigNoStart(t, cfg, widenProg, nil)
-	if err := s.ActivateWarp(0, 0, 0x1000, 0b1); err != nil {
-		t.Fatal(err)
+	cfg.MaxCycles = 50
+	s := newDiffSim(t, cfg, spinA, activateAll(cfg, 2, 0xF))
+	w1 := &s.cores[0].warps[1]
+	deadline := func() {
+		t.Helper()
+		if err := s.Run(); err == nil || !strings.Contains(err.Error(), "exceeded cycle limit") {
+			t.Fatalf("run: err %v, want the deadline", err)
+		}
+		if a1, _ := s.WarpActive(0, 1); a1 {
+			t.Fatal("warp 1 still active at the deadline")
+		}
+		if a0, _ := s.Reg(0, 1, 3, 10); a0 != 7 {
+			t.Fatalf("warp 1 lane 3 a0 = %d after its run, want 7", a0)
+		}
 	}
-	if err := s.ActivateWarp(0, 1, 0x1000, 0xF); err != nil {
-		t.Fatal(err)
-	}
-	if w := &s.cores[0].warps[0]; w.lanes != 1 {
-		t.Fatalf("warp activated with mask 0b1 has a %d-lane window", w.lanes)
-	}
-	mustRun(t, s)
-	if w := &s.cores[0].warps[0]; w.lanes != 4 {
-		t.Fatalf("warp widened to 0xF has a %d-lane window", w.lanes)
-	}
-	if v, _ := s.Reg(0, 0, 0, 9); v != 42 {
-		t.Fatalf("narrow warp's s1 on lane 0 = %d, want 42 (s0 lost in the widening)", v)
-	}
-	for lane := 0; lane < cfg.Threads; lane++ {
-		for r := uint8(0); r < 32; r++ {
-			for _, read := range []func(core, warp, lane int, r uint8) (uint32, error){s.Reg, s.FReg} {
-				narrow, err := read(0, 0, lane, r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wide, err := read(0, 1, lane, r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if narrow != wide {
-					t.Errorf("lane %d register %d: widened warp reads %#x, warp activated wide %#x", lane, r, narrow, wide)
+	reactivate := func() {
+		t.Helper()
+		if err := s.ActivateWarp(0, 1, 0x1000, 0xF); err != nil {
+			t.Fatal(err)
+		}
+		for lane := 0; lane < cfg.Threads; lane++ {
+			for r := uint8(0); r < 32; r++ {
+				x, _ := s.Reg(0, 1, lane, r)
+				f, _ := s.FReg(0, 1, lane, r)
+				if x != 0 || f != 0 {
+					t.Fatalf("reactivated warp 1 lane %d reads x%d = %d, f%d = %#x, want 0", lane, r, x, r, f)
 				}
 			}
 		}
+	}
+	deadline()
+	window, off := &w1.regs[0], s.arena.regs.off
+	for i := 0; i < 100; i++ {
+		reactivate()
+		if &w1.regs[0] != window || s.arena.regs.off != off {
+			t.Fatalf("reactivation %d carved a new window", i)
+		}
+		deadline()
+	}
+
+	p, err := asm.Assemble(spinB, 0x1000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadProgram(p.Base, p.Insts); err != nil {
+		t.Fatal(err)
+	}
+	reactivate()
+	if len(w1.pend) != s.nrows || len(w1.regs) != s.nrows*cfg.Threads {
+		t.Fatalf("warp 1 activated under the grown layout has %d rows (%d words), want %d (%d)",
+			len(w1.pend), len(w1.regs), s.nrows, s.nrows*cfg.Threads)
+	}
+	deadline()
+	if n := len(s.arena.regs.list) + len(s.arena.pend.list); n != 2 {
+		t.Errorf("the arena holds %d chunks, want one of each kind", n)
 	}
 }
 

@@ -27,7 +27,7 @@ func (s *Sim) execute(c *simCore, wid int, w *warp, d *decoded) error {
 	done := s.cycle + d.lat // completion of the result in row d.dst, if any
 	op := in.Op
 	rd, rs1, rs2 := int(d.dst), int(d.rs1), int(d.rs2)
-	n := int(w.lanes)
+	n := s.cfg.Threads
 	regs := w.regs
 
 	switch op {
@@ -137,10 +137,6 @@ func (s *Sim) execute(c *simCore, wid int, w *warp, d *decoded) error {
 			c.active--
 			c.ready &^= 1 << uint(wid)
 		} else {
-			if lanes := bits.Len64(nm); lanes > int(w.lanes) {
-				// Widen: the new lanes need a wider window.
-				s.recarve(w, lanes)
-			}
 			w.tmask = nm
 		}
 
@@ -291,7 +287,7 @@ func (s *Sim) executeMem(c *simCore, wid int, w *warp, d *decoded) (uint64, erro
 	in := &d.in
 	size := uint32(d.size)
 	isStore := d.store
-	n := int(w.lanes)
+	n := s.cfg.Threads
 	tm := w.tmask
 	imm := uint32(in.Imm)
 	base := row(w.regs, int(d.rs1), n)
@@ -501,7 +497,7 @@ func (s *Sim) csrRead(c *simCore, wid int, w *warp, lane int, csr uint16) (uint3
 // integer row for a compare, conversion to integer, move or class, and a is
 // an integer row for a conversion or move from integer.
 func (s *Sim) executeFP(w *warp, d *decoded) {
-	n := int(w.lanes)
+	n := s.cfg.Threads
 	tm := w.tmask
 	dst, a := row(w.regs, int(d.dst), n), row(w.regs, int(d.rs1), n)
 	b, c := row(w.regs, int(d.rs2), n), row(w.regs, int(d.rs3), n)

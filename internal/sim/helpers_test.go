@@ -246,7 +246,7 @@ func identityLayout(s *Sim) {
 // read.
 func setReg(s *Sim, w *warp, slot uint8, lane int, v uint32) {
 	if r := s.rowOf[slot]; r != 0 {
-		w.regs[int(r)*int(w.lanes)+lane] = v
+		w.regs[int(r)*s.cfg.Threads+lane] = v
 	}
 }
 

@@ -3,9 +3,8 @@ package sim
 // Program-sized warp state. A warp's register file and scoreboard hold one
 // row per scoreboard slot (x0-x31, f0-f31) that a program loaded since the
 // last Reset or Reshape names, not one per architectural register: the
-// registry kernels name 23-29 of the 64. A row holds the lanes the warp
-// runs, not cfg.Threads: lanes is the bit length of the warp's activation
-// mask, and row r is regs[r*lanes : (r+1)*lanes] and pend[r].
+// registry kernels name 23-29 of the 64. Row r of a warp is
+// regs[r*Threads : (r+1)*Threads] and pend[r].
 //
 // The layout only grows between Resets — a newly named slot takes the next
 // row, a named one keeps its row — so a decoded record stays valid for as
@@ -15,17 +14,18 @@ package sim
 // Register arena. The rows are windows carved from one arena per Sim: two
 // lists of fixed-size chunks (register words and completion cycles), each
 // carved front to back, a window never spanning two chunks. An activation
-// carves a zeroed window of nrows × lanes words and nrows completions. All
-// of a launch's warps retire before a Run that returns nil, so such a Run
-// marks the arena spent and the next activation recycles it: the cursors
-// rewind and every warp's window is emptied. Reset recycles too. A warp
-// that outgrows its window — vx_tmc to a mask wider than its lanes, or a
-// program load adding rows under it — is carved a new one and its rows are
+// zeroes the warp's window when it already has the layout's rows (a warp
+// vx_wspawn restarts within one Run), and otherwise carves a zeroed window
+// of nrows × Threads words and nrows completions. All of a launch's warps
+// retire before a Run that returns nil, so such a Run marks the arena
+// spent and the next activation recycles it: the cursors rewind and every
+// warp's window is emptied. Reset recycles too. An active warp that a
+// program load adds rows under is carved a new window and its rows are
 // copied over; chunks never move, so no other window is touched.
 
 const (
 	// regChunkWords is 32 KiB of register words: two of the widest
-	// windows, 64 rows × 64 lanes.
+	// windows, 64 rows × 64 threads.
 	regChunkWords = 8192
 	// pendChunkRows is 8 KiB of completion cycles.
 	pendChunkRows = 1024
@@ -82,25 +82,12 @@ func (s *Sim) rowFor(slot uint8) uint8 {
 	return s.rowOf[slot]
 }
 
-// carve gives w a zeroed window of the layout's rows, lanes wide.
-func (s *Sim) carve(w *warp, lanes int) {
-	w.lanes = uint8(lanes)
-	w.regs = s.arena.regs.carve(s.nrows*lanes, regChunkWords)
+// carve gives w a new zeroed window of the layout's rows.
+func (s *Sim) carve(w *warp) {
+	w.regs = s.arena.regs.carve(s.nrows*s.cfg.Threads, regChunkWords)
 	w.pend = s.arena.pend.carve(s.nrows, pendChunkRows)
 	clear(w.regs)
 	clear(w.pend)
-}
-
-// recarve moves w to a new window of the layout's rows, lanes wide (no
-// narrower than its own), copying the rows it holds; the rows and lanes it
-// gains read 0.
-func (s *Sim) recarve(w *warp, lanes int) {
-	regs, pend, old := w.regs, w.pend, int(w.lanes)
-	s.carve(w, lanes)
-	for r := range pend {
-		copy(w.regs[r*lanes:], regs[r*old:(r+1)*old])
-	}
-	copy(w.pend, pend)
 }
 
 // growActive re-carves every active warp under a layout a program load just
@@ -114,7 +101,11 @@ func (s *Sim) growActive() {
 		}
 		for j := range c.warps {
 			if w := &c.warps[j]; w.active {
-				s.recarve(w, int(w.lanes))
+				// Rows keep their offsets, so the old rows copy as one.
+				regs, pend := w.regs, w.pend
+				s.carve(w)
+				copy(w.regs, regs)
+				copy(w.pend, pend)
 			}
 		}
 	}
@@ -131,7 +122,7 @@ func (s *Sim) recycle() {
 		for j := range s.cores[i].warps {
 			w := &s.cores[i].warps[j]
 			w.active, w.barWait, w.last = false, false, 0
-			w.regs, w.pend, w.lanes = nil, nil, 0
+			w.regs, w.pend = w.regs[:0], w.pend[:0]
 		}
 	}
 }

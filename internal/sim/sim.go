@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"repro/internal/isa"
@@ -48,11 +47,10 @@ const maxBarriers = 16
 type warp struct {
 	active  bool
 	barWait bool
-	lanes   uint8 // the row stride of regs: the bit length of the widest mask run since activation
 	pc      uint32
 	tmask   uint64
 	// regs and pend are the warp's window of the register arena, one row
-	// per register the layout names (layout.go): regs[r*lanes+lane] is row
+	// per register the layout names (layout.go): regs[r*Threads+lane] is row
 	// r's value in lane (float registers as IEEE-754 bits) and pend[r] its
 	// pending-result completion cycle.
 	regs  []uint32
@@ -193,7 +191,7 @@ func (s *Sim) Reshape(cfg Config, memory *mem.Memory, hier *mem.Hierarchy) error
 	// next growth; Reset below visits exactly the new shape, so whatever a
 	// re-exposed slot last held (active warps of a trapped run included)
 	// is rewound before anything reads it. Register files are sized to
-	// the layout and the activation mask when a warp is activated, from the
+	// the layout and cfg.Threads when a warp is activated, from the
 	// register arena, which is kept whatever the shape (resetWarp).
 	s.cores = resized(s.cores, cfg.Cores)
 	for i := range s.cores {
@@ -324,8 +322,16 @@ func (s *Sim) ActivateWarp(core, wid int, pc uint32, tmask uint64) error {
 }
 
 func (s *Sim) resetWarp(w *warp, pc uint32, tmask uint64) {
-	// The window follows the layout and the lanes tmask reaches.
-	s.carve(w, bits.Len64(tmask))
+	// The warp is inactive, so a window it holds is its alone: one with
+	// the layout's rows is zeroed in place, and only a warp without one
+	// (first activation since the arena was recycled, or a layout grown
+	// since) takes a new window from the arena.
+	if len(w.pend) == s.nrows {
+		clear(w.regs)
+		clear(w.pend)
+	} else {
+		s.carve(w)
+	}
 	w.ipdom = w.ipdom[:0]
 	w.active = true
 	w.barWait = false
