@@ -113,14 +113,21 @@ func runPoolStep(t *testing.T, d *ocl.Device, st poolStep) poolOutcome {
 // held — from step to step and from launch to launch within one. A step
 // may run its launches twice without a Reset, stop at a random cycle
 // limit, or trap in a store kernel; every launch report, error and memory
-// image must equal those of the same step on a new device.
+// image must equal those of the same step on a new device. Each step runs
+// on two pooled devices: one that grows as the walk meets larger shapes,
+// and one a campaign's envelope pool built at the grid's largest shape,
+// 64c32w32t, and reshapes down.
 func TestPooledDeviceMatchesFresh(t *testing.T) {
 	shapes := [][3]int{{1, 1, 1}, {1, 4, 8}, {2, 2, 4}, {2, 8, 32}, {4, 8, 16}, {8, 4, 64}, {3, 16, 2}}
 	names := kernels.Names()
 	mappers := core.PaperMappers()
 	scheds := []sim.SchedPolicy{sim.SchedRoundRobin, sim.SchedGTO, sim.SchedOldestFirst, sim.SchedTwoLevel}
-	pool := ocl.NewDevicePool(1)
-	var pooled *ocl.Device
+	sized, err := ocl.NewEnvelopePool(1, sim.DefaultConfig(64, 32, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pools := [2]*ocl.DevicePool{ocl.NewDevicePool(1), sized}
+	var pooled [2]*ocl.Device
 	steps, failed := 0, 0
 
 	walk := func(seed int64) bool {
@@ -142,17 +149,6 @@ func TestPooledDeviceMatchesFresh(t *testing.T) {
 			default:
 				st.kernel = names[rng.Intn(len(names))]
 			}
-			d, err := pool.Get(st.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pooled == nil {
-				pooled = d
-			} else if d != pooled {
-				t.Fatal("the pool handed out a second device")
-			}
-			got := runPoolStep(t, d, st)
-			pool.Put(d)
 			fresh, err := ocl.NewDevice(st.cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -162,10 +158,23 @@ func TestPooledDeviceMatchesFresh(t *testing.T) {
 			if want.err != "" {
 				failed++
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("step %d (%s, kernel %q, gws %d, %s, %d reps, max cycles %d): pooled device departs from a fresh one:\npooled %+v\nfresh  %+v",
-					steps, st.cfg.Name(), st.kernel, st.gws, st.mapper.Name(), st.reps, st.cfg.MaxCycles, got, want)
-				return false
+			for i, pool := range pools {
+				d, err := pool.Get(st.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pooled[i] == nil {
+					pooled[i] = d
+				} else if d != pooled[i] {
+					t.Fatal("the pool handed out a second device")
+				}
+				got := runPoolStep(t, d, st)
+				pool.Put(d)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("step %d (%s, kernel %q, gws %d, %s, %d reps, max cycles %d): pooled device %d departs from a fresh one:\npooled %+v\nfresh  %+v",
+						steps, st.cfg.Name(), st.kernel, st.gws, st.mapper.Name(), st.reps, st.cfg.MaxCycles, i, got, want)
+					return false
+				}
 			}
 		}
 		return true

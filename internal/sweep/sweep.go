@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kernels"
+	"repro/internal/mem"
 	"repro/internal/ocl"
 	"repro/internal/sim"
 )
@@ -239,6 +240,15 @@ func (t Task) Record() Record {
 	return rec
 }
 
+// config returns the device configuration t runs on: sim.DefaultConfig of
+// its hardware with its grid point applied.
+func (t Task) config() (sim.Config, error) {
+	if len(t.Point) != len(Axes) {
+		return sim.Config{}, fmt.Errorf("task has %d grid-axis values, want %d", len(t.Point), len(Axes))
+	}
+	return ApplyPoint(sim.DefaultConfig(t.Config.Cores, t.Config.Warps, t.Config.Threads), t.Point)
+}
+
 // enumerateTasks lists the canonical task grid of filled options, in the
 // order of Options.grid with the last axis innermost. Every keyed consumer
 // (a Campaign's shard slice, Merge's grid reconstruction, TaskGrid)
@@ -278,6 +288,36 @@ func TaskGrid(opts Options) ([]Task, error) {
 func RunTask(opts Options, pool *ocl.DevicePool, t Task) Record {
 	opts.fill()
 	return runOne(opts, pool, t)
+}
+
+// NewDevicePool returns the device pool of a campaign over tasks, keeping
+// at most workers idle devices. Each device it builds is sized once, at the
+// tasks' envelope: the largest cores, warps and threads of any task, the L1
+// geometry with the most lines and the largest MSHR bounds of any grid
+// point. No task's Get then grows a device. Tasks whose configuration is
+// refused add nothing; when every one is, the pool has no envelope.
+func NewDevicePool(workers int, tasks []Task) *ocl.DevicePool {
+	var hw core.HWInfo
+	var l1 mem.CacheConfig
+	l1MSHRs, l2MSHRs := 0, 0
+	for _, t := range tasks {
+		cfg, err := t.config()
+		if err != nil || cfg.Validate() != nil {
+			continue
+		}
+		hw.Cores, hw.Warps, hw.Threads = max(hw.Cores, cfg.Cores), max(hw.Warps, cfg.Warps), max(hw.Threads, cfg.Threads)
+		if c := cfg.Mem.L1; l1.LineBytes == 0 || c.SizeBytes/c.LineBytes > l1.SizeBytes/l1.LineBytes {
+			l1 = c
+		}
+		l1MSHRs, l2MSHRs = max(l1MSHRs, cfg.Mem.L1.MSHRs), max(l2MSHRs, cfg.Mem.L2.MSHRs)
+	}
+	env := sim.DefaultConfig(hw.Cores, hw.Warps, hw.Threads)
+	env.Mem.L1 = l1
+	env.Mem.L1.MSHRs, env.Mem.L2.MSHRs = l1MSHRs, l2MSHRs
+	if pool, err := ocl.NewEnvelopePool(workers, env); err == nil {
+		return pool
+	}
+	return ocl.NewDevicePool(workers)
 }
 
 // Record is one simulation outcome: a (config, kernel, mapper) cell at one
@@ -393,7 +433,7 @@ func Run(opts Options) (*Results, error) {
 		return nil, err
 	}
 	opts = c.opts
-	pool := ocl.NewDevicePool(opts.Workers)
+	pool := NewDevicePool(opts.Workers, c.tasks)
 	progBase := ocl.ProgramCacheStats()
 	inputBase := kernels.InputCacheStats()
 
@@ -440,18 +480,13 @@ func Run(opts Options) (*Results, error) {
 }
 
 func runOne(opts Options, pool *ocl.DevicePool, t Task) Record {
-	hw := t.Config
 	rec := t.Record()
-	if len(t.Point) != len(Axes) {
-		rec.Err = fmt.Sprintf("task has %d grid-axis values, want %d", len(t.Point), len(Axes))
-		return rec
-	}
-	spec, err := kernels.ByName(t.Kernel)
+	cfg, err := t.config()
 	if err != nil {
 		rec.Err = err.Error()
 		return rec
 	}
-	cfg, err := ApplyPoint(sim.DefaultConfig(hw.Cores, hw.Warps, hw.Threads), t.Point)
+	spec, err := kernels.ByName(t.Kernel)
 	if err != nil {
 		rec.Err = err.Error()
 		return rec
