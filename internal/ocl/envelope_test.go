@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/ocl"
 	"repro/internal/sim"
 	"repro/internal/sweep"
@@ -73,33 +72,5 @@ func TestDevicePoolEnvelope(t *testing.T) {
 	}
 	if _, err := ocl.NewEnvelopePool(1, sim.Config{}); err == nil {
 		t.Error("an invalid envelope was accepted")
-	}
-}
-
-// TestDevicePoolCampaignEnvelope holds sweep.NewDevicePool to the envelope
-// it derives from a campaign's tasks, walked in grid order, smallest first:
-// the largest cores, warps and threads come from different configurations,
-// the L1 geometry with the most lines and the largest MSHR bound are not
-// the last on their axes, and a task whose configuration is refused
-// (65 warps) must add nothing. After the first Get, no Get allocates.
-func TestDevicePoolCampaignEnvelope(t *testing.T) {
-	tasks, err := sweep.TaskGrid(sweep.Options{
-		Configs: []core.HWInfo{{Cores: 1, Warps: 2, Threads: 2}, {Cores: 8, Warps: 32, Threads: 4}, {Cores: 64, Warps: 4, Threads: 32}},
-		Kernels: []string{"vecadd"},
-		Axes:    map[string][]string{"mshrs": {"0", "16", "4"}, "l1": {"16k4w", "64k8w", "32k8w"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgs := make([]sim.Config, len(tasks))
-	for i, task := range tasks {
-		if cfgs[i], err = sweep.ApplyPoint(sim.DefaultConfig(task.Config.Cores, task.Config.Warps, task.Config.Threads), task.Point); err != nil {
-			t.Fatal(err)
-		}
-	}
-	refused := sweep.Task{Config: core.HWInfo{Cores: 2, Warps: 65, Threads: 2}, Point: tasks[0].Point}
-	tasks = append(tasks, refused)
-	if n, _ := getPutAllocs(t, func() *ocl.DevicePool { return sweep.NewDevicePool(1, tasks) }, cfgs); n != 0 {
-		t.Errorf("the campaign's pool allocated %d B after its first Get, want 0", n)
 	}
 }

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kernels"
-	"repro/internal/mem"
 	"repro/internal/ocl"
 	"repro/internal/sim"
 )
@@ -290,36 +289,6 @@ func RunTask(opts Options, pool *ocl.DevicePool, t Task) Record {
 	return runOne(opts, pool, t)
 }
 
-// NewDevicePool returns the device pool of a campaign over tasks, keeping
-// at most workers idle devices. Each device it builds is sized once, at the
-// tasks' envelope: the largest cores, warps and threads of any task, the L1
-// geometry with the most lines and the largest MSHR bounds of any grid
-// point. No task's Get then grows a device. Tasks whose configuration is
-// refused add nothing; when every one is, the pool has no envelope.
-func NewDevicePool(workers int, tasks []Task) *ocl.DevicePool {
-	var hw core.HWInfo
-	var l1 mem.CacheConfig
-	l1MSHRs, l2MSHRs := 0, 0
-	for _, t := range tasks {
-		cfg, err := t.config()
-		if err != nil || cfg.Validate() != nil {
-			continue
-		}
-		hw.Cores, hw.Warps, hw.Threads = max(hw.Cores, cfg.Cores), max(hw.Warps, cfg.Warps), max(hw.Threads, cfg.Threads)
-		if c := cfg.Mem.L1; l1.LineBytes == 0 || c.SizeBytes/c.LineBytes > l1.SizeBytes/l1.LineBytes {
-			l1 = c
-		}
-		l1MSHRs, l2MSHRs = max(l1MSHRs, cfg.Mem.L1.MSHRs), max(l2MSHRs, cfg.Mem.L2.MSHRs)
-	}
-	env := sim.DefaultConfig(hw.Cores, hw.Warps, hw.Threads)
-	env.Mem.L1 = l1
-	env.Mem.L1.MSHRs, env.Mem.L2.MSHRs = l1MSHRs, l2MSHRs
-	if pool, err := ocl.NewEnvelopePool(workers, env); err == nil {
-		return pool
-	}
-	return ocl.NewDevicePool(workers)
-}
-
 // Record is one simulation outcome: a (config, kernel, mapper) cell at one
 // grid point, with one field per Axes entry and one per columns entry.
 type Record struct {
@@ -393,8 +362,11 @@ func launchSum(count func(l *ocl.LaunchResult) uint64) func(*kernels.Result) uin
 }
 
 // CacheReport summarizes the campaign engine's cross-run reuse for one
-// sweep: program-cache and input-memo hit/miss deltas over the run, device
-// pool reuse, and how many records a Resume spliced in from the checkpoint.
+// sweep: the program cache's, the input memo's and the process device
+// pool's (ProcessPool) hit/miss deltas over the run, and how many records a
+// Resume spliced in from the checkpoint. All three caches outlive a Run, so
+// a warm Run may build no device, and the deltas of Runs that overlap in
+// time count each other's hits and misses.
 type CacheReport struct {
 	ProgramHits, ProgramMisses uint64
 	InputHits, InputMisses     uint64
@@ -426,14 +398,22 @@ type Results struct {
 // and the final record grid is assembled in deterministic task order. With
 // Resume, tasks already present in the checkpoint are spliced in without
 // re-simulating; the resulting Records are byte-identical to an
-// uninterrupted run.
+// uninterrupted run. Workers take their devices from the process's pool
+// (ProcessPool), which outlives the Run.
 func Run(opts Options) (*Results, error) {
 	c, err := NewCampaign(opts, false)
 	if err != nil {
 		return nil, err
 	}
 	opts = c.opts
-	pool := NewDevicePool(opts.Workers, c.tasks)
+	// A Run with no open task (a resume that splices every record) takes
+	// no pool, so it neither builds nor replaces one.
+	var pool *ocl.DevicePool
+	var devBase ocl.CacheCounters
+	if slices.Contains(c.state, slotOpen) {
+		pool = ProcessPool(opts.Workers, c.tasks)
+		devBase = pool.Stats()
+	}
 	progBase := ocl.ProgramCacheStats()
 	inputBase := kernels.InputCacheStats()
 
@@ -466,14 +446,17 @@ func Run(opts Options) (*Results, error) {
 	// Every worker has returned, so the slots are final and need no copy.
 	prog := ocl.ProgramCacheStats()
 	inp := kernels.InputCacheStats()
-	dev := pool.Stats()
+	dev := devBase
+	if pool != nil {
+		dev = pool.Stats()
+	}
 	res := &Results{Options: opts, Records: c.recs, Cache: CacheReport{
 		ProgramHits:   prog.Hits - progBase.Hits,
 		ProgramMisses: prog.Misses - progBase.Misses,
 		InputHits:     inp.Hits - inputBase.Hits,
 		InputMisses:   inp.Misses - inputBase.Misses,
-		DevicesReused: dev.Hits,
-		DevicesNew:    dev.Misses,
+		DevicesReused: dev.Hits - devBase.Hits,
+		DevicesNew:    dev.Misses - devBase.Misses,
 		Resumed:       c.resumed,
 	}}
 	return res, c.Err()
