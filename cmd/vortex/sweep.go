@@ -197,7 +197,9 @@ var campaignCmd = subcommand("sweep", func(fs *flag.FlagSet) body {
 
 		res, err := sweep.Run(opts)
 		if err != nil {
-			if *checkpoint != "" {
+			// Results come back only once tasks ran: a refusal before any
+			// (a foreign -resume, say) has no runs to continue.
+			if *checkpoint != "" && res != nil {
 				err = fmt.Errorf("%v\nvortex sweep: completed runs are preserved in %s; restart with -resume to continue", err, *checkpoint)
 			}
 			return err

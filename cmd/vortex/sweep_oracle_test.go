@@ -72,7 +72,7 @@ func TestWorkRefusesOtherMapperSet(t *testing.T) {
 		code, out := vortex(append([]string{"sweep", "work", "-coordinator", ts.URL}, workArgs...)...)
 		ts.Close()
 		srv.Close()
-		if code != 1 || !strings.Contains(out, "meta mismatch: Mappers") {
+		if code != 1 || !strings.Contains(out, "meta mismatch (worker vs campaign: mappers ") {
 			t.Errorf("coordinator -oracle=%v: worker exit %d, want 1 refused on Mappers:\n%s", oracle, code, out)
 		}
 	}

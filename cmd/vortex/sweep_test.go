@@ -309,7 +309,7 @@ func TestServeWorkKillRecoveryCLI(t *testing.T) {
 		campaignArgs...), "-seed", "9")...)
 	if out, err := alien.CombinedOutput(); err == nil {
 		t.Fatalf("meta-mismatched worker accepted:\n%s", out)
-	} else if !strings.Contains(string(out), "meta mismatch") || !strings.Contains(string(out), "Seed") {
+	} else if !strings.Contains(string(out), "meta mismatch") || !strings.Contains(string(out), "seed 9 vs 7") {
 		t.Errorf("meta-mismatch refusal not diagnosable:\n%s", out)
 	}
 
@@ -511,6 +511,23 @@ func TestMergeCLIRefusesBadShardSet(t *testing.T) {
 	}
 	if !strings.Contains(out, "missing shard 1/2") {
 		t.Errorf("merge error not diagnosable:\n%s", out)
+	}
+}
+
+// TestRefusedResumePrintsNoHint pins the resume hint to runs that did
+// work: a -resume refused before any task ran (here, against a checkpoint
+// written with another seed) names the differing field and does not tell
+// the user to restart with -resume, which is what just failed.
+func TestRefusedResumePrintsNoHint(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "c.jsonl")
+	runSweep(t, append(append([]string{}, campaignArgs...), "-checkpoint", ckpt)...)
+	args := append(append([]string{"sweep"}, campaignArgs...), "-seed", "8", "-checkpoint", ckpt, "-resume")
+	code, out := vortex(args...)
+	if code != 1 || !strings.Contains(out, "seed 7 vs 8") {
+		t.Fatalf("resume against another seed's checkpoint: exit %d, want 1 and a refusal naming the seed:\n%s", code, out)
+	}
+	if strings.Contains(out, "restart with -resume") {
+		t.Errorf("refused resume printed the resume hint:\n%s", out)
 	}
 }
 

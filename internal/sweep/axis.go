@@ -148,42 +148,27 @@ func ApplyPoint(cfg sim.Config, point []string) (sim.Config, error) {
 // canonical order.
 func Points(axes map[string][]string) [][]string {
 	g := make([][]string, len(Axes))
+	n := 1
 	for i, a := range Axes {
 		g[i] = a.values(axes)
+		n *= len(g[i])
 	}
-	var out [][]string
-	eachCell(g, func(_ []int, cell []string) { out = append(out, slices.Clone(cell)) })
+	out := make([][]string, n)
+	for p := range out {
+		out[p] = cell(g, p)
+	}
 	return out
 }
 
-// eachCell is the grid odometer: it calls fn with every cell of the grid
-// whose dimensions are g — as indexes and as values — in canonical order,
-// the last dimension varying fastest. fn must not retain ix or cell, which
-// are reused.
-func eachCell(g [][]string, fn func(ix []int, cell []string)) {
-	for _, dim := range g {
-		if len(dim) == 0 {
-			return
-		}
+// cell returns the values of the cell at grid index gi of the grid whose
+// dimensions are g: gi in mixed radix, the last dimension varying fastest.
+func cell(g [][]string, gi int) []string {
+	c := make([]string, len(g))
+	for d := len(g) - 1; d >= 0; d-- {
+		c[d] = g[d][gi%len(g[d])]
+		gi /= len(g[d])
 	}
-	ix := make([]int, len(g))
-	cell := make([]string, len(g))
-	for {
-		for d, i := range ix {
-			cell[d] = g[d][i]
-		}
-		fn(ix, cell)
-		d := len(g) - 1
-		for ; d >= 0; d-- {
-			if ix[d]++; ix[d] < len(g[d]) {
-				break
-			}
-			ix[d] = 0
-		}
-		if d < 0 {
-			return
-		}
-	}
+	return c
 }
 
 // AxisFlags holds the command-line flags of the grid axes, by axis name.

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"os"
 	"slices"
 	"sync"
 )
@@ -13,8 +14,8 @@ import (
 // which holds the one acceptance rule.
 type Campaign struct {
 	opts    Options
-	tasks   []Task         // this shard's slice of the canonical grid, in grid order
-	byKey   map[string]int // task key -> slot; built only for task handout
+	tasks   []Task    // this shard's slice of the canonical grid, in grid order
+	index   gridIndex // places a record in its slot; nil for a plain in-memory campaign
 	resumed int
 
 	mu      sync.Mutex
@@ -45,11 +46,11 @@ const (
 )
 
 // NewCampaign validates opts and opens the campaign they describe: every
-// ShardCount-th task of the canonical grid starting at ShardIndex. Tasks
-// are identified by key — so no grid entry may repeat — when the campaign
-// is sharded, checkpointed, or handed out to other processes by index
-// (handout, which also builds the Slot index). With Checkpoint set the file is opened for streaming; with Resume
-// too, every task already recorded there is spliced into its slot first.
+// ShardCount-th task of the canonical grid starting at ShardIndex. A
+// sharded, checkpointed or handout campaign places records by grid index
+// (Slot), so no grid entry may repeat. With Checkpoint set the file is
+// opened for streaming; with Resume too, every task already recorded there
+// is spliced into its slot first.
 func NewCampaign(opts Options, handout bool) (*Campaign, error) {
 	opts.fill()
 	if err := opts.validate(); err != nil {
@@ -58,40 +59,19 @@ func NewCampaign(opts Options, handout bool) (*Campaign, error) {
 	if opts.ShardIndex < 0 || opts.ShardIndex >= opts.ShardCount {
 		return nil, fmt.Errorf("sweep: shard index %d out of range for %d shards", opts.ShardIndex, opts.ShardCount)
 	}
+	c := &Campaign{opts: opts}
 	if handout || opts.ShardCount > 1 || opts.Checkpoint != "" {
-		// A duplicated grid entry would alias two tasks onto one key and
-		// silently mis-splice on resume, merge or submission.
-		if dup := duplicateEntry(opts.grid()); dup != "" {
+		var dup string // would alias two tasks onto one cell
+		if c.index, dup = newGridIndex(opts.grid()); dup != "" {
 			return nil, fmt.Errorf("sweep: duplicate grid entry %s: sharding, checkpointing and task handout require unique task keys", dup)
 		}
 	}
-	// The shard's tasks are filtered in place: the grid's own slice is the
-	// campaign's task list.
-	all := enumerateTasks(opts)
-	c := &Campaign{opts: opts, tasks: all[:0]}
-	for _, t := range all {
-		if t.Index%opts.ShardCount == opts.ShardIndex {
-			c.tasks = append(c.tasks, t)
-		}
-	}
+	c.tasks = enumerateTasks(opts, opts.ShardIndex, opts.ShardCount)
 	c.recs = make([]Record, len(c.tasks))
 	c.state = make([]slotState, len(c.tasks))
-	if handout {
-		c.byKey = make(map[string]int, len(c.tasks))
-		for i, t := range c.tasks {
-			c.byKey[t.Key()] = i
-		}
-	}
 	if opts.Resume && opts.Checkpoint != "" {
-		seen, err := ResumeRecords(opts)
-		if err != nil {
+		if err := c.resume(); err != nil {
 			return nil, fmt.Errorf("sweep: resume: %w", err)
-		}
-		for i, t := range c.tasks {
-			if rec, ok := seen[t.Key()]; ok {
-				c.recs[i], c.state[i] = rec, slotDone
-				c.resumed++
-			}
 		}
 		c.done = c.resumed
 	}
@@ -108,11 +88,51 @@ func NewCampaign(opts Options, handout bool) (*Campaign, error) {
 	return c, nil
 }
 
-// Slot returns the slot of the task with the given key; only a handout
-// campaign has the index.
-func (c *Campaign) Slot(key string) (int, bool) {
-	slot, ok := c.byKey[key]
-	return slot, ok
+// resume splices the records of opts.Checkpoint into their slots in file
+// order, so a later duplicate wins; records of other shards are skipped. A
+// checkpoint of a different experiment, or records it cannot bind to
+// options, is refused rather than spliced.
+func (c *Campaign) resume() error {
+	path := c.opts.Checkpoint
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return nil // first run of a resumable campaign
+	}
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	headed := false
+	return scanCheckpoint(f, func(m Meta) error {
+		if want := MetaFor(c.opts); m != want {
+			return fmt.Errorf("checkpoint %s was written with different sweep options (checkpoint vs this run: %s)", path, m.Diff(want))
+		}
+		headed = true
+		return nil
+	}, func(rec Record) error {
+		if !headed {
+			// Records without a meta cannot be validated against opts;
+			// splicing them could silently break byte identity.
+			return fmt.Errorf("checkpoint %s has records but no meta header", path)
+		}
+		if slot, ok := c.Slot(rec); ok {
+			if c.state[slot] == slotOpen {
+				c.resumed++
+			}
+			c.recs[slot], c.state[slot] = rec, slotDone
+		}
+		return nil
+	})
+}
+
+// Slot returns the slot of rec's task, or false for a record outside the
+// campaign's slice of the grid (or a campaign with no index).
+func (c *Campaign) Slot(rec Record) (int, bool) {
+	gi, ok := c.index.of(rec)
+	if !ok || gi%c.opts.ShardCount != c.opts.ShardIndex {
+		return 0, false
+	}
+	return gi / c.opts.ShardCount, true
 }
 
 // Submit records rec as the outcome of the task in slot, by the one
@@ -121,7 +141,7 @@ func (c *Campaign) Slot(key string) (int, bool) {
 //     open slot or replaces a held failure, but a held success beats it;
 //   - a success is appended to the checkpoint, and flushed, before Submit
 //     returns; it fills an open slot, supersedes a failure, or replaces a
-//     held success — the later duplicate wins, as in the checkpoint reader.
+//     held success — the later duplicate wins, as in a resume or Merge.
 //
 // Options.Progress and Options.OnRecord run on each slot's first
 // completion, failures and successes alike, serialized by the campaign's

@@ -164,9 +164,13 @@ func TestCampaignRunServeAgree(t *testing.T) {
 	if got := sortedLines(t, servedCkpt); !slices.Equal(got, wantLines) {
 		t.Errorf("served checkpoint lines differ from Run's:\n%s", strings.Join(got, "\n"))
 	}
-	_, streamed, err := sweep.ReadCheckpointFile(servedCkpt)
+	_, records, err := sweep.ReadCheckpointFile(servedCkpt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	streamed := map[string]sweep.Record{} // the later of duplicates wins
+	for _, rec := range records {
+		streamed[rec.Key()] = rec
 	}
 	for _, rec := range res.Records {
 		if rec.Err == "" && !bytes.Equal(mustMarshal(t, streamed[rec.Key()]), mustMarshal(t, rec)) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"slices"
 	"strings"
 )
@@ -147,13 +148,13 @@ func splitAxis(s string) []string {
 }
 
 // taskKey is the single definition of a task's identity string — its grid
-// cell's values, in Options.grid order — on which the resume splice,
-// Record.Key, Task.Key and Merge's grid reconstruction all agree.
+// cell's values, in Options.grid order — on which Record.Key, Task.Key and
+// Merge's diagnostics agree.
 func taskKey(cell []string) string { return strings.Join(cell, "/") }
 
-// Key identifies the record's task: one (config, kernel, mapper, grid
-// point) cell of the campaign grid. Resume skips tasks whose key is already
-// checkpointed.
+// Key names the record's task: one (config, kernel, mapper, grid point)
+// cell of the campaign grid. Resume and Merge place records by grid index
+// (gridIndex), so they build a key only for a diagnostic.
 func (r Record) Key() string {
 	var name [32]byte
 	cell := append(make([]string, 0, 8), string(r.Config.AppendName(name[:0])), r.Kernel, r.Mapper)
@@ -164,56 +165,81 @@ func (r Record) Key() string {
 }
 
 // ReadCheckpoint parses a JSONL checkpoint stream into its meta header (nil
-// if the stream is empty or headerless) and the recorded tasks by Key.
-// Later duplicates of a key win, so a checkpoint appended to by several
-// partial runs stays usable. A final line that is not newline-terminated
-// and does not parse is dropped rather than refused: it is the torn write
-// of a campaign killed mid-record (a strict prefix of a JSON object is
-// never itself valid JSON, so a torn line cannot be mistaken for a
-// complete one), and the resumed campaign simply retries that task.
-// Corrupt lines anywhere else in the stream are an error.
-func ReadCheckpoint(rd io.Reader) (*Meta, map[string]Record, error) {
-	out := map[string]Record{}
+// if the stream is empty or headerless) and its records in file order; a
+// checkpoint appended to by several runs may hold a task twice.
+func ReadCheckpoint(rd io.Reader) (meta *Meta, recs []Record, err error) {
+	err = scanCheckpoint(rd, func(m Meta) error { meta = &m; return nil },
+		func(rec Record) error { recs = append(recs, rec); return nil })
+	if err != nil {
+		return nil, nil, err
+	}
+	return meta, recs, nil
+}
+
+// scanCheckpoint hands a checkpoint stream's meta header (if the first line
+// is one) to onMeta, then each record in file order to onRecord, and
+// returns the first error. A final unterminated line that does not parse
+// is the torn write of a campaign killed mid-record (a strict prefix of a
+// JSON object is never valid JSON) and is dropped, so a resume retries its
+// task; a corrupt line anywhere else is an error.
+func scanCheckpoint(rd io.Reader, onMeta func(Meta) error, onRecord func(Record) error) error {
 	names := map[string]string{}
-	var meta *Meta
 	br := bufio.NewReaderSize(rd, 1<<16)
 	first := true
 	for {
 		line, terminated, rerr := readCheckpointLine(br)
 		if rerr != nil && rerr != io.EOF {
-			return nil, nil, rerr
+			return rerr
 		}
 		if len(line) > 0 {
-			isMetaCandidate := first
-			first = false
-			parsed := false
-			if isMetaCandidate {
-				m, ok, err := parseMeta(line)
-				if err != nil {
-					return nil, nil, err
-				}
-				if ok {
-					meta, parsed = &m, true
-				}
+			m, isMeta, err := Meta{}, false, error(nil)
+			if first {
+				m, isMeta, err = parseMeta(line)
 			}
-			if !parsed {
-				rec, err := decodeRecord(line, names)
-				if err != nil {
-					if !terminated {
-						return meta, out, nil // torn tail of a killed writer
-					}
-					return nil, nil, fmt.Errorf("sweep: corrupt checkpoint line: %w", err)
+			first = false
+			if isMeta && err == nil {
+				err = onMeta(m)
+			} else if !isMeta {
+				rec, derr := decodeRecord(line, names)
+				switch {
+				case derr != nil && !terminated:
+					return nil // torn tail of a killed writer
+				case derr != nil:
+					return fmt.Errorf("sweep: corrupt checkpoint line: %w", derr)
+				case rec.Kernel == "" || rec.Mapper == "":
+					return fmt.Errorf("sweep: checkpoint line missing task identity: %q", line)
 				}
-				if rec.Kernel == "" || rec.Mapper == "" {
-					return nil, nil, fmt.Errorf("sweep: checkpoint line missing task identity: %q", line)
-				}
-				out[rec.Key()] = rec
+				err = onRecord(rec)
+			}
+			if err != nil {
+				return err
 			}
 		}
 		if rerr == io.EOF {
-			return meta, out, nil
+			return nil
 		}
 	}
+}
+
+// Diff names the first field on which m and o differ, by its JSON key,
+// with both values ("seed 7 vs 8"); a list shows 40 bytes from the first
+// entry that differs. Every refusal of a foreign meta goes through it.
+func (m Meta) Diff(o Meta) string {
+	va, vb := reflect.ValueOf(m), reflect.ValueOf(o)
+	for i := range va.NumField() {
+		x, y := fmt.Sprint(va.Field(i)), fmt.Sprint(vb.Field(i))
+		if x == y {
+			continue
+		}
+		p := 0
+		for p < min(len(x), len(y)) && x[p] == y[p] {
+			p++
+		}
+		p = strings.LastIndexByte(x[:p], ',') + 1
+		key, _, _ := strings.Cut(va.Type().Field(i).Tag.Get("json"), ",")
+		return fmt.Sprintf("%s %s vs %s", key, x[p:min(len(x), p+40)], y[p:min(len(y), p+40)])
+	}
+	return ""
 }
 
 // maxCheckpointLine bounds one checkpoint line: real meta headers are a few
@@ -252,37 +278,16 @@ func readCheckpointLine(br *bufio.Reader) (line []byte, terminated bool, err err
 
 // ReadCheckpointFile loads a checkpoint from disk; a missing file is an
 // empty checkpoint, not an error (first run of a resumable campaign).
-func ReadCheckpointFile(path string) (*Meta, map[string]Record, error) {
+func ReadCheckpointFile(path string) (*Meta, []Record, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return nil, map[string]Record{}, nil
+		return nil, nil, nil
 	}
 	if err != nil {
 		return nil, nil, err
 	}
 	defer f.Close()
 	return ReadCheckpoint(f)
-}
-
-// ResumeRecords loads opts.Checkpoint and validates it against opts,
-// returning the recorded tasks by Key. It is the resume gate of every
-// Campaign: a checkpoint written by a different experiment (or carrying
-// records it cannot bind to options) is refused rather than spliced.
-func ResumeRecords(opts Options) (map[string]Record, error) {
-	meta, seen, err := ReadCheckpointFile(opts.Checkpoint)
-	if err != nil {
-		return nil, err
-	}
-	if meta == nil && len(seen) > 0 {
-		// Records without the meta header cannot be validated against
-		// this sweep's options; splicing them in could silently break
-		// the byte-identity contract.
-		return nil, fmt.Errorf("checkpoint %s has records but no meta header", opts.Checkpoint)
-	}
-	if meta != nil && *meta != MetaFor(opts) {
-		return nil, fmt.Errorf("checkpoint %s was written with different sweep options (%+v)", opts.Checkpoint, *meta)
-	}
-	return seen, nil
 }
 
 // CheckpointWriter appends records to the JSONL checkpoint as they

@@ -136,8 +136,41 @@ func TestSweepResumeRejectsForeignCheckpoint(t *testing.T) {
 	other.Checkpoint = ckpt
 	other.Resume = true
 	other.Seed = 8 // different inputs -> different records
-	if _, err := Run(other); err == nil {
+	_, err := Run(other)
+	if err == nil {
 		t.Fatal("resume accepted a checkpoint written with a different seed")
+	}
+	// The refusal names the field that differs, with both values, and
+	// stays short: it does not dump the meta's grid lists.
+	if msg := err.Error(); !strings.Contains(msg, "seed 7 vs 8") || len(msg) >= 300 {
+		t.Errorf("refusal %q (%d bytes), want one under 300 bytes naming seed 7 vs 8", msg, len(msg))
+	}
+}
+
+// TestMetaDiff pins the field the meta refusals name: the first that
+// differs, by its JSON key, and a grid list cut to its first differing
+// entry.
+func TestMetaDiff(t *testing.T) {
+	a := MetaFor(Options{Kernels: []string{"vecadd"}})
+	for _, tc := range []struct {
+		edit func(*Meta)
+		want string
+	}{
+		{func(m *Meta) { m.Scale = 0.5 }, "scale 1 vs 0.5"},
+		{func(m *Meta) { m.Verify = true }, "verify false vs true"},
+		{func(m *Meta) { m.Seed, m.Kernels = 3, "relu" }, "seed 0 vs 3"},
+		{func(m *Meta) { m.Kernels = "relu" }, "kernels vecadd vs relu"},
+		{func(m *Meta) { m.Configs = strings.Replace(m.Configs, "8c4w16t", "8c4w15t", 1) },
+			"configs 8c4w16t,8c4w32t,8c8w2t,8c8w4t,8c8w8t,8c8 vs 8c4w15t,8c4w32t,8c8w2t,8c8w4t,8c8w8t,8c8"},
+	} {
+		b := a
+		tc.edit(&b)
+		if got := a.Diff(b); got != tc.want {
+			t.Errorf("Diff = %s, want %s", got, tc.want)
+		}
+	}
+	if got := a.Diff(a); got != "" {
+		t.Errorf("Diff of equal metas = %q, want empty", got)
 	}
 }
 
@@ -189,8 +222,8 @@ func TestSweepResumeRejectsHeaderlessCheckpoint(t *testing.T) {
 	res := campaignOpts()
 	res.Checkpoint = ckpt
 	res.Resume = true
-	if _, err := Run(res); err == nil {
-		t.Fatal("resume accepted a headerless checkpoint with records")
+	if _, err := Run(res); err == nil || !strings.Contains(err.Error(), "has records but no meta header") {
+		t.Fatalf("resume of a headerless checkpoint with records: err = %v, want it refused", err)
 	}
 }
 
@@ -363,10 +396,8 @@ func TestV4CheckpointReadsResumesMerges(t *testing.T) {
 	if err != nil || meta == nil || *meta != MetaFor(goldenGridOpts()) {
 		t.Fatalf("v4 golden reads as meta %+v, err %v", meta, err)
 	}
-	for _, rec := range goldenResults().Records {
-		if recs[rec.Key()] != rec {
-			t.Errorf("v4 golden record %s reads as %+v, want %+v", rec.Key(), recs[rec.Key()], rec)
-		}
+	if want := goldenResults().Records; !slices.Equal(recs, want) {
+		t.Errorf("v4 golden records read as %+v, want %+v", recs, want)
 	}
 	toV4 := func(v5 []byte) string {
 		lines := strings.SplitAfter(string(v5), "\n")

@@ -26,118 +26,98 @@ func Merge(out string, paths []string) (*Results, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("sweep: merge: no shard checkpoints given")
 	}
-	metas := make([]Meta, len(paths))
-	shards := make([]map[string]Record, len(paths))
+	var (
+		base    Meta           // paths[0]'s meta with shard index 0, which every shard's must match
+		g       [][]string     // the task grid base describes
+		index   gridIndex      // of g
+		records []Record       // by grid index; one with no Kernel is not placed yet
+		placed  int            // records placed
+		byShard map[int]string // shard index -> the path covering it
+	)
 	for i, path := range paths {
 		f, err := os.Open(path)
 		if err != nil {
 			return nil, fmt.Errorf("sweep: merge: %w", err)
 		}
-		meta, recs, err := ReadCheckpoint(f)
+		shard := -1
+		err = scanCheckpoint(f, func(m Meta) error {
+			shard, m.ShardIndex = m.ShardIndex, 0
+			if i == 0 {
+				base, byShard = m, map[int]string{}
+			}
+			if m != base {
+				return fmt.Errorf("meta mismatch with %s: written with different sweep options (%s)", paths[0], base.Diff(m))
+			}
+			// Shard indexes must be 0..ShardCount-1, each exactly once.
+			if shard < 0 || shard >= base.ShardCount {
+				return fmt.Errorf("shard index %d out of range for %d shards", shard, base.ShardCount)
+			}
+			if prev, dup := byShard[shard]; dup {
+				return fmt.Errorf("overlapping shards: %s also covers shard %d/%d", prev, shard, base.ShardCount)
+			}
+			byShard[shard] = path
+			if i > 0 {
+				return nil
+			}
+			// A hand-edited meta's bad axis value is named, as Options
+			// validation names it, not reported as records off the grid.
+			g = base.grid()
+			for d, a := range Axes {
+				if err := a.check(g[3+d]); err != nil {
+					return err
+				}
+			}
+			if slices.ContainsFunc(g, func(dim []string) bool { return len(dim) == 0 }) {
+				return fmt.Errorf("meta does not describe a task grid")
+			}
+			var dup string
+			if index, dup = newGridIndex(g); dup != "" {
+				// Only a hand-edited meta claims one; Run refuses to write it.
+				return fmt.Errorf("duplicate grid entry %s: its tasks would share keys", dup)
+			}
+			n := 1
+			for _, dim := range g {
+				n *= len(dim)
+			}
+			records = make([]Record, n)
+			return nil
+		}, func(rec Record) error {
+			if shard < 0 {
+				return fmt.Errorf("no meta header")
+			}
+			gi, ok := index.of(rec)
+			if !ok {
+				return fmt.Errorf("record %s is not in the campaign grid", rec.Key())
+			}
+			if gi%base.ShardCount != shard {
+				return fmt.Errorf("record %s belongs to shard %d/%d, not to this shard %d",
+					rec.Key(), gi%base.ShardCount, base.ShardCount, shard)
+			}
+			if records[gi].Kernel == "" {
+				placed++
+			}
+			records[gi] = rec // a later duplicate overwrites an earlier one
+			return nil
+		})
 		f.Close()
+		if err == nil && shard < 0 {
+			err = fmt.Errorf("no meta header")
+		}
 		if err != nil {
 			return nil, fmt.Errorf("sweep: merge: %s: %w", path, err)
 		}
-		if meta == nil {
-			return nil, fmt.Errorf("sweep: merge: %s has no meta header", path)
-		}
-		metas[i] = *meta
-		shards[i] = recs
 	}
-
-	// Pairwise meta agreement, modulo the shard index. A grid-axis
-	// disagreement gets its own diagnostic naming the axis: mixing shards
-	// of campaigns that swept different policy sets is the likeliest way to
-	// end up here.
-	base := metas[0]
-	base.ShardIndex = 0
-	for i := 1; i < len(metas); i++ {
-		m := metas[i]
-		m.ShardIndex = 0
-		for _, a := range Axes {
-			if want, got := *a.meta(&base), *a.meta(&m); got != want {
-				return nil, fmt.Errorf("sweep: merge: mixed-%s shard set: %s sweeps %s=%q but %s sweeps %q",
-					a.Name, paths[0], a.Name, want, paths[i], got)
-			}
-		}
-		if m != base {
-			return nil, fmt.Errorf("sweep: merge: meta mismatch: %s and %s were written with different sweep options",
-				paths[0], paths[i])
+	for s := 0; s < base.ShardCount; s++ {
+		if _, ok := byShard[s]; !ok {
+			return nil, fmt.Errorf("sweep: merge: missing shard %d/%d: grid not covered", s, base.ShardCount)
 		}
 	}
-
-	// Shard indexes must be 0..ShardCount-1, each exactly once.
-	count := base.ShardCount
-	byIndex := make(map[int]string, len(paths))
-	for i, m := range metas {
-		if m.ShardIndex < 0 || m.ShardIndex >= count {
-			return nil, fmt.Errorf("sweep: merge: %s: shard index %d out of range for %d shards",
-				paths[i], m.ShardIndex, count)
-		}
-		if prev, dup := byIndex[m.ShardIndex]; dup {
-			return nil, fmt.Errorf("sweep: merge: overlapping shards: %s and %s both cover shard %d/%d",
-				prev, paths[i], m.ShardIndex, count)
-		}
-		byIndex[m.ShardIndex] = paths[i]
-	}
-	for s := 0; s < count; s++ {
-		if _, ok := byIndex[s]; !ok {
-			return nil, fmt.Errorf("sweep: merge: missing shard %d/%d: grid not covered", s, count)
-		}
-	}
-
-	// Reconstruct the canonical task grid from the meta and place every
-	// shard record at its grid index, verifying shard membership.
-	// Every axis value is checked as Options validation checks it before
-	// any run, so a hand-edited meta gets a diagnostic naming the axis
-	// rather than surfacing as records missing from the grid.
-	g := base.grid()
-	for i, a := range Axes {
-		if err := a.check(g[3+i]); err != nil {
-			return nil, fmt.Errorf("sweep: merge: %s: %w", paths[0], err)
-		}
-	}
-	if slices.ContainsFunc(g, func(dim []string) bool { return len(dim) == 0 }) {
-		return nil, fmt.Errorf("sweep: merge: %s: meta does not describe a task grid", paths[0])
-	}
-	if dup := duplicateEntry(g); dup != "" {
-		// Run refuses to checkpoint such a grid; a meta claiming one is
-		// hand-edited, and shard membership would be ambiguous.
-		return nil, fmt.Errorf("sweep: merge: %s: duplicate grid entry %s: its tasks would share keys", paths[0], dup)
-	}
-	keyIdx := map[string]int{}
-	var keys []string
-	eachCell(g, func(_ []int, cell []string) {
-		key := taskKey(cell)
-		keyIdx[key] = len(keys)
-		keys = append(keys, key)
-	})
-	merged := make([]*Record, len(keys))
-	for i, recs := range shards {
-		shard := metas[i].ShardIndex
-		for key := range recs {
-			rec := recs[key]
-			gi, ok := keyIdx[key]
-			if !ok {
-				return nil, fmt.Errorf("sweep: merge: %s: record %s is not in the campaign grid", paths[i], key)
-			}
-			if gi%count != shard {
-				return nil, fmt.Errorf("sweep: merge: record %s belongs to shard %d/%d but appears in %s (shard %d)",
-					key, gi%count, count, paths[i], shard)
-			}
-			merged[gi] = &rec
-		}
-	}
-	if first := slices.Index(merged, nil); first >= 0 {
-		missing := len(merged) - len(slices.DeleteFunc(merged, func(r *Record) bool { return r == nil }))
+	if placed < len(records) {
+		first := slices.IndexFunc(records, func(r Record) bool { return r.Kernel == "" })
 		return nil, fmt.Errorf("sweep: merge: grid not covered: %d of %d tasks missing (first: %s)",
-			missing, len(keys), keys[first])
+			len(records)-placed, len(records), taskKey(cell(g, first)))
 	}
-	res := &Results{Records: make([]Record, len(merged))}
-	for gi, rec := range merged {
-		res.Records[gi] = *rec
-	}
-	res.Options = optionsFromMeta(base, g)
+	res := &Results{Options: optionsFromMeta(base, g), Records: records}
 	if out != "" {
 		if err := WriteCheckpoint(out, base, res.Records); err != nil {
 			return nil, fmt.Errorf("sweep: merge: %w", err)
@@ -178,27 +158,18 @@ func optionsFromMeta(m Meta, g [][]string) Options {
 // (canonical grid order for Merge and the campaign service) — exactly the
 // file a single-process Workers=1 checkpointed Run would have produced.
 func WriteCheckpoint(path string, meta Meta, records []Record) error {
-	meta.ShardIndex = 0
-	meta.ShardCount = 1
+	meta.ShardIndex, meta.ShardCount = 0, 1
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriterSize(f, 64<<10)
-	werr := func() error {
-		if err := writeMetaLine(w, meta); err != nil {
-			return err
-		}
-		for _, rec := range records {
-			if err := writeRecordLine(w, rec); err != nil {
-				return err
-			}
-		}
-		return w.Flush()
-	}()
-	if werr != nil {
-		f.Close()
-		return werr
+	c := &CheckpointWriter{f: f, w: bufio.NewWriterSize(f, 64<<10)}
+	err = writeMetaLine(c.w, meta)
+	for i := 0; err == nil && i < len(records); i++ {
+		err = writeRecordLine(c.w, records[i])
 	}
-	return f.Close()
+	if cerr := c.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -268,12 +269,10 @@ func shardFixture(t *testing.T, dir string) (Options, []string) {
 // shardRecords synthesizes the records of one shard of the fixture grid.
 func shardRecords(opts Options, shard int) []Record {
 	var recs []Record
-	for _, task := range enumerateTasks(opts) {
-		if task.Index%2 == shard {
-			rec := task.Record()
-			rec.LWS, rec.Cycles, rec.Instrs = 1, uint64(1000+task.Index), uint64(100+task.Index)
-			recs = append(recs, rec)
-		}
+	for _, task := range enumerateTasks(opts, shard, 2) {
+		rec := task.Record()
+		rec.LWS, rec.Cycles, rec.Instrs = 1, uint64(1000+task.Index), uint64(100+task.Index)
+		recs = append(recs, rec)
 	}
 	return recs
 }
@@ -330,10 +329,10 @@ func TestMergeErrorPaths(t *testing.T) {
 	foreignPath := filepath.Join(dir, "foreign.jsonl")
 	writeShardFile(t, foreignPath, MetaFor(foreign), shardRecords(foreign, 1))
 	check("mismatched meta", "meta mismatch", paths[0], foreignPath)
+	check("mismatched meta names the field", "different sweep options (seed 7 vs 99)", paths[0], foreignPath)
 
-	// Mixed-sched shard set: shard 1 swept a different scheduler axis. This
-	// is a meta mismatch too, but gets its own diagnostic naming the two
-	// policy sets.
+	// Mixed-sched shard set: shard 1 swept a different scheduler axis. The
+	// mismatch names the axis's meta field and the two policy sets.
 	mixed := opts
 	mixed.Axes = map[string][]string{"sched": {"gto"}}
 	mixed.fill()
@@ -341,9 +340,9 @@ func TestMergeErrorPaths(t *testing.T) {
 	mixed.ShardCount = 2
 	mixedPath := filepath.Join(dir, "mixedsched.jsonl")
 	writeShardFile(t, mixedPath, MetaFor(mixed), shardRecords(mixed, 1))
-	check("mixed-sched shard set", "mixed-sched shard set", paths[0], mixedPath)
+	check("mixed-sched shard set", "different sweep options (scheds rr vs gto)", paths[0], mixedPath)
 
-	// Every grid axis gets the same named diagnostic.
+	// Every grid axis is named the same way.
 	mixedMem := opts
 	mixedMem.Axes = map[string][]string{"mshrs": {"4"}}
 	mixedMem.fill()
@@ -351,7 +350,7 @@ func TestMergeErrorPaths(t *testing.T) {
 	mixedMem.ShardCount = 2
 	mixedMemPath := filepath.Join(dir, "mixedmshrs.jsonl")
 	writeShardFile(t, mixedMemPath, MetaFor(mixedMem), shardRecords(mixedMem, 1))
-	check("mixed-mshrs shard set", `mixed-mshrs shard set`, paths[0], mixedMemPath)
+	check("mixed-mshrs shard set", "different sweep options (mshrs 0 vs 4)", paths[0], mixedMemPath)
 
 	// A hand-edited meta with an unparseable or repeated axis value is
 	// refused naming the axis, not reported as records outside the grid.
@@ -430,4 +429,70 @@ func TestMergeErrorPaths(t *testing.T) {
 	dupPath := filepath.Join(dir, "dupgrid.jsonl")
 	writeShardFile(t, dupPath, dupMeta, nil)
 	check("duplicate grid in meta", "duplicate grid entry 1c2w2t", dupPath)
+}
+
+// TestRecordsPlacedByGridIndex holds placement by grid index. A shard file
+// whose records run against grid order and hold one task twice, the later
+// with other cycles, merges to the later record in canonical order; a
+// resume of that shard file, and of an unsharded checkpoint written the
+// same way, splices every task, the later record winning, without running
+// one. A shard resume skips a record of another shard. A record whose
+// config is outside the meta's grid is still refused.
+func TestRecordsPlacedByGridIndex(t *testing.T) {
+	dir := t.TempDir()
+	opts, paths := shardFixture(t, dir)
+	shard1 := shardRecords(opts, 1)
+	later := shard1[0]
+	later.Cycles = 4242
+	scrambled := func(recs []Record) []Record {
+		recs = slices.Clone(recs)
+		slices.Reverse(recs)
+		return append(recs, later)
+	}
+	one := opts
+	one.ShardIndex, one.ShardCount = 1, 2
+	writeShardFile(t, paths[1], MetaFor(one), scrambled(shard1))
+
+	// The canonical grid interleaves the two shards, later in its slot.
+	shard0 := shardRecords(opts, 0)
+	var want []Record
+	for i := range shard0 {
+		want = append(want, shard0[i], shard1[i])
+	}
+	want[1] = later
+	res, err := Merge("", paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.Records, want) {
+		t.Errorf("merged records:\n%+v\nwant\n%+v", res.Records, want)
+	}
+
+	resume := func(name string, o Options, want []Record) {
+		t.Helper()
+		o.Resume = true
+		o.OnRecord = func(r Record) { t.Errorf("%s: resume ran %s", name, r.Key()) }
+		res, err := Run(o)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Cache.Resumed != len(want) || !slices.Equal(res.Records, want) {
+			t.Errorf("%s: resumed %d records:\n%+v\nwant\n%+v", name, res.Cache.Resumed, res.Records, want)
+		}
+	}
+	one.Checkpoint = filepath.Join(dir, "resume1.jsonl")
+	writeShardFile(t, one.Checkpoint, MetaFor(one), append(scrambled(shard1), shardRecords(opts, 0)[0]))
+	resume("shard resume", one, []Record{later, shard1[1], shard1[2]})
+	full := opts
+	full.ShardIndex, full.ShardCount = 0, 1
+	full.Checkpoint = filepath.Join(dir, "full.jsonl")
+	writeShardFile(t, full.Checkpoint, MetaFor(full), scrambled(append(slices.Clone(shard0), shard1...)))
+	resume("full resume", full, want)
+
+	alien := later
+	alien.Config = core.HWInfo{Cores: 64, Warps: 32, Threads: 32}
+	writeShardFile(t, paths[1], MetaFor(one), append(scrambled(shard1), alien))
+	if _, err := Merge("", paths); err == nil || !strings.Contains(err.Error(), "not in the campaign grid") {
+		t.Errorf("merge of a record outside the grid: err = %v, want it refused as not in the campaign grid", err)
+	}
 }

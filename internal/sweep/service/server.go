@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"reflect"
 	"sync"
 	"time"
 
@@ -241,7 +240,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		// A worker running different options would return records for the
 		// wrong experiment under the right task keys — refuse enrollment
 		// with the first differing meta field named.
-		writeError(w, http.StatusConflict, fmt.Sprintf("service: worker %s campaign meta mismatch: %s", req.Worker, metaDiff(req.Meta, s.meta)))
+		writeError(w, http.StatusConflict, fmt.Sprintf("service: worker %s campaign meta mismatch (worker vs campaign: %s)", req.Worker, req.Meta.Diff(s.meta)))
 		return
 	}
 	max := req.Max
@@ -296,7 +295,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.expireLocked(s.cfg.Clock())
 	var resp SubmitResponse
 	for _, rec := range req.Records {
-		idx, ok := s.camp.Slot(rec.Key())
+		idx, ok := s.camp.Slot(rec)
 		if !ok {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("service: record %s is not in the campaign grid", rec.Key()))
 			return
@@ -341,17 +340,6 @@ func (s *Server) finishTaskLocked(idx int) {
 			delete(s.leases, id)
 		}
 	}
-}
-
-// metaDiff names the first field on which two campaign metas differ.
-func metaDiff(got, want sweep.Meta) string {
-	gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
-	for i := 0; i < gv.NumField(); i++ {
-		if gv.Field(i).Interface() != wv.Field(i).Interface() {
-			return fmt.Sprintf("%s = %v, campaign has %v", gv.Type().Field(i).Name, gv.Field(i).Interface(), wv.Field(i).Interface())
-		}
-	}
-	return "metas identical"
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -195,19 +195,48 @@ func (o Options) grid() [][]string {
 	return g
 }
 
-// duplicateEntry returns the first repeated entry on any dimension of grid
-// g (a task key is duplicated exactly when a dimension's value is), or "".
-func duplicateEntry(g [][]string) string {
-	for _, dim := range g {
-		seen := make(map[string]bool, len(dim))
-		for _, v := range dim {
-			if seen[v] {
-				return v
+// gridIndex places a record at its grid index without building its task
+// key: one value → position lookup per dimension of Options.grid.
+type gridIndex []map[string]int
+
+// newGridIndex indexes grid g, or returns the first entry a dimension
+// repeats (a task key is duplicated exactly when a dimension's value is).
+func newGridIndex(g [][]string) (gridIndex, string) {
+	x := make(gridIndex, len(g))
+	for d, dim := range g {
+		x[d] = make(map[string]int, len(dim))
+		for i, v := range dim {
+			if _, dup := x[d][v]; dup {
+				return nil, v
 			}
-			seen[v] = true
+			x[d][v] = i
 		}
 	}
-	return ""
+	return x, ""
+}
+
+// of returns the grid index of rec's task, read in mixed radix as cell
+// does, or false for a record outside the grid (or an empty index).
+func (x gridIndex) of(rec Record) (gi int, ok bool) {
+	var name [32]byte
+	for d, dim := range x {
+		var pos int
+		switch d {
+		case 0:
+			pos, ok = dim[string(rec.Config.AppendName(name[:0]))]
+		case 1:
+			pos, ok = dim[rec.Kernel]
+		case 2:
+			pos, ok = dim[rec.Mapper]
+		default:
+			pos, ok = dim[Axes[d-3].get(rec)]
+		}
+		if !ok {
+			return 0, false
+		}
+		gi = gi*len(dim) + pos
+	}
+	return gi, ok
 }
 
 // Task is one cell of the canonical campaign grid: the config, kernel,
@@ -248,19 +277,19 @@ func (t Task) config() (sim.Config, error) {
 	return ApplyPoint(sim.DefaultConfig(t.Config.Cores, t.Config.Warps, t.Config.Threads), t.Point)
 }
 
-// enumerateTasks lists the canonical task grid of filled options, in the
-// order of Options.grid with the last axis innermost. Every keyed consumer
-// (a Campaign's shard slice, Merge's grid reconstruction, TaskGrid)
-// must agree with this order.
-func enumerateTasks(opts Options) []Task {
+// enumerateTasks lists every count-th task of the canonical grid of filled
+// options, starting at shard. The grid is in the order of Options.grid,
+// the last axis innermost, as gridIndex numbers it.
+func enumerateTasks(opts Options, shard, count int) []Task {
 	points := Points(opts.Axes)
-	out := make([]Task, 0, len(opts.Configs)*len(opts.Kernels)*len(opts.Mappers)*len(points))
-	eachCell(opts.grid()[:3], func(ix []int, _ []string) {
-		for _, pt := range points {
-			out = append(out, Task{Index: len(out), Config: opts.Configs[ix[0]], Kernel: opts.Kernels[ix[1]],
-				Mapper: opts.Mappers[ix[2]], Point: pt})
-		}
-	})
+	np, nm, nk := len(points), len(opts.Mappers), len(opts.Kernels)
+	n := len(opts.Configs) * nk * nm * np
+	out := make([]Task, 0, max(n-shard+count-1, 0)/count)
+	for gi := shard; gi < n; gi += count {
+		r := gi / np
+		out = append(out, Task{Index: gi, Config: opts.Configs[r/nm/nk], Kernel: opts.Kernels[r/nm%nk],
+			Mapper: opts.Mappers[r%nm], Point: points[gi%np]})
+	}
 	return out
 }
 
@@ -273,10 +302,10 @@ func TaskGrid(opts Options) ([]Task, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	if dup := duplicateEntry(opts.grid()); dup != "" {
+	if _, dup := newGridIndex(opts.grid()); dup != "" {
 		return nil, fmt.Errorf("sweep: duplicate grid entry %s: task handout requires unique task keys", dup)
 	}
-	return enumerateTasks(opts), nil
+	return enumerateTasks(opts, 0, 1), nil
 }
 
 // RunTask executes one task of the campaign through the shared device-pool

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"path/filepath"
 	"runtime"
@@ -197,5 +198,69 @@ func TestRunCampaignAllocs(t *testing.T) {
 				t.Errorf("%d allocations per campaign, want at most 832", allocs)
 			}
 		})
+	}
+}
+
+// TestDurableFlowAllocs bounds what the durable flow allocates per record
+// once warm: a campaign run as 3 checkpointed shards, Merge of the shard
+// files into one checkpoint, and a resume from it that splices every
+// record. One worker keeps the counts repeatable, as in
+// TestRunCampaignAllocs. Records are placed by grid index, so reading,
+// merging and resuming build no task-key strings and no record maps, and
+// each shard enumerates only its own tasks. The bounds are 1.2x the most
+// measured (1,997 B and 15 allocations per record); with records keyed by
+// task-key strings the flow took about 3,220 B and 26.
+func TestDurableFlowAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own; the bounds hold for a plain build")
+	}
+	dir := t.TempDir()
+	opts := Options{
+		Configs: Subsample(Grid(), 90),
+		Kernels: []string{"vecadd", "relu", "saxpy"},
+		Scale:   0.02,
+		Seed:    42,
+		Workers: 1,
+	}
+	const shards = 3
+	flow := func() int {
+		paths := make([]string, shards)
+		for i := range paths {
+			paths[i] = filepath.Join(dir, fmt.Sprintf("shard%d.jsonl", i))
+			o := opts
+			o.ShardIndex, o.ShardCount, o.Checkpoint = i, shards, paths[i]
+			if _, err := Run(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		merged := filepath.Join(dir, "merged.jsonl")
+		res, err := Merge(merged, paths)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := opts
+		o.Checkpoint, o.Resume = merged, true
+		resumed, err := Run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resumed.Cache.Resumed != len(res.Records) {
+			t.Fatalf("resume spliced %d of %d records", resumed.Cache.Resumed, len(res.Records))
+		}
+		return len(res.Records)
+	}
+	flow() // warm-up: devices, program cache, input memo
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	records := uint64(flow())
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / records
+	allocs := (after.Mallocs - before.Mallocs) / records
+	t.Logf("%d B and %d allocations per record over %d records", bytes, allocs, records)
+	if bytes > 2400 {
+		t.Errorf("%d B allocated per record, want at most 2400", bytes)
+	}
+	if allocs > 18 {
+		t.Errorf("%d allocations per record, want at most 18", allocs)
 	}
 }
