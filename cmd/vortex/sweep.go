@@ -72,7 +72,8 @@ func addCampaignFlags(fs *flag.FlagSet) *campaignFlags {
 
 // options validates the campaign flags and assembles sweep.Options. It
 // refuses numeric nonsense that Subsample (-configs 0 would run the full
-// grid) or the workload builders (-scale 0, NaN) would misread.
+// grid), the workload builders (-scale 0, NaN) or sweep.Options (-workers
+// -3 would run at GOMAXPROCS) would misread.
 func (cf *campaignFlags) options() (sweep.Options, error) {
 	var opts sweep.Options
 	if err := cf.sim.check(); err != nil {
@@ -80,6 +81,9 @@ func (cf *campaignFlags) options() (sweep.Options, error) {
 	}
 	if *cf.nConfigs < 1 {
 		return opts, usageError(fmt.Sprintf("-configs must be >= 1 (got %d)", *cf.nConfigs))
+	}
+	if *cf.workers < 0 {
+		return opts, usageError(fmt.Sprintf("-workers must be >= 0 (got %d)", *cf.workers))
 	}
 	names := kernels.Names()
 	if *cf.kernelCSV != "all" && *cf.kernelCSV != "" {

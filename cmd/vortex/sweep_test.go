@@ -396,6 +396,12 @@ func TestCampaignFlagRefusals(t *testing.T) {
 			2, "-configs must be >= 1"},
 		{"negative configs", []string{"-kernels", "vecadd", "-scale", "0.05", "-configs", "-3"},
 			2, "-configs must be >= 1"},
+		{"negative workers", append(append([]string{}, base...), "-workers", "-3"),
+			2, "-workers must be >= 0 (got -3)"},
+		{"serve with negative workers", append([]string{"serve", "-checkpoint", filepath.Join(dir, "w.jsonl"),
+			"-workers", "-1"}, base...), 2, "-workers must be >= 0"},
+		{"work with negative workers", append([]string{"work", "-coordinator", "127.0.0.1:1",
+			"-workers", "-1"}, base...), 2, "-workers must be >= 0"},
 		{"resume without checkpoint", append(append([]string{}, base...), "-resume"),
 			2, "-resume requires -checkpoint"},
 		{"replot with checkpoint", []string{"-replot", "x.csv", "-checkpoint", "y.jsonl"},

@@ -1,7 +1,6 @@
 package ocl
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/sim"
@@ -18,30 +17,18 @@ import (
 // one device at a time keeps reshaping the same arena, so a sweep builds
 // about one device per worker, however its tasks are sharded or strided.
 //
-// A pool may carry an envelope (NewEnvelopePool): a configuration at least
-// as large, in every shape array, as any its Gets ask for. A miss then
-// builds the device at the envelope and reshapes it down, so the core and
-// warp arrays, wake heaps, MSHR scratch and cache line arrays are allocated
-// once and never regrown as the worker meets larger configurations. The
-// envelope changes what a miss builds, never how many misses there are,
-// and what a device runs: reshaped is byte-identical to fresh. A process
-// keeps one envelope pool across its campaigns (sweep.ProcessPool). Where
-// a process runs several, as the campaign benchmark does pass after pass,
-// a warm pass builds no device and no register arena: 91–96 % less
-// allocation per task than a pool built per campaign on the three
-// in-memory workloads, 26 % on the durable one, whose two resident
-// devices raise its peak RSS by about 16 %. A process that runs one
-// campaign, as vortex sweep does, allocates as much as before (DESIGN.md
-// "Campaign envelope").
+// A device grows in place: when a Get asks for a configuration larger than
+// any the device has held, Reshape grows its arrays and keeps them, so a
+// pool that lives across campaigns (sweep.ProcessPool) stops allocating
+// once its devices have met the largest configuration they serve.
 //
 // Get/Put are safe for concurrent use by sweep workers.
 type DevicePool struct {
-	mu       sync.Mutex
-	idle     []*Device  // free list; the last element is the next Get's
-	maxIdle  int        // idle devices retained; <= 0 means unbounded
-	envelope sim.Config // what a miss builds before reshaping; zero: none
-	hits     uint64
-	misses   uint64
+	mu      sync.Mutex
+	idle    []*Device // free list; the last element is the next Get's
+	maxIdle int       // idle devices retained; <= 0 means unbounded
+	hits    uint64
+	misses  uint64
 }
 
 // NewDevicePool builds a pool keeping at most maxIdle idle devices (a sweep
@@ -51,41 +38,23 @@ func NewDevicePool(maxIdle int) *DevicePool {
 	return &DevicePool{maxIdle: maxIdle}
 }
 
-// NewEnvelopePool builds a pool like NewDevicePool whose misses build each
-// device at envelope and reshape it to the configuration asked for. An
-// invalid envelope is refused.
-func NewEnvelopePool(maxIdle int, envelope sim.Config) (*DevicePool, error) {
-	if err := envelope.Validate(); err != nil {
-		return nil, fmt.Errorf("ocl: pool envelope: %w", err)
-	}
-	return &DevicePool{maxIdle: maxIdle, envelope: envelope}, nil
-}
-
 // Get returns a device in the NewDevice state of cfg: an idle one
-// reshaped, or a new one when none is idle — built at the envelope and
-// reshaped, when the pool has one. An invalid cfg is refused either way;
-// the device a failed reshape was tried on is dropped, never returned to
-// the free list.
+// reshaped, or a new one when none is idle. An invalid cfg is refused
+// either way; the device a failed reshape was tried on is dropped, never
+// returned to the free list.
 func (p *DevicePool) Get(cfg sim.Config) (*Device, error) {
-	var d *Device
 	p.mu.Lock()
-	if n := len(p.idle); n > 0 {
-		d = p.idle[n-1]
-		p.idle[n-1] = nil
-		p.idle = p.idle[:n-1]
-		p.hits++
-		p.mu.Unlock()
-	} else {
+	n := len(p.idle)
+	if n == 0 {
 		p.misses++
 		p.mu.Unlock()
-		if p.envelope.Cores == 0 {
-			return NewDevice(cfg)
-		}
-		var err error
-		if d, err = NewDevice(p.envelope); err != nil {
-			return nil, err
-		}
+		return NewDevice(cfg)
 	}
+	d := p.idle[n-1]
+	p.idle[n-1] = nil
+	p.idle = p.idle[:n-1]
+	p.hits++
+	p.mu.Unlock()
 	if d.cfg == cfg {
 		d.Reset()
 		return d, nil

@@ -115,17 +115,19 @@ func runPoolStep(t *testing.T, d *ocl.Device, st poolStep) poolOutcome {
 // limit, or trap in a store kernel; every launch report, error and memory
 // image must equal those of the same step on a new device. Each step runs
 // on two pooled devices: one that grows as the walk meets larger shapes,
-// and one a campaign's envelope pool built at the grid's largest shape,
-// 64c32w32t, and reshapes down.
+// and one grown first to the grid's largest shape, 64c32w32t, which every
+// step reshapes down.
 func TestPooledDeviceMatchesFresh(t *testing.T) {
 	shapes := [][3]int{{1, 1, 1}, {1, 4, 8}, {2, 2, 4}, {2, 8, 32}, {4, 8, 16}, {8, 4, 64}, {3, 16, 2}}
 	names := kernels.Names()
 	mappers := core.PaperMappers()
 	scheds := []sim.SchedPolicy{sim.SchedRoundRobin, sim.SchedGTO, sim.SchedOldestFirst, sim.SchedTwoLevel}
-	sized, err := ocl.NewEnvelopePool(1, sim.DefaultConfig(64, 32, 32))
+	sized := ocl.NewDevicePool(1)
+	widest, err := sized.Get(sim.DefaultConfig(64, 32, 32))
 	if err != nil {
 		t.Fatal(err)
 	}
+	sized.Put(widest)
 	pools := [2]*ocl.DevicePool{ocl.NewDevicePool(1), sized}
 	var pooled [2]*ocl.Device
 	steps, failed := 0, 0

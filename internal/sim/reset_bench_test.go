@@ -8,12 +8,13 @@ import (
 )
 
 // BenchmarkReset times Reset of a Sim of the grid's widest point, of one
-// built at that shape and reshaped to 4c4w4t — as a campaign's envelope
-// pool leaves a device — and of a 4c4w4t Sim. Reset visits the shape a Sim
-// has, not the capacity it keeps, so the reshaped Sim should cost what the
-// 4c4w4t one does. Each has run one ecall on every warp first, as the
-// campaign benchmark's sim.reset_us probe does, whose eight Resets cannot
-// resolve a 10 % change.
+// built at that shape and reshaped to 4c4w4t — as a pooled device that
+// has grown to the widest point is left by a smaller task — and of a
+// 4c4w4t Sim. Reset visits the shape a Sim has, not the capacity it
+// keeps, so the reshaped Sim should cost what the 4c4w4t one does. Each
+// has run one ecall on every warp first, as the campaign benchmark's
+// sim.reset_us probe does, whose eight Resets cannot resolve a 10 %
+// change.
 func BenchmarkReset(b *testing.B) {
 	must := func(err error) {
 		if err != nil {

@@ -174,50 +174,3 @@ func GeoMean(xs []float64) float64 {
 	}
 	return math.Exp(logSum / float64(len(xs)))
 }
-
-// Histogram counts samples into bins equal-width bins over [lo, hi];
-// samples outside the range are clamped into the edge bins.
-func Histogram(xs []float64, bins int, lo, hi float64) []int {
-	if bins <= 0 || hi <= lo {
-		return nil
-	}
-	out := make([]int, bins)
-	for _, x := range xs {
-		i := int((x - lo) / (hi - lo) * float64(bins))
-		if i < 0 {
-			i = 0
-		}
-		if i >= bins {
-			i = bins - 1
-		}
-		out[i]++
-	}
-	return out
-}
-
-// BootstrapMeanCI returns a percentile bootstrap confidence interval for
-// the mean of xs at the given level (e.g. 0.95), using a deterministic
-// resampling sequence so results are reproducible.
-func BootstrapMeanCI(xs []float64, level float64, resamples int) (lo, hi float64) {
-	if len(xs) == 0 || resamples <= 0 || level <= 0 || level >= 1 {
-		return 0, 0
-	}
-	// xorshift64 PRNG: deterministic, no global state.
-	state := uint64(0x9E3779B97F4A7C15)
-	next := func() uint64 {
-		state ^= state << 13
-		state ^= state >> 7
-		state ^= state << 17
-		return state
-	}
-	means := make([]float64, resamples)
-	for r := 0; r < resamples; r++ {
-		var sum float64
-		for i := 0; i < len(xs); i++ {
-			sum += xs[int(next()%uint64(len(xs)))]
-		}
-		means[r] = sum / float64(len(xs))
-	}
-	alpha := (1 - level) / 2
-	return Quantile(means, alpha), Quantile(means, 1-alpha)
-}

@@ -224,46 +224,3 @@ func TestGeoMean(t *testing.T) {
 		t.Error("AM-GM violated")
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.1, 0.9, 1.1, 1.9, 5, -3}
-	h := Histogram(xs, 2, 0, 2)
-	// Bin 0: 0.1, 0.9, -3 (clamped); bin 1: 1.1, 1.9, 5 (clamped).
-	if h[0] != 3 || h[1] != 3 {
-		t.Errorf("histogram = %v", h)
-	}
-	if Histogram(xs, 0, 0, 1) != nil || Histogram(xs, 4, 2, 1) != nil {
-		t.Error("degenerate histograms should be nil")
-	}
-	total := 0
-	for _, n := range Histogram(xs, 7, -5, 6) {
-		total += n
-	}
-	if total != len(xs) {
-		t.Errorf("histogram loses samples: %d", total)
-	}
-}
-
-func TestBootstrapMeanCI(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = 10 + r.NormFloat64()
-	}
-	lo, hi := BootstrapMeanCI(xs, 0.95, 500)
-	m := Mean(xs)
-	if !(lo < m && m < hi) {
-		t.Errorf("CI [%v, %v] does not contain the mean %v", lo, hi, m)
-	}
-	if hi-lo > 1 {
-		t.Errorf("CI too wide for n=200: [%v, %v]", lo, hi)
-	}
-	// Deterministic.
-	lo2, hi2 := BootstrapMeanCI(xs, 0.95, 500)
-	if lo != lo2 || hi != hi2 {
-		t.Error("bootstrap not deterministic")
-	}
-	if l, h := BootstrapMeanCI(nil, 0.95, 100); l != 0 || h != 0 {
-		t.Error("empty input CI should be zero")
-	}
-}

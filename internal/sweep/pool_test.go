@@ -12,21 +12,9 @@ import (
 	"repro/internal/sim"
 )
 
-// dropProcessPool forgets the process's device pool, so that the next
-// ProcessPool builds one, at its own tasks' envelope.
-func dropProcessPool() {
-	devices.Lock()
-	defer devices.Unlock()
-	devices.pool, devices.env, devices.workers = nil, envelope{}, 0
-}
-
-// processPool returns the process's device pool, its envelope and its
-// worker count.
-func processPool() (*ocl.DevicePool, envelope, int) {
-	devices.Lock()
-	defer devices.Unlock()
-	return devices.pool, devices.env, devices.workers
-}
+// dropProcessPool replaces the process's device pool with an empty one,
+// so that the next Run builds its devices.
+func dropProcessPool() { devices = ocl.NewDevicePool(0) }
 
 // taskConfigs returns the device configuration of each task.
 func taskConfigs(t *testing.T, tasks []Task) []sim.Config {
@@ -41,16 +29,15 @@ func taskConfigs(t *testing.T, tasks []Task) []sim.Config {
 	return cfgs
 }
 
-// getPutAllocs has a pool made by newPool serve one worker over cfgs, in
-// order, and returns the bytes allocated after the first Get. It walks up
-// to five times and reports the walk that allocated least: a device's
-// growth repeats on every walk of a new pool, while an allocation of the
-// runtime's own that lands in the count does not.
-func getPutAllocs(t *testing.T, newPool func() *ocl.DevicePool, cfgs []sim.Config) uint64 {
+// getPutAllocs has pool serve one worker over cfgs, in order, and returns
+// the bytes allocated after the first Get. It walks up to five times and
+// reports the walk that allocated least, so that an allocation of the
+// runtime's own that lands in one walk's count is not taken for the
+// pool's.
+func getPutAllocs(t *testing.T, pool *ocl.DevicePool, cfgs []sim.Config) uint64 {
 	t.Helper()
 	var least uint64
 	for walk := range 5 {
-		pool := newPool()
 		var before, after runtime.MemStats
 		for i, cfg := range cfgs {
 			if i == 1 {
@@ -83,36 +70,19 @@ func mustRun(t *testing.T, opts Options) *Results {
 	return res
 }
 
-// TestDevicePoolCampaignEnvelope holds ProcessPool to the envelope it
-// derives from a campaign's tasks, walked in grid order, smallest first:
-// the largest cores, warps and threads come from different configurations,
-// the L1 geometry with the most lines and the largest MSHR bound are not
-// the last on their axes, and a task whose configuration is refused
-// (65 warps) must add nothing. After the first Get, no Get allocates.
-func TestDevicePoolCampaignEnvelope(t *testing.T) {
-	tasks, err := TaskGrid(Options{
-		Configs: []core.HWInfo{{Cores: 1, Warps: 2, Threads: 2}, {Cores: 8, Warps: 32, Threads: 4}, {Cores: 64, Warps: 4, Threads: 32}},
-		Kernels: []string{"vecadd"},
-		Axes:    map[string][]string{"mshrs": {"0", "16", "4"}, "l1": {"16k4w", "64k8w", "32k8w"}},
-	})
+// matchFresh fails the test unless recs are the records RunTask gives for
+// opts's tasks on a new pool.
+func matchFresh(t *testing.T, opts Options, recs []Record) {
+	t.Helper()
+	grid, err := TaskGrid(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs := taskConfigs(t, tasks)
-	refused := Task{Config: core.HWInfo{Cores: 2, Warps: 65, Threads: 2}, Point: tasks[0].Point}
-	tasks = append(tasks, refused)
-	newPool := func() *ocl.DevicePool {
-		dropProcessPool()
-		return ProcessPool(1, tasks)
-	}
-	if n := getPutAllocs(t, newPool, cfgs); n != 0 {
-		t.Errorf("the campaign's pool allocated %d B after its first Get, want 0", n)
-	}
-	if pool := ProcessPool(1, []Task{refused}); pool == ProcessPool(1, []Task{refused}) {
-		t.Error("a task list with no valid configuration shares a pool")
-	}
-	if pool, _, _ := processPool(); pool != ProcessPool(1, tasks) {
-		t.Error("a task list with no valid configuration replaced the process's pool")
+	fresh := ocl.NewDevicePool(1)
+	for i, task := range grid {
+		if rec := RunTask(opts, fresh, task); rec != recs[i] {
+			t.Errorf("RunTask on a new pool = %+v, want %+v", rec, recs[i])
+		}
 	}
 }
 
@@ -135,24 +105,16 @@ func TestProcessPoolAcrossRuns(t *testing.T) {
 	if !slices.Equal(second.Records, first.Records) {
 		t.Error("the second Run's records differ from the first's")
 	}
-	grid, err := TaskGrid(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := ocl.NewDevicePool(1)
-	for i, task := range grid {
-		if rec := RunTask(opts, fresh, task); rec != second.Records[i] {
-			t.Errorf("RunTask on a new pool = %+v, want %+v", rec, second.Records[i])
-		}
-	}
+	matchFresh(t, opts, second.Records)
 }
 
-// TestProcessPoolGrowsToJoin runs a small campaign, a larger one and the
-// small one again. The larger Run replaces the pool with one built at the
-// join of both envelopes (the small campaign has the most warps), so no
-// Get on its device grows it, and the third Run builds no device. A
-// replacement keeps the larger of the two worker counts.
-func TestProcessPoolGrowsToJoin(t *testing.T) {
+// TestProcessPoolGrowsInPlace runs a small campaign, a larger one and the
+// small one again on one worker. The first Run builds the pool's only
+// device; the larger Run grows it in place and the third reshapes it down,
+// so neither builds one. Once grown, the device serves every configuration
+// of the larger Run without allocating, and every Run gives the records of
+// RunTask on a new pool.
+func TestProcessPoolGrowsInPlace(t *testing.T) {
 	small := Options{
 		Configs: []core.HWInfo{{Cores: 2, Warps: 16, Threads: 4}},
 		Kernels: []string{"vecadd"},
@@ -166,52 +128,36 @@ func TestProcessPoolGrowsToJoin(t *testing.T) {
 		Scale:   0.05,
 		Workers: 1,
 	}
-	smallTasks, err := TaskGrid(small)
-	if err != nil {
-		t.Fatal(err)
-	}
 	largeTasks, err := TaskGrid(large)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	dropProcessPool()
-	if res := mustRun(t, small); res.Cache.DevicesNew != 1 {
-		t.Errorf("first small Run built %d devices, want 1", res.Cache.DevicesNew)
+	for i, opts := range []Options{small, large, small} {
+		res := mustRun(t, opts)
+		want := uint64(0)
+		if i == 0 {
+			want = 1
+		}
+		if res.Cache.DevicesNew != want {
+			t.Errorf("Run %d built %d devices, want %d", i, res.Cache.DevicesNew, want)
+		}
+		matchFresh(t, opts, res.Records)
+		if i == 1 {
+			if n := getPutAllocs(t, ProcessPool(), taskConfigs(t, largeTasks)); n != 0 {
+				t.Errorf("the grown device allocated %d B after its first Get, want 0", n)
+			}
+		}
 	}
-	before, _, _ := processPool()
-	if res := mustRun(t, large); res.Cache.DevicesNew != 1 {
-		t.Errorf("large Run built %d devices, want 1", res.Cache.DevicesNew)
-	}
-	pool, env, workers := processPool()
-	if pool == before {
-		t.Error("the large Run kept a pool that does not cover it")
-	}
-	if want := envelopeOf(smallTasks).join(envelopeOf(largeTasks)); env != want || workers != 1 {
-		t.Errorf("pool envelope %+v and %d workers, want %+v and 1", env, workers, want)
-	}
-	if n := getPutAllocs(t, func() *ocl.DevicePool { return pool }, taskConfigs(t, largeTasks)); n != 0 {
-		t.Errorf("the large Run's device allocated %d B after its first Get, want 0", n)
-	}
-	if res := mustRun(t, small); res.Cache.DevicesNew != 0 {
-		t.Errorf("second small Run built %d devices, want 0", res.Cache.DevicesNew)
-	}
-	if after, _, _ := processPool(); after != pool {
-		t.Error("the second small Run replaced a pool that covers it")
-	}
-
-	// A replacement keeps the largest worker count asked for.
-	dropProcessPool()
-	ProcessPool(2, smallTasks)
-	ProcessPool(1, largeTasks)
-	if _, _, workers := processPool(); workers != 2 {
-		t.Errorf("pool replaced by a one-worker campaign keeps %d idle devices, want 2", workers)
+	if n := ProcessPool().IdleLen(); n != 1 {
+		t.Errorf("the pool keeps %d idle devices after one-worker Runs, want 1", n)
 	}
 }
 
 // TestProcessPoolResumeBuildsNothing resumes a campaign whose checkpoint
-// holds every record, with a process pool too small for it: the Run builds
-// no device and leaves the pool as it was.
+// holds every record, with a process pool too small for it: the Run gets
+// no device, so it neither builds nor grows one.
 func TestProcessPoolResumeBuildsNothing(t *testing.T) {
 	big := Options{
 		Configs:    []core.HWInfo{{Cores: 8, Warps: 8, Threads: 8}},
@@ -224,7 +170,7 @@ func TestProcessPoolResumeBuildsNothing(t *testing.T) {
 
 	dropProcessPool()
 	mustRun(t, Options{Configs: []core.HWInfo{{Cores: 1, Warps: 2, Threads: 2}}, Kernels: []string{"vecadd"}, Scale: 0.05, Workers: 1})
-	pool, env, workers := processPool()
+	stats, idle := ProcessPool().Stats(), ProcessPool().IdleLen()
 
 	big.Resume = true
 	res := mustRun(t, big)
@@ -234,15 +180,15 @@ func TestProcessPoolResumeBuildsNothing(t *testing.T) {
 	if !slices.Equal(res.Records, ref.Records) {
 		t.Error("the resumed records differ from the checkpointed Run's")
 	}
-	if p, e, w := processPool(); p != pool || e != env || w != workers {
-		t.Error("a resume that splices every record changed the process's pool")
+	if ProcessPool().Stats() != stats || ProcessPool().IdleLen() != idle {
+		t.Error("a resume that splices every record took a device from the process's pool")
 	}
 }
 
-// TestProcessPoolConcurrentRuns runs two campaigns of different envelopes
-// and worker counts at once, from an empty pool and again from the pool
-// they leave: each gives the records of a Run on its own, and the pool
-// keeps at most the larger worker count of idle devices.
+// TestProcessPoolConcurrentRuns runs two campaigns of different shapes and
+// worker counts at once, from an empty pool and again from the pool they
+// leave: each gives the records of a Run on its own, and the pool keeps at
+// most as many idle devices as the two Runs have workers together.
 func TestProcessPoolConcurrentRuns(t *testing.T) {
 	campaigns := []Options{
 		{
@@ -284,8 +230,8 @@ func TestProcessPoolConcurrentRuns(t *testing.T) {
 				t.Errorf("round %d: campaign %d's records differ from its Run alone", round, i)
 			}
 		}
-		if pool, _, workers := processPool(); workers > 2 || pool.IdleLen() > 2 {
-			t.Errorf("round %d: pool keeps %d idle devices for %d workers, want at most 2", round, pool.IdleLen(), workers)
+		if n := ProcessPool().IdleLen(); n > 3 {
+			t.Errorf("round %d: pool keeps %d idle devices, want at most 3", round, n)
 		}
 	}
 }

@@ -60,9 +60,9 @@ func (c *WorkerConfig) fill() {
 // enforces by meta comparison at enrollment; opts.Workers stays
 // worker-local (it shapes how this host runs its batches, not what the
 // records hold). Tasks run through the same runOne/device-pool/cache
-// substrate as sweep.Run — the process's pool (sweep.ProcessPool), made to
-// cover the envelope of the whole grid, since any task may be leased — so
-// every record is byte-identical to the one a single-process run produces.
+// substrate as sweep.Run — the process's pool (sweep.ProcessPool), whose
+// devices grow in place to whatever leased task needs them — so every
+// record is byte-identical to the one a single-process run produces.
 func Work(ctx context.Context, coordinator string, opts sweep.Options, cfg WorkerConfig) error {
 	if opts.ShardCount > 1 {
 		return fmt.Errorf("service: a fleet worker cannot also be sharded (the lease loop replaces -shard)")
@@ -77,7 +77,7 @@ func Work(ctx context.Context, coordinator string, opts sweep.Options, cfg Worke
 	if err != nil {
 		return err
 	}
-	pool := sweep.ProcessPool(opts.Workers, grid)
+	pool := sweep.ProcessPool()
 	meta := sweep.MetaFor(opts)
 	for {
 		var lr LeaseResponse

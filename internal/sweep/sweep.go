@@ -394,8 +394,9 @@ func launchSum(count func(l *ocl.LaunchResult) uint64) func(*kernels.Result) uin
 // sweep: the program cache's, the input memo's and the process device
 // pool's (ProcessPool) hit/miss deltas over the run, and how many records a
 // Resume spliced in from the checkpoint. All three caches outlive a Run, so
-// a warm Run may build no device, and the deltas of Runs that overlap in
-// time count each other's hits and misses.
+// a warm Run may build no device (DevicesNew counts builds, not the growth
+// of a reused device), and the deltas of Runs that overlap in time count
+// each other's hits and misses.
 type CacheReport struct {
 	ProgramHits, ProgramMisses uint64
 	InputHits, InputMisses     uint64
@@ -428,21 +429,16 @@ type Results struct {
 // Resume, tasks already present in the checkpoint are spliced in without
 // re-simulating; the resulting Records are byte-identical to an
 // uninterrupted run. Workers take their devices from the process's pool
-// (ProcessPool), which outlives the Run.
+// (ProcessPool), which outlives the Run; a task whose configuration is
+// larger than a reused device's grows that device in place.
 func Run(opts Options) (*Results, error) {
 	c, err := NewCampaign(opts, false)
 	if err != nil {
 		return nil, err
 	}
 	opts = c.opts
-	// A Run with no open task (a resume that splices every record) takes
-	// no pool, so it neither builds nor replaces one.
-	var pool *ocl.DevicePool
-	var devBase ocl.CacheCounters
-	if slices.Contains(c.state, slotOpen) {
-		pool = ProcessPool(opts.Workers, c.tasks)
-		devBase = pool.Stats()
-	}
+	pool := ProcessPool()
+	devBase := pool.Stats()
 	progBase := ocl.ProgramCacheStats()
 	inputBase := kernels.InputCacheStats()
 
@@ -475,10 +471,7 @@ func Run(opts Options) (*Results, error) {
 	// Every worker has returned, so the slots are final and need no copy.
 	prog := ocl.ProgramCacheStats()
 	inp := kernels.InputCacheStats()
-	dev := devBase
-	if pool != nil {
-		dev = pool.Stats()
-	}
+	dev := pool.Stats()
 	res := &Results{Options: opts, Records: c.recs, Cache: CacheReport{
 		ProgramHits:   prog.Hits - progBase.Hits,
 		ProgramMisses: prog.Misses - progBase.Misses,

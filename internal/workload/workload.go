@@ -116,9 +116,6 @@ type Graph struct {
 	Col    []uint32 // length E
 }
 
-// Edges returns the edge count.
-func (g *Graph) Edges() int { return len(g.Col) }
-
 // Degree returns the out-degree of node n.
 func (g *Graph) Degree(n int) int { return int(g.RowPtr[n+1] - g.RowPtr[n]) }
 

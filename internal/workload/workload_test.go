@@ -116,7 +116,7 @@ func TestCoraShape(t *testing.T) {
 	if g.N != 2708 {
 		t.Errorf("nodes = %d", g.N)
 	}
-	avg := float64(g.Edges()) / float64(g.N)
+	avg := float64(len(g.Col)) / float64(g.N)
 	if avg < 3 || avg > 8 {
 		t.Errorf("average degree %.1f implausible for a Cora-shaped graph", avg)
 	}
