@@ -17,7 +17,7 @@ import (
 // prints the listing (address, machine word, disassembly, semantic
 // sections), or with -d disassembles raw little-endian words from a binary
 // file.
-var asmCmd = subcommand("asm", func(fs *flag.FlagSet) body {
+var asmCmd = subcommand("asm", true, func(fs *flag.FlagSet) body {
 	base := fs.String("base", "0x1000", "base address")
 	disasm := fs.Bool("d", false, "disassemble a raw binary instead of assembling")
 	defs := map[string]int64{}

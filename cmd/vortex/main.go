@@ -1,6 +1,6 @@
 // Command vortex drives the simulated Vortex-like GPGPU. "vortex help"
-// lists its subcommands — run, sweep (with merge, serve and work), trace
-// and asm — and "vortex <subcommand> -h" the flags of one:
+// lists its subcommands — run, sweep (with merge), trace and asm — and
+// "vortex <subcommand> -h" the flags of one:
 //
 //	vortex run -config 4c8w16t -kernel sgemm -scale 0.1
 //	vortex sweep -configs 4 -kernels vecadd -scale 0.05
@@ -36,7 +36,7 @@ var commands = []struct {
 	run           func(args []string, stdout, stderr io.Writer) int
 }{
 	{"run", "run one kernel on one device configuration and print the launch report", runCmd},
-	{"sweep", "regenerate Figure 2 over the configuration grid (also: merge, serve, work)", sweepCmd},
+	{"sweep", "regenerate Figure 2 over the configuration grid (also: merge)", sweepCmd},
 	{"trace", "regenerate Figure 1: issue waveforms of a kernel under several lws", traceCmd},
 	{"asm", "assemble device code, or disassemble it with -d", asmCmd},
 }
@@ -68,10 +68,13 @@ type usageError string
 func (e usageError) Error() string { return string(e) }
 
 // subcommand returns the subcommand name: setup registers its flags and
-// returns its body. The result exits 0 after -h or a body that succeeds, 2
-// after a bad flag or a usageError, and 1 after any other error, which it
-// reports under the command's first word ("vortex sweep: ...").
-func subcommand(name string, setup func(fs *flag.FlagSet) body) func(args []string, stdout, stderr io.Writer) int {
+// returns its body. takesArgs says the body reads positional arguments
+// from fs.Args(); a subcommand that takes none refuses any, since the flag
+// parser stops at the first and would drop every flag after it. The result
+// exits 0 after -h or a body that succeeds, 2 after a bad flag, a stray
+// argument or a usageError, and 1 after any other error, which it reports
+// under the command's first word ("vortex sweep: ...").
+func subcommand(name string, takesArgs bool, setup func(fs *flag.FlagSet) body) func(args []string, stdout, stderr io.Writer) int {
 	return func(args []string, stdout, stderr io.Writer) int {
 		fs := flag.NewFlagSet("vortex "+name, flag.ContinueOnError)
 		fs.SetOutput(stderr)
@@ -82,7 +85,12 @@ func subcommand(name string, setup func(fs *flag.FlagSet) body) func(args []stri
 			}
 			return 2
 		}
-		err := run(stdout, stderr)
+		var err error
+		if !takesArgs && fs.NArg() > 0 {
+			err = usageError(fmt.Sprintf("vortex %s: unexpected argument %q", name, fs.Arg(0)))
+		} else {
+			err = run(stdout, stderr)
+		}
 		var usage usageError
 		switch {
 		case err == nil:

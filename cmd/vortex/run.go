@@ -17,7 +17,7 @@ import (
 // grid point the axis flags name, and prints the full launch report: the
 // Eq. 1 advice, the chosen lws and regime, cycle counts, and pipeline and
 // cache statistics.
-var runCmd = subcommand("run", func(fs *flag.FlagSet) body {
+var runCmd = subcommand("run", false, func(fs *flag.FlagSet) body {
 	var sf simFlags
 	sf.addDevice(fs, "4c8w16t", "vecadd")
 	sf.addWorkload(fs, 1.0, "")

@@ -1,24 +1,18 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"slices"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/kernels"
 	"repro/internal/stats"
 	"repro/internal/sweep"
-	"repro/internal/sweep/service"
 )
 
 // sweepCmd regenerates the paper's Figure 2: the three lws mappings (lws=1,
@@ -28,25 +22,17 @@ import (
 // empirical lws search (core.OracleMappers) instead and adds Eq. 1's regret
 // table. -checkpoint streams each record to a JSONL file that -resume
 // continues from; -shard i/N runs every N-th task, and merge recombines the
-// shards' checkpoints. serve and work replace static shards with leases
-// over HTTP: serve owns the grid and the checkpoint, and work runs leased
-// tasks for it. Every path gives records byte-identical to one
+// shards' checkpoints. Every path gives records byte-identical to one
 // uninterrupted single-process run.
 func sweepCmd(args []string, stdout, stderr io.Writer) int {
-	if len(args) > 0 && sweepModes[args[0]] != nil {
-		return sweepModes[args[0]](args[1:], stdout, stderr)
+	if len(args) > 0 && args[0] == "merge" {
+		return mergeCmd(args[1:], stdout, stderr)
 	}
 	return campaignCmd(args, stdout, stderr)
 }
 
-// sweepModes are sweep's own subcommands; without one, sweep runs a campaign.
-var sweepModes = map[string]func(args []string, stdout, stderr io.Writer) int{
-	"merge": mergeCmd, "serve": serveCmd, "work": workCmd,
-}
-
-// campaignFlags is the flag set of every simulating mode (the campaign,
-// serve and work): what fixes the records' bytes, which serve and work must
-// agree on, and the worker-local -workers, which never crosses the wire.
+// campaignFlags is the campaign's flag set: what fixes the records' bytes,
+// and -workers, which does not.
 type campaignFlags struct {
 	sim       simFlags
 	nConfigs  *int
@@ -73,7 +59,8 @@ func addCampaignFlags(fs *flag.FlagSet) *campaignFlags {
 // options validates the campaign flags and assembles sweep.Options. It
 // refuses numeric nonsense that Subsample (-configs 0 would run the full
 // grid), the workload builders (-scale 0, NaN) or sweep.Options (-workers
-// -3 would run at GOMAXPROCS) would misread.
+// -3 would run at GOMAXPROCS) would misread, and a kernel name the registry
+// lacks, which sweep.Run would find only task by task.
 func (cf *campaignFlags) options() (sweep.Options, error) {
 	var opts sweep.Options
 	if err := cf.sim.check(); err != nil {
@@ -89,7 +76,11 @@ func (cf *campaignFlags) options() (sweep.Options, error) {
 	if *cf.kernelCSV != "all" && *cf.kernelCSV != "" {
 		names = nil
 		for _, f := range strings.Split(*cf.kernelCSV, ",") {
-			names = append(names, strings.TrimSpace(f))
+			name := strings.TrimSpace(f)
+			if _, err := kernels.ByName(name); err != nil {
+				return opts, err
+			}
+			names = append(names, name)
 		}
 	}
 	configs := sweep.Subsample(sweep.Grid(), *cf.nConfigs)
@@ -120,7 +111,7 @@ func (cf *campaignFlags) options() (sweep.Options, error) {
 }
 
 // campaignCmd is the classic single-process mode (plus -shard striding).
-var campaignCmd = subcommand("sweep", func(fs *flag.FlagSet) body {
+var campaignCmd = subcommand("sweep", false, func(fs *flag.FlagSet) body {
 	cf := addCampaignFlags(fs)
 	violins := fs.Bool("violins", false, "render ASCII violin plots (Figure 2)")
 	csvPath := fs.String("csv", "", "write the raw per-run records to this CSV file")
@@ -209,129 +200,17 @@ var campaignCmd = subcommand("sweep", func(fs *flag.FlagSet) body {
 			return err
 		}
 		fmt.Fprintf(stdout, "campaign caches: %s\n\n", res.Cache)
-		return report(stdout, res, *violins, *csvPath)
-	}
-})
-
-// serveCmd is the campaign coordinator: it owns the task grid and the
-// crash-safe checkpoint, hands out leases over HTTP, and exits once the
-// grid is covered.
-var serveCmd = subcommand("sweep serve", func(fs *flag.FlagSet) body {
-	cf := addCampaignFlags(fs)
-	addr := fs.String("addr", "127.0.0.1:8712", "address to serve the campaign on (host:port; port 0 picks a free one)")
-	checkpoint := fs.String("checkpoint", "", "stream each accepted record to this JSONL file (required: the crash-safe campaign state)")
-	resume := fs.Bool("resume", false, "mark tasks already recorded in -checkpoint as done instead of re-issuing them")
-	out := fs.String("out", "", "after the grid is covered, write the campaign as a canonical-order checkpoint (byte-identical to a single-process -workers 1 run)")
-	csvPath := fs.String("csv", "", "write the completed per-run records to this CSV file")
-	violins := fs.Bool("violins", false, "render ASCII violin plots (Figure 2)")
-	leaseTTL := fs.Duration("lease-ttl", 60*time.Second, "re-issue a worker's tasks if it has not submitted for this long")
-	batch := fs.Int("batch", 4, "default tasks per lease")
-	linger := fs.Duration("linger", 2*time.Second, "keep answering /lease with done for this long after the grid is covered, so idle pollers exit cleanly instead of hitting a closed port")
-	progress := fs.Bool("progress", false, "print progress to stderr")
-	return func(stdout, stderr io.Writer) error {
-		if fs.NArg() > 0 {
-			return usageError(fmt.Sprintf("vortex sweep: serve takes no positional arguments (got %q)", fs.Args()))
-		}
-		if *checkpoint == "" {
-			return usageError("serve requires -checkpoint: it is the crash-safe campaign state a killed coordinator resumes from")
-		}
-		opts, err := cf.options()
-		if err != nil {
+		if err := render(stdout, res, *violins); err != nil {
 			return err
 		}
-		opts.Checkpoint = *checkpoint
-		opts.Resume = *resume
-		if *progress {
-			opts.Progress = progressTo(stderr)
-		}
-		srv, err := service.New(opts, service.Config{LeaseTTL: *leaseTTL, BatchSize: *batch})
-		if err != nil {
-			return err
-		}
-		ln, err := net.Listen("tcp", *addr)
-		if err != nil {
-			return err
-		}
-		st := srv.Status()
-		// The resolved address line is the contract the CLI tests (and shell
-		// scripts) scrape the port from when -addr ends in :0.
-		fmt.Fprintf(stdout, "serving campaign on %s (%d tasks, %d resumed)\n", ln.Addr(), st.Total, st.Completed)
-		// One request's read and answer get the worker client's own timeout:
-		// a /submit at the body-size cap still fits well within it.
-		httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second,
-			ReadTimeout: 60 * time.Second, WriteTimeout: 60 * time.Second}
-		go httpSrv.Serve(ln)
-
-		<-srv.Done()
-		// Polling workers learn the campaign is over from their next /lease,
-		// not from a connection-refused.
-		time.Sleep(*linger)
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		httpSrv.Shutdown(ctx)
-		cancel()
-		if err := srv.Close(); err != nil {
-			return err
-		}
-		st = srv.Status()
-		fmt.Fprintf(stdout, "campaign complete: %d records (%d failed), %d duplicate submissions, %d leases reissued, %d workers\n\n",
-			st.Completed, st.Failed, st.Dupes, st.Reissued, st.Workers)
-		res, err := srv.Results()
-		if err != nil {
-			return fmt.Errorf("%v\nvortex sweep: completed runs are preserved in %s; restart serve with -resume to retry the failures", err, *checkpoint)
-		}
-		if *out != "" {
-			if err := srv.WriteFinal(*out); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "wrote %s (%d records, canonical order)\n\n", *out, len(res.Records))
-		}
-		return report(stdout, res, *violins, *csvPath)
-	}
-})
-
-// workCmd is a fleet worker: lease tasks from a coordinator, run them
-// through the shared simulation substrate, stream records back.
-var workCmd = subcommand("sweep work", func(fs *flag.FlagSet) body {
-	cf := addCampaignFlags(fs)
-	coordinator := fs.String("coordinator", "", "coordinator address (host:port of a vortex sweep serve; required)")
-	workerID := fs.String("worker", "", "stable worker identity (default host-pid)")
-	batch := fs.Int("batch", 0, "tasks to request per lease (0 = coordinator default)")
-	progress := fs.Bool("progress", false, "print each completed task to stderr")
-	return func(stdout, stderr io.Writer) error {
-		if fs.NArg() > 0 {
-			return usageError(fmt.Sprintf("vortex sweep: work takes no positional arguments (got %q)", fs.Args()))
-		}
-		if *coordinator == "" {
-			return usageError("work requires -coordinator (the address of a vortex sweep serve)")
-		}
-		opts, err := cf.options()
-		if err != nil {
-			return err
-		}
-		ran := 0
-		wcfg := service.WorkerConfig{ID: *workerID, BatchSize: *batch}
-		wcfg.OnRecord = func(r sweep.Record) {
-			ran++
-			if *progress {
-				fmt.Fprintf(stderr, "%s done (%d run)\n", r.Key(), ran)
-			}
-		}
-		// SIGINT/SIGTERM stop the worker between tasks; the leases it holds
-		// expire and the coordinator re-issues them.
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		if err := service.Work(ctx, *coordinator, opts, wcfg); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "campaign complete: this worker ran %d tasks\n", ran)
-		return nil
+		return writeCSV(stdout, res, *csvPath)
 	}
 })
 
 // mergeCmd recombines completed shard checkpoints into single-process
 // results, optionally writing a merged checkpoint and CSV, and renders the
 // same report the single-process run would print.
-var mergeCmd = subcommand("sweep merge", func(fs *flag.FlagSet) body {
+var mergeCmd = subcommand("sweep merge", true, func(fs *flag.FlagSet) body {
 	out := fs.String("out", "", "write the merged campaign as a single unsharded checkpoint JSONL")
 	csvPath := fs.String("csv", "", "write the merged per-run records to this CSV file")
 	violins := fs.Bool("violins", false, "render ASCII violin plots (Figure 2)")
@@ -403,14 +282,6 @@ func searched(res *sweep.Results) bool {
 		}
 	}
 	return false
-}
-
-// report renders res and, given a path, writes its CSV there.
-func report(out io.Writer, res *sweep.Results, violins bool, csvPath string) error {
-	if err := render(out, res, violins); err != nil {
-		return err
-	}
-	return writeCSV(out, res, csvPath)
 }
 
 // writeCSV writes res's records as CSV to path; an empty path writes none.

@@ -152,9 +152,8 @@ func TestMemAxisResumeRejectsV3CheckpointCLI(t *testing.T) {
 }
 
 // TestMemAxisFlagRefusals pins the CLI-boundary diagnostics of the three
-// memory flags, on the sweep command and on serve/work enrollment paths.
+// memory flags.
 func TestMemAxisFlagRefusals(t *testing.T) {
-	dir := t.TempDir()
 	base := []string{"-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "0.05"}
 	sweepRefusals(t, []refusal{
 		{"negative mshrs", append(append([]string{}, base...), "-mshrs", "-1"),
@@ -171,9 +170,5 @@ func TestMemAxisFlagRefusals(t *testing.T) {
 			1, "unknown prefetch policy"},
 		{"dup prefetch", append(append([]string{}, base...), "-prefetch", "off,off"),
 			1, "duplicate prefetch entry off"},
-		{"serve with dup mshrs", append([]string{"serve", "-checkpoint", filepath.Join(dir, "c.jsonl"),
-			"-mshrs", "4,4"}, base...), 1, "duplicate mshrs entry 4"},
-		{"work with bad l1", append([]string{"work", "-coordinator", "127.0.0.1:1",
-			"-l1", "nope"}, base...), 1, "bad L1 geometry"},
 	})
 }

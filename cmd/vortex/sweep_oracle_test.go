@@ -1,14 +1,10 @@
 package main
 
 import (
-	"flag"
-	"net/http/httptest"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
-
-	"repro/internal/sweep/service"
 )
 
 // TestGoldenOracleSweep pins the one-point search: Figure 2's table, then
@@ -42,38 +38,24 @@ func TestMergeCrossoverBaseline(t *testing.T) {
 	}
 }
 
-// TestWorkRefusesOtherMapperSet pins that -oracle is campaign identity: a
-// worker whose -oracle differs from its coordinator's is refused at
-// enrollment, with the mapper lists named.
-func TestWorkRefusesOtherMapperSet(t *testing.T) {
-	for _, oracle := range []bool{false, true} {
-		coordArgs := append([]string{}, campaignArgs...)
-		workArgs := append([]string{}, campaignArgs...)
-		if oracle {
-			coordArgs = append(coordArgs, "-oracle")
-		} else {
-			workArgs = append(workArgs, "-oracle")
-		}
-		fs := flag.NewFlagSet("coordinator", flag.ContinueOnError)
-		cf := addCampaignFlags(fs)
-		if err := fs.Parse(coordArgs); err != nil {
-			t.Fatal(err)
-		}
-		opts, err := cf.options()
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Checkpoint = filepath.Join(t.TempDir(), "served.jsonl")
-		srv, err := service.New(opts, service.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(srv)
-		code, out := vortex(append([]string{"sweep", "work", "-coordinator", ts.URL}, workArgs...)...)
-		ts.Close()
-		srv.Close()
-		if code != 1 || !strings.Contains(out, "meta mismatch (worker vs campaign: mappers ") {
-			t.Errorf("coordinator -oracle=%v: worker exit %d, want 1 refused on Mappers:\n%s", oracle, code, out)
-		}
+// TestShardsRefuseOtherMapperSet pins that -oracle is campaign identity: a
+// paper-mapper -resume of an -oracle checkpoint, and a merge of an -oracle
+// shard with a paper shard, are refused with the mapper lists named.
+func TestShardsRefuseOtherMapperSet(t *testing.T) {
+	dir := t.TempDir()
+	oracleArgs := append(append([]string{}, campaignArgs...), "-oracle")
+	oracle := filepath.Join(dir, "oracle.jsonl")
+	runSweep(t, append(append([]string{}, oracleArgs...), "-checkpoint", oracle)...)
+	code, out := vortex(append(append([]string{"sweep"}, campaignArgs...), "-checkpoint", oracle, "-resume")...)
+	if code != 1 || !strings.Contains(out, "(checkpoint vs this run: mappers ") {
+		t.Errorf("paper -resume of an -oracle checkpoint: exit %d, want 1 refused on mappers:\n%s", code, out)
+	}
+
+	shard0, shard1 := filepath.Join(dir, "shard0.jsonl"), filepath.Join(dir, "shard1.jsonl")
+	runSweep(t, append(append([]string{}, oracleArgs...), "-shard", "0/2", "-checkpoint", shard0)...)
+	runSweep(t, append(append([]string{}, campaignArgs...), "-shard", "1/2", "-checkpoint", shard1)...)
+	code, out = vortex("sweep", "merge", shard0, shard1)
+	if code != 1 || !strings.Contains(out, "written with different sweep options (mappers ") {
+		t.Errorf("merge of an -oracle shard with a paper shard: exit %d, want 1 refused on mappers:\n%s", code, out)
 	}
 }

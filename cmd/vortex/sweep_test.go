@@ -1,21 +1,12 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
-	"flag"
-	"net/http"
 	"os"
 	"path/filepath"
-	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/sweep"
-	"repro/internal/sweep/service"
 )
 
 // campaignArgs is the tiny fixed campaign every sweep test drives: explicit
@@ -197,187 +188,11 @@ poll:
 	}
 }
 
-// postLease enrolls over POST /lease and returns the coordinator's reply.
-func postLease(t *testing.T, addr string, req service.LeaseRequest) service.LeaseResponse {
-	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post("http://"+addr+"/lease", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST /lease: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /lease: %s", resp.Status)
-	}
-	var lr service.LeaseResponse
-	if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
-		t.Fatalf("decode lease: %v", err)
-	}
-	return lr
-}
-
-// pollStatus fetches the coordinator's /status JSON.
-func pollStatus(t *testing.T, addr string) (st struct {
-	Total     int  `json:"total"`
-	Completed int  `json:"completed"`
-	Leased    int  `json:"leased"`
-	Pending   int  `json:"pending"`
-	Reissued  int  `json:"leases_reissued"`
-	Done      bool `json:"done"`
-}) {
-	t.Helper()
-	resp, err := http.Get("http://" + addr + "/status")
-	if err != nil {
-		t.Fatalf("GET /status: %v", err)
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatalf("decode /status: %v", err)
-	}
-	return st
-}
-
-// TestServeWorkKillRecoveryCLI drives the work-stealing campaign service as
-// real subprocesses: a coordinator on a kernel-picked port, a worker that
-// dies holding an unfinished lease — the test enrolls itself, draws a batch
-// and never submits it — and a worker that triggers the lease re-issue and
-// finishes the grid. The coordinator's canonical -out checkpoint and CSV
-// must be byte-identical to a clean single-process run — a worker dying
-// mid-lease must not perturb a single record.
-func TestServeWorkKillRecoveryCLI(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns subprocesses")
-	}
-	dir := t.TempDir()
-	// 72 tasks: the campaign's 18 under every scheduler, at full scale.
-	campaignArgs := []string{
-		"-grid", "1c2w2t,2c2w4t,4c4w4t",
-		"-kernels", "vecadd,saxpy",
-		"-sched", "rr,gto,oldest,2lev",
-		"-scale", "1", "-seed", "7", "-workers", "1",
-	}
-
-	refCkpt := filepath.Join(dir, "ref.jsonl")
-	refCSV := filepath.Join(dir, "ref.csv")
-	runSweepProcess(t, append(append([]string{}, campaignArgs...),
-		"-checkpoint", refCkpt, "-csv", refCSV)...)
-
-	finalCkpt := filepath.Join(dir, "final.jsonl")
-	finalCSV := filepath.Join(dir, "final.csv")
-	serveCmd := vortexProcess(t, append([]string{"sweep", "serve",
-		"-addr", "127.0.0.1:0", "-checkpoint", filepath.Join(dir, "served.jsonl"),
-		"-out", finalCkpt, "-csv", finalCSV,
-		"-lease-ttl", "2s", "-batch", "3", "-linger", "200ms"},
-		campaignArgs...)...)
-	servePipe, err := serveCmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveCmd.Stderr = os.Stderr
-	if err := serveCmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer serveCmd.Process.Kill()
-	serveOut := bufio.NewScanner(servePipe)
-	if !serveOut.Scan() {
-		t.Fatal("serve produced no output")
-	}
-	banner := serveOut.Text()
-	// "serving campaign on 127.0.0.1:PORT (N tasks, 0 resumed)" is the
-	// scrape contract for :0 listeners.
-	fields := strings.Fields(banner)
-	if len(fields) < 4 || !strings.HasPrefix(banner, "serving campaign on ") {
-		t.Fatalf("unexpected serve banner %q", banner)
-	}
-	addr := fields[3]
-	rest := make(chan string, 1)
-	go func() {
-		var b strings.Builder
-		b.WriteString(banner + "\n")
-		for serveOut.Scan() {
-			b.WriteString(serveOut.Text() + "\n")
-		}
-		rest <- b.String()
-	}()
-
-	// A worker describing a different campaign must be refused at
-	// enrollment, permanently — not retried into the grid.
-	alien := vortexProcess(t, append(append([]string{"sweep", "work", "-coordinator", addr},
-		campaignArgs...), "-seed", "9")...)
-	if out, err := alien.CombinedOutput(); err == nil {
-		t.Fatalf("meta-mismatched worker accepted:\n%s", out)
-	} else if !strings.Contains(string(out), "meta mismatch") || !strings.Contains(string(out), "seed 9 vs 7") {
-		t.Errorf("meta-mismatch refusal not diagnosable:\n%s", out)
-	}
-
-	// The test itself enrolls as a worker, draws a 3-task lease and never
-	// submits it: a worker that died holding a lease, with no race against
-	// the campaign's progress. Its meta is what a worker started with
-	// campaignArgs computes.
-	fs := flag.NewFlagSet("holder", flag.ContinueOnError)
-	cf := addCampaignFlags(fs)
-	if err := fs.Parse(campaignArgs); err != nil {
-		t.Fatal(err)
-	}
-	opts, err := cf.options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	held := postLease(t, addr, service.LeaseRequest{
-		Worker: "holder", Proto: service.ProtocolVersion, Meta: sweep.MetaFor(opts), Max: 3,
-	})
-	if len(held.Tasks) == 0 || held.Done {
-		t.Fatalf("holder drew no tasks: %+v", held)
-	}
-	if st := pollStatus(t, addr); st.Leased != len(held.Tasks) {
-		t.Fatalf("status %+v, want the holder's %d tasks leased", st, len(held.Tasks))
-	}
-
-	// A clean worker finishes the grid: it polls, the holder's lease
-	// expires (2s TTL), and the freed tasks are re-issued to it.
-	finisher := runSweepProcess(t, append([]string{"work", "-coordinator", addr,
-		"-worker", "finisher"}, campaignArgs...)...)
-	if !strings.Contains(finisher, "campaign complete: this worker ran") {
-		t.Errorf("finisher output missing summary:\n%s", finisher)
-	}
-
-	// Drain serve's output before Wait, which closes the pipe and would cut
-	// off lines the scanner has not read yet.
-	serveLog := <-rest
-	if err := serveCmd.Wait(); err != nil {
-		t.Fatalf("serve exited with %v", err)
-	}
-	m := regexp.MustCompile(`(\d+) leases reissued`).FindStringSubmatch(serveLog)
-	if m == nil {
-		t.Fatalf("serve output missing reissue count:\n%s", serveLog)
-	}
-	if n, _ := strconv.Atoi(m[1]); n < 1 {
-		t.Errorf("the holder's lease was never reissued:\n%s", serveLog)
-	}
-
-	for _, pair := range [][2]string{{refCkpt, finalCkpt}, {refCSV, finalCSV}} {
-		want, err := os.ReadFile(pair[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(pair[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want, got) {
-			t.Errorf("%s differs from %s:\n--- want ---\n%s\n--- got ---\n%s",
-				pair[1], pair[0], want, got)
-		}
-	}
-}
-
 // TestCampaignFlagRefusals pins the CLI-boundary validation diagnostics:
-// numeric nonsense, duplicated sched axis entries, -replot combined with
-// simulation-only flags, and serve/work missing their required flags all
-// fail up front with the offending flag named.
+// numeric nonsense, duplicated sched axis entries, an unknown kernel,
+// -replot combined with simulation-only flags, and the deleted serve and
+// work modes all fail up front with the offending flag or argument named,
+// before any task runs or any file is written.
 func TestCampaignFlagRefusals(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{"-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "0.05"}
@@ -398,10 +213,6 @@ func TestCampaignFlagRefusals(t *testing.T) {
 			2, "-configs must be >= 1"},
 		{"negative workers", append(append([]string{}, base...), "-workers", "-3"),
 			2, "-workers must be >= 0 (got -3)"},
-		{"serve with negative workers", append([]string{"serve", "-checkpoint", filepath.Join(dir, "w.jsonl"),
-			"-workers", "-1"}, base...), 2, "-workers must be >= 0"},
-		{"work with negative workers", append([]string{"work", "-coordinator", "127.0.0.1:1",
-			"-workers", "-1"}, base...), 2, "-workers must be >= 0"},
 		{"resume without checkpoint", append(append([]string{}, base...), "-resume"),
 			2, "-resume requires -checkpoint"},
 		{"replot with checkpoint", []string{"-replot", "x.csv", "-checkpoint", "y.jsonl"},
@@ -414,18 +225,16 @@ func TestCampaignFlagRefusals(t *testing.T) {
 			2, "cannot be combined with -grid, -oracle, -scale"},
 		{"replot with a default-valued flag", []string{"-replot", "x.csv", "-verify=false", "-workers", "0"},
 			2, "cannot be combined with -verify, -workers"},
-		{"serve without checkpoint", append([]string{"serve"}, base...),
-			2, "serve requires -checkpoint"},
-		{"serve with zero scale", []string{"serve", "-checkpoint", "c.jsonl",
-			"-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "0"},
-			1, "-scale must be positive and finite"},
-		{"serve with dup sched", append([]string{"serve", "-checkpoint", filepath.Join(dir, "c.jsonl"),
-			"-sched", "gto,gto"}, base...), 1, "duplicate sched entry gto"},
-		{"work without coordinator", append([]string{"work"}, base...),
-			2, "work requires -coordinator"},
-		{"work with dup sched", append([]string{"work", "-coordinator", "127.0.0.1:1",
-			"-sched", "rr,rr"}, base...), 1, "duplicate sched entry rr"},
+		{"unknown kernel", append(append([]string{}, base...), "-kernels", "vecadd,nosuch",
+			"-checkpoint", filepath.Join(dir, "k.jsonl")), 1, `unknown kernel "nosuch"`},
+		{"serve", append([]string{"serve", "-checkpoint", filepath.Join(dir, "s.jsonl")}, base...),
+			2, `unexpected argument "serve"`},
+		{"work", append([]string{"work", "-coordinator", "127.0.0.1:1"}, base...),
+			2, `unexpected argument "work"`},
 	})
+	if files, _ := os.ReadDir(dir); len(files) > 0 {
+		t.Errorf("a refused campaign wrote %s", files[0].Name())
+	}
 }
 
 // TestReplotTakesRenderFlags pins the other side of the -replot refusal:
@@ -462,22 +271,20 @@ func TestReplotReadsLegacyCSV(t *testing.T) {
 }
 
 // TestRemovedHostModeFlagsRejected pins that the host-mode flags deleted
-// with the parallel engine are command-line errors (exit status 2) in every
-// simulating mode, not silently accepted no-ops.
+// with the parallel engine are command-line errors (exit status 2), not
+// silently accepted no-ops.
 func TestRemovedHostModeFlagsRejected(t *testing.T) {
-	for _, mode := range [][]string{nil, {"serve"}, {"work"}} {
-		for _, removed := range [][]string{
-			{"-sim-workers", "2"}, {"-commit-workers", "1"}, {"-tick-engine"},
-			{"-batch-exec=false"}, {"-batch-mem=false"},
-		} {
-			args := append(append([]string{"sweep"}, mode...), removed...)
-			code, out := vortex(args...)
-			if code != 2 {
-				t.Errorf("%v: exit %d, want exit status 2:\n%s", args, code, out)
-			}
-			if !strings.Contains(out, "flag provided but not defined") {
-				t.Errorf("%v: output does not name the undefined flag:\n%s", args, out)
-			}
+	for _, removed := range [][]string{
+		{"-sim-workers", "2"}, {"-commit-workers", "1"}, {"-tick-engine"},
+		{"-batch-exec=false"}, {"-batch-mem=false"},
+	} {
+		args := append([]string{"sweep"}, removed...)
+		code, out := vortex(args...)
+		if code != 2 {
+			t.Errorf("%v: exit %d, want exit status 2:\n%s", args, code, out)
+		}
+		if !strings.Contains(out, "flag provided but not defined") {
+			t.Errorf("%v: output does not name the undefined flag:\n%s", args, out)
 		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // under several local work sizes on one device configuration, showing
 // per-warp instruction wavefronts tagged with semantic sections, plus the
 // PC / thread-mask issue table.
-var traceCmd = subcommand("trace", func(fs *flag.FlagSet) body {
+var traceCmd = subcommand("trace", false, func(fs *flag.FlagSet) body {
 	var sf simFlags
 	sf.addDevice(fs, "1c2w4t", "vecadd")
 	gws := fs.Int("gws", 128, "global work size (vecadd length in Figure 1)")

@@ -122,7 +122,7 @@ func TestCampaignRunServeAgree(t *testing.T) {
 		defer progressMu.Unlock()
 		progressed = [2]int{done, total}
 	}
-	srv, err := service.New(served, service.Config{BatchSize: 2})
+	srv, err := service.New(served, service.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

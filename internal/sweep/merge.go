@@ -155,8 +155,8 @@ func optionsFromMeta(m Meta, g [][]string) Options {
 
 // WriteCheckpoint writes records as a single unsharded checkpoint file:
 // the given meta with shard 0/1, then every record in the order given
-// (canonical grid order for Merge and the campaign service) — exactly the
-// file a single-process Workers=1 checkpointed Run would have produced.
+// (canonical grid order for Merge) — exactly the file a single-process
+// Workers=1 checkpointed Run would have produced.
 func WriteCheckpoint(path string, meta Meta, records []Record) error {
 	meta.ShardIndex, meta.ShardCount = 0, 1
 	f, err := os.Create(path)

@@ -7,75 +7,53 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strings"
 	"time"
 
 	"repro/internal/sweep"
 )
 
-// WorkerConfig tunes a fleet worker. The zero value is usable.
+// WorkerConfig configures a lease-loop worker.
 type WorkerConfig struct {
-	// ID is the worker's stable identity; defaults to host-pid.
+	// ID is the worker's stable identity; the coordinator refuses an
+	// empty one.
 	ID string
 	// BatchSize is the number of tasks requested per lease; 0 accepts the
 	// coordinator's default.
 	BatchSize int
-	// HTTP overrides the transport (tests inject httptest clients).
+	// HTTP is the client requests go through; nil uses one with a 60s
+	// timeout.
 	HTTP *http.Client
-	// MaxAttempts bounds tries per request, transient faults only
-	// (network errors, 5xx): attempt n sleeps Backoff*2^(n-1) first.
-	// Permanent refusals (4xx: meta mismatch, bad records) never retry.
-	// Default 6 attempts, 100ms base — ~3s of cumulative patience.
-	MaxAttempts int
-	Backoff     time.Duration
-	// OnRecord, if non-nil, observes each record after its task runs
-	// (before submission).
-	OnRecord func(sweep.Record)
 }
 
-func (c *WorkerConfig) fill() {
-	if c.ID == "" {
-		host, err := os.Hostname()
-		if err != nil {
-			host = "worker"
-		}
-		c.ID = fmt.Sprintf("%s-%d", host, os.Getpid())
-	}
-	if c.HTTP == nil {
-		c.HTTP = &http.Client{Timeout: 60 * time.Second}
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 6
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 100 * time.Millisecond
-	}
-}
+// A request is tried up to maxAttempts times, on transient faults only
+// (network errors, 5xx): attempt n sleeps backoff*2^(n-1) first, ~3s of
+// patience in all. Permanent refusals (4xx: meta mismatch, bad records)
+// never retry.
+const (
+	maxAttempts = 6
+	backoff     = 100 * time.Millisecond
+)
 
-// Work runs the worker loop against a coordinator until the campaign is
-// done (nil), the context is canceled, or a permanent refusal / exhausted
-// retry budget stops it (error). opts must describe the same campaign the
-// coordinator serves — same grid axes, scale, seed — which the coordinator
-// enforces by meta comparison at enrollment; opts.Workers stays
-// worker-local (it shapes how this host runs its batches, not what the
-// records hold). Tasks run through the same runOne/device-pool/cache
-// substrate as sweep.Run — the process's pool (sweep.ProcessPool), whose
-// devices grow in place to whatever leased task needs them — so every
-// record is byte-identical to the one a single-process run produces.
+// Work runs the worker loop against the coordinator at the http(s) URL
+// coordinator until the campaign is done (nil), the context is canceled,
+// or a permanent refusal / exhausted retry budget stops it (error). opts
+// must describe the campaign the coordinator serves, which it enforces by
+// meta comparison at enrollment. Leased tasks run one at a time through
+// sweep.RunTask on the process's pool (sweep.ProcessPool), so every record
+// is byte-identical to the one a single-process run produces.
 func Work(ctx context.Context, coordinator string, opts sweep.Options, cfg WorkerConfig) error {
-	if opts.ShardCount > 1 {
-		return fmt.Errorf("service: a fleet worker cannot also be sharded (the lease loop replaces -shard)")
+	if !strings.HasPrefix(coordinator, "http://") && !strings.HasPrefix(coordinator, "https://") {
+		return fmt.Errorf("service: coordinator address %q is not an http(s) URL", coordinator)
 	}
+	base := strings.TrimSuffix(coordinator, "/")
 	grid, err := sweep.TaskGrid(opts)
 	if err != nil {
 		return err
 	}
 	opts = opts.Normalized()
-	cfg.fill()
-	base, err := normalizeCoordinator(coordinator)
-	if err != nil {
-		return err
+	if cfg.HTTP == nil {
+		cfg.HTTP = &http.Client{Timeout: 60 * time.Second}
 	}
 	pool := sweep.ProcessPool()
 	meta := sweep.MetaFor(opts)
@@ -92,7 +70,7 @@ func Work(ctx context.Context, coordinator string, opts sweep.Options, cfg Worke
 		if len(lr.Tasks) == 0 {
 			delay := time.Duration(lr.RetryMillis) * time.Millisecond
 			if delay <= 0 {
-				delay = 200 * time.Millisecond
+				delay = retryDelay
 			}
 			if err := sleepCtx(ctx, delay); err != nil {
 				return err
@@ -111,11 +89,7 @@ func Work(ctx context.Context, coordinator string, opts sweep.Options, cfg Worke
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			rec := sweep.RunTask(opts, pool, grid[idx])
-			if cfg.OnRecord != nil {
-				cfg.OnRecord(rec)
-			}
-			recs = append(recs, rec)
+			recs = append(recs, sweep.RunTask(opts, pool, grid[idx]))
 		}
 		var sr SubmitResponse
 		if err := postJSON(ctx, cfg, base+"/submit", SubmitRequest{
@@ -129,20 +103,6 @@ func Work(ctx context.Context, coordinator string, opts sweep.Options, cfg Worke
 	}
 }
 
-// normalizeCoordinator accepts "host:port" or a full http(s) URL.
-func normalizeCoordinator(addr string) (string, error) {
-	if addr == "" {
-		return "", fmt.Errorf("service: no coordinator address")
-	}
-	if !strings.Contains(addr, "://") {
-		addr = "http://" + addr
-	}
-	if !strings.HasPrefix(addr, "http://") && !strings.HasPrefix(addr, "https://") {
-		return "", fmt.Errorf("service: coordinator address %q is not http(s)", addr)
-	}
-	return strings.TrimSuffix(addr, "/"), nil
-}
-
 // postJSON posts req and decodes the 200 response into out, retrying
 // transient faults (network errors and 5xx) with exponential backoff and
 // failing fast on 4xx — those are the coordinator saying "you, not the
@@ -153,9 +113,9 @@ func postJSON(ctx context.Context, cfg WorkerConfig, url string, req, out any) e
 		return err
 	}
 	var last error
-	for attempt := 0; attempt < cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
-			if err := sleepCtx(ctx, cfg.Backoff<<(attempt-1)); err != nil {
+			if err := sleepCtx(ctx, backoff<<(attempt-1)); err != nil {
 				return err
 			}
 		}
@@ -188,7 +148,7 @@ func postJSON(ctx context.Context, cfg WorkerConfig, url string, req, out any) e
 			return fmt.Errorf("service: %s refused: %s", url, errorBody(payload))
 		}
 	}
-	return fmt.Errorf("service: %s unreachable after %d attempts: %w", url, cfg.MaxAttempts, last)
+	return fmt.Errorf("service: %s unreachable after %d attempts: %w", url, maxAttempts, last)
 }
 
 func errorBody(payload []byte) string {

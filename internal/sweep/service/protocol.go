@@ -1,22 +1,17 @@
-// Package service turns a sweep campaign into a work-stealing
-// coordinator/worker fleet over HTTP. A long-lived coordinator
-// (vortex sweep serve) enumerates the canonical task grid once and hands
-// out leased batches of task indices; workers (vortex sweep work) run the
-// tasks through the shared device-pool substrate and stream records back.
-// The coordinator appends every accepted record to its JSONL checkpoint
-// immediately (crash-safe, resumable with the existing -resume machinery),
-// re-issues leases whose worker died mid-batch, and deduplicates double
-// submissions by task key — later duplicates win, exactly the checkpoint
-// reader's semantics — so a lease raced by its own expiry is benign, not a
-// correctness hazard. Static sharding (-shard i/N) balances only
-// statistically; the lease loop is dynamic, so one 64-core Sgemm point
-// cannot make its worker the straggler for the whole merge.
+// Package service runs a sweep campaign as a coordinator that leases
+// batches of task indices over HTTP to lease-loop workers. It is kept only
+// as the probe behind bench/'s service.campaign_s and
+// service.overhead_ratio metrics; vortex distributes a campaign with
+// -shard, -resume and sweep merge, and the package goes with those two
+// metrics. The coordinator appends every accepted record to its streamed
+// checkpoint before acknowledging it, re-issues the tasks of a lease whose
+// worker stopped submitting, and lets a later duplicate submission win, as
+// the checkpoint reader does.
 //
-// Protocol: three JSON-over-HTTP endpoints on the coordinator.
+// Protocol: two JSON-over-HTTP endpoints on the coordinator.
 //
 //	POST /lease  LeaseRequest  -> LeaseResponse  (enroll + draw a batch)
 //	POST /submit SubmitRequest -> SubmitResponse (return finished records)
-//	GET  /status               -> Status         (progress snapshot)
 //
 // Mapper objects do not serialize, so tasks cross the wire as canonical
 // grid indices; both sides enumerate the same grid from their own options,
@@ -36,9 +31,8 @@ const ProtocolVersion = 1
 
 // LeaseRequest enrolls a worker and asks for a batch of tasks.
 type LeaseRequest struct {
-	// Worker is the worker's self-chosen stable identity (host+pid by
-	// default). It names leases for expiry accounting and must accompany
-	// submissions.
+	// Worker is the worker's self-chosen stable identity. It must
+	// accompany submissions.
 	Worker string `json:"worker"`
 	// Proto is the worker's ProtocolVersion.
 	Proto int `json:"protocol_version"`
@@ -58,9 +52,6 @@ type LeaseResponse struct {
 	// Tasks are canonical grid indices (sweep.Task.Index) now owned by
 	// this lease until it expires.
 	Tasks []int `json:"tasks,omitempty"`
-	// TTLMillis is how long the coordinator holds the lease open before
-	// re-issuing its tasks to another worker.
-	TTLMillis int64 `json:"ttl_ms,omitempty"`
 	// Done reports that every task is accounted for: the worker should
 	// exit. Never set together with Tasks.
 	Done bool `json:"done,omitempty"`
@@ -88,19 +79,6 @@ type SubmitResponse struct {
 	Duplicates int  `json:"duplicates"`
 	Failed     int  `json:"failed"`
 	Done       bool `json:"done,omitempty"`
-}
-
-// Status is the coordinator's progress snapshot.
-type Status struct {
-	Total     int  `json:"total"`
-	Completed int  `json:"completed"`
-	Failed    int  `json:"failed"`
-	Leased    int  `json:"leased"`
-	Pending   int  `json:"pending"`
-	Workers   int  `json:"workers"`
-	Reissued  int  `json:"leases_reissued"`
-	Dupes     int  `json:"duplicate_submissions"`
-	Done      bool `json:"done"`
 }
 
 // errorResponse is the JSON body of every non-2xx reply.

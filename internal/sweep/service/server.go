@@ -19,12 +19,6 @@ type Config struct {
 	// batch size: an expired-but-alive worker is not a correctness hazard
 	// (its late submission deduplicates), just wasted work. Default 60s.
 	LeaseTTL time.Duration
-	// BatchSize is the default number of tasks per lease when the worker
-	// does not ask for a specific amount. Default 4.
-	BatchSize int
-	// RetryDelay is the poll interval suggested to workers when everything
-	// pending is leased elsewhere. Default 200ms.
-	RetryDelay time.Duration
 	// Clock overrides time.Now for lease-expiry tests.
 	Clock func() time.Time
 }
@@ -33,16 +27,19 @@ func (c *Config) fill() {
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 60 * time.Second
 	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 4
-	}
-	if c.RetryDelay <= 0 {
-		c.RetryDelay = 200 * time.Millisecond
-	}
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
 }
+
+const (
+	// defaultBatch is the number of tasks per lease when the worker does
+	// not ask for a specific amount.
+	defaultBatch = 4
+	// retryDelay is the poll interval suggested to workers when everything
+	// pending is leased elsewhere.
+	retryDelay = 200 * time.Millisecond
+)
 
 // lease is one outstanding batch handed to a worker.
 type lease struct {
@@ -53,7 +50,7 @@ type lease struct {
 
 // Server coordinates one campaign: a lease table over a sweep.Campaign,
 // which owns the records, the acceptance rule and the streamed checkpoint.
-// It implements http.Handler (POST /lease, POST /submit, GET /status).
+// It implements http.Handler (POST /lease, POST /submit).
 type Server struct {
 	camp *sweep.Campaign
 	meta sweep.Meta
@@ -66,8 +63,6 @@ type Server struct {
 	reissued  int             // leases whose unfinished tasks were returned to pending
 	dupes     int             // duplicate successful submissions (later wins)
 	nextLease int
-	done      chan struct{}
-	closed    bool
 }
 
 // New builds a coordinator for the campaign described by opts. The grid is
@@ -86,30 +81,15 @@ func New(opts sweep.Options, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	cfg.fill()
-	total, done, _ := camp.Counts()
-	s := &Server{
+	total, _, _ := camp.Counts()
+	return &Server{
 		camp:      camp,
 		meta:      sweep.MetaFor(opts),
 		cfg:       cfg,
 		taskLease: make([]string, total),
 		leases:    map[string]*lease{},
 		workers:   map[string]bool{},
-		done:      make(chan struct{}),
-	}
-	if done == total {
-		s.closeDoneLocked()
-	}
-	return s, nil
-}
-
-// Done is closed once every task is done or failed.
-func (s *Server) Done() <-chan struct{} { return s.done }
-
-func (s *Server) closeDoneLocked() {
-	if !s.closed {
-		s.closed = true
-		close(s.done)
-	}
+	}, nil
 }
 
 // Results assembles the completed campaign in canonical grid order — the
@@ -118,19 +98,6 @@ func (s *Server) closeDoneLocked() {
 // flight or any task failed.
 func (s *Server) Results() (*sweep.Results, error) { return s.camp.Results() }
 
-// WriteFinal writes the completed campaign as a single canonical-order
-// checkpoint at path — byte-identical to the file a Workers=1 checkpointed
-// sweep.Run of the same options produces (the streamed opts.Checkpoint is
-// in submission order and may hold superseded duplicates; this is the
-// deliverable artifact).
-func (s *Server) WriteFinal(path string) error {
-	res, err := s.Results()
-	if err != nil {
-		return err
-	}
-	return sweep.WriteCheckpoint(path, s.meta, res.Records)
-}
-
 // Err is the campaign's end-of-campaign error (sweep.Campaign.Err): a
 // checkpoint write fault, outstanding tasks, or the first task failure.
 func (s *Server) Err() error { return s.camp.Err() }
@@ -138,6 +105,18 @@ func (s *Server) Err() error { return s.camp.Err() }
 // Close releases the streamed checkpoint writer (the http.Server shutdown
 // is the caller's).
 func (s *Server) Close() error { return s.camp.Close() }
+
+// Status is the coordinator's progress snapshot.
+type Status struct {
+	Total     int
+	Completed int // tasks holding a success
+	Failed    int
+	Leased    int
+	Pending   int
+	Reissued  int // leases whose unfinished tasks were returned to pending
+	Dupes     int // duplicate successful submissions
+	Done      bool
+}
 
 // Status snapshots campaign progress (expiring dead leases first, so a
 // stalled fleet becomes visible as pending work, not phantom leases).
@@ -156,7 +135,6 @@ func (s *Server) Status() Status {
 		Failed:    failed,
 		Leased:    leased,
 		Pending:   total - done - leased,
-		Workers:   len(s.workers),
 		Reissued:  s.reissued,
 		Dupes:     s.dupes,
 		Done:      done == total,
@@ -192,8 +170,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.handleLease(w, r)
 	case r.URL.Path == "/submit" && r.Method == http.MethodPost:
 		s.handleSubmit(w, r)
-	case r.URL.Path == "/status" && r.Method == http.MethodGet:
-		writeJSON(w, http.StatusOK, s.Status())
 	default:
 		writeError(w, http.StatusNotFound, fmt.Sprintf("service: no %s %s endpoint", r.Method, r.URL.Path))
 	}
@@ -245,14 +221,14 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	max := req.Max
 	if max <= 0 {
-		max = s.cfg.BatchSize
+		max = defaultBatch
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.workers[req.Worker] = true
 	s.expireLocked(s.cfg.Clock())
-	if s.closed {
+	if total, done, _ := s.camp.Counts(); done == total {
 		writeJSON(w, http.StatusOK, LeaseResponse{Done: true})
 		return
 	}
@@ -260,7 +236,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	if len(batch) == 0 {
 		// Everything unfinished is leased elsewhere; the worker polls
 		// again (a lease expiry or failure may free work).
-		writeJSON(w, http.StatusOK, LeaseResponse{RetryMillis: s.cfg.RetryDelay.Milliseconds()})
+		writeJSON(w, http.StatusOK, LeaseResponse{RetryMillis: retryDelay.Milliseconds()})
 		return
 	}
 	s.nextLease++
@@ -274,7 +250,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		s.taskLease[idx] = l.id
 	}
 	s.leases[l.id] = l
-	writeJSON(w, http.StatusOK, LeaseResponse{LeaseID: l.id, Tasks: batch, TTLMillis: s.cfg.LeaseTTL.Milliseconds()})
+	writeJSON(w, http.StatusOK, LeaseResponse{LeaseID: l.id, Tasks: batch})
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -319,10 +295,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		s.finishTaskLocked(idx)
 	}
-	if total, done, _ := s.camp.Counts(); done == total {
-		s.closeDoneLocked()
-		resp.Done = true
-	}
+	total, done, _ := s.camp.Counts()
+	resp.Done = done == total
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -164,9 +165,7 @@ func TestLeaseExpiryReissue(t *testing.T) {
 	if sr.Accepted != len(grid) || !sr.Done {
 		t.Fatalf("submit response %+v", sr)
 	}
-	select {
-	case <-s.Done():
-	default:
+	if !s.Status().Done {
 		t.Fatal("campaign not done after full submission")
 	}
 	if next := leaseTasks(t, s, "patient", 1, meta); !next.Done {
@@ -373,10 +372,10 @@ func TestNewRefusals(t *testing.T) {
 	}
 }
 
-// TestServedCampaignByteIdentical is the tentpole contract end to end,
+// TestServedCampaignByteIdentical is the service's contract end to end,
 // in-process: a coordinator and two concurrent Work clients produce
-// Records and a final canonical checkpoint byte-identical to a
-// single-process sweep.Run of the same options.
+// Records, and from them a checkpoint, byte-identical to a single-process
+// sweep.Run of the same options.
 func TestServedCampaignByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	ref, err := sweep.Run(simOpts())
@@ -393,7 +392,7 @@ func TestServedCampaignByteIdentical(t *testing.T) {
 
 	opts := simOpts()
 	opts.Checkpoint = filepath.Join(dir, "served.jsonl")
-	srv, err := New(opts, Config{BatchSize: 2})
+	srv, err := New(opts, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,9 +415,7 @@ func TestServedCampaignByteIdentical(t *testing.T) {
 			t.Fatalf("worker %d: %v", i, err)
 		}
 	}
-	select {
-	case <-srv.Done():
-	default:
+	if !srv.Status().Done {
 		t.Fatal("workers returned but campaign not done")
 	}
 	if err := srv.Close(); err != nil {
@@ -434,7 +431,7 @@ func TestServedCampaignByteIdentical(t *testing.T) {
 		t.Fatal("served records not byte-identical to single-process run")
 	}
 	final := filepath.Join(dir, "final.jsonl")
-	if err := srv.WriteFinal(final); err != nil {
+	if err := sweep.WriteCheckpoint(final, sweep.MetaFor(opts), res.Records); err != nil {
 		t.Fatal(err)
 	}
 	refBytes, err := os.ReadFile(refCkpt)
@@ -477,6 +474,8 @@ func TestServeResumeSkipsRecorded(t *testing.T) {
 	opts := simOpts()
 	opts.Checkpoint = ckpt
 	opts.Resume = true
+	executed := 0 // first completions; a resumed record is not one
+	opts.OnRecord = func(sweep.Record) { executed++ }
 	srv, err := New(opts, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -486,13 +485,17 @@ func TestServeResumeSkipsRecorded(t *testing.T) {
 	}
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
-	executed := 0
-	werr := Work(context.Background(), hs.URL, simOpts(), WorkerConfig{ID: "w1", OnRecord: func(sweep.Record) { executed++ }})
+	werr := Work(context.Background(), hs.URL, simOpts(), WorkerConfig{ID: "w1"})
 	if werr != nil {
 		t.Fatal(werr)
 	}
 	if executed != len(ref.Records)-4 {
 		t.Errorf("worker executed %d tasks, want %d", executed, len(ref.Records)-4)
+	}
+	// A resumed task handed out again would come back as a duplicate
+	// submission, which OnRecord does not see.
+	if st := srv.Status(); st.Dupes != 0 {
+		t.Errorf("%d duplicate submissions: resumed tasks were handed out again", st.Dupes)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
@@ -509,52 +512,67 @@ func TestServeResumeSkipsRecorded(t *testing.T) {
 }
 
 // TestWorkerMetaRefusalPermanent pins the worker side of enrollment: a
-// meta mismatch is a permanent refusal (no retry loop) with the
-// coordinator's diagnostic in the error.
+// meta mismatch is a permanent refusal (one request, no retry loop) with
+// the coordinator's diagnostic in the error.
 func TestWorkerMetaRefusalPermanent(t *testing.T) {
 	srv, err := New(protoOpts(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(srv)
+	var requests atomic.Int32
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		srv.ServeHTTP(w, r)
+	}))
 	defer hs.Close()
 	foreign := protoOpts()
 	foreign.Seed = 99
-	start := time.Now()
-	werr := Work(context.Background(), hs.URL, foreign, WorkerConfig{ID: "w1", Backoff: time.Second})
+	werr := Work(context.Background(), hs.URL, foreign, WorkerConfig{ID: "w1"})
 	if werr == nil || !strings.Contains(werr.Error(), "meta mismatch") {
 		t.Fatalf("mismatched worker: err = %v", werr)
 	}
-	if time.Since(start) > 500*time.Millisecond {
-		t.Error("permanent refusal went through the retry/backoff loop")
+	if n := requests.Load(); n != 1 {
+		t.Errorf("permanent refusal took %d requests, want 1: it went through the retry loop", n)
 	}
 }
 
+// cancelAfterLease hands a worker's requests straight to the coordinator's
+// handler and calls cancel once a /lease has been answered.
+type cancelAfterLease struct {
+	h      http.Handler
+	cancel context.CancelFunc
+}
+
+func (t cancelAfterLease) RoundTrip(r *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	t.h.ServeHTTP(rec, r)
+	if r.URL.Path == "/lease" {
+		t.cancel()
+	}
+	return rec.Result(), nil
+}
+
 // TestWorkCanceledStopsBetweenTasks pins worker cancellation: a worker
-// whose context is canceled mid-batch finishes the task in flight, runs no
-// further one, submits nothing and returns the context's error; its lease
-// stays out until the TTL passes and is then re-issued.
+// whose context is canceled once it holds a lease runs none of its tasks
+// (it checks the context before each one, so no task takes a device from
+// the process's pool), submits nothing and returns the context's error;
+// its lease stays out until the TTL passes and is then re-issued.
 func TestWorkCanceledStopsBetweenTasks(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
 	srv, err := New(simOpts(), Config{LeaseTTL: 10 * time.Second, Clock: clk.Now})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(srv)
-	defer hs.Close()
-
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	executed := 0
-	werr := Work(ctx, hs.URL, simOpts(), WorkerConfig{ID: "w1", BatchSize: 3, OnRecord: func(sweep.Record) {
-		executed++
-		cancel()
-	}})
+	client := &http.Client{Transport: cancelAfterLease{srv, cancel}}
+	before := sweep.ProcessPool().Stats()
+	werr := Work(ctx, "http://coordinator", simOpts(), WorkerConfig{ID: "w1", BatchSize: 3, HTTP: client})
 	if !errors.Is(werr, context.Canceled) {
 		t.Fatalf("canceled worker: err = %v, want context.Canceled", werr)
 	}
-	if executed != 1 {
-		t.Errorf("worker ran %d tasks after cancellation, want to stop after the one in flight", executed)
+	if after := sweep.ProcessPool().Stats(); after != before {
+		t.Errorf("process pool %+v -> %+v: the canceled worker ran a task", before, after)
 	}
 	if st := srv.Status(); st.Completed != 0 || st.Leased != 3 || st.Reissued != 0 {
 		t.Errorf("status after cancellation %+v, want nothing submitted and the 3-task lease still out", st)
