@@ -173,6 +173,13 @@ var campaignCmd = subcommand("sweep", false, func(fs *flag.FlagSet) body {
 			opts.Progress = progressTo(stderr)
 		}
 
+		res, err := sweep.Run(opts)
+		if res == nil {
+			// Results come back only once tasks ran: a refusal before any
+			// (a foreign -resume, say) has no campaign to announce and no
+			// runs to continue.
+			return err
+		}
 		shardNote := ""
 		if opts.ShardCount > 1 {
 			shardNote = fmt.Sprintf(", shard %d/%d", opts.ShardIndex, opts.ShardCount)
@@ -189,12 +196,8 @@ var campaignCmd = subcommand("sweep", false, func(fs *flag.FlagSet) body {
 		}
 		fmt.Fprintf(stdout, "Figure 2 reproduction: %d configs x %d kernels x %d mappings%s, scale=%.2f, seed=%d%s\n\n",
 			len(opts.Configs), len(opts.Kernels), len(opts.Mappers), axisNote, opts.Scale, opts.Seed, shardNote)
-
-		res, err := sweep.Run(opts)
 		if err != nil {
-			// Results come back only once tasks ran: a refusal before any
-			// (a foreign -resume, say) has no runs to continue.
-			if *checkpoint != "" && res != nil {
+			if *checkpoint != "" {
 				err = fmt.Errorf("%v\nvortex sweep: completed runs are preserved in %s; restart with -resume to continue", err, *checkpoint)
 			}
 			return err

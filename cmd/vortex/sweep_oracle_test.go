@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -46,15 +47,19 @@ func TestShardsRefuseOtherMapperSet(t *testing.T) {
 	oracleArgs := append(append([]string{}, campaignArgs...), "-oracle")
 	oracle := filepath.Join(dir, "oracle.jsonl")
 	runSweep(t, append(append([]string{}, oracleArgs...), "-checkpoint", oracle)...)
-	code, out := vortex(append(append([]string{"sweep"}, campaignArgs...), "-checkpoint", oracle, "-resume")...)
-	if code != 1 || !strings.Contains(out, "(checkpoint vs this run: mappers ") {
-		t.Errorf("paper -resume of an -oracle checkpoint: exit %d, want 1 refused on mappers:\n%s", code, out)
+	var stdout, stderr bytes.Buffer
+	code := cli(append(append([]string{"sweep"}, campaignArgs...), "-checkpoint", oracle, "-resume"), &stdout, &stderr)
+	if code != 1 || !strings.Contains(stderr.String(), "(checkpoint vs this run: mappers ") {
+		t.Errorf("paper -resume of an -oracle checkpoint: exit %d, want 1 refused on mappers:\n%s", code, stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("refused -resume wrote to stdout, for a campaign that never started:\n%s", stdout.String())
 	}
 
 	shard0, shard1 := filepath.Join(dir, "shard0.jsonl"), filepath.Join(dir, "shard1.jsonl")
 	runSweep(t, append(append([]string{}, oracleArgs...), "-shard", "0/2", "-checkpoint", shard0)...)
 	runSweep(t, append(append([]string{}, campaignArgs...), "-shard", "1/2", "-checkpoint", shard1)...)
-	code, out = vortex("sweep", "merge", shard0, shard1)
+	code, out := vortex("sweep", "merge", shard0, shard1)
 	if code != 1 || !strings.Contains(out, "written with different sweep options (mappers ") {
 		t.Errorf("merge of an -oracle shard with a paper shard: exit %d, want 1 refused on mappers:\n%s", code, out)
 	}

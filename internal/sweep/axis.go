@@ -34,8 +34,9 @@ type Axis struct {
 
 // Axes is the grid-axis table. Its order is the grid's nesting (the last
 // axis varies fastest) and the order of the task key and the CSV columns;
-// checkpoint v4 freezes it.
-var Axes = []Axis{
+// checkpoint v4 freezes it. It is an array, so a report's sample key can
+// hold one value per axis and stay comparable.
+var Axes = [...]Axis{
 	{
 		Name: "sched", Default: "rr", Usage: "warp-scheduler policy (rr, gto, oldest, 2lev)",
 		apply: func(c sim.Config, v string) (_ sim.Config, err error) {

@@ -239,7 +239,7 @@ func (c *Campaign) Err() error {
 // order of this shard — together with Err.
 func (c *Campaign) Results() (*Results, error) {
 	c.mu.Lock()
-	res := &Results{Options: c.opts, Records: slices.Clone(c.recs), Cache: CacheReport{Resumed: c.resumed}}
+	res := &Results{Records: slices.Clone(c.recs), Cache: CacheReport{Resumed: c.resumed}}
 	c.mu.Unlock()
 	return res, c.Err()
 }

@@ -222,8 +222,9 @@ func scanCheckpoint(rd io.Reader, onMeta func(Meta) error, onRecord func(Record)
 }
 
 // Diff names the first field on which m and o differ, by its JSON key,
-// with both values ("seed 7 vs 8"); a list shows 40 bytes from the first
-// entry that differs. Every refusal of a foreign meta goes through it.
+// with both values ("seed 7 vs 8"); a list shows the whole entries that
+// fit in 40 bytes from the first entry that differs, and "…" after them
+// when more follow. Every refusal of a foreign meta goes through it.
 func (m Meta) Diff(o Meta) string {
 	va, vb := reflect.ValueOf(m), reflect.ValueOf(o)
 	for i := range va.NumField() {
@@ -237,9 +238,26 @@ func (m Meta) Diff(o Meta) string {
 		}
 		p = strings.LastIndexByte(x[:p], ',') + 1
 		key, _, _ := strings.Cut(va.Type().Field(i).Tag.Get("json"), ",")
-		return fmt.Sprintf("%s %s vs %s", key, x[p:min(len(x), p+40)], y[p:min(len(y), p+40)])
+		return fmt.Sprintf("%s %s vs %s", key, clip(x[p:], 40), clip(y[p:], 40))
 	}
 	return ""
+}
+
+// clip cuts the comma-separated list s after its last entry that ends
+// within n bytes, keeping at least the first entry whole, and marks an
+// elided tail with "…".
+func clip(s string, n int) string {
+	if len(s) <= n {
+		return s
+	}
+	i := strings.LastIndexByte(s[:n+1], ',')
+	if i < 0 {
+		i = strings.IndexByte(s, ',')
+	}
+	if i < 0 {
+		return s
+	}
+	return s[:i+1] + "…"
 }
 
 // maxCheckpointLine bounds one checkpoint line: real meta headers are a few

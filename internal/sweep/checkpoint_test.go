@@ -148,10 +148,11 @@ func TestSweepResumeRejectsForeignCheckpoint(t *testing.T) {
 }
 
 // TestMetaDiff pins the field the meta refusals name: the first that
-// differs, by its JSON key, and a grid list cut to its first differing
-// entry.
+// differs, by its JSON key, and a grid list cut to whole entries from its
+// first differing one.
 func TestMetaDiff(t *testing.T) {
 	a := MetaFor(Options{Kernels: []string{"vecadd"}})
+	oracle := MetaFor(Options{Kernels: []string{"vecadd"}, Mappers: core.OracleMappers()})
 	for _, tc := range []struct {
 		edit func(*Meta)
 		want string
@@ -161,7 +162,11 @@ func TestMetaDiff(t *testing.T) {
 		{func(m *Meta) { m.Seed, m.Kernels = 3, "relu" }, "seed 0 vs 3"},
 		{func(m *Meta) { m.Kernels = "relu" }, "kernels vecadd vs relu"},
 		{func(m *Meta) { m.Configs = strings.Replace(m.Configs, "8c4w16t", "8c4w15t", 1) },
-			"configs 8c4w16t,8c4w32t,8c8w2t,8c8w4t,8c8w8t,8c8 vs 8c4w15t,8c4w32t,8c8w2t,8c8w4t,8c8w8t,8c8"},
+			"configs 8c4w16t,8c4w32t,8c8w2t,8c8w4t,8c8w8t,… vs 8c4w15t,8c4w32t,8c8w2t,8c8w4t,8c8w8t,…"},
+		// The oracle's mapper list against the paper's: whole entries, the
+		// elided tail marked.
+		{func(m *Meta) { m.Mappers = oracle.Mappers }, "mappers lws=32,ours vs lws=2,lws=4,lws=8,lws=16,lws=32,lws=64,…"},
+		{func(m *Meta) { m.Kernels = "vecadd,relu" }, "kernels vecadd vs vecadd,relu"},
 	} {
 		b := a
 		tc.edit(&b)

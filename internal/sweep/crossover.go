@@ -6,6 +6,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
+
+	"repro/internal/stats"
 )
 
 // CrossoverPoint summarizes one kernel's baseline-vs-ours ratio as a
@@ -18,51 +20,29 @@ type CrossoverPoint struct {
 	N         int
 }
 
-// CrossoverCurve buckets the ratios of (kernel, baseline) by the
+// crossover buckets kernel's baseline/ours ratios by the sample
 // configuration's hp and returns per-hp mean ratios in increasing hp
 // order.
-func (r *Results) CrossoverCurve(kernel, baseline string) []CrossoverPoint {
-	return r.crossoverCurve(r.samples()[series{kernel, "ours"}], kernel, baseline)
-}
-
-// crossoverCurve is CrossoverCurve given the kernel's "ours" cycles per
-// sample key.
-func (r *Results) crossoverCurve(ours map[string]float64, kernel, baseline string) []CrossoverPoint {
-	base := map[int][]float64{} // hp -> ratios
-	for _, rec := range r.Records {
-		if rec.Kernel != kernel || rec.Mapper != baseline || rec.Err != "" {
-			continue
-		}
-		o := ours[sampleKey(rec)]
-		if o == 0 {
-			continue
-		}
-		hp := rec.Config.HP()
-		base[hp] = append(base[hp], float64(rec.Cycles)/o)
-	}
-	hps := make([]int, 0, len(base))
-	for hp := range base {
+func (p *pairing) crossover(kernel, baseline string) []CrossoverPoint {
+	byHP := map[int][]float64{}
+	p.pairs(kernel, baseline, "ours", func(s int, r float64) {
+		hp := p.samples[s].config.HP()
+		byHP[hp] = append(byHP[hp], r)
+	})
+	hps := make([]int, 0, len(byHP))
+	for hp := range byHP {
 		hps = append(hps, hp)
 	}
 	sort.Ints(hps)
 	out := make([]CrossoverPoint, 0, len(hps))
 	for _, hp := range hps {
-		rs := base[hp]
-		var sum float64
-		for _, v := range rs {
-			sum += v
-		}
-		out = append(out, CrossoverPoint{HP: hp, MeanRatio: sum / float64(len(rs)), N: len(rs)})
+		out = append(out, CrossoverPoint{HP: hp, MeanRatio: stats.Mean(byHP[hp]), N: len(byHP[hp])})
 	}
 	return out
 }
 
-// CrossoverHP returns the smallest hp from which the baseline's mean ratio
+// crossoverHP returns the smallest hp from which the baseline's mean ratio
 // stays >= 1 (i.e. "ours" wins from there on), or -1 if it never does.
-func (r *Results) CrossoverHP(kernel, baseline string) int {
-	return crossoverHP(r.CrossoverCurve(kernel, baseline))
-}
-
 func crossoverHP(curve []CrossoverPoint) int {
 	for i := len(curve) - 1; i >= 0; i-- {
 		if curve[i].MeanRatio < 1 {
@@ -82,27 +62,27 @@ func crossoverHP(curve []CrossoverPoint) int {
 // baseline — the "where does the fixed mapping start losing" analysis. It
 // refuses a baseline none of the records ran.
 func (r *Results) RenderCrossover(w io.Writer, baseline string) error {
-	if mappers := r.Mappers(); !slices.Contains(mappers, baseline) {
-		return fmt.Errorf("sweep: no records of crossover baseline %q (the records carry %s)", baseline, strings.Join(mappers, ", "))
+	p := r.pairing()
+	if !slices.Contains(p.mappers, baseline) {
+		return fmt.Errorf("sweep: no records of crossover baseline %q (the records carry %s)", baseline, strings.Join(p.mappers, ", "))
 	}
-	samples := r.samples()
-	for _, k := range r.Kernels() {
-		curve := r.crossoverCurve(samples[series{k, "ours"}], k, baseline)
+	for _, k := range p.kernels {
+		curve := p.crossover(k, baseline)
 		if len(curve) == 0 {
 			continue
 		}
 		if _, err := fmt.Fprintf(w, "%s vs %s:\n", k, baseline); err != nil {
 			return err
 		}
-		for _, p := range curve {
-			n := int(p.MeanRatio * 10)
+		for _, pt := range curve {
+			n := int(pt.MeanRatio * 10)
 			if n > 60 {
 				n = 60
 			}
 			if n < 0 {
 				n = 0
 			}
-			if _, err := fmt.Fprintf(w, "  hp=%-6d %6.2fx |%s\n", p.HP, p.MeanRatio, strings.Repeat("#", n)); err != nil {
+			if _, err := fmt.Fprintf(w, "  hp=%-6d %6.2fx |%s\n", pt.HP, pt.MeanRatio, strings.Repeat("#", n)); err != nil {
 				return err
 			}
 		}

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -271,27 +272,81 @@ func TestMemAxisMetaAndKeys(t *testing.T) {
 // TestReportPairsWithinGridPoint pins that the Figure-2 report compares
 // mappers within one grid point: with a memory axis swept, every
 // (configuration, point) is its own ratio sample, and the crossover curve
-// divides each point's baseline by the same point's "ours".
+// divides each point's baseline by the same point's "ours". The same
+// records shuffled, behind a sample ours did not run and a failed record,
+// give the same ratios as a multiset and the same curves and reports.
 func TestReportPairsWithinGridPoint(t *testing.T) {
-	// Per point: lws=1, lws=32 and ours cycles; ratios 3x/2x at mshrs=0
-	// and 2x/1x at mshrs=1.
-	cyclesAt := map[string][3]uint64{"0": {300, 200, 100}, "1": {800, 400, 400}}
-	res := &Results{}
+	// Per kernel and point: lws=1, lws=32 and ours cycles. vecadd's ratios
+	// are 3x/2x at mshrs=0 and 2x/1x at mshrs=1.
+	cyclesAt := map[string]map[string][3]uint64{
+		"vecadd":   {"0": {300, 200, 100}, "1": {800, 400, 400}},
+		"gcn_aggr": {"0": {100, 400, 100}, "1": {200, 200, 100}},
+	}
+	record := func(hw core.HWInfo, kernel, mshrs, mapper string) Record {
+		return Task{Config: hw, Kernel: kernel, Mapper: namedMapper(mapper), Point: []string{"rr", mshrs, "16k4w", "off"}}.Record()
+	}
+	canon := &Results{}
 	for _, hw := range []core.HWInfo{{Cores: 1, Warps: 2, Threads: 2}, {Cores: 2, Warps: 2, Threads: 4}} {
-		for _, mshrs := range []string{"0", "1"} {
-			for mi, m := range []string{"lws=1", "lws=32", "ours"} {
-				rec := Task{Config: hw, Kernel: "vecadd", Mapper: namedMapper(m), Point: []string{"rr", mshrs, "16k4w", "off"}}.Record()
-				rec.Cycles = cyclesAt[mshrs][mi]
-				res.Records = append(res.Records, rec)
+		for _, k := range []string{"vecadd", "gcn_aggr"} {
+			for _, mshrs := range []string{"0", "1"} {
+				for mi, m := range []string{"lws=1", "lws=32", "ours"} {
+					rec := record(hw, k, mshrs, m)
+					rec.Cycles = cyclesAt[k][mshrs][mi]
+					canon.Records = append(canon.Records, rec)
+				}
 			}
 		}
 	}
-	if got, want := res.Ratios("vecadd", "lws=1", "ours"), []float64{3, 2, 3, 2}; !slices.Equal(got, want) {
+	if got, want := canon.Ratios("vecadd", "lws=1", "ours"), []float64{3, 2, 3, 2}; !slices.Equal(got, want) {
 		t.Errorf("Ratios = %v, want %v (one sample per config and point)", got, want)
 	}
 	want := []CrossoverPoint{{HP: 4, MeanRatio: 1.5, N: 2}, {HP: 16, MeanRatio: 1.5, N: 2}}
-	if got := res.CrossoverCurve("vecadd", "lws=32"); !slices.Equal(got, want) {
-		t.Errorf("CrossoverCurve = %v, want %v (baseline and ours paired within each point)", got, want)
+	if got := canon.pairing().crossover("vecadd", "lws=32"); !slices.Equal(got, want) {
+		t.Errorf("crossover = %v, want %v (baseline and ours paired within each point)", got, want)
+	}
+
+	// The records that lead the shuffle fix first-seen order (vecadd;
+	// lws=1, lws=32, ours) and are no sample: at 4c4w4t, ours did not run
+	// at mshrs=0 and failed at mshrs=1.
+	hw := core.HWInfo{Cores: 4, Warps: 4, Threads: 4}
+	failed := record(hw, "vecadd", "1", "ours")
+	failed.Cycles, failed.Err = 25, "simulated failure"
+	shuffled := &Results{Records: []Record{record(hw, "vecadd", "0", "lws=1"), record(hw, "vecadd", "0", "lws=32"), failed}}
+	for i := range shuffled.Records[:2] {
+		shuffled.Records[i].Cycles = 50
+	}
+	rest := slices.Clone(canon.Records)
+	rand.New(rand.NewSource(1)).Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
+	shuffled.Records = append(shuffled.Records, rest...)
+
+	for _, k := range canon.Kernels() {
+		for _, base := range []string{"lws=1", "lws=32"} {
+			a, b := canon.Ratios(k, base, "ours"), shuffled.Ratios(k, base, "ours")
+			slices.Sort(a)
+			slices.Sort(b)
+			if !slices.Equal(a, b) {
+				t.Errorf("%s over %s: shuffled Ratios %v, want %v", k, base, b, a)
+			}
+			if a, b := canon.pairing().crossover(k, base), shuffled.pairing().crossover(k, base); !slices.Equal(a, b) {
+				t.Errorf("%s over %s: shuffled crossover %v, want %v", k, base, b, a)
+			}
+		}
+	}
+	for name, render := range map[string]func(*Results, *bytes.Buffer) error{
+		"RenderTable":     func(r *Results, w *bytes.Buffer) error { return r.RenderTable(w) },
+		"RenderOracle":    func(r *Results, w *bytes.Buffer) error { return r.RenderOracle(w) },
+		"RenderCrossover": func(r *Results, w *bytes.Buffer) error { return r.RenderCrossover(w, "lws=32") },
+	} {
+		var a, b bytes.Buffer
+		if err := render(canon, &a); err != nil {
+			t.Fatal(err)
+		}
+		if err := render(shuffled, &b); err != nil {
+			t.Fatal(err)
+		}
+		if a.String() != b.String() {
+			t.Errorf("%s of the shuffled records:\n%s\nwant:\n%s", name, b.String(), a.String())
+		}
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"os"
 	"slices"
-
-	"repro/internal/core"
 )
 
 // Merge recombines the checkpoints of a sharded campaign into the Results
@@ -117,40 +115,13 @@ func Merge(out string, paths []string) (*Results, error) {
 		return nil, fmt.Errorf("sweep: merge: grid not covered: %d of %d tasks missing (first: %s)",
 			len(records)-placed, len(records), taskKey(cell(g, first)))
 	}
-	res := &Results{Options: optionsFromMeta(base, g), Records: records}
+	res := &Results{Records: records}
 	if out != "" {
 		if err := WriteCheckpoint(out, base, res.Records); err != nil {
 			return nil, fmt.Errorf("sweep: merge: %w", err)
 		}
 	}
 	return res, nil
-}
-
-// optionsFromMeta reconstructs the sweep parameters recorded in a merged
-// checkpoint meta, whose grid g Merge has checked, for reporting. Mappers
-// are left nil: the render paths only read Records, which carry each
-// mapper's name (core.ParseMapper turns a paper mapper's name back into the
-// mapper). Unparseable config names are skipped (they cannot occur in a
-// meta Run wrote).
-func optionsFromMeta(m Meta, g [][]string) Options {
-	opts := Options{
-		Kernels:          g[1],
-		Axes:             map[string][]string{},
-		Scale:            m.Scale,
-		Seed:             m.Seed,
-		Verify:           m.Verify,
-		DispatchOverhead: m.DispatchOverhead,
-		NoCoalesce:       m.NoCoalesce,
-	}
-	for _, name := range g[0] {
-		if hw, err := core.ParseName(name); err == nil {
-			opts.Configs = append(opts.Configs, hw)
-		}
-	}
-	for i, a := range Axes {
-		opts.Axes[a.Name] = g[3+i]
-	}
-	return opts
 }
 
 // WriteCheckpoint writes records as a single unsharded checkpoint file:

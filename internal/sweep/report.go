@@ -3,95 +3,123 @@ package sweep
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/kernels"
 	"repro/internal/stats"
 )
 
-// sampleKey identifies one ratio sample: a configuration at one grid
-// point. Mapper ratios are always compared within a point — same
-// scheduler, MSHR bound, L1 geometry and prefetcher — never across points
-// (a single-point sweep degenerates to config-only samples).
-func sampleKey(rec Record) string {
-	key := rec.Config.AppendName(make([]byte, 0, 64))
-	for _, a := range Axes {
-		key = append(append(key, '/'), a.get(rec)...)
-	}
-	return string(key)
+// pairing is the one grouping every report reads: each kernel's mappers
+// paired within one sample, a configuration at one grid point. Mapper
+// ratios are always compared within a sample — same scheduler, MSHR bound,
+// L1 geometry and prefetcher — never across samples (a single-point sweep
+// degenerates to config-only samples).
+type pairing struct {
+	kernels, mappers []string  // in first-seen order, failed records included
+	samples          []sample  // in first-seen order
+	cycles           []float64 // a successful record's, at index(kernel, sample, mapper); -1 where none ran
 }
 
-// series names the records of one kernel under one mapper.
-type series struct{ kernel, mapper string }
-
-// samples returns the cycles per sample key for every series, over the
-// successful records, grouped in one pass.
-func (r *Results) samples() map[series]map[string]float64 {
-	out := map[series]map[string]float64{}
-	for _, rec := range r.Records {
-		if rec.Err != "" {
-			continue
-		}
-		s := series{rec.Kernel, rec.Mapper}
-		if out[s] == nil {
-			out[s] = map[string]float64{}
-		}
-		out[s][sampleKey(rec)] = float64(rec.Cycles)
+// pairing builds the report pairing of r's records: one pass names the
+// kernels and mappers, a second the samples and their cycles. A later
+// record of the same (kernel, sample, mapper) overwrites an earlier one.
+func (r *Results) pairing() *pairing {
+	p := &pairing{}
+	kernelAt, mapperAt, sampleAt := map[string]int{}, map[string]int{}, map[sample]int{}
+	for i := range r.Records {
+		firstSeen(&p.kernels, kernelAt, r.Records[i].Kernel)
+		firstSeen(&p.mappers, mapperAt, r.Records[i].Mapper)
 	}
-	return out
+	row := len(p.kernels) * len(p.mappers)
+	for i := range r.Records {
+		rec := &r.Records[i]
+		s := firstSeen(&p.samples, sampleAt, sampleOf(rec))
+		for len(p.cycles) < (s+1)*row {
+			p.cycles = append(p.cycles, -1)
+		}
+		if rec.Err == "" {
+			p.cycles[p.index(kernelAt[rec.Kernel], s, mapperAt[rec.Mapper])] = float64(rec.Cycles)
+		}
+	}
+	return p
 }
 
-// ratios returns baseline/ours ratios of one kernel's samples, one per
-// sample both mappers ran (and ours did not score zero on), in sample-key
+// firstSeen returns v's position in list, appending it on its first sight.
+func firstSeen[T comparable](list *[]T, at map[T]int, v T) int {
+	i, ok := at[v]
+	if !ok {
+		i = len(*list)
+		at[v] = i
+		*list = append(*list, v)
+	}
+	return i
+}
+
+// sample identifies a configuration at one grid point: a record's Config
+// and its value on each axis, in Axes order.
+type sample struct {
+	config core.HWInfo
+	point  [len(Axes)]string
+}
+
+// sampleOf returns rec's sample, read through the Axes table.
+func sampleOf(rec *Record) sample {
+	s := sample{config: rec.Config}
+	for i := range Axes {
+		s.point[i] = Axes[i].get(*rec)
+	}
+	return s
+}
+
+// index places kernel k's cycles under mapper m at sample s in cycles.
+func (p *pairing) index(k, s, m int) int { return (s*len(p.kernels)+k)*len(p.mappers) + m }
+
+// at returns kernel k's cycles under mapper m at sample s, or -1 where no
+// successful record gave them (m < 0 names a mapper the records lack).
+func (p *pairing) at(k, s, m int) float64 {
+	if m < 0 {
+		return -1
+	}
+	return p.cycles[p.index(k, s, m)]
+}
+
+// pairs calls f with baseline/ours of kernel at each sample both ran on
+// and ours did not score zero on, in sample order.
+func (p *pairing) pairs(kernel, baseline, ours string, f func(s int, ratio float64)) {
+	k := slices.Index(p.kernels, kernel)
+	if k < 0 {
+		return
+	}
+	b, o := slices.Index(p.mappers, baseline), slices.Index(p.mappers, ours)
+	for s := range p.samples {
+		if base, our := p.at(k, s, b), p.at(k, s, o); base >= 0 && our > 0 {
+			f(s, base/our)
+		}
+	}
+}
+
+// ratios returns the baseline/ours ratios of kernel's samples, in sample
 // order.
-func ratios(samples map[series]map[string]float64, kernel, baseline, ours string) []float64 {
-	base, our := samples[series{kernel, baseline}], samples[series{kernel, ours}]
-	names := make([]string, 0, len(base))
-	for name := range base {
-		if our[name] > 0 {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	out := make([]float64, 0, len(names))
-	for _, name := range names {
-		out = append(out, base[name]/our[name])
-	}
+func (p *pairing) ratios(kernel, baseline, ours string) []float64 {
+	var out []float64
+	p.pairs(kernel, baseline, ours, func(_ int, r float64) { out = append(out, r) })
 	return out
 }
 
 // Mappers returns the distinct mapper names present, in first-seen order.
-func (r *Results) Mappers() []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, rec := range r.Records {
-		if !seen[rec.Mapper] {
-			seen[rec.Mapper] = true
-			out = append(out, rec.Mapper)
-		}
-	}
-	return out
-}
+func (r *Results) Mappers() []string { return r.pairing().mappers }
 
 // Kernels returns the distinct kernel names present, in first-seen order.
-func (r *Results) Kernels() []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, rec := range r.Records {
-		if !seen[rec.Kernel] {
-			seen[rec.Kernel] = true
-			out = append(out, rec.Kernel)
-		}
-	}
-	return out
-}
+func (r *Results) Kernels() []string { return r.pairing().kernels }
 
 // Ratios returns baseline/ours cycle ratios per configuration and grid
-// point for one kernel — the samples of one Figure 2 violin. Ratios > 1
-// mean "ours" is faster.
+// point for one kernel — the samples of one Figure 2 violin, in first-seen
+// order. Ratios > 1 mean "ours" is faster.
 func (r *Results) Ratios(kernel, baseline, ours string) []float64 {
-	return ratios(r.samples(), kernel, baseline, ours)
+	return r.pairing().ratios(kernel, baseline, ours)
 }
 
 // KernelSummary is one kernel's Figure 2 data-table row pair.
@@ -102,40 +130,21 @@ type KernelSummary struct {
 	VsFixed stats.RatioSummary // lws=32 / ours
 }
 
-// kernelRatios holds one kernel's Figure 2 violin samples.
-type kernelRatios struct {
-	kernel       string
-	naive, fixed []float64 // lws=1 / ours and lws=32 / ours
-}
-
-// figure2Ratios computes every kernel's Figure 2 ratio sets, from one
-// grouping of the records.
-func (r *Results) figure2Ratios() []kernelRatios {
-	samples := r.samples()
-	var out []kernelRatios
-	for _, k := range r.Kernels() {
-		out = append(out, kernelRatios{
-			kernel: k,
-			naive:  ratios(samples, k, "lws=1", "ours"),
-			fixed:  ratios(samples, k, "lws=32", "ours"),
-		})
-	}
-	return out
-}
-
 // Summaries computes the per-kernel Figure 2 tables against the "ours"
 // mapper.
-func (r *Results) Summaries() []KernelSummary { return summarize(r.figure2Ratios()) }
+func (r *Results) Summaries() []KernelSummary { return r.pairing().summaries() }
 
-func summarize(krs []kernelRatios) []KernelSummary {
-	var out []KernelSummary
-	for _, kr := range krs {
-		ks := KernelSummary{Kernel: kr.kernel}
-		if spec, err := kernels.ByName(kr.kernel); err == nil {
+func (p *pairing) summaries() []KernelSummary {
+	out := make([]KernelSummary, 0, len(p.kernels))
+	for _, k := range p.kernels {
+		ks := KernelSummary{
+			Kernel:  k,
+			VsNaive: stats.SummarizeRatios(p.ratios(k, "lws=1", "ours")),
+			VsFixed: stats.SummarizeRatios(p.ratios(k, "lws=32", "ours")),
+		}
+		if spec, err := kernels.ByName(k); err == nil {
 			ks.Group = spec.Group
 		}
-		ks.VsNaive = stats.SummarizeRatios(kr.naive)
-		ks.VsFixed = stats.SummarizeRatios(kr.fixed)
 		out = append(out, ks)
 	}
 	return out
@@ -212,16 +221,16 @@ func renderTable(w io.Writer, sums []KernelSummary) error {
 // RenderFigure2 writes the violin plots with their data tables — the full
 // figure reproduction (E2+E3).
 func (r *Results) RenderFigure2(w io.Writer, opts stats.ViolinOptions) error {
-	krs := r.figure2Ratios()
-	for _, kr := range krs {
-		if err := stats.RenderViolinPair(w, kr.kernel, kr.naive, kr.fixed, opts); err != nil {
+	p := r.pairing()
+	for _, k := range p.kernels {
+		if err := stats.RenderViolinPair(w, k, p.ratios(k, "lws=1", "ours"), p.ratios(k, "lws=32", "ours"), opts); err != nil {
 			return err
 		}
 		if _, err := fmt.Fprintln(w); err != nil {
 			return err
 		}
 	}
-	return renderTable(w, summarize(krs))
+	return renderTable(w, p.summaries())
 }
 
 // RenderOracle writes Eq. 1's regret, one row per kernel, from the records
@@ -236,43 +245,38 @@ func (r *Results) RenderOracle(w io.Writer) error {
 		"kernel", "samples", "geomean", "median", "max", "within 5%", "search cost", "most often fastest"); err != nil {
 		return err
 	}
-	samples := r.samples()
-	mappers := r.Mappers()
+	p := r.pairing()
+	o := slices.Index(p.mappers, "ours")
 	near, total := 0, 0
-	for _, k := range r.Kernels() {
-		ours := samples[series{k, "ours"}]
-		keys := make([]string, 0, len(ours))
-		for key, c := range ours {
-			if c > 0 {
-				keys = append(keys, key)
-			}
-		}
-		sort.Strings(keys)
-		regret := make([]float64, 0, len(keys))
-		cost := make([]float64, 0, len(keys))
-		wins := make([]int, len(mappers))
+	for k, kernel := range p.kernels {
+		var regret, cost []float64
+		wins := make([]int, len(p.mappers))
 		kNear := 0
-		for _, key := range keys {
+		for s := range p.samples {
+			ours := p.at(k, s, o)
+			if ours <= 0 {
+				continue
+			}
 			fastest, best, sum := -1, 0.0, 0.0
-			for i, m := range mappers {
-				c, ok := samples[series{k, m}][key]
-				if !ok {
+			for m := range p.mappers {
+				c := p.at(k, s, m)
+				if c < 0 {
 					continue
 				}
 				sum += c
 				if fastest < 0 || c < best {
-					fastest, best = i, c
+					fastest, best = m, c
 				}
 			}
 			wins[fastest]++
-			rg := ours[key] / best
+			rg := ours / best
 			regret = append(regret, rg)
 			cost = append(cost, sum/best)
 			if rg <= 1.05 {
 				kNear++
 			}
 		}
-		order := make([]int, len(mappers))
+		order := make([]int, len(p.mappers))
 		for i := range order {
 			order[i] = i
 		}
@@ -280,16 +284,16 @@ func (r *Results) RenderOracle(w io.Writer) error {
 		var top []string
 		for _, i := range order[:min(2, len(order))] {
 			if wins[i] > 0 {
-				top = append(top, mappers[i])
+				top = append(top, p.mappers[i])
 			}
 		}
 		if _, err := fmt.Fprintf(w, "%-16s %7d %8.2f %7.2f %7.2f %10s %11.1fx  %s\n",
-			k, len(keys), stats.GeoMean(regret), stats.Quantile(regret, 0.5), stats.Max(regret),
-			fmt.Sprintf("%d/%d", kNear, len(keys)), stats.GeoMean(cost), strings.Join(top, ", ")); err != nil {
+			kernel, len(regret), stats.GeoMean(regret), stats.Quantile(regret, 0.5), stats.Max(regret),
+			fmt.Sprintf("%d/%d", kNear, len(regret)), stats.GeoMean(cost), strings.Join(top, ", ")); err != nil {
 			return err
 		}
 		near += kNear
-		total += len(keys)
+		total += len(regret)
 	}
 	_, err := fmt.Fprintf(w, "\nours is within 5%% of the fastest mapper on %d of %d samples\n", near, total)
 	return err

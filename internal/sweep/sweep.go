@@ -161,7 +161,7 @@ func (o *Options) validate() error {
 		return fmt.Errorf("sweep: negative dispatch overhead %d (cycles per launch, 0 = none)", o.DispatchOverhead)
 	}
 	for name := range o.Axes {
-		if !slices.ContainsFunc(Axes, func(a Axis) bool { return a.Name == name }) {
+		if !slices.ContainsFunc(Axes[:], func(a Axis) bool { return a.Name == name }) {
 			return fmt.Errorf("sweep: unknown grid axis %q", name)
 		}
 	}
@@ -415,7 +415,6 @@ func (c CacheReport) String() string {
 
 // Results holds a completed sweep.
 type Results struct {
-	Options Options
 	Records []Record
 	// Cache reports the campaign engine's reuse counters for this run
 	// (zero value when Results was reconstructed from a CSV).
@@ -472,7 +471,7 @@ func Run(opts Options) (*Results, error) {
 	prog := ocl.ProgramCacheStats()
 	inp := kernels.InputCacheStats()
 	dev := pool.Stats()
-	res := &Results{Options: opts, Records: c.recs, Cache: CacheReport{
+	res := &Results{Records: c.recs, Cache: CacheReport{
 		ProgramHits:   prog.Hits - progBase.Hits,
 		ProgramMisses: prog.Misses - progBase.Misses,
 		InputHits:     inp.Hits - inputBase.Hits,

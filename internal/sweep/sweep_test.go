@@ -318,7 +318,7 @@ func TestOptimalWinsOnAverage(t *testing.T) {
 
 func TestCrossoverCurve(t *testing.T) {
 	res := smallSweep(t, []string{"vecadd"})
-	curve := res.CrossoverCurve("vecadd", "lws=32")
+	curve := res.pairing().crossover("vecadd", "lws=32")
 	if len(curve) == 0 {
 		t.Fatal("empty curve")
 	}
@@ -356,7 +356,7 @@ func TestCrossoverHP(t *testing.T) {
 	add(2, 2, 4, "lws=32", 150) // hp=16: ours wins
 	add(4, 4, 4, "ours", 100)
 	add(4, 4, 4, "lws=32", 300) // hp=64: ours wins
-	if hp := res.CrossoverHP("k", "lws=32"); hp != 16 {
+	if hp := crossoverHP(res.pairing().crossover("k", "lws=32")); hp != 16 {
 		t.Errorf("crossover = %d, want 16", hp)
 	}
 	// Baseline never loses -> -1.
@@ -365,7 +365,7 @@ func TestCrossoverHP(t *testing.T) {
 		Record{Config: core.HWInfo{Cores: 1, Warps: 2, Threads: 2}, Kernel: "k", Mapper: "ours", Cycles: 100},
 		Record{Config: core.HWInfo{Cores: 1, Warps: 2, Threads: 2}, Kernel: "k", Mapper: "lws=32", Cycles: 50},
 	)
-	if hp := res2.CrossoverHP("k", "lws=32"); hp != -1 {
+	if hp := crossoverHP(res2.pairing().crossover("k", "lws=32")); hp != -1 {
 		t.Errorf("no-crossover = %d, want -1", hp)
 	}
 }
@@ -384,12 +384,12 @@ func TestCrossoverHPEdgeCases(t *testing.T) {
 
 	// Empty curve: unknown kernel/baseline, or no matching "ours" sample.
 	empty := &Results{}
-	if hp := empty.CrossoverHP("k", "lws=32"); hp != -1 {
+	if hp := crossoverHP(empty.pairing().crossover("k", "lws=32")); hp != -1 {
 		t.Errorf("empty results: crossover = %d, want -1", hp)
 	}
 	noOurs := &Results{}
 	add(noOurs, 1, 2, 2, "lws=32", 90)
-	if hp := noOurs.CrossoverHP("k", "lws=32"); hp != -1 {
+	if hp := crossoverHP(noOurs.pairing().crossover("k", "lws=32")); hp != -1 {
 		t.Errorf("baseline without ours samples: crossover = %d, want -1", hp)
 	}
 
@@ -399,7 +399,7 @@ func TestCrossoverHPEdgeCases(t *testing.T) {
 	add(allWin, 1, 2, 2, "lws=32", 100) // ratio exactly 1 counts as won
 	add(allWin, 2, 2, 4, "ours", 100)
 	add(allWin, 2, 2, 4, "lws=32", 250)
-	if hp := allWin.CrossoverHP("k", "lws=32"); hp != 4 {
+	if hp := crossoverHP(allWin.pairing().crossover("k", "lws=32")); hp != 4 {
 		t.Errorf("all-bands-won: crossover = %d, want 4 (the smallest hp)", hp)
 	}
 
@@ -413,7 +413,7 @@ func TestCrossoverHPEdgeCases(t *testing.T) {
 	add(regress, 2, 2, 4, "lws=32", 150)
 	add(regress, 4, 4, 4, "ours", 100)
 	add(regress, 4, 4, 4, "lws=32", 80)
-	if hp := regress.CrossoverHP("k", "lws=32"); hp != -1 {
+	if hp := crossoverHP(regress.pairing().crossover("k", "lws=32")); hp != -1 {
 		t.Errorf("regressing top band: crossover = %d, want -1", hp)
 	}
 
@@ -421,7 +421,7 @@ func TestCrossoverHPEdgeCases(t *testing.T) {
 	oneWin := &Results{}
 	add(oneWin, 1, 2, 2, "ours", 100)
 	add(oneWin, 1, 2, 2, "lws=32", 110)
-	if hp := oneWin.CrossoverHP("k", "lws=32"); hp != 4 {
+	if hp := crossoverHP(oneWin.pairing().crossover("k", "lws=32")); hp != 4 {
 		t.Errorf("single winning band: crossover = %d, want 4", hp)
 	}
 }
