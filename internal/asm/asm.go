@@ -71,6 +71,37 @@ func (p *Program) SourceAt(pc uint32) string {
 	return ""
 }
 
+// SetLI re-encodes the `li` statement that starts at pc to load v, giving
+// the words Assemble gives `li` of v there. It refuses a pc that does not
+// start an li, a v outside li's 32-bit range and a v whose li takes another
+// number of words than the statement's (a value only known after layout,
+// such as a label, always takes two): such a program must be assembled
+// again. Words and Insts are written in place; nothing is allocated.
+func (p *Program) SetLI(pc uint32, v int64) error {
+	i := int(pc-p.Base) / 4 // past the end for a pc below Base
+	if pc%4 != 0 || i >= len(p.Lines) || i > 0 && p.Lines[i-1].Line == p.Lines[i].Line ||
+		len(p.Lines[i].Src) < 3 || !strings.EqualFold(p.Lines[i].Src[:3], "li ") {
+		return fmt.Errorf("asm: no li starts at pc %#x", pc)
+	}
+	n := 1
+	if i+1 < len(p.Lines) && p.Lines[i+1].Line == p.Lines[i].Line {
+		n = 2
+	}
+	v32, size, ok := liValue(v)
+	if !ok || size != n {
+		return fmt.Errorf("asm: the %d-word li at pc %#x cannot load %d", n, pc, v)
+	}
+	ins := liInsts(p.Insts[i].Rd, v32, n)
+	for j, in := range ins[:n] {
+		w, err := isa.Encode(in)
+		if err != nil {
+			return fmt.Errorf("asm: li at pc %#x: %w", pc, err)
+		}
+		p.Words[i+j], p.Insts[i+j] = w, decodeWord(w)
+	}
+	return nil
+}
+
 // Error is an assembly error annotated with its 1-based source line.
 type Error struct {
 	Line int
@@ -87,14 +118,25 @@ type item struct {
 	args   []string // raw operand strings
 	pc     uint32
 	nwords int
-	varies bool // its size or encoding read a template slot
 }
 
 // Assemble translates source into a Program based at base. defs provides
 // pre-defined symbols (in addition to labels and .equ definitions).
 func Assemble(src string, base uint32, defs map[string]int64) (*Program, error) {
-	a := new(assembler)
-	if err := a.assemble(src, base, defs); err != nil {
+	if base%4 != 0 {
+		return nil, fmt.Errorf("asm: base address %#x not word aligned", base)
+	}
+	a := &assembler{prog: &Program{Base: base, Symbols: map[string]uint32{}}, syms: make(map[string]int64, len(defs))}
+	for k, v := range defs {
+		a.syms[k] = v
+	}
+	if err := a.parse(src); err != nil {
+		return nil, err
+	}
+	if err := a.layout(); err != nil {
+		return nil, err
+	}
+	if err := a.emit(); err != nil {
 		return nil, err
 	}
 	return a.prog, nil
@@ -120,54 +162,6 @@ type assembler struct {
 	tags   []tagMark
 	syms   map[string]int64 // defines, .equ values and (after layout) labels
 	labels map[string]int   // label name -> item index, resolved to pc in layout
-
-	// A template (template.go) keeps its launch symbols and every .equ
-	// name in slots (slot maps a name to its index in vals), records in
-	// read whether an evaluation looked one up, and lists in equs every
-	// .equ statement, which an instance replays in source order.
-	slot map[string]int
-	vals []int64
-	read bool
-	equs []equ
-}
-
-// assemble runs both passes over src into a.prog.
-func (a *assembler) assemble(src string, base uint32, defs map[string]int64) error {
-	if base%4 != 0 {
-		return fmt.Errorf("asm: base address %#x not word aligned", base)
-	}
-	a.prog = &Program{Base: base, Symbols: map[string]uint32{}}
-	a.syms = make(map[string]int64, len(defs)+len(a.slot))
-	for k, v := range defs {
-		a.syms[k] = v
-	}
-	for k, i := range a.slot {
-		a.syms[k] = a.vals[i]
-	}
-	if err := a.parse(src); err != nil {
-		return err
-	}
-	if err := a.layout(); err != nil {
-		return err
-	}
-	return a.emit()
-}
-
-// define sets an .equ symbol. In a template the name gets a slot and the
-// statement is recorded for instances to replay.
-func (a *assembler) define(name, expr string, v int64) {
-	a.syms[name] = v
-	if a.slot == nil {
-		return
-	}
-	i, ok := a.slot[name]
-	if !ok {
-		i = len(a.vals)
-		a.slot[name] = i
-		a.vals = append(a.vals, 0)
-	}
-	a.vals[i] = v
-	a.equs = append(a.equs, equ{slot: i, expr: expr})
 }
 
 func (a *assembler) errf(line int, format string, args ...any) error {
@@ -229,7 +223,7 @@ func (a *assembler) parse(src string) error {
 			if err != nil {
 				return a.errf(lineNo+1, ".equ %s: %v", args[0], err)
 			}
-			a.define(args[0], args[1], v)
+			a.syms[args[0]] = v
 			continue
 		case ".tag":
 			if len(args) != 1 {
@@ -299,12 +293,8 @@ func isIdent(s string) bool {
 }
 
 // lookup resolves a symbol: a define or .equ value, or (after layout) a
-// label. In a template a slot takes precedence, and reading one sets read.
+// label.
 func (a *assembler) lookup(name string) (int64, bool) {
-	if i, ok := a.slot[name]; ok {
-		a.read = true
-		return a.vals[i], true
-	}
 	v, ok := a.syms[name]
 	return v, ok
 }
@@ -316,12 +306,11 @@ func (a *assembler) layout() error {
 	for i := range a.items {
 		it := &a.items[i]
 		it.pc = pc // sizeOf needs the pc for .align
-		a.read = false
 		n, err := a.sizeOf(it)
 		if err != nil {
 			return err
 		}
-		it.nwords, it.varies = n, a.read
+		it.nwords = n
 		pc += uint32(n) * 4
 	}
 	for name, idx := range a.labels {
@@ -410,13 +399,11 @@ func (a *assembler) sizeOf(it *item) (int, error) {
 		if len(it.args) != 2 {
 			return 0, a.errf(it.line, "%s needs rd, value", it.op)
 		}
-		// If the value is fully resolvable now and fits 12 bits (after
-		// truncation to 32 bits), one word.
+		// A value resolvable now takes the words liValue gives it; one that
+		// is not (a label) takes two.
 		if v, err := evalExpr(it.args[1], a.lookup); err == nil {
-			if v >= -(1<<31) && v <= (1<<32)-1 {
-				if v32 := int64(int32(uint32(v))); v32 >= -2048 && v32 <= 2047 {
-					return 1, nil
-				}
+			if _, n, ok := liValue(v); ok {
+				return n, nil
 			}
 		}
 		return 2, nil
@@ -430,12 +417,10 @@ func (a *assembler) emit() error {
 	for i := range a.items {
 		it := &a.items[i]
 		at := len(p.Words)
-		a.read = false
 		words, err := a.encodeItem(it, p.Words)
 		if err != nil {
 			return err
 		}
-		it.varies = it.varies || a.read
 		if len(words)-at != it.nwords {
 			return a.errf(it.line, "internal: size mismatch for %q (%d != %d)", it.src, len(words)-at, it.nwords)
 		}

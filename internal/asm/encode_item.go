@@ -114,21 +114,15 @@ func (a *assembler) encodeItem(it *item, dst []uint32) ([]uint32, error) {
 		if err != nil {
 			return nil, err
 		}
-		if v < -(1<<31) || v > (1<<32)-1 {
+		v32, n, ok := liValue(v)
+		if !ok {
 			return nil, a.errf(it.line, "%s value %d out of 32-bit range", it.op, v)
 		}
-		v32 := int32(uint32(v))
-		if it.nwords == 1 {
-			if v32 < -2048 || v32 > 2047 {
-				return nil, a.errf(it.line, "internal: li value %d changed between passes", v32)
-			}
-			return a.enc(dst, it, isa.Inst{Op: isa.ADDI, Rd: rd, Imm: v32})
+		if n > it.nwords {
+			return nil, a.errf(it.line, "internal: li value %d changed between passes", v32)
 		}
-		// lui+addi: hi compensates for the sign extension of the 12-bit lo.
-		u := uint32(v32)
-		hi := (u + 0x800) & 0xFFFFF000
-		return a.enc(dst, it, isa.Inst{Op: isa.LUI, Rd: rd, Imm: int32(hi)},
-			isa.Inst{Op: isa.ADDI, Rd: rd, Rs1: rd, Imm: int32(u - hi)})
+		ins := liInsts(rd, v32, it.nwords)
+		return a.enc(dst, it, ins[:it.nwords]...)
 	}
 
 	in, err := a.parseInst(it)
@@ -136,6 +130,28 @@ func (a *assembler) encodeItem(it *item, dst []uint32) ([]uint32, error) {
 		return nil, err
 	}
 	return a.enc(dst, it, in)
+}
+
+// liValue returns the 32 bits `li` loads for v, how many words it takes
+// when v is known at layout (one addi when those bits sign-extend from 12,
+// else lui+addi) and whether v lies in li's range [-2^31, 2^32-1].
+func liValue(v int64) (v32 int32, n int, ok bool) {
+	v32, n = int32(v), 1
+	if v32 < -2048 || v32 > 2047 {
+		n = 2
+	}
+	return v32, n, v >= -(1<<31) && v <= (1<<32)-1
+}
+
+// liInsts expands `li rd, v32` into n instructions: addi for n = 1 (v32
+// must sign-extend from 12 bits), lui+addi for n = 2.
+func liInsts(rd uint8, v32 int32, n int) [2]isa.Inst {
+	if n == 1 {
+		return [2]isa.Inst{{Op: isa.ADDI, Rd: rd, Imm: v32}}
+	}
+	u := uint32(v32)
+	hi := (u + 0x800) & 0xFFFFF000 // compensates for the sign extension of the 12-bit lo
+	return [2]isa.Inst{{Op: isa.LUI, Rd: rd, Imm: int32(hi)}, {Op: isa.ADDI, Rd: rd, Rs1: rd, Imm: int32(u - hi)}}
 }
 
 // parseInst parses one instruction: a pseudo-instruction is first rewritten

@@ -47,9 +47,9 @@ type Device struct {
 	allocTop uint32
 	observer func(sim.IssueEvent)
 
-	// prog is the resident launch program, the instance of template
-	// resident at residentGeom; its Words and Insts arrays are the
-	// device's, rewritten when the next launch needs another program.
+	// prog is the resident launch program, resident's shape program at
+	// residentGeom; its Words and Insts arrays are the device's, rewritten
+	// when the next launch needs another program.
 	prog         asm.Program
 	resident     *program
 	residentGeom geometry

@@ -30,8 +30,9 @@ type LaunchResult struct {
 }
 
 // wrapperHead and wrapperTail are the Vortex-style spawn wrapper generated
-// around every kernel body. Its constants are assembler symbols, all but
-// ARGBASE re-encoded per launch by the kernel's template (progcache.go):
+// around every kernel body. Its constants are assembler defines. Each of
+// the six launch values is read by one `li` at the label `__<name>`, which
+// a launch re-encodes in its shape's program (progcache.go):
 //
 //	NTASKS   workgroups in the NDRange
 //	TPC      tasks per core (contiguous chunk, ceil(NTASKS/cores))
@@ -50,20 +51,20 @@ __entry:
 	csrr s0, cid
 	csrr s1, wid
 	csrr s2, tid
-	li   t0, TPC
+__TPC:	li   t0, TPC
 	mul  s3, s0, t0      # start = cid*TPC
-	li   t1, TPW
+__TPW:	li   t1, TPW
 	mul  s4, s1, t1      # wid*threads
 	add  s4, s4, s2      # + tid = local slot
 	add  s4, s4, s3      # wg = start + local slot
 	add  s3, s3, t0      # end = start + TPC ...
-	li   t2, NTASKS
+__NTASKS:	li   t2, NTASKS
 	ble  s3, t2, __endok # ... clamped to NTASKS
 	mv   s3, t2
 __endok:
-	li   s5, WT
-	li   s7, GWS
-	li   s9, LWS
+__WT:	li   s5, WT
+__GWS:	li   s7, GWS
+__LWS:	li   s9, LWS
 	li   s11, ARGBASE
 .tag wgloop
 __wgloop:
@@ -129,8 +130,8 @@ func (d *Device) EnableTracing() *trace.Collector {
 func (d *Device) DisableTracing() { d.SetObserver(nil) }
 
 // load makes the program of k at geometry g the resident one: written into
-// the device's own arrays from the kernel's launch template and decoded by
-// the simulator, unless that (template, geometry) is resident already.
+// the device's own arrays from the program of g's shape and decoded by the
+// simulator, unless that (program, geometry) is resident already.
 func (d *Device) load(k *Kernel, g geometry) error {
 	if r := d.resident; r != nil && d.residentGeom == g && r.gen == programs.gen.Load() && r.builds(k.src) {
 		programs.hits.Add(1)

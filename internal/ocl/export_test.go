@@ -7,7 +7,7 @@ import (
 )
 
 // LaunchProgram returns the program EnqueueNDRange loads for k at (gws,
-// lws) on a device of hw: an instance of the kernel's launch template.
+// lws) on a device of hw: its shape's program re-encoded at that geometry.
 func LaunchProgram(k *Kernel, gws, lws int, hw core.HWInfo) (*asm.Program, error) {
 	g := launchGeometry(gws, lws, sim.DefaultConfig(hw.Cores, hw.Warps, hw.Threads))
 	p := new(asm.Program)

@@ -12,7 +12,8 @@ import (
 //   - a0 holds the global work-item id (gid); a1 holds the argument block
 //     base address. Argument i lives at offset 4*i from a1.
 //   - The body may freely use a0-a7, t0-t6 and every float register.
-//   - The body must not write s0-s11, sp, ra, gp or tp (wrapper state).
+//   - The body must not write s0-s11, sp, ra, gp or tp (wrapper state), nor
+//     name the wrapper's launch symbols NTASKS, TPC, TPW, WT, GWS and LWS.
 //   - Control flow inside the body must reconverge (vx_split/vx_join for
 //     divergent conditions); the body falls through its end.
 //

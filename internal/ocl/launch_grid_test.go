@@ -15,13 +15,14 @@ import (
 	"repro/internal/sweep"
 )
 
-// TestTemplateMatchesAssemble holds every launch program of the Figure 2
-// campaign — the 450-configuration grid x the nine registry kernels x the
-// three mappers, at scales 0.02 and 1 — to asm.Assemble of the wrapper with
-// the launch geometry as defines: Words, Insts, Symbols, Tags and Lines.
-// It also pins how few templates that takes: one per kernel and shape,
-// where a shape is which wrapper li statements need lui+addi.
-func TestTemplateMatchesAssemble(t *testing.T) {
+// TestLaunchProgramMatchesAssemble holds every launch program of the
+// Figure 2 campaign — the 450-configuration grid x the nine registry
+// kernels x the three mappers, at scales 0.02 and 1 — to asm.Assemble of
+// the wrapper with the launch geometry as defines: Words, Insts, Symbols,
+// Tags and Lines. It also pins how few programs are assembled for that:
+// one per kernel source and shape, where a shape is which wrapper li
+// statements need lui+addi.
+func TestLaunchProgramMatchesAssemble(t *testing.T) {
 	if testing.Short() {
 		t.Skip("assembles every distinct launch program of two full campaigns")
 	}
@@ -86,9 +87,9 @@ func TestTemplateMatchesAssemble(t *testing.T) {
 			}
 		}
 		built := ocl.ProgramCacheStats().Misses
-		t.Logf("scale %v: %d launches, %d distinct programs, %d templates", scale, len(launches), programs, built)
+		t.Logf("scale %v: %d launches, %d distinct programs, %d built", scale, len(launches), programs, built)
 		if built != uint64(len(shapes)) {
-			t.Errorf("scale %v: %d templates built, want one per distinct (kernel, shape): %d", scale, built, len(shapes))
+			t.Errorf("scale %v: %d programs built, want one per distinct (kernel, shape): %d", scale, built, len(shapes))
 		}
 	}
 }

@@ -277,6 +277,16 @@ func TestLaunchValidation(t *testing.T) {
 	if _, err := d.EnqueueNDRange(bad, 4, 1); err == nil {
 		t.Error("reserved define collision accepted")
 	}
+	// Only the wrapper's launch lis are re-encoded per launch; a comment
+	// may name a launch symbol.
+	bad, _ = NewKernel(KernelSource{Name: "bad", Body: "\tli t0, LWS*4\n"})
+	if _, err := d.EnqueueNDRange(bad, 4, 1); err == nil {
+		t.Error("body naming a launch symbol accepted")
+	}
+	k, _ = NewKernel(KernelSource{Name: "nopk", Body: "\tnop # gid < GWS\n"})
+	if _, err := d.EnqueueNDRange(k, 4, 1); err != nil {
+		t.Errorf("body naming a launch symbol in a comment refused: %v", err)
+	}
 }
 
 func TestBufferAPI(t *testing.T) {

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode"
 
 	"repro/internal/asm"
 	"repro/internal/core"
@@ -19,9 +21,10 @@ type CacheCounters struct {
 }
 
 // launchSymbols are the wrapper's geometry constants (see wrapperHead), in
-// the order of a geometry. They are the only assembler symbols that change
-// from launch to launch; ARGBASE and the kernel's defines do not.
-var launchSymbols = []string{"NTASKS", "TPC", "TPW", "WT", "GWS", "LWS"}
+// the order of a geometry. Each is read by exactly one `li`, at the label
+// of its name prefixed with "__"; ARGBASE and the kernel's defines do not
+// change from launch to launch.
+var launchSymbols = [6]string{"NTASKS", "TPC", "TPW", "WT", "GWS", "LWS"}
 
 // geometry holds the values of launchSymbols for one launch.
 type geometry [6]int64
@@ -34,15 +37,27 @@ func launchGeometry(gws, lws int, cfg sim.Config) geometry {
 	return geometry{int64(ntasks), int64(tpc), int64(cfg.Threads), int64(cfg.Warps * cfg.Threads), int64(gws), int64(lws)}
 }
 
-// program is the launch template of one kernel source (name, body and
-// defines) for one shape: the sizes of the statements that read a launch
-// symbol, in practice which wrapper `li`s need lui+addi. Every geometry of
-// that shape is an asm.Template instance, byte-identical to assembling the
-// wrapper with that geometry as defines.
+// shape returns which of g's values take lui+addi in their `li`: bit i is
+// set when int32(g[i]) lies outside [-2048, 2047].
+func (g *geometry) shape() (s uint8) {
+	for i, v := range g {
+		if int32(v) < -2048 || int32(v) > 2047 {
+			s |= 1 << i
+		}
+	}
+	return s
+}
+
+// program is the launch program of one kernel source (name, body and
+// defines) for one shape, assembled at the first geometry of that shape
+// and read-only after: a launch copies it and re-encodes the six launch
+// lis at its own geometry (asm.Program.SetLI), which gives the program
+// asm.Assemble gives with that geometry as defines.
 type program struct {
 	name, body string
 	defs       map[string]int64
-	t          *asm.Template
+	shape      uint8
+	prog       *asm.Program
 	gen        uint64 // the ResetProgramCache generation that built it
 }
 
@@ -50,23 +65,23 @@ func (p *program) builds(src KernelSource) bool {
 	return p.name == src.Name && p.body == src.Body && maps.Equal(p.defs, src.Defs)
 }
 
-// programs holds the process's launch templates by kernel name, each
-// built once: templates are immutable, so devices and concurrent sweep
-// workers share them. Their number grows with kernels x shapes, not with
-// grid points.
+// programs holds the process's launch programs by kernel name, each built
+// once and shared by devices and concurrent sweep workers. Their number
+// grows with kernels x shapes, not with grid points.
 var programs = struct {
 	sync.Mutex
 	byName            map[string][]*program
 	hits, misses, gen atomic.Uint64
 }{byName: map[string][]*program{}}
 
-// ProgramCacheStats returns process-wide launch-template counters: Misses
-// counts templates built, Hits launches served by one already built.
+// ProgramCacheStats returns process-wide launch-program counters: Misses
+// counts the (kernel source, shape) programs assembled, Hits launches
+// served by one already built.
 func ProgramCacheStats() CacheCounters {
 	return CacheCounters{Hits: programs.hits.Load(), Misses: programs.misses.Load()}
 }
 
-// ResetProgramCache drops every launch template and zeroes the counters
+// ResetProgramCache drops every launch program and zeroes the counters
 // (cold-path benchmarks and tests); a device's resident program no longer
 // counts, so the next launch builds again.
 func ResetProgramCache() {
@@ -78,33 +93,65 @@ func ResetProgramCache() {
 	programs.misses.Store(0)
 }
 
-// launchProgram writes the program of src at geometry g into p from the
-// template of g's shape, building that template on first use.
+// launchProgram writes the program of src at geometry g into p: its
+// shape's program, copied and re-encoded at g outside the registry lock.
 func launchProgram(src KernelSource, g *geometry, p *asm.Program) (*program, error) {
+	e, err := shapeProgram(src, g)
+	if err != nil {
+		return nil, err
+	}
+	q := e.prog
+	p.Base, p.Symbols, p.Tags, p.Lines = q.Base, q.Symbols, q.Tags, q.Lines
+	p.Words = append(p.Words[:0], q.Words...)
+	p.Insts = append(p.Insts[:0], q.Insts...)
+	for i, name := range launchSymbols {
+		if err := p.SetLI(q.Symbols["__"+name], g[i]); err != nil {
+			return nil, fmt.Errorf("ocl: kernel %q: %s: %w", src.Name, name, err)
+		}
+	}
+	return e, nil
+}
+
+// shapeProgram returns the program of src for g's shape, assembling it
+// at g under the registry lock on first use, so each is built once.
+func shapeProgram(src KernelSource, g *geometry) (*program, error) {
+	shape := g.shape()
 	programs.Lock()
 	defer programs.Unlock()
 	list := programs.byName[src.Name]
 	for _, e := range list {
-		if e.builds(src) && e.t.Instance(p, g[:]) {
+		if e.shape == shape && e.builds(src) {
 			programs.hits.Add(1)
 			return e, nil
 		}
 	}
 	defs := map[string]int64{"ARGBASE": int64(ArgBase)}
+	for i, name := range launchSymbols {
+		defs[name] = g[i]
+	}
 	for name, v := range src.Defs {
-		if _, dup := defs[name]; dup || slices.Contains(launchSymbols, name) {
+		if _, dup := defs[name]; dup {
 			return nil, fmt.Errorf("ocl: kernel %q redefines reserved symbol %q", src.Name, name)
 		}
 		defs[name] = v
 	}
-	t, err := asm.NewTemplate(wrapperHead+src.Body+wrapperTail, CodeBase, defs, launchSymbols, g[:])
+	// Only the wrapper's lis are re-encoded per launch: a body may not
+	// name a launch symbol outside a comment.
+	notSym := func(r rune) bool { return r != '_' && r != '.' && !unicode.IsLetter(r) && !unicode.IsDigit(r) }
+	for _, line := range strings.Split(src.Body, "\n") {
+		line, _, _ = strings.Cut(line, "#")
+		line, _, _ = strings.Cut(line, "//")
+		for _, f := range strings.FieldsFunc(line, notSym) {
+			if slices.Contains(launchSymbols[:], f) {
+				return nil, fmt.Errorf("ocl: kernel %q: the body names launch symbol %s", src.Name, f)
+			}
+		}
+	}
+	prog, err := asm.Assemble(wrapperHead+src.Body+wrapperTail, CodeBase, defs)
 	if err != nil {
 		return nil, fmt.Errorf("ocl: kernel %q: %w", src.Name, err)
 	}
-	if !t.Instance(p, g[:]) {
-		return nil, fmt.Errorf("ocl: kernel %q: template refuses its own geometry", src.Name)
-	}
-	e := &program{name: src.Name, body: src.Body, defs: maps.Clone(src.Defs), t: t, gen: programs.gen.Load()}
+	e := &program{name: src.Name, body: src.Body, defs: maps.Clone(src.Defs), shape: shape, prog: prog, gen: programs.gen.Load()}
 	programs.byName[src.Name] = append(list, e)
 	programs.misses.Add(1)
 	return e, nil

@@ -2,6 +2,7 @@ package ocl
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,7 +15,7 @@ import (
 // arguments and the same wrapper shapes.
 var vecsubSrc = KernelSource{Name: "vecsub", Body: strings.Replace(vecaddSrc.Body, "fadd.s", "fsub.s", 1)}
 
-// coldLaunch runs src at (gws, lws) on a new device with no launch template
+// coldLaunch runs src at (gws, lws) on a new device with no launch program
 // built yet, so its program is assembled for exactly that geometry.
 func coldLaunch(t *testing.T, cfg sim.Config, src KernelSource, gws, lws int) (*LaunchResult, []float32) {
 	t.Helper()
@@ -30,11 +31,11 @@ func coldLaunch(t *testing.T, cfg sim.Config, src KernelSource, gws, lws int) (*
 	return res, out
 }
 
-// TestProgramCacheReusesTemplate pins the template contract: a second
-// geometry of the same shape reuses the kernel's template, on any device,
-// and runs exactly as a template built for that geometry; a geometry of
-// another shape builds a second template.
-func TestProgramCacheReusesTemplate(t *testing.T) {
+// TestProgramCacheReusesShape pins the shape contract: a second geometry
+// of the same shape reuses the kernel's program, on any device, and runs
+// exactly as a program built for that geometry; a geometry of another
+// shape builds a second program.
+func TestProgramCacheReusesShape(t *testing.T) {
 	cfg := sim.DefaultConfig(1, 2, 4)
 	wantRes, wantOut := coldLaunch(t, cfg, vecaddSrc, 256, 8)
 
@@ -45,7 +46,7 @@ func TestProgramCacheReusesTemplate(t *testing.T) {
 	}
 	launchOnce(t, d1, 256, 4)
 	if s := ProgramCacheStats(); s.Misses != 1 || s.Hits != 0 {
-		t.Fatalf("first launch: counters %+v, want one template built", s)
+		t.Fatalf("first launch: counters %+v, want one program built", s)
 	}
 	d2, err := NewDevice(cfg)
 	if err != nil {
@@ -53,23 +54,23 @@ func TestProgramCacheReusesTemplate(t *testing.T) {
 	}
 	res, out := launchOnce(t, d2, 256, 8) // lws 8: new geometry, same shape
 	if s := ProgramCacheStats(); s.Misses != 1 || s.Hits != 1 {
-		t.Errorf("same-shape geometry: counters %+v, want the template reused", s)
+		t.Errorf("same-shape geometry: counters %+v, want the program reused", s)
 	}
 	if !reflect.DeepEqual(res, wantRes) {
-		t.Errorf("template instance changed the launch report:\ncold %+v\nwarm %+v", wantRes, res)
+		t.Errorf("re-encoded program changed the launch report:\ncold %+v\nwarm %+v", wantRes, res)
 	}
 	if !reflect.DeepEqual(out, wantOut) {
-		t.Error("template instance changed the device output")
+		t.Error("re-encoded program changed the device output")
 	}
 
 	// gws 4096 needs lui+addi for GWS (and NTASKS, TPC at lws 1): a new shape.
 	launchOnce(t, d2, 4096, 1)
 	if s := ProgramCacheStats(); s.Misses != 2 {
-		t.Errorf("new shape: counters %+v, want a second template", s)
+		t.Errorf("new shape: counters %+v, want a second program", s)
 	}
 
 	// Relaunching the resident program builds nothing, unless the
-	// templates were dropped: then the launch is cold again.
+	// programs were dropped: then the launch is cold again.
 	launchOnce(t, d2, 4096, 1)
 	if s := ProgramCacheStats(); s.Misses != 2 || s.Hits != 2 {
 		t.Errorf("resident relaunch: counters %+v, want a hit", s)
@@ -77,13 +78,13 @@ func TestProgramCacheReusesTemplate(t *testing.T) {
 	ResetProgramCache()
 	launchOnce(t, d2, 4096, 1)
 	if s := ProgramCacheStats(); s.Misses != 1 {
-		t.Errorf("after ResetProgramCache: counters %+v, want the template rebuilt", s)
+		t.Errorf("after ResetProgramCache: counters %+v, want the program rebuilt", s)
 	}
 }
 
 // TestProgramCacheKeyedByBodyAndDefs pins that kernels sharing a name but
 // differing in body or defines cannot alias, and that each builds its own
-// template.
+// program.
 func TestProgramCacheKeyedByBodyAndDefs(t *testing.T) {
 	ResetProgramCache()
 	cfg := sim.DefaultConfig(1, 2, 2)
@@ -145,7 +146,7 @@ func TestProgramCacheKeyedByBodyAndDefs(t *testing.T) {
 		}
 	}
 	if s := ProgramCacheStats(); s.Misses != 3 || s.Hits != 1 {
-		t.Errorf("counters %+v, want 3 templates built and 1 reused", s)
+		t.Errorf("counters %+v, want 3 programs built and 1 reused", s)
 	}
 }
 
@@ -193,7 +194,7 @@ func TestResidentProgram(t *testing.T) {
 		}
 	}
 	if s := ProgramCacheStats(); s.Misses != 2 {
-		t.Errorf("counters %+v, want one template per kernel", s)
+		t.Errorf("counters %+v, want one program per kernel", s)
 	}
 }
 
@@ -234,48 +235,97 @@ func TestEnqueueAllocs(t *testing.T) {
 		t.Errorf("%v allocations per warm launch, want 1 (the launch report)", allocs)
 	}
 	if after := ProgramCacheStats(); after.Misses != before.Misses {
-		t.Errorf("warm launches built templates: %+v -> %+v", before, after)
+		t.Errorf("warm launches built programs: %+v -> %+v", before, after)
 	}
 }
 
 // TestProgramCacheConcurrent races fresh devices on one kernel from an
-// empty registry: each of the three shapes' templates is built once, and
-// every launch reports what it reports alone.
+// empty registry: each of the three shapes' programs is built once, and
+// every launch reports what it reports alone. Then workers launch
+// distinct geometries of one shape at once, each re-encoding its own copy
+// of the shared program outside the registry lock: the program itself
+// must stay as built.
 func TestProgramCacheConcurrent(t *testing.T) {
 	cfg := sim.DefaultConfig(2, 2, 4)
-	// 256/4 and 200/8 share a shape; at gws 4096, lws 1 puts TPC past
-	// 2047 and lws 2 does not.
+	// 256/4, 200/8, 256/1 and 96/3 share a shape; at gws 4096, lws 1 puts
+	// TPC past 2047 and lws 2 does not.
 	geoms := [][2]int{{256, 4}, {4096, 1}, {200, 8}, {4096, 2}}
-	want := make([]*LaunchResult, len(geoms))
-	for i, g := range geoms {
-		want[i], _ = coldLaunch(t, cfg, vecaddSrc, g[0], g[1])
+	shared := [][2]int{{256, 4}, {200, 8}, {256, 1}, {96, 3}}
+	want := map[[2]int]*LaunchResult{}
+	for _, g := range append(geoms, shared...) {
+		want[g], _ = coldLaunch(t, cfg, vecaddSrc, g[0], g[1])
+	}
+	race := func(geoms [][2]int) {
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := range geoms {
+					g := geoms[(i+w)%len(geoms)]
+					d, err := NewDevice(cfg)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					res, _, err := launchBinary(d, vecaddSrc, g[0], g[1])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !reflect.DeepEqual(res, want[g]) {
+						t.Errorf("worker %d, gws=%d lws=%d: launch report differs from a lone cold launch", w, g[0], g[1])
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
 	}
 	ResetProgramCache()
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := range geoms {
-				g := geoms[(i+w)%len(geoms)]
-				d, err := NewDevice(cfg)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				res, _, err := launchBinary(d, vecaddSrc, g[0], g[1])
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if !reflect.DeepEqual(res, want[(i+w)%len(geoms)]) {
-					t.Errorf("worker %d, gws=%d lws=%d: launch report differs from a lone cold launch", w, g[0], g[1])
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+	race(geoms)
 	if s := ProgramCacheStats(); s.Misses != 3 {
-		t.Errorf("counters %+v, want one template per shape", s)
+		t.Errorf("counters %+v, want one program per shape", s)
+	}
+
+	g := launchGeometry(256, 4, cfg)
+	e, err := shapeProgram(vecaddSrc, &g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words, insts := slices.Clone(e.prog.Words), slices.Clone(e.prog.Insts)
+	race(shared)
+	if !slices.Equal(e.prog.Words, words) || !slices.Equal(e.prog.Insts, insts) {
+		t.Error("concurrent launches wrote into their shape's shared program")
+	}
+	if s := ProgramCacheStats(); s.Misses != 3 {
+		t.Errorf("counters %+v after same-shape launches, want no program built", s)
+	}
+}
+
+// TestLaunchRefusesValueOutsideLI pins that a launch value li cannot hold
+// is refused, never truncated: gws = lws = 2^32 has the shape of gws = lws
+// = 1 (its low 32 bits are 0), and must fail on a cold registry and after
+// a warm launch of that shape, which the device then still runs.
+func TestLaunchRefusesValueOutsideLI(t *testing.T) {
+	ResetProgramCache()
+	d, err := NewDevice(sim.DefaultConfig(1, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := NewKernel(KernelSource{Name: "nopk", Body: "\tnop\n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const huge = 1 << 32
+	if _, err := d.EnqueueNDRange(k, huge, huge); err == nil {
+		t.Error("cold registry: gws = lws = 2^32 accepted")
+	}
+	for range 2 {
+		if _, err := d.EnqueueNDRange(k, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.EnqueueNDRange(k, huge, huge); err == nil {
+			t.Error("warm registry: gws = lws = 2^32 accepted")
+		}
 	}
 }
