@@ -27,6 +27,9 @@ var runCmd = subcommand("run", false, func(fs *flag.FlagSet) body {
 	cacheStats := fs.Bool("cache-stats", false, "print the campaign-engine cache counters (program cache, input memo) after the run")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof format)")
 	return func(stdout, _ io.Writer) error {
+		if *lws < 0 {
+			return usageError(fmt.Sprintf("-lws %d: the local work size must be positive, or 0 for the mapper", *lws))
+		}
 		stop, err := startCPUProfile(*cpuProfile)
 		if err != nil {
 			return err

@@ -85,13 +85,25 @@ func TestRunScaleRefusals(t *testing.T) {
 
 // TestRunConfigRefusals pins that -config takes only the canonical
 // spelling of a configuration: a list or trailing input used to run the
-// first configuration silently.
+// first configuration silently. A negative -lws is a command-line error,
+// refused before any report line (it used to print the kernel and advice
+// lines and then fail the launch).
 func TestRunConfigRefusals(t *testing.T) {
-	for _, config := range []string{"4c8w16t,2c2w2t", "2c2w4tXYZ", "02c2w4t", "bogus"} {
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"-config", "4c8w16t,2c2w2t"}, 1, "vortex run: core: bad config"},
+		{[]string{"-config", "2c2w4tXYZ"}, 1, "vortex run: core: bad config"},
+		{[]string{"-config", "02c2w4t"}, 1, "vortex run: core: bad config"},
+		{[]string{"-config", "bogus"}, 1, "vortex run: core: bad config"},
+		{[]string{"-config", "2c2w4t", "-lws", "-1"}, 2, "-lws -1: the local work size must be positive"},
+	} {
 		var out, errb bytes.Buffer
-		if code := cli([]string{"run", "-config", config, "-scale", "0.05"}, &out, &errb); code != 1 || out.Len() != 0 ||
-			!strings.Contains(errb.String(), "vortex run: core: bad config") {
-			t.Errorf("-config %q: exit %d, stdout %q, stderr %q; want exit 1 refusing the config", config, code, out.String(), errb.String())
+		args := append([]string{"run", "-scale", "0.05"}, tc.args...)
+		if code := cli(args, &out, &errb); code != tc.code || out.Len() != 0 || !strings.Contains(errb.String(), tc.want) {
+			t.Errorf("%q: exit %d, stdout %q, stderr %q; want exit %d and %q", tc.args, code, out.String(), errb.String(), tc.code, tc.want)
 		}
 	}
 }

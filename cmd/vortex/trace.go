@@ -28,6 +28,20 @@ var traceCmd = subcommand("trace", false, func(fs *flag.FlagSet) body {
 	csvDir := fs.String("csv", "", "write per-lws CSV traces into this directory")
 	jsonlDir := fs.String("jsonl", "", "write per-lws JSONL traces into this directory")
 	return func(stdout, _ io.Writer) error {
+		var lwss []int
+		for _, f := range strings.Split(*lwsList, ",") {
+			v, err := strconv.Atoi(strings.TrimSpace(f))
+			if err != nil || v < 0 {
+				return usageError(fmt.Sprintf("-lws %q: want comma-separated local work sizes, each positive or 0 for the mapper", *lwsList))
+			}
+			lwss = append(lwss, v)
+		}
+		switch {
+		case *width < 0:
+			return usageError(fmt.Sprintf("-width %d: want a positive column count, or 0 for 100", *width))
+		case *tableRows < 0:
+			return usageError(fmt.Sprintf("-table %d: want a row count, or 0 for none", *tableRows))
+		}
 		if err := sf.check(); err != nil {
 			return err
 		}
@@ -38,20 +52,11 @@ var traceCmd = subcommand("trace", false, func(fs *flag.FlagSet) body {
 				return usageError(fmt.Sprintf("-gws sizes only vecadd, relu, saxpy and knn; %s runs at its registry size", sf.spec.Name))
 			}
 		}
-		return traceRuns(stdout, &sf, *gws, *lwsList, *width, *tableRows, *csvDir, *jsonlDir)
+		return traceRuns(stdout, &sf, *gws, lwss, *width, *tableRows, *csvDir, *jsonlDir)
 	}
 })
 
-func traceRuns(out io.Writer, sf *simFlags, gws int, lwsList string, width, tableRows int, csvDir, jsonlDir string) error {
-	var lwss []int
-	for _, f := range strings.Split(lwsList, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || v < 0 {
-			return fmt.Errorf("bad lws %q", f)
-		}
-		lwss = append(lwss, v)
-	}
-
+func traceRuns(out io.Writer, sf *simFlags, gws int, lwss []int, width, tableRows int, csvDir, jsonlDir string) error {
 	kernel, hw := sf.spec.Name, sf.hw
 	for i, lws := range lwss {
 		d, err := ocl.NewDevice(sf.cfg)

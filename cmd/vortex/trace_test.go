@@ -19,18 +19,28 @@ func TestGoldenTrace(t *testing.T) {
 	checkGolden(t, "trace/vecadd_2c2w4t.golden", out.Bytes())
 }
 
-// TestTraceCommandLineErrors pins the exit statuses: 2 for an unknown flag,
-// 1 for a run that cannot start.
+// TestTraceCommandLineErrors pins the exit statuses: 2, with nothing on
+// stdout, for an unknown flag or a flag value no trace can take (a bad or
+// negative -lws used to exit 1, a negative -table or -width was accepted
+// silently); 1 for a run that cannot start.
 func TestTraceCommandLineErrors(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := cli([]string{"trace", "-no-such-flag"}, &out, &errb); code != 2 || out.Len() != 0 ||
-		!strings.Contains(errb.String(), "flag provided but not defined") {
-		t.Errorf("unknown flag: exit %d, stdout %q, stderr %q; want exit 2 naming the undefined flag", code, out.String(), errb.String())
-	}
-	out.Reset()
-	errb.Reset()
-	if code := cli([]string{"trace", "-config", "bogus"}, &out, &errb); code != 1 || !strings.Contains(errb.String(), "vortex trace:") {
-		t.Errorf("bad config: exit %d, stderr %q; want exit 1", code, errb.String())
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"-no-such-flag"}, 2, "flag provided but not defined"},
+		{[]string{"-lws", "-1"}, 2, `-lws "-1": want comma-separated local work sizes`},
+		{[]string{"-lws", "x"}, 2, `-lws "x": want comma-separated local work sizes`},
+		{[]string{"-lws", "1,,8"}, 2, `-lws "1,,8": want comma-separated local work sizes`},
+		{[]string{"-table", "-1"}, 2, "-table -1: want a row count"},
+		{[]string{"-width", "-3"}, 2, "-width -3: want a positive column count"},
+		{[]string{"-config", "bogus"}, 1, "vortex trace:"},
+	} {
+		var out, errb bytes.Buffer
+		if code := cli(append([]string{"trace"}, tc.args...), &out, &errb); code != tc.code || out.Len() != 0 || !strings.Contains(errb.String(), tc.want) {
+			t.Errorf("%q: exit %d, stdout %q, stderr %q; want exit %d and %q", tc.args, code, out.String(), errb.String(), tc.code, tc.want)
+		}
 	}
 }
 

@@ -339,7 +339,8 @@ func TestSpecsRowsDisjoint(t *testing.T) {
 // TestDecodeStrictGrid walks opcode x funct3 x funct7 x rs2 in {0,1,2,31}
 // with rd = 5 and rs1 = 6 (524,288 words): every word Decode accepts must
 // re-encode to itself. The accepted count pins the table's coverage of the
-// grid; the words refused are listed in DESIGN.md ("One instruction table").
+// grid; the classes of refused words are named in DESIGN.md ("One
+// instruction table").
 func TestDecodeStrictGrid(t *testing.T) {
 	accepted := 0
 	for opc := uint32(0); opc < 128; opc++ {
