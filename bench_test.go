@@ -104,8 +104,8 @@ func BenchmarkFig1TraceVecadd(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := c.RunVerified(d, lws)
-			if err != nil {
+			var res kernels.Result
+			if err := c.RunVerified(d, lws, &res); err != nil {
 				b.Fatal(err)
 			}
 			if len(col.Records) == 0 {
@@ -176,8 +176,8 @@ func BenchmarkAblationCoalescing(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := c.Run(d, 0)
-			if err != nil {
+			var res kernels.Result
+			if err := c.Run(d, 0, &res); err != nil {
 				b.Fatal(err)
 			}
 			cycles[j], l1[j] = float64(res.Cycles), 0
@@ -250,8 +250,8 @@ func BenchmarkAblationLineSize(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := c.Run(d, 0)
-				if err != nil {
+				var res kernels.Result
+				if err := c.Run(d, 0, &res); err != nil {
 					b.Fatal(err)
 				}
 				cycles[j] = res.Cycles

@@ -146,8 +146,14 @@ func (f *simFlags) addWorkload(fs *flag.FlagSet, scale float64, listUsage string
 }
 
 // check validates the registered flags in one order — the scale, the
-// configuration name, the kernel name, then the axes.
+// configuration name, the kernel name, then the axes. A refusal is a
+// usageError: it names a flag value no run can take.
 func (f *simFlags) check() (err error) {
+	defer func() {
+		if err != nil {
+			err = usageError(err.Error())
+		}
+	}()
 	if f.scale != nil {
 		if err := kernels.CheckScale(*f.scale); err != nil {
 			return fmt.Errorf("-%w", err)

@@ -24,11 +24,15 @@ var runCmd = subcommand("run", false, func(fs *flag.FlagSet) body {
 	lws := fs.Int("lws", 0, "local work size (0 = use the mapper)")
 	mapper := fs.String("mapper", "ours", "auto mapper when lws=0: ours, lws=1 or lws=32")
 	compare := fs.Bool("compare", false, "run all three mappings and print the ratio table")
-	cacheStats := fs.Bool("cache-stats", false, "print the campaign-engine cache counters (program cache, input memo) after the run")
+	cacheStats := fs.Bool("cache-stats", false, "print the campaign-engine cache counters (program cache, case memo) after the run")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof format)")
 	return func(stdout, _ io.Writer) error {
 		if *lws < 0 {
 			return usageError(fmt.Sprintf("-lws %d: the local work size must be positive, or 0 for the mapper", *lws))
+		}
+		m, err := core.ParseMapper(*mapper)
+		if err != nil {
+			return usageError(err.Error())
 		}
 		stop, err := startCPUProfile(*cpuProfile)
 		if err != nil {
@@ -52,25 +56,21 @@ var runCmd = subcommand("run", false, func(fs *flag.FlagSet) body {
 		case *lws != 0 && slices.Contains(clash, "-mapper"):
 			return usageError(fmt.Sprintf("-lws %d fixes the local work size and cannot be combined with -mapper", *lws))
 		default:
-			err = run(stdout, &sf, *lws, *mapper)
+			err = run(stdout, &sf, *lws, m)
 		}
 		if err != nil {
 			return err
 		}
 		if *cacheStats {
 			prog, inp := ocl.ProgramCacheStats(), kernels.InputCacheStats()
-			fmt.Fprintf(stdout, "\ncampaign caches: programs %d hit / %d built; inputs %d hit / %d built\n",
+			fmt.Fprintf(stdout, "\ncampaign caches: programs %d hit / %d built; cases %d hit / %d built\n",
 				prog.Hits, prog.Misses, inp.Hits, inp.Misses)
 		}
 		return nil
 	}
 })
 
-func run(out io.Writer, sf *simFlags, lws int, mapperName string) error {
-	m, err := core.ParseMapper(mapperName)
-	if err != nil {
-		return err
-	}
+func run(out io.Writer, sf *simFlags, lws int, m core.Mapper) error {
 	d, err := ocl.NewDevice(sf.cfg)
 	if err != nil {
 		return err
@@ -87,8 +87,8 @@ func run(out io.Writer, sf *simFlags, lws int, mapperName string) error {
 	for _, l := range c.Launches {
 		fmt.Fprintf(out, "  advice for gws=%d: %s\n", l.GWS, core.Advise(l.GWS, hw).Explanation)
 	}
-	res, err := c.RunVerified(d, lws)
-	if err != nil {
+	var res kernels.Result
+	if err := c.RunVerified(d, lws, &res); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "\nverified OK; total %d cycles\n", res.Cycles)

@@ -35,7 +35,8 @@ func TestRunRemovedFlagsRejected(t *testing.T) {
 }
 
 // TestAxisFlagRefusals pins that each grid-axis flag takes exactly one
-// value the axis table accepts: a bad value or a list fails the run.
+// value the axis table accepts: a bad value or a list is a command-line
+// error (exit 2, nothing on stdout).
 func TestAxisFlagRefusals(t *testing.T) {
 	for _, tc := range []struct{ flag, value, want string }{
 		{"-sched", "rr,gto", `bad sched value "rr,gto"`},
@@ -44,9 +45,9 @@ func TestAxisFlagRefusals(t *testing.T) {
 		{"-prefetch", "banana", "unknown prefetch policy"},
 	} {
 		var out, errb bytes.Buffer
-		if code := cli([]string{"run", "-config", "2c2w4t", "-scale", "0.05", tc.flag, tc.value}, &out, &errb); code != 1 ||
+		if code := cli([]string{"run", "-config", "2c2w4t", "-scale", "0.05", tc.flag, tc.value}, &out, &errb); code != 2 || out.Len() != 0 ||
 			!strings.Contains(errb.String(), tc.want) {
-			t.Errorf("%s %s: exit %d, stderr %q; want exit 1 naming %q", tc.flag, tc.value, code, errb.String(), tc.want)
+			t.Errorf("%s %s: exit %d, stdout %q, stderr %q; want exit 2 naming %q", tc.flag, tc.value, code, out.String(), errb.String(), tc.want)
 		}
 	}
 }
@@ -71,22 +72,23 @@ func TestRunCPUProfileFlag(t *testing.T) {
 	}
 }
 
-// TestRunScaleRefusals pins that a scale no workload can be built at fails
-// the run (exit 1) instead of running at minimum or paper size.
+// TestRunScaleRefusals pins that a scale no workload can be built at is a
+// command-line error (exit 2) instead of running at minimum or paper size.
 func TestRunScaleRefusals(t *testing.T) {
 	for _, scale := range []string{"0", "-0.5", "NaN", "Inf", "-Inf"} {
 		var out, errb bytes.Buffer
-		if code := cli([]string{"run", "-config", "2c2w4t", "-scale", scale}, &out, &errb); code != 1 || out.Len() != 0 ||
+		if code := cli([]string{"run", "-config", "2c2w4t", "-scale", scale}, &out, &errb); code != 2 || out.Len() != 0 ||
 			!strings.Contains(errb.String(), "-scale must be positive and finite") {
-			t.Errorf("-scale %s: exit %d, stdout %q, stderr %q; want exit 1 refusing the scale", scale, code, out.String(), errb.String())
+			t.Errorf("-scale %s: exit %d, stdout %q, stderr %q; want exit 2 refusing the scale", scale, code, out.String(), errb.String())
 		}
 	}
 }
 
 // TestRunConfigRefusals pins that -config takes only the canonical
-// spelling of a configuration: a list or trailing input used to run the
-// first configuration silently. A negative -lws is a command-line error,
-// refused before any report line (it used to print the kernel and advice
+// spelling of a configuration (a list or trailing input used to run the
+// first configuration silently) and -kernel only a registry name. Each
+// refusal, like a negative -lws, is a command-line error refused before
+// any report line (a negative -lws used to print the kernel and advice
 // lines and then fail the launch).
 func TestRunConfigRefusals(t *testing.T) {
 	for _, tc := range []struct {
@@ -94,10 +96,11 @@ func TestRunConfigRefusals(t *testing.T) {
 		code int
 		want string
 	}{
-		{[]string{"-config", "4c8w16t,2c2w2t"}, 1, "vortex run: core: bad config"},
-		{[]string{"-config", "2c2w4tXYZ"}, 1, "vortex run: core: bad config"},
-		{[]string{"-config", "02c2w4t"}, 1, "vortex run: core: bad config"},
-		{[]string{"-config", "bogus"}, 1, "vortex run: core: bad config"},
+		{[]string{"-config", "4c8w16t,2c2w2t"}, 2, "core: bad config"},
+		{[]string{"-config", "2c2w4tXYZ"}, 2, "core: bad config"},
+		{[]string{"-config", "02c2w4t"}, 2, "core: bad config"},
+		{[]string{"-config", "bogus"}, 2, "core: bad config"},
+		{[]string{"-config", "2c2w4t", "-kernel", "nosuch"}, 2, `unknown kernel "nosuch"`},
 		{[]string{"-config", "2c2w4t", "-lws", "-1"}, 2, "-lws -1: the local work size must be positive"},
 	} {
 		var out, errb bytes.Buffer
@@ -110,7 +113,7 @@ func TestRunConfigRefusals(t *testing.T) {
 
 // TestRunMapperNames pins the -mapper names: each alias runs the same
 // launch as the name it stands for, each name the mapping it names, and an
-// unknown name fails the run.
+// unknown name is a command-line error.
 func TestRunMapperNames(t *testing.T) {
 	for _, tc := range []struct{ name, alias, want string }{
 		{"ours", "auto", "regime=exact"}, // hp = 1: Eq. 1 gives one task
@@ -131,9 +134,9 @@ func TestRunMapperNames(t *testing.T) {
 		}
 	}
 	var out, errb bytes.Buffer
-	if code := cli([]string{"run", "-scale", "0.05", "-mapper", "lws=16"}, &out, &errb); code != 1 ||
+	if code := cli([]string{"run", "-scale", "0.05", "-mapper", "lws=16"}, &out, &errb); code != 2 || out.Len() != 0 ||
 		!strings.Contains(errb.String(), `unknown mapper "lws=16"`) {
-		t.Errorf("-mapper lws=16: exit %d, stderr %q; want exit 1 naming the mapper", code, errb.String())
+		t.Errorf("-mapper lws=16: exit %d, stdout %q, stderr %q; want exit 2 naming the mapper", code, out.String(), errb.String())
 	}
 }
 

@@ -57,10 +57,11 @@ func addCampaignFlags(fs *flag.FlagSet) *campaignFlags {
 }
 
 // options validates the campaign flags and assembles sweep.Options. It
-// refuses numeric nonsense that Subsample (-configs 0 would run the full
-// grid), the workload builders (-scale 0, NaN) or sweep.Options (-workers
-// -3 would run at GOMAXPROCS) would misread, and a kernel name the registry
-// lacks, which sweep.Run would find only task by task.
+// refuses, as usage errors, numeric nonsense that Subsample (-configs 0
+// would run the full grid), the workload builders (-scale 0, NaN) or
+// sweep.Options (-workers -3 would run at GOMAXPROCS) would misread, a
+// configuration name core.ParseName refuses, and a kernel name the
+// registry lacks, which sweep.Run would find only task by task.
 func (cf *campaignFlags) options() (sweep.Options, error) {
 	var opts sweep.Options
 	if err := cf.sim.check(); err != nil {
@@ -78,7 +79,7 @@ func (cf *campaignFlags) options() (sweep.Options, error) {
 		for _, f := range strings.Split(*cf.kernelCSV, ",") {
 			name := strings.TrimSpace(f)
 			if _, err := kernels.ByName(name); err != nil {
-				return opts, err
+				return opts, usageError(err.Error())
 			}
 			names = append(names, name)
 		}
@@ -89,7 +90,7 @@ func (cf *campaignFlags) options() (sweep.Options, error) {
 		for _, name := range strings.Split(*cf.gridCSV, ",") {
 			hw, err := core.ParseName(strings.TrimSpace(name))
 			if err != nil {
-				return opts, err
+				return opts, usageError(err.Error())
 			}
 			configs = append(configs, hw)
 		}

@@ -152,23 +152,23 @@ func TestMemAxisResumeRejectsV3CheckpointCLI(t *testing.T) {
 }
 
 // TestMemAxisFlagRefusals pins the CLI-boundary diagnostics of the three
-// memory flags.
+// memory flags: each refusal is a command-line error (exit 2).
 func TestMemAxisFlagRefusals(t *testing.T) {
 	base := []string{"-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "0.05"}
 	sweepRefusals(t, []refusal{
 		{"negative mshrs", append(append([]string{}, base...), "-mshrs", "-1"),
-			1, `bad mshrs value "-1"`},
+			2, `bad mshrs value "-1"`},
 		{"garbage mshrs", append(append([]string{}, base...), "-mshrs", "four"),
-			1, `bad mshrs value "four"`},
+			2, `bad mshrs value "four"`},
 		{"dup mshrs", append(append([]string{}, base...), "-mshrs", "0,4,0"),
-			1, "duplicate mshrs entry 0"},
+			2, "duplicate mshrs entry 0"},
 		{"bad l1", append(append([]string{}, base...), "-l1", "16kb4w"),
-			1, "bad L1 geometry"},
+			2, "bad L1 geometry"},
 		{"dup l1", append(append([]string{}, base...), "-l1", "16k4w,16k4w"),
-			1, "duplicate l1 entry 16k4w"},
+			2, "duplicate l1 entry 16k4w"},
 		{"bad prefetch", append(append([]string{}, base...), "-prefetch", "banana"),
-			1, "unknown prefetch policy"},
+			2, "unknown prefetch policy"},
 		{"dup prefetch", append(append([]string{}, base...), "-prefetch", "off,off"),
-			1, "duplicate prefetch entry off"},
+			2, "duplicate prefetch entry off"},
 	})
 }

@@ -198,15 +198,17 @@ func TestCampaignFlagRefusals(t *testing.T) {
 	base := []string{"-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "0.05"}
 	sweepRefusals(t, []refusal{
 		{"dup sched", append(append([]string{}, base...), "-sched", "rr,gto,rr"),
-			1, "duplicate sched entry rr"},
+			2, "duplicate sched entry rr"},
 		{"zero scale", []string{"-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "0"},
-			1, "-scale must be positive and finite"},
+			2, "-scale must be positive and finite"},
 		{"negative scale", []string{"-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "-0.5"},
-			1, "-scale must be positive and finite"},
+			2, "-scale must be positive and finite"},
 		{"NaN scale", []string{"-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "NaN",
-			"-checkpoint", filepath.Join(dir, "nan.jsonl")}, 1, "-scale must be positive and finite (got NaN)"},
+			"-checkpoint", filepath.Join(dir, "nan.jsonl")}, 2, "-scale must be positive and finite (got NaN)"},
 		{"infinite scale", []string{"-grid", "1c2w2t", "-kernels", "vecadd", "-scale", "Inf"},
-			1, "-scale must be positive and finite (got +Inf)"},
+			2, "-scale must be positive and finite (got +Inf)"},
+		{"bad grid name", []string{"-grid", "1c2w2t,2c2w4tX", "-kernels", "vecadd", "-scale", "0.05",
+			"-checkpoint", filepath.Join(dir, "g.jsonl")}, 2, "core: bad config"},
 		{"zero configs", []string{"-kernels", "vecadd", "-scale", "0.05", "-configs", "0"},
 			2, "-configs must be >= 1"},
 		{"negative configs", []string{"-kernels", "vecadd", "-scale", "0.05", "-configs", "-3"},
@@ -226,7 +228,7 @@ func TestCampaignFlagRefusals(t *testing.T) {
 		{"replot with a default-valued flag", []string{"-replot", "x.csv", "-verify=false", "-workers", "0"},
 			2, "cannot be combined with -verify, -workers"},
 		{"unknown kernel", append(append([]string{}, base...), "-kernels", "vecadd,nosuch",
-			"-checkpoint", filepath.Join(dir, "k.jsonl")), 1, `unknown kernel "nosuch"`},
+			"-checkpoint", filepath.Join(dir, "k.jsonl")), 2, `unknown kernel "nosuch"`},
 		{"serve", append([]string{"serve", "-checkpoint", filepath.Join(dir, "s.jsonl")}, base...),
 			2, `unexpected argument "serve"`},
 		{"work", append([]string{"work", "-coordinator", "127.0.0.1:1"}, base...),

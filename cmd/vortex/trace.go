@@ -37,6 +37,8 @@ var traceCmd = subcommand("trace", false, func(fs *flag.FlagSet) body {
 			lwss = append(lwss, v)
 		}
 		switch {
+		case *gws < 1:
+			return usageError(fmt.Sprintf("-gws %d: want a positive work size", *gws))
 		case *width < 0:
 			return usageError(fmt.Sprintf("-width %d: want a positive column count, or 0 for 100", *width))
 		case *tableRows < 0:
@@ -76,8 +78,8 @@ func traceRuns(out io.Writer, sf *simFlags, gws int, lwss []int, width, tableRow
 				kernel, kernel, g, hw.Name(), hw.HP())
 			fmt.Fprintf(out, "Eq. 1 optimal lws = %d\n\n", core.OptimalLWS(g, hw))
 		}
-		res, err := c.RunVerified(d, lws)
-		if err != nil {
+		var res kernels.Result
+		if err := c.RunVerified(d, lws, &res); err != nil {
 			return fmt.Errorf("lws=%d: %w", lws, err)
 		}
 		lr := res.Launches[0]

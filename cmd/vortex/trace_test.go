@@ -19,10 +19,10 @@ func TestGoldenTrace(t *testing.T) {
 	checkGolden(t, "trace/vecadd_2c2w4t.golden", out.Bytes())
 }
 
-// TestTraceCommandLineErrors pins the exit statuses: 2, with nothing on
-// stdout, for an unknown flag or a flag value no trace can take (a bad or
-// negative -lws used to exit 1, a negative -table or -width was accepted
-// silently); 1 for a run that cannot start.
+// TestTraceCommandLineErrors pins exit 2, with nothing on stdout, for an
+// unknown flag or a flag value no trace can take (a bad or negative -lws
+// and a bad -config used to exit 1, a negative -table or -width was
+// accepted silently).
 func TestTraceCommandLineErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -35,7 +35,8 @@ func TestTraceCommandLineErrors(t *testing.T) {
 		{[]string{"-lws", "1,,8"}, 2, `-lws "1,,8": want comma-separated local work sizes`},
 		{[]string{"-table", "-1"}, 2, "-table -1: want a row count"},
 		{[]string{"-width", "-3"}, 2, "-width -3: want a positive column count"},
-		{[]string{"-config", "bogus"}, 1, "vortex trace:"},
+		{[]string{"-config", "bogus"}, 2, "core: bad config"},
+		{[]string{"-kernel", "nosuch"}, 2, `unknown kernel "nosuch"`},
 	} {
 		var out, errb bytes.Buffer
 		if code := cli(append([]string{"trace"}, tc.args...), &out, &errb); code != tc.code || out.Len() != 0 || !strings.Contains(errb.String(), tc.want) {
@@ -45,14 +46,14 @@ func TestTraceCommandLineErrors(t *testing.T) {
 }
 
 // TestTraceRefusesNonPositiveGWS pins that a work size no kernel can be
-// built at fails the run (exit 1) instead of panicking in the input
-// generator or failing inside the runtime.
+// built at is a command-line error (exit 2, before any build) instead of
+// panicking in the input generator or failing inside the runtime.
 func TestTraceRefusesNonPositiveGWS(t *testing.T) {
 	for _, gws := range []string{"-5", "0"} {
 		var out, errb bytes.Buffer
-		if code := cli([]string{"trace", "-gws", gws}, &out, &errb); code != 1 ||
-			!strings.Contains(errb.String(), "vortex trace: kernels: vecadd: size "+gws+" is not positive") {
-			t.Errorf("-gws %s: exit %d, stderr %q; want exit 1 refusing the size", gws, code, errb.String())
+		if code := cli([]string{"trace", "-gws", gws}, &out, &errb); code != 2 || out.Len() != 0 ||
+			!strings.Contains(errb.String(), "-gws "+gws+": want a positive work size") {
+			t.Errorf("-gws %s: exit %d, stdout %q, stderr %q; want exit 2 refusing the size", gws, code, out.String(), errb.String())
 		}
 	}
 }

@@ -12,8 +12,8 @@
 // Verify reads the one output buffer back and compares it with the CPU
 // reference bit for bit — the simulator and the references evaluate the
 // same float32 operations in the same order, so only NaN payloads may
-// differ. Host inputs and references are memoized per (size, seed) in
-// inputs.go.
+// differ. Spec.Build memoizes the bound case per (kernel, Params) and
+// replays its uploads onto later devices (memo.go).
 package kernels
 
 import (
@@ -29,48 +29,55 @@ type LaunchSpec struct {
 	GWS    int
 }
 
-// Case is a runnable, verifiable workload instance bound to one device.
+// Case is a runnable, verifiable workload instance bound to the device
+// addresses of its buffers: its launches and Verify name buffers by
+// address only, so it runs on any device holding those buffers at those
+// addresses — the device it was built on, or one it was replayed onto
+// (memo.go). A Case is read-only once built.
 type Case struct {
 	Name      string
 	Launches  []LaunchSpec
 	Verify    func(d *ocl.Device) error
 	WorkItems int // total work items across launches
+
+	uploads []upload // the build's buffers, in call order
 }
 
 // Result aggregates the launches of one Case execution.
 type Result struct {
 	Case     string
 	Cycles   uint64 // total, including per-launch dispatch overhead
-	Launches []*ocl.LaunchResult
+	Launches []ocl.LaunchResult
 }
 
-// Run enqueues every launch of the case in order. lws > 0 forces that
-// local work size on each launch; lws = 0 delegates to the device's mapper
-// per launch (each launch gets its own Eq. 1 decision, as in the paper's
-// combined-layer experiments).
-func (c *Case) Run(d *ocl.Device, lws int) (*Result, error) {
-	res := &Result{Case: c.Name}
+// Run enqueues every launch of the case in order and writes their reports
+// into res, reusing its Launches array, so a caller that keeps one Result
+// allocates nothing per run. lws > 0 forces that local work size on each
+// launch; lws = 0 delegates to the device's mapper per launch (each launch
+// gets its own Eq. 1 decision, as in the paper's combined-layer
+// experiments). On error res is left unspecified.
+func (c *Case) Run(d *ocl.Device, lws int, res *Result) error {
+	res.Case, res.Cycles, res.Launches = c.Name, 0, res.Launches[:0]
 	for i, l := range c.Launches {
-		lr, err := d.EnqueueNDRange(l.Kernel, l.GWS, lws)
-		if err != nil {
-			return nil, fmt.Errorf("kernels: %s launch %d: %w", c.Name, i, err)
+		res.Launches = append(res.Launches, ocl.LaunchResult{})
+		lr := &res.Launches[i]
+		if err := d.EnqueueInto(l.Kernel, l.GWS, lws, lr); err != nil {
+			return fmt.Errorf("kernels: %s launch %d: %w", c.Name, i, err)
 		}
 		res.Cycles += lr.Cycles
-		res.Launches = append(res.Launches, lr)
 	}
-	return res, nil
+	return nil
 }
 
-// RunVerified runs the case and checks the device output.
-func (c *Case) RunVerified(d *ocl.Device, lws int) (*Result, error) {
-	res, err := c.Run(d, lws)
-	if err != nil {
-		return nil, err
+// RunVerified runs the case into res and checks the device output.
+func (c *Case) RunVerified(d *ocl.Device, lws int, res *Result) error {
+	if err := c.Run(d, lws, res); err != nil {
+		return err
 	}
 	if err := c.Verify(d); err != nil {
-		return nil, fmt.Errorf("kernels: %s: %w", c.Name, err)
+		return fmt.Errorf("kernels: %s: %w", c.Name, err)
 	}
-	return res, nil
+	return nil
 }
 
 // checkSizes refuses a non-positive size, before a sized builder generates
@@ -86,41 +93,62 @@ func checkSizes(name string, sizes ...int) error {
 
 // binder builds one Case on a device. Buffers are allocated in call order,
 // which fixes their device addresses and so the simulated timing: a
-// builder must not reorder its calls. The first error sticks and turns
-// every later call into a no-op, so a builder checks once, in verified.
+// builder must not reorder its calls. The binder records each buffer as an
+// upload, so the case can be replayed onto another device. The first error
+// sticks and turns every later call into a no-op, so a builder checks
+// once, in verified.
 type binder struct {
 	d        *ocl.Device
+	uploads  []upload
 	launches []LaunchSpec
 	err      error
 }
 
-// alloc reserves a buffer of n 4-byte words.
-func (b *binder) alloc(n int) ocl.Buffer {
+// upload is one buffer of a build: its size in 4-byte words and the host
+// data written into it (neither slice for an output buffer). The data is
+// the build's own, shared read-only by every replay.
+type upload struct {
+	words  int
+	floats []float32
+	ints   []uint32
+}
+
+// put allocates u's buffer on d and writes its data.
+func (u upload) put(d *ocl.Device) (ocl.Buffer, error) {
+	buf, err := d.AllocFloat32(u.words)
+	switch {
+	case err != nil:
+	case u.floats != nil:
+		err = d.WriteFloat32(buf, u.floats)
+	case u.ints != nil:
+		err = d.WriteUint32(buf, u.ints)
+	}
+	return buf, err
+}
+
+// put records u and puts it on the binder's device.
+func (b *binder) put(u upload) ocl.Buffer {
 	if b.err != nil {
 		return ocl.Buffer{}
 	}
-	buf, err := b.d.AllocFloat32(n)
+	b.uploads = append(b.uploads, u)
+	buf, err := u.put(b.d)
 	b.err = err
 	return buf
 }
 
+// alloc reserves a buffer of n 4-byte words.
+func (b *binder) alloc(n int) ocl.Buffer { return b.put(upload{words: n}) }
+
 // floats allocates a buffer for data and uploads it.
 func (b *binder) floats(data []float32) ocl.Buffer {
-	buf := b.alloc(len(data))
-	if b.err == nil {
-		b.err = b.d.WriteFloat32(buf, data)
-	}
-	return buf
+	return b.put(upload{words: len(data), floats: data})
 }
 
 // words allocates a buffer for data, at least one word long so an empty
 // edge list still has an address, and uploads it.
 func (b *binder) words(data []uint32) ocl.Buffer {
-	buf := b.alloc(max(len(data), 1))
-	if b.err == nil {
-		b.err = b.d.WriteUint32(buf, data)
-	}
-	return buf
+	return b.put(upload{words: max(len(data), 1), ints: data})
 }
 
 // launch appends one gws-item launch of src, with its assembler defines,
@@ -144,7 +172,7 @@ func (b *binder) verified(name string, out ocl.Buffer, want []float32) (*Case, e
 	if b.err != nil {
 		return nil, b.err
 	}
-	c := &Case{Name: name, Launches: b.launches}
+	c := &Case{Name: name, Launches: b.launches, uploads: b.uploads}
 	for _, l := range b.launches {
 		c.WorkItems += l.GWS
 	}

@@ -30,7 +30,7 @@ func verifyOn(t *testing.T, name string, build func(d *ocl.Device) (*Case, error
 			if err != nil {
 				t.Fatalf("%s build on %dc%dw%dt: %v", name, cfg[0], cfg[1], cfg[2], err)
 			}
-			if _, err := c.RunVerified(d, lws); err != nil {
+			if err := c.RunVerified(d, lws, new(Result)); err != nil {
 				t.Fatalf("%s on %dc%dw%dt lws=%d: %v", name, cfg[0], cfg[1], cfg[2], lws, err)
 			}
 		}
@@ -92,7 +92,7 @@ func TestPaperSizesVerifyOnOneConfig(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c.RunVerified(d, 0); err != nil {
+			if err := c.RunVerified(d, 0, new(Result)); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -161,8 +161,8 @@ func TestMultiLaunchCaseAccumulatesCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.RunVerified(d, 0)
-	if err != nil {
+	var res Result
+	if err := c.RunVerified(d, 0, &res); err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Launches) != 2 {

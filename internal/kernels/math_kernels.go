@@ -30,11 +30,11 @@ func BuildVecadd(d *ocl.Device, n int, seed int64) (*Case, error) {
 	if err := checkSizes("vecadd", n); err != nil {
 		return nil, err
 	}
-	in := vecaddInputsFor(n, seed)
+	x, y := workload.Floats(n, seed), workload.Floats(n, seed+1)
 	b := &binder{d: d}
-	bufA, bufB, bufC := b.floats(in.a), b.floats(in.b), b.alloc(n)
+	bufA, bufB, bufC := b.floats(x), b.floats(y), b.alloc(n)
 	b.launch(VecaddSource, nil, n, bufA, bufB, bufC)
-	return b.verified("vecadd", bufC, in.want)
+	return b.verified("vecadd", bufC, RefVecadd(x, y))
 }
 
 // RefVecadd is the CPU reference.
@@ -69,11 +69,11 @@ func BuildRelu(d *ocl.Device, n int, seed int64) (*Case, error) {
 	if err := checkSizes("relu", n); err != nil {
 		return nil, err
 	}
-	in := reluInputsFor(n, seed)
+	in := workload.Floats(n, seed)
 	b := &binder{d: d}
-	bufI, bufO := b.floats(in.in), b.alloc(n)
+	bufI, bufO := b.floats(in), b.alloc(n)
 	b.launch(ReluSource, nil, n, bufI, bufO)
-	return b.verified("relu", bufO, in.want)
+	return b.verified("relu", bufO, RefRelu(in))
 }
 
 // RefRelu is the CPU reference.
@@ -112,11 +112,11 @@ func BuildSaxpy(d *ocl.Device, n int, seed int64) (*Case, error) {
 		return nil, err
 	}
 	const alpha = float32(2.5)
-	in := saxpyInputsFor(alpha, n, seed)
+	x, y := workload.Floats(n, seed), workload.Floats(n, seed+1)
 	b := &binder{d: d}
-	bufX, bufY := b.floats(in.x), b.floats(in.y)
+	bufX, bufY := b.floats(x), b.floats(y)
 	b.launch(SaxpySource, nil, n, bufX, bufY, alpha)
-	return b.verified("saxpy", bufY, in.want)
+	return b.verified("saxpy", bufY, RefSaxpy(alpha, x, y))
 }
 
 // RefSaxpy is the CPU reference (fused multiply-add, like the device).
@@ -170,11 +170,11 @@ func BuildSgemm(d *ocl.Device, m, n, k int, seed int64) (*Case, error) {
 	if err := checkSizes("sgemm", m, n, k); err != nil {
 		return nil, err
 	}
-	in := sgemmInputsFor(m, n, k, seed)
+	x, y := workload.Floats(m*k, seed), workload.Floats(k*n, seed+1)
 	b := &binder{d: d}
-	bufA, bufB, bufC := b.floats(in.a), b.floats(in.b), b.alloc(m*n)
+	bufA, bufB, bufC := b.floats(x), b.floats(y), b.alloc(m*n)
 	b.launch(SgemmSource, map[string]int64{"SG_N": int64(n), "SG_K": int64(k)}, m*n, bufA, bufB, bufC)
-	return b.verified("sgemm", bufC, in.want)
+	return b.verified("sgemm", bufC, RefSgemm(x, y, m, n, k))
 }
 
 // RefSgemm is the CPU reference (fused multiply-adds in k order).
@@ -225,11 +225,11 @@ func BuildKNN(d *ocl.Device, n int, seed int64) (*Case, error) {
 		return nil, err
 	}
 	const qlat, qlng = float32(30.5), float32(-120.25)
-	in := knnInputsFor(n, qlat, qlng, seed)
+	pts := workload.NewPoints(n, seed)
 	b := &binder{d: d}
-	bufLat, bufLng, bufDist := b.floats(in.pts.Lat), b.floats(in.pts.Lng), b.alloc(n)
+	bufLat, bufLng, bufDist := b.floats(pts.Lat), b.floats(pts.Lng), b.alloc(n)
 	b.launch(KNNSource, nil, n, bufLat, bufLng, bufDist, qlat, qlng)
-	return b.verified("knn", bufDist, in.want)
+	return b.verified("knn", bufDist, RefKNN(pts, qlat, qlng))
 }
 
 // RefKNN is the CPU reference.
@@ -299,11 +299,11 @@ func BuildGauss(d *ocl.Device, w, h int, seed int64) (*Case, error) {
 	if err := checkSizes("gauss", w, h); err != nil {
 		return nil, err
 	}
-	in := gaussInputsFor(w, h, seed)
+	im, weights := workload.NewPaddedImage(w, h, 2, seed), workload.Gaussian5x5()
 	b := &binder{d: d}
-	bufIn, bufOut, bufW := b.floats(in.im.Data), b.alloc(w*h), b.floats(in.weights)
+	bufIn, bufOut, bufW := b.floats(im.Data), b.alloc(w*h), b.floats(weights)
 	b.launch(GaussSource, map[string]int64{"GF_W": int64(w)}, w*h, bufIn, bufOut, bufW)
-	return b.verified("gauss", bufOut, in.want)
+	return b.verified("gauss", bufOut, RefGauss(im, weights))
 }
 
 // RefGauss is the CPU reference, accumulating in the device's order

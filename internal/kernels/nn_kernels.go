@@ -65,11 +65,11 @@ __ga_done:
 
 // BuildGCNAggr prepares mean aggregation over graph g with hs features.
 func BuildGCNAggr(d *ocl.Device, g *workload.Graph, hs int, seed int64) (*Case, error) {
-	in := gcnAggrInputsFor(g, hs, seed)
+	x := workload.Floats(g.N*hs, seed)
 	b := &binder{d: d}
-	rowptr, col, xin, xout := b.words(g.RowPtr), b.words(g.Col), b.floats(in.x), b.alloc(g.N*hs)
+	rowptr, col, xin, xout := b.words(g.RowPtr), b.words(g.Col), b.floats(x), b.alloc(g.N*hs)
 	b.launch(GCNAggrSource, map[string]int64{"GA_HS": int64(hs)}, g.N*hs, rowptr, col, xin, xout)
-	return b.verified("gcn_aggr", xout, in.want)
+	return b.verified("gcn_aggr", xout, RefGCNAggr(g, x, hs))
 }
 
 // RefGCNAggr is the CPU reference (sum in CSR order, then mean).
@@ -100,17 +100,17 @@ func RefGCNAggr(g *workload.Graph, x []float32, hs int) []float32 {
 // two launches whose lws are tuned independently, like the paper's
 // combined-kernel experiments.
 func BuildGCNLayer(d *ocl.Device, g *workload.Graph, hs int, seed int64) (*Case, error) {
-	in := gcnLayerInputsFor(g, hs, seed)
+	x, w := workload.Floats(g.N*hs, seed), workload.Floats(hs*hs, seed+1)
 	b := &binder{d: d}
-	rowptr, col, xin, xout := b.words(g.RowPtr), b.words(g.Col), b.floats(in.x), b.alloc(g.N*hs)
-	bufW, tmp := b.floats(in.w), b.alloc(g.N*hs)
+	rowptr, col, xin, xout := b.words(g.RowPtr), b.words(g.Col), b.floats(x), b.alloc(g.N*hs)
+	bufW, tmp := b.floats(w), b.alloc(g.N*hs)
 	// Launch 1: T = X x W via the sgemm kernel (M=N nodes, N=K=hs).
 	transform := SgemmSource
 	transform.Name = "gcn_transform"
 	b.launch(transform, map[string]int64{"SG_N": int64(hs), "SG_K": int64(hs)}, g.N*hs, xin, bufW, tmp)
 	// Launch 2: aggregate T over the graph.
 	b.launch(GCNAggrSource, map[string]int64{"GA_HS": int64(hs)}, g.N*hs, rowptr, col, tmp, xout)
-	return b.verified("gcn_layer", xout, in.want)
+	return b.verified("gcn_layer", xout, RefGCNAggr(g, RefSgemm(x, w, g.N, hs, hs), hs))
 }
 
 // --- ResNet20 conv layer ---------------------------------------------------
@@ -193,13 +193,14 @@ func BuildConv3x3(d *ocl.Device, ch, w int, seed int64) (*Case, error) {
 	if err := checkSizes("resnet20_layer", ch, w); err != nil {
 		return nil, err
 	}
-	in := convInputsFor(ch, w, seed)
+	in := workload.NewPaddedTensor(ch, w, w, 1, seed)
+	weights, bias := workload.Floats(ch*ch*9, seed+1), workload.Floats(ch, seed+2)
 	b := &binder{d: d}
-	bufIn, bufW, bufB := b.floats(in.in.Data), b.floats(in.weights), b.floats(in.bias)
+	bufIn, bufW, bufB := b.floats(in.Data), b.floats(weights), b.floats(bias)
 	bufOut := b.alloc(ch * w * w)
 	defs := map[string]int64{"CV_C": int64(ch), "CV_W": int64(w), "CV_PW": int64(w + 2)}
 	b.launch(Conv3x3Source, defs, ch*w*w, bufIn, bufW, bufB, bufOut)
-	return b.verified("resnet20_layer", bufOut, in.want)
+	return b.verified("resnet20_layer", bufOut, RefConv3x3(in, weights, bias, ch))
 }
 
 // RefConv3x3 is the CPU reference, accumulating in the device's order

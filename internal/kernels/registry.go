@@ -47,11 +47,17 @@ type Spec struct {
 }
 
 // Build builds the kernel's case on d, refusing a scale CheckScale refuses.
+// On a device whose heap is at ocl.HeapBase the case comes from the case
+// memo (memo.go), shared and read-only; on any other device it is built
+// fresh.
 func (s Spec) Build(d *ocl.Device, p Params) (*Case, error) {
 	if err := CheckScale(p.Scale); err != nil {
 		return nil, fmt.Errorf("kernels: %s: %w", s.Name, err)
 	}
-	return s.build(d, p)
+	if d.HeapTop() != ocl.HeapBase {
+		return s.build(d, p)
+	}
+	return s.memoBuild(d, p)
 }
 
 func scaled(base int, s float64, min int) int {
@@ -115,14 +121,14 @@ var registry = []Spec{
 	{
 		Name: "gcn_aggr", Group: GroupML, PaperSize: "cora hs:16",
 		build: func(d *ocl.Device, p Params) (*Case, error) {
-			g := graphFor(scaled(workload.CoraNodes, p.Scale, 32), workload.CoraAvgDeg, p.Seed)
+			g := workload.NewGraph(scaled(workload.CoraNodes, p.Scale, 32), workload.CoraAvgDeg, p.Seed)
 			return BuildGCNAggr(d, g, workload.CoraHidden, p.Seed+100)
 		},
 	},
 	{
 		Name: "gcn_layer", Group: GroupML, PaperSize: "cora hs:16",
 		build: func(d *ocl.Device, p Params) (*Case, error) {
-			g := graphFor(scaled(workload.CoraNodes, p.Scale, 32), workload.CoraAvgDeg, p.Seed)
+			g := workload.NewGraph(scaled(workload.CoraNodes, p.Scale, 32), workload.CoraAvgDeg, p.Seed)
 			return BuildGCNLayer(d, g, workload.CoraHidden, p.Seed+100)
 		},
 	},

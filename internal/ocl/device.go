@@ -140,7 +140,6 @@ func (d *Device) SetObserver(fn func(sim.IssueEvent)) {
 type Buffer struct {
 	addr uint32
 	size uint32
-	dev  *Device
 }
 
 // Addr returns the device address of the buffer.
@@ -162,8 +161,12 @@ func (d *Device) Alloc(size uint32) (Buffer, error) {
 	}
 	d.allocTop = end
 	d.memory.Grow(end)
-	return Buffer{addr: addr, size: size, dev: d}, nil
+	return Buffer{addr: addr, size: size}, nil
 }
+
+// HeapTop returns the address the next allocation starts from: HeapBase on
+// a new, Reset or reshaped device, above it once a buffer is allocated.
+func (d *Device) HeapTop() uint32 { return d.allocTop }
 
 // AllocFloat32 reserves a buffer for n float32 values.
 func (d *Device) AllocFloat32(n int) (Buffer, error) { return d.Alloc(uint32(n) * 4) }

@@ -152,39 +152,51 @@ func (d *Device) load(k *Kernel, g geometry) error {
 	return nil
 }
 
-// EnqueueNDRange runs kernel k over gws work items. lws=0 delegates the
-// choice to the device's mapper (core.Auto by default — the paper's
-// technique); any positive lws is honored as-is, like the OpenCL host API.
-// The call is synchronous: it returns when every warp has retired.
+// EnqueueNDRange runs kernel k over gws work items and returns a new
+// LaunchResult: EnqueueInto with the report allocated for the caller.
 func (d *Device) EnqueueNDRange(k *Kernel, gws, lws int) (*LaunchResult, error) {
+	res := new(LaunchResult)
+	if err := d.EnqueueInto(k, gws, lws, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// EnqueueInto runs kernel k over gws work items and writes the launch
+// report into res, so a caller that keeps its storage allocates nothing.
+// lws=0 delegates the choice to the device's mapper (core.Auto by default
+// — the paper's technique); any positive lws is honored as-is, like the
+// OpenCL host API. The call is synchronous: it returns when every warp has
+// retired. On error res is left unspecified.
+func (d *Device) EnqueueInto(k *Kernel, gws, lws int, res *LaunchResult) error {
 	if gws <= 0 {
-		return nil, fmt.Errorf("ocl: gws %d must be positive", gws)
+		return fmt.Errorf("ocl: gws %d must be positive", gws)
 	}
 	info := d.Info()
 	if lws == 0 {
 		lws = d.mapper.LWS(gws, info)
 	}
 	if lws < 1 {
-		return nil, fmt.Errorf("ocl: lws %d must be positive (or 0 for auto)", lws)
+		return fmt.Errorf("ocl: lws %d must be positive (or 0 for auto)", lws)
 	}
 
 	g := launchGeometry(gws, lws, d.cfg)
 	if err := d.load(k, g); err != nil {
-		return nil, err
+		return err
 	}
 	ntasks, tpc := int(g[0]), int(g[1])
 
 	// Write the argument block.
 	for i, a := range k.args {
 		if !d.memory.Write32(ArgBase+uint32(i)*4, a.word) {
-			return nil, fmt.Errorf("ocl: argument block write failed")
+			return fmt.Errorf("ocl: argument block write failed")
 		}
 	}
 
 	// Activate warps: contiguous task chunks per core, threads first.
 	entry, ok := d.prog.Symbols["__entry"]
 	if !ok {
-		return nil, fmt.Errorf("ocl: wrapper entry symbol missing")
+		return fmt.Errorf("ocl: wrapper entry symbol missing")
 	}
 	warpsActivated := 0
 	for c := 0; c*tpc < ntasks; c++ {
@@ -193,7 +205,7 @@ func (d *Device) EnqueueNDRange(k *Kernel, gws, lws int) (*LaunchResult, error) 
 			lanes := min(slots-w*d.cfg.Threads, d.cfg.Threads)
 			mask := (uint64(1) << uint(lanes)) - 1
 			if err := d.sim.ActivateWarp(c, w, entry, mask); err != nil {
-				return nil, err
+				return err
 			}
 			warpsActivated++
 		}
@@ -207,10 +219,10 @@ func (d *Device) EnqueueNDRange(k *Kernel, gws, lws int) (*LaunchResult, error) 
 	startDRAM := d.hier.DRAM()
 
 	if err := d.sim.Run(); err != nil {
-		return nil, d.annotateTrap(err)
+		return d.annotateTrap(err)
 	}
 
-	res := &LaunchResult{
+	*res = LaunchResult{
 		Kernel:         k.src.Name,
 		GWS:            gws,
 		LWS:            lws,
@@ -230,7 +242,7 @@ func (d *Device) EnqueueNDRange(k *Kernel, gws, lws int) (*LaunchResult, error) 
 		Writebacks: dram.Writebacks - startDRAM.Writebacks,
 		BusyCycles: dram.BusyCycles - startDRAM.BusyCycles,
 	}
-	return res, nil
+	return nil
 }
 
 // annotateTrap attaches source context to simulator traps.

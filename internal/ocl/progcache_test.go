@@ -199,9 +199,10 @@ func TestResidentProgram(t *testing.T) {
 }
 
 // TestEnqueueAllocs pins what a warm launch allocates: at a new geometry of
-// a shape already built, on a device never Reset, EnqueueNDRange writes the
-// program into the device's arrays and decodes it into the simulator's,
-// so the launch report is its only allocation.
+// a shape already built, on a device never Reset, EnqueueInto writes the
+// program into the device's arrays, decodes it into the simulator's and
+// writes the report into the caller's storage, so it allocates nothing;
+// EnqueueNDRange allocates only the report it returns.
 func TestEnqueueAllocs(t *testing.T) {
 	d, err := NewDevice(sim.DefaultConfig(2, 2, 4))
 	if err != nil {
@@ -221,9 +222,10 @@ func TestEnqueueAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	lws := 1
+	var res LaunchResult
 	launch := func() {
 		lws = lws%16 + 1 // every launch a new geometry, all of one shape
-		if _, err := d.EnqueueNDRange(k, 256, lws); err != nil {
+		if err := d.EnqueueInto(k, 256, lws, &res); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -231,8 +233,17 @@ func TestEnqueueAllocs(t *testing.T) {
 		launch()
 	}
 	before := ProgramCacheStats()
-	if allocs := testing.AllocsPerRun(50, launch); allocs != 1 {
-		t.Errorf("%v allocations per warm launch, want 1 (the launch report)", allocs)
+	if allocs := testing.AllocsPerRun(50, launch); allocs != 0 {
+		t.Errorf("%v allocations per warm launch, want 0", allocs)
+	}
+	report := func() {
+		lws = lws%16 + 1
+		if _, err := d.EnqueueNDRange(k, 256, lws); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, report); allocs != 1 {
+		t.Errorf("%v allocations per warm EnqueueNDRange, want 1 (the launch report)", allocs)
 	}
 	if after := ProgramCacheStats(); after.Misses != before.Misses {
 		t.Errorf("warm launches built programs: %+v -> %+v", before, after)

@@ -34,8 +34,8 @@ func TestDRAMChannelStatsSumToGlobal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := c.Run(d, 0)
-			if err != nil {
+			var res kernels.Result
+			if err := c.Run(d, 0, &res); err != nil {
 				t.Fatal(err)
 			}
 

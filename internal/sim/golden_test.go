@@ -109,7 +109,7 @@ func goldenDigest(t *testing.T, d *ocl.Device, kernel string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.RunVerified(d, 0); err != nil {
+	if err := c.RunVerified(d, 0, new(kernels.Result)); err != nil {
 		t.Fatal(err)
 	}
 	s := d.Sim()

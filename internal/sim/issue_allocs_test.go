@@ -47,7 +47,7 @@ func TestIssuePathZeroAllocs(t *testing.T) {
 			acts = append(acts, activation{ev.Core, ev.Warp, ev.PC, ev.Mask})
 		}
 	})
-	if _, err := c.Run(d, 0); err != nil {
+	if err := c.Run(d, 0, new(kernels.Result)); err != nil {
 		t.Fatal(err)
 	}
 	d.SetObserver(nil)

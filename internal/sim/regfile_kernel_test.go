@@ -42,7 +42,7 @@ func TestRegistersAfterKernelRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c.RunVerified(d, 0); err != nil {
+			if err := c.RunVerified(d, 0, new(kernels.Result)); err != nil {
 				t.Fatal(err)
 			}
 			s := d.Sim()

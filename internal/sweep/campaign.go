@@ -8,13 +8,14 @@ import (
 )
 
 // Campaign owns the state of one campaign run: its slice of the task grid,
-// one record slot per task, the resume splice and the streamed checkpoint.
+// each task decoded from its slot when it runs, one record slot per task,
+// the resume splice and the streamed checkpoint.
 // Run and the campaign service are two schedulers over it — they decide
 // which task runs where and when — and both hand every outcome to Submit,
 // which holds the one acceptance rule.
 type Campaign struct {
 	opts    Options
-	tasks   []Task    // this shard's slice of the canonical grid, in grid order
+	grid    taskGrid  // slot s holds the task at grid index s·ShardCount + ShardIndex
 	index   gridIndex // places a record in its slot; nil for a plain in-memory campaign
 	resumed int
 
@@ -66,9 +67,10 @@ func NewCampaign(opts Options, handout bool) (*Campaign, error) {
 			return nil, fmt.Errorf("sweep: duplicate grid entry %s: sharding, checkpointing and task handout require unique task keys", dup)
 		}
 	}
-	c.tasks = enumerateTasks(opts, opts.ShardIndex, opts.ShardCount)
-	c.recs = make([]Record, len(c.tasks))
-	c.state = make([]slotState, len(c.tasks))
+	c.grid = newTaskGrid(opts)
+	n := c.grid.shardSize(opts.ShardIndex, opts.ShardCount)
+	c.recs = make([]Record, n)
+	c.state = make([]slotState, n)
 	if opts.Resume && opts.Checkpoint != "" {
 		if err := c.resume(); err != nil {
 			return nil, fmt.Errorf("sweep: resume: %w", err)
@@ -83,7 +85,7 @@ func NewCampaign(opts Options, handout bool) (*Campaign, error) {
 		c.ckpt = ckpt
 	}
 	if opts.Progress != nil && c.resumed > 0 {
-		opts.Progress(c.done, len(c.tasks))
+		opts.Progress(c.done, len(c.recs))
 	}
 	return c, nil
 }
@@ -123,6 +125,11 @@ func (c *Campaign) resume() error {
 		}
 		return nil
 	})
+}
+
+// task returns the task of slot.
+func (c *Campaign) task(slot int) Task {
+	return c.grid.task(slot*c.opts.ShardCount + c.opts.ShardIndex)
 }
 
 // Slot returns the slot of rec's task, or false for a record outside the
@@ -185,7 +192,7 @@ func (c *Campaign) Submit(slot int, rec Record) (Outcome, error) {
 func (c *Campaign) completeLocked(rec Record) {
 	c.done++
 	if c.opts.Progress != nil {
-		c.opts.Progress(c.done, len(c.tasks))
+		c.opts.Progress(c.done, len(c.recs))
 	}
 	if c.opts.OnRecord != nil {
 		c.opts.OnRecord(rec)
@@ -213,7 +220,7 @@ func (c *Campaign) Open(max int, free func(slot int) bool) []int {
 func (c *Campaign) Counts() (total, done, failed int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.tasks), c.done, c.failed
+	return len(c.recs), c.done, c.failed
 }
 
 // Err is the end-of-campaign error: a checkpoint write fault first, then
@@ -225,8 +232,8 @@ func (c *Campaign) Err() error {
 	if c.sinkErr != nil {
 		return fmt.Errorf("sweep: checkpoint write: %w", c.sinkErr)
 	}
-	if n := len(c.tasks) - c.done; n > 0 {
-		return fmt.Errorf("sweep: campaign in flight: %d of %d tasks outstanding", n, len(c.tasks))
+	if n := len(c.recs) - c.done; n > 0 {
+		return fmt.Errorf("sweep: campaign in flight: %d of %d tasks outstanding", n, len(c.recs))
 	}
 	if i := slices.Index(c.state, slotFailed); i >= 0 {
 		r := c.recs[i]

@@ -50,7 +50,7 @@ func TestCampaignSubmit(t *testing.T) {
 			}
 			// Every record carries slot 0's task identity.
 			identify := func(r Record) Record {
-				rec := c.tasks[0].Record()
+				rec := c.task(0).Record()
 				rec.Cycles, rec.Err = r.Cycles, r.Err
 				return rec
 			}
@@ -105,7 +105,8 @@ func TestCampaignErr(t *testing.T) {
 	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "3 of 3 tasks outstanding") {
 		t.Errorf("fresh campaign: Err() = %v", err)
 	}
-	for slot, task := range c.tasks {
+	for slot := range 3 {
+		task := c.task(slot)
 		rec := task.Record()
 		if slot > 0 {
 			rec.Err = "fault " + task.Mapper.Name()
@@ -115,8 +116,8 @@ func TestCampaignErr(t *testing.T) {
 	if err := c.Err(); err == nil || err.Error() != "sweep: vecadd/lws=32 on 1c2w2t: fault lws=32" {
 		t.Errorf("Err() = %v, want the first failure in slot order", err)
 	}
-	c.Submit(1, c.tasks[1].Record())
-	c.Submit(2, c.tasks[2].Record())
+	c.Submit(1, c.task(1).Record())
+	c.Submit(2, c.task(2).Record())
 	if err := c.Err(); err != nil {
 		t.Errorf("Err() after the failures were superseded = %v", err)
 	}

@@ -478,7 +478,7 @@ func TestFillRecordEmptyLaunches(t *testing.T) {
 // launch, and LWS is the first launch's.
 func TestFillRecordFoldsLaunches(t *testing.T) {
 	rec := Record{Kernel: "k", Mapper: "m"}
-	fillRecord(&rec, &kernels.Result{Case: "k", Cycles: 1000, Launches: []*ocl.LaunchResult{
+	fillRecord(&rec, &kernels.Result{Case: "k", Cycles: 1000, Launches: []ocl.LaunchResult{
 		{LWS: 4, Stats: sim.CoreStats{Issued: 10, LaneOps: 99, MemStall: 20, ExecStall: 30}},
 		{LWS: 8, Stats: sim.CoreStats{Issued: 1, LaneOps: 99, MemStall: 2, ExecStall: 3}},
 	}})

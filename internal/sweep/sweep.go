@@ -107,14 +107,17 @@ type Options struct {
 	// Resumed records are not replayed through OnRecord.
 	OnRecord func(Record)
 	// ShardIndex/ShardCount partition the canonical task grid across
-	// independent processes: the run executes
-	// only tasks whose canonical grid index is congruent to ShardIndex
-	// modulo ShardCount. The stride interleaves shards over the grid's
-	// config-major order, so every shard sees the same mix of cheap and
-	// expensive configurations and shards finish together. ShardCount <= 1
-	// disables sharding. Shard identity (and the full grid) is recorded in
-	// the checkpoint meta and validated on Resume; Merge recombines
-	// completed shard checkpoints into single-process Results.
+	// independent processes: the run executes only tasks whose canonical
+	// grid index is congruent to ShardIndex modulo ShardCount. The grid
+	// index is ((config·K + kernel)·M + mapper)·P + point, so the stride
+	// deals tasks out within each configuration rather than handing each
+	// shard a balanced mix: when ShardCount divides M·P, every shard runs
+	// the same mapper and grid-point columns of every (config, kernel) —
+	// with the paper's three mappers and no swept axis, shard i of 3 runs
+	// only mapper i, and shards of unlike mappers take unlike times.
+	// ShardCount <= 1 disables sharding. Shard identity (and the full grid)
+	// is recorded in the checkpoint meta and validated on Resume; Merge
+	// recombines completed shard checkpoints into single-process Results.
 	ShardIndex int
 	ShardCount int
 }
@@ -250,6 +253,8 @@ type Task struct {
 	Kernel string
 	Mapper core.Mapper
 	Point  []string // one canonical value per Axes entry, in table order; shared, read-only
+
+	mapperName string // Mapper.Name(), from the grid's name list; "" in a Task literal
 }
 
 // Key is the task's identity string; it matches Record.Key for the record
@@ -261,7 +266,11 @@ func (t Task) Key() string {
 // Record returns the identity of the record the task produces — config,
 // kernel, mapper and grid point — with no outcome.
 func (t Task) Record() Record {
-	rec := Record{Config: t.Config, Kernel: t.Kernel, Mapper: t.Mapper.Name()}
+	name := t.mapperName
+	if name == "" {
+		name = t.Mapper.Name()
+	}
+	rec := Record{Config: t.Config, Kernel: t.Kernel, Mapper: name}
 	for i, a := range Axes[:min(len(Axes), len(t.Point))] {
 		rec = a.set(rec, t.Point[i])
 	}
@@ -277,18 +286,52 @@ func (t Task) config() (sim.Config, error) {
 	return ApplyPoint(sim.DefaultConfig(t.Config.Cores, t.Config.Warps, t.Config.Threads), t.Point)
 }
 
+// taskGrid is the canonical task grid of filled options, in the order of
+// Options.grid, the last axis innermost, as gridIndex numbers it. It
+// decodes a task from its grid index, so a campaign holds no task list,
+// and it names each mapper once: a record takes its mapper's name from
+// mapperNames rather than formatting it anew per task.
+type taskGrid struct {
+	configs     []core.HWInfo
+	kernels     []string
+	mappers     []core.Mapper
+	mapperNames []string
+	points      [][]string
+}
+
+func newTaskGrid(opts Options) taskGrid {
+	names := make([]string, len(opts.Mappers))
+	for i, m := range opts.Mappers {
+		names[i] = m.Name()
+	}
+	return taskGrid{configs: opts.Configs, kernels: opts.Kernels, mappers: opts.Mappers, mapperNames: names, points: Points(opts.Axes)}
+}
+
+// size is the number of tasks in the grid.
+func (g *taskGrid) size() int {
+	return len(g.configs) * len(g.kernels) * len(g.mappers) * len(g.points)
+}
+
+// shardSize is the number of tasks of the grid shard runs of count shards.
+func (g *taskGrid) shardSize(shard, count int) int {
+	return max(g.size()-shard+count-1, 0) / count
+}
+
+// task returns the task at grid index gi.
+func (g *taskGrid) task(gi int) Task {
+	np, nm, nk := len(g.points), len(g.mappers), len(g.kernels)
+	r := gi / np
+	return Task{Index: gi, Config: g.configs[r/nm/nk], Kernel: g.kernels[r/nm%nk],
+		Mapper: g.mappers[r%nm], Point: g.points[gi%np], mapperName: g.mapperNames[r%nm]}
+}
+
 // enumerateTasks lists every count-th task of the canonical grid of filled
-// options, starting at shard. The grid is in the order of Options.grid,
-// the last axis innermost, as gridIndex numbers it.
+// options, starting at shard.
 func enumerateTasks(opts Options, shard, count int) []Task {
-	points := Points(opts.Axes)
-	np, nm, nk := len(points), len(opts.Mappers), len(opts.Kernels)
-	n := len(opts.Configs) * nk * nm * np
-	out := make([]Task, 0, max(n-shard+count-1, 0)/count)
-	for gi := shard; gi < n; gi += count {
-		r := gi / np
-		out = append(out, Task{Index: gi, Config: opts.Configs[r/nm/nk], Kernel: opts.Kernels[r/nm%nk],
-			Mapper: opts.Mappers[r%nm], Point: points[gi%np]})
+	g := newTaskGrid(opts)
+	out := make([]Task, 0, g.shardSize(shard, count))
+	for gi := shard; gi < g.size(); gi += count {
+		out = append(out, g.task(gi))
 	}
 	return out
 }
@@ -315,7 +358,7 @@ func TaskGrid(opts Options) ([]Task, error) {
 // a panic, so a fleet worker survives any single task.
 func RunTask(opts Options, pool *ocl.DevicePool, t Task) Record {
 	opts.fill()
-	return runOne(opts, pool, t)
+	return runOne(opts, pool, t, new(kernels.Result))
 }
 
 // Record is one simulation outcome: a (config, kernel, mapper) cell at one
@@ -383,15 +426,15 @@ var columns = []column{
 func launchSum(count func(l *ocl.LaunchResult) uint64) func(*kernels.Result) uint64 {
 	return func(res *kernels.Result) uint64 {
 		var n uint64
-		for _, l := range res.Launches {
-			n += count(l)
+		for i := range res.Launches {
+			n += count(&res.Launches[i])
 		}
 		return n
 	}
 }
 
 // CacheReport summarizes the campaign engine's cross-run reuse for one
-// sweep: the program cache's, the input memo's and the process device
+// sweep: the program cache's, the case memo's and the process device
 // pool's (ProcessPool) hit/miss deltas over the run, and how many records a
 // Resume spliced in from the checkpoint. All three caches outlive a Run, so
 // a warm Run may build no device (DevicesNew counts builds, not the growth
@@ -399,13 +442,13 @@ func launchSum(count func(l *ocl.LaunchResult) uint64) func(*kernels.Result) uin
 // each other's hits and misses.
 type CacheReport struct {
 	ProgramHits, ProgramMisses uint64
-	InputHits, InputMisses     uint64
+	InputHits, InputMisses     uint64 // case-memo replays and builds (kernels.InputCacheStats)
 	DevicesReused, DevicesNew  uint64
 	Resumed                    int
 }
 
 func (c CacheReport) String() string {
-	s := fmt.Sprintf("programs %d hit / %d built; inputs %d hit / %d built; devices %d reused / %d built",
+	s := fmt.Sprintf("programs %d hit / %d built; cases %d hit / %d built; devices %d reused / %d built",
 		c.ProgramHits, c.ProgramMisses, c.InputHits, c.InputMisses, c.DevicesReused, c.DevicesNew)
 	if c.Resumed > 0 {
 		s += fmt.Sprintf("; %d records resumed from checkpoint", c.Resumed)
@@ -441,25 +484,26 @@ func Run(opts Options) (*Results, error) {
 	progBase := ocl.ProgramCacheStats()
 	inputBase := kernels.InputCacheStats()
 
-	// Workers claim tasks by advancing a shared cursor over the task slice:
-	// at ~100 µs a task, a channel hand-off's park/wake per task is a
-	// measurable share of the run.
+	// Workers claim slots by advancing a shared cursor: at ~100 µs a task,
+	// a channel hand-off's park/wake per task is a measurable share of the
+	// run. Each worker keeps one case result for all its tasks.
 	var wg sync.WaitGroup
 	var cursor atomic.Int64
 	for w := 0; w < opts.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var res kernels.Result
 			for {
 				slot := int(cursor.Add(1)) - 1
-				if slot >= len(c.tasks) {
+				if slot >= len(c.recs) {
 					return
 				}
 				// Only the resume splice fills a slot before the workers
 				// start, and a slot's own worker is its only writer after.
 				// A checkpoint fault stays recorded for Err.
 				if c.state[slot] == slotOpen {
-					c.Submit(slot, runOne(opts, pool, c.tasks[slot]))
+					c.Submit(slot, runOne(opts, pool, c.task(slot), &res))
 				}
 			}
 		}()
@@ -483,7 +527,9 @@ func Run(opts Options) (*Results, error) {
 	return res, c.Err()
 }
 
-func runOne(opts Options, pool *ocl.DevicePool, t Task) Record {
+// runOne runs task t into res, the caller's case result, and returns its
+// record.
+func runOne(opts Options, pool *ocl.DevicePool, t Task, res *kernels.Result) Record {
 	rec := t.Record()
 	cfg, err := t.config()
 	if err != nil {
@@ -509,11 +555,10 @@ func runOne(opts Options, pool *ocl.DevicePool, t Task) Record {
 		rec.Err = err.Error()
 		return rec
 	}
-	var res *kernels.Result
 	if opts.Verify {
-		res, err = c.RunVerified(d, 0)
+		err = c.RunVerified(d, 0, res)
 	} else {
-		res, err = c.Run(d, 0)
+		err = c.Run(d, 0, res)
 	}
 	if err != nil {
 		rec.Err = err.Error()

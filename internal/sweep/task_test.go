@@ -102,11 +102,14 @@ func TestTaskGridMatchesRunOrder(t *testing.T) {
 
 // TestRunTaskSteadyStateAllocs is the small-task allocation gate: once a
 // pool's one device has been through the widest grid point, running tiny
-// tasks over alternating corner configurations must cost a few dozen KiB
-// each — the device is reshaped, its memory image, cache arrays and
-// register files are not rebuilt. Counts come from runtime.MemStats, so
-// the gate is deterministic on any host (a rebuilt-per-task device costs
-// ~2.3 MB and ~265 allocations here; a reshaped one ~20 KB and ~100).
+// tasks over alternating corner configurations must cost a few hundred
+// bytes each — the device is reshaped, its memory image, cache arrays and
+// register files are not rebuilt, and the case is replayed from the case
+// memo. What is left is RunTask's own case result. Counts come from
+// runtime.MemStats, so the gate is deterministic on any host. The bounds
+// are 1.2x the measured 384 B and 3 allocations (rounded up); a
+// rebuilt-per-task device costs ~2.3 MB and ~265 allocations here, and a
+// case built per task 715 B and 14.
 func TestRunTaskSteadyStateAllocs(t *testing.T) {
 	opts := Options{
 		Configs: []core.HWInfo{{Cores: 1, Warps: 2, Threads: 2}, {Cores: 64, Warps: 32, Threads: 32}},
@@ -132,7 +135,7 @@ func TestRunTaskSteadyStateAllocs(t *testing.T) {
 			}
 		}
 	}
-	pass() // warm-up: device, program cache, input memo
+	pass() // warm-up: device, program cache, case memo
 
 	const passes = 4
 	var before, after runtime.MemStats
@@ -145,11 +148,11 @@ func TestRunTaskSteadyStateAllocs(t *testing.T) {
 	bytesPerTask := (after.TotalAlloc - before.TotalAlloc) / n
 	allocsPerTask := (after.Mallocs - before.Mallocs) / n
 	t.Logf("%d B and %d allocations per task over %d tasks", bytesPerTask, allocsPerTask, n)
-	if bytesPerTask > 64<<10 {
-		t.Errorf("%d B allocated per task, want at most %d", bytesPerTask, 64<<10)
+	if bytesPerTask > 461 {
+		t.Errorf("%d B allocated per task, want at most 461", bytesPerTask)
 	}
-	if allocsPerTask > 150 {
-		t.Errorf("%d allocations per task, want at most 150", allocsPerTask)
+	if allocsPerTask > 4 {
+		t.Errorf("%d allocations per task, want at most 4", allocsPerTask)
 	}
 	if st := pool.Stats(); st.Misses != 1 {
 		t.Errorf("pool built %d devices, want 1", st.Misses)
@@ -163,9 +166,11 @@ func TestRunTaskSteadyStateAllocs(t *testing.T) {
 // then do the counts repeat: with two, which pooled device each task lands
 // on varies from run to run, and so do the counts. The warm Run takes its
 // device from the process's pool, which the first Run filled, so it builds
-// no device and no register arena. The bounds are 1.2x the most either
-// campaign measured so (45,416 B, 693 allocations); a pool built per Run
-// took 1.02 MB and 1,800, and a growing device 1.33 MB and 2,099.
+// no device and no register arena, and its tasks replay their cases from
+// the case memo. The bounds are 1.2x the most either campaign measured so
+// (9,640 B, 20 allocations); with a case built per task and a report
+// allocated per launch it took 49,480 B and 668, with a pool built per Run
+// 1.02 MB and 1,800, and with a growing device 1.33 MB and 2,099.
 func TestRunCampaignAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own; the bounds hold for a plain build")
@@ -191,11 +196,11 @@ func TestRunCampaignAllocs(t *testing.T) {
 			bytes := after.TotalAlloc - before.TotalAlloc
 			allocs := after.Mallocs - before.Mallocs
 			t.Logf("%d B and %d allocations per warm campaign", bytes, allocs)
-			if bytes > 54_500 {
-				t.Errorf("%d B allocated per campaign, want at most 54500", bytes)
+			if bytes > 11_568 {
+				t.Errorf("%d B allocated per campaign, want at most 11568", bytes)
 			}
-			if allocs > 832 {
-				t.Errorf("%d allocations per campaign, want at most 832", allocs)
+			if allocs > 24 {
+				t.Errorf("%d allocations per campaign, want at most 24", allocs)
 			}
 		})
 	}
@@ -207,9 +212,10 @@ func TestRunCampaignAllocs(t *testing.T) {
 // record. One worker keeps the counts repeatable, as in
 // TestRunCampaignAllocs. Records are placed by grid index, so reading,
 // merging and resuming build no task-key strings and no record maps, and
-// each shard enumerates only its own tasks. The bounds are 1.2x the most
-// measured (1,997 B and 15 allocations per record); with records keyed by
-// task-key strings the flow took about 3,220 B and 26.
+// each shard decodes only its own tasks. The bounds are 1.2x the most
+// measured (1,135 B and 1.44 allocations per record); with a case built
+// per task it took 1,974 B and 14, and with records keyed by task-key
+// strings about 3,220 B and 26.
 func TestDurableFlowAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own; the bounds hold for a plain build")
@@ -249,18 +255,18 @@ func TestDurableFlowAllocs(t *testing.T) {
 		}
 		return len(res.Records)
 	}
-	flow() // warm-up: devices, program cache, input memo
+	flow() // warm-up: devices, program cache, case memo
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	records := uint64(flow())
 	runtime.ReadMemStats(&after)
 	bytes := (after.TotalAlloc - before.TotalAlloc) / records
-	allocs := (after.Mallocs - before.Mallocs) / records
-	t.Logf("%d B and %d allocations per record over %d records", bytes, allocs, records)
-	if bytes > 2400 {
-		t.Errorf("%d B allocated per record, want at most 2400", bytes)
+	allocs := float64(after.Mallocs-before.Mallocs) / float64(records)
+	t.Logf("%d B and %.2f allocations per record over %d records", bytes, allocs, records)
+	if bytes > 1362 {
+		t.Errorf("%d B allocated per record, want at most 1362", bytes)
 	}
-	if allocs > 18 {
-		t.Errorf("%d allocations per record, want at most 18", allocs)
+	if allocs > 1.73 {
+		t.Errorf("%.2f allocations per record, want at most 1.73", allocs)
 	}
 }

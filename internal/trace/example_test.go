@@ -30,8 +30,8 @@ func ExampleCollector_RenderOccupancy() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := c.RunVerified(d, lws)
-		if err != nil {
+		var res kernels.Result
+		if err := c.RunVerified(d, lws, &res); err != nil {
 			log.Fatal(err)
 		}
 		lr := res.Launches[0]

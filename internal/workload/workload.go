@@ -8,9 +8,7 @@
 package workload
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 )
 
@@ -138,26 +136,6 @@ func (g *Graph) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Fingerprint returns a content hash of the graph structure, usable as a
-// cache key for values derived from it (e.g. the kernels input memo):
-// graphs with equal fingerprints have identical CSR arrays with
-// overwhelming probability.
-func (g *Graph) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], uint32(g.N))
-	h.Write(buf[:])
-	for _, v := range g.RowPtr {
-		binary.LittleEndian.PutUint32(buf[:], v)
-		h.Write(buf[:])
-	}
-	for _, v := range g.Col {
-		binary.LittleEndian.PutUint32(buf[:], v)
-		h.Write(buf[:])
-	}
-	return h.Sum64()
 }
 
 // NewGraph generates a graph with n nodes and approximately avgDeg
